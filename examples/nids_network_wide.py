@@ -8,9 +8,7 @@ York hotspot onto transit nodes.
 
 Both runs go through the unified :func:`repro.nids.run_emulation`
 entry point: hand it module specs for the edge-only baseline, hand it
-the planned ``NIDSDeployment`` for the coordinated run.  (The old
-``emulate_edge`` / ``emulate_coordinated`` names still work but emit
-``DeprecationWarning``.)
+the planned ``NIDSDeployment`` for the coordinated run.
 
 Run:  python examples/nids_network_wide.py  [#sessions]
 """

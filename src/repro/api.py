@@ -3,9 +3,9 @@
 ``repro.api`` is the supported surface for programmatic users: one
 flat namespace re-exporting the blessed entry points of each
 subsystem.  Anything importable from here follows the deprecation
-policy (old keyword shims emit :class:`DeprecationWarning` for at
-least one release before removal); internal module paths may move
-without notice.
+policy (a name emits :class:`DeprecationWarning` for at least one
+release before removal); internal module paths may move without
+notice.
 
 The facade groups into five areas:
 
@@ -18,9 +18,7 @@ The facade groups into five areas:
   (edge-only when handed module specs, coordinated when handed an
   :class:`NIDSDeployment`), configured by :class:`EmulationConfig`
   with an :class:`ExecutionPolicy` (inline | streamed | sharded),
-  plus :func:`compare_deployments` and :class:`BroMode`; the old
-  ``emulate_edge`` / ``emulate_coordinated`` (and ``*_stream``) names
-  remain as deprecated wrappers;
+  plus :func:`compare_deployments` and :class:`BroMode`;
 * **coordination plane** — :func:`run_scenario`,
   :class:`ScenarioConfig`, :func:`standard_scenario`;
 * **telemetry** — :class:`MetricsRegistry`, :data:`NULL_REGISTRY`,
@@ -74,10 +72,6 @@ from .nids import (
     ExecutionPolicy,
     Traffic,
     compare_deployments,
-    emulate_coordinated,
-    emulate_coordinated_stream,
-    emulate_edge,
-    emulate_edge_stream,
     run_emulation,
 )
 
@@ -157,10 +151,6 @@ __all__ = [
     "ExecutionPolicy",
     "Traffic",
     "compare_deployments",
-    "emulate_coordinated",
-    "emulate_coordinated_stream",
-    "emulate_edge",
-    "emulate_edge_stream",
     "run_emulation",
     # coordination plane
     "ChaosConfig",

@@ -139,12 +139,9 @@ class CoordinatedDispatcher:
             hash_cache if hash_cache is not None else {}
         )
         self._manifest_index: Optional[ManifestIndex] = None
-        # Plain ints, not registry metrics: _hash runs once per
-        # (session, aggregation) and a registry call there would blow
-        # the telemetry overhead budget.  The engine reads these as
-        # deltas at end of trace and folds them into its registry.
-        self.cache_hits = 0
-        self.cache_misses = 0
+        # A plain int, not a registry metric: the dispatcher holds no
+        # registry.  The engine reads it as a delta at end of trace and
+        # folds it into hash_batch_computed_total.
         self.batch_hashes = 0
 
     @property
@@ -173,15 +170,11 @@ class CoordinatedDispatcher:
             key = key_for(aggregation, src, dst, sport, dport, proto)
             cached = hash_unit(key, self.hash_seed)
             sub[cache_key] = cached
-            self.cache_misses += 1
-        else:
-            self.cache_hits += 1
         return cached
 
     def _hash_batch(
         self,
         aggregation: Aggregation,
-        tuples: List,
         src: np.ndarray,
         dst: np.ndarray,
         sport: np.ndarray,
@@ -193,18 +186,12 @@ class CoordinatedDispatcher:
         The vector sweep recomputes every hash: one NumPy pass is
         cheaper than per-element probes of the shared cache (measured —
         the probe loop, not hashing, dominated a cache-aware variant).
-        Values are bit-identical to :meth:`_hash` either way.  A cold
-        shared cache is warmed from the sweep so the scalar path (and
-        single-session traces) still benefit from batch work.
+        Values are bit-identical to :meth:`_hash`.
         """
         values = key_hash_unit_batch(
             aggregation, src, dst, sport, dport, proto, self.hash_seed
         )
         self.batch_hashes += len(values)
-        sub = self._hash_cache.setdefault(aggregation, {})
-        if not sub:
-            for t, value in zip(tuples, values.tolist()):
-                sub[(t.src, t.dst, t.sport, t.dport, t.proto)] = value
         return values
 
     def session_hash(self, spec: ModuleSpec, session: Session) -> float:
@@ -312,7 +299,6 @@ class CoordinatedDispatcher:
             if all_hashes is None:
                 all_hashes = self._hash_batch(
                     spec.aggregation,
-                    batch.tuples,
                     batch.src,
                     batch.dst,
                     batch.sport,
@@ -368,32 +354,14 @@ class CoordinatedDispatcher:
                 )
         return decisions
 
-    def sampled_modules_batch(
-        self, sessions: Sequence[Session]
-    ) -> List[List[ModuleSpec]]:
-        """Lean batch path: per session, the modules that sample it.
-
-        Equivalent to ``[[spec for spec in self.modules if
-        self.should_analyze(spec, s)] for s in sessions]`` — the per-
-        session inner loop of the emulation engine — without building
-        decision objects.
-        """
-        sampled: List[List[ModuleSpec]] = [[] for _ in sessions]
-        for spec, (_mask, matched, _gids, _units, _hashes, flags) in zip(
-            self.modules, self._decide_batch_raw(sessions)
-        ):
-            for i in matched[flags]:
-                sampled[i].append(spec)
-        return sampled
-
     def batch_decisions(self, batch: SessionBatch) -> List["ModuleBatchDecision"]:
         """Full-length per-module masks for the vectorized engine.
 
         For each module (in module order): the traffic-filter match
         mask, the Fig. 3 analyze mask (match AND hash-in-range), and
         the responsibility mask (this node holds *some* range for the
-        session's unit — the engine's ``_responsible`` check).  All
-        element-wise identical to the scalar predicates.
+        session's unit, ``NodeManifest.responsible``).  All element-wise
+        identical to the scalar predicates.
         """
         raw = self._decide_batch_raw(batch)
         n = len(batch)

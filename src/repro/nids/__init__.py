@@ -33,10 +33,6 @@ _LAZY_EXPORTS = {
     "run_emulation": ("repro.nids.emulation", "run_emulation"),
     "run_sharded": ("repro.nids.shard", "run_sharded"),
     "compare_deployments": ("repro.nids.emulation", "compare_deployments"),
-    "emulate_coordinated": ("repro.nids.emulation", "emulate_coordinated"),
-    "emulate_coordinated_stream": ("repro.nids.emulation", "emulate_coordinated_stream"),
-    "emulate_edge": ("repro.nids.emulation", "emulate_edge"),
-    "emulate_edge_stream": ("repro.nids.emulation", "emulate_edge_stream"),
     "run_microbenchmark": ("repro.nids.microbench", "run_microbenchmark"),
     "format_microbench_table": ("repro.nids.microbench", "format_microbench_table"),
     "MicrobenchRow": ("repro.nids.microbench", "MicrobenchRow"),
@@ -98,10 +94,6 @@ __all__ = [
     "Scope",
     "TrafficFilter",
     "compare_deployments",
-    "emulate_coordinated",
-    "emulate_coordinated_stream",
-    "emulate_edge",
-    "emulate_edge_stream",
     "format_microbench_table",
     "make_detector",
     "module_by_name",

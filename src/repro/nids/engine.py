@@ -18,33 +18,28 @@ three variants:
 Processing is session-granular: per-packet costs are applied
 arithmetically from each session's packet count, which reproduces the
 cost accounting exactly while staying fast enough for the multi-million
-session network-wide runs.  Two execution paths share one accounting
-contract:
+session network-wide runs.  There is one implementation: sampling,
+tracking levels, coordination checks and module work are evaluated over
+NumPy session arrays with per-module masks, for every trace length.
 
-* the scalar path loops sessions in Python (reference semantics);
-* the vectorized path (:meth:`BroInstance.process_sessions_batch`)
-  evaluates sampling, tracking levels, coordination checks and module
-  work over NumPy arrays with per-module masks.
-
-Both paths fold per-session CPU subtotals — built with the *same*
-elementwise operation order — into an :class:`~repro.core.exactsum.ExactSum`,
-so their :class:`InstanceReport`\\ s are bit-identical by construction,
-and chunked/streamed runs merge :class:`PartialInstanceReport`\\ s to
-exactly the one-shot result.  Behavioural detectors can be enabled to
-verify functional equivalence between deployments.
+Per-session CPU subtotals are built elementwise in one fixed operation
+order and folded into an :class:`~repro.core.exactsum.ExactSum`, so
+chunked/streamed runs merge :class:`PartialInstanceReport`\\ s to
+exactly the one-shot result, and the per-session reference loop the
+test suite keeps (``tests/scalar_oracle.py``) reproduces every report
+bit for bit.  Behavioural detectors can be enabled to verify functional
+equivalence between deployments.
 """
 
 from __future__ import annotations
 
 import enum
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.dispatch import CoordinatedDispatcher
 from ..core.exactsum import ExactSum
-from ..core.units import unit_key_for_session
 from ..obs import MetricsRegistry, NULL_REGISTRY
 from ..traffic.batch import SessionBatch
 from ..traffic.session import Session
@@ -103,6 +98,10 @@ class ExecutionPolicy:
     mp_context: str = "spawn"
 
     def __post_init__(self) -> None:
+        if not isinstance(self.mode, ExecutionMode):
+            raise TypeError(
+                f"mode must be an ExecutionMode, not {self.mode!r}"
+            )
         if self.jobs < 0:
             raise ValueError("jobs must be >= 0 (0 means one per CPU)")
         if self.chunk_size < 1:
@@ -135,13 +134,11 @@ class ExecutionPolicy:
 class EmulationConfig:
     """Run configuration for emulation entry points and instances.
 
-    Collapses the keyword sprawl that accreted on
-    :func:`~repro.nids.emulation.emulate_coordinated` and
-    :class:`BroInstance` into one value that can be built once and
-    shared across a whole experiment sweep.  ``mode`` selects the
-    instance variant for the coordinated entry points (it is ignored by
-    :class:`BroInstance`, whose explicit ``mode`` argument is
-    authoritative).  ``registry`` receives runtime telemetry; the
+    One value that can be built once and shared across a whole
+    experiment sweep.  ``mode`` selects the instance variant for a
+    coordinated :func:`~repro.nids.emulation.run_emulation` (it is
+    ignored by :class:`BroInstance`, whose explicit ``mode`` argument
+    is authoritative).  ``registry`` receives runtime telemetry; the
     default :data:`~repro.obs.NULL_REGISTRY` makes every recording a
     no-op.  ``policy`` selects how
     :func:`~repro.nids.emulation.run_emulation` executes the run
@@ -152,56 +149,23 @@ class EmulationConfig:
     cost_model: CostModel = DEFAULT_COST_MODEL
     run_detectors: bool = False
     fine_grained: bool = False
-    batch_dispatch: bool = True
-    #: Vectorized engine fast path: evaluate the whole cost model over
-    #: NumPy session arrays (bit-identical reports; ~order-of-magnitude
-    #: faster on large traces).  Scalar fallback remains for single
-    #: sessions and as the reference semantics.
-    batch_engine: bool = True
     registry: MetricsRegistry = NULL_REGISTRY
     policy: ExecutionPolicy = ExecutionPolicy()
 
-
-class _Unset:
-    """Sentinel distinguishing 'not passed' from any real value."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - repr only
-        return "<unset>"
-
-
-_UNSET = _Unset()
+    def __post_init__(self) -> None:
+        if not isinstance(self.mode, BroMode):
+            raise TypeError(f"mode must be a BroMode, not {self.mode!r}")
 
 
 def _resolve_config(
-    config: Optional[EmulationConfig],
-    registry: Optional[MetricsRegistry],
-    **legacy: object,
+    config: Optional[EmulationConfig], registry: Optional[MetricsRegistry]
 ) -> EmulationConfig:
-    """Fold deprecated per-call keywords into an :class:`EmulationConfig`.
+    """The effective config: defaults when absent, ``registry=`` on top.
 
-    Legacy keywords still work (so pre-config callers keep their exact
-    behaviour) but raise a :class:`DeprecationWarning`; mixing them
-    with ``config=`` is an error because the precedence would be
-    ambiguous.  An explicit ``registry=`` always wins over
-    ``config.registry`` — it is the blessed way to opt into telemetry.
+    An explicit ``registry=`` always wins over ``config.registry`` — it
+    is the blessed way to opt into telemetry.
     """
-    supplied = {k: v for k, v in legacy.items() if v is not _UNSET}
-    if supplied:
-        if config is not None:
-            raise TypeError(
-                "pass either config=EmulationConfig(...) or the deprecated"
-                f" keyword arguments {sorted(supplied)}, not both"
-            )
-        warnings.warn(
-            f"passing {'/'.join(sorted(supplied))} directly is deprecated;"
-            " use config=EmulationConfig(...)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        config = EmulationConfig(**supplied)  # type: ignore[arg-type]
-    elif config is None:
+    if config is None:
         config = EmulationConfig()
     if registry is not None:
         config = replace(config, registry=registry)
@@ -468,24 +432,13 @@ class BroInstance:
         modules: Sequence[ModuleSpec],
         mode: BroMode,
         dispatcher: Optional[CoordinatedDispatcher] = None,
-        cost_model: object = _UNSET,
-        run_detectors: object = _UNSET,
-        fine_grained: object = _UNSET,
-        batch_dispatch: object = _UNSET,
         *,
         config: Optional[EmulationConfig] = None,
         registry: Optional[MetricsRegistry] = None,
     ):
         if mode is not BroMode.UNMODIFIED and dispatcher is None:
             raise ValueError("coordinated modes require a dispatcher")
-        config = _resolve_config(
-            config,
-            registry,
-            cost_model=cost_model,
-            run_detectors=run_detectors,
-            fine_grained=fine_grained,
-            batch_dispatch=batch_dispatch,
-        )
+        config = _resolve_config(config, registry)
         self.node = node
         self.modules = list(modules)
         self.mode = mode
@@ -493,12 +446,6 @@ class BroInstance:
         self.config = config
         self.registry = config.registry
         self.cost = config.cost_model
-        #: Vectorized Fig. 3 fast path: precompute the whole trace's
-        #: sampling decisions with CoordinatedDispatcher.sampled_modules_batch
-        #: (bit-identical to the scalar per-session checks).
-        self.batch_dispatch = config.batch_dispatch
-        #: Vectorized cost-model fast path (masks over session arrays).
-        self.batch_engine = config.batch_engine
         #: §2.5 extension: honour FIRST_PACKET subscriptions with
         #: lightweight records instead of full connection tracking.
         self.fine_grained = config.fine_grained
@@ -508,79 +455,16 @@ class BroInstance:
             else {}
         )
 
-    # -- per-session decisions ---------------------------------------------
-    def _responsible(self, spec: ModuleSpec, session: Session) -> bool:
-        """Whether this node holds any range for the session's unit."""
-        assert self.dispatcher is not None
-        unit = unit_key_for_session(spec, session)
-        return self.dispatcher.manifest.responsible(spec.name, unit)
-
-    def _sampled(self, spec: ModuleSpec, session: Session) -> bool:
-        """The Fig. 3 hash-range check for this node."""
-        assert self.dispatcher is not None
-        return self.dispatcher.should_analyze(spec, session)
-
     def _required_level(self, spec: ModuleSpec) -> TrackingLevel:
         """Tracking level *spec* forces when it needs this session."""
         if self.fine_grained and spec.subscription is Subscription.FIRST_PACKET:
             return TrackingLevel.LIGHT
         return TrackingLevel.FULL
 
-    def _tracking_level(
-        self, session: Session, sampled_specs: List[ModuleSpec]
-    ) -> TrackingLevel:
-        """How much connection state *session* forces at this node.
-
-        Unmodified Bro and approach 1 fully track every connection
-        (the sampling decision comes too late to skip state).
-        Approach 2 creates state only when (a) some module sampled the
-        session, or (b) a policy-stage module on this node needs the
-        session's connection events: raw-stream consumers (scan, TFTP)
-        need events for *every* connection in their unit, other policy
-        modules (Blaster, SYN-flood) only for matched sessions.  With
-        the §2.5 fine-grained extension, first-packet subscribers force
-        only a LIGHT record.
-        """
-        if self.mode is not BroMode.COORD_EVENT:
-            return TrackingLevel.FULL
-        assert self.dispatcher is not None
-        if self.dispatcher.manifest.full:
-            # Standalone configuration: the manifest assigns all
-            # traffic to this node, so nothing falls outside it.
-            return TrackingLevel.FULL
-        level = TrackingLevel.NONE
-        for spec in sampled_specs:
-            required = self._required_level(spec)
-            if required.value > level.value:
-                level = required
-            if level is TrackingLevel.FULL:
-                return level
-        for spec in self.modules:
-            if spec.check_location is not CheckLocation.POLICY_ONLY:
-                continue
-            if not self._responsible(spec, session):
-                continue
-            if spec.raw_event_stream or spec.traffic_filter.matches_session(session):
-                required = self._required_level(spec)
-                if required.value > level.value:
-                    level = required
-                if level is TrackingLevel.FULL:
-                    return level
-        return level
-
     # -- main loop -----------------------------------------------------------
     def process_sessions(self, sessions: Trace) -> InstanceReport:
-        """Run the instance over a node trace and account its resources.
-
-        Routes through the vectorized fast path when ``batch_engine``
-        is enabled and the trace is non-trivial; both paths produce
-        bit-identical reports.
-        """
+        """Run the instance over a node trace and account its resources."""
         return self.finalize_partial(self.process_sessions_partial(sessions))
-
-    def process_sessions_batch(self, sessions: Trace) -> InstanceReport:
-        """Explicit vectorized run (bit-identical to the scalar path)."""
-        return self.finalize_partial(self._process_batch(sessions))
 
     def process_sessions_partial(self, sessions: Trace) -> PartialInstanceReport:
         """Account one trace slice into a mergeable partial report.
@@ -591,9 +475,7 @@ class BroInstance:
         :meth:`finalize_partial` time, so chunked runs do not duplicate
         them).
         """
-        if self.batch_engine and len(sessions) > 1:
-            return self._process_batch(sessions)
-        return self._process_scalar(sessions)
+        return self._process_batch(sessions)
 
     def finalize_partial(self, partial: PartialInstanceReport) -> InstanceReport:
         """Render a (possibly merged) partial plus detector output."""
@@ -601,93 +483,6 @@ class BroInstance:
         for detector in self.detectors.values():
             report.alerts.extend(detector.alerts)
         return report
-
-    def _process_scalar(self, sessions: Trace) -> PartialInstanceReport:
-        """Reference per-session loop producing an exact partial."""
-        import numpy as np
-
-        if isinstance(sessions, SessionBatch):
-            sessions = sessions.sessions
-        cost = self.cost
-        coordinated = self.mode is not BroMode.UNMODIFIED
-        partial = PartialInstanceReport.empty(
-            self.node, self.mode, (spec.name for spec in self.modules)
-        )
-        item_sets: Dict[str, Set[int]] = {spec.name: set() for spec in self.modules}
-        #: LIGHT-record charge; one binary add, shared with the batch path.
-        light_charge = cost.light_conn_cost + cost.hash_compute_cost
-        started = time.perf_counter()
-        cache_before = self._cache_counters()
-
-        batch_sampled = None
-        if coordinated and self.batch_dispatch and len(sessions) > 1:
-            assert self.dispatcher is not None
-            batch_sampled = self.dispatcher.sampled_modules_batch(sessions)
-
-        tracked_connections = 0
-        light_connections = 0
-        for position, session in enumerate(sessions):
-            pkts = session.num_packets
-            # Canonical per-session subtotal. The batch path reproduces
-            # this exact operation order elementwise, so the two paths
-            # fold identical doubles into the exact accumulator.
-            subtotal = cost.capture_cost * pkts
-
-            if batch_sampled is not None:
-                sampled_specs = batch_sampled[position]
-            elif coordinated:
-                sampled_specs = [
-                    spec for spec in self.modules if self._sampled(spec, session)
-                ]
-            else:
-                sampled_specs = [
-                    spec
-                    for spec in self.modules
-                    if spec.traffic_filter.matches_session(session)
-                ]
-
-            level = self._tracking_level(session, sampled_specs)
-            tracked = level is not TrackingLevel.NONE
-            if level is TrackingLevel.FULL:
-                tracked_connections += 1
-                subtotal += cost.base_conn_packet_cost * pkts
-                if coordinated:
-                    subtotal += cost.hash_compute_cost
-            elif level is TrackingLevel.LIGHT:
-                light_connections += 1
-                subtotal += light_charge
-
-            if coordinated:
-                subtotal += self._check_costs(session, tracked)
-
-            for spec in sampled_specs:
-                work = spec.session_cpu(session)
-                subtotal += work
-                partial.module_cpu[spec.name].add(work)
-                item_sets[spec.name].add(spec.item_key(session))
-                partial.module_sessions[spec.name] += 1
-                detector = self.detectors.get(spec.name)
-                if detector is not None:
-                    detector.on_session(session)
-
-            partial.cpu.add(subtotal)
-
-        partial.num_sessions = len(sessions)
-        partial.tracked_connections = tracked_connections
-        partial.light_connections = light_connections
-        for name, keys in item_sets.items():
-            partial.module_item_keys[name] = np.array(sorted(keys), dtype=np.int64)
-
-        self._record_trace(
-            len(sessions),
-            started,
-            tracked_connections,
-            light_connections,
-            partial.module_sessions,
-            cache_before,
-            batched=False,
-        )
-        return partial
 
     def _process_batch(self, sessions: Trace) -> PartialInstanceReport:
         """Vectorized cost model: per-module masks over session arrays."""
@@ -702,11 +497,9 @@ class BroInstance:
         )
         partial.num_sessions = n
         started = time.perf_counter()
-        cache_before = self._cache_counters()
+        hashes_before = self.dispatcher.batch_hashes if self.dispatcher else 0
         if n == 0:
-            self._record_trace(
-                0, started, 0, 0, partial.module_sessions, cache_before, batched=True
-            )
+            self._record_trace(0, started, 0, 0, partial.module_sessions, hashes_before)
             return partial
 
         if coordinated:
@@ -723,7 +516,17 @@ class BroInstance:
             sampled_masks = match_masks
             resp_masks = None
 
-        # -- tracking levels (vectorized _tracking_level) -----------------
+        # -- tracking levels ----------------------------------------------
+        # Unmodified Bro and approach 1 fully track every connection
+        # (the sampling decision comes too late to skip state), and a
+        # full manifest assigns all traffic to this node.  Approach 2
+        # creates state only when (a) some module sampled the session,
+        # or (b) a policy-stage module on this node needs the session's
+        # connection events: raw-stream consumers (scan, TFTP) need
+        # events for *every* connection in their unit, other policy
+        # modules (Blaster, SYN-flood) only for matched sessions.  With
+        # the §2.5 fine-grained extension, first-packet subscribers
+        # force only a LIGHT record.
         if (
             self.mode is not BroMode.COORD_EVENT
             or self.dispatcher is None
@@ -748,7 +551,10 @@ class BroInstance:
         tracked_connections = int(full_mask.sum())
         light_connections = int(light_mask.sum())
 
-        # -- per-session CPU subtotals (canonical scalar op order) --------
+        # -- per-session CPU subtotals ------------------------------------
+        # The elementwise operation order below is the contract the
+        # tests' per-session oracle reproduces: capture, connection
+        # record, hash, checks, then module work in module order.
         pkts_f = batch.pkts_f
         subtotal = cost.capture_cost * pkts_f
         conn_charge = cost.base_conn_packet_cost * pkts_f
@@ -757,6 +563,10 @@ class BroInstance:
             subtotal[full_mask] += cost.hash_compute_cost
         subtotal[light_mask] += cost.light_conn_cost + cost.hash_compute_cost
 
+        # Event-engine checks are charged per connection per configured
+        # module; policy-engine checks per event delivered to the policy
+        # script (raw-stream consumers receive one event per tracked
+        # connection; protocol modules one per derived protocol event).
         if coordinated:
             assert resp_masks is not None
             check = np.zeros(n, dtype=np.float64)
@@ -806,7 +616,8 @@ class BroInstance:
             any_sampled = np.zeros(n, dtype=bool)
             for sampled in sampled_masks:
                 any_sampled |= sampled
-            # Session-major, module order within — the scalar feed order.
+            # Session-major, module order within: detectors are
+            # stateful, so the feed order is part of the result.
             for index in np.flatnonzero(any_sampled):
                 session = batch.sessions[index]
                 for spec, sampled in zip(self.modules, sampled_masks):
@@ -821,21 +632,11 @@ class BroInstance:
             tracked_connections,
             light_connections,
             partial.module_sessions,
-            cache_before,
-            batched=True,
+            hashes_before,
         )
         return partial
 
     # -- telemetry ------------------------------------------------------------
-    def _cache_counters(self) -> Tuple[int, int, int]:
-        if self.dispatcher is None:
-            return (0, 0, 0)
-        return (
-            self.dispatcher.cache_hits,
-            self.dispatcher.cache_misses,
-            self.dispatcher.batch_hashes,
-        )
-
     def _record_trace(
         self,
         n: int,
@@ -843,8 +644,7 @@ class BroInstance:
         tracked: int,
         light: int,
         module_sessions: Dict[str, int],
-        cache_before: Tuple[int, int, int],
-        batched: bool = False,
+        hashes_before: int,
     ) -> None:
         """Record one trace run into the configured registry.
 
@@ -862,12 +662,6 @@ class BroInstance:
             "sessions processed per node trace",
             labels=("node",),
         ).inc(n, node=node)
-        if batched:
-            registry.counter(
-                "engine_batch_sessions_total",
-                "sessions processed by the vectorized engine fast path",
-                labels=("node",),
-            ).inc(n, node=node)
         registry.counter(
             "sessions_tracked_total",
             "sessions forcing a full connection record",
@@ -898,55 +692,11 @@ class BroInstance:
             if count:
                 analyzed.inc(count, node=node, module=name)
         if self.dispatcher is not None:
-            hits0, misses0, batch0 = cache_before
-            registry.counter(
-                "hash_cache_hits_total",
-                "scalar-path hash-cache hits",
-                labels=("node",),
-            ).inc(self.dispatcher.cache_hits - hits0, node=node)
-            registry.counter(
-                "hash_cache_misses_total",
-                "scalar-path hash-cache misses",
-                labels=("node",),
-            ).inc(self.dispatcher.cache_misses - misses0, node=node)
             registry.counter(
                 "hash_batch_computed_total",
                 "hash values computed by the vectorized batch sweep",
                 labels=("node",),
-            ).inc(self.dispatcher.batch_hashes - batch0, node=node)
-
-    # -- coordination-check accounting ----------------------------------------
-    def _check_costs(self, session: Session, tracked: bool) -> float:
-        """CPU cost of the coordination checks for one connection.
-
-        Event-engine checks are charged per connection per configured
-        module; policy-engine checks per event delivered to the policy
-        script (raw-stream consumers receive one event per tracked
-        connection; protocol modules one per derived protocol event).
-        """
-        cost = self.cost
-        total = 0.0
-        for spec in self.modules:
-            if not self._responsible(spec, session):
-                continue
-            location = spec.check_location
-            if location is CheckLocation.POLICY_ONLY:
-                if not tracked:
-                    continue
-                if spec.raw_event_stream:
-                    total += cost.policy_check_cost * spec.raw_events_per_conn
-                elif spec.traffic_filter.matches_session(session):
-                    total += cost.policy_check_cost * spec.policy_events(session)
-            elif location is CheckLocation.EVENT_ONLY:
-                if spec.traffic_filter.matches_session(session):
-                    total += cost.event_check_cost
-            else:  # EVENT_CAPABLE: placement depends on the approach
-                if self.mode is BroMode.COORD_EVENT:
-                    if spec.traffic_filter.matches_session(session):
-                        total += cost.event_check_cost
-                elif tracked and spec.traffic_filter.matches_session(session):
-                    total += cost.policy_check_cost * spec.policy_events(session)
-        return total
+            ).inc(self.dispatcher.batch_hashes - hashes_before, node=node)
 
     def alert_keys(self) -> Set[Tuple[str, str]]:
         """Union of deduplicated alert identities across detectors."""

@@ -24,7 +24,6 @@ class SessionBatch:
 
     __slots__ = (
         "sessions",
-        "tuples",
         "src",
         "dst",
         "sport",
@@ -44,7 +43,6 @@ class SessionBatch:
         self.sessions = sessions
         n = len(sessions)
         tuples = [session.tuple for session in sessions]
-        self.tuples = tuples
         self.src = np.fromiter((t.src for t in tuples), dtype=np.uint64, count=n)
         self.dst = np.fromiter((t.dst for t in tuples), dtype=np.uint64, count=n)
         self.sport = np.fromiter((t.sport for t in tuples), dtype=np.int64, count=n)

@@ -1,14 +1,12 @@
-"""Batch dispatch fast path: bit-identical to the scalar Fig. 3 path.
+"""Batch dispatch: bit-identical to the per-session Fig. 3 procedure.
 
-The vectorized engine (``decide_batch`` / ``sampled_modules_batch`` /
-``BroInstance(batch_dispatch=True)``) is an optimization, not a
-semantic change: every test here asserts *exact* equality with the
-per-session scalar procedure — same modules, same coordination units,
-bit-identical hash values, identical analyze verdicts, identical
-emulation reports.
+The vectorized dispatch (``decide_batch`` / ``batch_decisions``, which
+the engine consumes) is an optimization, not a semantic change: every
+test here asserts *exact* equality with the per-session reference API
+(``decide_session`` / ``should_analyze``) — same modules, same
+coordination units, bit-identical hash values, identical analyze
+verdicts — and emulation reports equal to the per-session oracle's.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -19,10 +17,14 @@ from repro.core.dispatch import CoordinatedDispatcher
 from repro.core.manifest import full_manifest
 from repro.core.nids_deployment import plan_deployment
 from repro.nids.emulation import Traffic, run_emulation
-from repro.nids.engine import EmulationConfig
+from repro.nids.engine import BroMode
 from repro.nids.modules import STANDARD_MODULES
 from repro.topology import PathSet, internet2
-from repro.traffic import GeneratorConfig, TrafficGenerator
+from repro.traffic import GeneratorConfig, SessionBatch, TrafficGenerator
+from tests.scalar_oracle import (
+    ScalarOracle,
+    assert_batch_decisions_match_reference,
+)
 
 
 @pytest.fixture(scope="module")
@@ -52,25 +54,23 @@ class TestDispatcherEquivalence:
                     assert got.hash_value == want.hash_value  # bit-exact
                     assert got.analyze == want.analyze
 
-    def test_sampled_modules_batch_matches_should_analyze(self, deployment_setup):
+    def test_batch_decisions_match_should_analyze(self, deployment_setup):
         topo, _, sessions, deployment = deployment_setup
         for node in topo.node_names[:4]:
-            dispatcher = deployment.dispatcher(node)
-            batch = dispatcher.sampled_modules_batch(sessions[:500])
-            for session, sampled in zip(sessions[:500], batch):
-                expected = [
-                    spec
-                    for spec in deployment.modules
-                    if dispatcher.should_analyze(spec, session)
-                ]
-                assert sampled == expected
+            assert_batch_decisions_match_reference(
+                deployment.dispatcher(node), sessions[:500]
+            )
 
     def test_batch_with_cold_cache_matches_warm(self, deployment_setup):
         """A dispatcher with a private empty cache batches identically
-        to one sharing the deployment-wide warm cache."""
+        to one sharing the deployment-wide cache, warmed here through
+        the per-session API (the batch sweep never reads the cache)."""
         topo, _, sessions, deployment = deployment_setup
         node = topo.node_names[2]
+        trace = sessions[:300]
         warm = deployment.dispatcher(node)
+        for session in trace:
+            warm.decide_session(session)
         cold = CoordinatedDispatcher(
             node=node,
             manifest=deployment.manifests[node],
@@ -78,15 +78,20 @@ class TestDispatcherEquivalence:
             resolver=deployment.resolver,
             hash_seed=deployment.hash_seed,
         )
-        warm_batch = warm.sampled_modules_batch(sessions[:300])
-        cold_batch = cold.sampled_modules_batch(sessions[:300])
-        assert warm_batch == cold_batch
+        batch = SessionBatch(trace)
+        for got, want in zip(cold.batch_decisions(batch), warm.batch_decisions(batch)):
+            assert got.spec is want.spec
+            assert np.array_equal(got.match, want.match)
+            assert np.array_equal(got.analyze, want.analyze)
+            assert np.array_equal(got.responsible, want.responsible)
 
     def test_empty_and_singleton_batches(self, deployment_setup):
         topo, _, sessions, deployment = deployment_setup
         dispatcher = deployment.dispatcher(topo.node_names[0])
         assert dispatcher.decide_batch([]) == []
-        assert dispatcher.sampled_modules_batch([]) == []
+        for decision in dispatcher.batch_decisions(SessionBatch([])):
+            assert len(decision.match) == len(decision.analyze) == 0
+            assert len(decision.responsible) == 0
         single = dispatcher.decide_batch(sessions[:1])
         assert len(single) == 1
         scalar = dispatcher.decide_session(sessions[0])
@@ -107,28 +112,19 @@ class TestDispatcherEquivalence:
 
 class TestEmulationEquivalence:
     def test_batch_emulation_report_identical_to_scalar(self, deployment_setup):
-        """Coordinated emulation with ``batch_dispatch=True`` produces
-        the exact report of the scalar path: same CPU, memory,
-        connection counts, per-module loads — on every node."""
+        """Coordinated ``run_emulation`` produces, on every node, the
+        exact report of the per-session oracle run over that node's
+        trace: same CPU, memory, connection counts, per-module loads."""
         topo, generator, sessions, deployment = deployment_setup
-        # Fresh private hash caches so neither run warms the other.
-        dep_a = dataclasses.replace(deployment, _shared_hash_cache={})
-        dep_b = dataclasses.replace(deployment, _shared_hash_cache={})
-        traffic = Traffic.materialized(generator, sessions)
-        scalar = run_emulation(
-            traffic, dep_a, config=EmulationConfig(batch_dispatch=False)
-        )
-        batch = run_emulation(
-            traffic, dep_b, config=EmulationConfig(batch_dispatch=True)
-        )
-        assert set(scalar.reports) == set(batch.reports)
-        for node in scalar.reports:
-            a, b = scalar.reports[node], batch.reports[node]
-            assert a.cpu == b.cpu
-            assert a.mem_bytes == b.mem_bytes
-            assert a.tracked_connections == b.tracked_connections
-            assert a.module_cpu == b.module_cpu
-            assert a.module_items == b.module_items
+        usage = run_emulation(Traffic.materialized(generator, sessions), deployment)
+        traces = generator.split_by_node(sessions, transit=True)
+        assert set(usage.reports) == set(traces)
+        for node, trace in traces.items():
+            oracle = ScalarOracle(
+                node, deployment.modules, BroMode.COORD_EVENT,
+                deployment.dispatcher(node),
+            )
+            assert usage.reports[node] == oracle.process_sessions(trace)
 
 
 class TestAgentBatchQueries:

@@ -1,5 +1,7 @@
-"""EmulationConfig, deprecation shims, registry wiring, and the api facade."""
+"""EmulationConfig, its removed spellings, registry wiring, and the api facade."""
 
+import dataclasses
+import importlib
 import warnings
 
 import pytest
@@ -8,11 +10,15 @@ from repro.core.nids_deployment import plan_deployment
 from repro.nids.emulation import (
     Traffic,
     compare_deployments,
-    emulate_coordinated,  # repnoqa: REP006 -- deprecation path under test
-    emulate_edge,  # repnoqa: REP006 -- deprecation path under test
     run_emulation,
 )
-from repro.nids.engine import BroInstance, BroMode, EmulationConfig
+from repro.nids.engine import (
+    BroInstance,
+    BroMode,
+    EmulationConfig,
+    ExecutionMode,
+    ExecutionPolicy,
+)
 from repro.nids.modules import STANDARD_MODULES, module_set
 from repro.nids.resources import DEFAULT_COST_MODEL
 from repro.obs import MetricsRegistry, NULL_REGISTRY
@@ -38,15 +44,36 @@ class TestEmulationConfig:
         assert config.cost_model is DEFAULT_COST_MODEL
         assert config.run_detectors is False
         assert config.fine_grained is False
-        assert config.batch_dispatch is True
         assert config.registry is NULL_REGISTRY
+        assert config.policy.mode is ExecutionMode.INLINE
+
+    def test_exactly_six_fields(self):
+        """One engine: no field selects an implementation, and any
+        other keyword is a ``TypeError``."""
+        names = [f.name for f in dataclasses.fields(EmulationConfig)]
+        assert names == [
+            "mode", "cost_model", "run_detectors", "fine_grained",
+            "registry", "policy",
+        ]
+        with pytest.raises(TypeError):
+            EmulationConfig(vectorized=True)
+
+    def test_execution_policy_rejects_non_enum_mode(self):
+        """A string mode used to be accepted and then compared with
+        ``is``, so ``mode="streamed"`` silently ran inline."""
+        with pytest.raises(TypeError, match="ExecutionMode"):
+            ExecutionPolicy(mode="streamed")
+
+    def test_config_rejects_non_enum_mode(self):
+        with pytest.raises(TypeError, match="BroMode"):
+            EmulationConfig(mode="coord-event")
 
     def test_frozen(self):
         with pytest.raises(Exception):
             EmulationConfig().run_detectors = True
 
     def test_instance_adopts_config(self):
-        config = EmulationConfig(run_detectors=True, batch_dispatch=False)
+        config = EmulationConfig(run_detectors=True)
         instance = BroInstance(
             node="NYCM",
             modules=STANDARD_MODULES[:2],
@@ -54,55 +81,36 @@ class TestEmulationConfig:
             config=config,
         )
         assert instance.config is config
-        assert instance.batch_dispatch is False
+        assert instance.detectors
         assert instance.registry is NULL_REGISTRY
 
 
 class TestDeprecationShims:
-    def test_legacy_kwargs_warn_and_still_work(self, world):
-        generator, sessions, modules, _ = world
-        with pytest.warns(DeprecationWarning, match="cost_model"):
-            usage = emulate_edge(generator, sessions, modules, cost_model=DEFAULT_COST_MODEL)  # repnoqa: REP006
-        assert usage.reports
-
-    def test_wrapper_entrypoints_warn(self, world):
-        generator, sessions, modules, deployment = world
-        with pytest.warns(DeprecationWarning, match="emulate_edge is deprecated"):
-            emulate_edge(generator, sessions, modules)  # repnoqa: REP006
-        with pytest.warns(
-            DeprecationWarning, match="emulate_coordinated is deprecated"
-        ):
-            emulate_coordinated(deployment, generator, sessions)  # repnoqa: REP006
-
-    def test_wrappers_match_run_emulation_exactly(self, world):
-        generator, sessions, modules, deployment = world
-        traffic = Traffic.materialized(generator, sessions)
-        with pytest.warns(DeprecationWarning):
-            legacy_edge = emulate_edge(generator, sessions, modules)  # repnoqa: REP006
-        with pytest.warns(DeprecationWarning):
-            legacy_coord = emulate_coordinated(deployment, generator, sessions)  # repnoqa: REP006
-        assert legacy_edge.to_dict() == run_emulation(traffic, modules).to_dict()
-        assert (
-            legacy_coord.to_dict() == run_emulation(traffic, deployment).to_dict()
-        )
-
-    def test_legacy_kwargs_on_coordinated(self, world):
-        generator, sessions, _, deployment = world
-        with pytest.warns(DeprecationWarning, match="batch_dispatch"):
-            usage = emulate_coordinated(  # repnoqa: REP006
-                deployment, generator, sessions, batch_dispatch=False
-            )
-        assert usage.reports
+    """The PR 8 shims are gone: their spellings fail loudly."""
 
     def test_legacy_kwargs_on_instance(self):
-        with pytest.warns(DeprecationWarning, match="run_detectors"):
-            instance = BroInstance(
-                node="NYCM",
-                modules=STANDARD_MODULES[:2],
-                mode=BroMode.UNMODIFIED,
-                run_detectors=True,  # repnoqa: REP006
-            )
-        assert instance.config.run_detectors is True
+        for legacy in (
+            {"cost_model": DEFAULT_COST_MODEL},
+            {"run_detectors": True},
+            {"fine_grained": True},
+        ):
+            with pytest.raises(TypeError):
+                BroInstance(
+                    node="NYCM",
+                    modules=STANDARD_MODULES[:2],
+                    mode=BroMode.UNMODIFIED,
+                    **legacy,
+                )
+
+    def test_wrapper_names_are_not_importable(self):
+        for name in (
+            "emulate_edge",
+            "emulate_coordinated",
+            "emulate_edge_stream",
+            "emulate_coordinated_stream",
+        ):
+            for module in ("repro.api", "repro.nids", "repro.nids.emulation"):
+                assert not hasattr(importlib.import_module(module), name)
 
     def test_run_emulation_does_not_warn(self, world):
         generator, sessions, modules, _ = world
@@ -110,18 +118,6 @@ class TestDeprecationShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             run_emulation(traffic, modules, config=EmulationConfig())
-
-    def test_mixing_config_and_legacy_raises(self, world):
-        generator, sessions, modules, _ = world
-        with pytest.raises(TypeError, match="not both"), warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            emulate_edge(  # repnoqa: REP006
-                generator,
-                sessions,
-                modules,
-                cost_model=DEFAULT_COST_MODEL,
-                config=EmulationConfig(),
-            )
 
     def test_coordinated_rejects_unmodified_mode(self, world):
         generator, sessions, _, deployment = world
@@ -179,6 +175,13 @@ class TestRegistryIntegration:
         assert usage.reports
         assert NULL_REGISTRY.metrics() == []
 
+    def test_live_registry_changes_no_result(self, world):
+        generator, sessions, modules, deployment = world
+        traffic = Traffic.materialized(generator, sessions)
+        for target in (deployment, modules):
+            observed = run_emulation(traffic, target, registry=MetricsRegistry())
+            assert observed.to_dict() == run_emulation(traffic, target).to_dict()
+
     def test_compare_deployments_shares_one_config(self, world):
         generator, sessions, _, deployment = world
         registry = MetricsRegistry()
@@ -213,7 +216,6 @@ class TestApiFacade:
             "run_emulation",
             "Traffic",
             "ExecutionPolicy",
-            "emulate_coordinated",
             "EmulationConfig",
             "run_scenario",
             "MetricsRegistry",
@@ -222,6 +224,30 @@ class TestApiFacade:
             "Report",
         ):
             assert name in api.__all__, name
+
+    def test_surface_is_pr11_minus_the_four_wrappers(self):
+        """The only permitted facade shrinkage: the PR 11 ``__all__``
+        less ``emulate_edge`` / ``emulate_coordinated`` / ``*_stream``."""
+        from repro import api
+
+        assert sorted(api.__all__) == [
+            "BroMode", "ChaosConfig", "ChaosResult", "ComparisonReport",
+            "ControlEpochsReport", "CoordinatedDispatcher", "EmulationConfig",
+            "ExecutionMode", "ExecutionPolicy", "FPLConfig", "HACluster",
+            "HAConfig", "MetricsRegistry", "MetricsSnapshotReport",
+            "MicrobenchReport", "NIDSDeployment", "NIPSProblem", "NULL_REGISTRY",
+            "PathSet", "PerNodeReport", "RegretReport", "Report", "RoundingReport",
+            "RoundingVariant", "ScenarioConfig", "ScenarioResult", "SweepCell",
+            "SweepSpec", "Topology", "Traffic", "TrafficGenerator",
+            "TrafficMatrix", "__version__", "best_of_roundings",
+            "build_nips_problem", "build_plan", "compare_deployments",
+            "consolidate", "geant", "generate_manifests", "get_registry",
+            "internet2", "load_spec", "mixed_profile", "plan_deployment",
+            "quick_nids_deployment", "rocketfuel", "run_chaos", "run_emulation",
+            "run_online_adaptation", "run_scenario", "run_sweep", "set_registry",
+            "solve_nids_lp", "solve_relaxation", "standard_scenario",
+            "use_registry", "verify_manifests",
+        ]
 
     def test_facade_objects_are_the_canonical_ones(self):
         from repro import api

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.dispatch import CoordinatedDispatcher, UnitResolver
 from repro.core.manifest import full_manifest
-from repro.nids.engine import BroInstance, BroMode
+from repro.nids.engine import BroInstance, BroMode, EmulationConfig
 from repro.nids.modules import HTTP, SCAN, SIGNATURE, STANDARD_MODULES
 from repro.nids.resources import CostModel, DEFAULT_COST_MODEL
 from repro.topology import PathSet, internet2
@@ -34,7 +34,7 @@ def _standalone(topo, modules, mode, run_detectors=False):
         modules=modules,
         mode=mode,
         dispatcher=dispatcher,
-        run_detectors=run_detectors,
+        config=EmulationConfig(run_detectors=run_detectors),
     )
 
 
@@ -155,7 +155,8 @@ class TestCostModelInjection:
             sessions
         )
         instance = BroInstance(
-            "standalone", [], BroMode.UNMODIFIED, cost_model=cheap
+            "standalone", [], BroMode.UNMODIFIED,
+            config=EmulationConfig(cost_model=cheap),
         )
         cheap_report = instance.process_sessions(sessions)
         assert cheap_report.cpu < default_report.cpu

@@ -7,7 +7,7 @@ from repro.core.dispatch import CoordinatedDispatcher, UnitResolver
 from repro.core.manifest import full_manifest
 from repro.core.nids_deployment import plan_deployment
 from repro.hashing.keys import Aggregation
-from repro.nids.engine import BroInstance, BroMode
+from repro.nids.engine import BroInstance, BroMode, EmulationConfig
 from repro.nids.events import EventEngine, EventType
 from repro.nids.modules import STANDARD_MODULES
 from repro.nids.pipeline import PacketPipeline
@@ -168,7 +168,7 @@ class TestPipelineVsFastPath:
             STANDARD_MODULES,
             BroMode.COORD_EVENT,
             dispatcher=dispatcher,
-            run_detectors=True,
+            config=EmulationConfig(run_detectors=True),
         ).process_sessions(sessions)
 
         fast_scanners = {

@@ -16,10 +16,17 @@ from repro.core.nids_lp import solve_nids_lp
 from repro.core.nips_milp import build_nips_problem, solve_relaxation
 from repro.core.rounding import RoundingVariant, rounded_deployment
 from repro.core.units import CoordinationUnit, build_units
+from repro.nids.engine import (
+    BroInstance,
+    BroMode,
+    EmulationConfig,
+    PartialInstanceReport,
+)
 from repro.nids.modules import STANDARD_MODULES
 from repro.nips.rules import MatchRateMatrix, unit_rules
 from repro.topology import PathSet, internet2, random_pop_topology
 from repro.traffic import GeneratorConfig, TrafficGenerator
+from tests.scalar_oracle import ScalarOracle, assert_batch_decisions_match_reference
 
 _FUZZ_SETTINGS = dict(
     max_examples=12,
@@ -115,14 +122,11 @@ def test_fuzz_nips_rounding_always_feasible(seed, num_rules, cam, variant):
 )
 @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_fuzz_scalar_vs_batch_engine_decisions(seed, num_nodes, fine_grained, mode_name):
-    """Random deployments: the vectorized engine agrees with the scalar
-    one per (module, session) — match, Fig. 3 sampling, responsibility
-    — and the full reports are bit-identical across tracking levels."""
-    import dataclasses
-
+    """Random deployments: the engine's batch decisions agree with the
+    per-session reference API per (module, session) — match, Fig. 3
+    sampling, responsibility — and the full report is bit-identical to
+    the scalar oracle's across tracking levels."""
     from repro.core.nids_deployment import plan_deployment
-    from repro.nids.engine import BroInstance, BroMode, EmulationConfig
-    from repro.traffic import SessionBatch
 
     mode = BroMode(mode_name)
     topology = random_pop_topology(num_nodes, seed=seed).set_uniform_capacities(
@@ -136,29 +140,69 @@ def test_fuzz_scalar_vs_batch_engine_decisions(seed, num_nodes, fine_grained, mo
     trace = generator.split_by_node(sessions, transit=True)[node]
     dispatcher = None if mode is BroMode.UNMODIFIED else deployment.dispatcher(node)
     config = EmulationConfig(fine_grained=fine_grained)
-    scalar_instance = BroInstance(
-        node, STANDARD_MODULES, mode, dispatcher,
-        config=dataclasses.replace(config, batch_engine=False, batch_dispatch=False),
-    )
-    batch_instance = BroInstance(
-        node, STANDARD_MODULES, mode, dispatcher, config=config
-    )
-    if dispatcher is not None and trace:
-        decisions = dispatcher.batch_decisions(SessionBatch(trace))
-        for spec, decision in zip(STANDARD_MODULES, decisions):
-            for index, session in enumerate(trace):
-                assert bool(decision.match[index]) == spec.traffic_filter.matches_session(
-                    session
-                )
-                assert bool(decision.analyze[index]) == scalar_instance._sampled(
-                    spec, session
-                )
-                assert bool(decision.responsible[index]) == scalar_instance._responsible(
-                    spec, session
-                )
-    assert scalar_instance.process_sessions(trace) == batch_instance.process_sessions_batch(
+    args = (node, STANDARD_MODULES, mode, dispatcher)
+    if dispatcher is not None:
+        assert_batch_decisions_match_reference(dispatcher, trace)
+    assert ScalarOracle(*args, config=config).process_sessions(
         trace
+    ) == BroInstance(*args, config=config).process_sessions(trace)
+
+
+@pytest.fixture(scope="module")
+def planned_internet2():
+    from repro.core.nids_deployment import plan_deployment
+
+    topology = internet2().set_uniform_capacities(cpu=1.0, mem=1.0)
+    paths = PathSet(topology)
+    generator = TrafficGenerator(topology, paths, config=GeneratorConfig(seed=29))
+    sessions = generator.generate(1200)
+    deployment = plan_deployment(topology, paths, STANDARD_MODULES, sessions)
+    return deployment, generator.split_by_node(sessions, transit=True)
+
+
+@given(
+    data=st.data(),
+    node_index=st.integers(min_value=0, max_value=10),
+    mode_name=st.sampled_from(["coord-event", "coord-policy", "unmodified"]),
+    fine_grained=st.booleans(),
+    run_detectors=st.booleans(),
+)
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_fuzz_chunk_partition_merge_equals_one_shot_and_oracle(
+    planned_internet2, data, node_index, mode_name, fine_grained, run_detectors
+):
+    """Cut a node trace into arbitrary contiguous chunks (empty and
+    single-session ones included), merge the per-chunk partials in an
+    arbitrary order, finalise: the result equals the one-shot report
+    and the per-session oracle's, bit for bit."""
+    deployment, traces = planned_internet2
+    mode = BroMode(mode_name)
+    node = deployment.topology.node_names[node_index]
+    trace = traces[node]
+    dispatcher = None if mode is BroMode.UNMODIFIED else deployment.dispatcher(node)
+    args = (node, STANDARD_MODULES, mode, dispatcher)
+    config = EmulationConfig(fine_grained=fine_grained, run_detectors=run_detectors)
+
+    cuts = sorted(
+        data.draw(st.lists(st.integers(min_value=0, max_value=len(trace)), max_size=8))
     )
+    bounds = [0, *cuts, len(trace)]
+    chunked = BroInstance(*args, config=config)
+    partials = [
+        chunked.process_sessions_partial(trace[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    merged = PartialInstanceReport.empty(node, mode, (s.name for s in STANDARD_MODULES))
+    for index in data.draw(st.permutations(range(len(partials)))):
+        merged.merge(partials[index])
+
+    one_shot = BroInstance(*args, config=config)
+    whole = one_shot.process_sessions_partial(trace)
+    oracle = ScalarOracle(*args, config=config)
+    assert merged == whole == oracle.process_sessions_partial(trace)
+    report = chunked.finalize_partial(merged)
+    assert report == one_shot.finalize_partial(whole)
+    assert report == oracle.finalize_partial(merged)
 
 
 @given(
