@@ -6,7 +6,7 @@ every function/method registered under a canonical qualified name
 (``pkg.mod.func`` / ``pkg.mod.Class.method``), and a conservative edge
 set linking callers to callees.  Nothing is imported or executed — the
 graph is built for the flow rules (REP201–REP206), which need to answer
-"is this call site reachable from ``run_shard_payload``?" without
+"is this call site reachable from ``run_cell_payload``?" without
 running any traffic.
 
 Resolution handles the shapes that actually occur in this repo:
@@ -20,7 +20,7 @@ Resolution handles the shapes that actually occur in this repo:
   by a ``_LAZY``-style dict table (``{"lint": "lint"}``) or by literal
   string dispatch (``if name in ("api", ...)``) resolves to the lazy
   submodule;
-* function references passed as values (``pool.submit(run_shard_payload,
+* function references passed as values (``pool.submit(run_cell_payload,
   ...)``, ``functools.partial(run_cell, spec)``) — these produce edges
   exactly like direct calls, because a spawn pool *will* call them;
 * unresolvable method calls (``obj.merge(...)``) — these fall back to
@@ -72,7 +72,7 @@ def module_name_for(path: str) -> str:
 
     Walks up from the file through directories that contain an
     ``__init__.py``; the topmost such directory is the package root.
-    ``src/repro/nids/shard.py`` → ``repro.nids.shard``;
+    ``src/repro/nids/engine.py`` → ``repro.nids.engine``;
     ``src/repro/nids/__init__.py`` → ``repro.nids``; a stray script in
     no package keeps just its stem.
     """

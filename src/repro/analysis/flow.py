@@ -1,6 +1,6 @@
 """Cross-module determinism & spawn-safety flow pass (REP201–REP206).
 
-The repo's load-bearing guarantee — consolidated, sharded, and streamed
+The repo's load-bearing guarantee — consolidated and streamed
 reports bit-identical to the inline oracle — is enforced dynamically by
 equality tests.  Those tests can only catch a nondeterminism source the
 moment it actually bites.  This pass proves the absence of whole defect
@@ -109,7 +109,6 @@ class FlowConfig:
 
     report_entrypoints: Tuple[str, ...] = (
         "repro.nids.emulation.run_emulation",
-        "repro.nids.shard.run_shard_payload",
         "repro.sweep.worker.run_cell_payload",
         "repro.nids.engine.PartialInstanceReport.merge",
         "repro.nids.engine.PartialInstanceReport.finalize",
@@ -120,7 +119,6 @@ class FlowConfig:
         "repro.sweep.report.consolidate",
     )
     spawn_entrypoints: Tuple[str, ...] = (
-        "repro.nids.shard.run_shard_payload",
         "repro.sweep.worker.run_cell_payload",
     )
     #: Modules allowed to read ``os.environ`` (REP205).

@@ -17,7 +17,7 @@ The facade groups into five areas:
 * **emulation** — :func:`run_emulation` over a :class:`Traffic`
   (edge-only when handed module specs, coordinated when handed an
   :class:`NIDSDeployment`), configured by :class:`EmulationConfig`
-  with an :class:`ExecutionPolicy` (inline | streamed | sharded),
+  with an :class:`ExecutionPolicy` (inline | streamed),
   plus :func:`compare_deployments` and :class:`BroMode`;
 * **coordination plane** — :func:`run_scenario`,
   :class:`ScenarioConfig`, :func:`standard_scenario`;

@@ -5,8 +5,8 @@ Gives operators the paper's workflow without writing Python:
 * ``plan-nids`` — plan a coordinated NIDS deployment and emit the
   per-node sampling manifests as JSON;
 * ``emulate`` — compare edge-only vs. coordinated deployments on a
-  generated trace (``--execution inline|streamed|sharded`` picks the
-  execution policy; all three produce bit-identical reports);
+  generated trace (``--execution inline|streamed`` picks the
+  execution policy; both produce bit-identical reports);
 * ``solve-nips`` — TCAM-constrained rule placement via the rounding
   pipeline;
 * ``microbench`` — the Fig. 5 coordination-overhead table;
@@ -128,18 +128,18 @@ def cmd_plan_nids(args) -> int:
 
 def cmd_emulate(args) -> int:
     """Handle ``emulate``: edge-only vs. coordinated comparison."""
-    topology, paths, generator, sessions = _build_world(args)
-    modules = module_set(args.modules)
-    deployment = plan_deployment(topology, paths, modules, sessions)
-    if args.execution == "sharded":
-        policy = ExecutionPolicy.sharded(
-            jobs=args.jobs, chunk_size=args.chunk_size
-        )
-    elif args.execution == "streamed":
-        policy = ExecutionPolicy.streamed(chunk_size=args.chunk_size)
+    if args.execution == "streamed":
+        try:
+            policy = ExecutionPolicy.streamed(chunk_size=args.chunk_size)
+        except ValueError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     else:
         policy = ExecutionPolicy.inline()
     config = EmulationConfig(policy=policy)
+    topology, paths, generator, sessions = _build_world(args)
+    modules = module_set(args.modules)
+    deployment = plan_deployment(topology, paths, modules, sessions)
     traffic = Traffic.materialized(generator, sessions)
     edge = run_emulation(traffic, modules, config=config)
     coordinated = run_emulation(traffic, deployment, config=config)
@@ -467,22 +467,6 @@ def cmd_figures(args) -> int:
     return 0
 
 
-def add_jobs_option(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared ``--jobs`` option (worker-process count).
-
-    Defaults to ``os.cpu_count()`` so parallel commands use the whole
-    machine unless told otherwise; every subcommand that shards work
-    across processes should take its worker count from this helper.
-    """
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes (default: CPU count)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argparse command tree."""
     parser = argparse.ArgumentParser(
@@ -520,16 +504,15 @@ def build_parser() -> argparse.ArgumentParser:
     emulate.add_argument("--modules", type=int, default=21)
     emulate.add_argument(
         "--execution",
-        choices=["inline", "streamed", "sharded"],
+        choices=["inline", "streamed"],
         default="inline",
-        help="execution policy (all three are bit-identical)",
+        help="execution policy (both are bit-identical)",
     )
-    add_jobs_option(emulate)
     emulate.add_argument(
         "--chunk-size",
         type=int,
         default=50_000,
-        help="sessions per shard/stream chunk",
+        help="sessions per streamed chunk",
     )
     emulate.add_argument(
         "--output",

@@ -5,7 +5,7 @@ charges.  Plain left-to-right ``+=`` makes the total depend on session
 order and on how the trace was chunked — two runs over the same
 sessions can differ in the last ulps, which breaks the repo's
 bit-identical-report discipline the moment traces are streamed in
-chunks, sharded per node, or vectorized (NumPy reductions use pairwise
+chunks or vectorized (NumPy reductions use pairwise
 summation, not sequential).
 
 :class:`ExactSum` removes ordering from the semantics entirely.  Every
@@ -119,15 +119,6 @@ class ExactSum:
 
     def __reduce__(self):
         return (ExactSum, (self._num,))
-
-    def to_hex(self) -> str:
-        """Loss-free string form for JSON transport."""
-        return hex(self._num)
-
-    @classmethod
-    def from_hex(cls, text: str) -> "ExactSum":
-        """Rebuild from :meth:`to_hex` output."""
-        return cls(int(text, 16))
 
     @classmethod
     def of(cls, values: Iterable[float]) -> "ExactSum":

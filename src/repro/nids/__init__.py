@@ -31,7 +31,6 @@ _LAZY_EXPORTS = {
     "DeploymentUsage": ("repro.nids.emulation", "DeploymentUsage"),
     "Traffic": ("repro.nids.emulation", "Traffic"),
     "run_emulation": ("repro.nids.emulation", "run_emulation"),
-    "run_sharded": ("repro.nids.shard", "run_sharded"),
     "compare_deployments": ("repro.nids.emulation", "compare_deployments"),
     "run_microbenchmark": ("repro.nids.microbench", "run_microbenchmark"),
     "format_microbench_table": ("repro.nids.microbench", "format_microbench_table"),
@@ -100,5 +99,4 @@ __all__ = [
     "module_set",
     "run_emulation",
     "run_microbenchmark",
-    "run_sharded",
 ]

@@ -215,20 +215,14 @@ def run_emulation(
       (``COORD_POLICY``).
 
     ``config.policy`` (an :class:`~repro.nids.engine.ExecutionPolicy`)
-    selects the execution shape — ``inline`` (materialized,
-    single-process), ``streamed`` (chunked through persistent
-    instances, memory bounded by the chunk size), or ``sharded``
-    (per-node/per-chunk shards on a spawn process pool, merged
-    exactly; see :mod:`repro.nids.shard`).  All three produce
-    bit-identical :class:`DeploymentUsage` reports.  A sharded run
-    launched from inside another worker process (e.g. a sweep cell)
-    falls back to inline execution and counts
-    ``engine_shard_fallback_total``.
+    selects the execution shape — ``inline`` (materialized) or
+    ``streamed`` (chunked through persistent instances, memory bounded
+    by the chunk size).  Both produce bit-identical
+    :class:`DeploymentUsage` reports.
 
     ``registry`` (overriding ``config.registry``) receives runtime
     telemetry: per-node dispatch counts, batch hash counts, tracked /
-    light connection tallies, trace throughput, and — for sharded
-    runs — the ``engine_shard_*`` families.
+    light connection tallies and trace throughput.
     """
     config = _resolve_config(config, registry)
     coordinated = isinstance(modules_or_deployment, NIDSDeployment)
@@ -278,32 +272,7 @@ def run_emulation(
                 config,
             )
 
-        execution = policy.mode
-        if execution is ExecutionMode.SHARDED:
-            from . import shard
-
-            if shard.in_worker_process():
-                # Oversubscription guard: a sweep cell (or another
-                # shard worker) already runs in a pool; nesting pools
-                # would multiply the process count and can deadlock.
-                config.registry.counter(
-                    "engine_shard_fallback_total",
-                    "sharded runs demoted to inline inside a worker process",
-                ).inc()
-                execution = ExecutionMode.INLINE
-
         traces = generator.split_by_node(traffic.materialize(), transit=transit)
-        if execution is ExecutionMode.SHARDED:
-            return shard.run_sharded(
-                label,
-                traces,
-                modules,
-                mode,
-                config,
-                node_names=generator.topology.node_names,
-                manifests=deployment.manifests if coordinated else None,
-                hash_seed=deployment.hash_seed if coordinated else 0,
-            )
         reports = {
             node: build_instance(node).process_sessions(trace)
             for node, trace in traces.items()

@@ -64,9 +64,9 @@ class BroMode(enum.Enum):
 class ExecutionMode(enum.Enum):
     """How an emulation run is executed (not *what* it computes).
 
-    All three modes produce bit-identical :class:`InstanceReport`\\ s —
+    Both modes produce bit-identical :class:`InstanceReport`\\ s —
     the exact-accounting contract above — so the choice is purely an
-    operational trade: memory footprint, wall-clock, process count.
+    operational trade: memory footprint against wall-clock.
     """
 
     #: Materialize the trace and process each node trace in one call.
@@ -74,36 +74,24 @@ class ExecutionMode(enum.Enum):
     #: Chunked streaming through persistent per-node instances
     #: (memory bounded by the chunk size, not the trace size).
     STREAMED = "streamed"
-    #: Per-node (and per-chunk for hot nodes) shards fanned out to a
-    #: spawn-safe process pool, partials merged in the parent
-    #: (:mod:`repro.nids.shard`).
-    SHARDED = "sharded"
 
 
 @dataclass(frozen=True)
 class ExecutionPolicy:
     """Execution strategy for :func:`~repro.nids.emulation.run_emulation`.
 
-    ``jobs`` is the worker-process count for the sharded mode (``0``
-    means one per CPU); ``chunk_size`` bounds both the streamed chunk
-    length and the per-shard session count for hot nodes;
-    ``mp_context`` names the multiprocessing start method (``spawn``
-    is the only start method safe on every platform and is what the
-    shard workers are written against).
+    ``chunk_size`` is the streamed chunk length; the inline mode
+    ignores it.
     """
 
     mode: ExecutionMode = ExecutionMode.INLINE
-    jobs: int = 0
     chunk_size: int = 50_000
-    mp_context: str = "spawn"
 
     def __post_init__(self) -> None:
         if not isinstance(self.mode, ExecutionMode):
             raise TypeError(
                 f"mode must be an ExecutionMode, not {self.mode!r}"
             )
-        if self.jobs < 0:
-            raise ValueError("jobs must be >= 0 (0 means one per CPU)")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
 
@@ -116,18 +104,6 @@ class ExecutionPolicy:
     def streamed(cls, chunk_size: int = 50_000) -> "ExecutionPolicy":
         """Chunked streaming with the given chunk size."""
         return cls(mode=ExecutionMode.STREAMED, chunk_size=chunk_size)
-
-    @classmethod
-    def sharded(
-        cls, jobs: int = 0, chunk_size: int = 50_000, mp_context: str = "spawn"
-    ) -> "ExecutionPolicy":
-        """Process-pool sharding with *jobs* workers."""
-        return cls(
-            mode=ExecutionMode.SHARDED,
-            jobs=jobs,
-            chunk_size=chunk_size,
-            mp_context=mp_context,
-        )
 
 
 @dataclass(frozen=True)
@@ -142,7 +118,7 @@ class EmulationConfig:
     default :data:`~repro.obs.NULL_REGISTRY` makes every recording a
     no-op.  ``policy`` selects how
     :func:`~repro.nids.emulation.run_emulation` executes the run
-    (inline / streamed / sharded); it never changes what is computed.
+    (inline / streamed); it never changes what is computed.
     """
 
     mode: BroMode = BroMode.COORD_EVENT
@@ -252,9 +228,7 @@ class PartialInstanceReport:
     the merge semantics safe (no double-counted ``process_base_bytes``,
     no sum-of-distinct-counts inflation).
 
-    Serialization (:meth:`to_dict` / :meth:`from_dict`, pickle) is
-    loss-free: accumulators travel as hex numerators, item keys as int
-    lists.
+    Pickling is loss-free.
     """
 
     node: str
@@ -355,7 +329,7 @@ class PartialInstanceReport:
             light_connections=self.light_connections,
         )
 
-    # -- identity / transport ---------------------------------------------
+    # -- identity ---------------------------------------------------------
     def __eq__(self, other: object) -> bool:
         import numpy as np
 
@@ -376,50 +350,6 @@ class PartialInstanceReport:
                 for name, keys in self.module_item_keys.items()
             )
             and self.alerts == other.alerts
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-compatible, loss-free dict (ExactSums as hex)."""
-        return {
-            "node": self.node,
-            "mode": self.mode.value,
-            "num_sessions": self.num_sessions,
-            "tracked_connections": self.tracked_connections,
-            "light_connections": self.light_connections,
-            "cpu": self.cpu.to_hex(),
-            "module_cpu": {
-                name: acc.to_hex() for name, acc in self.module_cpu.items()
-            },
-            "module_sessions": dict(self.module_sessions),
-            "module_item_keys": {
-                name: [int(key) for key in keys]
-                for name, keys in self.module_item_keys.items()
-            },
-            "alerts": [alert.to_dict() for alert in self.alerts],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PartialInstanceReport":
-        """Rebuild a partial from :meth:`to_dict` output."""
-        import numpy as np
-
-        return cls(
-            node=data["node"],
-            mode=BroMode(data["mode"]),
-            num_sessions=data["num_sessions"],
-            tracked_connections=data["tracked_connections"],
-            light_connections=data["light_connections"],
-            cpu=ExactSum.from_hex(data["cpu"]),
-            module_cpu={
-                name: ExactSum.from_hex(text)
-                for name, text in data["module_cpu"].items()
-            },
-            module_sessions=dict(data["module_sessions"]),
-            module_item_keys={
-                name: np.array(keys, dtype=np.int64)
-                for name, keys in data["module_item_keys"].items()
-            },
-            alerts=[Alert.from_dict(alert) for alert in data.get("alerts", ())],
         )
 
 

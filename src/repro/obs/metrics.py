@@ -248,7 +248,7 @@ class Histogram(Metric):
         for index, bucket_count in enumerate(bucket_counts):
             series.bucket_counts[index] += int(bucket_count)
         # repnoqa: REP203 -- merge_from feeds series in sorted-name
-        # order and shard snapshots merge in shard-id order, so this
+        # order and sweep-cell snapshots merge in spec order, so this
         # float addition happens in one fixed order for any worker
         # count; an ExactSum here would change the snapshot schema.
         series.sum += float(total)  # repnoqa: REP203

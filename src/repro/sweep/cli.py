@@ -17,6 +17,7 @@ Exit codes: 0 clean, 1 cell violations (``run``) or incomplete cache
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -195,15 +196,19 @@ def cmd_report(args) -> int:
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
     """Attach ``run`` / ``status`` / ``report`` subcommands to *parser*."""
-    from ..cli import add_jobs_option
-
     sub = parser.add_subparsers(dest="sweep_command", required=True)
 
     run = sub.add_parser(
         "run", help="execute the grid across worker processes"
     )
     _add_spec_options(run)
-    add_jobs_option(run)
+    run.add_argument(
+        "--jobs",
+        "-j",
+        type=int,
+        default=os.cpu_count() or 1,
+        help="worker processes (default: CPU count)",
+    )
     run.add_argument(
         "--no-cache", action="store_true",
         help="disable the artifact cache entirely",

@@ -70,6 +70,11 @@ class TestEmulate:
         assert "coordinated" in out
         assert "reduction" in out
 
+    def test_streamed_chunk_size_zero_is_a_usage_error(self, capsys):
+        code = main(["emulate", "--execution", "streamed", "--chunk-size", "0"])
+        assert code == 2
+        assert "error: chunk_size must be >= 1" in capsys.readouterr().err
+
 
 class TestSolveNips:
     def test_reports_fraction_of_optlp(self, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import pickle
 import warnings
 
 import pytest
@@ -24,6 +25,7 @@ from repro.nids.resources import DEFAULT_COST_MODEL
 from repro.obs import MetricsRegistry, NULL_REGISTRY
 from repro.topology import PathSet, internet2
 from repro.traffic import GeneratorConfig, TrafficGenerator
+from repro.traffic.batch import SessionBatch
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +140,72 @@ class TestDeprecationShims:
         assert registry.get("emulate_edge_seconds").count() == 1
         # The caller's config object itself is untouched.
         assert config.registry is NULL_REGISTRY
+
+
+class TestRemovedShardedSpellings:
+    """The ``sharded`` execution policy is gone: its spellings fail loudly."""
+
+    def test_policy_is_mode_and_chunk_size(self):
+        names = tuple(f.name for f in dataclasses.fields(ExecutionPolicy))
+        assert names == ("mode", "chunk_size")
+
+    def test_sharded_constructor_and_fields(self):
+        with pytest.raises(AttributeError):
+            getattr(ExecutionPolicy, "sharded")
+        with pytest.raises(TypeError):
+            ExecutionPolicy(jobs=1)
+        with pytest.raises(TypeError):
+            ExecutionPolicy(mp_context="spawn")
+
+    def test_sharded_mode_value(self):
+        with pytest.raises(ValueError):
+            ExecutionMode("sharded")
+        assert [mode.value for mode in ExecutionMode] == ["inline", "streamed"]
+
+    def test_run_sharded_is_not_importable(self):
+        with pytest.raises(ImportError):
+            from repro.nids import run_sharded  # noqa: F401
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.nids.shard")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--execution", "sharded"], ["--jobs", "2"]],
+        ids=["execution-sharded", "jobs"],
+    )
+    def test_cli_flags_are_usage_errors(self, flags, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["emulate", *flags])
+        assert excinfo.value.code == 2
+        assert flags[-1] in capsys.readouterr().err
+
+
+class TestPickling:
+    """Configs, module specs and session batches survive pickling."""
+
+    def test_module_spec_roundtrip(self):
+        for spec in STANDARD_MODULES:
+            assert pickle.loads(pickle.dumps(spec)) == spec
+
+    def test_emulation_config_roundtrip(self):
+        config = EmulationConfig(
+            run_detectors=True,
+            policy=ExecutionPolicy.streamed(chunk_size=123),
+        )
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone.run_detectors is True
+        assert clone.policy.mode is ExecutionMode.STREAMED
+        assert clone.policy.chunk_size == 123
+
+    def test_session_batch_roundtrip(self, world):
+        _, sessions, _, _ = world
+        batch = SessionBatch(sessions[:200])
+        clone = pickle.loads(pickle.dumps(batch))
+        assert list(clone.session_ids) == list(batch.session_ids)
+        assert list(clone.pkts) == list(batch.pkts)
+        assert clone.pairs == batch.pairs
 
 
 class TestRegistryIntegration:

@@ -11,9 +11,10 @@ accounting.
 import pytest
 
 from repro.core.nids_deployment import plan_deployment
+from repro.experiments import scaled
 from repro.nids.emulation import Traffic, run_emulation
 from repro.nids.engine import EmulationConfig, ExecutionPolicy
-from repro.nids.modules import STANDARD_MODULES
+from repro.nids.modules import STANDARD_MODULES, module_set
 from repro.obs import MetricsRegistry, use_registry
 from repro.topology import PathSet, internet2
 from repro.traffic import GeneratorConfig, TrafficGenerator
@@ -142,3 +143,64 @@ class TestStreamingEmulation:
             registry=registry,
         )
         assert registry.counter("engine_stream_chunks_total").value() == 4
+
+
+def assert_bit_identical(actual, expected):
+    """Float-hex equality of two DeploymentUsage objects, per node."""
+    assert set(actual.reports) == set(expected.reports)
+    for node in expected.reports:
+        a, b = actual.reports[node], expected.reports[node]
+        assert float(a.cpu).hex() == float(b.cpu).hex(), node
+        assert float(a.mem_bytes).hex() == float(b.mem_bytes).hex(), node
+        assert a.tracked_connections == b.tracked_connections, node
+        assert set(a.module_cpu) == set(b.module_cpu), node
+        for module, cpu in b.module_cpu.items():
+            assert float(a.module_cpu[module]).hex() == float(cpu).hex(), (
+                node,
+                module,
+            )
+        assert a.module_items == b.module_items, node
+    assert actual.to_dict() == expected.to_dict()
+
+
+class TestStreamInvariance:
+    """Streamed vs inline at the paper's volume (100k sessions)."""
+
+    def test_streamed_matches_inline(self):
+        topo = internet2().set_uniform_capacities(cpu=1.0, mem=1.0)
+        paths = PathSet(topo)
+        generator = TrafficGenerator(topo, paths, config=GeneratorConfig(seed=23))
+        sessions = generator.generate(scaled(100_000, minimum=5_000))
+        modules = module_set(8)
+        deployment = plan_deployment(topo, paths, modules, sessions)
+        traffic = Traffic.materialized(generator, sessions)
+        streamed = EmulationConfig(policy=ExecutionPolicy.streamed(chunk_size=7_919))
+        for target in (modules, deployment):
+            assert_bit_identical(
+                run_emulation(traffic, target, config=streamed),
+                run_emulation(traffic, target, config=EmulationConfig()),
+            )
+
+
+class TestTraffic:
+    @pytest.fixture(scope="class")
+    def sessions(self, generator):
+        return generator.generate(2_500)
+
+    def test_exactly_one_source_required(self, generator, sessions):
+        with pytest.raises(ValueError):
+            Traffic(generator)
+        with pytest.raises(ValueError):
+            Traffic(generator, sessions=sessions, num_sessions=10)
+
+    def test_generate_source_materializes_deterministically(
+        self, generator, sessions
+    ):
+        traffic = Traffic.generate(generator, len(sessions))
+        assert traffic.materialize() == list(sessions)
+
+    def test_materialized_chunk_iter_slices(self, generator, sessions):
+        traffic = Traffic.materialized(generator, sessions)
+        chunks = list(traffic.chunk_iter(700))
+        assert [s for chunk in chunks for s in chunk] == list(sessions)
+        assert all(len(chunk) <= 700 for chunk in chunks)
