@@ -398,15 +398,14 @@ def cmd_control_chaos(args) -> int:
         f"first degraded epoch: {result.first_degraded_epoch};"
         f" reconverged at epoch: {result.reconverged_epoch}"
     )
-    if result.ha_summary is not None:
-        summary = result.ha_summary
-        print(
-            f"HA: {len(summary['replicas'])} replicas, leader"
-            f" {summary['leader']} at term {summary['term']},"
-            f" settled={summary['settled']},"
-            f" elections={summary['elections']},"
-            f" depositions={summary['depositions']}"
-        )
+    summary = result.ha_summary
+    print(
+        f"HA: {len(summary['replicas'])} replica(s), leader"
+        f" {summary['leader']} at term {summary['term']},"
+        f" settled={summary['settled']},"
+        f" elections={summary['elections']},"
+        f" depositions={summary['depositions']}"
+    )
     if registry is not None:
         from .reporting import MetricsSnapshotReport
 

@@ -6,11 +6,12 @@ continuously: an operations-center :class:`Controller` on an epoch
 clock, per-node :class:`Agent` endpoints, a lossy simulated
 :class:`Bus` between them, epoch-versioned delta distribution,
 heartbeat-driven failure detection with targeted redistribution,
-scripted end-to-end scenarios, a seeded chaos harness
+controller HA (:mod:`repro.control.ha`: term-fenced standby replicas
+with deterministic election and split-brain-proof epoch-log handoff),
+and one epoch driver (:mod:`repro.control.plane`) scored two ways:
+scripted end-to-end scenarios, and a seeded chaos harness
 (:mod:`repro.control.chaos`) that injects adversarial fault plans and
-asserts the graceful-degradation invariants per epoch, and controller
-HA (:mod:`repro.control.ha`): term-fenced standby replicas with
-deterministic election and split-brain-proof epoch-log handoff.
+asserts the graceful-degradation invariants per epoch.
 """
 
 from .agent import Agent, AgentConfig, AgentStats

@@ -73,11 +73,6 @@ class BusStats:
         """JSON-compatible dict of the cumulative counters."""
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "BusStats":
-        """Rebuild stats from :meth:`to_dict` output."""
-        return cls(**data)
-
 
 class Bus:
     """Discrete-event message channel between controller and agents."""

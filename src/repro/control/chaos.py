@@ -25,9 +25,10 @@ that graceful degradation holds the paper's coverage guarantees
   term at every epoch boundary and no leader ignores higher-term
   evidence, and (5) no agent's applied ``(term, version)`` pair ever
   regresses across a takeover;
-* :func:`run_chaos`, the epoch driver scoring a run the way
-  :func:`~repro.control.scenarios.run_scenario` does, exposed as
-  ``repro control chaos``.
+* :func:`run_chaos`, which applies the plan's process faults around
+  each :class:`~repro.control.plane.ControlPlane` epoch — the same
+  driver :func:`~repro.control.scenarios.run_scenario` scores — and
+  judges it with the monitor; exposed as ``repro control chaos``.
 
 All randomness is seeded (REP002): the same plan, seed, and topology
 replay the exact same fault schedule, so a CI failure is reproducible
@@ -43,26 +44,19 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.units import build_units, unit_key_for_session
+from ..core.units import unit_key_for_session
 from ..hashing.keys import key_hash_unit
-from ..hashing.ranges import HashRange
-from ..measurement.flows import FlowExporter
-from ..nids.modules import STANDARD_MODULES
 from ..nids.modules.base import ModuleSpec
-from ..obs import MetricsRegistry, NULL_REGISTRY, use_registry
-from ..topology import PathSet, by_label
+from ..obs import MetricsRegistry, NULL_REGISTRY
 from ..traffic.dynamics import DiurnalBurstModel
 from ..traffic.session import Session
 from .agent import Agent, AgentConfig
 from .bus import Bus, BusConfig, BusStats, Message
-from .controller import Controller, ControllerConfig, ControllerStats
-from .epochs import EpochRecord, coverage_metrics
+from .controller import ControllerConfig, ControllerStats
+from .epochs import EpochRecord
 from .ha import HACluster, HAConfig, base_identity, replica_name
-from .scenarios import (
-    COVERAGE_FLOOR,
-    ScenarioConfig,
-    session_pools,
-)
+from .plane import ControlPlane, unit_capacity_topology, with_registry
+from .scenarios import COVERAGE_FLOOR
 
 #: Fault kinds the channel layer applies per admitted message.
 CHANNEL_FAULTS = ("partition", "loss_burst", "delay_burst", "duplicate", "reorder")
@@ -125,15 +119,6 @@ class FaultEvent:
     def active(self, now: float) -> bool:
         return self.start <= now < self.end
 
-    def to_dict(self) -> dict:
-        """JSON-compatible dict of the fault event."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultEvent":
-        """Rebuild an event from :meth:`to_dict` output."""
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -182,24 +167,6 @@ class FaultPlan:
 
     def crash_events(self) -> List[FaultEvent]:
         return [e for e in self.events if e.kind == "crash"]
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dict of the plan and its events."""
-        return {
-            "name": self.name,
-            "events": [event.to_dict() for event in self.events],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultPlan":
-        """Rebuild a plan from :meth:`to_dict` output."""
-        return cls(
-            name=data["name"],
-            events=tuple(
-                FaultEvent.from_dict(event)
-                for event in data.get("events", ())
-            ),
-        )
 
 
 class ChaosBus(Bus):
@@ -524,15 +491,6 @@ class InvariantViolation:
     def __str__(self) -> str:
         return f"epoch {self.epoch} [{self.rule}]: {self.detail}"
 
-    def to_dict(self) -> dict:
-        """JSON-compatible dict of the verdict."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InvariantViolation":
-        """Rebuild a verdict from :meth:`to_dict` output."""
-        return cls(**data)
-
 
 @dataclass
 class ChaosEpochRecord:
@@ -549,36 +507,14 @@ class ChaosEpochRecord:
     baseline_pairs: int = 0
     #: Of those, pairs no live agent actually analyzed.
     uncovered_pairs: int = 0
-    #: Acting leader at epoch end (``None`` without one; single-replica
-    #: runs report the lone controller whenever it is up).
+    #: Acting leader at epoch end (``None`` without one; a lone
+    #: controller is the leader whenever it is up).
     leader: Optional[str] = None
     #: Acting leader's fencing term (0 in single-replica runs).
     term: int = 0
     #: True when the replica set agrees on exactly one caught-up
-    #: leader; single-replica runs are trivially settled.
+    #: leader; a lone controller is settled whenever it is up.
     ha_settled: bool = True
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dict (nested record serialized too)."""
-        return {
-            "record": self.record.to_dict(),
-            "degraded_nodes": list(self.degraded_nodes),
-            "controller_down": self.controller_down,
-            "excluded": self.excluded,
-            "baseline_pairs": self.baseline_pairs,
-            "uncovered_pairs": self.uncovered_pairs,
-            "leader": self.leader,
-            "term": self.term,
-            "ha_settled": self.ha_settled,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosEpochRecord":
-        """Rebuild a chaos epoch record from :meth:`to_dict` output."""
-        fields = dict(data)
-        fields["record"] = EpochRecord.from_dict(fields["record"])
-        fields["degraded_nodes"] = tuple(fields.get("degraded_nodes", ()))
-        return cls(**fields)
 
 
 class InvariantMonitor:
@@ -697,11 +633,7 @@ class InvariantMonitor:
         is two leaders in the *same* term, or a leader that saw
         higher-term evidence and kept serving anyway.
         """
-        serving = [
-            replica
-            for replica in cluster.replicas
-            if replica.alive and replica.role == "leader"
-        ]
+        serving = cluster.leaders()
         by_term: Dict[int, List[str]] = defaultdict(list)
         for replica in serving:
             by_term[replica.term].append(replica.name)
@@ -760,8 +692,9 @@ class InvariantMonitor:
         chaos_records: Sequence[ChaosEpochRecord],
         heal_epoch: int,
         budget: int,
-    ) -> None:
-        """The plane must settle within *budget* epochs of heal time."""
+    ) -> Optional[int]:
+        """The plane must settle within *budget* epochs of heal time;
+        returns the first settled epoch at or after it, if any."""
         deadline = heal_epoch + budget
         for chaos_record in chaos_records:
             record = chaos_record.record
@@ -783,7 +716,7 @@ class InvariantMonitor:
                         f" deadline {deadline} (heal {heal_epoch}, budget"
                         f" {budget})",
                     )
-                return
+                return record.epoch
         last = chaos_records[-1].record.epoch if chaos_records else heal_epoch
         self._violate(
             last,
@@ -791,6 +724,7 @@ class InvariantMonitor:
             f"never settled after heal epoch {heal_epoch}"
             f" (deadline {deadline})",
         )
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -838,19 +772,6 @@ class ChaosConfig:
                 f" {self.epochs} epochs"
             )
 
-    def to_dict(self) -> dict:
-        """JSON-compatible dict; the plan serializes via its own hook."""
-        data = dataclasses.asdict(self)
-        data["plan"] = self.plan.to_dict()
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        fields = dict(data)
-        fields["plan"] = FaultPlan.from_dict(fields["plan"])
-        return cls(**fields)
-
 
 @dataclass
 class ChaosResult:
@@ -866,8 +787,7 @@ class ChaosResult:
     reconverged_epoch: Optional[int] = None
     bus_stats: Optional[BusStats] = None
     controller_stats: Optional[ControllerStats] = None
-    #: :meth:`HACluster.summary` snapshot (``None`` in single-replica
-    #: runs).
+    #: :meth:`HACluster.summary` snapshot (for every replica count).
     ha_summary: Optional[dict] = None
 
     def check_acceptance(self) -> List[str]:
@@ -878,79 +798,6 @@ class ChaosResult:
     def ok(self) -> bool:
         return not self.violations
 
-    def to_dict(self) -> dict:
-        """JSON-compatible dict for cross-process result transport."""
-        return {
-            "config": self.config.to_dict(),
-            "records": [record.to_dict() for record in self.records],
-            "violations": [
-                violation.to_dict() for violation in self.violations
-            ],
-            "first_degraded_epoch": self.first_degraded_epoch,
-            "reconverged_epoch": self.reconverged_epoch,
-            "bus_stats": (
-                self.bus_stats.to_dict() if self.bus_stats else None
-            ),
-            "controller_stats": (
-                self.controller_stats.to_dict()
-                if self.controller_stats
-                else None
-            ),
-            "ha_summary": self.ha_summary,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChaosResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        return cls(
-            config=ChaosConfig.from_dict(data["config"]),
-            records=[
-                ChaosEpochRecord.from_dict(record)
-                for record in data["records"]
-            ],
-            violations=[
-                InvariantViolation.from_dict(violation)
-                for violation in data.get("violations", ())
-            ],
-            first_degraded_epoch=data.get("first_degraded_epoch"),
-            reconverged_epoch=data.get("reconverged_epoch"),
-            bus_stats=(
-                BusStats.from_dict(data["bus_stats"])
-                if data.get("bus_stats")
-                else None
-            ),
-            controller_stats=(
-                ControllerStats.from_dict(data["controller_stats"])
-                if data.get("controller_stats")
-                else None
-            ),
-            ha_summary=data.get("ha_summary"),
-        )
-
-
-def _edge_manifests(
-    agents: Dict[str, Agent], units
-) -> Dict[str, object]:
-    """Effective manifests for coverage accounting: a degraded agent
-    serves its edge-only stance, not its (distrusted) manifest."""
-    effective = {}
-    full = (HashRange(0.0, 1.0),)
-    for node, agent in agents.items():
-        if not agent.alive:
-            continue
-        if not agent.degraded:
-            effective[node] = agent.manifest
-            continue
-        entries = {
-            (unit.class_name, unit.key): full
-            for unit in units
-            if node in unit.key
-        }
-        effective[node] = dataclasses.replace(
-            agent.manifest, entries=entries, full=False
-        )
-    return effective
-
 
 def run_chaos(
     config: ChaosConfig,
@@ -958,14 +805,11 @@ def run_chaos(
 ) -> ChaosResult:
     """Execute the fault plan against a live coordination plane and
     judge every epoch with the invariant monitor."""
-    if registry is not None and registry.enabled:
-        with use_registry(registry):
-            return _run_chaos(config, registry)
-    return _run_chaos(config, NULL_REGISTRY)
+    return with_registry(_run_chaos, config, registry)
 
 
 def _run_chaos(config: ChaosConfig, registry: MetricsRegistry) -> ChaosResult:
-    topology = by_label(config.topology).set_uniform_capacities(cpu=1.0, mem=1.0)
+    topology = unit_capacity_topology(config.topology)
     replica_count = max(
         config.replicas, HA_PLAN_REPLICAS.get(config.plan.name, 1)
     )
@@ -978,9 +822,6 @@ def _run_chaos(config: ChaosConfig, registry: MetricsRegistry) -> ChaosResult:
                     f"plan references unknown node {name!r};"
                     f" {config.topology} nodes are {sorted(known)}"
                 )
-    paths = PathSet(topology)
-    modules = list(STANDARD_MODULES)
-
     bus = ChaosBus(
         config.plan,
         BusConfig(
@@ -993,62 +834,36 @@ def _run_chaos(config: ChaosConfig, registry: MetricsRegistry) -> ChaosResult:
         chaos_seed=config.seed,
         controller_names=replica_names,
     )
-    controller_config = ControllerConfig(
-        heartbeat_timeout=config.heartbeat_timeout,
-        resolve_every=config.resolve_every,
-        lease_ttl=config.lease_ttl,
-        coverage=config.coverage,
-        retry_seed=config.seed,
-    )
-    cluster: Optional[HACluster] = None
-    if replica_count > 1:
-        cluster = HACluster(
-            topology,
-            paths,
-            modules,
-            bus,
-            controller_config,
-            HAConfig(replicas=replica_count, leader_lease=config.lease_ttl),
-            registry=registry,
-        )
-        controller = cluster.authority
-    else:
-        controller = Controller(
-            topology,
-            paths,
-            modules,
-            bus,
-            controller_config,
-            registry=registry,
-        )
-    agent_config = AgentConfig(
-        transition_window=config.transition_window,
-        lease_ttl=config.lease_ttl,
-    )
-    agents: Dict[str, Agent] = {}
-    for index, node in enumerate(topology.node_names):
-        agents[node] = Agent(
-            node,
-            bus,
-            exporter=FlowExporter(seed=config.seed + index),
-            config=agent_config,
-            registry=registry,
-        )
-
-    volume_model = DiurnalBurstModel(
-        base_sessions=config.base_sessions, seed=config.seed
-    )
-    volumes = volume_model.series(config.epochs)
-    pools = session_pools(
-        ScenarioConfig(
-            topology=config.topology,
-            profile=config.profile,
-            seed=config.seed,
-        ),
+    plane = ControlPlane(
         topology,
-        paths,
-        max(volumes),
+        bus,
+        ControllerConfig(
+            heartbeat_timeout=config.heartbeat_timeout,
+            resolve_every=config.resolve_every,
+            lease_ttl=config.lease_ttl,
+            coverage=config.coverage,
+            retry_seed=config.seed,
+        ),
+        HAConfig(replicas=replica_count, leader_lease=config.lease_ttl),
+        AgentConfig(
+            transition_window=config.transition_window,
+            lease_ttl=config.lease_ttl,
+        ),
+        DiurnalBurstModel(base_sessions=config.base_sessions, seed=config.seed),
+        epochs=config.epochs,
+        profiles=(config.profile,),
+        seed=config.seed,
+        registry=registry,
     )
+    agents, cluster = plane.agents, plane.cluster
+
+    def down(now: float) -> frozenset:
+        # Asked per beat: a process fault covers exactly the beats
+        # inside its ``[start, end)`` window, for any replica count.
+        return frozenset(
+            name for name in replica_names
+            if config.plan.controller_down(now, name)
+        )
 
     crashes_by_epoch: Dict[int, List[FaultEvent]] = defaultdict(list)
     restarts_by_epoch: Dict[int, List[FaultEvent]] = defaultdict(list)
@@ -1056,91 +871,19 @@ def _run_chaos(config: ChaosConfig, registry: MetricsRegistry) -> ChaosResult:
         crashes_by_epoch[int(math.floor(event.start))].append(event)
         restarts_by_epoch[int(math.ceil(event.end))].append(event)
 
-    monitor = InvariantMonitor(modules, registry=registry)
+    monitor = InvariantMonitor(plane.modules, registry=registry)
     result = ChaosResult(config=config, records=[], violations=monitor.violations)
 
     for epoch in range(config.epochs):
-        t = float(epoch)
         for event in crashes_by_epoch.get(epoch, []):
             agents[event.node].crash()
         for event in restarts_by_epoch.get(epoch, []):
             agents[event.node].recover(warm=event.warm)
             monitor.note_restart(event.node)
 
-        sessions = pools[config.profile][: volumes[epoch]]
-        by_ingress: Dict[str, List[Session]] = defaultdict(list)
-        for session in sessions:
-            by_ingress[session.ingress].append(session)
-
-        for node, agent in agents.items():
-            agent.step(t, sessions=by_ingress.get(node, []))
-        if cluster is not None:
-            # Per-beat outage sets: a leader really can die *between*
-            # its push beat and its finish beat.
-            down_step = frozenset(
-                name for name in replica_names
-                if config.plan.controller_down(t + 0.25, name)
-            )
-            cluster.step(t + 0.25, down_step)
-            for agent in agents.values():
-                agent.step(t + 0.5)
-            down_finish = frozenset(
-                name for name in replica_names
-                if config.plan.controller_down(t + 0.75, name)
-            )
-            record = cluster.finish_epoch(t + 0.75, down_finish)
-            acting = cluster.acting_leader()
-            controller = cluster.authority
-            controller_up = (
-                acting is not None
-                and not acting.rebuilding
-                and record is not None
-            )
-            if record is None:
-                record = EpochRecord(epoch=epoch, time=t)
-                record.failed_nodes = tuple(sorted(controller.monitor.failed))
-                record.fenced_nodes = tuple(sorted(controller.fenced))
-                record.config_version = controller.version
-                record.converged = not controller.unsynced_live_nodes()
-        else:
-            controller_up = not (
-                config.plan.controller_down(t + 0.25)
-                or config.plan.controller_down(t + 0.75)
-            )
-            if controller_up:
-                controller.step(t + 0.25)
-            for agent in agents.values():
-                agent.step(t + 0.5)
-            if controller_up:
-                record = controller.finish_epoch(t + 0.75)
-            else:
-                record = EpochRecord(epoch=epoch, time=t)
-                record.failed_nodes = tuple(sorted(controller.monitor.failed))
-                record.fenced_nodes = tuple(sorted(controller.fenced))
-                record.config_version = controller.version
-                record.converged = not controller.unsynced_live_nodes()
-        record.sessions = len(sessions)
-
-        # Ground-truth coverage over what agents actually *serve*:
-        # degraded agents answer edge-only, not from their manifest.
-        truth_units = build_units(modules, sessions, paths)
-        live = {node for node, agent in agents.items() if agent.alive}
-        served = _edge_manifests(agents, truth_units)
-        summary = coverage_metrics(truth_units, served, live)
-        record.coverage = summary.coverage
-        record.min_unit_coverage = summary.min_unit_coverage
-        record.orphaned_fraction = summary.orphaned_fraction
-        registry.gauge(
-            "epoch_coverage",
-            "ground-truth volume-weighted coverage of the latest epoch",
-        ).set(record.coverage)
-
-        degraded = tuple(
-            sorted(
-                node for node, agent in agents.items()
-                if agent.alive and agent.degraded
-            )
-        )
+        facts = plane.run_epoch(epoch, config.profile, down)
+        record, controller = facts.record, facts.authority
+        degraded, controller_up = facts.degraded, facts.controller_up
         if degraded and result.first_degraded_epoch is None:
             result.first_degraded_epoch = epoch
 
@@ -1154,12 +897,6 @@ def _run_chaos(config: ChaosConfig, registry: MetricsRegistry) -> ChaosResult:
         # lease TTL prices in.  Once the leases expire, the whole plane
         # degrades atomically (absolute expiry) and the floor IS
         # asserted on every all-degraded outage epoch.
-        failure_unrepaired = any(
-            not agent.alive
-            and controller.manifests.get(node) is not None
-            and controller.manifests[node].entries
-            for node, agent in agents.items()
-        )
         fence_pending = any(
             node not in controller.fenced
             for node in degraded
@@ -1180,10 +917,10 @@ def _run_chaos(config: ChaosConfig, registry: MetricsRegistry) -> ChaosResult:
         # A freshly promoted leader serves the configuration it rebuilt
         # from the epoch log — by construction pre-takeover — until its
         # first re-plan lands; that staleness is handoff transition.
-        handoff_pending = cluster is not None and cluster.handoff_stale(epoch)
+        handoff_pending = cluster.handoff_stale(epoch)
         excluded = (
             (not record.converged)
-            or failure_unrepaired
+            or facts.failure_unrepaired
             or fence_pending
             or mixed_versions
             or stale_leased
@@ -1192,50 +929,33 @@ def _run_chaos(config: ChaosConfig, registry: MetricsRegistry) -> ChaosResult:
         record.in_transition = excluded
 
         baseline, uncovered = monitor.coverage_floor(
-            epoch, sessions, agents, excluded
+            epoch, facts.sessions, agents, excluded
         )
-        monitor.stale_leases(epoch, t + 0.5, agents)
+        monitor.stale_leases(epoch, epoch + 0.5, agents)
         monitor.epoch_regression(epoch, agents)
-        if cluster is not None:
-            monitor.leader_uniqueness(epoch, cluster)
-            acting = cluster.acting_leader()
-            leader = acting.name if acting is not None else None
-            term = acting.term if acting is not None else 0
-            ha_settled = cluster.settled()
-        else:
-            leader = controller.config.name if controller_up else None
-            term = 0
-            ha_settled = True
+        monitor.leader_uniqueness(epoch, cluster)
+        acting = cluster.acting_leader()
 
-        chaos_record = ChaosEpochRecord(
-            record=record,
-            degraded_nodes=degraded,
-            controller_down=not controller_up,
-            excluded=excluded,
-            baseline_pairs=baseline,
-            uncovered_pairs=uncovered,
-            leader=leader,
-            term=term,
-            ha_settled=ha_settled,
+        result.records.append(
+            ChaosEpochRecord(
+                record=record,
+                degraded_nodes=degraded,
+                controller_down=not controller_up,
+                excluded=excluded,
+                baseline_pairs=baseline,
+                uncovered_pairs=uncovered,
+                leader=acting.name if acting is not None else None,
+                term=acting.term if acting is not None else 0,
+                ha_settled=cluster.settled(),
+            )
         )
-        result.records.append(chaos_record)
-
-        if (
-            result.reconverged_epoch is None
-            and epoch >= config.plan.heal_time
-            and record.converged
-            and not degraded
-            and not record.fenced_nodes
-            and controller_up
-            and ha_settled
-            and record.coverage >= COVERAGE_FLOOR
-        ):
-            result.reconverged_epoch = epoch
 
     heal_epoch = int(math.ceil(config.plan.heal_time))
-    monitor.reconvergence(result.records, heal_epoch, config.reconverge_epochs)
+    result.reconverged_epoch = monitor.reconvergence(
+        result.records, heal_epoch, config.reconverge_epochs
+    )
 
     result.bus_stats = bus.stats
-    result.controller_stats = controller.stats
-    result.ha_summary = cluster.summary() if cluster is not None else None
+    result.controller_stats = cluster.authority.stats
+    result.ha_summary = cluster.summary()
     return result

@@ -167,15 +167,6 @@ class ControllerStats:
     #: Acks for superseded epochs still credited as delta bases.
     superseded_acks: int = 0
 
-    def to_dict(self) -> dict:
-        """JSON-compatible dict of the cumulative counters."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ControllerStats":
-        """Rebuild stats from :meth:`to_dict` output."""
-        return cls(**data)
-
 
 def _json_size(payload: dict) -> int:
     return len(json.dumps(payload, sort_keys=True))

@@ -23,7 +23,6 @@ epoch loop shares:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -81,21 +80,6 @@ class EpochRecord:
     #: Live nodes fenced out of coordinated planning because they
     #: self-reported edge-only degradation (lease expired).
     fenced_nodes: Tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dict (tuples become lists)."""
-        data = dataclasses.asdict(self)
-        data["failed_nodes"] = list(self.failed_nodes)
-        data["fenced_nodes"] = list(self.fenced_nodes)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EpochRecord":
-        """Rebuild a record from :meth:`to_dict` output."""
-        fields = dict(data)
-        fields["failed_nodes"] = tuple(fields.get("failed_nodes", ()))
-        fields["fenced_nodes"] = tuple(fields.get("fenced_nodes", ()))
-        return cls(**fields)
 
 
 def merge_reports(reports: Iterable[TrafficReport]) -> TrafficReport:

@@ -135,15 +135,6 @@ class HAConfig:
         if self.handoff_window < 1:
             raise ValueError("handoff_window must be >= 1")
 
-    def to_dict(self) -> dict:
-        """JSON-compatible dict of the tunables."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HAConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class EpochLogEntry:
@@ -295,13 +286,15 @@ class ControllerReplica:
         self.alive = False
 
     def restart(self, now: float) -> None:
-        """Process returns — always as a standby.  Term, epoch log, and
-        the wrapped controller's state survive (warm restart), but
-        leadership must be re-earned through an election; the announce
-        clock restarts so a live leader's first announce is awaited
-        before any candidacy."""
+        """Process returns — as a standby whenever it has peers.  Term,
+        epoch log, and the wrapped controller's state survive (warm
+        restart), but leadership must be re-earned through an election;
+        the announce clock restarts so a live leader's first announce
+        is awaited before any candidacy.  A replica without peers
+        resumes as leader: nobody could have deposed it."""
         self.alive = True
-        self.role = "standby"
+        if self.peers:
+            self.role = "standby"
         self.rebuilding = False
         self._last_heard = now
 
@@ -469,7 +462,7 @@ class ControllerReplica:
         """Replicate the tail of the epoch log to every peer.  Sent on
         every serving beat; merging is idempotent, so re-sends are the
         reliability mechanism (there are no handoff acks)."""
-        if not self.log or not self.peers:
+        if not self.log:
             return
         versions = sorted(self.log)[-self.ha_config.handoff_window:]
         payload = {
@@ -520,6 +513,20 @@ class ControllerReplica:
                 TERM_ANNOUNCE_BYTES,
                 now,
             )
+
+    def _replicate(self, now: float, log_epoch: bool = False) -> None:
+        """What a leader still serving at the end of a beat owes its
+        peers: the term announce and the epoch-log tail (after logging
+        the configuration it just adopted, on a beat that can adopt
+        one).  A replica without peers has nobody to replicate to —
+        and announcing a term no election can contest to every agent
+        would only add bus traffic — so it sends nothing."""
+        if self.role != "leader" or not self.peers:
+            return
+        if log_epoch:
+            self._log_epoch()
+        self._announce(now)
+        self._send_handoff(now)
 
     def _caught_up(self, now: float) -> bool:
         """Whether the rebuilding leader's view reaches the highest
@@ -595,78 +602,62 @@ class ControllerReplica:
         ).inc(outcome=outcome)
 
     # -- beats -------------------------------------------------------------
-    def step(self, now: float) -> None:
-        """One replica beat at a controller decision point."""
+    def _serving(self, now: float) -> bool:
+        """Shared opening of both beats; True when this replica is a
+        caught-up leader that should run its controller's beat.
+
+        A standby keeps the controller-plane inbox drained (so a later
+        promotion never replays a stale backlog) and runs for office
+        once the leader's announces go silent; a rebuilding leader
+        drains agent claims and installs the handoff once caught up.
+        """
         if not self.alive:
-            return
+            return False
         self._dispatch(now)
         self._maybe_demote(now)
         if self.role != "leader":
-            # Standbys keep the controller-plane inbox drained so a
-            # later promotion never replays a stale backlog.
             self.bus.deliver(self.name, now)
             if self._election_due(now):
                 self._promote(now)
                 self._announce(now)
-            return
+            return False
         if self.rebuilding:
             self.controller._drain(now)
             self._maybe_demote(now)
             if self.role == "leader" and self._caught_up(now):
                 self._install(now)
-            if self.role == "leader":
-                self._announce(now)
-                self._send_handoff(now)
+            self._replicate(now)
+            return False
+        return True
+
+    def step(self, now: float) -> None:
+        """One replica beat at a controller decision point."""
+        if not self._serving(now):
             return
         self.controller.step(now)
         self._maybe_demote(now)
-        if self.role == "leader":
-            self._log_epoch()
-            self._announce(now)
-            self._send_handoff(now)
+        self._replicate(now, log_epoch=True)
 
     def finish_epoch(self, now: float) -> Optional[EpochRecord]:
         """One replica beat at an epoch close; the serving leader
         returns the epoch record, everyone else ``None``."""
-        if not self.alive:
-            return None
-        self._dispatch(now)
-        self._maybe_demote(now)
-        if self.role != "leader":
-            self.bus.deliver(self.name, now)
-            if self._election_due(now):
-                self._promote(now)
-                self._announce(now)
-            return None
-        if self.rebuilding:
-            self.controller._drain(now)
-            self._maybe_demote(now)
-            if self.role == "leader" and self._caught_up(now):
-                self._install(now)
-            if self.role == "leader":
-                self._announce(now)
-                self._send_handoff(now)
+        if not self._serving(now):
             return None
         epoch = int(now / self.controller.config.epoch_duration)
         if self.controller._epoch.epoch != epoch:
-            # Promoted mid-epoch: the controller never took its step
-            # beat, so there is no epoch record to close.  Keep the
-            # plane moving (drain, retries, leases) and let the runner
-            # score this epoch as a controller-down one.
+            # Promoted (or restarted) mid-epoch: the controller never
+            # took its step beat, so there is no epoch record to close.
+            # Keep the plane moving (drain, retries, leases) and let the
+            # runner score this epoch as a controller-down one.
             self.controller._drain(now)
             self.controller._sync_pushes(now)
             self.controller._renew_leases(now)
             self._maybe_demote(now)
-            if self.role == "leader":
-                self._announce(now)
-                self._send_handoff(now)
+            self._replicate(now)
             return None
         record = self.controller.finish_epoch(now)
         self._maybe_demote(now)
-        if self.role == "leader":
-            self._log_epoch()
-            self._announce(now)
-            self._send_handoff(now)
+        self._replicate(now, log_epoch=True)
         return record
 
 
@@ -714,41 +705,51 @@ class HACluster:
             )
             for index in range(self.ha_config.replicas)
         ]
+        #: Where the cluster-level failover families go.  A lone
+        #: controller cannot fail over, so it exports none of them and
+        #: its snapshot stays a plain controller's.
+        self._failover_registry = (
+            self.registry if len(self.replicas) > 1 else NULL_REGISTRY
+        )
         # Pre-declare the failover families so every snapshot carries
         # them (value 0 ≠ absent) even on runs without a failover.
-        self.registry.counter(
+        self._failover_registry.counter(
             "controller_ha_elections_total",
             "standby promotions to acting leader",
             labels=("replica",),
         )
-        self.registry.counter(
+        self._failover_registry.counter(
             "controller_ha_depositions_total",
             "acting leaders stepping down on higher-term evidence",
             labels=("replica",),
         )
-        self.registry.counter(
+        self._failover_registry.counter(
             "controller_ha_handoff_entries_total",
             "epoch-log entries adopted from state-handoff messages",
             labels=("replica",),
         )
-        self.registry.counter(
+        self._failover_registry.counter(
             "controller_ha_handoffs_total",
             "completed leader state handoffs by outcome",
             labels=("outcome",),
         )
 
     # -- leadership views --------------------------------------------------
-    def acting_leader(self) -> Optional[ControllerReplica]:
-        """The alive leader with the highest term (None while the
-        cluster is leaderless)."""
-        leaders = [
+    def leaders(self) -> List[ControllerReplica]:
+        """Every alive replica currently acting as leader (more than
+        one only mid-partition, in distinct terms)."""
+        return [
             replica
             for replica in self.replicas
             if replica.alive and replica.role == "leader"
         ]
-        if not leaders:
-            return None
-        return max(leaders, key=lambda replica: replica.term)
+
+    def acting_leader(self) -> Optional[ControllerReplica]:
+        """The alive leader with the highest term (None while the
+        cluster is leaderless)."""
+        return max(
+            self.leaders(), key=lambda replica: replica.term, default=None
+        )
 
     @property
     def authority(self) -> Controller:
@@ -766,11 +767,7 @@ class HACluster:
 
     def settled(self) -> bool:
         """Exactly one alive leader, and it is done rebuilding."""
-        leaders = [
-            replica
-            for replica in self.replicas
-            if replica.alive and replica.role == "leader"
-        ]
+        leaders = self.leaders()
         return len(leaders) == 1 and not leaders[0].rebuilding
 
     def handoff_stale(self, epoch: int) -> bool:
@@ -794,28 +791,28 @@ class HACluster:
         )
 
     # -- beats -------------------------------------------------------------
-    def _apply_faults(self, replica: ControllerReplica, now: float) -> bool:
-        """Crash a held-down replica (discarding both inboxes — a dead
-        process's queues drain to nowhere); returns whether the replica
-        may run this beat."""
-        self.bus.deliver(replica.name, now)
-        self.bus.deliver(ha_address(replica.name), now)
-        if replica.alive:
-            replica.crash()
-        return False
+    def _running(self, now: float, down: frozenset):
+        """The replicas that take this beat, in index order: one held
+        in *down* is crashed and both its inboxes discarded (a dead
+        process's queues drain to nowhere); one no longer held is
+        restarted first."""
+        for replica in self.replicas:
+            if replica.name in down:
+                self.bus.deliver(replica.name, now)
+                self.bus.deliver(ha_address(replica.name), now)
+                replica.crash()
+                continue
+            if not replica.alive:
+                replica.restart(now)
+            yield replica
 
     def step(self, now: float, down: frozenset = frozenset()) -> None:
         """Run every replica's decision beat; *down* names replicas the
         fault plan currently holds dead."""
-        for replica in self.replicas:
-            if replica.name in down:
-                self._apply_faults(replica, now)
-                continue
-            if not replica.alive:
-                replica.restart(now)
+        for replica in self._running(now, down):
             replica.step(now)
         acting = self.acting_leader()
-        self.registry.gauge(
+        self._failover_registry.gauge(
             "controller_ha_term",
             "current acting-leader election term",
         ).set(
@@ -830,12 +827,7 @@ class HACluster:
         """Run every replica's epoch-close beat; returns the acting
         leader's epoch record (None while leaderless/rebuilding)."""
         records: Dict[str, EpochRecord] = {}
-        for replica in self.replicas:
-            if replica.name in down:
-                self._apply_faults(replica, now)
-                continue
-            if not replica.alive:
-                replica.restart(now)
+        for replica in self._running(now, down):
             record = replica.finish_epoch(now)
             if record is not None:
                 records[replica.name] = record

@@ -8,58 +8,35 @@ failed node's responsibilities move to on-path survivors within a
 bounded number of epochs, and steady-state configuration pushes cost
 delta-sized, not full-manifest-sized, bytes.
 
-Each epoch is a four-beat discrete-event schedule::
-
-    t + 0.00   agents measure their ingress traffic, export NetFlow
-               reports, and heartbeat
-    t + 0.25   controller drains the bus, sweeps for missed heartbeats,
-               re-plans if warranted, pushes manifest (delta) updates
-    t + 0.50   agents apply updates (dual-manifest window) and ack
-    t + 0.75   controller collects acks and the epoch record closes
-
-Traffic is drawn from per-profile session *pools* with a volume-scaled
-prefix per epoch (:class:`~repro.traffic.dynamics.DiurnalBurstModel`),
-so steady-state epochs present near-identical unit sets — the regime
-in which delta distribution must win — while a profile switch presents
-a genuine drift for the controller to detect.
+The epochs themselves — four beats over a lone controller, one agent
+per node and pooled traffic — are run by
+:class:`~repro.control.plane.ControlPlane`; this module applies the
+scripted events before each epoch and tracks detection, redistribution
+and reintegration after it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..core.units import build_units
 from ..hashing.ranges import HashRange
-from ..measurement.flows import FlowExporter
-from ..nids.modules import STANDARD_MODULES
-from ..obs import MetricsRegistry, NULL_REGISTRY, use_registry
-from ..topology import PathSet, by_label
+from ..obs import MetricsRegistry
 from ..traffic.dynamics import DiurnalBurstModel
-from ..traffic.generator import GeneratorConfig, TrafficGenerator
-from ..traffic.profiles import (
-    attack_heavy_profile,
-    mixed_profile,
-    web_heavy_profile,
-)
 from ..traffic.session import Session
 from .agent import Agent, AgentConfig
 from .bus import Bus, BusConfig, BusStats
-from .controller import Controller, ControllerConfig, ControllerStats
-from .epochs import (
-    EpochRecord,
-    Ident,
-    coverage_metrics,
-    union_length,
+from .controller import ControllerConfig, ControllerStats
+from .epochs import EpochRecord, Ident, union_length
+from .ha import HAConfig
+from .plane import (
+    PROFILES,
+    ControlPlane,
+    profile_pools,
+    unit_capacity_topology,
+    with_registry,
 )
-
-PROFILES: Dict[str, Callable] = {
-    "mixed": mixed_profile,
-    "web_heavy": web_heavy_profile,
-    "attack_heavy": attack_heavy_profile,
-}
 
 #: Acceptance threshold: volume-weighted coverage required of every
 #: epoch that is not part of a transition window.
@@ -87,20 +64,6 @@ class ScenarioEvent:
             raise ValueError(
                 f"shift event needs a profile in {sorted(PROFILES)}"
             )
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dict (``None`` fields omitted)."""
-        data = {"epoch": self.epoch, "kind": self.kind}
-        if self.node is not None:
-            data["node"] = self.node
-        if self.profile is not None:
-            data["profile"] = self.profile
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioEvent":
-        """Rebuild an event from :meth:`to_dict` output."""
-        return cls(**data)
 
 
 @dataclass
@@ -135,22 +98,6 @@ class ScenarioConfig:
     #: runs the plane without leases, the pre-hardening behaviour.
     lease_ttl: Optional[float] = None
     events: Tuple[ScenarioEvent, ...] = ()
-
-    def to_dict(self) -> dict:
-        """JSON-compatible dict; events serialize via their own hook."""
-        data = dataclasses.asdict(self)
-        data["events"] = [event.to_dict() for event in self.events]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
-        fields = dict(data)
-        fields["events"] = tuple(
-            ScenarioEvent.from_dict(event)
-            for event in fields.get("events", ())
-        )
-        return cls(**fields)
 
 
 def standard_scenario(
@@ -248,49 +195,6 @@ class ScenarioResult:
     def ok(self) -> bool:
         return not self.check_acceptance()
 
-    def to_dict(self) -> dict:
-        """JSON-compatible dict for cross-process result transport."""
-        return {
-            "config": self.config.to_dict(),
-            "records": [record.to_dict() for record in self.records],
-            "detection_epoch": dict(self.detection_epoch),
-            "redistribution_epoch": dict(self.redistribution_epoch),
-            "reintegration_epoch": dict(self.reintegration_epoch),
-            "bus_stats": (
-                self.bus_stats.to_dict() if self.bus_stats else None
-            ),
-            "controller_stats": (
-                self.controller_stats.to_dict()
-                if self.controller_stats
-                else None
-            ),
-            "orphaned_mass": dict(self.orphaned_mass),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        return cls(
-            config=ScenarioConfig.from_dict(data["config"]),
-            records=[
-                EpochRecord.from_dict(record) for record in data["records"]
-            ],
-            detection_epoch=dict(data.get("detection_epoch", {})),
-            redistribution_epoch=dict(data.get("redistribution_epoch", {})),
-            reintegration_epoch=dict(data.get("reintegration_epoch", {})),
-            bus_stats=(
-                BusStats.from_dict(data["bus_stats"])
-                if data.get("bus_stats")
-                else None
-            ),
-            controller_stats=(
-                ControllerStats.from_dict(data["controller_stats"])
-                if data.get("controller_stats")
-                else None
-            ),
-            orphaned_mass=dict(data.get("orphaned_mass", {})),
-        )
-
 
 def session_pools(
     config: ScenarioConfig,
@@ -298,25 +202,17 @@ def session_pools(
     paths,
     pool_size: int,
 ) -> Dict[str, List[Session]]:
-    """One session pool per profile the scenario can be in.
+    """One session pool per profile the scenario can be in (see
+    :func:`~repro.control.plane.profile_pools`)."""
+    return profile_pools(
+        _profiles(config), config.seed, topology, paths, pool_size
+    )
 
-    Epochs slice a volume-scaled prefix of the active pool, so the
-    steady-state unit set is stable across epochs (the regime where
-    manifest deltas must stay small) while still scaling with the
-    diurnal volume.
-    """
+
+def _profiles(config: ScenarioConfig) -> Set[str]:
     names = {config.profile}
     names.update(e.profile for e in config.events if e.kind == "shift")
-    pools: Dict[str, List[Session]] = {}
-    for offset, name in enumerate(sorted(names)):
-        generator = TrafficGenerator(
-            topology,
-            paths,
-            profile=PROFILES[name](),
-            config=GeneratorConfig(seed=config.seed + 101 * offset),
-        )
-        pools[name] = generator.generate(pool_size)
-    return pools
+    return names
 
 
 def _clipped_union(ranges: Sequence[HashRange], piece: HashRange) -> float:
@@ -367,16 +263,13 @@ def run_scenario(
     installed as the ambient registry for the duration, so the LP
     solves the controller triggers land in the same snapshot.
     """
-    if registry is not None and registry.enabled:
-        with use_registry(registry):
-            return _run_scenario(config, registry)
-    return _run_scenario(config, NULL_REGISTRY)
+    return with_registry(_run_scenario, config, registry)
 
 
 def _run_scenario(
     config: ScenarioConfig, registry: MetricsRegistry
 ) -> ScenarioResult:
-    topology = by_label(config.topology).set_uniform_capacities(cpu=1.0, mem=1.0)
+    topology = unit_capacity_topology(config.topology)
     known = set(topology.node_names)
     for event in config.events:
         if event.node is not None and event.node not in known:
@@ -384,9 +277,6 @@ def _run_scenario(
                 f"scenario event references unknown node {event.node!r};"
                 f" {config.topology} nodes are {sorted(known)}"
             )
-    paths = PathSet(topology)
-    modules = list(STANDARD_MODULES)
-
     bus = Bus(
         BusConfig(
             latency=config.latency,
@@ -396,10 +286,8 @@ def _run_scenario(
         ),
         registry=registry,
     )
-    controller = Controller(
+    plane = ControlPlane(
         topology,
-        paths,
-        modules,
         bus,
         ControllerConfig(
             heartbeat_timeout=config.heartbeat_timeout,
@@ -411,33 +299,24 @@ def _run_scenario(
             lease_ttl=config.lease_ttl,
             retry_seed=config.seed,
         ),
+        HAConfig(replicas=1),
+        AgentConfig(
+            transition_window=config.transition_window,
+            lease_ttl=config.lease_ttl,
+        ),
+        DiurnalBurstModel(
+            base_sessions=config.base_sessions,
+            diurnal_amplitude=config.diurnal_amplitude,
+            burst_probability=config.burst_probability,
+            seed=config.seed,
+        ),
+        epochs=config.epochs,
+        profiles=_profiles(config),
+        seed=config.seed,
+        sampling_rate=config.sampling_rate,
         registry=registry,
     )
-    agent_config = AgentConfig(
-        transition_window=config.transition_window,
-        lease_ttl=config.lease_ttl,
-    )
-    agents: Dict[str, Agent] = {}
-    for index, node in enumerate(topology.node_names):
-        agents[node] = Agent(
-            node,
-            bus,
-            exporter=FlowExporter(
-                sampling_rate=config.sampling_rate,
-                seed=config.seed + index,
-            ),
-            config=agent_config,
-            registry=registry,
-        )
-
-    volume_model = DiurnalBurstModel(
-        base_sessions=config.base_sessions,
-        diurnal_amplitude=config.diurnal_amplitude,
-        burst_probability=config.burst_probability,
-        seed=config.seed,
-    )
-    volumes = volume_model.series(config.epochs)
-    pools = session_pools(config, topology, paths, max(volumes))
+    agents = plane.agents
 
     events_by_epoch: Dict[int, List[ScenarioEvent]] = defaultdict(list)
     for event in config.events:
@@ -450,7 +329,6 @@ def _run_scenario(
     pending_recovery: Set[str] = set()
 
     for epoch in range(config.epochs):
-        t = float(epoch)
         for event in events_by_epoch.get(epoch, []):
             if event.kind == "shift":
                 profile = event.profile
@@ -464,54 +342,16 @@ def _run_scenario(
                 agents[event.node].recover()
                 pending_recovery.add(event.node)
 
-        sessions = pools[profile][: volumes[epoch]]
-        by_ingress: Dict[str, List[Session]] = defaultdict(list)
-        for session in sessions:
-            by_ingress[session.ingress].append(session)
-
-        bus_sent_before = bus.stats.sent
-        bus_bytes_before = bus.stats.bytes_sent
-
-        for node, agent in agents.items():
-            agent.step(t, sessions=by_ingress.get(node, []))
-        controller.step(t + 0.25)
-        for agent in agents.values():
-            agent.step(t + 0.5)
-        record = controller.finish_epoch(t + 0.75)
-
-        record.sessions = len(sessions)
-        record.messages_sent = bus.stats.sent - bus_sent_before
-        record.bytes_sent = bus.stats.bytes_sent - bus_bytes_before
-
-        # Ground-truth coverage: what the *applied* manifests of the
-        # *actually live* agents cover of this epoch's real traffic.
-        truth_units = build_units(modules, sessions, paths)
-        live = {node for node, agent in agents.items() if agent.alive}
-        applied = {
-            node: agent.manifest
-            for node, agent in agents.items()
-            if agent.alive
-        }
-        summary = coverage_metrics(truth_units, applied, live)
-        record.coverage = summary.coverage
-        record.min_unit_coverage = summary.min_unit_coverage
-        record.orphaned_fraction = summary.orphaned_fraction
-        registry.gauge(
-            "epoch_coverage",
-            "ground-truth volume-weighted coverage of the latest epoch",
-        ).set(record.coverage)
+        facts = plane.run_epoch(epoch, profile)
+        record, controller = facts.record, facts.authority
 
         # A transition window is any epoch where the configuration is
         # still propagating (push unacked) or a crashed node's ranges
         # have not yet been repaired away (including the detection gap
         # between the crash and the heartbeat timeout).
-        failure_unrepaired = any(
-            not agent.alive
-            and controller.manifests.get(node) is not None
-            and controller.manifests[node].entries
-            for node, agent in agents.items()
+        record.in_transition = (
+            not record.converged or facts.failure_unrepaired
         )
-        record.in_transition = (not record.converged) or failure_unrepaired
 
         for node in list(pending_redistribution):
             if node in record.failed_nodes:
@@ -543,5 +383,5 @@ def _run_scenario(
         result.records.append(record)
 
     result.bus_stats = bus.stats
-    result.controller_stats = controller.stats
+    result.controller_stats = plane.cluster.authority.stats
     return result

@@ -9,7 +9,9 @@ seed — no sharing, no ordering dependence — which is what makes the
 grid embarrassingly parallel and the parallel/sequential consolidated
 reports bit-identical.
 
-A cell maps to one of the two existing end-to-end drivers:
+Every cell runs on the one epoch driver
+(:class:`~repro.control.plane.ControlPlane`) and is judged by one of
+its two scorers:
 
 * ``plan == "none"`` — the scripted steady → shift → failure →
   recovery scenario (:func:`~repro.control.scenarios.run_scenario`),
@@ -196,61 +198,43 @@ def run_cell(cell: SweepCell) -> CellResult:
     started = time.perf_counter()
     registry = MetricsRegistry()
     config = build_cell_config(cell)
+    # Each scorer's own verdicts; the other kind's stay empty.
+    verdicts = {
+        "detection_epoch": {},
+        "redistribution_epoch": {},
+        "first_degraded_epoch": None,
+        "reconverged_epoch": None,
+    }
     if isinstance(config, ScenarioConfig):
+        kind = "scenario"
         result = run_scenario(config, registry=registry)
-        violations = tuple(result.check_acceptance())
         records = result.records
-        coverages = [record.coverage for record in records]
-        stats = result.controller_stats
-        return CellResult(
-            cell=cell,
-            derived_seed=cell.derived_seed,
-            kind="scenario",
-            ok=not violations,
-            violations=violations,
-            epochs_run=len(records),
-            coverage_mean=(
-                sum(coverages) / len(coverages) if coverages else 1.0
-            ),
-            coverage_min=min(coverages, default=1.0),
-            push_bytes=stats.push_bytes if stats else 0,
-            full_equivalent_bytes=(
-                stats.full_equivalent_bytes if stats else 0
-            ),
-            messages_sent=result.bus_stats.sent if result.bus_stats else 0,
-            bytes_sent=(
-                result.bus_stats.bytes_sent if result.bus_stats else 0
-            ),
-            detection_epoch=dict(result.detection_epoch),
-            redistribution_epoch=dict(result.redistribution_epoch),
-            first_degraded_epoch=None,
-            reconverged_epoch=None,
-            metrics=registry.snapshot(),
-            duration_seconds=time.perf_counter() - started,
-        )
-    chaos = run_chaos(config, registry=registry)
-    violations = tuple(chaos.check_acceptance())
-    coverages = [record.record.coverage for record in chaos.records]
-    stats = chaos.controller_stats
+        verdicts["detection_epoch"] = dict(result.detection_epoch)
+        verdicts["redistribution_epoch"] = dict(result.redistribution_epoch)
+    else:
+        kind = "chaos"
+        result = run_chaos(config, registry=registry)
+        records = [chaos_record.record for chaos_record in result.records]
+        verdicts["first_degraded_epoch"] = result.first_degraded_epoch
+        verdicts["reconverged_epoch"] = result.reconverged_epoch
+    violations = tuple(result.check_acceptance())
+    coverages = [record.coverage for record in records]
     return CellResult(
         cell=cell,
         derived_seed=cell.derived_seed,
-        kind="chaos",
+        kind=kind,
         ok=not violations,
         violations=violations,
-        epochs_run=len(chaos.records),
+        epochs_run=len(records),
         coverage_mean=sum(coverages) / len(coverages) if coverages else 1.0,
         coverage_min=min(coverages, default=1.0),
-        push_bytes=stats.push_bytes if stats else 0,
-        full_equivalent_bytes=stats.full_equivalent_bytes if stats else 0,
-        messages_sent=chaos.bus_stats.sent if chaos.bus_stats else 0,
-        bytes_sent=chaos.bus_stats.bytes_sent if chaos.bus_stats else 0,
-        detection_epoch={},
-        redistribution_epoch={},
-        first_degraded_epoch=chaos.first_degraded_epoch,
-        reconverged_epoch=chaos.reconverged_epoch,
+        push_bytes=result.controller_stats.push_bytes,
+        full_equivalent_bytes=result.controller_stats.full_equivalent_bytes,
+        messages_sent=result.bus_stats.sent,
+        bytes_sent=result.bus_stats.bytes_sent,
         metrics=registry.snapshot(),
         duration_seconds=time.perf_counter() - started,
+        **verdicts,
     )
 
 

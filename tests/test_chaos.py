@@ -664,3 +664,41 @@ class TestControllerOutageAcceptance:
         expirations = registry.get("agent_lease_expirations_total")
         assert expirations.total() >= len(nodes)
         assert registry.get("controller_lease_fences_total").total() >= len(nodes)
+
+    def test_epoch_records_account_every_bus_message(self, outage):
+        """Chaos epochs carry the same per-epoch bus columns scripted
+        ones do (``reporting.control_epochs_csv`` prints them)."""
+        result, _registry = outage
+        records = [chaos_record.record for chaos_record in result.records]
+        assert sum(r.messages_sent for r in records) == result.bus_stats.sent
+        assert sum(r.bytes_sent for r in records) == result.bus_stats.bytes_sent
+
+
+class TestPerBeatProcessFaults:
+    def test_lone_controller_dying_mid_epoch_keeps_its_step_beat(self):
+        """``controller_down`` covers exactly the beats inside
+        ``[start, end)`` for every replica count: a lone controller up
+        at ``t+0.25`` and down at ``t+0.75`` pushes and renews leases
+        on the first beat and loses only the second."""
+        nodes = by_label("Internet2").node_names
+        plan = FaultPlan(
+            name="mid-epoch",
+            events=(FaultEvent(kind="controller_down", start=4.5, end=6.0),),
+        )
+        epochs = 12
+        result = run_chaos(
+            ChaosConfig(plan=plan, epochs=epochs, base_sessions=200, seed=5)
+        )
+        assert result.ok
+        # Agents boot unleased, so renewals start with epoch 1.  The
+        # window holds three beats — 4.75, 5.25, 5.75 — and the outage
+        # is shorter than the lease, so nobody is ever fenced out of a
+        # renewal: every other beat renews every node.
+        assert result.bus_stats.sent_by_kind["lease-renew"] == (
+            (2 * (epochs - 1) - 3) * len(nodes)
+        )
+        down = [r.record.epoch for r in result.records if r.controller_down]
+        assert down == [4, 5]
+        assert result.records[4].leader is None
+        assert not result.records[4].ha_settled
+        assert result.ha_summary["elections"] == 0

@@ -9,8 +9,11 @@ heartbeat-driven failure detection, targeted redistribution, and
 recovery/reintegration.
 """
 
+import pathlib
+
 import pytest
 
+import repro.control
 from repro.control.agent import Agent, AgentConfig
 from repro.control.bus import Bus, BusConfig
 from repro.control.epochs import (
@@ -402,3 +405,63 @@ class TestScenarioEvents:
         shifted = standard_result.records[3]
         assert shifted.resolved in ("drift", "periodic")
         assert shifted.config_version >= 1
+
+
+class TestEpochScoring:
+    def test_epoch_records_account_every_bus_message(self, steady_result):
+        records = steady_result.records
+        stats = steady_result.bus_stats
+        assert sum(r.messages_sent for r in records) == stats.sent
+        assert sum(r.bytes_sent for r in records) == stats.bytes_sent
+
+    def test_degraded_agent_is_scored_by_its_edge_only_stance(
+        self, monkeypatch
+    ):
+        """Coverage is over what agents *serve*: an agent that fell
+        back to edge-only after its heartbeat left (so the controller
+        cannot have repaired around it yet) leaves its transit ranges
+        unanalyzed that epoch, whatever its distrusted manifest says."""
+        update_degraded = Agent._update_degraded
+
+        def degrade_kscy_mid_epoch_3(agent, now):
+            update_degraded(agent, now)
+            if agent.node == "KSCY" and now == 3.5:
+                agent.degraded = True
+
+        monkeypatch.setattr(Agent, "_update_degraded", degrade_kscy_mid_epoch_3)
+        result = run_scenario(
+            ScenarioConfig(epochs=5, base_sessions=300, seed=5, lease_ttl=2.5)
+        )
+        coverage = [record.coverage for record in result.records]
+        assert coverage[2] == 1.0
+        assert coverage[3] < 0.99
+        assert coverage[4] == 1.0  # lease still valid: back to its manifest
+
+
+class TestOneDriver:
+    """The four beats live in ``plane.py`` alone, over one controller
+    abstraction: neither caller builds a controller or asks how many
+    there are."""
+
+    @staticmethod
+    def _source(module):
+        return (
+            pathlib.Path(repro.control.__file__).parent / f"{module}.py"
+        ).read_text()
+
+    def test_callers_construct_no_controller(self):
+        for module in ("scenarios", "chaos"):
+            assert "Controller(" not in self._source(module), module
+
+    def test_chaos_has_no_single_versus_ha_branch(self):
+        source = self._source("chaos")
+        assert "cluster is not None" not in source
+        assert "replica_count > 1" not in source
+
+    def test_the_beats_appear_once(self):
+        beats = sum(
+            self._source(module).count("cluster.finish_epoch(")
+            + self._source(module).count("controller.finish_epoch(")
+            for module in ("plane", "scenarios", "chaos")
+        )
+        assert beats == 1

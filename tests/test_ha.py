@@ -20,16 +20,16 @@ import pytest
 from repro.control.agent import Agent, AgentConfig
 from repro.control.bus import Bus, BusConfig
 from repro.control.chaos import (
+    ChaosBus,
     ChaosConfig,
-    ChaosEpochRecord,
-    ChaosResult,
+    FaultEvent,
+    FaultPlan,
     HA_PLAN_REPLICAS,
     InvariantMonitor,
     build_plan,
     run_chaos,
 )
-from repro.control.controller import ControllerConfig
-from repro.control.epochs import EpochRecord
+from repro.control.controller import Controller, ControllerConfig
 from repro.control.ha import (
     ControllerReplica,
     EpochLogEntry,
@@ -49,9 +49,11 @@ from repro.control.protocol import (
 from repro.core.manifest import NodeManifest
 from repro.core.manifest_io import manifest_to_dict
 from repro.hashing.ranges import HashRange
+from repro.measurement.flows import FlowExporter
 from repro.nids.modules import STANDARD_MODULES
 from repro.obs import MetricsRegistry
 from repro.topology import PathSet, by_label
+from repro.traffic.generator import GeneratorConfig, TrafficGenerator
 
 
 def _manifest(node, key, lo, hi):
@@ -119,7 +121,6 @@ class TestHAConfig:
 
     def test_dict_and_pickle_round_trips(self):
         config = HAConfig(replicas=5, leader_lease=3.0, rank_stagger=0.5)
-        assert HAConfig.from_dict(config.to_dict()) == config
         assert pickle.loads(pickle.dumps(config)) == config
 
 
@@ -505,6 +506,119 @@ class TestHandoffDispatch:
         assert replica2.stats.handoff_entries == 1
 
 
+def _drive(lone_controller, plan, epochs=8, seed=5):
+    """Run *epochs* of the four beats over one controller-side object
+    built by ``lone_controller(topology, paths, bus, config, registry)``
+    and return ``(bus stats, per-epoch records, metric snapshot)``.
+
+    The object is either a bare :class:`Controller` (which, held down
+    by *plan*, simply takes no beat) or an ``HACluster`` of one (told
+    through its ``down`` set).
+    """
+    topology = by_label("Internet2").set_uniform_capacities(cpu=1.0, mem=1.0)
+    paths = PathSet(topology)
+    registry = MetricsRegistry()
+    bus = ChaosBus(
+        plan,
+        BusConfig(latency=0.05, jitter=0.02, seed=seed),
+        registry=registry,
+        chaos_seed=seed,
+    )
+    config = ControllerConfig(lease_ttl=2.5, retry_seed=seed)
+    controller = lone_controller(topology, paths, bus, config, registry)
+    agents = {
+        node: Agent(
+            node,
+            bus,
+            exporter=FlowExporter(seed=seed + index),
+            config=AgentConfig(lease_ttl=2.5),
+            registry=registry,
+        )
+        for index, node in enumerate(topology.node_names)
+    }
+    pool = TrafficGenerator(
+        topology, paths, config=GeneratorConfig(seed=seed)
+    ).generate(240)
+    records = []
+    for epoch in range(epochs):
+        t = float(epoch)
+        for node, agent in agents.items():
+            agent.step(
+                t, sessions=[s for s in pool[: 200 + epoch] if s.ingress == node]
+            )
+        if isinstance(controller, HACluster):
+            down = frozenset(
+                {"controller"} if plan.controller_down(t + 0.25) else ()
+            )
+            controller.step(t + 0.25, down)
+        elif not plan.controller_down(t + 0.25):
+            controller.step(t + 0.25)
+        for agent in agents.values():
+            agent.step(t + 0.5)
+        if isinstance(controller, HACluster):
+            down = frozenset(
+                {"controller"} if plan.controller_down(t + 0.75) else ()
+            )
+            records.append(controller.finish_epoch(t + 0.75, down))
+        elif not plan.controller_down(t + 0.75):
+            records.append(controller.finish_epoch(t + 0.75))
+        else:
+            records.append(None)
+    metrics = {
+        name: family
+        for name, family in registry.snapshot()["metrics"].items()
+        if not name.endswith("_seconds")  # wall-clock timers
+    }
+    return bus.stats, records, metrics
+
+
+class TestClusterOfOne:
+    """A lone controller is an ``HACluster`` of one: same messages on
+    the same seeded bus, same epoch records, same metric families."""
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            (),
+            (FaultEvent(kind="controller_down", start=3.0, end=5.0),),
+        ],
+        ids=["fault-free", "outage-on-integer-bounds"],
+    )
+    def test_matches_a_bare_controller(self, events):
+        plan = FaultPlan(name="differential", events=events)
+        bare = _drive(
+            lambda topology, paths, bus, config, registry: Controller(
+                topology, paths, list(STANDARD_MODULES), bus, config,
+                registry=registry,
+            ),
+            plan,
+        )
+        lone = _drive(
+            lambda topology, paths, bus, config, registry: HACluster(
+                topology, paths, list(STANDARD_MODULES), bus, config,
+                HAConfig(replicas=1), registry=registry,
+            ),
+            plan,
+        )
+        assert lone[0] == bare[0]
+        assert lone[1] == bare[1]
+        assert lone[2] == bare[2]
+        assert bare[0].sent_by_kind.get(KIND_TERM_ANNOUNCE, 0) == 0
+        assert not any(name.startswith("controller_ha_") for name in lone[2])
+
+    def test_lone_replica_resumes_as_leader(self):
+        _bus, cluster = _cluster(replicas=1)
+        down = frozenset({"controller"})
+        cluster.step(0.25, down)
+        assert cluster.acting_leader() is None
+        assert not cluster.settled()
+        cluster.finish_epoch(0.75)
+        [replica] = cluster.replicas
+        assert replica.alive and replica.role == "leader"
+        assert replica.term == 0 and replica.stats.elections == 0
+        assert cluster.settled()
+
+
 @pytest.fixture(scope="module")
 def ha_acceptance():
     """The acceptance matrix: both HA plans at the CI seeds."""
@@ -562,17 +676,6 @@ class TestHAPlanAcceptance:
         assert result.config.replicas == 1  # config said 1...
         assert len(result.ha_summary["replicas"]) == 3  # ...the plan won
 
-    def test_result_round_trips_with_ha_fields(self, ha_acceptance):
-        result = ha_acceptance[("leader-partition", 3)]
-        rebuilt = ChaosResult.from_dict(result.to_dict())
-        assert rebuilt.ha_summary == result.ha_summary
-        assert len(rebuilt.records) == len(result.records)
-        for mine, theirs in zip(result.records, rebuilt.records):
-            assert (mine.leader, mine.term, mine.ha_settled) == (
-                theirs.leader, theirs.term, theirs.ha_settled,
-            )
-        assert pickle.loads(pickle.dumps(result)).ha_summary == result.ha_summary
-
     def test_integration_mutation_trips_the_monitor(self):
         """End-to-end mutation: both fences off, the partitioned
         ex-leader keeps serving and its stale-term deltas land — the
@@ -591,32 +694,6 @@ class TestHAPlanAcceptance:
         rules = {violation.rule for violation in result.violations}
         assert "leader-uniqueness" in rules
         assert "epoch-regression" in rules
-
-
-class TestChaosEpochRecordHAFields:
-    def test_round_trip(self):
-        record = ChaosEpochRecord(
-            record=EpochRecord(epoch=3, time=3.0),
-            degraded_nodes=("a",),
-            controller_down=True,
-            leader="controller-1",
-            term=4,
-            ha_settled=False,
-        )
-        rebuilt = ChaosEpochRecord.from_dict(record.to_dict())
-        assert rebuilt.leader == "controller-1"
-        assert rebuilt.term == 4
-        assert rebuilt.ha_settled is False
-
-    def test_from_dict_defaults_for_pre_ha_artifacts(self):
-        record = ChaosEpochRecord(record=EpochRecord(epoch=0, time=0.0))
-        data = record.to_dict()
-        for key in ("leader", "term", "ha_settled"):
-            del data[key]
-        rebuilt = ChaosEpochRecord.from_dict(data)
-        assert rebuilt.leader is None
-        assert rebuilt.term == 0
-        assert rebuilt.ha_settled is True
 
 
 class TestHAMetrics:

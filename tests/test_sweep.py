@@ -8,19 +8,15 @@ The load-bearing guarantees:
   (verified through ``sweep_cache_hits_total``) and treats changed
   specs, corrupt artifacts, and format bumps as misses;
 * cell seeds derive stably from the axis coordinates;
-* run results round-trip through JSON and pickle (the worker/cache
-  transport).
+* cell results round-trip through JSON (the worker/cache transport).
 """
 
 import json
-import pickle
 
 import pytest
 
 import repro.sweep.cache as sweep_cache
 from repro.cli import main as repro_main
-from repro.control.chaos import ChaosConfig, build_plan, run_chaos
-from repro.control.scenarios import ScenarioConfig, run_scenario
 from repro.obs import MetricsRegistry
 from repro.sweep import (
     ArtifactCache,
@@ -34,7 +30,6 @@ from repro.sweep import (
     render_report,
     run_sweep,
 )
-from repro.topology import by_label
 
 #: The mini-grid for executor tests: 2 plans x 2 dynamics x 2 seeds on
 #: internet2 — all eight cells are known-green at these settings.
@@ -225,30 +220,7 @@ class TestArtifactCache:
 
 
 class TestResultSerialization:
-    """Results cross the worker/cache boundary: JSON and pickle safe."""
-
-    def test_scenario_result_round_trips(self):
-        result = run_scenario(
-            ScenarioConfig(epochs=6, base_sessions=80, seed=3)
-        )
-        as_dict = result.to_dict()
-        rebuilt = type(result).from_dict(json.loads(json.dumps(as_dict)))
-        assert rebuilt.to_dict() == as_dict
-        assert pickle.loads(pickle.dumps(result)).to_dict() == as_dict
-
-    def test_chaos_result_round_trips(self):
-        nodes = by_label("internet2").node_names
-        config = ChaosConfig(
-            plan=build_plan("controller-outage", 3, 14, nodes),
-            epochs=14,
-            base_sessions=80,
-            seed=3,
-        )
-        result = run_chaos(config)
-        as_dict = result.to_dict()
-        rebuilt = type(result).from_dict(json.loads(json.dumps(as_dict)))
-        assert rebuilt.to_dict() == as_dict
-        assert pickle.loads(pickle.dumps(result)).to_dict() == as_dict
+    """Cell results cross the worker/cache boundary as JSON dicts."""
 
     def test_cell_result_round_trips(self, sequential_run):
         result = sequential_run.results[0]
