@@ -50,6 +50,7 @@ from .nips.adversary import UniformProcess
 from .nips.rules import MatchRateMatrix, unit_rules
 from .topology.datasets import by_label
 from .topology.routing import PathSet
+from .traffic.batch import SessionBatch
 from .traffic.generator import GeneratorConfig, TrafficGenerator
 from .traffic.profiles import (
     attack_heavy_profile,
@@ -140,7 +141,7 @@ def cmd_emulate(args) -> int:
     topology, paths, generator, sessions = _build_world(args)
     modules = module_set(args.modules)
     deployment = plan_deployment(topology, paths, modules, sessions)
-    traffic = Traffic.materialized(generator, sessions)
+    traffic = Traffic.materialized(generator, SessionBatch(sessions))
     edge = run_emulation(traffic, modules, config=config)
     coordinated = run_emulation(traffic, deployment, config=config)
     print(

@@ -31,7 +31,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..hashing.keys import Aggregation, key_hash_unit
-from ..hashing.vectorized import key_hash_unit_batch
 from ..nids.modules.base import ModuleSpec, Scope
 from ..traffic.batch import SessionBatch
 from ..traffic.generator import home_node_index
@@ -139,10 +138,6 @@ class CoordinatedDispatcher:
             hash_cache if hash_cache is not None else {}
         )
         self._manifest_index: Optional[ManifestIndex] = None
-        # A plain int, not a registry metric: the dispatcher holds no
-        # registry.  The engine reads it as a delta at end of trace and
-        # folds it into hash_batch_computed_total.
-        self.batch_hashes = 0
 
     @property
     def index(self) -> ManifestIndex:
@@ -171,28 +166,6 @@ class CoordinatedDispatcher:
             cached = hash_unit(key, self.hash_seed)
             sub[cache_key] = cached
         return cached
-
-    def _hash_batch(
-        self,
-        aggregation: Aggregation,
-        src: np.ndarray,
-        dst: np.ndarray,
-        sport: np.ndarray,
-        dport: np.ndarray,
-        proto: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized HASH over all sessions of a batch.
-
-        The vector sweep recomputes every hash: one NumPy pass is
-        cheaper than per-element probes of the shared cache (measured —
-        the probe loop, not hashing, dominated a cache-aware variant).
-        Values are bit-identical to :meth:`_hash`.
-        """
-        values = key_hash_unit_batch(
-            aggregation, src, dst, sport, dport, proto, self.hash_seed
-        )
-        self.batch_hashes += len(values)
-        return values
 
     def session_hash(self, spec: ModuleSpec, session: Session) -> float:
         """HASH over the session's class-appropriate key fields."""
@@ -292,20 +265,11 @@ class CoordinatedDispatcher:
         units_by_scope = self._units_by_scope(batch)
         index = self.index
 
-        hashes_by_aggregation: Dict[Aggregation, np.ndarray] = {}
         results = []
         for spec in self.modules:
-            all_hashes = hashes_by_aggregation.get(spec.aggregation)
-            if all_hashes is None:
-                all_hashes = self._hash_batch(
-                    spec.aggregation,
-                    batch.src,
-                    batch.dst,
-                    batch.sport,
-                    batch.dport,
-                    batch.proto,
-                )
-                hashes_by_aggregation[spec.aggregation] = all_hashes
+            # HASH: memoised on the batch's root, so a session is
+            # hashed once per trace however many nodes decide on it.
+            all_hashes = batch.hash_column(spec.aggregation, self.hash_seed)
             mask = spec.traffic_filter.matches_sessions_batch(
                 batch.proto, batch.dport
             )

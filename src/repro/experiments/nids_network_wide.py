@@ -25,6 +25,7 @@ from ..nids.resources import CostModel, DEFAULT_COST_MODEL
 from ..topology.datasets import internet2
 from ..topology.graph import Topology
 from ..topology.routing import PathSet
+from ..traffic.batch import SessionBatch
 from ..traffic.generator import GeneratorConfig, TrafficGenerator
 from ..traffic.profiles import mixed_profile
 from .config import scaled
@@ -79,7 +80,7 @@ def fig6_module_scaling(
     config = EmulationConfig(cost_model=cost_model)
     total = sessions_total if sessions_total is not None else scaled(PAPER_SESSIONS)
     sessions = setup.generator.generate(total)
-    traffic = Traffic.materialized(setup.generator, sessions)
+    traffic = Traffic.materialized(setup.generator, SessionBatch(sessions))
     rows = []
     for count in module_counts:
         deployment = setup.deployment(sessions, count)
@@ -113,7 +114,7 @@ def fig7_volume_scaling(
     rows = []
     for volume in volume_points:
         sessions = setup.generator.generate(scaled(volume))
-        traffic = Traffic.materialized(setup.generator, sessions)
+        traffic = Traffic.materialized(setup.generator, SessionBatch(sessions))
         deployment = setup.deployment(sessions, num_modules)
         edge = run_emulation(traffic, deployment.modules, config=config)
         coord = run_emulation(traffic, deployment, config=config)
@@ -167,7 +168,7 @@ def fig8_per_node_profile(
     config = EmulationConfig(cost_model=cost_model)
     total = sessions_total if sessions_total is not None else scaled(PAPER_SESSIONS)
     sessions = setup.generator.generate(total)
-    traffic = Traffic.materialized(setup.generator, sessions)
+    traffic = Traffic.materialized(setup.generator, SessionBatch(sessions))
     deployment = setup.deployment(sessions, num_modules)
     edge = run_emulation(traffic, deployment.modules, config=config)
     coord = run_emulation(traffic, deployment, config=config)

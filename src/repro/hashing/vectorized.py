@@ -149,7 +149,7 @@ def hash_unit_batch(keys: np.ndarray, initval: int = 0) -> np.ndarray:
 def _be_columns(values: np.ndarray, dtype: str) -> np.ndarray:
     """Big-endian byte columns of *values* (one row per element)."""
     packed = np.ascontiguousarray(values.astype(dtype))
-    return packed.view(np.uint8).reshape(len(values), -1)
+    return packed.view(np.uint8).reshape(len(values), packed.dtype.itemsize)
 
 
 def pack_key_batch(

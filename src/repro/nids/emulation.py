@@ -18,6 +18,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 
 from ..core.nids_deployment import NIDSDeployment
 from ..obs import MetricsRegistry
+from ..traffic.batch import SessionBatch
 from ..traffic.generator import TrafficGenerator
 from ..traffic.session import Session
 from .engine import (
@@ -112,11 +113,12 @@ class DeploymentUsage:
 class Traffic:
     """The trace input to :func:`run_emulation`, with its routing context.
 
-    The generator supplies topology and routing (``split_by_node``),
+    The generator supplies topology and routing (``split_batch``),
     and exactly one of three trace sources supplies the sessions —
 
-    * ``sessions`` — an already-materialized trace
-      (:meth:`materialized`);
+    * ``sessions`` — an already-materialized trace, as ``Session``
+      objects or as the :class:`~repro.traffic.batch.SessionBatch` a
+      caller built to share between runs (:meth:`materialized`);
     * ``chunks`` — an iterable of session chunks, e.g. from
       ``TrafficGenerator.generate_chunks`` (:meth:`chunked`; one-shot,
       as any iterable);
@@ -129,7 +131,7 @@ class Traffic:
     """
 
     generator: TrafficGenerator
-    sessions: Optional[Sequence[Session]] = None
+    sessions: Optional[Union[Sequence[Session], SessionBatch]] = None
     chunks: Optional[Iterable[Sequence[Session]]] = None
     num_sessions: Optional[int] = None
 
@@ -147,9 +149,16 @@ class Traffic:
 
     @classmethod
     def materialized(
-        cls, generator: TrafficGenerator, sessions: Sequence[Session]
+        cls,
+        generator: TrafficGenerator,
+        sessions: Union[Sequence[Session], SessionBatch],
     ) -> "Traffic":
-        """An already-generated trace."""
+        """An already-generated trace.
+
+        Pass ``SessionBatch(sessions)`` to run several emulations over
+        one trace: its columns (and, per hash seed, its hash columns)
+        are then built once for all of them.
+        """
         return cls(generator=generator, sessions=sessions)
 
     @classmethod
@@ -168,14 +177,22 @@ class Traffic:
             raise ValueError("num_sessions must be >= 0")
         return cls(generator=generator, num_sessions=num_sessions)
 
-    def materialize(self) -> List[Session]:
-        """The full session list (consumes a ``chunks`` source)."""
+    def materialize(self) -> Sequence[Session]:
+        """The full session sequence (consumes a ``chunks`` source)."""
+        if isinstance(self.sessions, SessionBatch):
+            return self.sessions.sessions
         if self.sessions is not None:
-            return list(self.sessions)
+            return self.sessions
         if self.num_sessions is not None:
             return self.generator.generate(self.num_sessions)
         assert self.chunks is not None
         return [session for chunk in self.chunks for session in chunk]
+
+    def batch(self) -> SessionBatch:
+        """The full trace as one columnar batch (the caller's, if given)."""
+        if isinstance(self.sessions, SessionBatch):
+            return self.sessions
+        return SessionBatch(self.materialize())
 
     def chunk_iter(self, chunk_size: int) -> Iterator[Sequence[Session]]:
         """The trace as chunks of at most *chunk_size* sessions."""
@@ -186,10 +203,22 @@ class Traffic:
                 self.num_sessions, chunk_size
             )
         else:
-            assert self.sessions is not None
-            sessions = self.sessions
+            sessions = self.materialize()
             for start in range(0, len(sessions), chunk_size):
                 yield sessions[start : start + chunk_size]
+
+    def batches(self, chunk_size: int) -> Iterator[SessionBatch]:
+        """The trace as columnar batches of at most *chunk_size* sessions
+        (index views of the caller's batch, if given)."""
+        import numpy as np
+
+        if isinstance(self.sessions, SessionBatch):
+            batch = self.sessions
+            for start in range(0, len(batch), chunk_size):
+                stop = min(start + chunk_size, len(batch))
+                yield batch.take(np.arange(start, stop))
+        else:
+            yield from map(SessionBatch, self.chunk_iter(chunk_size))
 
 
 def run_emulation(
@@ -246,79 +275,70 @@ def run_emulation(
         )
 
     generator = traffic.generator
-
-    def build_instance(node: str) -> BroInstance:
-        return BroInstance(
-            node=node,
-            modules=modules,
-            mode=mode,
-            dispatcher=deployment.dispatcher(node) if coordinated else None,
-            config=config,
-        )
-
+    registry = config.registry
     policy = config.policy
     with run_timer:
-        if policy.mode is ExecutionMode.STREAMED:
-            instances = {
-                node: build_instance(node)
-                for node in generator.topology.node_names
-            }
-            return _emulate_stream(
-                label,
-                instances,
-                generator,
-                traffic.chunk_iter(policy.chunk_size),
-                transit,
-                config,
+        instances = {
+            node: BroInstance(
+                node=node,
+                modules=modules,
+                mode=mode,
+                dispatcher=deployment.dispatcher(node) if coordinated else None,
+                config=config,
             )
+            for node in generator.topology.node_names
+        }
+        if policy.mode is ExecutionMode.STREAMED:
+            chunk_counter = registry.counter(
+                "engine_stream_chunks_total",
+                "traffic chunks streamed through the emulation entry points",
+            )
+            batches: Iterable[SessionBatch] = traffic.batches(policy.chunk_size)
+        else:
+            chunk_counter = None
+            batches = (traffic.batch(),)
 
-        traces = generator.split_by_node(traffic.materialize(), transit=transit)
+        # One path for both shapes; the inline run is a single chunk.
+        # Each chunk's sessions become columns once, every node gets an
+        # index view of them, and exact-accounting partials make the
+        # merged result bit-identical however the trace was chunked.
+        partials: Dict[str, PartialInstanceReport] = {}
+
+        def process_chunk(batch: SessionBatch) -> int:
+            """Run every node over its view of *batch*; the lookup3
+            evaluations that cost."""
+            if chunk_counter is not None:
+                chunk_counter.inc()
+            root = batch.root
+            hashes_before = root.hashes_computed
+            for node, trace in generator.split_batch(batch, transit):
+                partial = instances[node].process_sessions_partial(trace)
+                held = partials.get(node)
+                if held is None:
+                    partials[node] = partial
+                else:
+                    held.merge(partial)
+            return root.hashes_computed - hashes_before
+
+        # map() holds no chunk once it is processed, so a streamed
+        # chunk's columns are freed before the next one is generated.
+        hashes = sum(map(process_chunk, batches))
+        if coordinated:
+            registry.counter(
+                "hash_batch_computed_total",
+                "lookup3 evaluations performed: one per session and"
+                " aggregation, however many nodes see the session",
+            ).inc(hashes)
         reports = {
-            node: build_instance(node).process_sessions(trace)
-            for node, trace in traces.items()
+            node: instance.finalize_partial(
+                partials.get(node)
+                or PartialInstanceReport.empty(
+                    node, mode, (spec.name for spec in modules)
+                )
+            )
+            for node, instance in instances.items()
         }
         return DeploymentUsage(label=label, reports=reports)
-
-
-def _emulate_stream(
-    label: str,
-    instances: Dict[str, BroInstance],
-    generator: TrafficGenerator,
-    session_chunks: Iterable[Sequence[Session]],
-    transit: bool,
-    config: EmulationConfig,
-) -> DeploymentUsage:
-    """Stream chunks through persistent per-node instances and merge.
-
-    Exact-accounting partials make the merged result bit-identical to
-    processing the whole (even re-ordered) trace at once, so callers
-    can trade memory for chunk count freely.
-    """
-    chunk_counter = config.registry.counter(
-        "engine_stream_chunks_total",
-        "traffic chunks streamed through the emulation entry points",
-    )
-    partials: Dict[str, PartialInstanceReport] = {}
-    for chunk in session_chunks:
-        chunk_counter.inc()
-        traces = generator.split_by_node(list(chunk), transit=transit)
-        for node, trace in traces.items():
-            partial = instances[node].process_sessions_partial(trace)
-            held = partials.get(node)
-            if held is None:
-                partials[node] = partial
-            else:
-                held.merge(partial)
-    reports = {
-        node: instance.finalize_partial(
-            partials.get(node)
-            or PartialInstanceReport.empty(
-                node, instance.mode, (spec.name for spec in instance.modules)
-            )
-        )
-        for node, instance in instances.items()
-    }
-    return DeploymentUsage(label=label, reports=reports)
 
 
 @dataclass
@@ -353,7 +373,7 @@ def compare_deployments(
 ) -> ComparisonRow:
     """Emulate both deployments and return the max-load comparison."""
     config = _resolve_config(config, registry)
-    traffic = Traffic.materialized(generator, sessions)
+    traffic = Traffic.materialized(generator, SessionBatch(sessions))
     edge = run_emulation(traffic, deployment.modules, config=config)
     coordinated = run_emulation(traffic, deployment, config=config)
     return ComparisonRow(

@@ -427,9 +427,8 @@ class BroInstance:
         )
         partial.num_sessions = n
         started = time.perf_counter()
-        hashes_before = self.dispatcher.batch_hashes if self.dispatcher else 0
         if n == 0:
-            self._record_trace(0, started, 0, 0, partial.module_sessions, hashes_before)
+            self._record_trace(0, started, 0, 0, partial.module_sessions)
             return partial
 
         if coordinated:
@@ -562,7 +561,6 @@ class BroInstance:
             tracked_connections,
             light_connections,
             partial.module_sessions,
-            hashes_before,
         )
         return partial
 
@@ -574,7 +572,6 @@ class BroInstance:
         tracked: int,
         light: int,
         module_sessions: Dict[str, int],
-        hashes_before: int,
     ) -> None:
         """Record one trace run into the configured registry.
 
@@ -621,12 +618,6 @@ class BroInstance:
         for name, count in module_sessions.items():
             if count:
                 analyzed.inc(count, node=node, module=name)
-        if self.dispatcher is not None:
-            registry.counter(
-                "hash_batch_computed_total",
-                "hash values computed by the vectorized batch sweep",
-                labels=("node",),
-            ).inc(self.dispatcher.batch_hashes - hashes_before, node=node)
 
     def alert_keys(self) -> Set[Tuple[str, str]]:
         """Union of deduplicated alert identities across detectors."""

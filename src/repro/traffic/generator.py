@@ -15,11 +15,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import get_registry
 from ..topology.graph import Topology
 from ..topology.routing import Path, PathSet
+from .batch import SessionBatch
 from .matrix import TrafficMatrix
 from .packet import TCP, FiveTuple
 from .profiles import SessionTemplate, TrafficProfile, mixed_profile
@@ -204,23 +205,52 @@ class TrafficGenerator:
         """The routing path the session traverses."""
         return self.paths.path(session.ingress, session.egress)
 
-    def split_by_node(
-        self, sessions: List[Session], transit: bool
-    ) -> Dict[str, List[Session]]:
-        """Per-node traces, exactly as the paper's emulation builds them.
+    def observers(self, ingress: str, egress: str, transit: bool) -> Tuple[str, ...]:
+        """Nodes whose trace holds an (ingress, egress) session — the
+        one per-node partition rule of the paper's emulation.
 
-        ``transit=True`` (coordinated deployment): a node's trace holds
-        every session whose path it lies on.  ``transit=False``
-        (edge-only deployment): only sessions originating or
-        terminating at the node.
+        ``transit=True`` (coordinated deployment): every node on the
+        routing path.  ``transit=False`` (edge-only deployment): the
+        nodes where the session originates and terminates.
+        """
+        if transit:
+            return self.paths.path(ingress, egress).nodes
+        return (ingress,) if ingress == egress else (ingress, egress)
+
+    def split_by_node(
+        self, sessions: Sequence[Session], transit: bool
+    ) -> Dict[str, List[Session]]:
+        """Per-node traces as ``Session`` lists (see :meth:`observers`).
+
+        The list view of the partition; the emulation itself uses the
+        index view of the same rule, :meth:`split_batch`.
         """
         traces: Dict[str, List[Session]] = {name: [] for name in self.topology.node_names}
         for session in sessions:
-            if transit:
-                for node in self.path_of(session):
-                    traces[node].append(session)
-            else:
-                traces[session.ingress].append(session)
-                if session.egress != session.ingress:
-                    traces[session.egress].append(session)
+            for node in self.observers(session.ingress, session.egress, transit):
+                traces[node].append(session)
         return traces
+
+    def split_batch(
+        self, batch: SessionBatch, transit: bool
+    ) -> Iterator[Tuple[str, SessionBatch]]:
+        """Per-node traces as index views of one columnar *batch*.
+
+        Yields ``(node, batch.take(rows))`` for every node of the
+        topology (an empty take for a node that sees nothing), rows
+        ascending — per node exactly :meth:`split_by_node`'s sessions in
+        the same order, without copying a ``Session`` or rebuilding a
+        column.  The rule is applied once per distinct routing pair and
+        spread over the sessions through ``batch.group_ids``.  Lazy, so
+        a caller that consumes one child before asking for the next
+        keeps one alive beside the root.
+        """
+        import numpy as np
+
+        names = self.topology.node_names
+        sees = np.zeros((len(names), len(batch.pairs)), dtype=bool)
+        for gid, (ingress, egress) in enumerate(batch.pairs):
+            for node in self.observers(ingress, egress, transit):
+                sees[self._node_index[node], gid] = True
+        for node, row in zip(names, sees):
+            yield node, batch.take(np.flatnonzero(row.take(batch.group_ids)))

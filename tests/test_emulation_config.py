@@ -8,6 +8,7 @@ import warnings
 import pytest
 
 from repro.core.nids_deployment import plan_deployment
+from repro.hashing.keys import Aggregation
 from repro.nids.emulation import (
     Traffic,
     compare_deployments,
@@ -207,6 +208,28 @@ class TestPickling:
         assert list(clone.pkts) == list(batch.pkts)
         assert clone.pairs == batch.pairs
 
+    def test_taken_batch_roundtrip_stands_alone(self, world):
+        """A pickled take carries its own rows and hash slices, not the
+        root it was gathered from."""
+        _, sessions, _, _ = world
+        root = SessionBatch(sessions)
+        taken = root.take(range(5, 200, 3))
+        hashes = taken.hash_column(Aggregation.SESSION, 7)
+        payload = pickle.dumps(taken)
+        assert len(payload) < len(pickle.dumps(root)) / 2
+        clone = pickle.loads(payload)
+        assert clone.root is clone
+        assert list(clone.sessions) == sessions[5:200:3]
+        for name in ("src", "dst", "sport", "dport", "proto", "pkts", "pkts_f",
+                     "half_open", "session_ids", "group_ids"):
+            assert getattr(clone, name).tolist() == getattr(taken, name).tolist()
+        assert clone.pairs == taken.pairs
+        assert clone.hash_column(Aggregation.SESSION, 7).tolist() == hashes.tolist()
+        assert clone.hash_column(Aggregation.SOURCE, 7).tolist() == (
+            taken.hash_column(Aggregation.SOURCE, 7).tolist()
+        )
+        assert clone.hashes_computed == len(clone)
+
 
 class TestRegistryIntegration:
     def test_session_counts_match_profile_exactly(self, world):
@@ -234,8 +257,22 @@ class TestRegistryIntegration:
         run_emulation(
             Traffic.materialized(generator, sessions), deployment, registry=registry
         )
+        # lookup3 evaluations actually performed: once per session and
+        # aggregation for the whole trace, whatever the execution shape
+        # — not once per node on the session's path.
+        aggregations = {spec.aggregation for spec in deployment.modules}
+        expected = len(aggregations) * len(sessions)
         batched = registry.get("hash_batch_computed_total")
-        assert batched is not None and batched.total() > 0
+        assert batched.label_names == ()
+        assert batched.total() == expected
+        streamed = MetricsRegistry()
+        run_emulation(
+            Traffic.materialized(generator, sessions),
+            deployment,
+            config=EmulationConfig(policy=ExecutionPolicy.streamed(chunk_size=97)),
+            registry=streamed,
+        )
+        assert streamed.get("hash_batch_computed_total").total() == expected
 
     def test_null_registry_default_records_nothing(self, world):
         generator, sessions, _, deployment = world
