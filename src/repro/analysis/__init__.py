@@ -44,7 +44,6 @@ _LAZY = {
     "RULE_CATALOGUE": "rules",
     "default_rules": "rules",
     "Finding": "verify",
-    "ManifestRejectedError": "verify",
     "VERIFIER_RULES": "verify",
     "VerificationReport": "verify",
     "check_delta": "verify",
@@ -77,7 +76,6 @@ if TYPE_CHECKING:  # static importers see the real symbols
     from .rules import RULE_CATALOGUE, default_rules
     from .verify import (
         Finding,
-        ManifestRejectedError,
         VERIFIER_RULES,
         VerificationReport,
         check_delta,
@@ -110,7 +108,6 @@ __all__ = [
     "Finding",
     "FlowConfig",
     "LintResult",
-    "ManifestRejectedError",
     "ProjectContext",
     "RULE_CATALOGUE",
     "Rule",

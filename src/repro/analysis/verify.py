@@ -10,17 +10,24 @@ deployment invariants **without running any traffic**:
 * ``d_ikj`` mass only lands on nodes of the unit's forwarding path
   ``P_ik`` (Section 2.3 — an off-path node never sees the traffic it
   was assigned);
-* NIPS rule enablement respects per-node TCAM budgets, and nodes only
-  sample for rules they enabled (Section 3.2, Eqs. 8 and 12);
+* a NIPS placement respects per-node TCAM, memory and CPU budgets, and
+  nodes only sample for rules they enabled (Section 3.2, Eqs. 8-12);
 * a manifest delta applies cleanly to its base epoch.
 
 Each violated invariant maps to a stable rule ID (REP101-REP108, the
 ``docs/static_analysis.md`` catalogue) so CI and the controller's
-fail-closed gate can report precisely *which* invariant broke.  The
-checks here are the shift-left twin of the runtime asserts in
-:func:`repro.core.manifest.verify_manifests`: they accept plain data,
-return findings instead of raising on the first problem, and are wired
-into :class:`repro.control.Controller` as a pre-distribution gate.
+fail-closed gate can report precisely *which* invariant broke.
+
+Every invariant with hash-range or capacity arithmetic in it is stated
+once, beside the artifact it constrains — the Fig. 2 partition and the
+on-path rule in :mod:`repro.core.manifest`, the NIPS manifests in
+:mod:`repro.core.nips_manifest`, Eqs. 8–13 in
+:meth:`repro.core.nips_milp.NIPSProblem.check` — and returns
+:class:`~repro.core.manifest.Finding` records.  This module composes
+those checks into reports, the CLI's file loading and the
+:class:`repro.control.Controller` pre-distribution gate; the raising
+validators in ``core`` (``verify_manifests``, ``verify_nips_manifests``)
+are views of the same checks.
 """
 
 from __future__ import annotations
@@ -38,57 +45,24 @@ from typing import (
     Tuple,
 )
 
-from ..core.manifest import EntryKey, NodeManifest
-from ..core.manifest_io import SCHEMA_VERSION, apply_manifest_delta
+from ..core.manifest import (
+    VERIFIER_RULES,
+    EntryKey,
+    Finding,
+    NodeManifest,
+    check_assignment,
+    check_manifests_match_assignment,
+    check_on_path,
+    check_partition,
+)
+from ..core.manifest_io import check_delta
 from ..core.nids_lp import NIDSAssignment
-from ..core.units import CoordinationUnit
+from ..core.units import CoordinationUnit, eligible_nodes
 
 if TYPE_CHECKING:  # heavy NIPS imports only for type checkers
     from ..core.nips_manifest import NIPSNodeManifest
     from ..core.nips_milp import NIPSProblem, NIPSSolution
-from ..hashing.ranges import (
-    EPSILON,
-    HashRange,
-    are_disjoint,
-    covers_unit_interval,
-)
-
-#: Numeric tolerance for mass sums (matches the runtime verifier).
-MASS_TOL = 1e-6
-
-# -- the verifier rule catalogue ------------------------------------------
-REP101 = "REP101"  #: coverage mass does not sum to the expected fold
-REP102 = "REP102"  #: overlapping hash ranges
-REP103 = "REP103"  #: range union does not top out at exactly 1.0
-REP104 = "REP104"  #: mass assigned to a node off the unit's path
-REP105 = "REP105"  #: per-node TCAM budget exceeded
-REP106 = "REP106"  #: manifest delta does not apply cleanly to its base
-REP107 = "REP107"  #: manifest mass disagrees with the solved d*
-REP108 = "REP108"  #: sampling for a rule the node never enabled
-
-VERIFIER_RULES: Dict[str, str] = {
-    REP101: "unit coverage mass does not sum to the expected fold",
-    REP102: "overlapping hash ranges",
-    REP103: "range union does not top out at exactly 1.0",
-    REP104: "mass assigned to a node off the unit's forwarding path",
-    REP105: "per-node TCAM budget exceeded",
-    REP106: "manifest delta does not apply cleanly to its base epoch",
-    REP107: "manifest mass disagrees with the solved d* fractions",
-    REP108: "node samples for a rule it never enabled",
-}
-
-
-@dataclass(frozen=True)
-class Finding:
-    """One violated invariant: *rule_id* at *subject*."""
-
-    rule_id: str
-    subject: str
-    message: str
-
-    def render(self) -> str:
-        """``REPnnn [subject] message`` (the text output row)."""
-        return f"{self.rule_id} [{self.subject}] {self.message}"
+from ..hashing.ranges import EPSILON
 
 
 @dataclass
@@ -137,216 +111,8 @@ class VerificationReport:
             sort_keys=True,
         )
 
-    def raise_for_findings(self) -> None:
-        """Raise :class:`ManifestRejectedError` unless everything held."""
-        if not self.ok:
-            raise ManifestRejectedError(self)
 
-
-class ManifestRejectedError(ValueError):
-    """A deployment artifact failed static verification.
-
-    Raised by :meth:`VerificationReport.raise_for_findings`; the
-    controller's pre-distribution gate catches it, counts the
-    rejection, and keeps the previous configuration active.
-    """
-
-    def __init__(self, report: VerificationReport) -> None:
-        self.report = report
-        summary = "; ".join(
-            finding.render() for finding in report.findings[:3]
-        )
-        extra = len(report.findings) - 3
-        if extra > 0:
-            summary += f" (+{extra} more)"
-        super().__init__(f"deployment artifact rejected: {summary}")
-
-
-def _unit_label(ident: EntryKey) -> str:
-    class_name, key = ident
-    return f"{class_name}/{','.join(key)}"
-
-
-# -- NIDS manifest invariants ---------------------------------------------
-def check_partition(
-    units: Sequence[CoordinationUnit],
-    manifests: Mapping[str, NodeManifest],
-) -> List[Finding]:
-    """Fig. 2 partition: disjoint per node, exact r-fold cover, top at 1.0.
-
-    Unlike the runtime :func:`~repro.core.manifest.verify_manifests`,
-    the sweep collects ranges from **every** manifest in the set — a
-    corrupted entry on a non-eligible node must not escape the count.
-    """
-    findings: List[Finding] = []
-    for unit in units:
-        label = _unit_label(unit.ident)
-        all_pieces: List[HashRange] = []
-        total = 0.0
-        for node in sorted(manifests):
-            pieces = [
-                p
-                for p in manifests[node].ranges(unit.class_name, unit.key)
-                if not p.empty
-            ]
-            if not are_disjoint(pieces):
-                findings.append(
-                    Finding(
-                        REP102,
-                        f"{label}@{node}",
-                        "node's own ranges overlap (same traffic analyzed"
-                        " twice at one node)",
-                    )
-                )
-            all_pieces.extend(pieces)
-            total += sum(p.length for p in pieces)
-        fold = int(round(total))
-        if abs(total - fold) > MASS_TOL or fold < 1:
-            findings.append(
-                Finding(
-                    REP101,
-                    label,
-                    f"total coverage mass {total!r} is not a positive"
-                    " integer fold",
-                )
-            )
-            continue
-        if not covers_unit_interval(all_pieces, fold=fold):
-            findings.append(
-                Finding(
-                    REP101,
-                    label,
-                    f"ranges do not cover [0,1] exactly {fold}-fold"
-                    " (gap or uneven depth)",
-                )
-            )
-        top = max((p.hi for p in all_pieces), default=0.0)
-        if top != 1.0:  # repnoqa: REP001 — generation snaps the top exactly
-            findings.append(
-                Finding(
-                    REP103,
-                    label,
-                    f"range union tops out at {top!r}, not exactly 1.0"
-                    " (ulp sliver above the last boundary)",
-                )
-            )
-    return findings
-
-
-def check_on_path(
-    units: Sequence[CoordinationUnit],
-    manifests: Mapping[str, NodeManifest],
-) -> List[Finding]:
-    """Section 2.3: positive mass only on nodes of the unit's path."""
-    findings: List[Finding] = []
-    eligible: Dict[EntryKey, Set[str]] = {
-        unit.ident: set(unit.eligible) for unit in units
-    }
-    for node in sorted(manifests):
-        for ident, pieces in sorted(manifests[node].entries.items()):
-            mass = sum(p.length for p in pieces)
-            if mass <= EPSILON:
-                continue
-            label = _unit_label(ident)
-            if ident not in eligible:
-                findings.append(
-                    Finding(
-                        REP104,
-                        f"{label}@{node}",
-                        "manifest entry for a unit absent from the plan",
-                    )
-                )
-            elif node not in eligible[ident]:
-                findings.append(
-                    Finding(
-                        REP104,
-                        f"{label}@{node}",
-                        f"node holds {mass:.6f} of the unit's hash space"
-                        " but is not on its forwarding path",
-                    )
-                )
-    return findings
-
-
-def check_assignment(
-    units: Sequence[CoordinationUnit],
-    assignment: NIDSAssignment,
-) -> List[Finding]:
-    """Eqs. 1 and 6 on the raw ``d*`` profile, plus the path constraint."""
-    findings: List[Finding] = []
-    eligible: Dict[EntryKey, Set[str]] = {
-        unit.ident: set(unit.eligible) for unit in units
-    }
-    sums: Dict[EntryKey, float] = {}
-    for (class_name, key, node), fraction in sorted(assignment.fractions.items()):
-        if fraction <= EPSILON:
-            continue
-        ident = (class_name, key)
-        label = _unit_label(ident)
-        if fraction < -EPSILON or fraction > 1.0 + EPSILON:
-            findings.append(
-                Finding(
-                    REP101,
-                    f"{label}@{node}",
-                    f"fraction {fraction!r} outside [0, 1] (Eq. 6)",
-                )
-            )
-        if ident in eligible and node not in eligible[ident]:
-            findings.append(
-                Finding(
-                    REP104,
-                    f"{label}@{node}",
-                    f"d* assigns {fraction:.6f} to a node off the unit's"
-                    " forwarding path",
-                )
-            )
-        sums[ident] = sums.get(ident, 0.0) + fraction
-    for unit in units:
-        expected = assignment.coverage.get(unit.ident, 1.0)
-        total = sums.get(unit.ident, 0.0)
-        if abs(total - expected) > MASS_TOL:
-            findings.append(
-                Finding(
-                    REP101,
-                    _unit_label(unit.ident),
-                    f"d* sums to {total!r}, coverage requires {expected!r}"
-                    " (Eq. 1)",
-                )
-            )
-    return findings
-
-
-def check_manifests_match_assignment(
-    units: Sequence[CoordinationUnit],
-    assignment: NIDSAssignment,
-    manifests: Mapping[str, NodeManifest],
-    tol: float = MASS_TOL,
-) -> List[Finding]:
-    """Per (unit, node): manifest mass must equal the solved ``d*``.
-
-    Only meaningful for *unstabilized* manifests — the controller's
-    churn suppression deliberately keeps manifests up to its tolerance
-    away from the fresh optimum, so its gate skips this check.
-    """
-    findings: List[Finding] = []
-    for unit in units:
-        for node in unit.eligible:
-            if node not in manifests:
-                continue
-            held = manifests[node].assigned_fraction(unit.class_name, unit.key)
-            solved = assignment.fraction(unit.class_name, unit.key, node)
-            if abs(held - solved) > tol:
-                findings.append(
-                    Finding(
-                        REP107,
-                        f"{_unit_label(unit.ident)}@{node}",
-                        f"manifest holds {held:.8f} of the hash space but"
-                        f" the solution assigned {solved:.8f}",
-                    )
-                )
-    return findings
-
-
+# -- NIDS deployments -----------------------------------------------------
 def verify_deployment(
     units: Sequence[CoordinationUnit],
     manifests: Mapping[str, NodeManifest],
@@ -372,66 +138,6 @@ def verify_deployment(
 
 
 # -- manifest deltas -------------------------------------------------------
-def check_delta(base: NodeManifest, delta: Mapping) -> List[Finding]:
-    """Prove a :func:`repro.core.manifest_io.manifest_diff` delta applies
-    cleanly to its base-epoch manifest."""
-    findings: List[Finding] = []
-    subject = f"delta@{base.node}"
-    version = delta.get("version")
-    if version != SCHEMA_VERSION:
-        findings.append(
-            Finding(
-                REP106,
-                subject,
-                f"schema version {version!r}, expected {SCHEMA_VERSION}",
-            )
-        )
-        return findings
-    if delta.get("kind") != "delta":
-        findings.append(
-            Finding(REP106, subject, f"kind {delta.get('kind')!r} is not 'delta'")
-        )
-        return findings
-    if delta.get("node") != base.node:
-        findings.append(
-            Finding(
-                REP106,
-                subject,
-                f"delta addressed to {delta.get('node')!r}, base manifest"
-                f" belongs to {base.node!r}",
-            )
-        )
-        return findings
-    for removal in delta.get("removed", []):
-        key = (removal["class"], tuple(removal["unit"]))
-        if key not in base.entries:
-            findings.append(
-                Finding(
-                    REP106,
-                    subject,
-                    f"removes entry {_unit_label(key)} absent from the base"
-                    " epoch (delta computed against a different base)",
-                )
-            )
-    try:
-        applied = apply_manifest_delta(base, delta)
-    except (ValueError, KeyError, TypeError) as error:
-        findings.append(
-            Finding(REP106, subject, f"delta does not apply: {error}")
-        )
-        return findings
-    for ident, pieces in sorted(applied.entries.items()):
-        if not are_disjoint(list(pieces)):
-            findings.append(
-                Finding(
-                    REP102,
-                    f"{_unit_label(ident)}@{base.node}",
-                    "applying the delta leaves overlapping ranges",
-                )
-            )
-    return findings
-
-
 def verify_delta(base: NodeManifest, delta: Mapping) -> VerificationReport:
     """Static verification of one manifest delta against its base."""
     return VerificationReport(
@@ -447,102 +153,15 @@ def check_nips(
 ) -> List[Finding]:
     """Section 3.2 invariants on a (rounded) NIPS solution.
 
-    TCAM budgets (Eq. 8), enablement coupling ``d <= e`` (Eq. 12),
-    per-path mass at most 1 (Eq. 11), and — path by path — that
-    filtering mass only lands on nodes the traffic traverses.  With
-    *manifests*, additionally prove every node samples only rules in
-    its TCAM and holds exactly the solved mass, disjointly.
+    :meth:`NIPSProblem.check` (Eqs. 8–13 and the on-path rule) and,
+    with *manifests*,
+    :func:`~repro.core.nips_manifest.check_nips_manifests`.
     """
-    findings: List[Finding] = []
-    tol = MASS_TOL
-    cam_used: Dict[str, float] = {}
-    for (i, node), enabled in sorted(solution.e.items()):
-        if enabled >= 0.5:
-            cam_used[node] = cam_used.get(node, 0.0) + problem.rules[i].cam_req
-    for node in sorted(cam_used):
-        capacity = problem.topology.node(node).cam_capacity
-        if cam_used[node] > capacity + tol:
-            findings.append(
-                Finding(
-                    REP105,
-                    f"tcam@{node}",
-                    f"enabled rules need {cam_used[node]:g} TCAM slots,"
-                    f" capacity is {capacity:g} (Eq. 8)",
-                )
-            )
-    path_mass: Dict[Tuple[int, Tuple[str, str]], float] = {}
-    for (i, pair, node), fraction in sorted(solution.d.items()):
-        if fraction <= EPSILON:
-            continue
-        subject = f"rule{i}/{pair[0]}->{pair[1]}@{node}"
-        if solution.e.get((i, node), 0.0) < 0.5:
-            findings.append(
-                Finding(
-                    REP108,
-                    subject,
-                    f"samples {fraction:.6f} of the path without enabling"
-                    " the rule (Eq. 12)",
-                )
-            )
-        path = problem.paths.get(pair)
-        if path is None or node not in path.nodes:
-            findings.append(
-                Finding(
-                    REP104,
-                    subject,
-                    "filtering mass on a node the path never traverses",
-                )
-            )
-        path_mass[(i, pair)] = path_mass.get((i, pair), 0.0) + fraction
-    for (i, pair), total in sorted(path_mass.items()):
-        if total > 1.0 + tol:
-            findings.append(
-                Finding(
-                    REP101,
-                    f"rule{i}/{pair[0]}->{pair[1]}",
-                    f"sampling fractions sum to {total!r} > 1 (Eq. 11)",
-                )
-            )
+    findings = problem.check(solution.e, solution.d)
     if manifests is not None:
-        findings.extend(_check_nips_manifests(problem, solution, manifests, tol))
-    return findings
+        from ..core.nips_manifest import check_nips_manifests
 
-
-def _check_nips_manifests(
-    problem: "NIPSProblem",
-    solution: "NIPSSolution",
-    manifests: Mapping[str, "NIPSNodeManifest"],
-    tol: float,
-) -> List[Finding]:
-    findings: List[Finding] = []
-    for node in sorted(manifests):
-        manifest = manifests[node]
-        enabled = set(manifest.enabled_rules)
-        for (i, pair), pieces in sorted(manifest.ranges.items()):
-            subject = f"rule{i}/{pair[0]}->{pair[1]}@{node}"
-            if i not in enabled:
-                findings.append(
-                    Finding(
-                        REP108,
-                        subject,
-                        "manifest samples a rule outside the node's TCAM set",
-                    )
-                )
-            if not are_disjoint(list(pieces)):
-                findings.append(
-                    Finding(REP102, subject, "node's own ranges overlap")
-                )
-            held = sum(p.length for p in pieces)
-            solved = solution.d.get((i, pair, node), 0.0)
-            if abs(held - solved) > tol:
-                findings.append(
-                    Finding(
-                        REP107,
-                        subject,
-                        f"manifest holds {held:.8f}, solution assigned"
-                        f" {solved:.8f}",
-                    )
-                )
+        findings.extend(check_nips_manifests(solution, manifests))
     return findings
 
 
@@ -552,7 +171,7 @@ def verify_nips(
     manifests: Optional[Mapping[str, "NIPSNodeManifest"]] = None,
 ) -> VerificationReport:
     """Static verification of a NIPS rounding artifact."""
-    checks = ["tcam", "enablement", "path-mass", "on-path"]
+    checks = ["tcam", "capacity", "enablement", "path-mass", "on-path"]
     if manifests is not None:
         checks.append("nips-manifests")
     return VerificationReport(
@@ -576,7 +195,7 @@ def _pseudo_units(
     off-path check.  Without a topology the holders stand in and the
     path check is vacuous.
     """
-    path_nodes: Optional[Dict[Tuple[str, str], Tuple[str, ...]]] = None
+    paths = None
     known: Set[str] = set()
     if topology_label is not None:
         from ..topology.datasets import by_label
@@ -585,27 +204,12 @@ def _pseudo_units(
         topology = by_label(topology_label)
         paths = PathSet(topology)
         known = set(topology.node_names)
-        path_nodes = {}
-        for a in topology.node_names:
-            for b in topology.node_names:
-                if a == b:
-                    continue
-                forward = paths.path(a, b)
-                backward = set(paths.path(b, a).nodes)
-                observers = tuple(
-                    node for node in forward.nodes if node in backward
-                )
-                path_nodes[(a, b)] = observers or (a, b)
 
     units = []
     for ident in idents:
         class_name, key = ident
-        eligible: Tuple[str, ...]
-        if path_nodes is not None and len(key) == 2 and set(key) <= known:
-            a, b = key
-            eligible = path_nodes[(a, b)]
-        elif path_nodes is not None and len(key) == 1 and set(key) <= known:
-            eligible = key
+        if paths is not None and len(key) in (1, 2) and set(key) <= known:
+            eligible = eligible_nodes(key, paths)
         else:
             eligible = tuple(sorted(holders.get(ident, set())))
         units.append(

@@ -45,7 +45,6 @@ from .epochs import (
     coverage_metrics,
     merge_reports,
     stabilize_manifests,
-    union_length,
 )
 from .failure import (
     HeartbeatMonitor,
@@ -111,5 +110,4 @@ __all__ = [
     "run_scenario",
     "stabilize_manifests",
     "standard_scenario",
-    "union_length",
 ]

@@ -59,6 +59,7 @@ from ..measurement.flows import FlowExporter
 from ..obs import MetricsRegistry, NULL_REGISTRY
 from ..traffic.session import Session
 from .bus import Bus, Message
+from .epochs import EPOCH_SECONDS
 from .protocol import (
     KIND_ACK,
     KIND_HEARTBEAT,
@@ -84,7 +85,6 @@ def report_bytes(report) -> int:
 class AgentConfig:
     """Agent-side tunables (times in seconds)."""
 
-    heartbeat_interval: float = 1.0
     #: How long the retiring manifest keeps serving existing
     #: connections after an update is applied (§5's "until existing
     #: connections ... expire").
@@ -301,7 +301,7 @@ class Agent:
                 ).inc(node=self.node)
             tally = _SessionTally(sessions)
             report = self.exporter.measure(
-                tally, interval_seconds=self.config.heartbeat_interval
+                tally, interval_seconds=EPOCH_SECONDS
             )
             self.registry.counter(
                 "agent_dispatch_sessions_total",
@@ -317,7 +317,7 @@ class Agent:
                 now,
             )
             self.stats.reports_sent += 1
-        if now - self._last_heartbeat >= self.config.heartbeat_interval - 1e-9:
+        if now - self._last_heartbeat >= EPOCH_SECONDS - 1e-9:
             self.bus.send(
                 self.node,
                 self.leader,

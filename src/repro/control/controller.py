@@ -69,6 +69,7 @@ from .protocol import (
 )
 from .bus import Bus
 from .epochs import (
+    EPOCH_SECONDS,
     EpochRecord,
     Ident,
     merge_reports,
@@ -85,13 +86,20 @@ LEASE_BYTES = 48
 #: delta bases for late acks.
 PUSH_HISTORY_LIMIT = 8
 
+#: Ceiling on the exponential push-retry delay (seconds).
+RETRY_BACKOFF_CAP = 3.6
+#: Fractional jitter applied (downward) from the second retry on,
+#: de-synchronizing retry storms across agents after an outage.
+RETRY_JITTER = 0.25
+#: Relative L1 drift of per-class volumes that triggers a re-solve.
+DRIFT_THRESHOLD = 0.2
+
 
 @dataclass
 class ControllerConfig:
     """Operations-center tunables (times in seconds)."""
 
     name: str = "controller"
-    epoch_duration: float = 1.0
     #: Silence after which a node is declared failed (> 2 heartbeat
     #: intervals so a single lost heartbeat is not a false positive).
     heartbeat_timeout: float = 2.2
@@ -101,19 +109,12 @@ class ControllerConfig:
     #: push — the two-beat schedule is preserved because the first
     #: retry is never jittered.
     retry_backoff: float = 0.45
-    #: Ceiling on the exponential retry delay.
-    retry_backoff_cap: float = 3.6
-    #: Fractional jitter applied (downward) from the second retry on,
-    #: de-synchronizing retry storms across agents after an outage.
-    retry_jitter: float = 0.25
     #: Seed for the retry-jitter RNG (REP002: no unseeded randomness).
     retry_seed: int = 0
     #: Epoch-lease TTL handed to agents; ``None`` disables leases (the
     #: pre-hardening behaviour).  Must exceed the epoch duration so a
     #: healthy controller renews well before expiry.
     lease_ttl: Optional[float] = None
-    #: Relative L1 drift of per-class volumes that triggers a re-solve.
-    drift_threshold: float = 0.2
     #: Re-solve at least every this many epochs regardless of drift
     #: (the paper's periodic reconfiguration); 0 disables.
     resolve_every: int = 4
@@ -124,8 +125,6 @@ class ControllerConfig:
     headroom: float = 1.0
     #: Redundancy level r passed to the LP.
     coverage: float = 1.0
-    #: Prefer deltas over full pushes when strictly smaller.
-    use_delta: bool = True
     estimation: EstimationModel = field(default_factory=EstimationModel)
 
 
@@ -716,11 +715,7 @@ class Controller:
         data = full_payload_data
         size = full_bytes
         base_version: Optional[int] = None
-        if (
-            self.config.use_delta
-            and base is not None
-            and node not in self.needs_full
-        ):
+        if base is not None and node not in self.needs_full:
             delta = manifest_diff(base, target)
             delta_bytes = _json_size(delta)
             if not delta_is_empty(delta) and delta_bytes < full_bytes:
@@ -781,16 +776,16 @@ class Controller:
         The first retry fires after exactly ``retry_backoff`` —
         un-jittered, so the two-beat epoch schedule (decision beat
         sends, ack beat retries) is preserved on a healthy plane.
-        Later retries double up to ``retry_backoff_cap`` with downward
+        Later retries double up to ``RETRY_BACKOFF_CAP`` with downward
         jitter, de-synchronizing agents during an outage.
         """
         if attempt <= 1:
             return self.config.retry_backoff
         delay = min(
-            self.config.retry_backoff_cap,
+            RETRY_BACKOFF_CAP,
             self.config.retry_backoff * (2.0 ** (attempt - 1)),
         )
-        return delay * (1.0 - self.config.retry_jitter * self._retry_rng.random())
+        return delay * (1.0 - RETRY_JITTER * self._retry_rng.random())
 
     def _transmit(
         self, node: str, state: PushState, now: float, retry: bool
@@ -852,7 +847,7 @@ class Controller:
     # -- epoch driver -----------------------------------------------------
     def step(self, now: float) -> None:
         """Main per-epoch decision point: ingest, detect, re-plan, push."""
-        epoch = int(now / self.config.epoch_duration)
+        epoch = int(now / EPOCH_SECONDS)
         self._epoch = EpochRecord(epoch=epoch, time=now)
         self._epoch_lags = []
         self._recovered = set()
@@ -878,7 +873,7 @@ class Controller:
             reason = "failure"
         elif self.reports:
             drift = self._drift(self._estimated_units())
-            if drift > self.config.drift_threshold:
+            if drift > DRIFT_THRESHOLD:
                 reason = "drift"
             elif (
                 self.config.resolve_every > 0
@@ -956,13 +951,3 @@ class Controller:
                 # be fenced behind the old version.
                 lagging.append(node)
         return lagging
-
-    def failure_pending(self) -> bool:
-        """Whether some crashed or fenced node's ranges are still in
-        the active configuration (failure undetected or repair not yet
-        computed)."""
-        return any(
-            self.manifests.get(node) is not None
-            and self.manifests[node].entries
-            for node in self._unavailable()
-        )

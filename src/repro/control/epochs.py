@@ -24,14 +24,18 @@ epoch loop shares:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.manifest import NodeManifest
 from ..core.units import CoordinationUnit, UnitKey
-from ..hashing.ranges import EPSILON, HashRange
+from ..hashing.ranges import EPSILON, HashRange, union_length
 from ..measurement.flows import TrafficReport
 
 Ident = Tuple[str, UnitKey]
+
+#: One epoch — the reporting / heartbeat / reconfiguration interval —
+#: is one unit of the simulated clock.
+EPOCH_SECONDS = 1.0
 
 
 @dataclass
@@ -110,19 +114,6 @@ def merge_reports(reports: Iterable[TrafficReport]) -> TrafficReport:
                 merged.pair_port_packets.get(key, 0.0) + value
             )
     return merged
-
-
-def union_length(ranges: Sequence[HashRange]) -> float:
-    """Measure of the union of *ranges* (need not be disjoint)."""
-    ordered = sorted((r for r in ranges if not r.empty), key=lambda r: r.lo)
-    total = 0.0
-    cursor = 0.0
-    for r in ordered:
-        lo = max(r.lo, cursor)
-        if r.hi > lo:
-            total += r.hi - lo
-            cursor = r.hi
-    return total
 
 
 def _ranges_close(
@@ -263,3 +254,26 @@ def coverage_metrics(
         orphaned_fraction=orphaned_mass / total if total > 0 else 0.0,
         uncovered=uncovered,
     )
+
+
+def ranges_reassigned(
+    snapshot: Mapping[Ident, Tuple[HashRange, ...]],
+    survivors: Mapping[str, NodeManifest],
+    skip: Set[Ident],
+) -> bool:
+    """Whether every repairable *snapshot* range is held by some
+    survivor's applied manifest (the acceptance check's ground truth:
+    what the live agents actually run, not what the controller
+    intends)."""
+    for ident, ranges in snapshot.items():
+        if ident in skip:
+            continue
+        held: List[HashRange] = []
+        for manifest in survivors.values():
+            held.extend(manifest.ranges(*ident))
+        for piece in ranges:
+            if piece.empty:
+                continue
+            if union_length(held, clip=piece) < piece.length - 1e-9:
+                return False
+    return True

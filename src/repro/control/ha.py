@@ -67,12 +67,16 @@ from ..topology.graph import Topology
 from ..topology.routing import PathSet
 from .bus import Bus
 from .controller import Controller, ControllerConfig, SolveFn, _json_size
-from .epochs import EpochRecord
+from .epochs import EPOCH_SECONDS, EpochRecord
 from .protocol import KIND_PROMOTE, KIND_STATE_HANDOFF, KIND_TERM_ANNOUNCE
 
 #: Replica-plane messages ride a suffixed address so the wrapped
 #: controller's agent-plane drain never consumes them.
 HA_CHANNEL_SUFFIX = "#ha"
+
+#: How long (seconds) a rebuilding leader waits for agent claims
+#: before accepting a log-gap handoff (version without content).
+HANDOFF_GRACE = 2.0
 
 #: Nominal wire sizes of the fixed-format election messages.
 TERM_ANNOUNCE_BYTES = 56
@@ -123,9 +127,6 @@ class HAConfig:
     rank_stagger: float = 1.0
     #: How many recent epoch-log entries each ``state-handoff`` carries.
     handoff_window: int = 6
-    #: How long a rebuilding leader waits for agent claims before
-    #: accepting a log-gap handoff (version without content).
-    handoff_grace: float = 2.0
 
     def __post_init__(self) -> None:
         if self.replicas < 1:
@@ -538,12 +539,12 @@ class ControllerReplica:
         if not claims:
             # No agent has confirmed its applied state to this leader
             # yet; keep draining until one does or the grace lapses.
-            return now - self._promoted_at >= self.ha_config.handoff_grace
+            return now - self._promoted_at >= HANDOFF_GRACE
         highest = max(claims + list(self.log))
         return (
             highest < 0
             or highest in self.log
-            or now - self._promoted_at >= self.ha_config.handoff_grace
+            or now - self._promoted_at >= HANDOFF_GRACE
         )
 
     def _install(self, now: float) -> None:
@@ -643,7 +644,7 @@ class ControllerReplica:
         returns the epoch record, everyone else ``None``."""
         if not self._serving(now):
             return None
-        epoch = int(now / self.controller.config.epoch_duration)
+        epoch = int(now / EPOCH_SECONDS)
         if self.controller._epoch.epoch != epoch:
             # Promoted (or restarted) mid-epoch: the controller never
             # took its step beat, so there is no epoch record to close.

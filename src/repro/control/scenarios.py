@@ -19,16 +19,16 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..hashing.ranges import HashRange
 from ..obs import MetricsRegistry
 from ..traffic.dynamics import DiurnalBurstModel
 from ..traffic.session import Session
-from .agent import Agent, AgentConfig
+from .agent import AgentConfig
 from .bus import Bus, BusConfig, BusStats
 from .controller import ControllerConfig, ControllerStats
-from .epochs import EpochRecord, Ident, union_length
+from .epochs import EpochRecord, Ident, ranges_reassigned
 from .ha import HAConfig
 from .plane import (
     PROFILES,
@@ -89,7 +89,6 @@ class ScenarioConfig:
     transition_window: float = 2.0
     resolve_every: int = 4
     stabilize_tolerance: float = 0.02
-    drift_threshold: float = 0.2
     headroom: float = 1.0
     #: Redundancy level r the controller plans at (paper §3: every
     #: unit analyzed by ``r`` distinct on-path nodes).
@@ -215,42 +214,6 @@ def _profiles(config: ScenarioConfig) -> Set[str]:
     return names
 
 
-def _clipped_union(ranges: Sequence[HashRange], piece: HashRange) -> float:
-    """Measure of ``union(ranges) ∩ piece``."""
-    clipped = [
-        HashRange(max(r.lo, piece.lo), min(r.hi, piece.hi))
-        for r in ranges
-        if r.hi > piece.lo and r.lo < piece.hi
-    ]
-    return union_length(clipped)
-
-
-def _ranges_reassigned(
-    snapshot: Dict[Ident, Tuple[HashRange, ...]],
-    agents: Dict[str, Agent],
-    failed_node: str,
-    skip: Set[Ident],
-) -> bool:
-    """Whether every repairable snapshot range is applied on a live
-    survivor's manifest (the acceptance check's ground truth: what the
-    agents actually run, not what the controller intends)."""
-    for ident, ranges in snapshot.items():
-        if ident in skip:
-            continue
-        class_name, key = ident
-        held: List[HashRange] = []
-        for node, agent in agents.items():
-            if node == failed_node or not agent.alive:
-                continue
-            held.extend(agent.manifest.ranges(class_name, key))
-        for piece in ranges:
-            if piece.empty:
-                continue
-            if _clipped_union(held, piece) < piece.length - 1e-9:
-                return False
-    return True
-
-
 def run_scenario(
     config: ScenarioConfig,
     registry: Optional[MetricsRegistry] = None,
@@ -293,7 +256,6 @@ def _run_scenario(
             heartbeat_timeout=config.heartbeat_timeout,
             resolve_every=config.resolve_every,
             stabilize_tolerance=config.stabilize_tolerance,
-            drift_threshold=config.drift_threshold,
             headroom=config.headroom,
             coverage=config.coverage,
             lease_ttl=config.lease_ttl,
@@ -365,8 +327,13 @@ def _run_scenario(
                 result.orphaned_mass[node] = sum(
                     mass for _ident, mass in repair.orphaned
                 )
-            if _ranges_reassigned(
-                pending_redistribution[node], agents, node, skip
+            survivors = {
+                name: agent.manifest
+                for name, agent in agents.items()
+                if name != node and agent.alive
+            }
+            if ranges_reassigned(
+                pending_redistribution[node], survivors, skip
             ):
                 result.redistribution_epoch[node] = epoch
                 del pending_redistribution[node]

@@ -38,7 +38,7 @@ from ..traffic.packet import Packet
 from ..traffic.session import Session
 from .manifest import NodeManifest
 from .manifest_index import ManifestIndex
-from .units import UnitKey, unit_key_for_session
+from .units import UnitKey, unit_key, unit_key_for_session
 
 #: Raw 5-tuple fields, the per-aggregation hash-cache key.
 FieldKey = Tuple[int, int, int, int, int]
@@ -58,10 +58,6 @@ class UnitResolver:
         """Node name of the host's home PoP."""
         return self._node_names[home_node_index(host)]
 
-    def session_unit(self, spec: ModuleSpec, session: Session) -> UnitKey:
-        """Unit key for *session* under *spec* (GET_COORD_UNIT)."""
-        return unit_key_for_session(spec, session)
-
     def packet_unit(self, spec: ModuleSpec, packet: Packet) -> UnitKey:
         """Unit key for a bare packet.
 
@@ -69,16 +65,10 @@ class UnitResolver:
         the initiator is taken from the canonical orientation (in the
         engine, the connection record supplies the true initiator).
         """
-        src_home = self.home_of(packet.tuple.src)
-        dst_home = self.home_of(packet.tuple.dst)
-        if spec.scope is Scope.PATH:
-            return tuple(sorted((src_home, dst_home)))
         oriented = packet.tuple.canonical()
-        initiator_home = self.home_of(oriented.src)
-        responder_home = self.home_of(oriented.dst)
-        if spec.scope is Scope.INGRESS:
-            return (initiator_home,)
-        return (responder_home,)
+        return unit_key(
+            spec.scope, self.home_of(oriented.src), self.home_of(oriented.dst)
+        )
 
 
 @dataclass
@@ -184,7 +174,7 @@ class CoordinatedDispatcher:
         for spec in self.modules:
             if not spec.traffic_filter.matches_session(session):
                 continue
-            unit = self.resolver.session_unit(spec, session)
+            unit = unit_key_for_session(spec, session)
             hash_value = self.session_hash(spec, session)
             decisions.append(
                 DispatchDecision(
@@ -222,11 +212,9 @@ class CoordinatedDispatcher:
         so resolving once per distinct pair (instead of once per
         (module, session)) collapses GET_COORD_UNIT to a table lookup.
         """
-        pairs = batch.pairs
         return {
-            Scope.PATH: [tuple(sorted(pair)) for pair in pairs],
-            Scope.INGRESS: [(pair[0],) for pair in pairs],
-            Scope.EGRESS: [(pair[1],) for pair in pairs],
+            scope: [unit_key(scope, *pair) for pair in batch.pairs]
+            for scope in Scope
         }
 
     def _as_batch(self, sessions) -> SessionBatch:
@@ -352,7 +340,7 @@ class CoordinatedDispatcher:
         """Single-module convenience wrapper over :meth:`decide_session`."""
         if not spec.traffic_filter.matches_session(session):
             return False
-        unit = self.resolver.session_unit(spec, session)
+        unit = unit_key_for_session(spec, session)
         return self.manifest.contains(
             spec.name, unit, self.session_hash(spec, session)
         )

@@ -9,8 +9,11 @@ around modulo 1; because every ``d_ikj <= 1``, a node's arc never
 overlaps itself, so every point of the hash space is covered by ``r``
 *distinct* nodes.
 
-:func:`verify_manifests` re-checks both invariants numerically and is
-used by the test suite and as an operational safety net.
+:func:`check_partition` is the one statement of that invariant;
+:func:`verify_manifests` is its raising view, and
+:mod:`repro.analysis.verify` composes it into reports.  :class:`Finding`
+and the REP1xx rule IDs every deployment check reports with live here,
+beside the first artifact they constrain.
 """
 
 from __future__ import annotations
@@ -182,43 +185,276 @@ def _snap_top(piece: HashRange) -> HashRange:
     return piece
 
 
+#: Numeric tolerance for mass sums in every deployment check.
+MASS_TOL = 1e-6
+
+# -- the deployment-invariant rule catalogue (docs/static_analysis.md) ----
+REP101 = "REP101"
+REP102 = "REP102"
+REP103 = "REP103"
+REP104 = "REP104"
+REP105 = "REP105"
+REP106 = "REP106"
+REP107 = "REP107"
+REP108 = "REP108"
+
+VERIFIER_RULES: Dict[str, str] = {
+    REP101: "unit coverage mass does not sum to the expected fold",
+    REP102: "overlapping hash ranges",
+    REP103: "range union does not top out at exactly 1.0",
+    REP104: "mass assigned to a node off the unit's forwarding path",
+    REP105: "per-node TCAM, memory or CPU capacity exceeded",
+    REP106: "manifest delta does not apply cleanly to its base epoch",
+    REP107: "manifest mass disagrees with the solved d* fractions",
+    REP108: "node samples for a rule it never enabled",
+}
+
+
+@dataclass(frozen=True)
+class Finding:
+    """One violated invariant: *rule_id* at *subject*."""
+
+    rule_id: str
+    subject: str
+    message: str
+
+    def render(self) -> str:
+        """``REPnnn [subject] message`` (the text output row)."""
+        return f"{self.rule_id} [{self.subject}] {self.message}"
+
+
+def raise_first(findings: Sequence[Finding]) -> None:
+    """The raising view of a check: ``ValueError`` on the first finding."""
+    if findings:
+        raise ValueError(findings[0].render())
+
+
+def unit_label(ident: EntryKey) -> str:
+    """``class/key,key`` — the subject prefix of a unit's findings."""
+    class_name, key = ident
+    return f"{class_name}/{','.join(key)}"
+
+
+def check_disjoint(
+    subject: str, pieces: Sequence[HashRange], message: str
+) -> List[Finding]:
+    """REP102 at *subject* unless *pieces* are pairwise disjoint."""
+    if are_disjoint(pieces):
+        return []
+    return [Finding(REP102, subject, message)]
+
+
+def check_partition(
+    units: Sequence[CoordinationUnit],
+    manifests: Mapping[str, NodeManifest],
+) -> List[Finding]:
+    """Fig. 2 partition: disjoint per node, exact r-fold cover, top at 1.0.
+
+    (1) No node's own ranges for a unit overlap (a node never analyzes
+    the same traffic twice).  (2) The union of all nodes' ranges covers
+    the unit hash space exactly ``coverage`` times, for a positive
+    integer coverage.  (3) The union reaches 1.0 *exactly*: the sweep
+    tolerates an ``EPSILON`` shortfall at the top, but generation snaps
+    it, so a solver-epsilon gap can never reach dispatch.  (4) Every
+    eligible node has a manifest.
+
+    Ranges are collected from **every** manifest in the set, in one
+    pass over their entries — a corrupted entry on a non-eligible node
+    must not escape the count.
+    """
+    held: Dict[EntryKey, List[Tuple[str, Tuple[HashRange, ...]]]] = {}
+    everywhere: List[Tuple[str, Tuple[HashRange, ...]]] = []
+    for node in sorted(manifests):
+        manifest = manifests[node]
+        if manifest.full:
+            everywhere.append((node, (HashRange(0.0, 1.0),)))
+            continue
+        for ident, pieces in manifest.entries.items():
+            held.setdefault(ident, []).append((node, pieces))
+    findings: List[Finding] = []
+    for unit in units:
+        label = unit_label(unit.ident)
+        for node in unit.eligible:
+            if node not in manifests:
+                findings.append(
+                    Finding(
+                        REP101,
+                        f"{label}@{node}",
+                        "eligible node has no manifest in the set",
+                    )
+                )
+        holders = held.get(unit.ident, [])
+        if everywhere:
+            holders = sorted(holders + everywhere)
+        all_pieces: List[HashRange] = []
+        total = 0.0
+        for node, entry in holders:
+            pieces = [p for p in entry if not p.empty]
+            findings.extend(
+                check_disjoint(
+                    f"{label}@{node}",
+                    pieces,
+                    "node's own ranges overlap (same traffic analyzed"
+                    " twice at one node)",
+                )
+            )
+            all_pieces.extend(pieces)
+            total += sum(p.length for p in pieces)
+        fold = int(round(total))
+        if abs(total - fold) > MASS_TOL or fold < 1:
+            findings.append(
+                Finding(
+                    REP101,
+                    label,
+                    f"total coverage mass {total!r} is not a positive"
+                    " integer fold",
+                )
+            )
+            continue
+        if not covers_unit_interval(all_pieces, fold=fold):
+            findings.append(
+                Finding(
+                    REP101,
+                    label,
+                    f"ranges do not cover [0,1] exactly {fold}-fold"
+                    " (gap or uneven depth)",
+                )
+            )
+        top = max(p.hi for p in all_pieces)
+        if top != 1.0:  # repnoqa: REP001 -- generation snaps the top exactly
+            findings.append(
+                Finding(
+                    REP103,
+                    label,
+                    f"range union tops out at {top!r}, not exactly 1.0"
+                    " (ulp sliver above the last boundary)",
+                )
+            )
+    return findings
+
+
+def check_on_path(
+    units: Sequence[CoordinationUnit],
+    manifests: Mapping[str, NodeManifest],
+) -> List[Finding]:
+    """Section 2.3: positive mass only on nodes of the unit's path."""
+    findings: List[Finding] = []
+    eligible: Dict[EntryKey, Tuple[str, ...]] = {
+        unit.ident: unit.eligible for unit in units
+    }
+    for node in sorted(manifests):
+        for ident, pieces in sorted(manifests[node].entries.items()):
+            mass = sum(p.length for p in pieces)
+            if mass <= EPSILON:
+                continue
+            subject = f"{unit_label(ident)}@{node}"
+            if ident not in eligible:
+                findings.append(
+                    Finding(
+                        REP104,
+                        subject,
+                        "manifest entry for a unit absent from the plan",
+                    )
+                )
+            elif node not in eligible[ident]:
+                findings.append(
+                    Finding(
+                        REP104,
+                        subject,
+                        f"node holds {mass:.6f} of the unit's hash space"
+                        " but is not on its forwarding path",
+                    )
+                )
+    return findings
+
+
+def check_assignment(
+    units: Sequence[CoordinationUnit],
+    assignment: NIDSAssignment,
+) -> List[Finding]:
+    """Eqs. 1 and 6 on the raw ``d*`` profile, plus the path constraint."""
+    findings: List[Finding] = []
+    eligible: Dict[EntryKey, Tuple[str, ...]] = {
+        unit.ident: unit.eligible for unit in units
+    }
+    sums: Dict[EntryKey, float] = {}
+    for (class_name, key, node), fraction in sorted(assignment.fractions.items()):
+        if fraction <= EPSILON:
+            continue
+        ident = (class_name, key)
+        label = unit_label(ident)
+        if fraction < -EPSILON or fraction > 1.0 + EPSILON:
+            findings.append(
+                Finding(
+                    REP101,
+                    f"{label}@{node}",
+                    f"fraction {fraction!r} outside [0, 1] (Eq. 6)",
+                )
+            )
+        if ident in eligible and node not in eligible[ident]:
+            findings.append(
+                Finding(
+                    REP104,
+                    f"{label}@{node}",
+                    f"d* assigns {fraction:.6f} to a node off the unit's"
+                    " forwarding path",
+                )
+            )
+        sums[ident] = sums.get(ident, 0.0) + fraction
+    for unit in units:
+        expected = assignment.coverage.get(unit.ident, 1.0)
+        total = sums.get(unit.ident, 0.0)
+        if abs(total - expected) > MASS_TOL:
+            findings.append(
+                Finding(
+                    REP101,
+                    unit_label(unit.ident),
+                    f"d* sums to {total!r}, coverage requires {expected!r}"
+                    " (Eq. 1)",
+                )
+            )
+    return findings
+
+
+def check_manifests_match_assignment(
+    units: Sequence[CoordinationUnit],
+    assignment: NIDSAssignment,
+    manifests: Mapping[str, NodeManifest],
+) -> List[Finding]:
+    """Per (unit, node): manifest mass must equal the solved ``d*``.
+
+    Only meaningful for *unstabilized* manifests — the controller's
+    churn suppression deliberately keeps manifests up to its tolerance
+    away from the fresh optimum, so its gate skips this check.
+    """
+    findings: List[Finding] = []
+    for unit in units:
+        for node in unit.eligible:
+            if node not in manifests:
+                continue
+            held = manifests[node].assigned_fraction(unit.class_name, unit.key)
+            solved = assignment.fraction(unit.class_name, unit.key, node)
+            if abs(held - solved) > MASS_TOL:
+                findings.append(
+                    Finding(
+                        REP107,
+                        f"{unit_label(unit.ident)}@{node}",
+                        f"manifest holds {held:.8f} of the hash space but"
+                        f" the solution assigned {solved:.8f}",
+                    )
+                )
+    return findings
+
+
 def verify_manifests(
     units: Sequence[CoordinationUnit],
     manifests: Mapping[str, NodeManifest],
 ) -> None:
-    """Check the two manifest invariants; raise ``ValueError`` if broken.
-
-    (1) For every unit, the union of all nodes' ranges covers the unit
-    hash space exactly ``coverage`` times.  (2) No node's own ranges
-    for a unit overlap (a node never analyzes the same traffic twice).
-    """
-    for unit in units:
-        all_pieces: List[HashRange] = []
-        coverage_total = 0.0
-        for node in unit.eligible:
-            pieces = list(manifests[node].ranges(unit.class_name, unit.key))
-            if not are_disjoint(pieces):
-                raise ValueError(
-                    f"node {node} has self-overlapping ranges for {unit.ident}"
-                )
-            all_pieces.extend(pieces)
-            coverage_total += sum(p.length for p in pieces)
-        fold = int(round(coverage_total))
-        if abs(coverage_total - fold) > 1e-6 or fold < 1:
-            raise ValueError(
-                f"unit {unit.ident} total coverage {coverage_total} is not a"
-                " positive integer"
-            )
-        if not covers_unit_interval(all_pieces, fold=fold):
-            raise ValueError(f"unit {unit.ident} does not cover [0,1] {fold}-fold")
-        # The coverage sweep tolerates an EPSILON shortfall at the top;
-        # generated manifests must reach 1.0 *exactly* (generate
-        # snaps), so solver-epsilon gaps can never reach dispatch.
-        top = max(p.hi for p in all_pieces if not p.empty)
-        if top != 1.0:  # repnoqa: REP001 -- exactness is the invariant
-            raise ValueError(
-                f"unit {unit.ident} union tops out at {top!r}, not exactly 1.0"
-            )
+    """Raising view of :func:`check_partition` and :func:`check_on_path`:
+    ``ValueError`` on the first finding."""
+    raise_first(
+        check_partition(units, manifests) or check_on_path(units, manifests)
+    )
 
 
 def sampled_node(

@@ -24,11 +24,17 @@ Schema (version 1):
 from __future__ import annotations
 
 import json
-from typing import Dict, Mapping
+from typing import Dict, List, Mapping
 
 from ..hashing.ranges import HashRange
 from ..obs import COUNT_BUCKETS, get_registry
-from .manifest import NodeManifest
+from .manifest import (
+    REP106,
+    Finding,
+    NodeManifest,
+    check_disjoint,
+    unit_label,
+)
 from .nids_lp import NIDSAssignment
 
 SCHEMA_VERSION = 1
@@ -162,6 +168,42 @@ def apply_manifest_delta(base: NodeManifest, delta: Mapping) -> NodeManifest:
     return NodeManifest(
         node=base.node, entries=entries, full=bool(delta.get("full", False))
     )
+
+
+def check_delta(base: NodeManifest, delta: Mapping) -> List[Finding]:
+    """Prove a :func:`manifest_diff` delta applies cleanly to its
+    base-epoch manifest (REP106) and leaves no overlap behind (REP102).
+
+    Schema version, kind and addressee are :func:`apply_manifest_delta`'s
+    own validation; on top of it, a removal of an entry the base never
+    held means the delta was computed against a different base.
+    """
+    subject = f"delta@{base.node}"
+    try:
+        applied = apply_manifest_delta(base, delta)
+    except (ValueError, KeyError, TypeError) as error:
+        return [Finding(REP106, subject, f"delta does not apply: {error}")]
+    findings: List[Finding] = []
+    for removal in delta.get("removed", []):
+        key = (removal["class"], tuple(removal["unit"]))
+        if key not in base.entries:
+            findings.append(
+                Finding(
+                    REP106,
+                    subject,
+                    f"removes entry {unit_label(key)} absent from the base"
+                    " epoch (delta computed against a different base)",
+                )
+            )
+    for ident, pieces in sorted(applied.entries.items()):
+        findings.extend(
+            check_disjoint(
+                f"{unit_label(ident)}@{base.node}",
+                pieces,
+                "applying the delta leaves overlapping ranges",
+            )
+        )
+    return findings
 
 
 def dump_manifests(manifests: Mapping[str, NodeManifest]) -> str:

@@ -23,7 +23,7 @@ from .manifest import (
     generate_manifests,
     verify_manifests,
 )
-from .nids_lp import NIDSAssignment, solve_nids_lp, uniform_assignment
+from .nids_lp import NIDSAssignment, solve_nids_lp
 from .units import CoordinationUnit, build_units
 
 
@@ -70,29 +70,22 @@ def plan_deployment(
     sessions: Sequence[Session],
     coverage: float = 1.0,
     hash_seed: int = 0,
-    use_lp: bool = True,
-    verify: bool = True,
     units: Optional[Sequence[CoordinationUnit]] = None,
 ) -> NIDSDeployment:
     """Plan a coordinated deployment for *sessions* on *topology*.
 
-    ``use_lp=False`` substitutes the naive uniform split (the ablation
-    baseline); ``coverage`` > 1 plans r-fold redundant analysis
-    (Section 2.5).  ``verify`` re-checks the manifest invariants, which
-    is cheap relative to the LP solve.  ``units`` may supply
+    ``coverage`` > 1 plans r-fold redundant analysis (Section 2.5).
+    The manifest invariants are re-checked before returning, which is
+    cheap relative to the LP solve.  ``units`` may supply
     pre-computed coordination-unit volumes (e.g. estimated from NetFlow
     by :func:`repro.measurement.estimate_units`) in place of measuring
     *sessions* directly.
     """
     modules = list(modules)
     units = list(units) if units is not None else build_units(modules, sessions, paths)
-    if use_lp:
-        assignment = solve_nids_lp(units, topology, coverage)
-    else:
-        assignment = uniform_assignment(units, topology, coverage)
+    assignment = solve_nids_lp(units, topology, coverage)
     manifests = generate_manifests(units, assignment, topology.node_names)
-    if verify:
-        verify_manifests(units, manifests)
+    verify_manifests(units, manifests)
     return NIDSDeployment(
         topology=topology,
         paths=paths,

@@ -20,10 +20,18 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..hashing.bobhash import hash_unit
 from ..hashing.keys import Aggregation, key_for
-from ..hashing.ranges import EPSILON, HashRange, are_disjoint
+from ..hashing.ranges import EPSILON, HashRange
 from ..traffic.generator import home_node_index
 from ..traffic.packet import Packet
-from .nips_milp import DKey, NIPSProblem, NIPSSolution
+from .manifest import (
+    MASS_TOL,
+    REP107,
+    REP108,
+    Finding,
+    check_disjoint,
+    raise_first,
+)
+from .nips_milp import NIPSProblem, NIPSSolution, d_subject
 
 Pair = Tuple[str, str]
 
@@ -47,11 +55,6 @@ class NIPSNodeManifest:
             r.contains(hash_value) for r in self.ranges.get((rule_index, pair), ())
         )
 
-    @property
-    def tcam_rules_used(self) -> int:
-        """TCAM slots consumed (one per enabled rule)."""
-        return len(self.enabled_rules)
-
 
 def generate_nips_manifests(
     problem: NIPSProblem, solution: NIPSSolution
@@ -63,22 +66,20 @@ def generate_nips_manifests(
     sum to at most 1, so the ranges are disjoint and no flow is
     inspected twice (which is also what makes the conservative load
     model of Eqs. 9-10 exact; see :mod:`repro.nips.enforcement`).
+    An infeasible ``(e, d)`` is refused (``ValueError``).
     """
+    raise_first(problem.check(solution.e, solution.d))
     per_path: Dict[Tuple[int, Pair], Dict[str, float]] = {}
     for (i, pair, node), fraction in solution.d.items():
         if fraction > EPSILON:
             per_path.setdefault((i, pair), {})[node] = fraction
 
-    manifests: Dict[str, NIPSNodeManifest] = {}
-    for node in problem.topology.node_names:
-        enabled = tuple(
-            sorted(
-                i
-                for (i, n), value in solution.e.items()
-                if n == node and value >= 0.5
-            )
+    manifests = {
+        node: NIPSNodeManifest(
+            node=node, enabled_rules=tuple(solution.enabled_rules(node))
         )
-        manifests[node] = NIPSNodeManifest(node=node, enabled_rules=enabled)
+        for node in problem.topology.node_names
+    }
 
     for (i, pair), fractions in per_path.items():
         position = 0.0
@@ -89,45 +90,80 @@ def generate_nips_manifests(
             piece = HashRange(position, min(1.0, position + fraction))
             manifests[node].ranges[(i, pair)] = (piece,)
             position += fraction
-        if position > 1.0 + 1e-6:
-            raise ValueError(
-                f"rule {i} on path {pair}: sampling fractions sum to {position}"
-            )
     return manifests
 
 
-def verify_nips_manifests(
-    problem: NIPSProblem,
-    solution: NIPSSolution,
-    manifests: Mapping[str, NIPSNodeManifest],
-) -> None:
-    """Check manifest invariants; raise ``ValueError`` when broken.
+def check_nips_manifests(
+    solution: NIPSSolution, manifests: Mapping[str, NIPSNodeManifest]
+) -> List[Finding]:
+    """The NIPS-manifest invariants, one finding per violation.
 
-    (1) A node samples for a rule only if the rule is in its TCAM.
-    (2) Per (rule, path), ranges across nodes are disjoint and their
-    total measure equals the solution's sampled fraction.
+    (1) A node samples for a rule only if the rule is in its TCAM
+    (REP108).  (2) Per (rule, path), ranges are disjoint within each
+    node and across nodes (REP102).  (3) Each node holds exactly its
+    solved ``d_ikj``, and each path's ranges total the path's solved
+    mass (REP107).
     """
-    per_path_pieces: Dict[Tuple[int, Pair], List[HashRange]] = {}
-    for node, manifest in manifests.items():
-        for (i, pair), pieces in manifest.ranges.items():
+    findings: List[Finding] = []
+    per_path: Dict[Tuple[int, Pair], List[HashRange]] = {}
+    for node in sorted(manifests):
+        manifest = manifests[node]
+        for (i, pair), pieces in sorted(manifest.ranges.items()):
+            subject = d_subject(i, pair, node)
             if i not in manifest.enabled_rules:
-                raise ValueError(
-                    f"node {node} samples rule {i} without enabling it"
+                findings.append(
+                    Finding(
+                        REP108,
+                        subject,
+                        "manifest samples a rule outside the node's TCAM set",
+                    )
                 )
-            per_path_pieces.setdefault((i, pair), []).extend(pieces)
-    for (i, pair), pieces in per_path_pieces.items():
-        if not are_disjoint(pieces):
-            raise ValueError(f"overlapping ranges for rule {i} on {pair}")
-        total = sum(p.length for p in pieces)
-        expected = sum(
-            fraction
-            for (rule, p, _node), fraction in solution.d.items()
-            if rule == i and p == pair and fraction > EPSILON
-        )
-        if abs(total - expected) > 1e-6:
-            raise ValueError(
-                f"rule {i} on {pair}: ranges cover {total}, solution says {expected}"
+            findings.extend(
+                check_disjoint(subject, pieces, "node's own ranges overlap")
             )
+            held = sum(p.length for p in pieces)
+            solved = solution.d.get((i, pair, node), 0.0)
+            if abs(held - solved) > MASS_TOL:
+                findings.append(
+                    Finding(
+                        REP107,
+                        subject,
+                        f"manifest holds {held:.8f}, solution assigned"
+                        f" {solved:.8f}",
+                    )
+                )
+            per_path.setdefault((i, pair), []).extend(pieces)
+    expected: Dict[Tuple[int, Pair], float] = {}
+    for (i, pair, _node), fraction in solution.d.items():
+        if fraction > EPSILON:
+            expected[(i, pair)] = expected.get((i, pair), 0.0) + fraction
+    for i, pair in sorted(set(per_path) | set(expected)):
+        subject = d_subject(i, pair)
+        pieces = per_path.get((i, pair), [])
+        findings.extend(
+            check_disjoint(
+                subject, pieces, "nodes hold overlapping ranges on one path"
+            )
+        )
+        total = sum(p.length for p in pieces)
+        solved = expected.get((i, pair), 0.0)
+        if abs(total - solved) > MASS_TOL:
+            findings.append(
+                Finding(
+                    REP107,
+                    subject,
+                    f"ranges cover {total:.8f} of the path, solution"
+                    f" assigned {solved:.8f}",
+                )
+            )
+    return findings
+
+
+def verify_nips_manifests(
+    solution: NIPSSolution, manifests: Mapping[str, NIPSNodeManifest]
+) -> None:
+    """Raising view of :func:`check_nips_manifests` (``ValueError``)."""
+    raise_first(check_nips_manifests(solution, manifests))
 
 
 class NIPSDispatcher:

@@ -33,6 +33,8 @@ from ..lp.solver import LPSolution, solve_or_raise
 from ..nips.rules import MatchRateMatrix, NIPSRule
 from ..topology.graph import Topology
 from ..topology.routing import DistanceMetric, Path, PathSet
+from ..hashing.ranges import EPSILON
+from .manifest import MASS_TOL, REP101, REP104, REP105, REP108, Finding
 
 Pair = Tuple[str, str]
 EKey = Tuple[int, str]  # (rule index, node)
@@ -97,26 +99,54 @@ class NIPSProblem:
             )
         return total
 
-    def check_feasible(
-        self,
-        e: Mapping[EKey, float],
-        d: Mapping[DKey, float],
-        tol: float = 1e-6,
-    ) -> List[str]:
-        """All constraint violations of (e, d), empty when feasible."""
-        violations: List[str] = []
+    def check(
+        self, e: Mapping[EKey, float], d: Mapping[DKey, float]
+    ) -> List[Finding]:
+        """Eqs. 8–13 at ``(e, d)``: one finding per violated constraint.
+
+        The one statement of NIPS feasibility, including what the LP
+        states by construction: filtering mass only on nodes the path
+        traverses.  ``e`` is charged as given, so an LP relaxation's
+        fractional enablement is judged by the relaxed Eq. 8; a
+        deployable placement has binary ``e``.
+        """
+        findings: List[Finding] = []
         cam_used: Dict[str, float] = {}
         mem_used: Dict[str, float] = {}
         cpu_used: Dict[str, float] = {}
         path_sum: Dict[Tuple[int, Pair], float] = {}
         for (i, node), enabled in e.items():
-            if enabled > tol:
+            if enabled > MASS_TOL:
                 cam_used[node] = cam_used.get(node, 0.0) + self.rules[i].cam_req * enabled
         for (i, pair, node), fraction in d.items():
-            if fraction < -tol:
-                violations.append(f"d[{i},{pair},{node}] negative")
-            if fraction > e.get((i, node), 0.0) + tol:
-                violations.append(f"d[{i},{pair},{node}] exceeds e[{i},{node}]")
+            if fraction < -MASS_TOL:
+                findings.append(
+                    Finding(
+                        REP101,
+                        d_subject(i, pair, node),
+                        f"sampling fraction {fraction!r} is negative (Eq. 13)",
+                    )
+                )
+            path = self.paths.get(pair)
+            if path is None or node not in path.nodes:
+                if fraction > EPSILON:
+                    findings.append(
+                        Finding(
+                            REP104,
+                            d_subject(i, pair, node),
+                            "filtering mass on a node the path never traverses",
+                        )
+                    )
+                continue  # nothing on the path to charge the node with
+            if fraction > e.get((i, node), 0.0) + MASS_TOL:
+                findings.append(
+                    Finding(
+                        REP108,
+                        d_subject(i, pair, node),
+                        f"samples {fraction:.6f} of the path, which exceeds"
+                        f" e[{i},{node}] (Eq. 12)",
+                    )
+                )
             mem_used[node] = mem_used.get(node, 0.0) + (
                 self.items[pair] * self.rules[i].mem_req * fraction
             )
@@ -126,16 +156,44 @@ class NIPSProblem:
             path_sum[(i, pair)] = path_sum.get((i, pair), 0.0) + fraction
         for node_name in self.topology.node_names:
             node = self.topology.node(node_name)
-            if cam_used.get(node_name, 0.0) > node.cam_capacity + tol:
-                violations.append(f"TCAM capacity exceeded at {node_name}")
-            if mem_used.get(node_name, 0.0) > node.mem_capacity * (1 + tol) + tol:
-                violations.append(f"memory capacity exceeded at {node_name}")
-            if cpu_used.get(node_name, 0.0) > node.cpu_capacity * (1 + tol) + tol:
-                violations.append(f"CPU capacity exceeded at {node_name}")
-        for key, total in path_sum.items():
-            if total > 1.0 + tol:
-                violations.append(f"sampling fractions for {key} sum to {total:.4f} > 1")
-        return violations
+            for resource, equation, used, capacity, relative in (
+                ("TCAM", 8, cam_used, node.cam_capacity, 0.0),
+                ("memory", 9, mem_used, node.mem_capacity, MASS_TOL),
+                ("CPU", 10, cpu_used, node.cpu_capacity, MASS_TOL),
+            ):
+                need = used.get(node_name, 0.0)
+                if need > capacity * (1 + relative) + MASS_TOL:
+                    findings.append(
+                        Finding(
+                            REP105,
+                            f"{resource.lower()}@{node_name}",
+                            f"{resource} capacity exceeded: needs {need:g},"
+                            f" capacity is {capacity:g} (Eq. {equation})",
+                        )
+                    )
+        for (i, pair), total in path_sum.items():
+            if total > 1.0 + MASS_TOL:
+                findings.append(
+                    Finding(
+                        REP101,
+                        d_subject(i, pair),
+                        f"sampling fractions sum to {total!r} > 1 (Eq. 11)",
+                    )
+                )
+        return findings
+
+    def check_feasible(
+        self, e: Mapping[EKey, float], d: Mapping[DKey, float]
+    ) -> List[str]:
+        """:meth:`check` rendered as text, empty when feasible."""
+        return [finding.render() for finding in self.check(e, d)]
+
+
+def d_subject(i: int, pair: Pair, node: Optional[str] = None) -> str:
+    """Finding subject of a (rule, path) — ``rule<i>/<src>-><dst>`` — or,
+    with *node*, of one ``d_ikj`` on it (``…@<node>``)."""
+    path = f"rule{i}/{pair[0]}->{pair[1]}"
+    return path if node is None else f"{path}@{node}"
 
 
 def build_nips_problem(

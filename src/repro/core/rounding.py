@@ -30,6 +30,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
+from .manifest import raise_first
 from .nips_milp import (
     DKey,
     EKey,
@@ -248,9 +249,7 @@ def rounded_deployment(
     else:
         solution = solve_with_fixed_rules(problem, greedy_fill(problem, e_hat))
 
-    violations = problem.check_feasible(solution.e, solution.d)
-    if violations:
-        raise AssertionError(f"rounded solution infeasible: {violations[:3]}")
+    raise_first(problem.check(solution.e, solution.d))
     return RoundedSolution(
         variant=variant,
         solution=solution,

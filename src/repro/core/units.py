@@ -58,18 +58,28 @@ class CoordinationUnit:
         return len(self.eligible) == 1
 
 
+def unit_key(scope: Scope, ingress: str, egress: str) -> UnitKey:
+    """``GET_COORD_UNIT``: the unit key of traffic entering at *ingress*
+    and leaving at *egress*, for a class of placement *scope*."""
+    if scope is Scope.PATH:
+        return tuple(sorted((ingress, egress)))
+    if scope is Scope.INGRESS:
+        return (ingress,)
+    return (egress,)
+
+
 def unit_key_for_session(spec: ModuleSpec, session: Session) -> UnitKey:
     """The coordination-unit key *session* belongs to under *spec*."""
-    if spec.scope is Scope.PATH:
-        return tuple(sorted((session.ingress, session.egress)))
-    if spec.scope is Scope.INGRESS:
-        return (session.ingress,)
-    return (session.egress,)
+    return unit_key(spec.scope, session.ingress, session.egress)
 
 
-def eligible_nodes(spec: ModuleSpec, key: UnitKey, paths: PathSet) -> Tuple[str, ...]:
-    """``P_ik``: the nodes able to observe all of the unit's traffic."""
-    if spec.scope is not Scope.PATH:
+def eligible_nodes(key: UnitKey, paths: PathSet) -> Tuple[str, ...]:
+    """``P_ik``: the nodes able to observe all of the unit's traffic.
+
+    The key alone decides: a single location (ingress or egress scope)
+    is its own only observer; a location pair is path-scoped.
+    """
+    if len(key) == 1:
         return key
     a, b = key
     forward = paths.path(a, b)
@@ -129,7 +139,7 @@ def build_units(
             CoordinationUnit(
                 class_name=class_name,
                 key=key,
-                eligible=eligible_nodes(spec, key, paths),
+                eligible=eligible_nodes(key, paths),
                 pkts=acc.pkts,
                 items=items,
                 cpu_work=acc.cpu_work,

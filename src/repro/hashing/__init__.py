@@ -28,9 +28,8 @@ from .ranges import (
     HashRange,
     WrappedRange,
     are_disjoint,
-    coverage_depth,
     covers_unit_interval,
-    total_length,
+    union_length,
 )
 
 __all__ = [
@@ -46,7 +45,6 @@ __all__ = [
     "hash_unit_batch",
     "key_hash_unit_batch",
     "pack_key_batch",
-    "coverage_depth",
     "covers_unit_interval",
     "destination_key",
     "flow_key",
@@ -56,5 +54,5 @@ __all__ = [
     "key_hash_unit",
     "session_key",
     "source_key",
-    "total_length",
+    "union_length",
 ]

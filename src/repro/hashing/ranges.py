@@ -24,7 +24,7 @@ verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 #: Tolerance for floating-point interval arithmetic.  LP solvers return
 #: values that sum to 1 only to within solver tolerance; all coverage
@@ -113,11 +113,6 @@ class WrappedRange:
         return any(piece.contains(value) for piece in self.pieces())
 
 
-def total_length(ranges: Iterable[HashRange]) -> float:
-    """Sum of the measures of *ranges* (which need not be disjoint)."""
-    return sum(r.length for r in ranges)
-
-
 def are_disjoint(ranges: Sequence[HashRange]) -> bool:
     """Whether no two ranges in *ranges* overlap with positive measure."""
     ordered = sorted((r for r in ranges if not r.empty), key=lambda r: r.lo)
@@ -156,6 +151,19 @@ def covers_unit_interval(ranges: Sequence[HashRange], fold: int = 1) -> bool:
     return True
 
 
-def coverage_depth(ranges: Sequence[HashRange], value: float) -> int:
-    """Number of ranges in *ranges* containing *value*."""
-    return sum(1 for r in ranges if r.contains(value))
+def union_length(
+    ranges: Iterable[HashRange], clip: Optional[HashRange] = None
+) -> float:
+    """Measure of the union of *ranges* (need not be disjoint).
+
+    With *clip*, the measure of ``union(ranges) ∩ clip``.
+    """
+    cursor, top = (0.0, 1.0) if clip is None else (clip.lo, clip.hi)
+    total = 0.0
+    for r in sorted((r for r in ranges if not r.empty), key=lambda r: r.lo):
+        lo = max(r.lo, cursor)
+        hi = min(r.hi, top)
+        if hi > lo:
+            total += hi - lo
+            cursor = hi
+    return total

@@ -18,11 +18,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..obs import COUNT_BUCKETS, get_registry
 from .model import LinearProgram, Sense
 from .solver import LPSolution, SolveStatus, solve
 
@@ -102,24 +100,6 @@ def solve_milp(program: LinearProgram, max_nodes: int = 5000) -> MILPSolution:
     provably optimal.  Fractional (continuous) variables are left to
     the LP at every node.
     """
-    started = time.perf_counter()
-    solution = _solve_milp(program, max_nodes)
-    registry = get_registry()
-    registry.counter(
-        "milp_solves_total", "branch-and-bound runs by outcome",
-        labels=("status",),
-    ).inc(status=solution.status.value)
-    registry.histogram(
-        "milp_solve_seconds", "wall-clock seconds per branch-and-bound run"
-    ).observe(time.perf_counter() - started)
-    registry.histogram(
-        "milp_nodes_explored", "search-tree nodes per branch-and-bound run",
-        buckets=COUNT_BUCKETS,
-    ).observe(solution.nodes_explored)
-    return solution
-
-
-def _solve_milp(program: LinearProgram, max_nodes: int) -> MILPSolution:
     maximize = program.sense is Sense.MAXIMIZE
     sign = -1.0 if maximize else 1.0  # heap orders by sign * bound (min-heap)
     counter = itertools.count()

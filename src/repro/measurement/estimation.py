@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..core.units import CoordinationUnit, UnitKey, eligible_nodes
+from ..core.units import CoordinationUnit, UnitKey, eligible_nodes, unit_key
 from ..hashing.keys import Aggregation
-from ..nids.modules.base import ModuleSpec, Scope
+from ..nids.modules.base import ModuleSpec
 from ..topology.routing import PathSet
 from ..traffic.packet import TCP
 from .flows import Pair, TrafficReport
@@ -86,14 +86,6 @@ def _cpu_per_flow(
     return spec.event_cpu_per_packet * avg_packets + spec.policy_cpu_per_event * events
 
 
-def _unit_key(spec: ModuleSpec, pair: Pair) -> UnitKey:
-    if spec.scope is Scope.PATH:
-        return tuple(sorted(pair))
-    if spec.scope is Scope.INGRESS:
-        return (pair[0],)
-    return (pair[1],)
-
-
 def _items_for(spec: ModuleSpec, flows: float, model: EstimationModel) -> float:
     if spec.aggregation is Aggregation.SOURCE:
         return flows * model.distinct_source_ratio
@@ -124,7 +116,7 @@ def estimate_units(
             if flows <= 0:
                 continue
             avg_packets = packets / flows
-            key = _unit_key(spec, pair)
+            key = unit_key(spec.scope, *pair)
             acc = accumulators.setdefault(
                 (spec.name, key), {"flows": 0.0, "pkts": 0.0, "cpu": 0.0}
             )
@@ -141,7 +133,7 @@ def estimate_units(
             CoordinationUnit(
                 class_name=class_name,
                 key=key,
-                eligible=eligible_nodes(spec, key, paths),
+                eligible=eligible_nodes(key, paths),
                 pkts=acc["pkts"],
                 items=items,
                 cpu_work=acc["cpu"],

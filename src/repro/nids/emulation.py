@@ -76,10 +76,6 @@ class DeploymentUsage:
         """Node with the largest CPU footprint."""
         return max(self.reports, key=lambda n: self.reports[n].cpu)
 
-    def hottest_mem_node(self) -> str:
-        """Node with the largest memory footprint."""
-        return max(self.reports, key=lambda n: self.reports[n].mem_bytes)
-
     def alert_keys(self) -> Set[Tuple[str, str]]:
         """Aggregate deduplicated alerts across all nodes."""
         keys: Set[Tuple[str, str]] = set()
@@ -88,7 +84,7 @@ class DeploymentUsage:
         return keys
 
     def to_dict(self) -> dict:
-        """JSON-compatible dict for cross-process result transport."""
+        """JSON-compatible dict (CLI ``--json``, report digests)."""
         return {
             "label": self.label,
             "reports": {
@@ -96,17 +92,6 @@ class DeploymentUsage:
                 for node, report in self.reports.items()
             },
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DeploymentUsage":
-        """Rebuild a usage result from :meth:`to_dict` output."""
-        return cls(
-            label=data["label"],
-            reports={
-                node: InstanceReport.from_dict(report)
-                for node, report in data["reports"].items()
-            },
-        )
 
 
 @dataclass

@@ -186,7 +186,7 @@ class InstanceReport:
         return self.usage.mem_bytes
 
     def to_dict(self) -> dict:
-        """JSON-compatible dict for cross-process result transport."""
+        """JSON-compatible dict (CLI ``--json``, report digests)."""
         return {
             "node": self.node,
             "mode": self.mode.value,
@@ -197,20 +197,6 @@ class InstanceReport:
             "alerts": [alert.to_dict() for alert in self.alerts],
             "light_connections": self.light_connections,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "InstanceReport":
-        """Rebuild a report from :meth:`to_dict` output."""
-        return cls(
-            node=data["node"],
-            mode=BroMode(data["mode"]),
-            usage=ResourceUsage(**data["usage"]),
-            tracked_connections=data["tracked_connections"],
-            module_cpu=dict(data["module_cpu"]),
-            module_items=dict(data["module_items"]),
-            alerts=[Alert.from_dict(alert) for alert in data.get("alerts", ())],
-            light_connections=data.get("light_connections", 0),
-        )
 
 
 @dataclass(eq=False)

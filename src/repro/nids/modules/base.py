@@ -121,10 +121,6 @@ class TrafficFilter:
             return False
         return True
 
-    @property
-    def matches_all(self) -> bool:
-        return not self.server_ports and self.proto is None and not self.syn_only
-
 
 @dataclass(frozen=True)
 class ModuleSpec:
@@ -227,14 +223,6 @@ class ModuleSpec:
             return session.tuple.dst
         return session.session_id
 
-    def cpu_per_packet(self) -> float:
-        """``CpuReq_i``: total processing cost per matched packet, the
-        LP's per-class CPU coefficient (event + amortized policy work)."""
-        return (
-            self.event_cpu_per_packet
-            + self.events_per_packet * self.policy_cpu_per_event
-        )
-
     @property
     def mem_req(self) -> float:
         """``MemReq_i``: bytes per item at this module's aggregation."""
@@ -259,11 +247,6 @@ class Alert:
             "subject": self.subject,
             "detail": self.detail,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Alert":
-        """Rebuild an alert from :meth:`to_dict` output."""
-        return cls(**data)
 
 
 class Detector:

@@ -126,15 +126,6 @@ def run_sweep(
     )
     cells_counter.inc(len(hits), source="cached")
     cells_counter.inc(len(missing), source="executed")
-    cell_seconds = registry.histogram(
-        "sweep_cell_seconds",
-        "wall-clock seconds per executed sweep cell",
-        buckets=(0.1, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0),
-    )
-    violations_counter = registry.counter(
-        "sweep_violations_total",
-        "acceptance/invariant violations across sweep cells",
-    )
 
     results: List[CellResult] = []
     violations: List[Tuple[str, str]] = []
@@ -148,9 +139,6 @@ def run_sweep(
         registry.merge_from(result.metrics)
         for violation in result.violations:
             violations.append((cell.cell_id, violation))
-        violations_counter.inc(len(result.violations))
-        if cell.cell_id in executed:
-            cell_seconds.observe(result.duration_seconds)
 
     registry.gauge(
         "sweep_workers", "worker processes used by the last sweep"

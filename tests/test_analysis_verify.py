@@ -5,30 +5,44 @@ and assert the verifier reports exactly the corresponding rule ID —
 the property CI and the controller gate rely on to attribute failures.
 """
 
+import ast
+import dataclasses
+import inspect
 import json
+import pathlib
 import random
 
 import pytest
 
+import repro
+
 from repro.analysis.cli import main as analysis_main
 from repro.analysis.verify import (
-    ManifestRejectedError,
     VERIFIER_RULES,
     check_delta,
+    check_nips,
     verify_artifact_files,
     verify_delta,
     verify_deployment,
     verify_nips,
 )
-from repro.core.manifest import NodeManifest, generate_manifests
+from repro.core.manifest import (
+    NodeManifest,
+    generate_manifests,
+    raise_first,
+    verify_manifests,
+)
 from repro.core.manifest_io import (
     dump_assignment,
     dump_manifests,
     manifest_diff,
 )
 from repro.core.nids_lp import NIDSAssignment
-from repro.core.nips_manifest import generate_nips_manifests
-from repro.core.nips_milp import build_nips_problem
+from repro.core.nips_manifest import (
+    generate_nips_manifests,
+    verify_nips_manifests,
+)
+from repro.core.nips_milp import NIPSSolution, build_nips_problem
 from repro.core.units import CoordinationUnit
 from repro.hashing.ranges import HashRange
 from repro.nips.rules import MatchRateMatrix, unit_rules
@@ -120,6 +134,26 @@ class TestDeploymentChecks:
         report = verify_deployment([unit], manifests)
         assert report.rule_ids() == ["REP104"]
 
+    def test_eligible_node_without_manifest_is_rep101(self):
+        # The raising view used to walk ``manifests[node]`` and die
+        # with a KeyError; the finding view silently skipped the node.
+        unit = make_unit(nodes=("A", "B", "C"))
+        _, manifests, _ = good_world()
+        report = verify_deployment([unit], manifests)
+        assert report.rule_ids() == ["REP101"]
+        assert [f.subject for f in report.findings] == ["c/k@C"]
+        with pytest.raises(ValueError, match="REP101"):
+            verify_manifests([unit], manifests)
+
+    def test_raising_view_rejects_what_the_report_rejects(self):
+        # Off-path mass with an exact partition: the old raising
+        # validator never looked at non-eligible nodes.
+        unit, manifests, _ = good_world()
+        manifests["A"].entries[unit.ident] = (HashRange(0.0, 0.3),)
+        manifests["C"] = NodeManifest("C", {unit.ident: (HashRange(0.3, 0.6),)})
+        with pytest.raises(ValueError, match="REP104"):
+            verify_manifests([unit], manifests)
+
     def test_assignment_sum_short_is_rep101(self):
         unit, manifests, _ = good_world()
         bad = make_assignment(unit, {"A": 0.6, "B": 0.1})
@@ -167,10 +201,9 @@ class TestDeploymentChecks:
         unit, manifests, _ = good_world()
         manifests["B"].entries[unit.ident] = (HashRange(0.7, 1.0),)
         report = verify_deployment([unit], manifests)
-        with pytest.raises(ManifestRejectedError) as excinfo:
-            report.raise_for_findings()
-        assert excinfo.value.report is report
-        assert "REP101" in str(excinfo.value)
+        with pytest.raises(ValueError, match="REP101"):
+            raise_first(report.findings)
+        raise_first([])
 
     def test_report_json_schema(self):
         unit, manifests, _ = good_world()
@@ -247,14 +280,12 @@ class TestNIPSChecks:
     def solution_for(problem, pair, rule_index=0):
         """Enable one rule at the pair's first on-path node, full mass."""
         node = problem.paths[pair].nodes[0]
-        cls = type(
-            "Solution", (), {}
-        )  # avoid importing the LP layer for a plain data holder
-        solution = cls()
-        solution.e = {(rule_index, node): 1.0}
-        solution.d = {(rule_index, pair, node): 1.0}
-        solution.objective = 0.0
-        solution.solve_seconds = 0.0
+        solution = NIPSSolution(
+            e={(rule_index, node): 1.0},
+            d={(rule_index, pair, node): 1.0},
+            objective=0.0,
+            solve_seconds=0.0,
+        )
         return solution, node
 
     def test_valid_solution_is_clean(self, nips_world):
@@ -305,6 +336,48 @@ class TestNIPSChecks:
         solution.d[(0, pair, second)] = 0.4  # 1.0 + 0.4 > 1
         report = verify_nips(problem, solution)
         assert report.rule_ids() == ["REP101"]
+
+    def test_negative_fraction_is_rep101(self, nips_world):
+        problem = nips_world
+        pair = next(iter(problem.paths))
+        solution, node = self.solution_for(problem, pair)
+        solution.d[(0, pair, node)] = -0.25
+        assert verify_nips(problem, solution).rule_ids() == ["REP101"]
+
+    @pytest.mark.parametrize("resource", ["cpu", "mem"])
+    def test_node_capacity_overload_is_rep105(self, nips_world, resource):
+        # Eqs. 9-10: only ``check_feasible`` used to look at CPU and
+        # memory, so an overloaded node verified clean.
+        pair = next(iter(nips_world.paths))
+        solution, node = self.solution_for(nips_world, pair)
+        volume = {"cpu": nips_world.pkts, "mem": nips_world.items}[resource][pair]
+        tight = internet2().set_uniform_capacities(
+            **{"cpu": 1e9, "mem": 1e9, "cam": 2.0, resource: volume / 2}
+        )
+        problem = dataclasses.replace(nips_world, topology=tight)
+        report = verify_nips(problem, solution)
+        assert report.rule_ids() == ["REP105"]
+        assert [f.subject for f in report.findings] == [
+            f"{'cpu' if resource == 'cpu' else 'memory'}@{node}"
+        ]
+        assert len(problem.check_feasible(solution.e, solution.d)) == 1
+
+    def test_two_nodes_overlapping_on_one_path_is_rep102(self, nips_world):
+        # Each node's own ranges are disjoint and hold exactly the
+        # solved mass, so only the cross-node sweep can see it.
+        problem = nips_world
+        pair = next(p for p in problem.paths if len(problem.paths[p].nodes) >= 2)
+        first, last = problem.paths[pair].nodes[0], problem.paths[pair].nodes[-1]
+        solution, _ = self.solution_for(problem, pair)
+        solution.e = {(0, first): 1.0, (0, last): 1.0}
+        solution.d = {(0, pair, first): 0.3, (0, pair, last): 0.3}
+        manifests = generate_nips_manifests(problem, solution)
+        assert verify_nips(problem, solution, manifests).ok
+        manifests[last].ranges[(0, pair)] = (HashRange(0.1, 0.4),)
+        report = verify_nips(problem, solution, manifests)
+        assert report.rule_ids() == ["REP102"]
+        with pytest.raises(ValueError, match="REP102"):
+            verify_nips_manifests(solution, manifests)
 
     def test_generated_nips_manifests_verify_clean(self, nips_world):
         problem = nips_world
@@ -379,3 +452,61 @@ class TestArtifactFiles:
         out = capsys.readouterr().out
         for rule_id in VERIFIER_RULES:
             assert rule_id in out
+
+
+SRC = pathlib.Path(repro.__file__).parent
+
+
+def _calls(path):
+    """Names called as plain functions anywhere in *path*."""
+    tree = ast.parse(path.read_text())
+    return {
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    }
+
+
+def _defined(path):
+    tree = ast.parse(path.read_text())
+    return {
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+class TestOneCheck:
+    """Each deployment invariant has one implementation, beside the
+    artifact it constrains; everything else is a view of it."""
+
+    @pytest.mark.parametrize(
+        "primitive, owner",
+        [
+            ("are_disjoint", "core/manifest.py"),
+            ("covers_unit_interval", "core/manifest.py"),
+            ("union_length", "control/epochs.py"),
+        ],
+    )
+    def test_range_primitives_have_one_product_caller(self, primitive, owner):
+        callers = {
+            str(path.relative_to(SRC))
+            for path in SRC.rglob("*.py")
+            if "hashing" not in path.parts and primitive in _calls(path)
+        }
+        assert callers == {owner}
+
+    def test_views_hold_no_range_or_capacity_arithmetic(self):
+        for view in (verify_manifests, verify_nips_manifests, check_nips):
+            source = inspect.getsource(view)
+            for token in (
+                "HashRange", ".lo", ".hi", ".length", "sum(", "capacity",
+                "are_disjoint", "covers_unit_interval", " > ", " < ",
+            ):
+                assert token not in source, (view.__name__, token)
+
+    def test_analysis_verify_defines_no_check_core_defines(self):
+        core = set().union(*(_defined(p) for p in (SRC / "core").glob("*.py")))
+        mine = _defined(SRC / "analysis" / "verify.py")
+        assert not {name for name in mine & core if not name.startswith("_")}
+        assert "Finding(" not in (SRC / "analysis" / "verify.py").read_text()

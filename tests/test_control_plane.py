@@ -19,7 +19,6 @@ from repro.control.bus import Bus, BusConfig
 from repro.control.epochs import (
     merge_reports,
     stabilize_manifests,
-    union_length,
 )
 from repro.control.failure import HeartbeatMonitor
 from repro.control.scenarios import (
@@ -30,7 +29,7 @@ from repro.control.scenarios import (
 )
 from repro.core.manifest import NodeManifest
 from repro.core.manifest_io import manifest_diff, manifest_to_dict
-from repro.hashing.ranges import HashRange
+from repro.hashing.ranges import HashRange, union_length
 from repro.measurement.flows import TrafficReport
 
 
@@ -218,6 +217,7 @@ class TestEpochHelpers:
             HashRange(0.7, 0.9),
         ]
         assert union_length(ranges) == pytest.approx(0.7)
+        assert union_length(ranges, clip=HashRange(0.35, 0.8)) == pytest.approx(0.25)
 
     def test_merge_reports_sums_pairs(self):
         a = TrafficReport(interval_seconds=1.0, sampling_rate=1.0)

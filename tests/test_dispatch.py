@@ -5,6 +5,7 @@ import pytest
 from repro.core.dispatch import CoordinatedDispatcher, UnitResolver
 from repro.core.manifest import full_manifest
 from repro.core.nids_deployment import plan_deployment
+from repro.core.units import unit_key_for_session
 from repro.nids.modules import HTTP, SCAN, SIGNATURE, STANDARD_MODULES
 from repro.topology import PathSet, internet2
 from repro.traffic import GeneratorConfig, TrafficGenerator
@@ -38,7 +39,7 @@ class TestUnitResolver:
         resolver = deployment.resolver
         session = sessions[0]
         packet = next(iter(session.packets()))
-        assert resolver.session_unit(SIGNATURE, session) == resolver.packet_unit(
+        assert unit_key_for_session(SIGNATURE, session) == resolver.packet_unit(
             SIGNATURE, packet
         )
 
@@ -86,7 +87,7 @@ class TestExactlyOnceAnalysis:
             for spec in (SIGNATURE, HTTP):
                 if not spec.traffic_filter.matches_session(session):
                     continue
-                unit = deployment.resolver.session_unit(spec, session)
+                unit = unit_key_for_session(spec, session)
                 unit_obj = next(
                     u
                     for u in deployment.units

@@ -112,7 +112,7 @@ class TestTargetedRepair:
     def test_replicable_units_stay_fully_covered(self, deployments):
         """Every unit with a live eligible node keeps exact coverage
         after the repair."""
-        from repro.control.epochs import union_length
+        from repro.hashing.ranges import union_length
 
         _, r1, result = self._repair(deployments)
         orphaned_idents = {ident for ident, _ in result.orphaned}

@@ -33,7 +33,7 @@ def manifests(solved):
 class TestGeneration:
     def test_invariants_hold(self, solved, manifests):
         problem, solution = solved
-        verify_nips_manifests(problem, solution, manifests)
+        verify_nips_manifests(solution, manifests)
 
     def test_tcam_capacity_respected(self, solved, manifests):
         problem, _ = solved
@@ -93,7 +93,7 @@ class TestGeneration:
             r for r in manifest.enabled_rules if r != i
         )
         with pytest.raises(ValueError):
-            verify_nips_manifests(problem, solution, broken)
+            verify_nips_manifests(solution, broken)
 
 
 class TestDispatcher:

@@ -9,9 +9,7 @@ from repro.hashing.ranges import (
     HashRange,
     WrappedRange,
     are_disjoint,
-    coverage_depth,
     covers_unit_interval,
-    total_length,
 )
 
 
@@ -48,7 +46,7 @@ class TestHashRange:
         ranges = [HashRange(0.0, 0.5), HashRange(0.5, 1.0 - 5e-10)]
         assert covers_unit_interval(ranges, fold=1)
         for probe in (0.0, 0.25, 0.5, 0.999, 1.0 - 2e-10, 1.0 - 1e-12):
-            assert coverage_depth(ranges, probe) == 1
+            assert sum(r.contains(probe) for r in ranges) == 1
 
     def test_interior_ranges_stay_half_open(self):
         """The closed-top extension applies only near 1.0."""
@@ -117,7 +115,7 @@ class TestWrappedRange:
         for start in (0.0, 0.3, 0.77, 0.999):
             for length in (0.0, 0.1, 0.5, 0.9999):
                 pieces = WrappedRange(start, length).pieces()
-                assert total_length(pieces) == pytest.approx(length, abs=1e-9)
+                assert sum(p.length for p in pieces) == pytest.approx(length, abs=1e-9)
 
 
 class TestCoverage:
@@ -148,12 +146,6 @@ class TestCoverage:
         assert covers_unit_interval([], fold=0)
         assert not covers_unit_interval([], fold=1)
 
-    def test_coverage_depth(self):
-        ranges = [HashRange(0.0, 0.5), HashRange(0.25, 0.75)]
-        assert coverage_depth(ranges, 0.1) == 1
-        assert coverage_depth(ranges, 0.3) == 2
-        assert coverage_depth(ranges, 0.8) == 0
-
 
 @given(
     cuts=st.lists(
@@ -170,7 +162,7 @@ def test_property_partition_always_covers(cuts):
     ]
     assert covers_unit_interval(ranges, fold=1)
     assert are_disjoint(ranges)
-    assert total_length(ranges) == pytest.approx(1.0, abs=1e-9)
+    assert sum(r.length for r in ranges) == pytest.approx(1.0, abs=1e-9)
 
 
 @given(

@@ -20,7 +20,6 @@ from repro.nids.engine import (
     BroInstance,
     BroMode,
     EmulationConfig,
-    InstanceReport,
     PartialInstanceReport,
 )
 from repro.nids.modules import STANDARD_MODULES
@@ -146,7 +145,6 @@ class TestRoundTrips:
     def test_instance_report_round_trips(self, one_shot_and_chunked):
         topo, _, one_shot, _ = one_shot_and_chunked
         report = _instance(topo).finalize_partial(one_shot)
-        assert InstanceReport.from_dict(report.to_dict()) == report
         assert pickle.loads(pickle.dumps(report)) == report
 
     def test_exactsum_transport(self):

@@ -51,14 +51,14 @@ class TestEligibleNodes:
     def test_path_scope_eligible_on_route(self, setup):
         _, paths, _, _ = setup
         key = tuple(sorted(("STTL", "NYCM")))
-        eligible = eligible_nodes(SIGNATURE, key, paths)
+        eligible = eligible_nodes(key, paths)
         route = set(paths.path(key[0], key[1]).nodes)
         assert set(eligible) <= route
         assert key[0] in eligible and key[1] in eligible
 
     def test_ingress_scope_singleton(self, setup):
         _, paths, _, _ = setup
-        assert eligible_nodes(SCAN, ("CHIN",), paths) == ("CHIN",)
+        assert eligible_nodes(("CHIN",), paths) == ("CHIN",)
 
 
 class TestBuildUnits:
