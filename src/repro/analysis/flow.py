@@ -134,7 +134,6 @@ class FlowConfig:
     dispatch_sites: Tuple[str, ...] = (
         "repro.control.controller.Controller._drain",
         "repro.control.agent.Agent.step",
-        "repro.control.ha.ControllerReplica._dispatch",
     )
 
 

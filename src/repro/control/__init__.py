@@ -6,9 +6,10 @@ continuously: an operations-center :class:`Controller` on an epoch
 clock, per-node :class:`Agent` endpoints, a lossy simulated
 :class:`Bus` between them, epoch-versioned delta distribution,
 heartbeat-driven failure detection with targeted redistribution,
-controller HA (:mod:`repro.control.ha`: term-fenced standby replicas
-with deterministic election and split-brain-proof epoch-log handoff),
-and one epoch driver (:mod:`repro.control.plane`) scored two ways:
+controller HA (every :class:`Controller` is one term-fenced controller
+process with deterministic election and split-brain-proof epoch-log
+handoff; :class:`HACluster` is the set of them, a lone controller a
+cluster of one), and one epoch driver (:mod:`repro.control.plane`) scored two ways:
 scripted end-to-end scenarios, and a seeded chaos harness
 (:mod:`repro.control.chaos`) that injects adversarial fault plans and
 asserts the graceful-degradation invariants per epoch.
@@ -30,17 +31,19 @@ from .chaos import (
     random_fault_plan,
     run_chaos,
 )
-from .controller import Controller, ControllerConfig, ControllerStats, PushState
-from .ha import (
-    ControllerReplica,
-    EpochLogEntry,
-    HACluster,
+from .controller import (
+    Controller,
+    ControllerConfig,
+    ControllerStats,
     HAConfig,
+    PushState,
     replica_name,
 )
+from .ha import HACluster
 from .protocol import MessageSpec, PROTOCOL, PROTOCOL_KINDS
 from .epochs import (
     CoverageSummary,
+    EpochLogEntry,
     EpochRecord,
     coverage_metrics,
     merge_reports,
@@ -76,7 +79,6 @@ __all__ = [
     "ChaosResult",
     "Controller",
     "ControllerConfig",
-    "ControllerReplica",
     "ControllerStats",
     "CoverageSummary",
     "EpochLogEntry",

@@ -52,9 +52,9 @@ from ..traffic.dynamics import DiurnalBurstModel
 from ..traffic.session import Session
 from .agent import Agent, AgentConfig
 from .bus import Bus, BusConfig, BusStats, Message
-from .controller import ControllerConfig, ControllerStats
+from .controller import ControllerConfig, ControllerStats, replica_name
 from .epochs import EpochRecord
-from .ha import HACluster, HAConfig, base_identity, replica_name
+from .ha import HACluster, HAConfig
 from .plane import ControlPlane, unit_capacity_topology, with_registry
 from .scenarios import COVERAGE_FLOOR
 
@@ -82,9 +82,9 @@ class FaultEvent:
     * ``crash`` — *node*'s NIDS process dies at *start* and restarts at
       *end*; ``warm=True`` restarts it holding its pre-crash manifest.
     * ``controller_down`` — a controller process is down: it takes no
-      epoch beats and messages addressed to it (either plane) are
-      lost.  Under HA, *node* names the specific replica held down
-      (``None`` = every replica).
+      epoch beats and messages addressed to it are lost.  Under HA,
+      *node* names the specific replica held down (``None`` = every
+      replica).
     """
 
     kind: str
@@ -192,9 +192,7 @@ class ChaosBus(Bus):
         super().__init__(config, registry)
         self.plan = plan
         self.controller_name = controller
-        #: Every controller process identity (HA replicas); fault
-        #: matching strips the ``#ha`` plane suffix, so an event naming
-        #: a replica severs both of its planes at once.
+        #: Every controller process identity (HA replicas).
         self.controller_names: Tuple[str, ...] = (
             tuple(controller_names) if controller_names else (controller,)
         )
@@ -207,10 +205,8 @@ class ChaosBus(Bus):
         )
 
     def _matches_partition(self, event: FaultEvent, message: Message) -> bool:
-        src = base_identity(message.src)
-        dst = base_identity(message.dst)
-        return (event.src is None or event.src == src) and (
-            event.dst is None or event.dst == dst
+        return (event.src is None or event.src == message.src) and (
+            event.dst is None or event.dst == message.dst
         )
 
     def _admit(self, message: Message, now: float) -> Optional[Message]:
@@ -225,9 +221,8 @@ class ChaosBus(Bus):
             elif kind == "controller_down":
                 # A dead process receives nothing; its own sends are
                 # suppressed by the runner not stepping it.
-                identity = base_identity(message.dst)
-                if identity in self.controller_names and (
-                    event.node is None or event.node == identity
+                if message.dst in self.controller_names and (
+                    event.node is None or event.node == message.dst
                 ):
                     self._injected.inc(fault="controller_down")
                     self._drop_admitted(message)

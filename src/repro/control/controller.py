@@ -26,6 +26,50 @@ closes that loop at runtime:
    cold start.  Unacknowledged pushes are retried; per-agent
    acknowledged state makes every push idempotent.
 
+4. **Stay available** — a :class:`Controller` is one controller
+   *process*: replica ``index`` of ``HAConfig.replicas`` on the same
+   bus, named :func:`replica_name`.  Replica 0 boots as leader, the
+   rest as warm standbys; a bare ``Controller(...)`` has no peers and
+   is simply the leader forever.
+
+   * **Terms as fencing tokens.**  Every controller→agent message is
+     stamped with the leader's election *term*
+     (:meth:`Controller._transmit`).  Terms are replica-unique by
+     construction — replica *i* only ever mints terms ``t`` with
+     ``t % replicas == i`` — so two concurrent candidates can never
+     mint the same term, and the numerically higher term wins outright.
+     Agents track the highest term witnessed and ``nack`` anything
+     older (:meth:`Agent._accept_term`), which both fences the deposed
+     leader's pushes/leases *and* carries depose evidence back to it
+     through the agent plane even when the replicas are partitioned
+     from each other.
+   * **Deterministic lease-based election.**  The serving leader
+     broadcasts ``term-announce`` every beat.  A standby whose announce
+     silence exceeds ``leader_lease + index * rank_stagger`` promotes
+     itself; the per-index stagger makes candidacy windows disjoint, so
+     in the common path exactly one standby runs for office.
+   * **Split-brain-proof state handoff.**  The leader replicates an
+     epoch log (``state-handoff``: the last ``handoff_window`` adopted
+     configurations, term-stamped).  A freshly promoted leader enters
+     a *rebuilding* phase: it drains agent heartbeats (which carry each
+     agent's ``(applied_term, applied_version)`` claim) and refuses to
+     push anything until its view covers the highest applied epoch it
+     has observed — either by installing that epoch from its log, or,
+     past a grace period, by adopting the bare version number (a
+     "log-gap" handoff) so no epoch number is ever minted twice.  Delta
+     bases are only trusted when the agent's claimed term matches the
+     log entry's term: two leaders can mint the same version *number*
+     with different content, and a cross-term delta would silently
+     corrupt manifests.
+   * **One inbox, replica plane first.**  Peers and agents write to the
+     same address; each beat delivers it once (:meth:`Controller._drain`)
+     and folds the replica-plane kinds before deciding its role and
+     only then handles — or, as a standby, drops — the agent-plane
+     kinds.
+
+   :class:`~repro.control.ha.HACluster` is the set of such processes;
+   ``docs/fault_model.md`` has the failover sequence and invariants.
+
 Re-solving uses the same LP as offline planning; a custom ``solve_fn``
 (e.g. an FPL-style adapter from :mod:`repro.core.online` for
 adversarially shifting inputs) can be plugged in.
@@ -46,7 +90,12 @@ from ..analysis.verify import (
 )
 from ..core.dispatch import UnitResolver
 from ..core.manifest import generate_manifests, NodeManifest
-from ..core.manifest_io import delta_is_empty, manifest_diff, manifest_to_dict
+from ..core.manifest_io import (
+    delta_is_empty,
+    manifest_diff,
+    manifest_from_dict,
+    manifest_to_dict,
+)
 from ..core.nids_deployment import NIDSDeployment
 from ..core.nids_lp import NIDSAssignment, solve_nids_lp
 from ..core.reconfigure import conservative_units, plan_transition
@@ -64,12 +113,16 @@ from .protocol import (
     KIND_LEASE_RENEW,
     KIND_MANIFEST_UPDATE,
     KIND_NACK,
+    KIND_PROMOTE,
     KIND_REPORT,
     KIND_RESYNC_REQUEST,
+    KIND_STATE_HANDOFF,
+    KIND_TERM_ANNOUNCE,
 )
 from .bus import Bus
 from .epochs import (
     EPOCH_SECONDS,
+    EpochLogEntry,
     EpochRecord,
     Ident,
     merge_reports,
@@ -79,8 +132,14 @@ from .failure import HeartbeatMonitor, RepairResult, repair_manifests
 
 SolveFn = Callable[[Sequence[CoordinationUnit], Topology, float], NIDSAssignment]
 
-#: Nominal wire size of a lease-renewal message.
+#: Nominal wire sizes of the fixed-format messages.
 LEASE_BYTES = 48
+TERM_ANNOUNCE_BYTES = 56
+PROMOTE_BYTES = 64
+
+#: How long (seconds) a rebuilding leader waits for agent claims
+#: before accepting a log-gap handoff (version without content).
+HANDOFF_GRACE = 2.0
 
 #: How many superseded pushes per node are remembered as potential
 #: delta bases for late acks.
@@ -95,10 +154,21 @@ RETRY_JITTER = 0.25
 DRIFT_THRESHOLD = 0.2
 
 
+def replica_name(index: int, base: str = "controller") -> str:
+    """Stable name of controller replica *index*.
+
+    Replica 0 keeps the bare base name, so single-controller agent
+    configurations (``AgentConfig.controller == "controller"``) address
+    the initial leader unchanged.
+    """
+    return base if index == 0 else f"{base}-{index}"
+
+
 @dataclass
 class ControllerConfig:
     """Operations-center tunables (times in seconds)."""
 
+    #: Base process name: replica *i* is ``replica_name(i, name)``.
     name: str = "controller"
     #: Silence after which a node is declared failed (> 2 heartbeat
     #: intervals so a single lost heartbeat is not a false positive).
@@ -126,6 +196,34 @@ class ControllerConfig:
     #: Redundancy level r passed to the LP.
     coverage: float = 1.0
     estimation: EstimationModel = field(default_factory=EstimationModel)
+
+
+@dataclass
+class HAConfig:
+    """Failover tunables (times in seconds)."""
+
+    #: Number of controller replicas (1 = plain single controller).
+    replicas: int = 3
+    #: Announce silence after which the first standby considers the
+    #: leader dead.  Aligned with the agents' epoch-lease TTL so the
+    #: control plane and the data plane agree on how long stale
+    #: authority may persist.
+    leader_lease: float = 2.5
+    #: Extra silence tolerated per replica index before candidacy —
+    #: makes election windows disjoint, so concurrent candidacy only
+    #: happens under replica-plane partitions (where replica-unique
+    #: terms still keep the outcome safe).
+    rank_stagger: float = 1.0
+    #: How many recent epoch-log entries each ``state-handoff`` carries.
+    handoff_window: int = 6
+
+    def __post_init__(self) -> None:
+        if self.replicas < 1:
+            raise ValueError("replicas must be >= 1")
+        if self.leader_lease <= 0 or self.rank_stagger < 0:
+            raise ValueError("leader_lease must be > 0, rank_stagger >= 0")
+        if self.handoff_window < 1:
+            raise ValueError("handoff_window must be >= 1")
 
 
 @dataclass
@@ -165,6 +263,13 @@ class ControllerStats:
     fences: int = 0
     #: Acks for superseded epochs still credited as delta bases.
     superseded_acks: int = 0
+    #: Failover history (all zero for a controller without peers).
+    elections: int = 0
+    depositions: int = 0
+    #: Epoch-log entries adopted from peers' ``state-handoff``s.
+    handoff_entries: int = 0
+    #: ``state-handoff`` broadcasts sent while leading.
+    handoffs_sent: int = 0
 
 
 def _json_size(payload: dict) -> int:
@@ -172,7 +277,13 @@ def _json_size(payload: dict) -> int:
 
 
 class Controller:
-    """Epoch-clocked operations center over a simulated bus."""
+    """One epoch-clocked operations-center process over a simulated bus."""
+
+    #: Mutation switch for the seeded fault-injection tests: with HA
+    #: fencing disabled a deposed leader ignores higher-term evidence
+    #: and keeps serving, and the chaos ``leader-uniqueness`` invariant
+    #: must catch it.
+    _ha_fencing = True
 
     def __init__(
         self,
@@ -183,12 +294,15 @@ class Controller:
         config: Optional[ControllerConfig] = None,
         solve_fn: Optional[SolveFn] = None,
         registry: Optional[MetricsRegistry] = None,
+        index: int = 0,
+        ha_config: Optional[HAConfig] = None,
     ):
         self.topology = topology
         self.paths = paths
         self.modules = list(modules)
         self.bus = bus
         self.config = config or ControllerConfig()
+        self.ha_config = ha_config or HAConfig(replicas=1)
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.solve_fn = solve_fn or (
             lambda units, topo, coverage: solve_nids_lp(units, topo, coverage)
@@ -198,17 +312,38 @@ class Controller:
         )
         self.stats = ControllerStats()
 
+        self.index = index
+        self.name = replica_name(index, self.config.name)
+        self.peers: Tuple[str, ...] = tuple(
+            replica_name(i, self.config.name)
+            for i in range(self.ha_config.replicas)
+            if i != index
+        )
+        self.alive = True
+        self.role = "leader" if index == 0 else "standby"
+        #: Current election term, stamped into every outbound message
+        #: as a fencing token; replica-unique (``term % replicas ==
+        #: index`` for every term this replica mints) and 0 forever
+        #: without peers.
+        self.term = 0
+        #: Highest term this process has evidence of: peers' announces
+        #: plus agent ``nack``s.  Above ``term`` it deposes a leader.
+        self.observed_term = 0
+        self.leader_name = replica_name(0, self.config.name)
+        #: True between promotion and completed state handoff: the
+        #: leader drains claims and refuses to push.
+        self.rebuilding = False
+        #: Replicated epoch log, keyed by configuration version.
+        self.log: Dict[int, EpochLogEntry] = {}
+        #: Time of the last completed handoff (``None`` for a bootstrap
+        #: leader that never took over).
+        self.installed_at: Optional[float] = None
+        self._last_heard = 0.0
+        self._promoted_at = 0.0
+
         #: Latest NetFlow report per reporting node (stale entries are
         #: deliberately kept: a dead NIDS does not stop the traffic).
         self.reports: Dict[str, TrafficReport] = {}
-        #: HA election term stamped into every outbound message as a
-        #: fencing token; 0 in single-controller deployments.  The
-        #: :class:`~repro.control.ha.ControllerReplica` wrapper keeps
-        #: it in sync with its own term.
-        self.term = 0
-        #: Highest term seen in agent ``nack``s — evidence a newer
-        #: leader exists, which deposes this one under HA.
-        self.observed_term = 0
         #: Per-node (applied_term, applied_version) claim from the last
         #: heartbeat; a rebuilding leader uses it to decide which delta
         #: bases it may trust across a takeover.
@@ -239,48 +374,128 @@ class Controller:
         # Per-epoch scratch, reset by step().
         self._epoch = EpochRecord(epoch=-1, time=0.0)
         self._epoch_lags: List[float] = []
-        # Pre-declare the health families that only record on rare
-        # events, so every snapshot carries them (value 0 ≠ absent).
-        self.registry.counter(
+        # The health families that only record on rare events are
+        # declared here, so every snapshot carries them (value 0 ≠
+        # absent).  The lease families exist only with leases on, the
+        # failover families only with peers to fail over to.
+        registry = self.registry
+        leased = self.config.lease_ttl is not None
+        failover = registry if self.peers else NULL_REGISTRY
+        self._push_retries = registry.counter(
             "controller_push_retries_total",
             "unacknowledged pushes retransmitted, by backoff attempt",
             labels=("attempt",),
         )
-        self.registry.counter(
+        self._repairs = registry.counter(
             "controller_repairs_total",
             "targeted failure-repair redistributions",
         )
-        if self.config.lease_ttl is not None:
-            self.registry.counter(
-                "controller_lease_fences_total",
-                "live nodes fenced after self-reporting degradation",
-                labels=("node",),
-            )
-            self.registry.counter(
-                "controller_superseded_acks_total",
-                "acknowledgements for superseded epochs credited as"
-                " delta bases",
-            )
-        self.registry.counter(
+        self._lease_fences = (registry if leased else NULL_REGISTRY).counter(
+            "controller_lease_fences_total",
+            "live nodes fenced after self-reporting degradation",
+            labels=("node",),
+        )
+        if leased:
+            self._superseded_acks()
+        self._rejections = registry.counter(
             "controller_manifest_rejections_total",
             "configurations refused by the pre-distribution static"
             " verifier, by violated invariant",
             labels=("rule",),
         )
-        self.registry.counter(
+        self._heartbeat_failures = registry.counter(
             "heartbeat_failures_total",
             "nodes declared failed after missed heartbeats",
             labels=("node",),
         )
-        self.registry.histogram(
+        self._convergence = registry.histogram(
             "epoch_convergence_seconds",
             "simulated seconds from first push to last ack per"
             " reconfiguration epoch",
         )
+        self._elections = failover.counter(
+            "controller_ha_elections_total",
+            "standby promotions to acting leader",
+            labels=("replica",),
+        )
+        self._depositions = failover.counter(
+            "controller_ha_depositions_total",
+            "acting leaders stepping down on higher-term evidence",
+            labels=("replica",),
+        )
+        self._handoff_entries = failover.counter(
+            "controller_ha_handoff_entries_total",
+            "epoch-log entries adopted from state-handoff messages",
+            labels=("replica",),
+        )
+        self._handoffs = failover.counter(
+            "controller_ha_handoffs_total",
+            "completed leader state handoffs by outcome",
+            labels=("outcome",),
+        )
+
+    def _superseded_acks(self):
+        """Not bound in ``__init__`` like the other families: with
+        leases off it is not pre-declared, yet a late ack can still be
+        credited — the family then first appears at that credit."""
+        return self.registry.counter(
+            "controller_superseded_acks_total",
+            "acknowledgements for superseded epochs credited as"
+            " delta bases",
+        )
+
+    # -- failure model ----------------------------------------------------
+    def crash(self) -> None:
+        """Controller process dies: no beats, no sends, inbox lost."""
+        self.alive = False
+
+    def restart(self, now: float) -> None:
+        """Process returns — as a standby whenever it has peers.  Term,
+        epoch log, and planning state survive (warm restart), but
+        leadership must be re-earned through an election; the announce
+        clock restarts so a live leader's first announce is awaited
+        before any candidacy.  A replica without peers resumes as
+        leader: nobody could have deposed it."""
+        self.alive = True
+        if self.peers:
+            self.role = "standby"
+        self.rebuilding = False
+        self._last_heard = now
 
     # -- inbox ------------------------------------------------------------
     def _drain(self, now: float) -> None:
-        for message in self.bus.deliver(self.config.name, now):
+        """Deliver this process's one inbox.
+
+        The order is a protocol invariant: replica-plane kinds are
+        folded first (in delivery order), then the role is decided,
+        then the agent-plane kinds are handled by a leader (serving or
+        rebuilding) and dropped by a standby — so a leader deposed this
+        beat credits nothing it received as leader, and a later
+        promotion can never replay a stale backlog.
+        """
+        agent_plane = []
+        for message in self.bus.deliver(self.name, now):
+            if message.kind in (
+                KIND_TERM_ANNOUNCE, KIND_PROMOTE, KIND_STATE_HANDOFF
+            ):
+                # Idempotent by construction: a duplicated or reordered
+                # message re-delivers a (term, leader) fact; adopting it
+                # twice is a no-op, and a *stale* replay (term below the
+                # current one) is ignored outright by _witness.
+                payload = message.payload
+                self._witness(
+                    payload.get("term", 0),
+                    payload.get("leader", message.src),
+                    now,
+                )
+                if message.kind == KIND_STATE_HANDOFF:
+                    self._merge_entries(payload.get("entries", ()))
+            else:
+                agent_plane.append(message)
+        self._maybe_demote(now)
+        if self.role != "leader":
+            return
+        for message in agent_plane:
             if message.kind == KIND_HEARTBEAT:
                 node = message.payload["node"]
                 self.reported_applied[node] = (
@@ -315,8 +530,8 @@ class Controller:
                 self._pushed_history.pop(node, None)
             elif message.kind == KIND_NACK:
                 # An agent fenced us for carrying a stale term: a newer
-                # leader exists.  Record the evidence; the HA wrapper
-                # deposes this replica on its next beat.
+                # leader exists.  Record the evidence; the beat's
+                # closing demote steps down on it.
                 self.observed_term = max(
                     self.observed_term, message.payload.get("term", 0)
                 )
@@ -333,11 +548,7 @@ class Controller:
             self.fenced.add(node)
             self._fence_event = True
             self.stats.fences += 1
-            self.registry.counter(
-                "controller_lease_fences_total",
-                "live nodes fenced after self-reporting degradation",
-                labels=("node",),
-            ).inc(node=node)
+            self._lease_fences.inc(node=node)
         elif not degraded and node in self.fenced:
             self.fenced.discard(node)
             self._recovered.add(node)
@@ -360,11 +571,7 @@ class Controller:
                         self.acked_version[node] = old.version
                         self.acked_manifests[node] = old.manifest
                         self.stats.superseded_acks += 1
-                        self.registry.counter(
-                            "controller_superseded_acks_total",
-                            "acknowledgements for superseded epochs"
-                            " credited as delta bases",
-                        ).inc()
+                        self._superseded_acks().inc()
                     break
             return
         if payload["status"] == "resync":
@@ -534,14 +741,8 @@ class Controller:
         if report.ok:
             return True
         self.stats.rejections += 1
-        counter = self.registry.counter(
-            "controller_manifest_rejections_total",
-            "configurations refused by the pre-distribution static"
-            " verifier, by violated invariant",
-            labels=("rule",),
-        )
         for rule_id in report.rule_ids():
-            counter.inc(rule=rule_id)
+            self._rejections.inc(rule=rule_id)
         return False
 
     def _repair(self, now: float) -> None:
@@ -558,10 +759,7 @@ class Controller:
             return
         self._adopt(result.manifests, self.planned_units, assignment, now, "failure")
         self.stats.repairs += 1
-        self.registry.counter(
-            "controller_repairs_total",
-            "targeted failure-repair redistributions",
-        ).inc()
+        self._repairs.inc()
         if result.orphaned:
             self.registry.gauge(
                 "repair_orphaned_mass",
@@ -793,11 +991,9 @@ class Controller:
         if retry:
             state.attempts += 1
             self.stats.retries += 1
-            self.registry.counter(
-                "controller_push_retries_total",
-                "unacknowledged pushes retransmitted, by backoff attempt",
-                labels=("attempt",),
-            ).inc(attempt=str(state.attempts) if state.attempts < 6 else "6+")
+            self._push_retries.inc(
+                attempt=str(state.attempts) if state.attempts < 6 else "6+"
+            )
             self._epoch.push_bytes += state.size_bytes
             self._epoch.full_equivalent_bytes += state.full_bytes
             self.stats.push_bytes += state.size_bytes
@@ -812,7 +1008,7 @@ class Controller:
         if self.config.lease_ttl is not None:
             payload["lease_expires_at"] = now + self.config.lease_ttl
         self.bus.send(
-            self.config.name,
+            self.name,
             node,
             KIND_MANIFEST_UPDATE,
             payload,
@@ -832,7 +1028,7 @@ class Controller:
             if not self.monitor.alive(node) or node in self.fenced:
                 continue
             self.bus.send(
-                self.config.name,
+                self.name,
                 node,
                 KIND_LEASE_RENEW,
                 {
@@ -844,22 +1040,281 @@ class Controller:
                 now,
             )
 
+    # -- election ---------------------------------------------------------
+    def _next_term(self, floor: int) -> int:
+        """Smallest term above *floor* that this replica may mint."""
+        n = self.ha_config.replicas
+        candidate = floor + 1
+        return candidate + ((self.index - candidate) % n)
+
+    def _witness(self, term: int, leader: str, now: float) -> None:
+        """Fold one piece of (term, leader) evidence into local state."""
+        if term > self.observed_term:
+            self.observed_term = term
+        if term < self.term:
+            return
+        if term > self.term:
+            if self.role == "leader":
+                if not self._ha_fencing:
+                    return  # mutation: ignore the depose evidence
+                self._depose(now, term, leader)
+                return
+            self.term = term
+            self.leader_name = leader
+            self.rebuilding = False
+            self._last_heard = now
+            return
+        # Equal term: a repeat of a known fact.  Refresh the announce
+        # clock when it comes from the leader we already follow; a
+        # replayed promote for our own term changes nothing (no
+        # double-leader, no re-election).
+        if self.role != "leader" and leader == self.leader_name:
+            self._last_heard = now
+
+    def _election_due(self, now: float) -> bool:
+        timeout = (
+            self.ha_config.leader_lease
+            + self.index * self.ha_config.rank_stagger
+        )
+        return now - self._last_heard > timeout + 1e-9
+
+    def _promote(self, now: float) -> None:
+        """Standby takeover: mint a fresh replica-unique term and enter
+        the rebuilding phase."""
+        self.term = self._next_term(max(self.term, self.observed_term))
+        self.role = "leader"
+        self.leader_name = self.name
+        self.rebuilding = True
+        self._promoted_at = now
+        self._last_heard = now
+        # The promoted monitor knows nothing recent about any node;
+        # give every agent a full timeout to heartbeat the new leader
+        # before the first sweep can declare it failed.
+        for node in self.monitor.last_seen:
+            self.monitor.last_seen[node] = now
+        self.stats.elections += 1
+        self._elections.inc(replica=self.name)
+        payload = {"term": self.term, "leader": self.name}
+        for peer in self.peers:
+            self.bus.send(
+                self.name, peer, KIND_PROMOTE, payload, PROMOTE_BYTES, now
+            )
+
+    def _depose(self, now: float, term: int, leader: str) -> None:
+        """Step down: a higher term exists."""
+        self.role = "standby"
+        self.rebuilding = False
+        self.term = max(self.term, term)
+        self.leader_name = leader
+        self._last_heard = now
+        self.stats.depositions += 1
+        self._depositions.inc(replica=self.name)
+
+    def _maybe_demote(self, now: float) -> None:
+        """Step down on evidence a peer's announce did not already act
+        on: agent ``nack``s.  They carry no leader name, but the term
+        arithmetic does (``term % replicas`` names the minting replica)."""
+        term = self.observed_term
+        if self.role == "leader" and self._ha_fencing and term > self.term:
+            leader = replica_name(
+                term % self.ha_config.replicas, self.config.name
+            )
+            self._depose(now, term, leader)
+
+    # -- state handoff ----------------------------------------------------
+    def _merge_entries(self, entries: Sequence[dict]) -> None:
+        """Adopt epoch-log entries from a handoff, idempotently.
+
+        Per version, the highest-term content wins; re-delivery of an
+        already-held entry is a no-op, so duplicated or reordered
+        handoffs cannot perturb the log.
+        """
+        for data in entries:
+            entry = EpochLogEntry.from_dict(data)
+            existing = self.log.get(entry.version)
+            if existing is not None and existing.term >= entry.term:
+                continue
+            self.log[entry.version] = entry
+            self.stats.handoff_entries += 1
+            self._handoff_entries.inc(replica=self.name)
+
+    def _log_epoch(self) -> None:
+        """Record the currently adopted configuration in the epoch log."""
+        if self.version < 0 or not self.manifests:
+            return
+        existing = self.log.get(self.version)
+        if existing is not None and existing.term >= self.term:
+            return
+        self.log[self.version] = EpochLogEntry(
+            term=self.term,
+            version=self.version,
+            reason=self._epoch.resolved or "",
+            max_acked=max(self.acked_version.values(), default=-1),
+            manifests=tuple(
+                (node, manifest_to_dict(manifest))
+                for node, manifest in sorted(self.manifests.items())
+            ),
+        )
+
+    def _send_handoff(self, now: float) -> None:
+        """Replicate the tail of the epoch log to every peer.  Sent on
+        every serving beat; merging is idempotent, so re-sends are the
+        reliability mechanism (there are no handoff acks)."""
+        if not self.log:
+            return
+        versions = sorted(self.log)[-self.ha_config.handoff_window:]
+        payload = {
+            "term": self.term,
+            "leader": self.name,
+            "entries": [self.log[v].to_dict() for v in versions],
+        }
+        size = _json_size(payload)
+        for peer in self.peers:
+            self.bus.send(
+                self.name, peer, KIND_STATE_HANDOFF, payload, size, now
+            )
+        self.stats.handoffs_sent += 1
+
+    def _announce(self, now: float) -> None:
+        """Broadcast the current term to peers and agents.
+
+        The agent-bound copy is stamped ``lease: False``: an announce
+        proves leadership, not configuration authority, so it must not
+        refresh the lease of a node the leader has fenced.
+        """
+        payload = {
+            "term": self.term,
+            "leader": self.name,
+            "version": self.version,
+            "lease": False,
+        }
+        for dst in self.peers + tuple(self.topology.node_names):
+            self.bus.send(
+                self.name,
+                dst,
+                KIND_TERM_ANNOUNCE,
+                payload,
+                TERM_ANNOUNCE_BYTES,
+                now,
+            )
+
+    def _replicate(self, now: float, log_epoch: bool = False) -> None:
+        """What a leader still serving at the end of a beat owes its
+        peers: the term announce and the epoch-log tail (after logging
+        the configuration it just adopted, on a beat that can adopt
+        one).  A replica without peers has nobody to replicate to —
+        and announcing a term no election can contest to every agent
+        would only add bus traffic — so it sends nothing."""
+        if self.role != "leader" or not self.peers:
+            return
+        if log_epoch:
+            self._log_epoch()
+        self._announce(now)
+        self._send_handoff(now)
+
+    def _highest_observed(self) -> int:
+        """Highest applied epoch in sight: agent claims ∪ own log
+        (-1 when neither holds one)."""
+        claims = [
+            version for _term, version in self.reported_applied.values()
+        ]
+        return max(claims + list(self.log), default=-1)
+
+    def _caught_up(self, now: float) -> bool:
+        """Whether the rebuilding leader's view reaches the highest
+        applied epoch observed, or the grace for getting there lapsed."""
+        if now - self._promoted_at >= HANDOFF_GRACE:
+            return True
+        if not self.reported_applied:
+            # No agent has confirmed its applied state to this leader
+            # yet; keep draining until one does.
+            return False
+        highest = self._highest_observed()
+        return highest < 0 or highest in self.log
+
+    def _install(self, now: float) -> None:
+        """Complete the handoff: adopt the highest observed epoch.
+
+        With the epoch in the log ("caught-up") its manifests are
+        installed and per-agent acked state is reseeded from heartbeat
+        claims — but only where the claimed *term* matches the log
+        entry's term, because a same-version different-term delta base
+        would corrupt the agent's manifest.  Without it ("log-gap")
+        only the version number is adopted: pushes stay refused until
+        the next re-solve mints fresh content above every number any
+        agent has applied.
+        """
+        highest = self._highest_observed()
+        entry = self.log.get(highest)
+        outcome = "caught-up" if highest < 0 or entry is not None else "log-gap"
+        if highest >= 0:
+            self.version = max(self.version, highest)
+        if entry is not None:
+            self.manifests = entry.manifest_objects()
+        self.outstanding.clear()
+        self._pushed_history.clear()
+        self.acked_manifests.clear()
+        for node in self.acked_version:
+            self.acked_version[node] = -1
+        for node in sorted(self.reported_applied):
+            claimed_term, claimed_version = self.reported_applied[node]
+            source = self.log.get(claimed_version)
+            held = (
+                dict(source.manifests).get(node)
+                if source is not None and source.term == claimed_term
+                else None
+            )
+            if claimed_version >= 0 and held is not None:
+                self.acked_manifests[node] = manifest_from_dict(held)
+                self.acked_version[node] = claimed_version
+            else:
+                self.needs_full.add(node)
+        self.rebuilding = False
+        # The installed configuration is by construction *stale* (it
+        # predates the takeover), and the first re-plan after it may
+        # still miss agents that have not yet reported to this leader;
+        # the chaos monitor excludes that bounded handoff window.
+        self.installed_at = now
+        self._handoffs.inc(outcome=outcome)
+
     # -- epoch driver -----------------------------------------------------
+    def _serving(self, now: float) -> bool:
+        """Shared opening of both beats; True when this process is a
+        caught-up leader that should run the beat.
+
+        A standby runs for office once the leader's announces go
+        silent; a rebuilding leader installs the handoff once the agent
+        claims it drained catch its view up.
+        """
+        if not self.alive:
+            return False
+        self._drain(now)
+        if self.role != "leader":
+            if self._election_due(now):
+                self._promote(now)
+                self._announce(now)
+            return False
+        if self.rebuilding:
+            self._maybe_demote(now)
+            if self.role == "leader" and self._caught_up(now):
+                self._install(now)
+            self._replicate(now)
+            return False
+        return True
+
     def step(self, now: float) -> None:
         """Main per-epoch decision point: ingest, detect, re-plan, push."""
-        epoch = int(now / EPOCH_SECONDS)
-        self._epoch = EpochRecord(epoch=epoch, time=now)
+        # Reset before the drain inside _serving, which refills them.
         self._epoch_lags = []
         self._recovered = set()
+        if not self._serving(now):
+            return
+        epoch = int(now / EPOCH_SECONDS)
+        self._epoch = EpochRecord(epoch=epoch, time=now)
 
-        self._drain(now)
         newly_failed = self.monitor.sweep(now)
         for node in newly_failed:
-            self.registry.counter(
-                "heartbeat_failures_total",
-                "nodes declared failed after missed heartbeats",
-                labels=("node",),
-            ).inc(node=node)
+            self._heartbeat_failures.inc(node=node)
         fence_event = self._fence_event
         self._fence_event = False
 
@@ -889,34 +1344,44 @@ class Controller:
 
         self._sync_pushes(now)
         self._renew_leases(now)
+        self._maybe_demote(now)
+        self._replicate(now, log_epoch=True)
 
-    def finish_epoch(self, now: float) -> EpochRecord:
-        """Drain late acks, retry stragglers, finalize the record."""
-        self._drain(now)
+    def finish_epoch(self, now: float) -> Optional[EpochRecord]:
+        """Drain late acks, retry stragglers, finalize the record; the
+        serving leader returns it, everyone else ``None``."""
+        if not self._serving(now):
+            return None
         # Second retry beat: anything still unacknowledged (push or ack
         # lost in either direction) goes out again before the epoch
         # closes, roughly doubling per-epoch convergence odds on a
         # lossy bus.
         self._sync_pushes(now)
         self._renew_leases(now)
+        # Promoted (or restarted) mid-epoch, this process never took
+        # its step beat: there is no epoch record to close, and the
+        # runner scores the epoch as a controller-down one.
+        record = None
+        if self._epoch.epoch == int(now / EPOCH_SECONDS):
+            record = self._close_record()
+        self._maybe_demote(now)
+        self._replicate(now, log_epoch=record is not None)
+        return record
+
+    def _close_record(self) -> EpochRecord:
         record = self._epoch
         record.failed_nodes = tuple(sorted(self.monitor.failed))
         record.fenced_nodes = tuple(sorted(self.fenced))
         record.reconfig_lag = max(self._epoch_lags, default=0.0)
         record.converged = not self.unsynced_live_nodes()
-        registry = self.registry
-        registry.counter(
+        self.registry.counter(
             "epochs_total", "epochs closed by convergence outcome",
             labels=("converged",),
         ).inc(converged=str(record.converged).lower())
         if self._epoch_lags:
-            registry.histogram(
-                "epoch_convergence_seconds",
-                "simulated seconds from first push to last ack per"
-                " reconfiguration epoch",
-            ).observe(record.reconfig_lag)
+            self._convergence.observe(record.reconfig_lag)
         if self.version >= 0:
-            registry.gauge(
+            self.registry.gauge(
                 "controller_config_version",
                 "currently adopted configuration version",
             ).set(self.version)

@@ -10,6 +10,8 @@ epoch loop shares:
 * :class:`EpochRecord` — the per-epoch metrics row the controller and
   scenario runner emit (coverage, reconfiguration lag, duplicated
   work, bytes on the wire);
+* :class:`EpochLogEntry` — one adopted configuration as the leader
+  replicates it to its standbys (``state-handoff``);
 * :func:`merge_reports` — fold per-agent NetFlow reports into the
   network-wide report the planner consumes;
 * :func:`stabilize_manifests` — per-unit churn suppression: when a
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.manifest import NodeManifest
+from ..core.manifest_io import manifest_from_dict
 from ..core.units import CoordinationUnit, UnitKey
 from ..hashing.ranges import EPSILON, HashRange, union_length
 from ..measurement.flows import TrafficReport
@@ -84,6 +87,51 @@ class EpochRecord:
     #: Live nodes fenced out of coordinated planning because they
     #: self-reported edge-only degradation (lease expired).
     fenced_nodes: Tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class EpochLogEntry:
+    """One adopted configuration in the replicated epoch log.
+
+    ``manifests`` holds plain :func:`manifest_to_dict` dicts (not
+    :class:`NodeManifest` objects) so entries serialize over the bus,
+    pickle across process boundaries, and round-trip through JSON.
+    """
+
+    term: int
+    version: int
+    reason: str
+    #: Highest agent-acknowledged version the leader had observed when
+    #: it logged this entry.
+    max_acked: int
+    manifests: Tuple[Tuple[str, dict], ...]
+
+    def to_dict(self) -> dict:
+        """JSON-compatible dict (the manifest pairs become a mapping)."""
+        return {
+            "term": self.term,
+            "version": self.version,
+            "reason": self.reason,
+            "max_acked": self.max_acked,
+            "manifests": {node: data for node, data in self.manifests},
+        }
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "EpochLogEntry":
+        """Rebuild an entry from :meth:`to_dict` output."""
+        return cls(
+            term=data["term"],
+            version=data["version"],
+            reason=data.get("reason", ""),
+            max_acked=data.get("max_acked", -1),
+            manifests=tuple(sorted(data.get("manifests", {}).items())),
+        )
+
+    def manifest_objects(self) -> Dict[str, NodeManifest]:
+        """Materialize the stored manifests as ``NodeManifest``s."""
+        return {
+            node: manifest_from_dict(data) for node, data in self.manifests
+        }
 
 
 def merge_reports(reports: Iterable[TrafficReport]) -> TrafficReport:

@@ -16,12 +16,14 @@ on beyond the lease stamp, which :meth:`Agent._renew_lease` extracts
 from every non-stale controller message (see ``docs/fault_model.md``),
 so no ``kind ==`` comparison exists for it by design.
 
-The controller-HA kinds (:mod:`repro.control.ha`) extend the plane
-with a replica coordination channel: a leader heartbeats its term with
-``term-announce``, a standby takes over with ``promote``, the epoch
-log replicates via ``state-handoff``, and an agent answers any message
-carrying a stale fencing term with ``nack`` (see the failover section
-of ``docs/fault_model.md``).
+The controller-HA kinds extend the plane with replica coordination: a
+leader heartbeats its term with ``term-announce``, a standby takes
+over with ``promote``, the epoch log replicates via ``state-handoff``,
+and an agent answers any message carrying a stale fencing term with
+``nack`` (see the failover section of ``docs/fault_model.md``).  They
+share the receiving controller's one inbox with the agent kinds;
+:meth:`Controller._drain` folds them first (replica plane before
+agent plane is a protocol invariant, not a second address).
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ KIND_MANIFEST_UPDATE = "manifest-update"
 KIND_LEASE_RENEW = "lease-renew"
 
 # Controller replica -> replica (and leader -> agent for
-# term-announce): the HA failover channel.
+# term-announce): the HA failover kinds.
 KIND_TERM_ANNOUNCE = "term-announce"
 KIND_PROMOTE = "promote"
 KIND_STATE_HANDOFF = "state-handoff"

@@ -10,6 +10,7 @@ recovery/reintegration.
 """
 
 import pathlib
+import re
 
 import pytest
 
@@ -465,3 +466,39 @@ class TestOneDriver:
             for module in ("plane", "scenarios", "chaos")
         )
         assert beats == 1
+
+    @staticmethod
+    def _package_source():
+        package = pathlib.Path(repro.control.__file__).parent
+        return {
+            path.name: path.read_text() for path in sorted(package.glob("*.py"))
+        }
+
+    def test_one_class_per_controller_process(self):
+        import repro.control.ha
+
+        for name in ("ControllerReplica", "ReplicaStats"):
+            assert not hasattr(repro.control, name)
+            assert not hasattr(repro.control.ha, name)
+        for module, source in self._package_source().items():
+            # No wrapper reaching into a wrapped controller (module
+            # paths such as ``repro.control.controller.X`` are not hops).
+            assert not re.search(r"(?<!control)\.controller\.", source), module
+            assert not re.search(r"\bctrl\.", source), module
+
+    def test_one_inbox_per_controller_process(self):
+        for module, source in self._package_source().items():
+            for gone in ("#ha", "ha_address", "base_identity"):
+                assert gone not in source, (module, gone)
+        # A live controller drains its inbox at one call site; the
+        # cluster's is the discard of a dead process's queue.
+        assert self._source("controller").count("bus.deliver(") == 1
+        assert self._source("ha").count("bus.deliver(") == 1
+
+    def test_term_has_one_home(self):
+        homes = {
+            (module, match)
+            for module, source in self._package_source().items()
+            for match in re.findall(r"(\w+)\.term = ", source)
+        }
+        assert homes == {("controller.py", "self")}

@@ -20,26 +20,17 @@ import pytest
 from repro.control.agent import Agent, AgentConfig
 from repro.control.bus import Bus, BusConfig
 from repro.control.chaos import (
-    ChaosBus,
     ChaosConfig,
-    FaultEvent,
-    FaultPlan,
     HA_PLAN_REPLICAS,
     InvariantMonitor,
     build_plan,
     run_chaos,
 )
-from repro.control.controller import Controller, ControllerConfig
-from repro.control.ha import (
-    ControllerReplica,
-    EpochLogEntry,
-    HACluster,
-    HAConfig,
-    base_identity,
-    ha_address,
-    replica_name,
-)
+from repro.control.controller import Controller, ControllerConfig, PushState
+from repro.control.epochs import EpochLogEntry
+from repro.control.ha import HACluster, HAConfig, replica_name
 from repro.control.protocol import (
+    KIND_ACK,
     KIND_MANIFEST_UPDATE,
     KIND_NACK,
     KIND_PROMOTE,
@@ -49,11 +40,9 @@ from repro.control.protocol import (
 from repro.core.manifest import NodeManifest
 from repro.core.manifest_io import manifest_to_dict
 from repro.hashing.ranges import HashRange
-from repro.measurement.flows import FlowExporter
 from repro.nids.modules import STANDARD_MODULES
 from repro.obs import MetricsRegistry
 from repro.topology import PathSet, by_label
-from repro.traffic.generator import GeneratorConfig, TrafficGenerator
 
 
 def _manifest(node, key, lo, hi):
@@ -101,11 +90,6 @@ class TestNaming:
         assert replica_name(0) == "controller"
         assert replica_name(1) == "controller-1"
         assert replica_name(2, "ops") == "ops-2"
-
-    def test_ha_address_round_trips_through_base_identity(self):
-        for name in ("controller", "controller-2", "ops-1"):
-            assert base_identity(ha_address(name)) == name
-            assert base_identity(name) == name
 
 
 class TestHAConfig:
@@ -242,10 +226,10 @@ class TestElection:
         payload = {"term": 1, "leader": "controller-1"}
         for target in ("controller-1", "controller-2"):
             bus.send(
-                "controller-1", ha_address(target), KIND_PROMOTE, payload, 64, 5.0
+                "controller-1", target, KIND_PROMOTE, payload, 64, 5.0
             )
-        replica1._dispatch(5.1)
-        replica2._dispatch(5.1)
+        replica1._drain(5.1)
+        replica2._drain(5.1)
         assert [
             (r.role, r.term, r.stats.elections) for r in cluster.replicas
         ] == before
@@ -259,13 +243,13 @@ class TestElection:
         # A long-delayed promote from a lower term must not roll back.
         bus.send(
             "controller",
-            ha_address("controller-2"),
+            "controller-2",
             KIND_PROMOTE,
             {"term": 0, "leader": "controller"},
             64,
             5.0,
         )
-        replica2._dispatch(5.1)
+        replica2._drain(5.1)
         assert replica2.term == 1
         assert replica2.leader_name == "controller-1"
 
@@ -445,17 +429,17 @@ class TestLeaderUniquenessMutation:
     def test_unfenced_leader_ignores_depose_and_trips_the_monitor(
         self, monkeypatch
     ):
-        monkeypatch.setattr(ControllerReplica, "_ha_fencing", False)
+        monkeypatch.setattr(Controller, "_ha_fencing", False)
         bus, cluster = _cluster()
         monitor = InvariantMonitor(STANDARD_MODULES)
         replica0, replica1 = cluster.replicas[0], cluster.replicas[1]
         replica1._promote(1.0)
         bus.send(
-            "controller-1", ha_address("controller"), KIND_TERM_ANNOUNCE,
+            "controller-1", "controller", KIND_TERM_ANNOUNCE,
             {"term": 1, "leader": "controller-1", "version": -1, "lease": False},
             56, 1.0,
         )
-        replica0._dispatch(1.1)
+        replica0._drain(1.1)
         replica0._maybe_demote(1.1)
         assert replica0.role == "leader"  # mutation: refused to step down
         assert replica0.observed_term > replica0.term
@@ -470,11 +454,11 @@ class TestLeaderUniquenessMutation:
         replica0, replica1 = cluster.replicas[0], cluster.replicas[1]
         replica1._promote(1.0)
         bus.send(
-            "controller-1", ha_address("controller"), KIND_TERM_ANNOUNCE,
+            "controller-1", "controller", KIND_TERM_ANNOUNCE,
             {"term": 1, "leader": "controller-1", "version": -1, "lease": False},
             56, 1.0,
         )
-        replica0._dispatch(1.1)
+        replica0._drain(1.1)
         replica0._maybe_demote(1.1)
         assert replica0.role == "standby"
         assert replica0.stats.depositions == 1
@@ -498,113 +482,61 @@ class TestHandoffDispatch:
         }
         for send_at in (1.0, 1.0, 2.0):  # duplicated, then replayed
             bus.send(
-                "controller-1", ha_address("controller-2"),
+                "controller-1", "controller-2",
                 KIND_STATE_HANDOFF, payload, 256, send_at,
             )
-        replica2._dispatch(3.0)
+        replica2._drain(3.0)
         assert replica2.log == {2: entry}
         assert replica2.stats.handoff_entries == 1
 
 
-def _drive(lone_controller, plan, epochs=8, seed=5):
-    """Run *epochs* of the four beats over one controller-side object
-    built by ``lone_controller(topology, paths, bus, config, registry)``
-    and return ``(bus stats, per-epoch records, metric snapshot)``.
+class TestOneInbox:
+    """Peers and agents write to one address; each beat folds the
+    replica-plane kinds before the role decision and only then handles
+    (leader) or drops (standby) the agent-plane kinds."""
 
-    The object is either a bare :class:`Controller` (which, held down
-    by *plan*, simply takes no beat) or an ``HACluster`` of one (told
-    through its ``down`` set).
-    """
-    topology = by_label("Internet2").set_uniform_capacities(cpu=1.0, mem=1.0)
-    paths = PathSet(topology)
-    registry = MetricsRegistry()
-    bus = ChaosBus(
-        plan,
-        BusConfig(latency=0.05, jitter=0.02, seed=seed),
-        registry=registry,
-        chaos_seed=seed,
-    )
-    config = ControllerConfig(lease_ttl=2.5, retry_seed=seed)
-    controller = lone_controller(topology, paths, bus, config, registry)
-    agents = {
-        node: Agent(
-            node,
-            bus,
-            exporter=FlowExporter(seed=seed + index),
-            config=AgentConfig(lease_ttl=2.5),
-            registry=registry,
+    def _leader_awaiting_ack(self, announce):
+        bus, cluster = _cluster()
+        leader = cluster.replicas[0]
+        manifest = _manifest("NYCM", "k", 0.0, 1.0)
+        leader.version = 0
+        leader.outstanding["NYCM"] = PushState(
+            version=0, mode="full", payload={}, size_bytes=1, full_bytes=1,
+            manifest=manifest, first_sent=0.0, last_sent=0.0,
         )
-        for index, node in enumerate(topology.node_names)
-    }
-    pool = TrafficGenerator(
-        topology, paths, config=GeneratorConfig(seed=seed)
-    ).generate(240)
-    records = []
-    for epoch in range(epochs):
-        t = float(epoch)
-        for node, agent in agents.items():
-            agent.step(
-                t, sessions=[s for s in pool[: 200 + epoch] if s.ingress == node]
+        # The ack is sent (and so delivered) *before* the announce:
+        # plane priority, not delivery order, decides who is folded first.
+        bus.send(
+            "NYCM", "controller", KIND_ACK,
+            {"node": "NYCM", "version": 0, "status": "applied"}, 32, 1.0,
+        )
+        if announce:
+            bus.send(
+                "controller-1", "controller", KIND_TERM_ANNOUNCE,
+                {"term": 1, "leader": "controller-1", "version": -1,
+                 "lease": False},
+                56, 1.0,
             )
-        if isinstance(controller, HACluster):
-            down = frozenset(
-                {"controller"} if plan.controller_down(t + 0.25) else ()
-            )
-            controller.step(t + 0.25, down)
-        elif not plan.controller_down(t + 0.25):
-            controller.step(t + 0.25)
-        for agent in agents.values():
-            agent.step(t + 0.5)
-        if isinstance(controller, HACluster):
-            down = frozenset(
-                {"controller"} if plan.controller_down(t + 0.75) else ()
-            )
-            records.append(controller.finish_epoch(t + 0.75, down))
-        elif not plan.controller_down(t + 0.75):
-            records.append(controller.finish_epoch(t + 0.75))
-        else:
-            records.append(None)
-    metrics = {
-        name: family
-        for name, family in registry.snapshot()["metrics"].items()
-        if not name.endswith("_seconds")  # wall-clock timers
-    }
-    return bus.stats, records, metrics
+        leader._drain(1.1)
+        assert bus.pending("controller") == 0
+        return leader, manifest
+
+    def test_same_beat_depose_credits_no_acks(self):
+        leader, _manifest_sent = self._leader_awaiting_ack(announce=True)
+        assert leader.role == "standby"
+        assert leader.stats.depositions == 1
+        assert leader.acked_version["NYCM"] == -1
+        assert "NYCM" not in leader.acked_manifests
+
+    def test_without_the_announce_the_ack_is_credited(self):
+        leader, manifest = self._leader_awaiting_ack(announce=False)
+        assert leader.role == "leader"
+        assert leader.acked_version["NYCM"] == 0
+        assert leader.acked_manifests["NYCM"] is manifest
 
 
 class TestClusterOfOne:
-    """A lone controller is an ``HACluster`` of one: same messages on
-    the same seeded bus, same epoch records, same metric families."""
-
-    @pytest.mark.parametrize(
-        "events",
-        [
-            (),
-            (FaultEvent(kind="controller_down", start=3.0, end=5.0),),
-        ],
-        ids=["fault-free", "outage-on-integer-bounds"],
-    )
-    def test_matches_a_bare_controller(self, events):
-        plan = FaultPlan(name="differential", events=events)
-        bare = _drive(
-            lambda topology, paths, bus, config, registry: Controller(
-                topology, paths, list(STANDARD_MODULES), bus, config,
-                registry=registry,
-            ),
-            plan,
-        )
-        lone = _drive(
-            lambda topology, paths, bus, config, registry: HACluster(
-                topology, paths, list(STANDARD_MODULES), bus, config,
-                HAConfig(replicas=1), registry=registry,
-            ),
-            plan,
-        )
-        assert lone[0] == bare[0]
-        assert lone[1] == bare[1]
-        assert lone[2] == bare[2]
-        assert bare[0].sent_by_kind.get(KIND_TERM_ANNOUNCE, 0) == 0
-        assert not any(name.startswith("controller_ha_") for name in lone[2])
+    """A lone controller is an ``HACluster`` of one."""
 
     def test_lone_replica_resumes_as_leader(self):
         _bus, cluster = _cluster(replicas=1)
@@ -686,11 +618,11 @@ class TestHAPlanAcceptance:
         config = ChaosConfig(plan=plan, epochs=18, base_sessions=400, seed=3)
         try:
             Agent._term_fencing = False
-            ControllerReplica._ha_fencing = False
+            Controller._ha_fencing = False
             result = run_chaos(config)
         finally:
             Agent._term_fencing = True
-            ControllerReplica._ha_fencing = True
+            Controller._ha_fencing = True
         rules = {violation.rule for violation in result.violations}
         assert "leader-uniqueness" in rules
         assert "epoch-regression" in rules
