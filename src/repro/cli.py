@@ -140,8 +140,10 @@ def cmd_emulate(args) -> int:
     config = EmulationConfig(policy=policy)
     topology, paths, generator, sessions = _build_world(args)
     modules = module_set(args.modules)
-    deployment = plan_deployment(topology, paths, modules, sessions)
-    traffic = Traffic.materialized(generator, SessionBatch(sessions))
+    # One column build: the planner and both emulations read this batch.
+    batch = SessionBatch(sessions)
+    deployment = plan_deployment(topology, paths, modules, batch)
+    traffic = Traffic.materialized(generator, batch)
     edge = run_emulation(traffic, modules, config=config)
     coordinated = run_emulation(traffic, deployment, config=config)
     print(

@@ -11,11 +11,12 @@ the NIDS responsibilities of the different nodes".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..nids.modules.base import ModuleSpec
 from ..topology.graph import Topology
 from ..topology.routing import PathSet
+from ..traffic.batch import SessionBatch
 from ..traffic.session import Session
 from .dispatch import CoordinatedDispatcher, UnitResolver
 from .manifest import (
@@ -67,13 +68,17 @@ def plan_deployment(
     topology: Topology,
     paths: PathSet,
     modules: Sequence[ModuleSpec],
-    sessions: Sequence[Session],
+    sessions: Union[Sequence[Session], SessionBatch],
     coverage: float = 1.0,
     hash_seed: int = 0,
     units: Optional[Sequence[CoordinationUnit]] = None,
 ) -> NIDSDeployment:
     """Plan a coordinated deployment for *sessions* on *topology*.
 
+    *sessions* is the measured trace, as ``Session`` objects or as the
+    :class:`~repro.traffic.batch.SessionBatch` already built from them
+    — a caller that goes on to emulate the trace passes the same batch
+    to both, so one measurement feeds planner and emulator.
     ``coverage`` > 1 plans r-fold redundant analysis (Section 2.5).
     The manifest invariants are re-checked before returning, which is
     cheap relative to the LP solve.  ``units`` may supply

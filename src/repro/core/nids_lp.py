@@ -30,7 +30,9 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..lp.model import LinearProgram, Sense, Variable, linear_sum
+import numpy as np
+
+from ..lp.model import LinearProgram, Relation, Sense, Variable
 from ..lp.solver import LPSolution, solve_or_raise
 from ..topology.graph import Topology
 from .units import CoordinationUnit, UnitKey
@@ -74,10 +76,16 @@ class NIDSAssignment:
 
 @dataclass
 class BuiltNIDSLP:
-    """The constructed LP plus the variable maps needed to read it back."""
+    """The constructed LP plus the index layout needed to read it back.
+
+    Variables ``d`` (a contiguous range) are the ``d_ikj`` in unit
+    order, each unit's eligible nodes in ``P_ik`` order — the same
+    order ``(unit, node) for unit in units for node in unit.eligible``
+    enumerates.
+    """
 
     program: LinearProgram
-    d_vars: Dict[FractionKey, Variable]
+    d: range
     cpu_load_vars: Dict[str, Variable]
     mem_load_vars: Dict[str, Variable]
     coverage: Dict[Tuple[str, UnitKey], float]
@@ -105,59 +113,100 @@ def build_nids_lp(
       (both dimensions always exert pressure, not only the binding
       one; weights express the relative cost of CPU vs. memory
       headroom).
+
+    Layout (index blocks, see :mod:`repro.lp.model`): variables
+    ``[0, D)`` are the ``d_ikj``, then ``CpuLoad``, ``MemLoad``, the
+    per-node ``CpuLoad[j]``/``MemLoad[j]`` pairs and ``MaxLoad``;
+    equality rows ``[0, U)`` are Eq. 1, rows ``[U, U + 2N)`` the Eq. 2–3
+    load definitions, CPU and memory alternating per node.  The
+    ``d``-sized families are stated through ``unit_of``/``node_of``
+    index arrays; only the 2N + 2 max rows and the objective are
+    expressions.
     """
     if objective not in ("max", "sum"):
         raise ValueError(f"unknown objective {objective!r}")
     if coverage < 1.0:
         raise ValueError("coverage must be >= 1")
     lp = LinearProgram("nids-assignment")
+    node_names = topology.node_names
+    node_index = {name: j for j, name in enumerate(node_names)}
 
-    d_vars: Dict[FractionKey, Variable] = {}
-    per_unit_coverage: Dict[Tuple[str, UnitKey], float] = {}
-    for unit in units:
-        unit_coverage = min(coverage, float(len(unit.eligible)))
-        per_unit_coverage[unit.ident] = unit_coverage
-        unit_vars = []
-        for node in unit.eligible:
-            var = lp.add_variable(
-                f"d[{unit.class_name}|{'/'.join(unit.key)}|{node}]", lb=0.0, ub=1.0
-            )
-            d_vars[(unit.class_name, unit.key, node)] = var
-            unit_vars.append(var)
-        lp.add_constraint(
-            linear_sum(unit_vars).equals(unit_coverage),
-            name=f"cover[{unit.class_name}|{'/'.join(unit.key)}]",
-        )
-
-    # Group load terms per node.
-    cpu_terms: Dict[str, List] = {name: [] for name in topology.node_names}
-    mem_terms: Dict[str, List] = {name: [] for name in topology.node_names}
-    for unit in units:
-        for node in unit.eligible:
-            var = d_vars[(unit.class_name, unit.key, node)]
-            cpu_terms[node].append(var * unit.cpu_work)
-            mem_terms[node].append(var * unit.mem_bytes)
+    # unit_of[t] / node_of[t]: the unit and the node of the t-th d variable.
+    sizes = np.fromiter((len(u.eligible) for u in units), dtype=np.intp, count=len(units))
+    unit_of = np.repeat(np.arange(len(units)), sizes)
+    node_of = np.fromiter(
+        (node_index[node] for unit in units for node in unit.eligible),
+        dtype=np.intp,
+        count=int(sizes.sum()),
+    )
+    d = lp.add_variables(
+        len(unit_of),
+        lambda: [
+            f"d[{unit.class_name}|{'/'.join(unit.key)}|{node}]"
+            for unit in units
+            for node in unit.eligible
+        ],
+        lb=0.0,
+        ub=1.0,
+    )
+    per_unit_coverage = {
+        unit.ident: min(coverage, float(len(unit.eligible))) for unit in units
+    }
+    lp.add_constraints(
+        Relation.EQ,
+        rows=unit_of,
+        cols=d,
+        data=np.ones(len(unit_of)),
+        rhs=np.fromiter(per_unit_coverage.values(), dtype=np.float64, count=len(units)),
+        names=lambda: [
+            f"cover[{unit.class_name}|{'/'.join(unit.key)}]" for unit in units
+        ],
+    )
 
     cpu_load_vars: Dict[str, Variable] = {}
     mem_load_vars: Dict[str, Variable] = {}
     cpu_max = lp.add_variable("CpuLoad")
     mem_max = lp.add_variable("MemLoad")
-    for name in topology.node_names:
-        node = topology.node(name)
+    for name in node_names:
         cpu_j = lp.add_variable(f"CpuLoad[{name}]")
         mem_j = lp.add_variable(f"MemLoad[{name}]")
         cpu_load_vars[name] = cpu_j
         mem_load_vars[name] = mem_j
-        lp.add_constraint(
-            cpu_j.equals(linear_sum(cpu_terms[name]) / node.cpu_capacity),
-            name=f"cpu-def[{name}]",
-        )
-        lp.add_constraint(
-            mem_j.equals(linear_sum(mem_terms[name]) / node.mem_capacity),
-            name=f"mem-def[{name}]",
-        )
         lp.add_constraint(cpu_max >= cpu_j, name=f"cpu-max[{name}]")
         lp.add_constraint(mem_max >= mem_j, name=f"mem-max[{name}]")
+
+    # Eq. 2–3, row 2j: CpuLoad[j] - sum_ik cpu_ik d_ikj / CpuCap_j = 0,
+    # row 2j + 1 the same for memory.  The coefficient is written
+    # ``0.0 - w * (1.0 / cap)`` because that is the arithmetic the
+    # expression ``load_j - sum(d * w) / cap`` performs (a zero-work
+    # unit gets +0.0, and ``w / cap`` can differ in the last bit), so
+    # HiGHS sees the matrix the per-term model produced.
+    cpu_work = np.fromiter((u.cpu_work for u in units), dtype=np.float64, count=len(units))
+    mem_bytes = np.fromiter((u.mem_bytes for u in units), dtype=np.float64, count=len(units))
+    per_cpu = np.array([1.0 / topology.node(name).cpu_capacity for name in node_names])
+    per_mem = np.array([1.0 / topology.node(name).mem_capacity for name in node_names])
+    nodes = np.arange(len(node_names))
+    lp.add_constraints(
+        Relation.EQ,
+        rows=np.concatenate((2 * nodes, 2 * nodes + 1, 2 * node_of, 2 * node_of + 1)),
+        cols=np.concatenate(
+            (
+                [cpu_load_vars[name].index for name in node_names],
+                [mem_load_vars[name].index for name in node_names],
+                d,
+                d,
+            )
+        ),
+        data=np.concatenate(
+            (
+                np.ones(2 * len(node_names)),
+                0.0 - cpu_work[unit_of] * per_cpu[node_of],
+                0.0 - mem_bytes[unit_of] * per_mem[node_of],
+            )
+        ),
+        rhs=np.zeros(2 * len(node_names)),
+        names=[f"{kind}-def[{name}]" for name in node_names for kind in ("cpu", "mem")],
+    )
 
     if objective == "max":
         target = lp.add_variable("MaxLoad")
@@ -171,7 +220,7 @@ def build_nids_lp(
 
     return BuiltNIDSLP(
         program=lp,
-        d_vars=d_vars,
+        d=d,
         cpu_load_vars=cpu_load_vars,
         mem_load_vars=mem_load_vars,
         coverage=per_unit_coverage,
@@ -203,10 +252,18 @@ def solve_nids_lp(
     solution = solve_or_raise(built.program)
     elapsed = time.perf_counter() - started
 
-    fractions = {
-        key: max(0.0, min(1.0, solution.value(var)))
-        for key, var in built.d_vars.items()
-    }
+    # Clamp solver noise into [0, 1]; "+ 0.0" turns a -0.0 into 0.0.
+    d_star = np.clip(solution.values[built.d.start : built.d.stop], 0.0, 1.0) + 0.0
+    fractions = dict(
+        zip(
+            (
+                (unit.class_name, unit.key, node)
+                for unit in units
+                for node in unit.eligible
+            ),
+            d_star.tolist(),
+        )
+    )
     cpu_load = {
         name: solution.value(var) for name, var in built.cpu_load_vars.items()
     }

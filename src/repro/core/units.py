@@ -19,17 +19,28 @@ under symmetric shortest-path routing).
 
 :func:`build_units` derives the units and their measured volumes —
 ``T_ik^pkts``, ``T_ik^items``, and the calibrated CPU/memory work the
-LP balances — from a generated session trace.
+LP balances — from a session trace held in columns
+(:class:`~repro.traffic.batch.SessionBatch`): one group-by per class
+over the batch's routing-pair ids, no per-session Python.  A caller
+that also emulates the trace hands the same batch to both, so the
+trace is walked once for planner and emulator.
+:func:`units_from_volumes` is the shared assembly tail — measured
+volumes here, NetFlow estimates in
+:func:`repro.measurement.estimate_units`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..hashing.keys import Aggregation
 from ..nids.modules.base import ModuleSpec, Scope
 from ..topology.routing import PathSet
+from ..traffic.batch import SessionBatch
 from ..traffic.session import Session
 
 UnitKey = Tuple[str, ...]
@@ -90,64 +101,112 @@ def eligible_nodes(key: UnitKey, paths: PathSet) -> Tuple[str, ...]:
     return observers if observers else (a, b)
 
 
-@dataclass
-class _UnitAccumulator:
-    pkts: float = 0.0
-    cpu_work: float = 0.0
-    sessions: int = 0
-    distinct: Set[int] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.distinct is None:
-            self.distinct = set()
+#: One unit's measured volumes before assembly:
+#: ``(spec, key, pkts, items, cpu_work)``.
+UnitVolume = Tuple[ModuleSpec, UnitKey, float, float, float]
 
 
-def build_units(
-    modules: Sequence[ModuleSpec],
-    sessions: Sequence[Session],
-    paths: PathSet,
+def units_from_volumes(
+    volumes: Iterable[UnitVolume], paths: PathSet
 ) -> List[CoordinationUnit]:
-    """Derive coordination units and volumes from a session trace.
+    """Assemble measured or estimated volumes into sorted units.
 
-    Only units with traffic are emitted (a unit with no matching
-    traffic imposes no load and needs no assignment).  ``items`` counts
-    follow each class's aggregation: sessions for flow/session-level
-    analyses, distinct hosts for per-source/per-destination analyses.
+    The one place a ``CoordinationUnit`` is put together: ``P_ik`` is
+    resolved once per distinct key (every module of a scope shares its
+    keys), memory is ``items * MemReq_i``, and the result is ordered by
+    ``(class, key)`` — the order the LP lays its variables out in.
     """
-    accumulators: Dict[Tuple[str, UnitKey], _UnitAccumulator] = {}
-    for spec in modules:
-        for session in sessions:
-            if not spec.traffic_filter.matches_session(session):
-                continue
-            key = unit_key_for_session(spec, session)
-            acc = accumulators.setdefault((spec.name, key), _UnitAccumulator())
-            acc.pkts += session.num_packets
-            acc.cpu_work += spec.session_cpu(session)
-            acc.sessions += 1
-            if spec.aggregation in (Aggregation.SOURCE, Aggregation.DESTINATION):
-                acc.distinct.add(spec.item_key(session))
-
-    by_name = {spec.name: spec for spec in modules}
+    eligible: Dict[UnitKey, Tuple[str, ...]] = {}
     units: List[CoordinationUnit] = []
-    for (class_name, key), acc in accumulators.items():
-        spec = by_name[class_name]
-        if spec.aggregation in (Aggregation.SOURCE, Aggregation.DESTINATION):
-            items = float(len(acc.distinct))
-        else:
-            items = float(acc.sessions)
+    for spec, key, pkts, items, cpu_work in volumes:
+        nodes = eligible.get(key)
+        if nodes is None:
+            nodes = eligible[key] = eligible_nodes(key, paths)
         units.append(
             CoordinationUnit(
-                class_name=class_name,
+                class_name=spec.name,
                 key=key,
-                eligible=eligible_nodes(key, paths),
-                pkts=acc.pkts,
+                eligible=nodes,
+                pkts=pkts,
                 items=items,
-                cpu_work=acc.cpu_work,
+                cpu_work=cpu_work,
                 mem_bytes=items * spec.mem_req,
             )
         )
     units.sort(key=lambda u: (u.class_name, u.key))
     return units
+
+
+def _distinct_per_unit(unit: np.ndarray, items: np.ndarray, num_units: int) -> np.ndarray:
+    """Number of distinct *items* values within each unit id."""
+    order = np.lexsort((items, unit))
+    unit, items = unit[order], items[order]
+    first = np.ones(len(unit), dtype=bool)
+    first[1:] = (unit[1:] != unit[:-1]) | (items[1:] != items[:-1])
+    return np.bincount(unit[first], minlength=num_units)
+
+
+def build_units(
+    modules: Sequence[ModuleSpec],
+    sessions: Union[Sequence[Session], SessionBatch],
+    paths: PathSet,
+) -> List[CoordinationUnit]:
+    """Derive coordination units and volumes from a session trace.
+
+    *sessions* is a trace as ``Session`` objects or the
+    :class:`~repro.traffic.batch.SessionBatch` already built from it
+    (the columns are extracted once if a list is given).  Only units
+    with traffic are emitted (a unit with no matching traffic imposes
+    no load and needs no assignment).  ``items`` counts follow each
+    class's aggregation: sessions for flow/session-level analyses,
+    distinct hosts for per-source/per-destination analyses.
+
+    Per class this is a group-by over the batch's columns: the unit of
+    a session depends only on its routing pair and the class's scope,
+    so ``batch.group_ids`` maps through a pair→unit table and
+    ``np.bincount`` sums packets, CPU work and session counts per unit.
+    ``bincount`` adds its weights in session order, so every volume is
+    bit-equal to a per-session ``+=`` loop (``tests/planning_oracle.py``).
+    """
+    batch = sessions if isinstance(sessions, SessionBatch) else SessionBatch(sessions)
+    by_scope: Dict[Scope, Tuple[List[UnitKey], np.ndarray]] = {}
+    volumes: List[UnitVolume] = []
+    for spec in modules:
+        if spec.scope not in by_scope:
+            ids: Dict[UnitKey, int] = {}
+            pair_unit = [
+                ids.setdefault(unit_key(spec.scope, *pair), len(ids))
+                for pair in batch.pairs
+            ]
+            by_scope[spec.scope] = (
+                list(ids),
+                np.array(pair_unit, dtype=np.intp)[batch.group_ids],
+            )
+        keys, unit_of_session = by_scope[spec.scope]
+        matched = np.flatnonzero(
+            spec.traffic_filter.matches_sessions_batch(batch.proto, batch.dport)
+        )
+        unit = unit_of_session[matched]
+        pkts_f = batch.pkts_f[matched]
+        cpu = spec.session_cpu_batch(pkts_f, batch.half_open[matched])
+        counts = np.bincount(unit, minlength=len(keys))
+        if spec.aggregation in (Aggregation.SOURCE, Aggregation.DESTINATION):
+            items = _distinct_per_unit(
+                unit, batch.item_keys(spec.aggregation)[matched], len(keys)
+            )
+        else:
+            items = counts
+        present = np.flatnonzero(counts)
+        volumes.extend(
+            zip(
+                itertools.repeat(spec),
+                [keys[k] for k in present.tolist()],
+                np.bincount(unit, weights=pkts_f, minlength=len(keys))[present].tolist(),
+                items[present].astype(np.float64).tolist(),
+                np.bincount(unit, weights=cpu, minlength=len(keys))[present].tolist(),
+            )
+        )
+    return units_from_volumes(volumes, paths)
 
 
 def units_by_ident(units: Sequence[CoordinationUnit]) -> Dict[Tuple[str, UnitKey], CoordinationUnit]:

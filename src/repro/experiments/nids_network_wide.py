@@ -59,7 +59,8 @@ class NetworkWideSetup:
         return cls(topology=topology, paths=paths, generator=generator)
 
     def deployment(self, sessions, num_modules: int) -> NIDSDeployment:
-        """Plan a coordinated deployment for *sessions*."""
+        """Plan a coordinated deployment for *sessions* (a ``Session``
+        list, or the ``SessionBatch`` the emulation also reads)."""
         return plan_deployment(
             self.topology, self.paths, module_set(num_modules), sessions
         )
@@ -79,11 +80,11 @@ def fig6_module_scaling(
     setup = NetworkWideSetup.internet2(seed)
     config = EmulationConfig(cost_model=cost_model)
     total = sessions_total if sessions_total is not None else scaled(PAPER_SESSIONS)
-    sessions = setup.generator.generate(total)
-    traffic = Traffic.materialized(setup.generator, SessionBatch(sessions))
+    batch = SessionBatch(setup.generator.generate(total))
+    traffic = Traffic.materialized(setup.generator, batch)
     rows = []
     for count in module_counts:
-        deployment = setup.deployment(sessions, count)
+        deployment = setup.deployment(batch, count)
         edge = run_emulation(traffic, deployment.modules, config=config)
         coord = run_emulation(traffic, deployment, config=config)
         rows.append(
@@ -113,9 +114,9 @@ def fig7_volume_scaling(
     config = EmulationConfig(cost_model=cost_model)
     rows = []
     for volume in volume_points:
-        sessions = setup.generator.generate(scaled(volume))
-        traffic = Traffic.materialized(setup.generator, SessionBatch(sessions))
-        deployment = setup.deployment(sessions, num_modules)
+        batch = SessionBatch(setup.generator.generate(scaled(volume)))
+        traffic = Traffic.materialized(setup.generator, batch)
+        deployment = setup.deployment(batch, num_modules)
         edge = run_emulation(traffic, deployment.modules, config=config)
         coord = run_emulation(traffic, deployment, config=config)
         rows.append(
@@ -167,9 +168,9 @@ def fig8_per_node_profile(
     setup = NetworkWideSetup.internet2(seed)
     config = EmulationConfig(cost_model=cost_model)
     total = sessions_total if sessions_total is not None else scaled(PAPER_SESSIONS)
-    sessions = setup.generator.generate(total)
-    traffic = Traffic.materialized(setup.generator, SessionBatch(sessions))
-    deployment = setup.deployment(sessions, num_modules)
+    batch = SessionBatch(setup.generator.generate(total))
+    traffic = Traffic.materialized(setup.generator, batch)
+    deployment = setup.deployment(batch, num_modules)
     edge = run_emulation(traffic, deployment.modules, config=config)
     coord = run_emulation(traffic, deployment, config=config)
     return PerNodeProfile(

@@ -12,6 +12,25 @@ which solves the identical programs to optimality.  Only construction
 lives here — solving is the backend's job, keeping the model inspectable
 and the backend swappable.
 
+Two ways to state a model, freely mixed in one program:
+
+* **expressions** — ``add_variable`` / ``add_constraint`` with operator
+  overloading, one Python object per variable and per term.  Right for
+  the handful of rows that read like the paper (``CpuLoad >=
+  CpuLoad[j]``) and for small programs;
+* **index blocks** — :meth:`LinearProgram.add_variables` reserves a
+  contiguous variable range, :meth:`LinearProgram.add_constraints`
+  adds many rows at once as a COO triple ``(rows, cols, data)`` plus a
+  right-hand side.  Right for the ``d_ikj`` family, where a 50-node
+  program has ~32k variables and ~64k load-definition terms: the layout
+  is "variables ``[0, D)`` are ``d``, rows ``[0, U)`` cover the units",
+  stated with arrays instead of 64k ``LinExpr`` allocations.  A block's
+  names are rendered only if somebody reads them (:class:`Names`).
+
+:meth:`LinearProgram.compile` lowers both, in insertion order, to the
+same sparse matrices — a block and the expressions it replaces compile
+to identical arrays (``tests/test_planning_columns.py``).
+
 Example
 -------
 >>> lp = LinearProgram("toy")
@@ -24,8 +43,23 @@ Example
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
+
+import numpy as np
 
 Number = Union[int, float]
 
@@ -213,19 +247,159 @@ def linear_sum(terms: Iterable[Union[LinExpr, Variable, Number]]) -> LinExpr:
     return total
 
 
+NameSource = Union[Sequence[str], Callable[[], Sequence[str]]]
+
+
+class Names(_SequenceABC):
+    """Variable or row names in index order; block names render on demand.
+
+    Single names are appended eagerly.  A block's names may be given as
+    a zero-argument function, called the first time a name inside the
+    block is read — so the ~32k ``d[...]`` strings of a NIDS program
+    are never built unless somebody prints them.  :meth:`index`
+    resolves through one name→position dict and consults the eager
+    names before it renders any block: looking up ``"MaxLoad"`` or a
+    ``cpu-max[...]`` dual does not pay for the block it does not ask
+    about.  Names are assumed unique, as in the program they describe.
+    """
+
+    __slots__ = ("_parts", "_starts", "_size", "_lookup", "_unindexed")
+
+    def __init__(self) -> None:
+        self._parts: List[NameSource] = []
+        self._starts: List[int] = []
+        self._size = 0
+        self._lookup: Optional[Dict[str, int]] = None
+        self._unindexed: List[int] = []
+
+    def append(self, name: str) -> None:
+        """Add one name at the end."""
+        if self._parts and isinstance(self._parts[-1], list):
+            self._parts[-1].append(name)
+        else:
+            self._starts.append(self._size)
+            self._parts.append([name])
+        self._size += 1
+        self._lookup = None
+
+    def add_block(self, count: int, names: NameSource) -> None:
+        """Add *count* names at the end: a sequence, or a function
+        returning one when first needed."""
+        if not callable(names):
+            names = list(names)
+            if len(names) != count:
+                raise ValueError(f"{len(names)} names for a block of {count}")
+        self._starts.append(self._size)
+        self._parts.append(names)
+        self._size += count
+        self._lookup = None
+
+    def copy(self) -> "Names":
+        """A snapshot that later appends to this object do not reach."""
+        twin = Names()
+        twin._parts = [p if callable(p) else list(p) for p in self._parts]
+        twin._starts = list(self._starts)
+        twin._size = self._size
+        return twin
+
+    def _part(self, k: int) -> List[str]:
+        part = self._parts[k]
+        if callable(part):
+            part = list(part())
+            stop = self._starts[k + 1] if k + 1 < len(self._starts) else self._size
+            if len(part) != stop - self._starts[k]:
+                raise ValueError(
+                    f"{len(part)} names rendered for a block of {stop - self._starts[k]}"
+                )
+            self._parts[k] = part
+        return part
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, i: int) -> str:
+        if i < 0:
+            i += self._size
+        if not 0 <= i < self._size:
+            raise IndexError("name index out of range")
+        k = bisect_right(self._starts, i) - 1
+        return self._part(k)[i - self._starts[k]]
+
+    def __iter__(self) -> Iterator[str]:
+        for k in range(len(self._parts)):
+            yield from self._part(k)
+
+    def index(self, name: str) -> int:  # type: ignore[override]
+        """Position of *name* (``ValueError`` when absent)."""
+        if self._lookup is None:
+            self._lookup = {}
+            # Eager parts first; a block is rendered only on a miss.
+            self._unindexed = sorted(
+                range(len(self._parts)), key=lambda k: callable(self._parts[k])
+            )
+        while True:
+            position = self._lookup.get(name)
+            if position is not None:
+                return position
+            if not self._unindexed:
+                raise ValueError(f"{name!r} is not a name here")
+            k = self._unindexed.pop(0)
+            start = self._starts[k]
+            for offset, known in enumerate(self._part(k)):
+                self._lookup.setdefault(known, start + offset)
+
+
+@dataclass
+class ConstraintBlock:
+    """Many rows of one relation, stated as a COO triple.
+
+    Row ``r`` reads ``sum(data[t] * x[cols[t]] for t where rows[t] == r)
+    (<=|>=|==) rhs[r]``; ``rows`` are local to the block (``0 ..
+    len(rhs) - 1``), ``cols`` are variable indices of the program.
+    """
+
+    relation: Relation
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
+    rhs: np.ndarray
+    names: NameSource
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    def slack(self, values: Sequence[float]) -> np.ndarray:
+        """Per-row signed slack, as :meth:`Constraint.slack`."""
+        x = np.asarray(values, dtype=np.float64)
+        lhs = np.bincount(
+            self.rows, weights=self.data * x[self.cols], minlength=len(self.rhs)
+        ) - self.rhs
+        if self.relation is Relation.LE:
+            return -lhs
+        if self.relation is Relation.GE:
+            return lhs
+        return -np.abs(lhs)
+
+
+def _broadcast(value: Union[float, Sequence[float]], count: int) -> List[float]:
+    return np.broadcast_to(np.asarray(value, dtype=np.float64), (count,)).tolist()
+
+
 class LinearProgram:
     """A named LP: variables with bounds, constraints, and an objective."""
 
     def __init__(self, name: str = "lp"):
         self.name = name
-        self.variable_names: List[str] = []
+        self.variable_names = Names()
         self.lower_bounds: List[float] = []
         self.upper_bounds: List[Optional[float]] = []
-        self.constraints: List[Constraint] = []
+        #: Expression rows and row blocks, in insertion order.
+        self.constraints: List[Union[Constraint, ConstraintBlock]] = []
         self.objective: LinExpr = LinExpr()
         self.sense: Sense = Sense.MINIMIZE
         self.binary_indices: List[int] = []
         self._names: Dict[str, int] = {}
+        self._num_constraints = 0
 
     # -- construction -----------------------------------------------------
     def add_variable(
@@ -253,6 +427,29 @@ class LinearProgram:
         self._names[name] = index
         return Variable(self, index, name)
 
+    def add_variables(
+        self,
+        count: int,
+        names: NameSource,
+        lb: Union[float, Sequence[float]] = 0.0,
+        ub: Union[None, float, Sequence[float]] = None,
+    ) -> range:
+        """Add *count* continuous variables as one contiguous index block.
+
+        Returns their index range.  *lb* / *ub* are scalars or arrays of
+        length *count*; *names* is the block's names or a function
+        rendering them on demand (see :class:`Names`) and is the
+        caller's to keep distinct from every other name.
+        """
+        start = len(self.variable_names)
+        self.variable_names.add_block(count, names)
+        self.lower_bounds.extend(_broadcast(lb, count))
+        if ub is None:
+            self.upper_bounds.extend([None] * count)
+        else:
+            self.upper_bounds.extend(_broadcast(ub, count))
+        return range(start, start + count)
+
     def add_constraint(self, constraint: Constraint, name: str = "") -> Constraint:
         """Register a constraint built via expression relations."""
         if not isinstance(constraint, Constraint):
@@ -260,7 +457,42 @@ class LinearProgram:
         if name:
             constraint.name = name
         self.constraints.append(constraint)
+        self._num_constraints += 1
         return constraint
+
+    def add_constraints(
+        self,
+        relation: Relation,
+        rows,
+        cols,
+        data,
+        rhs,
+        names: NameSource,
+    ) -> ConstraintBlock:
+        """Register ``len(rhs)`` rows of *relation* from a COO triple.
+
+        See :class:`ConstraintBlock` for the reading of the arrays.
+        """
+        block = ConstraintBlock(
+            relation=relation,
+            rows=np.asarray(rows, dtype=np.intp),
+            cols=np.asarray(cols, dtype=np.intp),
+            data=np.asarray(data, dtype=np.float64),
+            rhs=np.asarray(rhs, dtype=np.float64),
+            names=names,
+        )
+        if not len(block.rows) == len(block.cols) == len(block.data):
+            raise ValueError("rows, cols and data must have one length")
+        if len(block.rows) and not (
+            0 <= block.rows.min()
+            and block.rows.max() < len(block.rhs)
+            and 0 <= block.cols.min()
+            and block.cols.max() < self.num_variables
+        ):
+            raise ValueError("constraint block indexes outside its rows or the variables")
+        self.constraints.append(block)
+        self._num_constraints += len(block)
+        return block
 
     def set_objective(self, expression: Union[LinExpr, Variable], sense: Sense) -> None:
         """Set the objective expression and direction."""
@@ -277,12 +509,18 @@ class LinearProgram:
 
     @property
     def num_constraints(self) -> int:
-        """Number of registered constraints."""
-        return len(self.constraints)
+        """Number of registered constraint rows."""
+        return self._num_constraints
 
     def variable_by_name(self, name: str) -> Variable:
         """Look up a previously added variable."""
-        return Variable(self, self._names[name], name)
+        index = self._names.get(name)
+        if index is None:
+            try:
+                index = self.variable_names.index(name)
+            except ValueError:
+                raise KeyError(name) from None
+        return Variable(self, index, name)
 
     def is_feasible(self, values: Sequence[float], tol: float = 1e-6) -> bool:
         """Check a candidate point against bounds and all constraints."""
@@ -294,7 +532,7 @@ class LinearProgram:
             upper = self.upper_bounds[index]
             if upper is not None and value > upper + tol:
                 return False
-        return all(c.slack(values) >= -tol for c in self.constraints)
+        return all(np.all(c.slack(values) >= -tol) for c in self.constraints)
 
     def objective_value(self, values: Sequence[float]) -> float:
         """Objective at a candidate point (in the model's own sense)."""
@@ -302,58 +540,92 @@ class LinearProgram:
 
     def compile(self) -> "CompiledLP":
         """Lower the model to sparse matrix form for the solver backend."""
-        from scipy.sparse import csr_matrix  # deferred: keep model importable alone
-
         num_vars = self.num_variables
         cost = [0.0] * num_vars
-        for index, coef in self.objective.coefficients.items():
-            cost[index] = coef
         sign = 1.0 if self.sense is Sense.MINIMIZE else -1.0
-        cost = [sign * c for c in cost]
+        for index, coef in self.objective.coefficients.items():
+            cost[index] = sign * coef
 
-        ub_rows: List[Tuple[int, int, float]] = []
-        ub_rhs: List[float] = []
-        ub_names: List[str] = []
-        eq_rows: List[Tuple[int, int, float]] = []
-        eq_rhs: List[float] = []
-        eq_names: List[str] = []
+        ub, eq = _Rows(), _Rows()
         for constraint in self.constraints:
-            expr = constraint.expression
-            if constraint.relation is Relation.EQ:
-                row = len(eq_rhs)
-                for index, coef in expr.coefficients.items():
-                    eq_rows.append((row, index, coef))
-                eq_rhs.append(-expr.constant)
-                eq_names.append(constraint.name)
+            side = eq if constraint.relation is Relation.EQ else ub
+            # ``>=`` rows are stored negated: the solver takes ``A_ub x <= b_ub``.
+            negate = constraint.relation is Relation.GE
+            if isinstance(constraint, ConstraintBlock):
+                side.add_block(constraint, negate)
             else:
-                flip = 1.0 if constraint.relation is Relation.LE else -1.0
-                row = len(ub_rhs)
-                for index, coef in expr.coefficients.items():
-                    ub_rows.append((row, index, flip * coef))
-                ub_rhs.append(-flip * expr.constant)
-                ub_names.append(constraint.name)
+                side.add_expression(constraint, negate)
 
-        def build(rows: List[Tuple[int, int, float]], count: int):
-            if count == 0:
-                return None
-            data = [entry[2] for entry in rows]
-            row_idx = [entry[0] for entry in rows]
-            col_idx = [entry[1] for entry in rows]
-            return csr_matrix((data, (row_idx, col_idx)), shape=(count, num_vars))
-
-        bounds = list(zip(self.lower_bounds, self.upper_bounds))
         return CompiledLP(
             cost=cost,
-            a_ub=build(ub_rows, len(ub_rhs)),
-            b_ub=ub_rhs,
-            a_eq=build(eq_rows, len(eq_rhs)),
-            b_eq=eq_rhs,
-            bounds=bounds,
+            a_ub=ub.matrix(num_vars),
+            b_ub=ub.rhs(),
+            a_eq=eq.matrix(num_vars),
+            b_eq=eq.rhs(),
+            bounds=list(zip(self.lower_bounds, self.upper_bounds)),
             maximize=self.sense is Sense.MAXIMIZE,
-            variable_names=list(self.variable_names),
-            ineq_names=ub_names,
-            eq_names=eq_names,
+            variable_names=self.variable_names.copy(),
+            ineq_names=ub.names,
+            eq_names=eq.names,
         )
+
+
+class _Rows:
+    """The rows of one matrix (``A_ub`` or ``A_eq``) while compiling.
+
+    Expression rows collect in Python lists, blocks as array chunks
+    offset to their first row; COO entry order is immaterial, only row
+    numbers are, so the two kinds concatenate at the end.
+    """
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.names = Names()
+        self._rows: List[int] = []
+        self._cols: List[int] = []
+        self._data: List[float] = []
+        self._rhs: List[float] = []
+        self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def add_expression(self, constraint: Constraint, negate: bool) -> None:
+        expr = constraint.expression
+        coefficients = expr.coefficients
+        self._rows.extend([self.count] * len(coefficients))
+        self._cols.extend(coefficients)
+        if negate:
+            self._data.extend([-coef for coef in coefficients.values()])
+            self._rhs.append(expr.constant)
+        else:
+            self._data.extend(coefficients.values())
+            self._rhs.append(-expr.constant)
+        self.names.append(constraint.name)
+        self.count += 1
+
+    def add_block(self, block: ConstraintBlock, negate: bool) -> None:
+        sign = -1.0 if negate else 1.0
+        self._chunks.append((block.rows + self.count, block.cols, sign * block.data))
+        self._rhs.extend((sign * block.rhs).tolist())
+        self.names.add_block(len(block), block.names)
+        self.count += len(block)
+
+    def rhs(self) -> np.ndarray:
+        return np.array(self._rhs, dtype=np.float64)
+
+    def matrix(self, num_vars: int):
+        """``csr_matrix`` of the rows, ``None`` when there are none."""
+        from scipy.sparse import csr_matrix  # deferred: keep model importable alone
+
+        if self.count == 0:
+            return None
+        chunks = self._chunks + [
+            (
+                np.array(self._rows, dtype=np.intp),
+                np.array(self._cols, dtype=np.intp),
+                np.array(self._data, dtype=np.float64),
+            )
+        ]
+        rows, cols, data = (np.concatenate(column) for column in zip(*chunks))
+        return csr_matrix((data, (rows, cols)), shape=(self.count, num_vars))
 
 
 @dataclass
@@ -362,11 +634,11 @@ class CompiledLP:
 
     cost: List[float]
     a_ub: object
-    b_ub: List[float]
+    b_ub: np.ndarray
     a_eq: object
-    b_eq: List[float]
+    b_eq: np.ndarray
     bounds: List[Tuple[float, Optional[float]]]
     maximize: bool
-    variable_names: List[str]
-    ineq_names: List[str]
-    eq_names: List[str]
+    variable_names: Names
+    ineq_names: Names
+    eq_names: Names

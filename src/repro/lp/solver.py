@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import enum
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List
 
+import numpy as np
 from scipy.optimize import linprog
 
 from ..obs import COUNT_BUCKETS, get_registry
-from .model import LinearProgram, Variable
+from .model import LinearProgram, Names, Variable
 
 
 class SolveStatus(enum.Enum):
@@ -50,30 +51,28 @@ class LPSolution:
     status: SolveStatus
     objective: float
     values: List[float]
-    variable_names: List[str]
+    variable_names: Names
     solve_seconds: float
     message: str = ""
-    ineq_duals: List[float] = None  # type: ignore[assignment]
-    eq_duals: List[float] = None  # type: ignore[assignment]
-    ineq_names: List[str] = None  # type: ignore[assignment]
-    eq_names: List[str] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.ineq_duals is None:
-            self.ineq_duals = []
-        if self.eq_duals is None:
-            self.eq_duals = []
-        if self.ineq_names is None:
-            self.ineq_names = []
-        if self.eq_names is None:
-            self.eq_names = []
+    ineq_duals: List[float] = field(default_factory=list)
+    eq_duals: List[float] = field(default_factory=list)
+    ineq_names: Names = field(default_factory=Names)
+    eq_names: Names = field(default_factory=Names)
 
     def dual_by_name(self, name: str) -> float:
-        """Dual value of the (uniquely) named constraint."""
-        if name in self.ineq_names:
-            return self.ineq_duals[self.ineq_names.index(name)]
-        if name in self.eq_names:
-            return self.eq_duals[self.eq_names.index(name)]
+        """Dual value of the (uniquely) named constraint.
+
+        Inequalities are consulted first, so asking for a ``cpu-max``
+        dual never renders the equality blocks' names.
+        """
+        for names, duals in (
+            (self.ineq_names, self.ineq_duals),
+            (self.eq_names, self.eq_duals),
+        ):
+            try:
+                return duals[names.index(name)]
+            except ValueError:
+                continue
         raise KeyError(f"no constraint named {name!r}")
 
     @property
@@ -108,9 +107,9 @@ def solve(program: LinearProgram, method: str = "highs") -> LPSolution:
         result = linprog(
             c=compiled.cost,
             A_ub=compiled.a_ub,
-            b_ub=compiled.b_ub if compiled.b_ub else None,
+            b_ub=compiled.b_ub if len(compiled.b_ub) else None,
             A_eq=compiled.a_eq,
-            b_eq=compiled.b_eq if compiled.b_eq else None,
+            b_eq=compiled.b_eq if len(compiled.b_eq) else None,
             bounds=compiled.bounds,
             method=method,
         )
@@ -139,7 +138,7 @@ def solve(program: LinearProgram, method: str = "highs") -> LPSolution:
     objective = float("nan")
     values: List[float] = []
     if result.x is not None:
-        values = [float(v) for v in result.x]
+        values = result.x.tolist()
         objective = program.objective_value(values)
 
     # HiGHS reports marginals for the *internal* (sign-flipped for
@@ -149,10 +148,10 @@ def solve(program: LinearProgram, method: str = "highs") -> LPSolution:
     eq_duals: List[float] = []
     ineqlin = getattr(result, "ineqlin", None)
     if ineqlin is not None and getattr(ineqlin, "marginals", None) is not None:
-        ineq_duals = [sign * float(v) for v in ineqlin.marginals]
+        ineq_duals = (sign * np.asarray(ineqlin.marginals, dtype=float)).tolist()
     eqlin = getattr(result, "eqlin", None)
     if eqlin is not None and getattr(eqlin, "marginals", None) is not None:
-        eq_duals = [sign * float(v) for v in eqlin.marginals]
+        eq_duals = (sign * np.asarray(eqlin.marginals, dtype=float)).tolist()
 
     _record_solve(program, status, elapsed, getattr(result, "nit", None))
 

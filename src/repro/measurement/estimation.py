@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..core.units import CoordinationUnit, UnitKey, eligible_nodes, unit_key
+from ..core.units import CoordinationUnit, UnitKey, unit_key, units_from_volumes
 from ..hashing.keys import Aggregation
 from ..nids.modules.base import ModuleSpec
 from ..topology.routing import PathSet
@@ -125,20 +125,16 @@ def estimate_units(
             acc["cpu"] += flows * _cpu_per_flow(spec, avg_packets, model)
 
     by_name = {spec.name: spec for spec in modules}
-    units: List[CoordinationUnit] = []
-    for (class_name, key), acc in accumulators.items():
-        spec = by_name[class_name]
-        items = _items_for(spec, acc["flows"], model)
-        units.append(
-            CoordinationUnit(
-                class_name=class_name,
-                key=key,
-                eligible=eligible_nodes(key, paths),
-                pkts=acc["pkts"],
-                items=items,
-                cpu_work=acc["cpu"],
-                mem_bytes=items * spec.mem_req,
+    return units_from_volumes(
+        (
+            (
+                by_name[class_name],
+                key,
+                acc["pkts"],
+                _items_for(by_name[class_name], acc["flows"], model),
+                acc["cpu"],
             )
-        )
-    units.sort(key=lambda u: (u.class_name, u.key))
-    return units
+            for (class_name, key), acc in accumulators.items()
+        ),
+        paths,
+    )

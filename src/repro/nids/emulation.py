@@ -350,15 +350,20 @@ class ComparisonRow:
 def compare_deployments(
     deployment: NIDSDeployment,
     generator: TrafficGenerator,
-    sessions: Sequence[Session],
+    sessions: Union[Sequence[Session], SessionBatch],
     x: float,
     *,
     config: Optional[EmulationConfig] = None,
     registry: Optional[MetricsRegistry] = None,
 ) -> ComparisonRow:
-    """Emulate both deployments and return the max-load comparison."""
+    """Emulate both deployments and return the max-load comparison.
+
+    Hand in the ``SessionBatch`` the deployment was planned from and
+    the trace is walked once for planner and both emulations.
+    """
     config = _resolve_config(config, registry)
-    traffic = Traffic.materialized(generator, SessionBatch(sessions))
+    batch = sessions if isinstance(sessions, SessionBatch) else SessionBatch(sessions)
+    traffic = Traffic.materialized(generator, batch)
     edge = run_emulation(traffic, deployment.modules, config=config)
     coordinated = run_emulation(traffic, deployment, config=config)
     return ComparisonRow(

@@ -1,0 +1,222 @@
+"""Per-session, per-term reference implementation of the planning path.
+
+These are the two Python loops that used to live in the product as
+``repro.core.units.build_units`` and ``repro.core.nids_lp.build_nids_lp``
+/ ``solve_nids_lp``, re-homed verbatim as the tests' oracle (the
+``tests/scalar_oracle.py`` precedent): one iteration per (module,
+session) with ``acc += ...``, one ``Variable * coef`` per LP term, one
+``solution.value(var)`` per fraction.  They use only the scalar
+surfaces — ``TrafficFilter.matches_session``, ``ModuleSpec.session_cpu``
+/ ``item_key``, ``unit_key_for_session``, ``eligible_nodes`` and the
+expression half of :mod:`repro.lp.model` — so they share no arithmetic
+with the columnar ``build_units`` or the index-block ``build_nids_lp``,
+and ``tests/test_planning_columns.py`` compares the two with ``==``.
+"""
+
+import time
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
+
+from repro.core.nids_lp import FractionKey, NIDSAssignment
+from repro.core.units import (
+    CoordinationUnit,
+    UnitKey,
+    eligible_nodes,
+    unit_key_for_session,
+)
+from repro.hashing.keys import Aggregation
+from repro.lp.model import LinearProgram, Sense, Variable, linear_sum
+from repro.lp.solver import LPSolution, solve_or_raise
+from repro.nids.modules.base import ModuleSpec
+from repro.topology.graph import Topology
+from repro.topology.routing import PathSet
+from repro.traffic.session import Session
+
+
+@dataclass
+class _UnitAccumulator:
+    pkts: float = 0.0
+    cpu_work: float = 0.0
+    sessions: int = 0
+    distinct: Set[int] = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.distinct is None:
+            self.distinct = set()
+
+
+def build_units(
+    modules: Sequence[ModuleSpec],
+    sessions: Sequence[Session],
+    paths: PathSet,
+) -> List[CoordinationUnit]:
+    """Coordination units and volumes, one session at a time."""
+    accumulators: Dict[Tuple[str, UnitKey], _UnitAccumulator] = {}
+    for spec in modules:
+        for session in sessions:
+            if not spec.traffic_filter.matches_session(session):
+                continue
+            key = unit_key_for_session(spec, session)
+            acc = accumulators.setdefault((spec.name, key), _UnitAccumulator())
+            acc.pkts += session.num_packets
+            acc.cpu_work += spec.session_cpu(session)
+            acc.sessions += 1
+            if spec.aggregation in (Aggregation.SOURCE, Aggregation.DESTINATION):
+                acc.distinct.add(spec.item_key(session))
+
+    by_name = {spec.name: spec for spec in modules}
+    units: List[CoordinationUnit] = []
+    for (class_name, key), acc in accumulators.items():
+        spec = by_name[class_name]
+        if spec.aggregation in (Aggregation.SOURCE, Aggregation.DESTINATION):
+            items = float(len(acc.distinct))
+        else:
+            items = float(acc.sessions)
+        units.append(
+            CoordinationUnit(
+                class_name=class_name,
+                key=key,
+                eligible=eligible_nodes(key, paths),
+                pkts=acc.pkts,
+                items=items,
+                cpu_work=acc.cpu_work,
+                mem_bytes=items * spec.mem_req,
+            )
+        )
+    units.sort(key=lambda u: (u.class_name, u.key))
+    return units
+
+
+@dataclass
+class BuiltNIDSLP:
+    """The expression-built LP plus its variable maps."""
+
+    program: LinearProgram
+    d_vars: Dict[FractionKey, Variable]
+    cpu_load_vars: Dict[str, Variable]
+    mem_load_vars: Dict[str, Variable]
+    coverage: Dict[Tuple[str, UnitKey], float]
+
+
+def build_nids_lp(
+    units: Sequence[CoordinationUnit],
+    topology: Topology,
+    coverage: float = 1.0,
+    objective: str = "max",
+    cpu_weight: float = 1.0,
+    mem_weight: float = 1.0,
+) -> BuiltNIDSLP:
+    """The Section 2.2 LP, one named variable and one term at a time."""
+    if objective not in ("max", "sum"):
+        raise ValueError(f"unknown objective {objective!r}")
+    if coverage < 1.0:
+        raise ValueError("coverage must be >= 1")
+    lp = LinearProgram("nids-assignment")
+
+    d_vars: Dict[FractionKey, Variable] = {}
+    per_unit_coverage: Dict[Tuple[str, UnitKey], float] = {}
+    for unit in units:
+        unit_coverage = min(coverage, float(len(unit.eligible)))
+        per_unit_coverage[unit.ident] = unit_coverage
+        unit_vars = []
+        for node in unit.eligible:
+            var = lp.add_variable(
+                f"d[{unit.class_name}|{'/'.join(unit.key)}|{node}]", lb=0.0, ub=1.0
+            )
+            d_vars[(unit.class_name, unit.key, node)] = var
+            unit_vars.append(var)
+        lp.add_constraint(
+            linear_sum(unit_vars).equals(unit_coverage),
+            name=f"cover[{unit.class_name}|{'/'.join(unit.key)}]",
+        )
+
+    # Group load terms per node.
+    cpu_terms: Dict[str, List] = {name: [] for name in topology.node_names}
+    mem_terms: Dict[str, List] = {name: [] for name in topology.node_names}
+    for unit in units:
+        for node in unit.eligible:
+            var = d_vars[(unit.class_name, unit.key, node)]
+            cpu_terms[node].append(var * unit.cpu_work)
+            mem_terms[node].append(var * unit.mem_bytes)
+
+    cpu_load_vars: Dict[str, Variable] = {}
+    mem_load_vars: Dict[str, Variable] = {}
+    cpu_max = lp.add_variable("CpuLoad")
+    mem_max = lp.add_variable("MemLoad")
+    for name in topology.node_names:
+        node = topology.node(name)
+        cpu_j = lp.add_variable(f"CpuLoad[{name}]")
+        mem_j = lp.add_variable(f"MemLoad[{name}]")
+        cpu_load_vars[name] = cpu_j
+        mem_load_vars[name] = mem_j
+        lp.add_constraint(
+            cpu_j.equals(linear_sum(cpu_terms[name]) / node.cpu_capacity),
+            name=f"cpu-def[{name}]",
+        )
+        lp.add_constraint(
+            mem_j.equals(linear_sum(mem_terms[name]) / node.mem_capacity),
+            name=f"mem-def[{name}]",
+        )
+        lp.add_constraint(cpu_max >= cpu_j, name=f"cpu-max[{name}]")
+        lp.add_constraint(mem_max >= mem_j, name=f"mem-max[{name}]")
+
+    if objective == "max":
+        target = lp.add_variable("MaxLoad")
+        lp.add_constraint(target >= cpu_max, name="obj-cpu")
+        lp.add_constraint(target >= mem_max, name="obj-mem")
+        lp.set_objective(target, Sense.MINIMIZE)
+    else:
+        lp.set_objective(
+            cpu_weight * cpu_max + mem_weight * mem_max, Sense.MINIMIZE
+        )
+
+    return BuiltNIDSLP(
+        program=lp,
+        d_vars=d_vars,
+        cpu_load_vars=cpu_load_vars,
+        mem_load_vars=mem_load_vars,
+        coverage=per_unit_coverage,
+    )
+
+
+def solve_nids_lp(
+    units: Sequence[CoordinationUnit],
+    topology: Topology,
+    coverage: float = 1.0,
+    objective: str = "max",
+    cpu_weight: float = 1.0,
+    mem_weight: float = 1.0,
+) -> Tuple[NIDSAssignment, LPSolution]:
+    """Build and solve with per-variable read-back; also returns the
+    raw solution (for dual comparisons)."""
+    started = time.perf_counter()
+    built = build_nids_lp(
+        units,
+        topology,
+        coverage,
+        objective=objective,
+        cpu_weight=cpu_weight,
+        mem_weight=mem_weight,
+    )
+    solution = solve_or_raise(built.program)
+    elapsed = time.perf_counter() - started
+
+    fractions = {
+        key: max(0.0, min(1.0, solution.value(var)))
+        for key, var in built.d_vars.items()
+    }
+    cpu_load = {
+        name: solution.value(var) for name, var in built.cpu_load_vars.items()
+    }
+    mem_load = {
+        name: solution.value(var) for name, var in built.mem_load_vars.items()
+    }
+    assignment = NIDSAssignment(
+        fractions=fractions,
+        cpu_load=cpu_load,
+        mem_load=mem_load,
+        objective=solution.objective,
+        coverage=built.coverage,
+        solve_seconds=elapsed,
+    )
+    return assignment, solution

@@ -13,7 +13,7 @@ from repro.nids.emulation import (
 from repro.nids.engine import BroInstance, BroMode, EmulationConfig
 from repro.nids.modules import STANDARD_MODULES, module_set
 from repro.topology import PathSet, internet2
-from repro.traffic import GeneratorConfig, TrafficGenerator
+from repro.traffic import GeneratorConfig, SessionBatch, TrafficGenerator
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +130,18 @@ class TestAccountingConsistency:
         assert row.x == 21
         assert 0.0 < row.cpu_reduction < 1.0
         assert row.coord_mem_mb > 0
+
+    def test_one_batch_plans_and_emulates(self, world):
+        """Planner and emulator read the same ``SessionBatch``."""
+        topo, generator, sessions, deployment = world
+        batch = SessionBatch(sessions)
+        planned = plan_deployment(
+            topo, deployment.paths, deployment.modules, batch
+        )
+        assert planned.manifests == deployment.manifests
+        assert compare_deployments(planned, generator, batch, x=21) == (
+            compare_deployments(deployment, generator, sessions, x=21)
+        )
 
     def test_usage_accessors(self, edge):
         node = edge.nodes[0]

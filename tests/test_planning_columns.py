@@ -1,0 +1,485 @@
+"""The columnar planning path against its per-session, per-term oracle.
+
+``build_units`` is a group-by over one ``SessionBatch`` and
+``build_nids_lp`` lays the LP out as index blocks;
+``tests/planning_oracle.py`` holds the loops they replaced.  Every
+comparison here is ``==`` — dataclass equality on units (floats bit for
+bit), array equality on the compiled matrices, dict equality on the
+solved fractions — because the two sides perform the same floating-point
+operations in the same order and hand HiGHS the same matrices.
+"""
+
+import dataclasses
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.nids_deployment import plan_deployment
+from repro.core.nids_lp import build_nids_lp, solve_nids_lp
+from repro.core.provisioning import bottleneck_analysis
+from repro.core.units import CoordinationUnit, build_units
+from repro.hashing.keys import Aggregation
+from repro.lp.model import LinearProgram, LinExpr, Relation, Sense
+from repro.lp.solver import solve_or_raise
+from repro.nids.modules import STANDARD_MODULES
+from repro.nids.modules.base import CheckLocation, ModuleSpec, Scope, TrafficFilter
+from repro.nids.modules.catalog import module_set
+from repro.topology import PathSet, by_label
+from repro.traffic import GeneratorConfig, SessionBatch, TrafficGenerator
+from repro.traffic.packet import TCP, UDP, FiveTuple
+from repro.traffic.session import Session
+from tests import planning_oracle as oracle
+
+LABELS = ("internet2", "Geant", "AS1239", "pop100")
+
+
+def _world(label, sessions, seed=29):
+    topology = by_label(label).set_uniform_capacities(cpu=1.0, mem=1.0)
+    paths = PathSet(topology)
+    generator = TrafficGenerator(topology, paths, config=GeneratorConfig(seed=seed))
+    return topology, paths, generator.generate(sessions)
+
+
+@pytest.fixture(scope="module", params=LABELS)
+def world(request):
+    return _world(request.param, 2500)
+
+
+@pytest.fixture(scope="module")
+def as1239_units():
+    topology, paths, sessions = _world("AS1239", 4000, seed=31)
+    return topology, oracle.build_units(module_set(21), sessions, paths)
+
+
+def _spec(scope, aggregation, name="probe", **overrides):
+    return ModuleSpec(
+        name=name,
+        aggregation=aggregation,
+        scope=scope,
+        check_location=CheckLocation.POLICY_ONLY,
+        **overrides,
+    )
+
+
+def _session(index, ingress, egress, src, dst, *, proto=TCP, dport=80, pkts=3,
+             half_open=False):
+    return Session(
+        session_id=index,
+        tuple=FiveTuple(src, dst, 1024 + index, dport, proto),
+        app="test",
+        ingress=ingress,
+        egress=egress,
+        start_time=float(index),
+        num_packets=pkts,
+        num_bytes=60 * pkts,
+        half_open=half_open,
+    )
+
+
+# -- build_units --------------------------------------------------------------
+class TestBuildUnits:
+    @pytest.mark.parametrize("count", range(8, 22))
+    def test_every_module_set_on_every_topology(self, world, count):
+        _topology, paths, sessions = world
+        modules = module_set(count)
+        assert build_units(modules, sessions, paths) == oracle.build_units(
+            modules, sessions, paths
+        )
+
+    def test_list_batch_and_taken_child_agree(self, world):
+        _topology, paths, sessions = world
+        modules = module_set(21)
+        batch = SessionBatch(sessions)
+        expected = oracle.build_units(modules, sessions, paths)
+        assert build_units(modules, batch, paths) == expected
+        # A child keeps only the pairs present and resolves its rows
+        # through the root: every third session, and a reversed window.
+        rows = np.arange(0, len(sessions), 3)
+        assert build_units(modules, batch.take(rows), paths) == oracle.build_units(
+            modules, [sessions[i] for i in rows.tolist()], paths
+        )
+        window = np.arange(len(sessions) // 2, len(sessions) // 4, -1)
+        assert build_units(
+            modules, batch.take(rows).take(window % len(rows)), paths
+        ) == oracle.build_units(
+            modules, [sessions[rows[i % len(rows)]] for i in window.tolist()], paths
+        )
+
+    def test_accumulation_order_at_depth(self):
+        """Hundreds of sessions per unit: a pairwise per-unit sum would
+        differ from the in-order ``+=`` in the last bit here."""
+        _topology, paths, sessions = _world("internet2", 20_000, seed=97)
+        assert build_units(STANDARD_MODULES, sessions, paths) == oracle.build_units(
+            STANDARD_MODULES, sessions, paths
+        )
+
+    def test_empty_trace_and_single_session(self, world):
+        _topology, paths, sessions = world
+        assert build_units(STANDARD_MODULES, [], paths) == []
+        assert build_units(STANDARD_MODULES, SessionBatch([]), paths) == []
+        assert build_units(STANDARD_MODULES, sessions[:1], paths) == oracle.build_units(
+            STANDARD_MODULES, sessions[:1], paths
+        )
+
+    def test_module_matching_nothing_emits_no_units(self, world):
+        _topology, paths, sessions = world
+        silent = _spec(
+            Scope.PATH,
+            Aggregation.SESSION,
+            name="silent",
+            traffic_filter=TrafficFilter(server_ports=frozenset({9}), proto=UDP),
+        )
+        modules = [silent] + list(STANDARD_MODULES)
+        units = build_units(modules, sessions, paths)
+        assert units == oracle.build_units(modules, sessions, paths)
+        assert all(unit.class_name != "silent" for unit in units)
+        assert build_units([silent], sessions, paths) == []
+
+    def test_all_half_open_tcp(self, world):
+        """The SYN-flood rule (policy events for half-open connections
+        only) with every TCP session half-open and with none."""
+        _topology, paths, sessions = world
+        tcp = [s for s in sessions if s.tuple.proto == TCP]
+        for flag in (True, False):
+            trace = [dataclasses.replace(s, half_open=flag) for s in tcp]
+            units = build_units(STANDARD_MODULES, trace, paths)
+            assert units == oracle.build_units(STANDARD_MODULES, trace, paths)
+        flood = next(m for m in STANDARD_MODULES if m.half_open_events_only)
+        open_work = sum(
+            u.cpu_work
+            for u in build_units(
+                [flood], [dataclasses.replace(s, half_open=True) for s in tcp], paths
+            )
+        )
+        closed_work = sum(
+            u.cpu_work
+            for u in build_units(
+                [flood], [dataclasses.replace(s, half_open=False) for s in tcp], paths
+            )
+        )
+        assert open_work > closed_work
+
+    def test_repeated_hosts_across_and_within_units(self, world):
+        """Per-source / per-destination items count distinct hosts per
+        unit: a host seen in two units counts in both, twice in one
+        unit once, and source and destination columns are not mixed."""
+        topology, paths, _sessions = world
+        a, b, c = topology.node_names[:3]
+        trace = [
+            _session(0, a, b, src=10, dst=70),
+            _session(1, a, b, src=10, dst=71),
+            _session(2, a, c, src=10, dst=72),
+            _session(3, a, c, src=11, dst=72),
+            _session(4, b, c, src=10, dst=72),
+            _session(5, b, a, src=12, dst=72),
+            _session(6, c, a, src=12, dst=73),
+        ]
+        modules = [
+            _spec(scope, aggregation, name=f"{scope.value}-{aggregation.name}")
+            for scope in Scope
+            for aggregation in (Aggregation.SOURCE, Aggregation.DESTINATION)
+        ]
+        units = build_units(modules, trace, paths)
+        assert units == oracle.build_units(modules, trace, paths)
+        items = {(u.class_name, u.key): u.items for u in units}
+        assert items[("ingress-SOURCE", (a,))] == 2.0  # hosts 10, 11
+        assert items[("ingress-DESTINATION", (a,))] == 3.0  # 70, 71, 72
+        assert items[("egress-SOURCE", (c,))] == 2.0  # 10, 11
+        assert items[("egress-DESTINATION", (c,))] == 1.0  # 72
+        assert items[("egress-DESTINATION", (a,))] == 2.0  # 72, 73
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_hand_built_traces_every_scope(self, data):
+        topology = by_label("internet2")
+        paths = PathSet(topology)
+        nodes = topology.node_names[:4]
+        node = st.sampled_from(nodes)
+        host = st.integers(min_value=1, max_value=6)
+        rows = data.draw(
+            st.lists(
+                st.tuples(
+                    node, node, host, host,
+                    st.sampled_from((TCP, UDP)),
+                    st.sampled_from((80, 69, 6667)),
+                    st.integers(min_value=1, max_value=2000),
+                    st.booleans(),
+                ),
+                max_size=40,
+            )
+        )
+        trace = [
+            _session(i, ingress, egress, src, dst, proto=proto, dport=dport,
+                     pkts=pkts, half_open=half_open)
+            for i, (ingress, egress, src, dst, proto, dport, pkts, half_open)
+            in enumerate(rows)
+        ]
+        modules = [
+            _spec(
+                scope,
+                aggregation,
+                name=f"{scope.value}-{aggregation.name}",
+                events_per_packet=0.3,
+                events_per_session=1.7,
+                half_open_events_only=aggregation is Aggregation.DESTINATION,
+                traffic_filter=TrafficFilter(
+                    proto=TCP if scope is Scope.EGRESS else None
+                ),
+            )
+            for scope in Scope
+            for aggregation in Aggregation
+        ]
+        assert build_units(modules, trace, paths) == oracle.build_units(
+            modules, trace, paths
+        )
+
+
+def test_plan_deployment_takes_a_batch(world):
+    topology, paths, sessions = world
+    from_list = plan_deployment(topology, paths, STANDARD_MODULES, sessions)
+    from_batch = plan_deployment(topology, paths, STANDARD_MODULES, SessionBatch(sessions))
+    assert from_batch.units == from_list.units
+    assert from_batch.assignment.fractions == from_list.assignment.fractions
+    assert from_batch.manifests == from_list.manifests
+
+
+# -- the LP -------------------------------------------------------------------
+def _assert_same_matrix(ours, theirs):
+    if theirs is None:
+        assert ours is None
+        return
+    ours, theirs = ours.copy(), theirs.copy()
+    ours.sort_indices()
+    theirs.sort_indices()
+    assert ours.shape == theirs.shape
+    assert np.array_equal(ours.indptr, theirs.indptr)
+    assert np.array_equal(ours.indices, theirs.indices)
+    assert np.array_equal(ours.data, theirs.data)
+
+
+def _assert_same_program(built, reference):
+    assert built.program.num_variables == reference.program.num_variables
+    assert built.program.num_constraints == reference.program.num_constraints
+    assert built.coverage == reference.coverage
+    assert built.d == range(len(reference.d_vars))
+    for ours, theirs in (
+        (built.cpu_load_vars, reference.cpu_load_vars),
+        (built.mem_load_vars, reference.mem_load_vars),
+    ):
+        assert {n: (v.index, v.name) for n, v in ours.items()} == {
+            n: (v.index, v.name) for n, v in theirs.items()
+        }
+    ours, theirs = built.program.compile(), reference.program.compile()
+    assert list(ours.cost) == list(theirs.cost)
+    assert ours.bounds == theirs.bounds
+    assert ours.maximize == theirs.maximize
+    assert np.array_equal(ours.b_ub, theirs.b_ub)
+    assert np.array_equal(ours.b_eq, theirs.b_eq)
+    assert list(ours.variable_names) == list(theirs.variable_names)
+    assert list(ours.ineq_names) == list(theirs.ineq_names)
+    assert list(ours.eq_names) == list(theirs.eq_names)
+    _assert_same_matrix(ours.a_ub, theirs.a_ub)
+    _assert_same_matrix(ours.a_eq, theirs.a_eq)
+
+
+def _heterogeneous(topology):
+    for index, name in enumerate(topology.node_names):
+        topology.scale_capacity(
+            name, cpu_factor=1.0 + 0.37 * (index % 5), mem_factor=3.0 / (1 + index % 3)
+        )
+    return topology
+
+
+LP_CASES = [
+    dict(coverage=1.0),
+    dict(coverage=2.0),
+    dict(coverage=2),
+    dict(coverage=1.0, objective="sum", cpu_weight=0.7, mem_weight=1.9),
+    dict(coverage=2.0, objective="sum"),
+]
+
+
+class TestNidsLP:
+    @pytest.mark.parametrize("options", LP_CASES)
+    def test_compiled_program_equals_oracle(self, as1239_units, options):
+        topology, units = as1239_units
+        _assert_same_program(
+            build_nids_lp(units, topology, **options),
+            oracle.build_nids_lp(units, topology, **options),
+        )
+
+    def test_heterogeneous_capacities(self, as1239_units):
+        _topology, units = as1239_units
+        topology = _heterogeneous(by_label("AS1239"))
+        _assert_same_program(
+            build_nids_lp(units, topology, 2.0), oracle.build_nids_lp(units, topology, 2.0)
+        )
+        assignment = solve_nids_lp(units, topology, 2.0)
+        expected, _solution = oracle.solve_nids_lp(units, topology, 2.0)
+        assert assignment.fractions == expected.fractions
+        assert assignment.objective == expected.objective
+
+    def test_singletons_only_and_no_units(self, as1239_units):
+        topology, units = as1239_units
+        singletons = [unit for unit in units if unit.singleton]
+        assert singletons
+        for subset in (singletons, []):
+            _assert_same_program(
+                build_nids_lp(subset, topology, 2.0),
+                oracle.build_nids_lp(subset, topology, 2.0),
+            )
+            assignment = solve_nids_lp(subset, topology, 2.0)
+            expected, _solution = oracle.solve_nids_lp(subset, topology, 2.0)
+            assert assignment.fractions == expected.fractions
+            assert assignment.cpu_load == expected.cpu_load
+
+    @pytest.mark.parametrize("options", LP_CASES)
+    def test_solution_equals_oracle(self, as1239_units, options):
+        topology, units = as1239_units
+        assignment = solve_nids_lp(units, topology, **options)
+        expected, _solution = oracle.solve_nids_lp(units, topology, **options)
+        assert list(assignment.fractions) == list(expected.fractions)
+        assert assignment.fractions == expected.fractions
+        assert assignment.cpu_load == expected.cpu_load
+        assert assignment.mem_load == expected.mem_load
+        assert assignment.objective == expected.objective
+        assert assignment.coverage == expected.coverage
+        # ``==`` cannot tell -0.0 from 0.0 or 2 from 2.0; the serialised
+        # form (what ``--assignment-output`` writes) can.
+        assert json.dumps(list(assignment.fractions.values())) == json.dumps(
+            list(expected.fractions.values())
+        )
+        assert json.dumps(list(assignment.coverage.values())) == json.dumps(
+            list(expected.coverage.values())
+        )
+
+    def test_unknown_eligible_node_is_rejected(self, as1239_units):
+        topology, _units = as1239_units
+        stray = CoordinationUnit("c", ("x",), ("not-a-node",), 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(KeyError):
+            build_nids_lp([stray], topology)
+
+    def test_bottleneck_duals_unchanged(self, as1239_units):
+        topology, units = as1239_units
+        report = bottleneck_analysis(units, topology)
+        _assignment, solution = oracle.solve_nids_lp(units, topology)
+        assert report.objective == solution.objective
+        for name in topology.node_names:
+            assert report.cpu_pressure[name] == abs(solution.dual_by_name(f"cpu-max[{name}]"))
+            assert report.mem_pressure[name] == abs(solution.dual_by_name(f"mem-max[{name}]"))
+        assert any(report.cpu_pressure.values()) or any(report.mem_pressure.values())
+
+
+# -- the model layer's blocks -------------------------------------------------
+class _Counted:
+    """A block-name renderer that records how often it ran."""
+
+    def __init__(self, names):
+        self.names = names
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return self.names
+
+
+def _block_program():
+    """min t  s.t.  x0 + x1 == 1, x1 + x2 == 1 (block), t >= x_i (exprs)."""
+    lp = LinearProgram("blocks")
+    x_names = _Counted(["x[0]", "x[1]", "x[2]"])
+    row_names = _Counted(["pair[0]", "pair[1]"])
+    x = lp.add_variables(3, x_names, lb=0.0, ub=[1.0, 0.25, 1.0])
+    t = lp.add_variable("t")
+    lp.add_constraints(
+        Relation.EQ,
+        rows=[0, 0, 1, 1],
+        cols=[x[0], x[1], x[1], x[2]],
+        data=[1.0, 1.0, 1.0, 1.0],
+        rhs=[1.0, 1.0],
+        names=row_names,
+    )
+    for i in x:
+        lp.add_constraint(t >= LinExpr({i: 1.0}), name=f"top[{i}]")
+    lp.set_objective(t, Sense.MINIMIZE)
+    return lp, x, x_names, row_names
+
+
+class TestBlocks:
+    def test_solve_reads_no_block_name(self):
+        lp, x, x_names, row_names = _block_program()
+        solution = solve_or_raise(lp)
+        assert solution.objective == pytest.approx(0.75)
+        assert solution.values[x[1]] == pytest.approx(0.25)
+        # Eager names resolve before any block is rendered.
+        assert solution.value_by_name("t") == pytest.approx(0.75)
+        assert solution.dual_by_name("top[0]") == pytest.approx(
+            solution.ineq_duals[0]
+        )
+        assert (x_names.calls, row_names.calls) == (0, 0)
+        # Asking for a block's own names renders that block, once.
+        assert solution.value_by_name("x[1]") == pytest.approx(0.25)
+        assert solution.dual_by_name("pair[1]") == solution.eq_duals[1]
+        assert solution.dual_by_name("pair[0]") == solution.eq_duals[0]
+        assert (x_names.calls, row_names.calls) == (1, 1)
+        assert list(solution.variable_names) == ["x[0]", "x[1]", "x[2]", "t"]
+        assert solution.as_dict()["x[2]"] == pytest.approx(0.75)
+        with pytest.raises(KeyError):
+            solution.dual_by_name("nonexistent")
+        with pytest.raises(ValueError):
+            solution.value_by_name("nonexistent")
+
+    def test_is_feasible_honours_block_rows(self):
+        lp, _x, _x_names, _row_names = _block_program()
+        assert lp.num_variables == 4
+        assert lp.num_constraints == 5
+        assert lp.is_feasible([0.75, 0.25, 0.75, 0.75])
+        assert not lp.is_feasible([0.75, 0.25, 0.5, 0.75])  # pair[1] broken
+        assert not lp.is_feasible([0.5, 0.5, 0.5, 0.5])  # x[1] above its bound
+        assert not lp.is_feasible([0.75, 0.25, 0.75, 0.5])  # top rows broken
+
+    def test_inequality_blocks_flip_like_expressions(self):
+        def program(use_block):
+            lp = LinearProgram()
+            x = lp.add_variable("x", ub=10.0)
+            y = lp.add_variable("y", ub=10.0)
+            if use_block:
+                lp.add_constraints(
+                    Relation.GE, [0, 1, 1], [x.index, x.index, y.index],
+                    [1.0, 1.0, 2.0], [2.0, 7.0], ["lo", "mix"],
+                )
+                lp.add_constraints(
+                    Relation.LE, [0], [y.index], [1.0], [3.0], ["hi"]
+                )
+            else:
+                lp.add_constraint(x >= 2.0, name="lo")
+                lp.add_constraint(x + 2.0 * y >= 7.0, name="mix")
+                lp.add_constraint(y <= 3.0, name="hi")
+            lp.set_objective(x + y, Sense.MINIMIZE)
+            return lp
+
+        ours, theirs = program(True).compile(), program(False).compile()
+        _assert_same_matrix(ours.a_ub, theirs.a_ub)
+        assert np.array_equal(ours.b_ub, theirs.b_ub)
+        assert list(ours.ineq_names) == list(theirs.ineq_names) == ["lo", "mix", "hi"]
+        assert solve_or_raise(program(True)).objective == pytest.approx(4.5)
+        assert solve_or_raise(program(True)).dual_by_name("mix") == pytest.approx(
+            solve_or_raise(program(False)).dual_by_name("mix")
+        )
+
+    def test_malformed_blocks_are_rejected(self):
+        lp = LinearProgram()
+        lp.add_variables(2, ["a", "b"])
+        with pytest.raises(ValueError):
+            lp.add_variables(2, ["only-one"])
+        with pytest.raises(ValueError):
+            lp.add_constraints(Relation.EQ, [0, 1], [0, 1], [1.0], [0.0, 0.0], ["r", "s"])
+        with pytest.raises(ValueError):
+            lp.add_constraints(Relation.EQ, [0, 2], [0, 1], [1.0, 1.0], [0.0, 0.0], ["r", "s"])
+        with pytest.raises(ValueError):
+            lp.add_constraints(Relation.EQ, [0, 1], [0, 2], [1.0, 1.0], [0.0, 0.0], ["r", "s"])
+        lp.add_constraints(Relation.EQ, [0], [0], [1.0], [0.0], lambda: ["r", "s"])
+        with pytest.raises(ValueError):
+            list(lp.compile().eq_names)
