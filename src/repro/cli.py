@@ -50,7 +50,6 @@ from .nips.adversary import UniformProcess
 from .nips.rules import MatchRateMatrix, unit_rules
 from .topology.datasets import by_label
 from .topology.routing import PathSet
-from .traffic.batch import SessionBatch
 from .traffic.generator import GeneratorConfig, TrafficGenerator
 from .traffic.profiles import (
     attack_heavy_profile,
@@ -140,10 +139,9 @@ def cmd_emulate(args) -> int:
     config = EmulationConfig(policy=policy)
     topology, paths, generator, sessions = _build_world(args)
     modules = module_set(args.modules)
-    # One column build: the planner and both emulations read this batch.
-    batch = SessionBatch(sessions)
-    deployment = plan_deployment(topology, paths, modules, batch)
-    traffic = Traffic.materialized(generator, batch)
+    # One trace: the planner and both emulations read the same batch.
+    deployment = plan_deployment(topology, paths, modules, sessions)
+    traffic = Traffic.materialized(generator, sessions)
     edge = run_emulation(traffic, modules, config=config)
     coordinated = run_emulation(traffic, deployment, config=config)
     print(

@@ -41,6 +41,7 @@ from ..nids.modules import STANDARD_MODULES
 from ..obs import MetricsRegistry, NULL_REGISTRY, use_registry
 from ..topology import PathSet, by_label
 from ..topology.graph import Topology
+from ..traffic.batch import SessionBatch
 from ..traffic.dynamics import DiurnalBurstModel
 from ..traffic.generator import GeneratorConfig, TrafficGenerator
 from ..traffic.profiles import (
@@ -77,7 +78,7 @@ def unit_capacity_topology(label: str) -> Topology:
 
 def profile_pools(
     names: Iterable[str], seed: int, topology, paths, pool_size: int
-) -> Dict[str, List[Session]]:
+) -> Dict[str, SessionBatch]:
     """One session pool per traffic profile in *names*.
 
     Epochs slice a volume-scaled prefix of the active pool, so the
@@ -85,7 +86,7 @@ def profile_pools(
     manifest deltas must stay small) while still scaling with the
     diurnal volume.
     """
-    pools: Dict[str, List[Session]] = {}
+    pools: Dict[str, SessionBatch] = {}
     for offset, name in enumerate(sorted(set(names))):
         generator = TrafficGenerator(
             topology,
@@ -115,7 +116,7 @@ class EpochFacts:
     #: The acting leader's record, or a placeholder carrying only the
     #: authority's standing view when no controller closed the epoch.
     record: EpochRecord
-    sessions: List[Session]
+    sessions: SessionBatch
     #: The controller whose view of the deployment counted at epoch end.
     authority: Controller
     #: A settled leader took both beats and closed the record.

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..hashing.ranges import HashRange
 from ..obs import MetricsRegistry
 from ..traffic.dynamics import DiurnalBurstModel
-from ..traffic.session import Session
+from ..traffic.batch import SessionBatch
 from .agent import AgentConfig
 from .bus import Bus, BusConfig, BusStats
 from .controller import ControllerConfig, ControllerStats
@@ -200,7 +200,7 @@ def session_pools(
     topology,
     paths,
     pool_size: int,
-) -> Dict[str, List[Session]]:
+) -> Dict[str, SessionBatch]:
     """One session pool per profile the scenario can be in (see
     :func:`~repro.control.plane.profile_pools`)."""
     return profile_pools(

@@ -217,11 +217,6 @@ class CoordinatedDispatcher:
             for scope in Scope
         }
 
-    def _as_batch(self, sessions) -> SessionBatch:
-        if isinstance(sessions, SessionBatch):
-            return sessions
-        return SessionBatch(sessions)
-
     def _decide_batch_raw(
         self, sessions
     ) -> List[
@@ -235,7 +230,7 @@ class CoordinatedDispatcher:
         analyze flags.  Semantics are identical to running
         :meth:`decide_session` per session.
         """
-        batch = self._as_batch(sessions)
+        batch = SessionBatch.of(sessions)
         n = len(batch)
         if n == 0:
             return [

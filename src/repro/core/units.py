@@ -168,7 +168,7 @@ def build_units(
     ``bincount`` adds its weights in session order, so every volume is
     bit-equal to a per-session ``+=`` loop (``tests/planning_oracle.py``).
     """
-    batch = sessions if isinstance(sessions, SessionBatch) else SessionBatch(sessions)
+    batch = SessionBatch.of(sessions)
     by_scope: Dict[Scope, Tuple[List[UnitKey], np.ndarray]] = {}
     volumes: List[UnitVolume] = []
     for spec in modules:

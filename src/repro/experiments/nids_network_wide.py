@@ -25,7 +25,6 @@ from ..nids.resources import CostModel, DEFAULT_COST_MODEL
 from ..topology.datasets import internet2
 from ..topology.graph import Topology
 from ..topology.routing import PathSet
-from ..traffic.batch import SessionBatch
 from ..traffic.generator import GeneratorConfig, TrafficGenerator
 from ..traffic.profiles import mixed_profile
 from .config import scaled
@@ -80,7 +79,7 @@ def fig6_module_scaling(
     setup = NetworkWideSetup.internet2(seed)
     config = EmulationConfig(cost_model=cost_model)
     total = sessions_total if sessions_total is not None else scaled(PAPER_SESSIONS)
-    batch = SessionBatch(setup.generator.generate(total))
+    batch = setup.generator.generate(total)
     traffic = Traffic.materialized(setup.generator, batch)
     rows = []
     for count in module_counts:
@@ -114,7 +113,7 @@ def fig7_volume_scaling(
     config = EmulationConfig(cost_model=cost_model)
     rows = []
     for volume in volume_points:
-        batch = SessionBatch(setup.generator.generate(scaled(volume)))
+        batch = setup.generator.generate(scaled(volume))
         traffic = Traffic.materialized(setup.generator, batch)
         deployment = setup.deployment(batch, num_modules)
         edge = run_emulation(traffic, deployment.modules, config=config)
@@ -168,7 +167,7 @@ def fig8_per_node_profile(
     setup = NetworkWideSetup.internet2(seed)
     config = EmulationConfig(cost_model=cost_model)
     total = sessions_total if sessions_total is not None else scaled(PAPER_SESSIONS)
-    batch = SessionBatch(setup.generator.generate(total))
+    batch = setup.generator.generate(total)
     traffic = Traffic.materialized(setup.generator, batch)
     deployment = setup.deployment(batch, num_modules)
     edge = run_emulation(traffic, deployment.modules, config=config)

@@ -101,12 +101,12 @@ class Traffic:
     The generator supplies topology and routing (``split_batch``),
     and exactly one of three trace sources supplies the sessions —
 
-    * ``sessions`` — an already-materialized trace, as ``Session``
-      objects or as the :class:`~repro.traffic.batch.SessionBatch` a
-      caller built to share between runs (:meth:`materialized`);
-    * ``chunks`` — an iterable of session chunks, e.g. from
-      ``TrafficGenerator.generate_chunks`` (:meth:`chunked`; one-shot,
-      as any iterable);
+    * ``sessions`` — an already-materialized trace: the
+      :class:`~repro.traffic.batch.SessionBatch` ``generate()`` returned
+      (shared between runs, columns and hash columns built once) or a
+      list of ``Session`` objects (:meth:`materialized`);
+    * ``chunks`` — an iterable of session chunks, batches or lists
+      (:meth:`chunked`; one-shot, as any iterable);
     * ``num_sessions`` — generate the trace lazily from the
       generator's seed (:meth:`generate`).
 
@@ -140,9 +140,9 @@ class Traffic:
     ) -> "Traffic":
         """An already-generated trace.
 
-        Pass ``SessionBatch(sessions)`` to run several emulations over
-        one trace: its columns (and, per hash seed, its hash columns)
-        are then built once for all of them.
+        Pass one ``SessionBatch`` to several emulations and its columns
+        (and, per hash seed, its hash columns) are built once for all
+        of them; a list is turned into columns by each run.
         """
         return cls(generator=generator, sessions=sessions)
 
@@ -162,48 +162,27 @@ class Traffic:
             raise ValueError("num_sessions must be >= 0")
         return cls(generator=generator, num_sessions=num_sessions)
 
-    def materialize(self) -> Sequence[Session]:
-        """The full session sequence (consumes a ``chunks`` source)."""
-        if isinstance(self.sessions, SessionBatch):
-            return self.sessions.sessions
+    def batch(self) -> SessionBatch:
+        """The full trace as one columnar batch (the caller's, if given;
+        consumes a ``chunks`` source)."""
         if self.sessions is not None:
-            return self.sessions
+            return SessionBatch.of(self.sessions)
         if self.num_sessions is not None:
             return self.generator.generate(self.num_sessions)
         assert self.chunks is not None
-        return [session for chunk in self.chunks for session in chunk]
-
-    def batch(self) -> SessionBatch:
-        """The full trace as one columnar batch (the caller's, if given)."""
-        if isinstance(self.sessions, SessionBatch):
-            return self.sessions
-        return SessionBatch(self.materialize())
-
-    def chunk_iter(self, chunk_size: int) -> Iterator[Sequence[Session]]:
-        """The trace as chunks of at most *chunk_size* sessions."""
-        if self.chunks is not None:
-            yield from self.chunks
-        elif self.num_sessions is not None:
-            yield from self.generator.generate_chunks(
-                self.num_sessions, chunk_size
-            )
-        else:
-            sessions = self.materialize()
-            for start in range(0, len(sessions), chunk_size):
-                yield sessions[start : start + chunk_size]
+        return SessionBatch([session for chunk in self.chunks for session in chunk])
 
     def batches(self, chunk_size: int) -> Iterator[SessionBatch]:
         """The trace as columnar batches of at most *chunk_size* sessions
-        (index views of the caller's batch, if given)."""
-        import numpy as np
-
-        if isinstance(self.sessions, SessionBatch):
-            batch = self.sessions
-            for start in range(0, len(batch), chunk_size):
-                stop = min(start + chunk_size, len(batch))
-                yield batch.take(np.arange(start, stop))
+        (the generator's own chunks, or index views of one batch)."""
+        if self.chunks is not None:
+            yield from map(SessionBatch.of, self.chunks)
+        elif self.num_sessions is not None:
+            yield from self.generator.generate_chunks(self.num_sessions, chunk_size)
         else:
-            yield from map(SessionBatch, self.chunk_iter(chunk_size))
+            batch = self.batch()
+            for start in range(0, len(batch), chunk_size):
+                yield batch[start : start + chunk_size]
 
 
 def run_emulation(
@@ -362,8 +341,7 @@ def compare_deployments(
     the trace is walked once for planner and both emulations.
     """
     config = _resolve_config(config, registry)
-    batch = sessions if isinstance(sessions, SessionBatch) else SessionBatch(sessions)
-    traffic = Traffic.materialized(generator, batch)
+    traffic = Traffic.materialized(generator, SessionBatch.of(sessions))
     edge = run_emulation(traffic, deployment.modules, config=config)
     coordinated = run_emulation(traffic, deployment, config=config)
     return ComparisonRow(

@@ -404,7 +404,7 @@ class BroInstance:
         """Vectorized cost model: per-module masks over session arrays."""
         import numpy as np
 
-        batch = sessions if isinstance(sessions, SessionBatch) else SessionBatch(sessions)
+        batch = SessionBatch.of(sessions)
         n = len(batch)
         cost = self.cost
         coordinated = self.mode is not BroMode.UNMODIFIED
@@ -534,7 +534,7 @@ class BroInstance:
             # Session-major, module order within: detectors are
             # stateful, so the feed order is part of the result.
             for index in np.flatnonzero(any_sampled):
-                session = batch.sessions[index]
+                session = batch[index]
                 for spec, sampled in zip(self.modules, sampled_masks):
                     if sampled[index]:
                         detector = self.detectors.get(spec.name)

@@ -17,6 +17,7 @@ from ..core.dispatch import CoordinatedDispatcher, UnitResolver
 from ..core.manifest import full_manifest
 from ..topology.datasets import internet2
 from ..topology.routing import PathSet
+from ..traffic.batch import SessionBatch
 from ..traffic.generator import GeneratorConfig, TrafficGenerator
 from ..traffic.profiles import mixed_profile
 from ..traffic.session import Session
@@ -64,7 +65,7 @@ class MicrobenchRow:
     mem_event: OverheadStats
 
 
-def _standalone_trace(num_sessions: int, seed: int) -> List[Session]:
+def _standalone_trace(num_sessions: int, seed: int) -> SessionBatch:
     """A mixed trace as seen by one standalone node."""
     topology = internet2()
     paths = PathSet(topology)

@@ -1,22 +1,42 @@
-"""Columnar view of a session trace for vectorized processing.
+"""The session trace, as columns.
 
-The batch engine and batch dispatcher both need the same field arrays
-(5-tuple columns, packet counts, half-open flags) and the same
-routing-pair grouping.  :class:`SessionBatch` extracts them from the
-``Session`` objects **once per trace** (or per streamed chunk): that
-Python-side sweep is the expensive part, so everything downstream works
-on index views of the one *root* batch —
+:class:`SessionBatch` is the trace type of the whole pipeline: the
+generator appends drawn values to column lists and hands them to
+:meth:`SessionBatch.from_columns`, and the planner (``build_units``),
+the dispatcher and the engine read those arrays — no ``Session`` object
+exists on the generate → plan / emulate path.  A batch is also a
+``Sequence[Session]`` (``len``, ``batch[i]``, ``batch[a:b]``,
+iteration) for the consumers that want objects: detectors, the flow
+exporter, the control plane's per-ingress lists, the tests.
 
-* :meth:`SessionBatch.take` gathers a sub-batch with NumPy ``take`` on
-  the root's columns; the per-node traces of paper §2.4 are such takes
-  (``TrafficGenerator.split_batch``), never per-node ``Session`` lists;
-* :meth:`SessionBatch.hash_column` memoises the lookup3 hash column per
-  ``(aggregation, seed)`` on the root and slices it for a child, so a
+What is a **root**.  A batch that owns its rows: built from columns
+(``from_columns``; the generator's chunks), from a list of ``Session``
+objects (``SessionBatch(sessions)``; hand-built or filtered traces), or
+unpickled.  Everything else is an index **view** of a root —
+
+* :meth:`take` (and a slice, which is a ``take`` of a range) gathers the
+  nine engine columns with NumPy ``take`` and remembers its root and its
+  row positions there; the per-node traces of paper §2.4 are such takes
+  (``TrafficGenerator.split_batch``), as is ``generate()``'s start-time
+  order and ``SessionBatch(batch)``.
+
+What is **lazy**, and cached where.
+
+* ``Session`` objects.  A column-born root builds all of its objects on
+  the first ``batch[i]`` / iteration anywhere in its family (one bulk
+  ``tolist()`` per column, so the fields are Python ``int`` / ``float``
+  / ``bool``) and keeps the list; a list-born root's cache is the list
+  it was given.  A view resolves ``batch[i]`` through its row positions
+  into the root's list, so an object is built at most once per root
+  however many views iterate it.
+* The columns only the object view reads — ``start_time``,
+  ``num_bytes``, ``malicious`` and ``template_ids`` into the small
+  ``templates`` table (``app``, ``payload_tag``, ``probe``) — live on
+  the column-born root alone; a view never copies them.
+* :meth:`hash_column` memoises the lookup3 hash column per
+  ``(aggregation, seed)`` on the root and slices it for a view, so a
   session is hashed once per trace and not once per node on its path —
-  the vector form of §2.3's "store the hash in the connection record";
-* ``batch.sessions[i]`` on a child resolves lazily to the root's
-  ``Session`` object, for the consumers (detectors, the tests' scalar
-  oracle) that want objects rather than columns.
+  the vector form of §2.3's "store the hash in the connection record".
 
 Group ids: unit keys depend only on a session's (ingress, egress)
 pair, so sessions are bucketed by pair; dispatch resolves units once
@@ -28,9 +48,11 @@ from __future__ import annotations
 from collections.abc import Sequence as _SequenceABC
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .packet import FiveTuple
+from .profiles import SessionTemplate
 from .session import Session
 
-#: Per-session columns a child gathers from its parent.
+#: Per-session columns the engine reads; a view gathers them.
 _COLUMNS = (
     "src",
     "dst",
@@ -43,44 +65,37 @@ _COLUMNS = (
     "session_ids",
 )
 
-
-class _Rows(_SequenceABC):
-    """``Session`` objects of a taken batch, resolved on access."""
-
-    __slots__ = ("_sessions", "_index")
-
-    def __init__(self, sessions: Sequence[Session], index):
-        self._sessions = sessions
-        self._index = index
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-    def __getitem__(self, i) -> Session:
-        return self._sessions[self._index[i]]
-
-    def __iter__(self) -> Iterator[Session]:
-        sessions = self._sessions
-        return (sessions[i] for i in self._index.tolist())
+#: Per-session columns only the ``Session`` view reads; they stay on
+#: the column-born root (``None`` on a view and on a list-born root).
+_DETAIL = ("start_time", "num_bytes", "malicious", "template_ids")
 
 
-class SessionBatch:
+class SessionBatch(_SequenceABC):
     """Field arrays for one session trace (built once, read many)."""
 
-    __slots__ = _COLUMNS + (
-        "sessions",
-        "group_ids",
-        "pairs",
-        "hashes_computed",
-        "_root",
-        "_index",
-        "_hashes",
+    __slots__ = (
+        _COLUMNS
+        + _DETAIL
+        + (
+            "templates",
+            "group_ids",
+            "pairs",
+            "hashes_computed",
+            "_objects",
+            "_root",
+            "_index",
+            "_hashes",
+        )
     )
 
     def __init__(self, sessions: Sequence[Session]):
+        """Columns extracted from ``Session`` objects (or, given a
+        batch, an index view of it)."""
         import numpy as np
 
-        self.sessions = sessions
+        if isinstance(sessions, SessionBatch):
+            self._init_view(sessions, np.arange(len(sessions)))
+            return
         n = len(sessions)
         tuples = [session.tuple for session in sessions]
         self.src = np.fromiter((t.src for t in tuples), dtype=np.uint64, count=n)
@@ -91,9 +106,6 @@ class SessionBatch:
         self.pkts = np.fromiter(
             (s.num_packets for s in sessions), dtype=np.int64, count=n
         )
-        #: float64 packet counts; exact (packet counts are far below 2**53),
-        #: so vectorized per-packet charges round identically to scalar.
-        self.pkts_f = self.pkts.astype(np.float64)
         self.half_open = np.fromiter(
             (s.half_open for s in sessions), dtype=bool, count=n
         )
@@ -111,56 +123,118 @@ class SessionBatch:
                 seen[pair] = gid
                 pairs.append(pair)
             group_ids[i] = gid
+        self._init_root(group_ids, pairs)
+        self._objects = sessions
+
+    @classmethod
+    def from_columns(
+        cls,
+        *,
+        src,
+        dst,
+        sport,
+        dport,
+        proto,
+        pkts,
+        half_open,
+        session_ids,
+        group_ids,
+        pairs: List[Tuple[str, str]],
+        start_time,
+        num_bytes,
+        malicious,
+        template_ids,
+        templates: Tuple[SessionTemplate, ...],
+    ) -> "SessionBatch":
+        """A root born as columns (no ``Session`` behind it).
+
+        Arrays are taken as given — the dtypes are the caller's to get
+        right (``uint64`` hosts, ``int64`` ports / protocol / packets /
+        bytes / ids, ``bool`` flags, ``float64`` start times, ``intp``
+        group and template ids); ``pairs`` holds the distinct routing
+        pairs in first-seen order and ``templates[template_ids[i]]``
+        names row *i*'s application.
+        """
+        batch = object.__new__(cls)
+        batch.src, batch.dst, batch.sport, batch.dport = src, dst, sport, dport
+        batch.proto, batch.pkts, batch.half_open = proto, pkts, half_open
+        batch.session_ids = session_ids
+        batch._init_root(group_ids, pairs)
+        batch.start_time, batch.num_bytes = start_time, num_bytes
+        batch.malicious, batch.template_ids = malicious, template_ids
+        batch.templates = templates
+        return batch
+
+    @classmethod
+    def of(cls, sessions) -> "SessionBatch":
+        """*sessions* as a batch: itself if it is one, built if a list."""
+        return sessions if isinstance(sessions, SessionBatch) else cls(sessions)
+
+    def _init_root(self, group_ids, pairs: List[Tuple[str, str]]) -> None:
+        import numpy as np
+
+        #: float64 packet counts; exact (packet counts are far below 2**53),
+        #: so vectorized per-packet charges round identically to scalar.
+        self.pkts_f = self.pkts.astype(np.float64)
         #: Per-session index into :attr:`pairs`.
         self.group_ids = group_ids
         #: Distinct (ingress, egress) routing pairs in this trace
-        #: (first-seen order on a root, the parent's order on a child).
+        #: (first-seen order on a root, the parent's order on a view).
         self.pairs = pairs
+        self._attach(None, None)
+
+    def _attach(self, root: Optional["SessionBatch"], index) -> None:
+        """The state every new batch starts from: row *index* into
+        *root* (``None`` on a root), nothing hashed, nothing cached."""
         #: lookup3 evaluations :meth:`hash_column` performed on this
-        #: batch's columns (children never hash; read it on the root).
+        #: batch's columns (views never hash; read it on the root).
         self.hashes_computed = 0
-        self._root: Optional[SessionBatch] = None
-        self._index = None
+        for name in _DETAIL:
+            setattr(self, name, None)
+        self.templates = None
+        self._objects = None
+        self._root = root
+        self._index = index
         self._hashes: Dict[tuple, "object"] = {}
+
+    def _init_view(self, parent: "SessionBatch", index) -> None:
+        import numpy as np
+
+        for name in _COLUMNS:
+            setattr(self, name, getattr(parent, name).take(index))
+        # Keep ``pairs`` to the pairs present, as on a built batch —
+        # dispatch builds per-pair tables, and a node sees a fraction
+        # of a large topology's pairs.  ``remap`` is monotone, so the
+        # view's pair order is its parent's.
+        gids = parent.group_ids.take(index)
+        present = np.zeros(len(parent.pairs), dtype=bool)
+        present[gids] = True
+        remap = np.cumsum(present) - 1
+        self.group_ids = remap.take(gids)
+        self.pairs = [parent.pairs[g] for g in np.flatnonzero(present).tolist()]
+        self._attach(
+            parent.root, index if parent._index is None else parent._index.take(index)
+        )
 
     @property
     def root(self) -> "SessionBatch":
-        """The batch whose columns were built from ``Session`` objects."""
+        """The batch that owns this batch's rows (itself, unless a view)."""
         return self._root if self._root is not None else self
 
     def take(self, index) -> "SessionBatch":
         """The sub-batch at positions *index* — a gather, not a rebuild.
 
-        Element-equal to ``SessionBatch([self.sessions[i] for i in
-        index])`` in every column and in the pair each group id resolves
-        to, at NumPy speed.  The child stays attached to this batch's
-        root: its ``sessions`` resolve lazily and its hash columns are
-        slices of the root's (:meth:`hash_column`).
+        Element-equal to ``SessionBatch([self[i] for i in index])`` in
+        every column and in the pair each group id resolves to, at NumPy
+        speed.  The view stays attached to this batch's root: its
+        ``Session`` objects resolve lazily there and its hash columns
+        are slices of the root's (:meth:`hash_column`).
         """
         import numpy as np
 
-        index = np.asarray(index, dtype=np.intp)
-        child = object.__new__(SessionBatch)
-        for name in _COLUMNS:
-            setattr(child, name, getattr(self, name).take(index))
-        # Keep ``pairs`` to the pairs present, as on a built batch —
-        # dispatch builds per-pair tables, and a node sees a fraction
-        # of a large topology's pairs.  ``remap`` is monotone, so the
-        # child's pair order is this batch's.
-        gids = self.group_ids.take(index)
-        present = np.zeros(len(self.pairs), dtype=bool)
-        present[gids] = True
-        remap = np.cumsum(present) - 1
-        child.group_ids = remap.take(gids)
-        child.pairs = [self.pairs[g] for g in np.flatnonzero(present).tolist()]
-        root = self.root
-        root_index = index if self._index is None else self._index.take(index)
-        child.sessions = _Rows(root.sessions, root_index)
-        child.hashes_computed = 0
-        child._root = root
-        child._index = root_index
-        child._hashes = {}
-        return child
+        view = object.__new__(SessionBatch)
+        view._init_view(self, np.asarray(index, dtype=np.intp))
+        return view
 
     def hash_column(self, aggregation, seed: int):
         """Per-session ``HASH`` values in ``[0, 1)`` at *aggregation*.
@@ -169,7 +243,7 @@ class SessionBatch:
         first time any batch of the family asks — one NumPy pass is
         cheaper than per-element probes of a dict cache (measured: the
         probe loop, not hashing, dominated a cache-aware variant) — and
-        memoised there; a child gathers its rows from the root's
+        memoised there; a view gathers its rows from the root's
         column.  Values are bit-identical to the scalar
         ``hash_unit(key_for(...), seed)``.
         """
@@ -210,16 +284,82 @@ class SessionBatch:
             return self.dst.astype(np.int64)
         return self.session_ids
 
-    def __len__(self) -> int:
-        return len(self.sessions)
+    # -- the Sequence[Session] view -------------------------------------------
+    def _session_objects(self) -> Sequence[Session]:
+        """This root's ``Session`` objects, built from the columns once."""
+        objects = self._objects
+        if objects is None:
+            pairs = [self.pairs[g] for g in self.group_ids.tolist()]
+            templates = [self.templates[t] for t in self.template_ids.tolist()]
+            objects = self._objects = [
+                Session(
+                    session_id=session_id,
+                    tuple=FiveTuple(src, dst, sport, dport, proto),
+                    app=template.name,
+                    ingress=pair[0],
+                    egress=pair[1],
+                    start_time=start_time,
+                    num_packets=pkts,
+                    num_bytes=num_bytes,
+                    malicious=malicious,
+                    payload_tag=template.payload_tag,
+                    half_open=half_open,
+                    probe=template.probe,
+                )
+                for (
+                    session_id, src, dst, sport, dport, proto, template, pair,
+                    start_time, pkts, num_bytes, malicious, half_open,
+                ) in zip(
+                    self.session_ids.tolist(),
+                    self.src.tolist(),
+                    self.dst.tolist(),
+                    self.sport.tolist(),
+                    self.dport.tolist(),
+                    self.proto.tolist(),
+                    templates,
+                    pairs,
+                    self.start_time.tolist(),
+                    self.pkts.tolist(),
+                    self.num_bytes.tolist(),
+                    self.malicious.tolist(),
+                    self.half_open.tolist(),
+                )
+            ]
+        return objects
 
-    # A pickled batch stands alone: a child carries its own rows and
-    # hash slices, not the root it was taken from.
+    def __len__(self) -> int:
+        return len(self.session_ids)
+
+    def __getitem__(self, i):
+        """``batch[i]`` is a ``Session``; ``batch[a:b:c]`` a view."""
+        import numpy as np
+
+        if isinstance(i, slice):
+            return self.take(np.arange(*i.indices(len(self))))
+        objects = self.root._session_objects()
+        return objects[i] if self._index is None else objects[self._index[i]]
+
+    def __iter__(self) -> Iterator[Session]:
+        objects = self.root._session_objects()
+        if self._index is None:
+            return iter(objects)
+        return map(objects.__getitem__, self._index.tolist())
+
+    # A pickled batch stands alone, and as columns: a view carries its
+    # own rows (the root's detail columns gathered at them) and hash
+    # slices, not the root it was taken from.  Only a list-born family
+    # has no columns to rebuild ``Session`` objects from and ships them.
     def __getstate__(self) -> dict:
+        root = self.root
         state = {name: getattr(self, name) for name in self.__slots__}
-        state.update(
-            sessions=list(self.sessions), hashes_computed=0, _root=None, _index=None
-        )
+        state.update(hashes_computed=0, _root=None, _index=None, _objects=None)
+        if root.templates is None:
+            state["_objects"] = list(self)
+        else:
+            state["templates"] = root.templates
+            for name in _DETAIL:
+                column = getattr(root, name)
+                state[name] = column if self._index is None else column.take(self._index)
         return state
 
     def __setstate__(self, state: dict) -> None:

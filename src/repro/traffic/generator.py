@@ -9,11 +9,25 @@ application ports)" and emits template-based sessions.
 Host identifiers embed the home PoP in the high bits, so any component
 can recover a host's ingress node — this plays the role of the paper's
 "configuration files that map IP prefixes to their ingress locations".
+
+The trace is columnar from the moment it is drawn.  One private draw
+loop (``_draw_batches``) consumes one seeded :class:`random.Random`
+stream and appends the drawn values to per-chunk column lists; each
+chunk becomes a root :class:`~repro.traffic.batch.SessionBatch` through
+``SessionBatch.from_columns``.  :meth:`TrafficGenerator.generate_chunks`
+yields those roots (nothing is cached here: a chunk lives as long as its
+consumer holds it), and :meth:`TrafficGenerator.generate` is the single
+full-size chunk viewed in start-time order.  ``Session`` objects are not
+built on this path; a consumer that indexes or iterates a batch gets
+them lazily from the batch's root (see :mod:`repro.traffic.batch`).
+The per-session, object-building form of the same stream is the tests'
+oracle, ``tests/traffic_oracle.py``.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -22,8 +36,8 @@ from ..topology.graph import Topology
 from ..topology.routing import Path, PathSet
 from .batch import SessionBatch
 from .matrix import TrafficMatrix
-from .packet import TCP, FiveTuple
-from .profiles import SessionTemplate, TrafficProfile, mixed_profile
+from .packet import TCP
+from .profiles import TrafficProfile, mixed_profile
 from .session import Session
 
 #: Bits reserved for the per-site host id within a host identifier.
@@ -74,108 +88,157 @@ class TrafficGenerator:
         self.config = config or GeneratorConfig()
         self._node_index = {name: i for i, name in enumerate(topology.node_names)}
 
-    def _random_host(self, node: str, rng: random.Random) -> int:
-        index = self._node_index[node]
-        return host_id(index, rng.randrange(self.config.hosts_per_node))
-
-    def _scanner_host(self, node: str, rng: random.Random) -> int:
-        index = self._node_index[node]
-        return host_id(index, rng.randrange(self.config.scanners_per_node))
-
-    def _build_session(
-        self,
-        session_id: int,
-        ingress: str,
-        egress: str,
-        template: SessionTemplate,
-        rng: random.Random,
-    ) -> Session:
-        if template.probe:
-            # Scans: a small set of sources probing many destinations
-            # and ports, so per-source fan-out is high.
-            src = self._scanner_host(ingress, rng)
-            dst = self._random_host(egress, rng)
-            dport = rng.randrange(1, 1024)
-            proto = TCP
-        elif template.half_open:
-            # SYN floods concentrate on a handful of victim hosts.
-            src = self._random_host(ingress, rng)
-            victim = rng.randrange(self.config.flood_targets_per_node)
-            dst = host_id(self._node_index[egress], victim)
-            dport = template.server_port
-            proto = template.proto
-        else:
-            src = self._random_host(ingress, rng)
-            dst = self._random_host(egress, rng)
-            dport = template.server_port
-            proto = template.proto
-        sport = rng.randrange(1024, 65536)
-        packets = template.draw_packet_count(rng)
-        nbytes = packets * max(
-            40, int(rng.gauss(template.mean_packet_size, template.mean_packet_size * 0.2))
-        )
-        malicious = rng.random() < template.malicious_fraction
-        return Session(
-            session_id=session_id,
-            tuple=FiveTuple(src, dst, sport, dport, proto),
-            app=template.name,
-            ingress=ingress,
-            egress=egress,
-            start_time=rng.random() * self.config.duration_seconds,
-            num_packets=packets,
-            num_bytes=nbytes,
-            malicious=malicious,
-            payload_tag=template.payload_tag,
-            half_open=template.half_open,
-            probe=template.probe,
-        )
-
-    def iter_sessions(self, num_sessions: int) -> Iterator[Session]:
-        """Yield exactly *num_sessions* sessions in generation order.
+    def _draw_batches(
+        self, num_sessions: int, chunk_size: int
+    ) -> Iterator[SessionBatch]:
+        """The one draw loop: *num_sessions* sessions in generation
+        order, as column-born batches of at most *chunk_size* rows.
 
         One :class:`random.Random` seeded once drives the whole stream,
         and sessions are drawn in the deterministic traffic-matrix pair
-        order — so the emitted sequence is a pure function of
-        ``(seed, num_sessions)`` and every consumer (materializing,
-        chunking, streaming) observes the *same* sessions.  This is the
-        single generation primitive; :meth:`generate` and
-        :meth:`generate_chunks` are views over it.
+        order — so the emitted rows are a pure function of
+        ``(seed, num_sessions)``, whatever the chunk size.  Per session
+        the calls on the stream are, in order: the template (one
+        ``random()`` bisected into the profile's cumulative weights,
+        :meth:`TrafficProfile.draw_template`'s arithmetic), source and
+        destination host, the destination port of a probe, the source
+        port, the packet count, the packet size, maliciousness and the
+        start time.  Drawn values are appended to per-chunk column
+        lists; nothing per session is constructed.
         """
-        rng = random.Random(self.config.seed)
-        session_id = 0
-        for (ingress, egress), count in self.matrix.session_counts(num_sessions).items():
-            for _ in range(count):
-                template = self.profile.draw_template(rng)
-                yield self._build_session(session_id, ingress, egress, template, rng)
-                session_id += 1
+        import numpy as np
 
-    def generate(self, num_sessions: int) -> List[Session]:
-        """Generate exactly *num_sessions* sessions.
+        config = self.config
+        rng = random.Random(config.seed)
+        rand, randrange, gauss = rng.random, rng.randrange, rng.gauss
+        hosts = config.hosts_per_node
+        scanners = config.scanners_per_node
+        flood_targets = config.flood_targets_per_node
+        duration = config.duration_seconds
+        templates = self.profile.templates
+        cumulative = self.profile.cumulative_weights
+        total = cumulative[-1] + 0.0
+        hi = len(cumulative) - 1
+        # Scans are TCP whatever their template says.
+        proto_of = np.array([TCP if t.probe else t.proto for t in templates], dtype=np.int64)
+        half_open_of = np.array([t.half_open for t in templates], dtype=bool)
+
+        runs = [
+            (pair, count)
+            for pair, count in self.matrix.session_counts(num_sessions).items()
+            if count
+        ]
+        next_id = 0
+        position = 0  # in ``runs``
+        drawn = 0  # of ``runs[position]``'s count
+        while next_id < num_sessions:
+            room = min(chunk_size, num_sessions - next_id)
+            pairs: List[Tuple[str, str]] = []
+            lengths: List[int] = []
+            tids: List[int] = []
+            srcs: List[int] = []
+            dsts: List[int] = []
+            sports: List[int] = []
+            dports: List[int] = []
+            pkts: List[int] = []
+            nbytes: List[int] = []
+            malicious: List[bool] = []
+            starts: List[float] = []
+            while room:
+                pair, count = runs[position]
+                length = min(room, count - drawn)
+                pairs.append(pair)
+                lengths.append(length)
+                room -= length
+                drawn += length
+                if drawn == count:
+                    position, drawn = position + 1, 0
+                src_home = self._node_index[pair[0]] << HOST_BITS
+                dst_home = self._node_index[pair[1]] << HOST_BITS
+                for _ in range(length):
+                    tid = bisect(cumulative, rand() * total, 0, hi)
+                    template = templates[tid]
+                    # Local host ids and the service port; ``host_id``'s
+                    # composition is applied inline below.
+                    if template.probe:
+                        # Scans: a small set of sources probing many
+                        # destinations and ports, so per-source fan-out
+                        # is high.
+                        src = randrange(scanners)
+                        dst = randrange(hosts)
+                        dport = randrange(1, 1024)
+                    elif template.half_open:
+                        # SYN floods concentrate on a handful of victim hosts.
+                        src = randrange(hosts)
+                        dst = randrange(flood_targets)
+                        dport = template.server_port
+                    else:
+                        src = randrange(hosts)
+                        dst = randrange(hosts)
+                        dport = template.server_port
+                    srcs.append(src_home | (src & _HOST_MASK))
+                    dsts.append(dst_home | (dst & _HOST_MASK))
+                    dports.append(dport)
+                    tids.append(tid)
+                    sports.append(randrange(1024, 65536))
+                    packets = template.draw_packet_count(rng)
+                    pkts.append(packets)
+                    size = template.mean_packet_size
+                    nbytes.append(packets * max(40, int(gauss(size, size * 0.2))))
+                    malicious.append(rand() < template.malicious_fraction)
+                    starts.append(rand() * duration)
+            template_ids = np.array(tids, dtype=np.intp)
+            rows = len(tids)
+            yield SessionBatch.from_columns(
+                src=np.array(srcs, dtype=np.uint64),
+                dst=np.array(dsts, dtype=np.uint64),
+                sport=np.array(sports, dtype=np.int64),
+                dport=np.array(dports, dtype=np.int64),
+                proto=proto_of.take(template_ids),
+                pkts=np.array(pkts, dtype=np.int64),
+                half_open=half_open_of.take(template_ids),
+                session_ids=np.arange(next_id, next_id + rows, dtype=np.int64),
+                group_ids=np.repeat(np.arange(len(pairs), dtype=np.intp), lengths),
+                pairs=pairs,
+                start_time=np.array(starts, dtype=np.float64),
+                num_bytes=np.array(nbytes, dtype=np.int64),
+                malicious=np.array(malicious, dtype=bool),
+                template_ids=template_ids,
+                templates=templates,
+            )
+            next_id += rows
+
+    def generate(self, num_sessions: int) -> SessionBatch:
+        """Generate exactly *num_sessions* sessions, by start time.
 
         Pair counts follow the traffic matrix via largest-remainder
         rounding, so the per-pair volume split is deterministic; the
         per-session randomness (templates, hosts, ports, times) is
-        driven by the configured seed.  The result is sorted by start
-        time (a stable sort over :meth:`iter_sessions` output).
+        driven by the configured seed.  The result is the generation-
+        order batch viewed in start-time order (a stable argsort, so
+        ties keep generation order).
         """
-        sessions = list(self.iter_sessions(num_sessions))
-        sessions.sort(key=lambda s: s.start_time)
-        return sessions
+        import numpy as np
+
+        batch = next(self._draw_batches(num_sessions, num_sessions), None)
+        if batch is None:
+            return SessionBatch([])
+        return batch.take(np.argsort(batch.start_time, kind="stable"))
 
     def generate_chunks(
         self, num_sessions: int, chunk_size: int
-    ) -> Iterator[List[Session]]:
-        """Stream *num_sessions* sessions as chunks of ``chunk_size``.
+    ) -> Iterator[SessionBatch]:
+        """Stream *num_sessions* sessions as batches of ``chunk_size``.
 
-        Memory-bounded companion to :meth:`generate`: only one chunk of
-        sessions is materialized at a time, so multi-million-session
-        runs are bounded by the chunk size, not the trace size.  All
-        chunks are slices of one seeded RNG stream — there is no
-        per-chunk reseeding — so the concatenation of the chunks is the
-        exact :meth:`iter_sessions` sequence for every chunk size, and
-        sorting it by start time reproduces :meth:`generate` verbatim.
-        (The engine's accounting is order-independent, so streamed and
-        materialized runs report identically.)
+        Memory-bounded companion to :meth:`generate`: only one chunk's
+        columns exist at a time, so multi-million-session runs are
+        bounded by the chunk size, not the trace size.  All chunks are
+        slices of one seeded RNG stream — there is no per-chunk
+        reseeding — so the concatenation of the chunks is the same
+        session sequence for every chunk size, and sorting it by start
+        time reproduces :meth:`generate` verbatim.  (The engine's
+        accounting is order-independent, so streamed and materialized
+        runs report identically.)
         """
         if chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
@@ -188,18 +251,10 @@ class TrafficGenerator:
             "traffic_sessions_streamed_total",
             "sessions emitted through the chunked generator path",
         )
-        chunk: List[Session] = []
-        for session in self.iter_sessions(num_sessions):
-            chunk.append(session)
-            if len(chunk) >= chunk_size:
-                chunks.inc()
-                streamed.inc(len(chunk))
-                yield chunk
-                chunk = []
-        if chunk:
+        for batch in self._draw_batches(num_sessions, chunk_size):
             chunks.inc()
-            streamed.inc(len(chunk))
-            yield chunk
+            streamed.inc(len(batch))
+            yield batch
 
     def path_of(self, session: Session) -> Path:
         """The routing path the session traverses."""

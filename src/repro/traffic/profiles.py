@@ -17,7 +17,9 @@ A :class:`TrafficProfile` is a weighted mixture of templates — the
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List
 
 from .packet import TCP, UDP
@@ -112,6 +114,11 @@ class TrafficProfile:
         if total <= 0:
             raise ValueError("profile weights must sum to a positive value")
         self.weights = {name: w / total for name, w in self.weights.items()}
+        #: The draw table, built once: the mixture's templates in weight
+        #: order and the running sums ``random.choices`` would
+        #: re-accumulate from the weights on every call.
+        self.templates = tuple(TEMPLATES[name] for name in self.weights)
+        self.cumulative_weights = list(accumulate(self.weights.values()))
 
     @property
     def template_names(self) -> List[str]:
@@ -119,10 +126,22 @@ class TrafficProfile:
         return list(self.weights)
 
     def draw_template(self, rng: random.Random) -> SessionTemplate:
-        """Sample a template according to the mixture weights."""
-        names = list(self.weights)
-        probabilities = [self.weights[n] for n in names]
-        return TEMPLATES[rng.choices(names, weights=probabilities)[0]]
+        """Sample a template according to the mixture weights.
+
+        One ``rng.random()`` per draw and the float arithmetic of
+        ``rng.choices(names, weights=...)`` — scaled by the last running
+        sum, bisected with ``hi = n - 1`` — so the drawn sequence is the
+        one ``choices`` gives at every seed.
+        """
+        cumulative = self.cumulative_weights
+        return self.templates[
+            bisect(
+                cumulative,
+                rng.random() * (cumulative[-1] + 0.0),
+                0,
+                len(cumulative) - 1,
+            )
+        ]
 
 
 def mixed_profile() -> TrafficProfile:

@@ -188,8 +188,6 @@ class ScalarOracle:
 
     def process_sessions_partial(self, sessions) -> PartialInstanceReport:
         """Reference per-session loop producing an exact partial."""
-        if isinstance(sessions, SessionBatch):
-            sessions = sessions.sessions
         cost = self.cost
         coordinated = self.mode is not BroMode.UNMODIFIED
         partial = PartialInstanceReport.empty(

@@ -37,7 +37,7 @@ _COLUMNS = (
 def assert_same_batch(view: SessionBatch, rebuilt: SessionBatch, seed: int) -> None:
     """*view* (a take) against the batch rebuilt from its sessions."""
     assert len(view) == len(rebuilt)
-    assert all(a is b for a, b in zip(view.sessions, rebuilt.sessions))
+    assert all(a is b for a, b in zip(view, rebuilt))
     for name in _COLUMNS:
         got, want = getattr(view, name), getattr(rebuilt, name)
         assert got.dtype == want.dtype, name
@@ -159,8 +159,10 @@ def test_shared_batch_is_hashed_once_across_runs(planned):
     to share the column build; its hash columns are shared with it."""
     generator, sessions, deployment = planned
     listed = run_emulation(Traffic.materialized(generator, sessions), deployment)
-    traffic = Traffic.materialized(generator, SessionBatch(sessions))
-    assert traffic.materialize() is sessions
+    # A batch rebuilt from the objects is a new root, hashed by no run yet.
+    batch = SessionBatch(list(sessions))
+    traffic = Traffic.materialized(generator, batch)
+    assert traffic.batch() is batch
     aggregations = len({spec.aggregation for spec in STANDARD_MODULES})
     for expected in (aggregations * len(sessions), 0):
         registry = MetricsRegistry()

@@ -50,7 +50,7 @@ class TestEmptyInputs:
 
     def test_generator_zero_sessions(self, world):
         _, _, generator = world
-        assert generator.generate(0) == []
+        assert list(generator.generate(0)) == []
 
 
 class TestTinyTopologies:
