@@ -39,12 +39,6 @@ from .nips_manifest import (
     generate_nips_manifests,
     verify_nips_manifests,
 )
-from .online_tcam import (
-    TCAMFPLConfig,
-    TCAMOnlineAdapter,
-    TCAMOnlineResult,
-    run_tcam_online,
-)
 from .reconfigure import TransitionPlan, conservative_units, plan_transition
 from .nids_lp import (
     BuiltNIDSLP,
@@ -56,10 +50,12 @@ from .nids_lp import (
 )
 from .nips_milp import (
     BuiltNIPSLP,
+    NIPSPolytope,
     NIPSProblem,
     NIPSSolution,
     build_nips_lp,
     build_nips_problem,
+    compile_nips_polytope,
     solve_exact,
     solve_relaxation,
     solve_with_fixed_rules,
@@ -119,6 +115,7 @@ __all__ = [
     "NIDSDeployment",
     "NIPSDispatcher",
     "NIPSNodeManifest",
+    "NIPSPolytope",
     "NIPSProblem",
     "NIPSSolution",
     "NodeManifest",
@@ -126,9 +123,6 @@ __all__ = [
     "RegretPoint",
     "RoundedSolution",
     "RoundingVariant",
-    "TCAMFPLConfig",
-    "TCAMOnlineAdapter",
-    "TCAMOnlineResult",
     "TCAMSweepPoint",
     "TransitionPlan",
     "UnitResolver",
@@ -140,6 +134,7 @@ __all__ = [
     "build_nips_lp",
     "build_nips_problem",
     "build_units",
+    "compile_nips_polytope",
     "conservative_units",
     "decision_value",
     "delta_is_empty",
@@ -162,7 +157,6 @@ __all__ = [
     "round_enablement",
     "rounded_deployment",
     "run_online_adaptation",
-    "run_tcam_online",
     "sampled_node",
     "solve_best_response",
     "solve_exact",

@@ -18,7 +18,10 @@ MAX-CUT in the paper's technical report); this module provides the
 exact formulation, its LP relaxation (``OptLP``, the upper bound used
 throughout the Fig. 10 evaluation), restricted LPs with ``e`` fixed
 (used by the improved rounding variants), and an exact branch-and-bound
-solve for small instances.
+solve for small instances.  Eqs. 7 and 9–11 are stated once, by
+:func:`compile_nips_polytope`: the full program wraps that compiled
+polytope with ``e``, Eq. 8 and Eq. 12, and the restricted LP is the
+polytope itself under the bounds ``d <= ê``.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..lp.milp import MILPSolution, solve_milp
-from ..lp.model import LinearProgram, LinExpr, Sense, Variable, linear_sum
-from ..lp.solver import LPSolution, solve_or_raise
+from ..lp.model import CompiledLP, LinearProgram, LinExpr, Relation, Sense
+from ..lp.solver import solve_or_raise
 from ..nips.rules import MatchRateMatrix, NIPSRule
 from ..topology.graph import Topology
 from ..topology.routing import DistanceMetric, Path, PathSet
@@ -246,15 +251,6 @@ def build_nips_problem(
 
 
 @dataclass
-class BuiltNIPSLP:
-    """Constructed program plus variable maps."""
-
-    program: LinearProgram
-    e_vars: Dict[EKey, Variable]
-    d_vars: Dict[DKey, Variable]
-
-
-@dataclass
 class NIPSSolution:
     """A (possibly fractional) NIPS deployment."""
 
@@ -270,98 +266,176 @@ class NIPSSolution:
         )
 
 
-def build_nips_lp(
-    problem: NIPSProblem,
-    integral: bool = False,
-    fixed_e: Optional[Mapping[EKey, int]] = None,
-) -> BuiltNIPSLP:
-    """Construct Eqs. 7–14.
+@dataclass
+class NIPSPolytope:
+    """The ``d``-only polytope of one problem — Eqs. 9–11 and 13 with
+    Eq. 7 as objective — compiled once.
+
+    ``d`` variables are in (rule, pair, on-path node) order.  What
+    Sections 3.3 and 3.5 re-solve is this program under other bounds
+    (``e`` fixed makes Eq. 12 the bound ``d_ikj <= ê_ij``) or another
+    cost vector (FPL's perturbed weights): ``compiled.with_bounds`` /
+    ``with_cost``, which share its matrices.  Whoever loops holds one
+    for the length of the loop.
+    """
+
+    problem: NIPSProblem
+    e_keys: List[EKey]  # rule-major over the topology's nodes
+    d_keys: List[DKey]
+    #: Per ``d`` variable, the position in ``e_keys`` of the ``e_ij``
+    #: Eq. 12 links it to (same rule, same node).
+    enabler: np.ndarray
+    compiled: CompiledLP
+
+    def enabler_values(self, e: Mapping[EKey, float]) -> np.ndarray:
+        """Per ``d`` variable, what *e* gives its Eq. 12 ``e_ij`` (0 when absent)."""
+        return np.array([e.get(key, 0.0) for key in self.e_keys], dtype=np.float64)[
+            self.enabler
+        ]
+
+    def d_vector(self, d: Mapping[DKey, float]) -> np.ndarray:
+        """A ``d``-keyed mapping as a vector in variable order (0 when absent)."""
+        return np.array([d.get(key, 0.0) for key in self.d_keys], dtype=np.float64)
+
+    def d_mapping(self, values: Sequence[float], kept: Sequence[bool]) -> Dict[DKey, float]:
+        """The inverse, on the variables *kept* marks."""
+        return {key: value for key, value, keep in zip(self.d_keys, values, kept) if keep}
+
+
+def compile_nips_polytope(problem: NIPSProblem) -> NIPSPolytope:
+    """The one statement of Eqs. 7 and 9–11, as index blocks.
+
+    With ``H`` (pair, on-path node) hops, ``d`` variable ``r·H + h`` is
+    rule ``r`` on hop ``h``.  Rows ``2k`` / ``2k + 1`` are the memory /
+    CPU capacity of the ``k``-th node some path traverses, rows
+    ``2K + r·P + p`` the sampling bound of (rule ``r``, pair ``p``).
+    Each coefficient is the product the per-term model formed
+    (``(T^items · M) · Dist``, ``T^items · MemReq``, ``T^pkts · CpuReq``).
+    """
+    node_names = problem.topology.node_names
+    node_index = {name: j for j, name in enumerate(node_names)}
+    pairs, rules = problem.pairs, problem.rules
+    hops = [(p, node) for p, pair in enumerate(pairs) for node in problem.paths[pair].nodes]
+    d_keys = [(rule.index, pairs[p], node) for rule in rules for p, node in hops]
+    rule_of = np.repeat(np.arange(len(rules)), len(hops))
+    pair_of = np.tile(np.array([p for p, _ in hops], dtype=np.intp), len(rules))
+    node_of = np.tile(np.array([node_index[n] for _, n in hops], dtype=np.intp), len(rules))
+
+    items = np.array([problem.items[pair] for pair in pairs])[pair_of]
+    pkts = np.array([problem.pkts[pair] for pair in pairs])[pair_of]
+    rate = np.array(
+        [problem.match.rate(rule.index, pair) for rule in rules for pair in pairs]
+    ).reshape(len(rules), len(pairs))[rule_of, pair_of]
+    dist = np.tile([problem.dist[pairs[p]][node] for p, node in hops], len(rules))
+    mem_req = np.array([rule.mem_req for rule in rules])[rule_of]
+    cpu_req = np.array([rule.cpu_req for rule in rules])[rule_of]
+
+    # Capacity rows exist only for nodes some path traverses.
+    on_path = np.flatnonzero(np.bincount(node_of, minlength=len(node_names)))
+    rank = np.zeros(len(node_names), dtype=np.intp)
+    rank[on_path] = np.arange(len(on_path))
+    capacities = [
+        capacity
+        for node in (problem.topology.node(node_names[j]) for j in on_path)
+        for capacity in (node.mem_capacity, node.cpu_capacity)
+    ]
+
+    lp = LinearProgram("nips-polytope")
+    d = lp.add_variables(
+        len(d_keys),
+        lambda: [f"d[{i}|{a}-{b}|{node}]" for i, (a, b), node in d_keys],
+        lb=0.0,
+        ub=1.0,
+    )
+    lp.add_constraints(
+        Relation.LE,
+        rows=np.concatenate(
+            (
+                2 * rank[node_of],
+                2 * rank[node_of] + 1,
+                2 * len(on_path) + rule_of * len(pairs) + pair_of,
+            )
+        ),
+        cols=np.tile(d, 3),
+        data=np.concatenate((items * mem_req, pkts * cpu_req, np.ones(len(d)))),
+        rhs=np.concatenate((capacities, np.ones(len(rules) * len(pairs)))),
+        names=lambda: [f"{kind}[{node_names[j]}]" for j in on_path for kind in ("mem", "cpu")]
+        + [f"sample[{rule.index}|{a}-{b}]" for rule in rules for a, b in pairs],
+    )
+    value = items * rate * dist
+    worth = np.flatnonzero(value > 0.0)
+    lp.set_objective(
+        LinExpr(dict(zip(worth.tolist(), value[worth].tolist()))), Sense.MAXIMIZE
+    )
+    return NIPSPolytope(
+        problem=problem,
+        e_keys=[(rule.index, node) for rule in rules for node in node_names],
+        d_keys=d_keys,
+        enabler=rule_of * len(node_names) + node_of,
+        compiled=lp.compile(),
+    )
+
+
+@dataclass
+class BuiltNIPSLP:
+    """The full program (Eqs. 7–14): variables are the polytope's
+    ``e_keys`` then its ``d_keys``."""
+
+    program: LinearProgram
+    polytope: NIPSPolytope
+
+
+def build_nips_lp(problem: NIPSProblem, integral: bool = False) -> BuiltNIPSLP:
+    """Construct Eqs. 7–14: the ``e`` block, Eq. 12 and Eq. 8 wrapped
+    around the compiled ``d``-only polytope.
 
     ``integral=False`` builds the LP relaxation (``0 <= e <= 1``).
-    ``fixed_e`` pins the enablement variables to given binary values,
-    yielding the restricted d-only LP used after rounding; disabled
-    (rule, node) combinations are omitted entirely, which keeps the
-    restricted program small.
+    Rows are Eq. 12 (one per ``d``), Eq. 8 (one per node), then the
+    polytope's own Eqs. 9–11.
     """
+    polytope = compile_nips_polytope(problem)
+    inner = polytope.compiled
+    node_names = problem.topology.node_names
     lp = LinearProgram("nips-deployment")
-    e_vars: Dict[EKey, Variable] = {}
-    d_vars: Dict[DKey, Variable] = {}
-
-    def enabled_value(i: int, node: str) -> Optional[float]:
-        if fixed_e is None:
-            return None
-        return float(fixed_e.get((i, node), 0))
-
-    for rule in problem.rules:
-        for node in problem.topology.node_names:
-            fixed = enabled_value(rule.index, node)
-            if fixed is None:
-                e_vars[(rule.index, node)] = lp.add_variable(
-                    f"e[{rule.index}|{node}]", binary=integral, lb=0.0, ub=1.0
-                )
-            # fixed e needs no variable; Eq. 12 becomes a bound on d.
-
-    objective_terms: List[LinExpr] = []
-    path_terms: Dict[Tuple[int, Pair], List[Variable]] = {}
-    mem_terms: Dict[str, List[LinExpr]] = {n: [] for n in problem.topology.node_names}
-    cpu_terms: Dict[str, List[LinExpr]] = {n: [] for n in problem.topology.node_names}
-
-    for rule in problem.rules:
-        i = rule.index
-        for pair in problem.pairs:
-            rate = problem.match.rate(i, pair)
-            for node in problem.paths[pair].nodes:
-                fixed = enabled_value(i, node)
-                if fixed is not None and fixed <= 0.0:
-                    continue  # rule disabled here: d forced to 0, omit
-                var = lp.add_variable(f"d[{i}|{pair[0]}-{pair[1]}|{node}]", lb=0.0, ub=1.0)
-                d_vars[(i, pair, node)] = var
-                weight = problem.items[pair] * rate * problem.dist[pair][node]
-                if weight > 0.0:
-                    objective_terms.append(var * weight)
-                path_terms.setdefault((i, pair), []).append(var)
-                mem_terms[node].append(var * (problem.items[pair] * rule.mem_req))
-                cpu_terms[node].append(var * (problem.pkts[pair] * rule.cpu_req))
-                if fixed is None:
-                    lp.add_constraint(
-                        var <= e_vars[(i, node)], name=f"link[{i}|{pair}|{node}]"
-                    )
-
-    # Eq. 8: TCAM capacity (only over free e variables; fixed assignments
-    # are validated by the caller via check_feasible).
-    if fixed_e is None:
-        for node_name in problem.topology.node_names:
-            node = problem.topology.node(node_name)
-            terms = [
-                e_vars[(rule.index, node_name)] * rule.cam_req
-                for rule in problem.rules
-            ]
-            lp.add_constraint(
-                linear_sum(terms) <= node.cam_capacity, name=f"cam[{node_name}]"
-            )
-
-    # Eqs. 9-10: node memory and CPU capacity.
-    for node_name in problem.topology.node_names:
-        node = problem.topology.node(node_name)
-        if mem_terms[node_name]:
-            lp.add_constraint(
-                linear_sum(mem_terms[node_name]) <= node.mem_capacity,
-                name=f"mem[{node_name}]",
-            )
-        if cpu_terms[node_name]:
-            lp.add_constraint(
-                linear_sum(cpu_terms[node_name]) <= node.cpu_capacity,
-                name=f"cpu[{node_name}]",
-            )
-
-    # Eq. 11: at most the whole path's traffic is sampled.
-    for (i, pair), variables in path_terms.items():
-        lp.add_constraint(
-            linear_sum(variables) <= 1.0, name=f"sample[{i}|{pair[0]}-{pair[1]}]"
-        )
-
-    lp.set_objective(linear_sum(objective_terms), Sense.MAXIMIZE)
-    return BuiltNIPSLP(program=lp, e_vars=e_vars, d_vars=d_vars)
+    e = lp.add_variables(
+        len(polytope.e_keys),
+        lambda: [f"e[{i}|{node}]" for i, node in polytope.e_keys],
+        lb=0.0,
+        ub=1.0,
+    )
+    if integral:
+        lp.binary_indices.extend(e)
+    d = lp.add_variables(
+        inner.num_variables, lambda: list(inner.variable_names), lb=0.0, ub=1.0
+    )
+    # Eq. 12: d_ikj - e_ij <= 0.
+    lp.add_constraints(
+        Relation.LE,
+        rows=np.tile(np.arange(len(d)), 2),
+        cols=np.concatenate((d, e.start + polytope.enabler)),
+        data=np.repeat([1.0, -1.0], len(d)),
+        rhs=np.zeros(len(d)),
+        names=lambda: [f"link[{i}|{pair}|{node}]" for i, pair, node in polytope.d_keys],
+    )
+    # Eq. 8: TCAM capacity, e being rule-major over the nodes.
+    lp.add_constraints(
+        Relation.LE,
+        rows=np.tile(np.arange(len(node_names)), len(problem.rules)),
+        cols=e,
+        data=np.repeat([rule.cam_req for rule in problem.rules], len(node_names)),
+        rhs=[problem.topology.node(name).cam_capacity for name in node_names],
+        names=[f"cam[{name}]" for name in node_names],
+    )
+    rows = inner.a_ub.tocoo()
+    lp.add_constraints(
+        Relation.LE, rows.row, d.start + rows.col, rows.data, inner.b_ub,
+        lambda: list(inner.ineq_names),
+    )
+    lp.set_objective(
+        LinExpr({d.start + k: -cost for k, cost in enumerate(inner.cost) if cost}),
+        Sense.MAXIMIZE,
+    )
+    return BuiltNIPSLP(program=lp, polytope=polytope)
 
 
 def solve_relaxation(problem: NIPSProblem) -> NIPSSolution:
@@ -370,40 +444,41 @@ def solve_relaxation(problem: NIPSProblem) -> NIPSSolution:
     built = build_nips_lp(problem, integral=False)
     solution = solve_or_raise(built.program)
     elapsed = time.perf_counter() - started
+    e_keys, d_keys = built.polytope.e_keys, built.polytope.d_keys
     return NIPSSolution(
-        e={key: solution.value(var) for key, var in built.e_vars.items()},
-        d={key: solution.value(var) for key, var in built.d_vars.items()},
+        e=dict(zip(e_keys, solution.values[: len(e_keys)])),
+        d=dict(zip(d_keys, solution.values[len(e_keys) :])),
         objective=solution.objective,
         solve_seconds=elapsed,
     )
 
 
 def solve_with_fixed_rules(
-    problem: NIPSProblem, fixed_e: Mapping[EKey, int]
+    polytope: NIPSPolytope, fixed_e: Mapping[EKey, int]
 ) -> NIPSSolution:
     """Solve the d-only LP given a binary rule placement (the
     "solve a second LP" improvement of Section 3.3).
 
-    A placement that enables nothing (possible when the TCAM budget is
-    below one rule slot) filters nothing: the restricted program is
-    empty and the zero deployment is returned directly.
+    With ``e`` fixed Eq. 12 is the bound ``d_ikj <= ê_ij`` on the
+    polytope; Eq. 8 has no ``d`` in it and stays the caller's
+    :meth:`NIPSProblem.check`.  ``d`` is reported on enabled
+    (rule, node) combinations only.  A placement that enables nothing
+    (possible when the TCAM budget is below one rule slot) filters
+    nothing: the zero deployment is returned directly.
     """
     started = time.perf_counter()
-    built = build_nips_lp(problem, fixed_e=fixed_e)
-    if built.program.num_variables == 0:
+    upper = polytope.enabler_values(fixed_e)
+    e = {key: float(value) for key, value in fixed_e.items()}
+    if not upper.any():
         return NIPSSolution(
-            e={key: float(value) for key, value in fixed_e.items()},
-            d={},
-            objective=0.0,
-            solve_seconds=time.perf_counter() - started,
+            e=e, d={}, objective=0.0, solve_seconds=time.perf_counter() - started
         )
-    solution = solve_or_raise(built.program)
-    elapsed = time.perf_counter() - started
+    solution = solve_or_raise(polytope.compiled.with_bounds(0.0, upper))
     return NIPSSolution(
-        e={key: float(value) for key, value in fixed_e.items()},
-        d={key: solution.value(var) for key, var in built.d_vars.items()},
+        e=e,
+        d=polytope.d_mapping(solution.values, upper),
         objective=solution.objective,
-        solve_seconds=elapsed,
+        solve_seconds=time.perf_counter() - started,
     )
 
 

@@ -21,9 +21,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..lp.model import LinearProgram, Sense, Variable, linear_sum
 from ..lp.solver import solve_or_raise
-from .nips_milp import DKey, NIPSProblem
+from .nips_milp import DKey, NIPSPolytope, NIPSProblem, compile_nips_polytope
 
 MatchRates = Dict[Tuple[int, Tuple[str, str]], float]
 Decision = Dict[DKey, float]
@@ -51,50 +50,24 @@ def decision_value(state: Mapping[DKey, float], decision: Mapping[DKey, float]) 
 
 
 def solve_best_response(
-    problem: NIPSProblem, weights: Mapping[DKey, float]
+    polytope: NIPSPolytope, weights: Mapping[DKey, float]
 ) -> Decision:
     """``Λ``: the offline optimizer over the TCAM-free polytope.
 
     Maximizes ``sum(weights * d)`` subject to the node memory/CPU
     capacities (Eqs. 9–10) and the per-(rule, path) sampling bound
-    (Eq. 11).  Components with non-positive weight are fixed to zero —
-    they can only consume capacity.
+    (Eq. 11): the compiled polytope with *weights* as its cost.
+    Components with non-positive weight are fixed to zero by their
+    upper bound — they can only consume capacity — and left out of the
+    decision.
     """
-    lp = LinearProgram("nips-online")
-    d_vars: Dict[DKey, Variable] = {}
-    mem_terms: Dict[str, List] = {n: [] for n in problem.topology.node_names}
-    cpu_terms: Dict[str, List] = {n: [] for n in problem.topology.node_names}
-    path_terms: Dict[Tuple[int, Tuple[str, str]], List[Variable]] = {}
-    objective_terms = []
-
-    for key, weight in weights.items():
-        if weight <= 0.0:
-            continue
-        i, pair, node = key
-        var = lp.add_variable(f"d[{i}|{pair[0]}-{pair[1]}|{node}]", lb=0.0, ub=1.0)
-        d_vars[key] = var
-        rule = problem.rules[i]
-        objective_terms.append(var * weight)
-        mem_terms[node].append(var * (problem.items[pair] * rule.mem_req))
-        cpu_terms[node].append(var * (problem.pkts[pair] * rule.cpu_req))
-        path_terms.setdefault((i, pair), []).append(var)
-
-    if not d_vars:
+    weight = polytope.d_vector(weights)
+    worth = weight > 0.0
+    if not worth.any():
         # Nothing is worth filtering (all weights non-positive).
         return {}
-
-    for node_name in problem.topology.node_names:
-        node = problem.topology.node(node_name)
-        if mem_terms[node_name]:
-            lp.add_constraint(linear_sum(mem_terms[node_name]) <= node.mem_capacity)
-        if cpu_terms[node_name]:
-            lp.add_constraint(linear_sum(cpu_terms[node_name]) <= node.cpu_capacity)
-    for variables in path_terms.values():
-        lp.add_constraint(linear_sum(variables) <= 1.0)
-
-    lp.set_objective(linear_sum(objective_terms), Sense.MAXIMIZE)
-    solution = solve_or_raise(lp)
-    return {key: solution.value(var) for key, var in d_vars.items()}
+    solution = solve_or_raise(polytope.compiled.with_cost(weight).with_bounds(0.0, worth))
+    return polytope.d_mapping(solution.values, worth)
 
 
 @dataclass
@@ -137,6 +110,8 @@ class FPLAdapter:
     def __init__(self, problem: NIPSProblem, config: FPLConfig):
         self.problem = problem
         self.config = config
+        #: Compiled once; every epoch's ``Λ`` is a cost view of it.
+        self.polytope = compile_nips_polytope(problem)
         # Larger perturbation_scale => larger epsilon => *smaller*
         # perturbation amplitude 1/epsilon.
         self.epsilon = (
@@ -167,7 +142,7 @@ class FPLAdapter:
                     weights[(rule.index, pair, node)] = (
                         items * rate_estimate * self.problem.dist[pair][node]
                     )
-        return solve_best_response(self.problem, weights)
+        return solve_best_response(self.polytope, weights)
 
     def observe(self, rates: Mapping) -> None:
         """Reveal the epoch's true match rates (end of epoch t)."""
@@ -230,7 +205,7 @@ def run_online_adaptation(
         last_decision = decision
 
         if epoch % report_every == 0 or epoch == config.epochs:
-            static = solve_best_response(problem, state_sum)
+            static = solve_best_response(adapter.polytope, state_sum)
             static_total = decision_value(state_sum, static)
             points.append(
                 RegretPoint(

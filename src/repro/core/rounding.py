@@ -30,12 +30,16 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
+import numpy as np
+
 from .manifest import raise_first
 from .nips_milp import (
     DKey,
     EKey,
+    NIPSPolytope,
     NIPSProblem,
     NIPSSolution,
+    compile_nips_polytope,
     solve_relaxation,
     solve_with_fixed_rules,
 )
@@ -66,38 +70,14 @@ class RoundedSolution:
         return self.solution.objective / self.opt_lp if self.opt_lp > 0 else 0.0
 
 
-def _capacity_loads(
-    problem: NIPSProblem, d: Mapping[DKey, float]
-) -> Tuple[Dict[str, float], Dict[str, float], Dict[Tuple[int, Tuple[str, str]], float]]:
-    """Memory/CPU loads per node and per-(rule, path) sampling sums."""
-    mem: Dict[str, float] = {}
-    cpu: Dict[str, float] = {}
-    path_sum: Dict[Tuple[int, Tuple[str, str]], float] = {}
-    for (i, pair, node), fraction in d.items():
-        if fraction <= 0.0:
-            continue
-        rule = problem.rules[i]
-        mem[node] = mem.get(node, 0.0) + problem.items[pair] * rule.mem_req * fraction
-        cpu[node] = cpu.get(node, 0.0) + problem.pkts[pair] * rule.cpu_req * fraction
-        path_sum[(i, pair)] = path_sum.get((i, pair), 0.0) + fraction
-    return mem, cpu, path_sum
-
-
-def _violation_factor(problem: NIPSProblem, d: Mapping[DKey, float]) -> float:
-    """Largest factor by which Eqs. 9–11 are exceeded (1.0 = feasible)."""
-    mem, cpu, path_sum = _capacity_loads(problem, d)
-    worst = 1.0
-    for node_name, load in mem.items():
-        cap = problem.topology.node(node_name).mem_capacity
-        if cap > 0:
-            worst = max(worst, load / cap)
-    for node_name, load in cpu.items():
-        cap = problem.topology.node(node_name).cpu_capacity
-        if cap > 0:
-            worst = max(worst, load / cap)
-    for total in path_sum.values():
-        worst = max(worst, total)
-    return worst
+def _violation_factor(polytope: NIPSPolytope, d: np.ndarray) -> float:
+    """Largest factor by which Eqs. 9–11 are exceeded at the ``d``-block
+    vector *d* (1.0 = feasible): ``max(A · d / b)`` over the polytope's
+    own rows (a zero-capacity row has no factor)."""
+    compiled = polytope.compiled
+    bounded = compiled.b_ub > 0
+    load = compiled.a_ub @ d
+    return float(np.max(load[bounded] / compiled.b_ub[bounded], initial=1.0))
 
 
 def _repair_cam(
@@ -123,7 +103,7 @@ def _repair_cam(
 
 
 def round_enablement(
-    problem: NIPSProblem,
+    polytope: NIPSPolytope,
     relaxed: NIPSSolution,
     rng: random.Random,
     alpha: float = 2.0,
@@ -136,15 +116,14 @@ def round_enablement(
     between conservative scaling (:func:`finish_basic`) and the
     LP-re-solve improvements.
     """
-    eps: Dict[DKey, float] = {}
-    for key, d_star in relaxed.d.items():
-        i, _, node = key
-        e_star = relaxed.e.get((i, node), 0.0)
-        eps[key] = d_star / e_star if e_star > _TINY else 0.0
+    problem = polytope.problem
+    e_star = polytope.enabler_values(relaxed.e)
+    eps = np.divide(
+        polytope.d_vector(relaxed.d), e_star, out=np.zeros(len(e_star)), where=e_star > _TINY
+    )
 
     threshold = beta * problem.log_n()
     e_hat: Dict[EKey, int] = {}
-    d_hat: Dict[DKey, float] = {}
     trials = 0
     while trials < max_trials:
         trials += 1
@@ -152,38 +131,29 @@ def round_enablement(
             key: 1 if rng.random() < min(1.0, value / alpha) else 0
             for key, value in relaxed.e.items()
         }
-        d_hat = {
-            key: eps[key] if e_hat.get((key[0], key[2]), 0) else 0.0
-            for key in relaxed.d
-        }
-        if _violation_factor(problem, d_hat) <= threshold:
+        if _violation_factor(polytope, eps * polytope.enabler_values(e_hat)) <= threshold:
             break
 
     _repair_cam(problem, e_hat, rng)
-    d_hat = {
-        key: value if e_hat.get((key[0], key[2]), 0) else 0.0
-        for key, value in d_hat.items()
-    }
-    return e_hat, d_hat, trials
+    d_hat = eps * polytope.enabler_values(e_hat)
+    return e_hat, dict(zip(polytope.d_keys, d_hat.tolist())), trials
 
 
 def finish_basic(
-    problem: NIPSProblem,
+    polytope: NIPSPolytope,
     d_hat: Mapping[DKey, float],
     e_hat: Mapping[EKey, int],
-    beta: float = 2.0,
 ) -> NIPSSolution:
-    """Fig. 9 lines 11–13: conservative ``beta log N`` down-scaling."""
-    scale = max(1.0, _violation_factor(problem, d_hat))
+    """Fig. 9 lines 11–13: conservative down-scaling."""
     # The paper scales by beta*log N unconditionally; scaling by the
     # *observed* violation factor (capped below by 1) is never less
     # conservative than necessary and keeps the guarantee.
-    scale = max(scale, 1.0)
+    scale = _violation_factor(polytope, polytope.d_vector(d_hat))
     d_scaled = {key: value / scale for key, value in d_hat.items()}
     return NIPSSolution(
         e={key: float(value) for key, value in e_hat.items()},
         d=d_scaled,
-        objective=problem.objective(d_scaled),
+        objective=polytope.problem.objective(d_scaled),
         solve_seconds=0.0,
     )
 
@@ -230,7 +200,7 @@ def greedy_fill(
 
 
 def rounded_deployment(
-    problem: NIPSProblem,
+    polytope: NIPSPolytope,
     variant: RoundingVariant,
     rng: random.Random,
     relaxed: Optional[NIPSSolution] = None,
@@ -238,16 +208,17 @@ def rounded_deployment(
     beta: float = 2.0,
 ) -> RoundedSolution:
     """Run one rounding iteration of the chosen *variant*."""
+    problem = polytope.problem
     if relaxed is None:
         relaxed = solve_relaxation(problem)
-    e_hat, d_hat, trials = round_enablement(problem, relaxed, rng, alpha, beta)
+    e_hat, d_hat, trials = round_enablement(polytope, relaxed, rng, alpha, beta)
 
     if variant is RoundingVariant.BASIC:
-        solution = finish_basic(problem, d_hat, e_hat, beta)
+        solution = finish_basic(polytope, d_hat, e_hat)
     elif variant is RoundingVariant.LP:
-        solution = solve_with_fixed_rules(problem, e_hat)
+        solution = solve_with_fixed_rules(polytope, e_hat)
     else:
-        solution = solve_with_fixed_rules(problem, greedy_fill(problem, e_hat))
+        solution = solve_with_fixed_rules(polytope, greedy_fill(problem, e_hat))
 
     raise_first(problem.check(solution.e, solution.d))
     return RoundedSolution(
@@ -265,13 +236,15 @@ def best_of_roundings(
     seed: int = 0,
     relaxed: Optional[NIPSSolution] = None,
 ) -> RoundedSolution:
-    """The paper's procedure: best of *iterations* independent roundings."""
+    """The paper's procedure: best of *iterations* independent roundings,
+    every one a bounds view of the one polytope compiled here."""
     if relaxed is None:
         relaxed = solve_relaxation(problem)
+    polytope = compile_nips_polytope(problem)
     rng = random.Random(seed)
     best: Optional[RoundedSolution] = None
     for _ in range(iterations):
-        candidate = rounded_deployment(problem, variant, rng, relaxed=relaxed)
+        candidate = rounded_deployment(polytope, variant, rng, relaxed=relaxed)
         if best is None or candidate.solution.objective > best.solution.objective:
             best = candidate
     assert best is not None

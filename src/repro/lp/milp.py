@@ -8,10 +8,12 @@ exact optima on small instances (our tests compare the rounded solution
 to both the true integer optimum and the LP upper bound).
 
 This module implements a plain best-bound branch-and-bound over the
-binary variables of a :class:`~repro.lp.model.LinearProgram`, solving
-LP relaxations with the HiGHS backend at each node.  It is intended for
-instances with tens of binaries — exactly the scale of the test
-fixtures — and exposes a node budget so callers degrade gracefully.
+binary variables of a :class:`~repro.lp.model.LinearProgram`: the
+program is compiled once and every node is the same rows under other
+bounds (a fixed binary has ``lb = ub``), solved with the HiGHS backend.
+It is intended for instances with tens of binaries — exactly the scale
+of the test fixtures — and exposes a node budget so callers degrade
+gracefully.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from .model import LinearProgram, Sense
 from .solver import LPSolution, SolveStatus, solve
@@ -54,32 +58,6 @@ class MILPSolution:
         return self.values[self.variable_names.index(name)]
 
 
-def _relaxation_with_fixings(
-    program: LinearProgram, fixings: Dict[int, int]
-) -> Tuple[List[float], List[Optional[float]]]:
-    """Bounds arrays for the LP relaxation under binary *fixings*."""
-    lower = list(program.lower_bounds)
-    upper = list(program.upper_bounds)
-    for index, value in fixings.items():
-        lower[index] = float(value)
-        upper[index] = float(value)
-    return lower, upper
-
-
-def _solve_relaxation(program: LinearProgram, fixings: Dict[int, int]) -> LPSolution:
-    """Solve the LP relaxation with *fixings* applied, non-destructively."""
-    saved_lower = program.lower_bounds
-    saved_upper = program.upper_bounds
-    lower, upper = _relaxation_with_fixings(program, fixings)
-    program.lower_bounds = lower
-    program.upper_bounds = upper
-    try:
-        return solve(program)
-    finally:
-        program.lower_bounds = saved_lower
-        program.upper_bounds = saved_upper
-
-
 def _most_fractional(values: List[float], binaries: List[int]) -> Optional[int]:
     """Index of the binary variable farthest from integrality, if any."""
     best_index = None
@@ -103,8 +81,17 @@ def solve_milp(program: LinearProgram, max_nodes: int = 5000) -> MILPSolution:
     maximize = program.sense is Sense.MAXIMIZE
     sign = -1.0 if maximize else 1.0  # heap orders by sign * bound (min-heap)
     counter = itertools.count()
+    compiled = program.compile()
+    lower = np.array(program.lower_bounds)
+    upper = np.array([np.inf if ub is None else ub for ub in program.upper_bounds])
 
-    root = _solve_relaxation(program, {})
+    def relaxation(fixings: Dict[int, int]) -> LPSolution:
+        fixed, values = list(fixings), list(fixings.values())
+        node_lower, node_upper = lower.copy(), upper.copy()
+        node_lower[fixed] = node_upper[fixed] = values
+        return solve(compiled.with_bounds(node_lower, node_upper))
+
+    root = relaxation({})
     if root.status is not SolveStatus.OPTIMAL:
         return MILPSolution(
             status=root.status,
@@ -149,7 +136,7 @@ def solve_milp(program: LinearProgram, max_nodes: int = 5000) -> MILPSolution:
         for branch_value in (0, 1):
             child_fixings = dict(fixings)
             child_fixings[branch_index] = branch_value
-            child = _solve_relaxation(program, child_fixings)
+            child = relaxation(child_fixings)
             nodes += 1
             if child.status is not SolveStatus.OPTIMAL:
                 continue

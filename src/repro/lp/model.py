@@ -45,7 +45,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from collections.abc import Sequence as _SequenceABC
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Callable,
     Dict,
@@ -567,6 +567,7 @@ class LinearProgram:
             variable_names=self.variable_names.copy(),
             ineq_names=ub.names,
             eq_names=eq.names,
+            name=self.name,
         )
 
 
@@ -630,15 +631,52 @@ class _Rows:
 
 @dataclass
 class CompiledLP:
-    """Sparse matrix form of a :class:`LinearProgram` (solver input)."""
+    """Sparse matrix form of a :class:`LinearProgram` (solver input).
 
-    cost: List[float]
+    ``cost`` is the vector the backend *minimizes* (negated for a
+    maximization model); ``bounds`` is whatever ``linprog`` accepts — the
+    ``(lb, ub)`` pairs :meth:`LinearProgram.compile` emits, ``None``
+    for unbounded, or an ``(n, 2)`` array.
+
+    A compiled program is solved as it stands
+    (:func:`repro.lp.solver.solve` accepts one) and is never mutated:
+    "the same rows under other bounds" or "under another objective" is
+    a derived object that shares the matrices and names —
+    :meth:`with_bounds`, :meth:`with_cost`.
+    """
+
+    cost: Sequence[float]
     a_ub: object
     b_ub: np.ndarray
     a_eq: object
     b_eq: np.ndarray
-    bounds: List[Tuple[float, Optional[float]]]
+    bounds: Union[List[Tuple[float, Optional[float]]], np.ndarray]
     maximize: bool
     variable_names: Names
     ineq_names: Names
     eq_names: Names
+    name: str = "lp"
+
+    @property
+    def num_variables(self) -> int:
+        """Number of decision variables."""
+        return len(self.cost)
+
+    def objective_value(self, values: Sequence[float]) -> float:
+        """Objective at a candidate point (in the model's own sense)."""
+        internal = float(np.dot(self.cost, values))
+        return (-internal if self.maximize else internal) + 0.0  # no -0.0
+
+    def with_bounds(self, lower, upper) -> "CompiledLP":
+        """The same rows and objective under other variable bounds
+        (scalars or one value per variable; ``np.inf`` for unbounded)."""
+        bounds = np.empty((self.num_variables, 2))
+        bounds[:, 0] = lower
+        bounds[:, 1] = upper
+        return replace(self, bounds=bounds)
+
+    def with_cost(self, cost) -> "CompiledLP":
+        """The same rows and bounds under another objective, *cost* one
+        coefficient per variable in the model's own sense."""
+        cost = np.asarray(cost, dtype=np.float64)
+        return replace(self, cost=-cost if self.maximize else cost)

@@ -11,13 +11,13 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Union
 
 import numpy as np
 from scipy.optimize import linprog
 
 from ..obs import COUNT_BUCKETS, get_registry
-from .model import LinearProgram, Names, Variable
+from .model import CompiledLP, LinearProgram, Names, Variable
 
 
 class SolveStatus(enum.Enum):
@@ -93,24 +93,43 @@ class LPSolution:
         return dict(zip(self.variable_names, self.values))
 
 
-def solve(program: LinearProgram, method: str = "highs") -> LPSolution:
+def solve(
+    program: Union[LinearProgram, CompiledLP], method: str = "highs"
+) -> LPSolution:
     """Solve *program* and return an :class:`LPSolution`.
+
+    *program* is a model, compiled here, or an already compiled one
+    (typically a ``with_bounds`` / ``with_cost`` view of a program that
+    is solved many times; the columns such a view fixes at zero are
+    not handed to the backend and read back as 0).  The objective is
+    evaluated by the program itself: term by term for a
+    :class:`LinearProgram`, ``cost · x`` for a :class:`CompiledLP`.
 
     Never raises for infeasible/unbounded models — callers branch on
     ``solution.status``.  Use :func:`solve_or_raise` when the model is
     known-feasible by construction (e.g. the NIDS coverage LP, which
     always admits ``d_ikj = 1/|P_ik|``).
     """
-    compiled = program.compile()
+    compiled = program if isinstance(program, CompiledLP) else program.compile()
     started = time.perf_counter()
+    cost, a_ub, a_eq, bounds = compiled.cost, compiled.a_ub, compiled.a_eq, compiled.bounds
+    kept = None
+    if isinstance(bounds, np.ndarray):
+        # A bounds view usually fixes most columns at zero (a rounding
+        # enables a few rules per node): they contribute nothing, and
+        # the backend's per-column costs are paid for the others only.
+        kept = np.flatnonzero(bounds.any(axis=1))
+        cost, bounds = np.asarray(cost)[kept], bounds[kept]
+        a_ub = None if a_ub is None else a_ub[:, kept]
+        a_eq = None if a_eq is None else a_eq[:, kept]
     try:
         result = linprog(
-            c=compiled.cost,
-            A_ub=compiled.a_ub,
+            c=cost,
+            A_ub=a_ub,
             b_ub=compiled.b_ub if len(compiled.b_ub) else None,
-            A_eq=compiled.a_eq,
+            A_eq=a_eq,
             b_eq=compiled.b_eq if len(compiled.b_eq) else None,
-            bounds=compiled.bounds,
+            bounds=bounds,
             method=method,
         )
     except ValueError as exc:
@@ -138,7 +157,11 @@ def solve(program: LinearProgram, method: str = "highs") -> LPSolution:
     objective = float("nan")
     values: List[float] = []
     if result.x is not None:
-        values = result.x.tolist()
+        x = result.x
+        if kept is not None:
+            x = np.zeros(compiled.num_variables)
+            x[kept] = result.x
+        values = x.tolist()
         objective = program.objective_value(values)
 
     # HiGHS reports marginals for the *internal* (sign-flipped for
@@ -170,7 +193,7 @@ def solve(program: LinearProgram, method: str = "highs") -> LPSolution:
 
 
 def _record_solve(
-    program: LinearProgram, status: SolveStatus, elapsed: float, nit
+    program: Union[LinearProgram, CompiledLP], status: SolveStatus, elapsed: float, nit
 ) -> None:
     """Record one solve into the ambient telemetry registry.
 
@@ -200,7 +223,9 @@ def _record_solve(
         ).observe(float(nit))
 
 
-def solve_or_raise(program: LinearProgram, method: str = "highs") -> LPSolution:
+def solve_or_raise(
+    program: Union[LinearProgram, CompiledLP], method: str = "highs"
+) -> LPSolution:
     """Solve *program*, raising :class:`SolverError` unless optimal."""
     solution = solve(program, method=method)
     if not solution.optimal:

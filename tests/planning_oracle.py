@@ -11,13 +11,21 @@ surfaces — ``TrafficFilter.matches_session``, ``ModuleSpec.session_cpu``
 expression half of :mod:`repro.lp.model` — so they share no arithmetic
 with the columnar ``build_units`` or the index-block ``build_nids_lp``,
 and ``tests/test_planning_columns.py`` compares the two with ``==``.
+
+The NIPS half (the second part of this file) is the same move for
+Section 3.2: ``build_nips_lp`` with its ``fixed_e=`` fork,
+``solve_with_fixed_rules`` on that fork and ``core/online.py``'s private
+``solve_best_response`` builder, each of which restated Eqs. 9–11 with
+one ``LinExpr`` per term.  ``tests/test_nips_layout.py`` compares the
+product's one index-block layout against them.
 """
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.nids_lp import FractionKey, NIDSAssignment
+from repro.core.nips_milp import DKey, EKey, NIPSProblem, NIPSSolution, Pair
 from repro.core.units import (
     CoordinationUnit,
     UnitKey,
@@ -25,7 +33,7 @@ from repro.core.units import (
     unit_key_for_session,
 )
 from repro.hashing.keys import Aggregation
-from repro.lp.model import LinearProgram, Sense, Variable, linear_sum
+from repro.lp.model import LinearProgram, LinExpr, Sense, Variable, linear_sum
 from repro.lp.solver import LPSolution, solve_or_raise
 from repro.nids.modules.base import ModuleSpec
 from repro.topology.graph import Topology
@@ -220,3 +228,177 @@ def solve_nids_lp(
         solve_seconds=elapsed,
     )
     return assignment, solution
+
+
+# -- NIPS (Section 3.2) --------------------------------------------------------
+@dataclass
+class BuiltNIPSLP:
+    """Constructed program plus variable maps."""
+
+    program: LinearProgram
+    e_vars: Dict[EKey, Variable]
+    d_vars: Dict[DKey, Variable]
+
+
+def build_nips_lp(
+    problem: NIPSProblem,
+    integral: bool = False,
+    fixed_e: Optional[Mapping[EKey, int]] = None,
+) -> BuiltNIPSLP:
+    """Construct Eqs. 7–14.
+
+    ``integral=False`` builds the LP relaxation (``0 <= e <= 1``).
+    ``fixed_e`` pins the enablement variables to given binary values,
+    yielding the restricted d-only LP used after rounding; disabled
+    (rule, node) combinations are omitted entirely, which keeps the
+    restricted program small.
+    """
+    lp = LinearProgram("nips-deployment")
+    e_vars: Dict[EKey, Variable] = {}
+    d_vars: Dict[DKey, Variable] = {}
+
+    def enabled_value(i: int, node: str) -> Optional[float]:
+        if fixed_e is None:
+            return None
+        return float(fixed_e.get((i, node), 0))
+
+    for rule in problem.rules:
+        for node in problem.topology.node_names:
+            fixed = enabled_value(rule.index, node)
+            if fixed is None:
+                e_vars[(rule.index, node)] = lp.add_variable(
+                    f"e[{rule.index}|{node}]", binary=integral, lb=0.0, ub=1.0
+                )
+            # fixed e needs no variable; Eq. 12 becomes a bound on d.
+
+    objective_terms: List[LinExpr] = []
+    path_terms: Dict[Tuple[int, Pair], List[Variable]] = {}
+    mem_terms: Dict[str, List[LinExpr]] = {n: [] for n in problem.topology.node_names}
+    cpu_terms: Dict[str, List[LinExpr]] = {n: [] for n in problem.topology.node_names}
+
+    for rule in problem.rules:
+        i = rule.index
+        for pair in problem.pairs:
+            rate = problem.match.rate(i, pair)
+            for node in problem.paths[pair].nodes:
+                fixed = enabled_value(i, node)
+                if fixed is not None and fixed <= 0.0:
+                    continue  # rule disabled here: d forced to 0, omit
+                var = lp.add_variable(f"d[{i}|{pair[0]}-{pair[1]}|{node}]", lb=0.0, ub=1.0)
+                d_vars[(i, pair, node)] = var
+                weight = problem.items[pair] * rate * problem.dist[pair][node]
+                if weight > 0.0:
+                    objective_terms.append(var * weight)
+                path_terms.setdefault((i, pair), []).append(var)
+                mem_terms[node].append(var * (problem.items[pair] * rule.mem_req))
+                cpu_terms[node].append(var * (problem.pkts[pair] * rule.cpu_req))
+                if fixed is None:
+                    lp.add_constraint(
+                        var <= e_vars[(i, node)], name=f"link[{i}|{pair}|{node}]"
+                    )
+
+    # Eq. 8: TCAM capacity (only over free e variables; fixed assignments
+    # are validated by the caller via check_feasible).
+    if fixed_e is None:
+        for node_name in problem.topology.node_names:
+            node = problem.topology.node(node_name)
+            terms = [
+                e_vars[(rule.index, node_name)] * rule.cam_req
+                for rule in problem.rules
+            ]
+            lp.add_constraint(
+                linear_sum(terms) <= node.cam_capacity, name=f"cam[{node_name}]"
+            )
+
+    # Eqs. 9-10: node memory and CPU capacity.
+    for node_name in problem.topology.node_names:
+        node = problem.topology.node(node_name)
+        if mem_terms[node_name]:
+            lp.add_constraint(
+                linear_sum(mem_terms[node_name]) <= node.mem_capacity,
+                name=f"mem[{node_name}]",
+            )
+        if cpu_terms[node_name]:
+            lp.add_constraint(
+                linear_sum(cpu_terms[node_name]) <= node.cpu_capacity,
+                name=f"cpu[{node_name}]",
+            )
+
+    # Eq. 11: at most the whole path's traffic is sampled.
+    for (i, pair), variables in path_terms.items():
+        lp.add_constraint(
+            linear_sum(variables) <= 1.0, name=f"sample[{i}|{pair[0]}-{pair[1]}]"
+        )
+
+    lp.set_objective(linear_sum(objective_terms), Sense.MAXIMIZE)
+    return BuiltNIPSLP(program=lp, e_vars=e_vars, d_vars=d_vars)
+
+
+def solve_with_fixed_rules(
+    problem: NIPSProblem, fixed_e: Mapping[EKey, int]
+) -> NIPSSolution:
+    """The d-only LP rebuilt for one placement (disabled columns omitted)."""
+    started = time.perf_counter()
+    built = build_nips_lp(problem, fixed_e=fixed_e)
+    if built.program.num_variables == 0:
+        return NIPSSolution(
+            e={key: float(value) for key, value in fixed_e.items()},
+            d={},
+            objective=0.0,
+            solve_seconds=time.perf_counter() - started,
+        )
+    solution = solve_or_raise(built.program)
+    elapsed = time.perf_counter() - started
+    return NIPSSolution(
+        e={key: float(value) for key, value in fixed_e.items()},
+        d={key: solution.value(var) for key, var in built.d_vars.items()},
+        objective=solution.objective,
+        solve_seconds=elapsed,
+    )
+
+
+def solve_best_response(
+    problem: NIPSProblem, weights: Mapping[DKey, float]
+) -> Dict[DKey, float]:
+    """``Λ``: the offline optimizer over the TCAM-free polytope.
+
+    Maximizes ``sum(weights * d)`` subject to the node memory/CPU
+    capacities (Eqs. 9–10) and the per-(rule, path) sampling bound
+    (Eq. 11).  Components with non-positive weight are fixed to zero —
+    they can only consume capacity.
+    """
+    lp = LinearProgram("nips-online")
+    d_vars: Dict[DKey, Variable] = {}
+    mem_terms: Dict[str, List] = {n: [] for n in problem.topology.node_names}
+    cpu_terms: Dict[str, List] = {n: [] for n in problem.topology.node_names}
+    path_terms: Dict[Tuple[int, Tuple[str, str]], List[Variable]] = {}
+    objective_terms = []
+
+    for key, weight in weights.items():
+        if weight <= 0.0:
+            continue
+        i, pair, node = key
+        var = lp.add_variable(f"d[{i}|{pair[0]}-{pair[1]}|{node}]", lb=0.0, ub=1.0)
+        d_vars[key] = var
+        rule = problem.rules[i]
+        objective_terms.append(var * weight)
+        mem_terms[node].append(var * (problem.items[pair] * rule.mem_req))
+        cpu_terms[node].append(var * (problem.pkts[pair] * rule.cpu_req))
+        path_terms.setdefault((i, pair), []).append(var)
+
+    if not d_vars:
+        # Nothing is worth filtering (all weights non-positive).
+        return {}
+
+    for node_name in problem.topology.node_names:
+        node = problem.topology.node(node_name)
+        if mem_terms[node_name]:
+            lp.add_constraint(linear_sum(mem_terms[node_name]) <= node.mem_capacity)
+        if cpu_terms[node_name]:
+            lp.add_constraint(linear_sum(cpu_terms[node_name]) <= node.cpu_capacity)
+    for variables in path_terms.values():
+        lp.add_constraint(linear_sum(variables) <= 1.0)
+
+    lp.set_objective(linear_sum(objective_terms), Sense.MAXIMIZE)
+    solution = solve_or_raise(lp)
+    return {key: solution.value(var) for key, var in d_vars.items()}

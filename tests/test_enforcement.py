@@ -4,7 +4,11 @@ import random
 
 import pytest
 
-from repro.core.nips_milp import solve_relaxation, solve_with_fixed_rules
+from repro.core.nips_milp import (
+    compile_nips_polytope,
+    solve_relaxation,
+    solve_with_fixed_rules,
+)
 from repro.core.rounding import RoundingVariant, best_of_roundings
 from repro.nips.enforcement import enforce
 from tests.test_nips_milp import small_problem
@@ -76,7 +80,7 @@ class TestAgainstRelaxation:
             for i in range(problem.num_rules)
             for node in problem.topology.node_names
         }
-        solution = solve_with_fixed_rules(problem, all_on)
+        solution = solve_with_fixed_rules(compile_nips_polytope(problem), all_on)
         report = enforce(problem, solution)
         assert report.flows_dropped > 0
 
@@ -102,7 +106,10 @@ def test_property_disjoint_enforcement_realizes_objective(seed):
     problem = small_problem(num_rules=4, cam=2.0, seed=seed, num_nodes=5)
     relaxed = _relax(problem)
     result = rounded_deployment(
-        problem, RoundingVariant.GREEDY_LP, _random.Random(seed), relaxed=relaxed
+        compile_nips_polytope(problem),
+        RoundingVariant.GREEDY_LP,
+        _random.Random(seed),
+        relaxed=relaxed,
     )
     report = enforce(problem, result.solution, disjoint=True)
     assert report.footprint_removed == pytest.approx(

@@ -9,6 +9,7 @@ from repro.core.nips_milp import (
     INTERNET2_BASE_PACKETS,
     NIPSProblem,
     build_nips_problem,
+    compile_nips_polytope,
     solve_exact,
     solve_relaxation,
     solve_with_fixed_rules,
@@ -38,6 +39,11 @@ def i2_problem():
     pairs = [(a, b) for a in topo.node_names for b in topo.node_names if a != b]
     match = MatchRateMatrix.uniform(rules, pairs, random.Random(2))
     return build_nips_problem(topo, rules, match)
+
+
+@pytest.fixture(scope="module")
+def i2_polytope(i2_problem):
+    return compile_nips_polytope(i2_problem)
 
 
 class TestProblemConstruction:
@@ -168,45 +174,45 @@ class TestExactVsRelaxation:
 
 
 class TestFixedRuleLP:
-    def test_restricted_lp_respects_placement(self, i2_problem):
+    def test_restricted_lp_respects_placement(self, i2_problem, i2_polytope):
         # Enable rule 0 everywhere, others nowhere.
         fixed = {
             (i, node): (1 if i == 0 else 0)
             for i in range(i2_problem.num_rules)
             for node in i2_problem.topology.node_names
         }
-        solution = solve_with_fixed_rules(i2_problem, fixed)
+        solution = solve_with_fixed_rules(i2_polytope, fixed)
         for (i, pair, node), value in solution.d.items():
             if i != 0:
                 assert value == 0.0
         assert i2_problem.check_feasible(solution.e, solution.d) == []
 
-    def test_restricted_never_beats_relaxation(self, i2_problem):
+    def test_restricted_never_beats_relaxation(self, i2_problem, i2_polytope):
         relaxed = solve_relaxation(i2_problem)
         fixed = {
             (i, node): (1 if i < 10 else 0)
             for i in range(i2_problem.num_rules)
             for node in i2_problem.topology.node_names
         }
-        restricted = solve_with_fixed_rules(i2_problem, fixed)
+        restricted = solve_with_fixed_rules(i2_polytope, fixed)
         assert restricted.objective <= relaxed.objective + 1e-6
 
-    def test_enabled_rules_listing(self, i2_problem):
+    def test_enabled_rules_listing(self, i2_problem, i2_polytope):
         fixed = {
             (i, node): (1 if i in (2, 5) else 0)
             for i in range(i2_problem.num_rules)
             for node in i2_problem.topology.node_names
         }
-        solution = solve_with_fixed_rules(i2_problem, fixed)
+        solution = solve_with_fixed_rules(i2_polytope, fixed)
         node = i2_problem.topology.node_names[0]
         assert solution.enabled_rules(node) == [2, 5]
 
 
 class TestDegenerateCapacity:
-    def test_empty_placement_returns_zero_deployment(self, i2_problem):
+    def test_empty_placement_returns_zero_deployment(self, i2_polytope):
         """A TCAM budget below one slot enables nothing; the restricted
         LP degenerates to the zero deployment instead of erroring."""
-        solution = solve_with_fixed_rules(i2_problem, {})
+        solution = solve_with_fixed_rules(i2_polytope, {})
         assert solution.objective == 0.0
         assert solution.d == {}
 
@@ -222,7 +228,10 @@ class TestDegenerateCapacity:
 
         relaxed = _relax(problem)
         result = rounded_deployment(
-            problem, RoundingVariant.GREEDY_LP, random.Random(0), relaxed=relaxed
+            compile_nips_polytope(problem),
+            RoundingVariant.GREEDY_LP,
+            random.Random(0),
+            relaxed=relaxed,
         )
         assert result.solution.objective == 0.0
         assert problem.check_feasible(result.solution.e, result.solution.d) == []

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.nips_milp import build_nips_problem
+from repro.core.nips_milp import build_nips_problem, compile_nips_polytope
 from repro.core.online import (
     FPLAdapter,
     FPLConfig,
@@ -27,6 +27,11 @@ def problem():
     return build_online_problem(num_rules=3, seed=1)
 
 
+@pytest.fixture(scope="module")
+def polytope(problem):
+    return compile_nips_polytope(problem)
+
+
 class TestStateVector:
     def test_components_match_formula(self, problem):
         rates = {(0, problem.pairs[0]): 0.01}
@@ -45,14 +50,14 @@ class TestStateVector:
 
 
 class TestBestResponse:
-    def test_solution_in_polytope(self, problem):
+    def test_solution_in_polytope(self, problem, polytope):
         rates = {
             (rule.index, pair): 0.005
             for rule in problem.rules
             for pair in problem.pairs
         }
         weights = state_vector(problem, rates)
-        decision = solve_best_response(problem, weights)
+        decision = solve_best_response(polytope, weights)
         # Check Eq. 11 and capacities via the problem's checker with
         # all rules enabled (no TCAM constraint online).
         e = {
@@ -65,18 +70,18 @@ class TestBestResponse:
         ]
         assert violations == []
 
-    def test_prefers_high_weight_components(self, problem):
+    def test_prefers_high_weight_components(self, problem, polytope):
         pair = problem.pairs[0]
         nodes = problem.paths[pair].nodes
         weights = {(0, pair, nodes[0]): 100.0, (0, pair, nodes[-1]): 1.0}
-        decision = solve_best_response(problem, weights)
+        decision = solve_best_response(polytope, weights)
         assert decision.get((0, pair, nodes[0]), 0.0) >= decision.get(
             (0, pair, nodes[-1]), 0.0
         )
 
-    def test_nonpositive_weights_dropped(self, problem):
+    def test_nonpositive_weights_dropped(self, problem, polytope):
         weights = {(0, problem.pairs[0], problem.paths[problem.pairs[0]].nodes[0]): 0.0}
-        assert solve_best_response(problem, weights) == {}
+        assert solve_best_response(polytope, weights) == {}
 
 
 class TestFPLAdapter:

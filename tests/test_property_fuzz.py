@@ -13,7 +13,11 @@ from hypothesis import strategies as st
 
 from repro.core.manifest import generate_manifests, verify_manifests
 from repro.core.nids_lp import solve_nids_lp
-from repro.core.nips_milp import build_nips_problem, solve_relaxation
+from repro.core.nips_milp import (
+    build_nips_problem,
+    compile_nips_polytope,
+    solve_relaxation,
+)
 from repro.core.rounding import RoundingVariant, rounded_deployment
 from repro.core.units import CoordinationUnit, build_units
 from repro.nids.engine import (
@@ -108,7 +112,9 @@ def test_fuzz_nips_rounding_always_feasible(seed, num_rules, cam, variant):
         topology, rules, match, total_flows=3e5, total_packets=1.5e6
     )
     relaxed = solve_relaxation(problem)
-    result = rounded_deployment(problem, variant, random.Random(seed + 1), relaxed=relaxed)
+    result = rounded_deployment(
+        compile_nips_polytope(problem), variant, random.Random(seed + 1), relaxed=relaxed
+    )
     # rounded_deployment raises on infeasibility internally; re-check.
     assert problem.check_feasible(result.solution.e, result.solution.d) == []
     assert result.solution.objective <= relaxed.objective + 1e-6

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core.nips_milp import solve_exact, solve_relaxation
+from repro.core.nips_milp import compile_nips_polytope, solve_exact, solve_relaxation
 from repro.core.rounding import (
     RoundingVariant,
     best_of_roundings,
@@ -22,19 +22,24 @@ def problem():
 
 
 @pytest.fixture(scope="module")
+def polytope(problem):
+    return compile_nips_polytope(problem)
+
+
+@pytest.fixture(scope="module")
 def relaxed(problem):
     return solve_relaxation(problem)
 
 
 class TestRoundEnablement:
-    def test_binary_output(self, problem, relaxed):
-        e_hat, d_hat, trials = round_enablement(problem, relaxed, random.Random(0))
+    def test_binary_output(self, problem, polytope, relaxed):
+        e_hat, d_hat, trials = round_enablement(polytope, relaxed, random.Random(0))
         assert set(e_hat.values()) <= {0, 1}
         assert trials >= 1
 
-    def test_cam_repaired(self, problem, relaxed):
+    def test_cam_repaired(self, problem, polytope, relaxed):
         for seed in range(5):
-            e_hat, _, _ = round_enablement(problem, relaxed, random.Random(seed))
+            e_hat, _, _ = round_enablement(polytope, relaxed, random.Random(seed))
             for node in problem.topology.node_names:
                 used = sum(
                     problem.rules[i].cam_req
@@ -43,8 +48,8 @@ class TestRoundEnablement:
                 )
                 assert used <= problem.topology.node(node).cam_capacity + 1e-9
 
-    def test_d_respects_e(self, problem, relaxed):
-        e_hat, d_hat, _ = round_enablement(problem, relaxed, random.Random(1))
+    def test_d_respects_e(self, problem, polytope, relaxed):
+        e_hat, d_hat, _ = round_enablement(polytope, relaxed, random.Random(1))
         for (i, pair, node), value in d_hat.items():
             if not e_hat.get((i, node), 0):
                 assert value == 0.0
@@ -52,17 +57,17 @@ class TestRoundEnablement:
 
 class TestVariants:
     @pytest.mark.parametrize("variant", list(RoundingVariant))
-    def test_all_variants_feasible(self, problem, relaxed, variant):
+    def test_all_variants_feasible(self, problem, polytope, relaxed, variant):
         result = rounded_deployment(
-            problem, variant, random.Random(3), relaxed=relaxed
+            polytope, variant, random.Random(3), relaxed=relaxed
         )
         # rounded_deployment itself asserts feasibility; double-check.
         assert problem.check_feasible(result.solution.e, result.solution.d) == []
 
     @pytest.mark.parametrize("variant", list(RoundingVariant))
-    def test_never_exceeds_lp_bound(self, problem, relaxed, variant):
+    def test_never_exceeds_lp_bound(self, problem, polytope, relaxed, variant):
         result = rounded_deployment(
-            problem, variant, random.Random(4), relaxed=relaxed
+            polytope, variant, random.Random(4), relaxed=relaxed
         )
         assert result.solution.objective <= relaxed.objective + 1e-6
         assert 0.0 <= result.fraction_of_lp <= 1.0 + 1e-9
@@ -127,10 +132,10 @@ class TestGreedyFill:
 
 
 class TestBestOfRoundings:
-    def test_best_is_max_over_iterations(self, problem, relaxed):
+    def test_best_is_max_over_iterations(self, problem, polytope, relaxed):
         singles = [
             rounded_deployment(
-                problem, RoundingVariant.LP, random.Random(100 + k), relaxed=relaxed
+                polytope, RoundingVariant.LP, random.Random(100 + k), relaxed=relaxed
             ).solution.objective
             for k in range(4)
         ]
