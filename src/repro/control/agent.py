@@ -52,7 +52,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..core.manifest import NodeManifest
-from ..core.manifest_index import ManifestIndex
 from ..core.manifest_io import apply_manifest_delta, manifest_from_dict
 from ..core.units import UnitKey
 from ..measurement.flows import FlowExporter
@@ -205,11 +204,6 @@ class Agent:
                 ),
             ):
                 self.registry.counter(name, help_text, labels=("node",))
-        #: Compiled (manifest, index) pairs, rebuilt only when the
-        #: underlying manifest object changes — batch queries between
-        #: manifest pushes reuse the compilation.
-        self._index: Optional[Tuple[NodeManifest, ManifestIndex]] = None
-        self._retiring_index: Optional[Tuple[NodeManifest, ManifestIndex]] = None
 
     # -- failure model ----------------------------------------------------
     def crash(self) -> None:
@@ -578,57 +572,3 @@ class Agent:
         return self.retiring is not None and self.retiring[0].contains(
             class_name, key, hash_value
         )
-
-    # -- batch dispatch (vectorized fast path) ---------------------------
-    def _index_for(self, manifest: NodeManifest, retiring: bool) -> ManifestIndex:
-        cached = self._retiring_index if retiring else self._index
-        if cached is None or cached[0] is not manifest:
-            cached = (manifest, ManifestIndex(manifest))
-            if retiring:
-                self._retiring_index = cached
-            else:
-                self._index = cached
-        return cached[1]
-
-    def responsible_for_new_batch(
-        self, class_name: str, key: UnitKey, hash_values
-    ) -> "object":
-        """Vectorized :meth:`responsible_for_new` over a hash array.
-
-        Returns a boolean NumPy array; element-wise identical to the
-        scalar query.  This is how the agent consumes a whole epoch's
-        sessions in one pass instead of one range scan per session.
-        """
-        import numpy as np
-
-        if not self.alive:
-            return np.zeros(len(hash_values), dtype=bool)
-        if self.degraded:
-            return np.full(
-                len(hash_values), self._edge_responsible(key), dtype=bool
-            )
-        return self._index_for(self.manifest, retiring=False).contains_batch(
-            class_name, key, hash_values
-        )
-
-    def responsible_for_existing_batch(
-        self, class_name: str, key: UnitKey, hash_values
-    ) -> "object":
-        """Vectorized :meth:`responsible_for_existing` (union of the
-        current and retiring manifests) over a hash array."""
-        import numpy as np
-
-        if not self.alive:
-            return np.zeros(len(hash_values), dtype=bool)
-        if self.degraded:
-            return np.full(
-                len(hash_values), self._edge_responsible(key), dtype=bool
-            )
-        mask = self._index_for(self.manifest, retiring=False).contains_batch(
-            class_name, key, hash_values
-        )
-        if self.retiring is not None:
-            mask = mask | self._index_for(
-                self.retiring[0], retiring=True
-            ).contains_batch(class_name, key, hash_values)
-        return mask

@@ -42,12 +42,15 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..core.units import unit_key_for_session
-from ..hashing.keys import key_hash_unit
-from ..nids.modules.base import ModuleSpec
+import numpy as np
+
+from ..core.manifest_table import ManifestTable
+from ..core.units import session_unit_keys
+from ..nids.modules.base import ModuleSpec, Scope
 from ..obs import MetricsRegistry, NULL_REGISTRY
+from ..traffic.batch import SessionBatch
 from ..traffic.dynamics import DiurnalBurstModel
 from ..traffic.session import Session
 from .agent import Agent, AgentConfig
@@ -556,35 +559,61 @@ class InvariantMonitor:
     def coverage_floor(
         self,
         epoch: int,
-        sessions: Sequence[Session],
+        sessions: Union[Sequence[Session], SessionBatch],
         agents: Dict[str, Agent],
         excluded: bool,
     ) -> Tuple[int, int]:
         """Count baseline-covered and baseline-covered-but-unanalyzed
         (module, session) pairs; record a violation when the latter is
         non-zero outside a transition window."""
+        batch = SessionBatch.of(sessions)
+        # Coordinated service, by unit: the applied manifests of the
+        # agents that serve them.  A degraded agent answers from its
+        # edge stance instead, a dead one not at all.  Built per call —
+        # agents swap and repairs rewrite manifests between epochs.
+        table = ManifestTable.from_manifests(
+            {
+                node: agent.manifest
+                for node, agent in agents.items()
+                if agent.alive and not agent.degraded
+            }
+        )
+        by_scope: Dict[Scope, tuple] = {}
         baseline = 0
         uncovered = 0
-        agent_list = list(agents.values())
         for spec in self.modules:
-            for session in sessions:
-                if not spec.traffic_filter.matches_session(session):
-                    continue
-                key = unit_key_for_session(spec, session)
-                if not any(
-                    agents[n].alive for n in key if n in agents
-                ):
-                    continue  # baseline itself cannot observe it
-                baseline += 1
-                t = session.tuple
-                h = key_hash_unit(
-                    spec.aggregation, t.src, t.dst, t.sport, t.dport, t.proto
+            if spec.scope not in by_scope:
+                keys, unit_of_session = session_unit_keys(batch, spec.scope)
+                # Per unit key, the stances of its live endpoints: the
+                # baseline observes a unit that has one, and one in
+                # edge-only fallback analyzes all of the unit.
+                stances = [
+                    [
+                        agents[n].degraded
+                        for n in key
+                        if n in agents and agents[n].alive
+                    ]
+                    for key in keys
+                ]
+                by_scope[spec.scope] = (
+                    keys,
+                    unit_of_session,
+                    np.array([bool(degraded) for degraded in stances], dtype=bool),
+                    np.array([any(degraded) for degraded in stances], dtype=bool),
                 )
-                if not any(
-                    agent.responsible_for_new(spec.name, key, h)
-                    for agent in agent_list
-                ):
-                    uncovered += 1
+            keys, unit_of_session, observable, edge = by_scope[spec.scope]
+            matched = np.flatnonzero(
+                spec.traffic_filter.matches_sessions_batch(batch.proto, batch.dport)
+            )
+            unit = unit_of_session[matched]
+            seen = observable[unit]
+            matched, unit = matched[seen], unit[seen]
+            baseline += len(matched)
+            analyzed = edge[unit] | table.contains_batch(
+                table.unit_ids((spec.name, key) for key in keys)[unit],
+                batch.hash_column(spec.aggregation, 0)[matched],
+            )
+            uncovered += len(matched) - int(np.count_nonzero(analyzed))
         # Tolerance mirrors the scenario COVERAGE_FLOOR: sessions whose
         # unit keys post-date the last re-plan are uncoverable by any
         # coordinated manifest until the next epoch's plan (planning

@@ -30,6 +30,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.manifest import NodeManifest
 from ..core.manifest_io import manifest_from_dict
+from ..core.manifest_table import ManifestTable
 from ..core.units import CoordinationUnit, UnitKey
 from ..hashing.ranges import EPSILON, HashRange, union_length
 from ..measurement.flows import TrafficReport
@@ -203,10 +204,8 @@ def stabilize_manifests(
     volumes, so without this step *every* entry would differ every
     epoch and delta pushes would degenerate to full pushes.
     """
-    idents: Set[Ident] = set()
-    for manifest in proposed.values():
-        idents.update(manifest.entries)
-
+    old_table = ManifestTable.from_manifests(previous)
+    new_table = ManifestTable.from_manifests(proposed)
     result = {
         node: NodeManifest(node=node, full=manifest.full)
         for node, manifest in proposed.items()
@@ -214,17 +213,9 @@ def stabilize_manifests(
     changed: Set[Ident] = set()
     # Sorted so per-node entry dicts build in one canonical order for
     # every input ordering (REP202: sets iterate in hash order).
-    for ident in sorted(idents):
-        old_holders = {
-            node: manifest.entries[ident]
-            for node, manifest in previous.items()
-            if ident in manifest.entries
-        }
-        new_holders = {
-            node: manifest.entries[ident]
-            for node, manifest in proposed.items()
-            if ident in manifest.entries
-        }
+    for ident in sorted(new_table.units):
+        old_holders = dict(old_table.rows(ident))
+        new_holders = dict(new_table.rows(ident))
         reusable = (
             bool(old_holders)
             and set(old_holders) == set(new_holders)
@@ -313,12 +304,13 @@ def ranges_reassigned(
     survivor's applied manifest (the acceptance check's ground truth:
     what the live agents actually run, not what the controller
     intends)."""
+    table = ManifestTable.from_manifests(survivors)
     for ident, ranges in snapshot.items():
         if ident in skip:
             continue
-        held: List[HashRange] = []
-        for manifest in survivors.values():
-            held.extend(manifest.ranges(*ident))
+        held = [
+            piece for _node, pieces in table.holders(ident) for piece in pieces
+        ]
         for piece in ranges:
             if piece.empty:
                 continue

@@ -16,6 +16,7 @@ from .dispatch import (
 )
 from .exactsum import ExactSum, exact_total
 from .manifest_index import ManifestIndex, compile_ranges, index_manifests
+from .manifest_table import ManifestTable
 from .manifest import (
     NodeManifest,
     full_manifest,
@@ -102,6 +103,7 @@ __all__ = [
     "BuiltNIPSLP",
     "CoordinatedDispatcher",
     "ManifestIndex",
+    "ManifestTable",
     "compile_ranges",
     "index_manifests",
     "CoordinationUnit",

@@ -29,10 +29,9 @@ from ..hashing.ranges import (
     covers_unit_interval,
 )
 from ..obs import COUNT_BUCKETS, get_registry
+from .manifest_table import EntryKey, ManifestTable
 from .nids_lp import NIDSAssignment
 from .units import CoordinationUnit, UnitKey
-
-EntryKey = Tuple[str, UnitKey]  # (class name, unit key)
 
 
 @dataclass
@@ -258,19 +257,11 @@ def check_partition(
     it, so a solver-epsilon gap can never reach dispatch.  (4) Every
     eligible node has a manifest.
 
-    Ranges are collected from **every** manifest in the set, in one
-    pass over their entries — a corrupted entry on a non-eligible node
-    must not escape the count.
+    Ranges are collected from **every** manifest in the set
+    (:class:`~repro.core.manifest_table.ManifestTable`) — a corrupted
+    entry on a non-eligible node must not escape the count.
     """
-    held: Dict[EntryKey, List[Tuple[str, Tuple[HashRange, ...]]]] = {}
-    everywhere: List[Tuple[str, Tuple[HashRange, ...]]] = []
-    for node in sorted(manifests):
-        manifest = manifests[node]
-        if manifest.full:
-            everywhere.append((node, (HashRange(0.0, 1.0),)))
-            continue
-        for ident, pieces in manifest.entries.items():
-            held.setdefault(ident, []).append((node, pieces))
+    table = ManifestTable.from_manifests(manifests)
     findings: List[Finding] = []
     for unit in units:
         label = unit_label(unit.ident)
@@ -283,12 +274,9 @@ def check_partition(
                         "eligible node has no manifest in the set",
                     )
                 )
-        holders = held.get(unit.ident, [])
-        if everywhere:
-            holders = sorted(holders + everywhere)
         all_pieces: List[HashRange] = []
         total = 0.0
-        for node, entry in holders:
+        for node, entry in table.holders(unit.ident):
             pieces = [p for p in entry if not p.empty]
             findings.extend(
                 check_disjoint(

@@ -27,10 +27,10 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from ..hashing.ranges import EPSILON, HashRange
-from .manifest import NodeManifest
+from ..hashing.ranges import EPSILON
+from .manifest_table import ManifestTable
 from .nids_deployment import NIDSDeployment
-from .units import CoordinationUnit, UnitKey
+from .units import CoordinationUnit, UnitKey, units_by_ident
 
 
 #: Every measured resource field of a :class:`CoordinationUnit` that a
@@ -89,6 +89,13 @@ class TransitionPlan:
     old: NIDSDeployment
     new: NIDSDeployment
 
+    def __post_init__(self) -> None:
+        # The plan reads both deployments by unit, as they stand when
+        # it is built (a transition is planned between two final sets).
+        self._old_table = ManifestTable.from_manifests(self.old.manifests)
+        self._new_table = ManifestTable.from_manifests(self.new.manifests)
+        self._new_units = units_by_ident(self.new.units)
+
     def responsible_for_new(
         self, node: str, class_name: str, key: UnitKey, hash_value: float
     ) -> bool:
@@ -116,11 +123,11 @@ class TransitionPlan:
         duplication.
         """
         duplicated = 0.0
-        nodes = set(self.old.manifests) | set(self.new.manifests)
-        # Sorted: the float fold below must not depend on set order.
-        for node in sorted(nodes):
-            old_ranges = self.old.manifests[node].ranges(class_name, key)
-            new_ranges = self.new.manifests[node].ranges(class_name, key)
+        new_held = dict(self._new_table.holders((class_name, key)))
+        # Only an old holder has mass to duplicate; they come in sorted
+        # node order, so the float fold does not depend on set order.
+        for node, old_ranges in self._old_table.holders((class_name, key)):
+            new_ranges = new_held.get(node, ())
             # Mass held under either manifest, minus the overlap the
             # node keeps under both (not duplicated anywhere else).
             old_mass = sum(r.length for r in old_ranges)
@@ -141,50 +148,34 @@ class TransitionPlan:
         state).  The planner surfaces the affected mass so operators
         can budget the transfer.
         """
-        new_unit = next(
-            (
-                u
-                for u in self.new.units
-                if u.class_name == class_name and u.key == key
-            ),
-            None,
-        )
+        new_unit = self._new_units.get((class_name, key))
         if new_unit is None:
             return 0.0
-        reachable = set(new_unit.eligible)
         orphaned = 0.0
-        for node, manifest in self.old.manifests.items():
-            if node in reachable:
-                continue
-            orphaned += sum(
-                r.length for r in manifest.ranges(class_name, key)
-            )
+        for node, old_ranges in self._old_table.holders((class_name, key)):
+            if node not in new_unit.eligible:
+                orphaned += sum(r.length for r in old_ranges)
         return orphaned
 
     def handoffs(self) -> List[Tuple[str, UnitKey, str, str, float]]:
         """All (class, unit, from-node, to-node, mass) state transfers
-        the transition implies, largest first."""
+        the transition implies, largest first (equal masses in unit,
+        donor, receiver order)."""
         transfers: List[Tuple[str, UnitKey, str, str, float]] = []
-        idents = {
-            (u.class_name, u.key) for u in self.old.units
-        } | {(u.class_name, u.key) for u in self.new.units}
-        nodes = set(self.old.manifests) | set(self.new.manifests)
-        for class_name, key in idents:
-            for donor in nodes:
-                old_ranges = self.old.manifests[donor].ranges(class_name, key)
-                if not old_ranges:
-                    continue
-                for receiver in nodes:
+        idents = {u.ident for u in self.old.units} | set(self._new_units)
+        for ident in sorted(idents):
+            receivers = self._new_table.holders(ident)
+            for donor, old_ranges in self._old_table.holders(ident):
+                for receiver, new_ranges in receivers:
                     if receiver == donor:
                         continue
-                    new_ranges = self.new.manifests[receiver].ranges(class_name, key)
                     mass = sum(
                         o.intersection_length(n)
                         for o in old_ranges
                         for n in new_ranges
                     )
                     if mass > 1e-9:
-                        transfers.append((class_name, key, donor, receiver, mass))
+                        transfers.append((*ident, donor, receiver, mass))
         transfers.sort(key=lambda t: -t[4])
         return transfers
 

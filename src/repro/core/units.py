@@ -137,6 +137,23 @@ def units_from_volumes(
     return units
 
 
+def session_unit_keys(
+    batch: SessionBatch, scope: Scope
+) -> Tuple[List[UnitKey], np.ndarray]:
+    """The distinct *scope* unit keys of *batch* and, per session, its
+    index into them.
+
+    A session's unit depends only on its routing pair and the scope, so
+    the key is resolved once per distinct pair (first-seen pair order)
+    and spread over the sessions through ``batch.group_ids``.
+    """
+    ids: Dict[UnitKey, int] = {}
+    pair_unit = [
+        ids.setdefault(unit_key(scope, *pair), len(ids)) for pair in batch.pairs
+    ]
+    return list(ids), np.array(pair_unit, dtype=np.intp)[batch.group_ids]
+
+
 def _distinct_per_unit(unit: np.ndarray, items: np.ndarray, num_units: int) -> np.ndarray:
     """Number of distinct *items* values within each unit id."""
     order = np.lexsort((items, unit))
@@ -161,10 +178,9 @@ def build_units(
     class's aggregation: sessions for flow/session-level analyses,
     distinct hosts for per-source/per-destination analyses.
 
-    Per class this is a group-by over the batch's columns: the unit of
-    a session depends only on its routing pair and the class's scope,
-    so ``batch.group_ids`` maps through a pair→unit table and
-    ``np.bincount`` sums packets, CPU work and session counts per unit.
+    Per class this is a group-by over the batch's columns: sessions map
+    to their unit through :func:`session_unit_keys` and ``np.bincount``
+    sums packets, CPU work and session counts per unit.
     ``bincount`` adds its weights in session order, so every volume is
     bit-equal to a per-session ``+=`` loop (``tests/planning_oracle.py``).
     """
@@ -173,15 +189,7 @@ def build_units(
     volumes: List[UnitVolume] = []
     for spec in modules:
         if spec.scope not in by_scope:
-            ids: Dict[UnitKey, int] = {}
-            pair_unit = [
-                ids.setdefault(unit_key(spec.scope, *pair), len(ids))
-                for pair in batch.pairs
-            ]
-            by_scope[spec.scope] = (
-                list(ids),
-                np.array(pair_unit, dtype=np.intp)[batch.group_ids],
-            )
+            by_scope[spec.scope] = session_unit_keys(batch, spec.scope)
         keys, unit_of_session = by_scope[spec.scope]
         matched = np.flatnonzero(
             spec.traffic_filter.matches_sessions_batch(batch.proto, batch.dport)

@@ -11,8 +11,6 @@ verdicts — and emulation reports equal to the per-session oracle's.
 import numpy as np
 import pytest
 
-from repro.control.agent import Agent
-from repro.control.bus import Bus
 from repro.core.dispatch import CoordinatedDispatcher
 from repro.core.manifest import full_manifest
 from repro.core.nids_deployment import plan_deployment
@@ -125,57 +123,3 @@ class TestEmulationEquivalence:
                 deployment.dispatcher(node),
             )
             assert usage.reports[node] == oracle.process_sessions(trace)
-
-
-class TestAgentBatchQueries:
-    def test_batch_queries_match_scalar(self, deployment_setup):
-        topo, _, sessions, deployment = deployment_setup
-        node = topo.node_names[1]
-        agent = Agent(node=node, bus=Bus())
-        agent.manifest = deployment.manifests[node]
-        hashes = np.linspace(0.0, 1.0 - 2.0**-32, 257)
-        entry_keys = list(deployment.manifests[node].entries)
-        assert entry_keys, "node holds no manifest entries"
-        for class_name, key in entry_keys[:5]:
-            new_batch = agent.responsible_for_new_batch(class_name, key, hashes)
-            existing_batch = agent.responsible_for_existing_batch(
-                class_name, key, hashes
-            )
-            for value, got_new, got_existing in zip(
-                hashes, new_batch, existing_batch
-            ):
-                assert got_new == agent.responsible_for_new(class_name, key, value)
-                assert got_existing == agent.responsible_for_existing(
-                    class_name, key, value
-                )
-
-    def test_batch_queries_during_transition_window(self, deployment_setup):
-        """During the dual-manifest window the existing-connection query
-        is the union of the current and retiring manifests."""
-        topo, _, _, deployment = deployment_setup
-        node = topo.node_names[1]
-        agent = Agent(node=node, bus=Bus())
-        agent.manifest = deployment.manifests[node]
-        agent.retiring = (full_manifest(node), 10.0)
-        class_name, key = next(iter(deployment.manifests[node].entries))
-        hashes = np.linspace(0.0, 0.999, 101)
-        existing = agent.responsible_for_existing_batch(class_name, key, hashes)
-        assert existing.all()  # retiring full manifest claims everything
-        new = agent.responsible_for_new_batch(class_name, key, hashes)
-        expected_new = [
-            agent.responsible_for_new(class_name, key, v) for v in hashes
-        ]
-        assert new.tolist() == expected_new
-
-    def test_dead_agent_batch_claims_nothing(self, deployment_setup):
-        topo, _, _, deployment = deployment_setup
-        node = topo.node_names[1]
-        agent = Agent(node=node, bus=Bus())
-        agent.manifest = deployment.manifests[node]
-        agent.crash()
-        class_name, key = next(iter(deployment.manifests[node].entries))
-        hashes = np.array([0.1, 0.5, 0.9])
-        assert not agent.responsible_for_new_batch(class_name, key, hashes).any()
-        assert not agent.responsible_for_existing_batch(
-            class_name, key, hashes
-        ).any()
