@@ -32,8 +32,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..lp.model import LinearProgram, Relation, Sense, Variable
-from ..lp.solver import LPSolution, solve_or_raise
+from ..lp.model import LinearProgram, Relation, Sense
+from ..lp.solver import solve_or_raise
 from ..topology.graph import Topology
 from .units import CoordinationUnit, UnitKey
 
@@ -81,13 +81,15 @@ class BuiltNIDSLP:
     Variables ``d`` (a contiguous range) are the ``d_ikj`` in unit
     order, each unit's eligible nodes in ``P_ik`` order — the same
     order ``(unit, node) for unit in units for node in unit.eligible``
-    enumerates.
+    enumerates.  ``cpu_load_cols[j]`` / ``mem_load_cols[j]`` are the
+    columns of ``CpuLoad[j]`` / ``MemLoad[j]`` for the topology's
+    ``j``-th node.
     """
 
     program: LinearProgram
     d: range
-    cpu_load_vars: Dict[str, Variable]
-    mem_load_vars: Dict[str, Variable]
+    cpu_load_cols: np.ndarray
+    mem_load_cols: np.ndarray
     coverage: Dict[Tuple[str, UnitKey], float]
 
 
@@ -95,9 +97,6 @@ def build_nids_lp(
     units: Sequence[CoordinationUnit],
     topology: Topology,
     coverage: float = 1.0,
-    objective: str = "max",
-    cpu_weight: float = 1.0,
-    mem_weight: float = 1.0,
 ) -> BuiltNIDSLP:
     """Construct the Section 2.2 LP for *units* on *topology*.
 
@@ -105,26 +104,20 @@ def build_nids_lp(
     effective coverage is ``min(coverage, |P_ik|)``.
 
     The paper notes the load should be balanced "for a suitable
-    balancing function" and adopts min-max for concreteness.
-    ``objective`` selects the balancing function:
-
-    * ``"max"`` — the paper's ``min max{CpuLoad, MemLoad}``;
-    * ``"sum"`` — ``min cpu_weight*CpuLoad + mem_weight*MemLoad``
-      (both dimensions always exert pressure, not only the binding
-      one; weights express the relative cost of CPU vs. memory
-      headroom).
+    balancing function" and adopts min-max for concreteness; so does
+    this program: ``MaxLoad`` bounds ``CpuLoad`` and ``MemLoad`` from
+    above and is the whole objective.
 
     Layout (index blocks, see :mod:`repro.lp.model`): variables
     ``[0, D)`` are the ``d_ikj``, then ``CpuLoad``, ``MemLoad``, the
     per-node ``CpuLoad[j]``/``MemLoad[j]`` pairs and ``MaxLoad``;
     equality rows ``[0, U)`` are Eq. 1, rows ``[U, U + 2N)`` the Eq. 2–3
-    load definitions, CPU and memory alternating per node.  The
+    load definitions, CPU and memory alternating per node; inequality
+    rows ``[0, 2N)`` are Eqs. 4–5 in the same alternation, then the two
+    rows that put ``MaxLoad`` above ``CpuLoad`` and ``MemLoad``.  The
     ``d``-sized families are stated through ``unit_of``/``node_of``
-    index arrays; only the 2N + 2 max rows and the objective are
-    expressions.
+    index arrays.
     """
-    if objective not in ("max", "sum"):
-        raise ValueError(f"unknown objective {objective!r}")
     if coverage < 1.0:
         raise ValueError("coverage must be >= 1")
     lp = LinearProgram("nids-assignment")
@@ -163,17 +156,30 @@ def build_nids_lp(
         ],
     )
 
-    cpu_load_vars: Dict[str, Variable] = {}
-    mem_load_vars: Dict[str, Variable] = {}
-    cpu_max = lp.add_variable("CpuLoad")
-    mem_max = lp.add_variable("MemLoad")
-    for name in node_names:
-        cpu_j = lp.add_variable(f"CpuLoad[{name}]")
-        mem_j = lp.add_variable(f"MemLoad[{name}]")
-        cpu_load_vars[name] = cpu_j
-        mem_load_vars[name] = mem_j
-        lp.add_constraint(cpu_max >= cpu_j, name=f"cpu-max[{name}]")
-        lp.add_constraint(mem_max >= mem_j, name=f"mem-max[{name}]")
+    nodes = np.arange(len(node_names))
+    loads = lp.add_variables(
+        2 * len(nodes) + 3,
+        ["CpuLoad", "MemLoad"]
+        + [f"{kind}Load[{name}]" for name in node_names for kind in ("Cpu", "Mem")]
+        + ["MaxLoad"],
+    )
+    cpu_max, mem_max, target = loads[0], loads[1], loads[-1]
+    cpu_load_cols = loads.start + 2 + 2 * nodes
+    mem_load_cols = cpu_load_cols + 1
+
+    # Eqs. 4–5, row 2j: CpuLoad - CpuLoad[j] >= 0, row 2j + 1 the same
+    # for memory; then MaxLoad - CpuLoad >= 0 and MaxLoad - MemLoad >= 0.
+    above = np.concatenate((np.tile([cpu_max, mem_max], len(nodes)), [target, target]))
+    below = np.concatenate((loads[2:-1], [cpu_max, mem_max]))
+    lp.add_constraints(
+        Relation.GE,
+        rows=np.tile(np.arange(len(above)), 2),
+        cols=np.concatenate((above, below)),
+        data=np.repeat([1.0, -1.0], len(above)),
+        rhs=np.zeros(len(above)),
+        names=[f"{kind}-max[{name}]" for name in node_names for kind in ("cpu", "mem")]
+        + ["obj-cpu", "obj-mem"],
+    )
 
     # Eq. 2–3, row 2j: CpuLoad[j] - sum_ik cpu_ik d_ikj / CpuCap_j = 0,
     # row 2j + 1 the same for memory.  The coefficient is written
@@ -185,44 +191,27 @@ def build_nids_lp(
     mem_bytes = np.fromiter((u.mem_bytes for u in units), dtype=np.float64, count=len(units))
     per_cpu = np.array([1.0 / topology.node(name).cpu_capacity for name in node_names])
     per_mem = np.array([1.0 / topology.node(name).mem_capacity for name in node_names])
-    nodes = np.arange(len(node_names))
     lp.add_constraints(
         Relation.EQ,
         rows=np.concatenate((2 * nodes, 2 * nodes + 1, 2 * node_of, 2 * node_of + 1)),
-        cols=np.concatenate(
-            (
-                [cpu_load_vars[name].index for name in node_names],
-                [mem_load_vars[name].index for name in node_names],
-                d,
-                d,
-            )
-        ),
+        cols=np.concatenate((cpu_load_cols, mem_load_cols, d, d)),
         data=np.concatenate(
             (
-                np.ones(2 * len(node_names)),
+                np.ones(2 * len(nodes)),
                 0.0 - cpu_work[unit_of] * per_cpu[node_of],
                 0.0 - mem_bytes[unit_of] * per_mem[node_of],
             )
         ),
-        rhs=np.zeros(2 * len(node_names)),
+        rhs=np.zeros(2 * len(nodes)),
         names=[f"{kind}-def[{name}]" for name in node_names for kind in ("cpu", "mem")],
     )
 
-    if objective == "max":
-        target = lp.add_variable("MaxLoad")
-        lp.add_constraint(target >= cpu_max, name="obj-cpu")
-        lp.add_constraint(target >= mem_max, name="obj-mem")
-        lp.set_objective(target, Sense.MINIMIZE)
-    else:
-        lp.set_objective(
-            cpu_weight * cpu_max + mem_weight * mem_max, Sense.MINIMIZE
-        )
-
+    lp.set_objective([target], [1.0], Sense.MINIMIZE)
     return BuiltNIDSLP(
         program=lp,
         d=d,
-        cpu_load_vars=cpu_load_vars,
-        mem_load_vars=mem_load_vars,
+        cpu_load_cols=cpu_load_cols,
+        mem_load_cols=mem_load_cols,
         coverage=per_unit_coverage,
     )
 
@@ -231,9 +220,6 @@ def solve_nids_lp(
     units: Sequence[CoordinationUnit],
     topology: Topology,
     coverage: float = 1.0,
-    objective: str = "max",
-    cpu_weight: float = 1.0,
-    mem_weight: float = 1.0,
 ) -> NIDSAssignment:
     """Build and solve the assignment LP, returning the ``d*`` profile.
 
@@ -241,19 +227,13 @@ def solve_nids_lp(
     every constraint, so a solver failure indicates a bug and raises.
     """
     started = time.perf_counter()
-    built = build_nids_lp(
-        units,
-        topology,
-        coverage,
-        objective=objective,
-        cpu_weight=cpu_weight,
-        mem_weight=mem_weight,
-    )
+    built = build_nids_lp(units, topology, coverage)
     solution = solve_or_raise(built.program)
     elapsed = time.perf_counter() - started
 
+    values = np.asarray(solution.values)
     # Clamp solver noise into [0, 1]; "+ 0.0" turns a -0.0 into 0.0.
-    d_star = np.clip(solution.values[built.d.start : built.d.stop], 0.0, 1.0) + 0.0
+    d_star = np.clip(values[built.d.start : built.d.stop], 0.0, 1.0) + 0.0
     fractions = dict(
         zip(
             (
@@ -264,16 +244,10 @@ def solve_nids_lp(
             d_star.tolist(),
         )
     )
-    cpu_load = {
-        name: solution.value(var) for name, var in built.cpu_load_vars.items()
-    }
-    mem_load = {
-        name: solution.value(var) for name, var in built.mem_load_vars.items()
-    }
     return NIDSAssignment(
         fractions=fractions,
-        cpu_load=cpu_load,
-        mem_load=mem_load,
+        cpu_load=dict(zip(topology.node_names, values[built.cpu_load_cols].tolist())),
+        mem_load=dict(zip(topology.node_names, values[built.mem_load_cols].tolist())),
         objective=solution.objective,
         coverage=built.coverage,
         solve_seconds=elapsed,

@@ -33,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..lp.milp import MILPSolution, solve_milp
-from ..lp.model import CompiledLP, LinearProgram, LinExpr, Relation, Sense
+from ..lp.model import CompiledLP, LinearProgram, Relation, Sense
 from ..lp.solver import solve_or_raise
 from ..nips.rules import MatchRateMatrix, NIPSRule
 from ..topology.graph import Topology
@@ -364,9 +364,7 @@ def compile_nips_polytope(problem: NIPSProblem) -> NIPSPolytope:
     )
     value = items * rate * dist
     worth = np.flatnonzero(value > 0.0)
-    lp.set_objective(
-        LinExpr(dict(zip(worth.tolist(), value[worth].tolist()))), Sense.MAXIMIZE
-    )
+    lp.set_objective(worth, value[worth], Sense.MAXIMIZE)
     return NIPSPolytope(
         problem=problem,
         e_keys=[(rule.index, node) for rule in rules for node in node_names],
@@ -431,10 +429,8 @@ def build_nips_lp(problem: NIPSProblem, integral: bool = False) -> BuiltNIPSLP:
         Relation.LE, rows.row, d.start + rows.col, rows.data, inner.b_ub,
         lambda: list(inner.ineq_names),
     )
-    lp.set_objective(
-        LinExpr({d.start + k: -cost for k, cost in enumerate(inner.cost) if cost}),
-        Sense.MAXIMIZE,
-    )
+    worth = np.flatnonzero(inner.cost)
+    lp.set_objective(d.start + worth, -inner.cost[worth], Sense.MAXIMIZE)
     return BuiltNIPSLP(program=lp, polytope=polytope)
 
 

@@ -1,34 +1,23 @@
 """Linear/mixed-integer programming substrate.
 
-A small modeling layer (named variables, operator-built constraints)
-compiled to ``scipy.optimize.linprog`` (HiGHS), plus a branch-and-bound
-exact solver for the small binary MILPs used as baselines in tests.
+A small modeling layer (programs stated as index blocks: variable
+ranges, COO row blocks, an objective over columns) compiled to
+``scipy.optimize.linprog`` (HiGHS), plus a branch-and-bound exact
+solver for the small binary MILPs used as baselines in tests.
 """
 
 from .milp import MILPSolution, solve_milp
-from .model import (
-    Constraint,
-    LinearProgram,
-    LinExpr,
-    Relation,
-    Sense,
-    Variable,
-    linear_sum,
-)
+from .model import LinearProgram, Relation, Sense
 from .solver import LPSolution, SolveStatus, SolverError, solve, solve_or_raise
 
 __all__ = [
-    "Constraint",
     "LPSolution",
-    "LinExpr",
     "LinearProgram",
     "MILPSolution",
     "Relation",
     "Sense",
     "SolveStatus",
     "SolverError",
-    "Variable",
-    "linear_sum",
     "solve",
     "solve_milp",
     "solve_or_raise",

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .model import LinearProgram, Sense
+from .model import LinearProgram, Names, Sense
 from .solver import LPSolution, SolveStatus, solve
 
 _INTEGRALITY_TOL = 1e-6
@@ -43,7 +43,7 @@ class MILPSolution:
     status: SolveStatus
     objective: float
     values: List[float]
-    variable_names: List[str]
+    variable_names: Names
     nodes_explored: int
     proved_optimal: bool
     best_bound: float
@@ -97,7 +97,7 @@ def solve_milp(program: LinearProgram, max_nodes: int = 5000) -> MILPSolution:
             status=root.status,
             objective=float("nan"),
             values=[],
-            variable_names=list(program.variable_names),
+            variable_names=compiled.variable_names,
             nodes_explored=1,
             proved_optimal=False,
             best_bound=float("nan"),
@@ -152,7 +152,7 @@ def solve_milp(program: LinearProgram, max_nodes: int = 5000) -> MILPSolution:
             status=SolveStatus.INFEASIBLE,
             objective=float("nan"),
             values=[],
-            variable_names=list(program.variable_names),
+            variable_names=compiled.variable_names,
             nodes_explored=nodes,
             proved_optimal=False,
             best_bound=best_bound,
@@ -161,7 +161,7 @@ def solve_milp(program: LinearProgram, max_nodes: int = 5000) -> MILPSolution:
         status=SolveStatus.OPTIMAL,
         objective=incumbent.objective,
         values=list(incumbent.values),
-        variable_names=list(program.variable_names),
+        variable_names=compiled.variable_names,
         nodes_explored=nodes,
         proved_optimal=proved,
         best_bound=best_bound,

@@ -1,43 +1,40 @@
-"""A small linear-programming modeling layer.
+"""A small linear-programming modeling layer: index blocks.
 
 The paper's formulations (the NIDS load-balancing LP of Section 2.2 and
-the NIPS MILP of Section 3.2) are written against named variables like
-``d[i,k,j]`` and ``e[i,j]``.  This module provides that vocabulary —
-variables, linear expressions, and constraints assembled by operator
-overloading — and compiles a finished model into the sparse matrix form
-consumed by :mod:`repro.lp.solver`.
+the NIPS MILP of Section 3.2) are families of variables and rows —
+``d[i,k,j]``, one coverage row per unit, one capacity row per node.
+This module states a program the way those families are laid out,
+"variables ``[0, D)`` are ``d``, rows ``[0, U)`` cover the units", and
+compiles it into the sparse matrix form consumed by
+:mod:`repro.lp.solver`.
 
 The paper used CPLEX; we target ``scipy.optimize.linprog`` (HiGHS),
 which solves the identical programs to optimality.  Only construction
 lives here — solving is the backend's job, keeping the model inspectable
 and the backend swappable.
 
-Two ways to state a model, freely mixed in one program:
+A model is stated in three calls:
 
-* **expressions** — ``add_variable`` / ``add_constraint`` with operator
-  overloading, one Python object per variable and per term.  Right for
-  the handful of rows that read like the paper (``CpuLoad >=
-  CpuLoad[j]``) and for small programs;
-* **index blocks** — :meth:`LinearProgram.add_variables` reserves a
-  contiguous variable range, :meth:`LinearProgram.add_constraints`
-  adds many rows at once as a COO triple ``(rows, cols, data)`` plus a
-  right-hand side.  Right for the ``d_ikj`` family, where a 50-node
-  program has ~32k variables and ~64k load-definition terms: the layout
-  is "variables ``[0, D)`` are ``d``, rows ``[0, U)`` cover the units",
-  stated with arrays instead of 64k ``LinExpr`` allocations.  A block's
-  names are rendered only if somebody reads them (:class:`Names`).
+* :meth:`LinearProgram.add_variables` reserves a contiguous variable
+  range with its bounds;
+* :meth:`LinearProgram.add_constraints` adds many rows of one relation
+  at once as a COO triple ``(rows, cols, data)`` plus a right-hand side;
+* :meth:`LinearProgram.set_objective` takes the objective's columns and
+  coefficients.
 
-:meth:`LinearProgram.compile` lowers both, in insertion order, to the
-same sparse matrices — a block and the expressions it replaces compile
-to identical arrays (``tests/test_planning_columns.py``).
+A block's names are rendered only if somebody reads them
+(:class:`Names`).  :meth:`LinearProgram.compile` concatenates the
+blocks in insertion order.  The operator-overloading way to write the
+same programs one term at a time is ``tests/lp_expressions.py``, the
+reference the block layouts are compared against
+(``tests/test_planning_columns.py``, ``tests/test_nips_layout.py``).
 
 Example
 -------
 >>> lp = LinearProgram("toy")
->>> x = lp.add_variable("x", ub=4.0)
->>> y = lp.add_variable("y", ub=4.0)
->>> lp.add_constraint(x + y <= 5.0, name="budget")
->>> lp.set_objective(3.0 * x + 2.0 * y, sense=Sense.MAXIMIZE)
+>>> x, y = lp.add_variables(2, ["x", "y"], ub=4.0)
+>>> _ = lp.add_constraints(Relation.LE, [0, 0], [x, y], [1.0, 1.0], [5.0], ["budget"])
+>>> lp.set_objective([x, y], [3.0, 2.0], Sense.MAXIMIZE)
 """
 
 from __future__ import annotations
@@ -45,14 +42,12 @@ from __future__ import annotations
 import enum
 from bisect import bisect_right
 from collections.abc import Sequence as _SequenceABC
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -60,8 +55,6 @@ from typing import (
 )
 
 import numpy as np
-
-Number = Union[int, float]
 
 
 class Sense(enum.Enum):
@@ -79,186 +72,18 @@ class Relation(enum.Enum):
     EQ = "=="
 
 
-class LinExpr:
-    """An affine expression ``sum(coef * var) + constant``.
-
-    Immutable from the caller's perspective: every operator returns a
-    new expression.  Variables are referenced by integer index into the
-    owning :class:`LinearProgram`.
-    """
-
-    __slots__ = ("coefficients", "constant")
-
-    def __init__(self, coefficients: Optional[Mapping[int, float]] = None, constant: float = 0.0):
-        self.coefficients: Dict[int, float] = dict(coefficients or {})
-        self.constant = float(constant)
-
-    def copy(self) -> "LinExpr":
-        """Shallow copy (fresh coefficient dict)."""
-        return LinExpr(self.coefficients, self.constant)
-
-    # -- arithmetic -------------------------------------------------------
-    def _added(self, other: Union["LinExpr", "Variable", Number], sign: float) -> "LinExpr":
-        result = self.copy()
-        if isinstance(other, Variable):
-            other = other.as_expr()
-        if isinstance(other, LinExpr):
-            for index, coef in other.coefficients.items():
-                result.coefficients[index] = result.coefficients.get(index, 0.0) + sign * coef
-            result.constant += sign * other.constant
-        elif isinstance(other, (int, float)):
-            result.constant += sign * other
-        else:
-            return NotImplemented
-        return result
-
-    def __add__(self, other):
-        return self._added(other, 1.0)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._added(other, -1.0)
-
-    def __rsub__(self, other):
-        return (-self)._added(other, 1.0)
-
-    def __neg__(self) -> "LinExpr":
-        return LinExpr({i: -c for i, c in self.coefficients.items()}, -self.constant)
-
-    def __mul__(self, factor: Number) -> "LinExpr":
-        if not isinstance(factor, (int, float)):
-            return NotImplemented
-        return LinExpr(
-            {i: c * factor for i, c in self.coefficients.items()}, self.constant * factor
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, divisor: Number) -> "LinExpr":
-        if not isinstance(divisor, (int, float)):
-            return NotImplemented
-        return self * (1.0 / divisor)
-
-    # -- relations --------------------------------------------------------
-    def __le__(self, other) -> "Constraint":
-        return Constraint(self - other, Relation.LE)
-
-    def __ge__(self, other) -> "Constraint":
-        return Constraint(self - other, Relation.GE)
-
-    def equals(self, other) -> "Constraint":
-        """Build an equality constraint (``==`` is kept for identity)."""
-        return Constraint(self - other, Relation.EQ)
-
-    def evaluate(self, values: Sequence[float]) -> float:
-        """Value of the expression under a variable assignment."""
-        return self.constant + sum(coef * values[index] for index, coef in self.coefficients.items())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        terms = " + ".join(f"{c:g}*v{i}" for i, c in sorted(self.coefficients.items()))
-        return f"LinExpr({terms or '0'} + {self.constant:g})"
-
-
-@dataclass(frozen=True)
-class Variable:
-    """Handle to a decision variable inside a :class:`LinearProgram`."""
-
-    program: "LinearProgram" = field(repr=False, compare=False)
-    index: int
-    name: str
-
-    def as_expr(self) -> LinExpr:
-        """This variable as a one-term expression."""
-        return LinExpr({self.index: 1.0})
-
-    # Delegate arithmetic/relations to LinExpr so formulas read naturally.
-    def __add__(self, other):
-        return self.as_expr() + other
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self.as_expr() - other
-
-    def __rsub__(self, other):
-        return other - self.as_expr()
-
-    def __neg__(self):
-        return -self.as_expr()
-
-    def __mul__(self, factor):
-        return self.as_expr() * factor
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, divisor):
-        return self.as_expr() / divisor
-
-    def __le__(self, other):
-        return self.as_expr() <= other
-
-    def __ge__(self, other):
-        return self.as_expr() >= other
-
-    def equals(self, other):
-        return self.as_expr().equals(other)
-
-
-@dataclass
-class Constraint:
-    """A normalized constraint ``expr (<=|>=|==) 0``."""
-
-    expression: LinExpr
-    relation: Relation
-    name: str = ""
-
-    def slack(self, values: Sequence[float]) -> float:
-        """Signed slack; non-negative iff the constraint is satisfied.
-
-        ``LE``: slack = -lhs; ``GE``: slack = lhs; ``EQ``: slack =
-        -|lhs| (zero exactly at feasibility).
-        """
-        lhs = self.expression.evaluate(values)
-        if self.relation is Relation.LE:
-            return -lhs
-        if self.relation is Relation.GE:
-            return lhs
-        return -abs(lhs)
-
-
-def linear_sum(terms: Iterable[Union[LinExpr, Variable, Number]]) -> LinExpr:
-    """Sum an iterable of expressions/variables/numbers into one LinExpr.
-
-    Builds the accumulator in place, so summing the thousands of
-    ``d_ikj`` terms in a load constraint stays linear-time.
-    """
-    total = LinExpr()
-    for term in terms:
-        if isinstance(term, Variable):
-            index = term.index
-            total.coefficients[index] = total.coefficients.get(index, 0.0) + 1.0
-        elif isinstance(term, LinExpr):
-            for index, coef in term.coefficients.items():
-                total.coefficients[index] = total.coefficients.get(index, 0.0) + coef
-            total.constant += term.constant
-        else:
-            total.constant += float(term)
-    return total
-
-
 NameSource = Union[Sequence[str], Callable[[], Sequence[str]]]
 
 
 class Names(_SequenceABC):
     """Variable or row names in index order; block names render on demand.
 
-    Single names are appended eagerly.  A block's names may be given as
-    a zero-argument function, called the first time a name inside the
-    block is read — so the ~32k ``d[...]`` strings of a NIDS program
-    are never built unless somebody prints them.  :meth:`index`
-    resolves through one name→position dict and consults the eager
-    names before it renders any block: looking up ``"MaxLoad"`` or a
+    A block's names are a sequence or a zero-argument function, called
+    the first time a name inside the block is read — so the ~32k
+    ``d[...]`` strings of a NIDS program are never built unless
+    somebody prints them.  :meth:`index` resolves through one
+    name→position dict and consults the blocks given as sequences
+    before it renders any other: looking up ``"MaxLoad"`` or a
     ``cpu-max[...]`` dual does not pay for the block it does not ask
     about.  Names are assumed unique, as in the program they describe.
     """
@@ -271,16 +96,6 @@ class Names(_SequenceABC):
         self._size = 0
         self._lookup: Optional[Dict[str, int]] = None
         self._unindexed: List[int] = []
-
-    def append(self, name: str) -> None:
-        """Add one name at the end."""
-        if self._parts and isinstance(self._parts[-1], list):
-            self._parts[-1].append(name)
-        else:
-            self._starts.append(self._size)
-            self._parts.append([name])
-        self._size += 1
-        self._lookup = None
 
     def add_block(self, count: int, names: NameSource) -> None:
         """Add *count* names at the end: a sequence, or a function
@@ -333,7 +148,7 @@ class Names(_SequenceABC):
         """Position of *name* (``ValueError`` when absent)."""
         if self._lookup is None:
             self._lookup = {}
-            # Eager parts first; a block is rendered only on a miss.
+            # Sequences first; a function is called only on a miss.
             self._unindexed = sorted(
                 range(len(self._parts)), key=lambda k: callable(self._parts[k])
             )
@@ -368,65 +183,29 @@ class ConstraintBlock:
     def __len__(self) -> int:
         return len(self.rhs)
 
-    def slack(self, values: Sequence[float]) -> np.ndarray:
-        """Per-row signed slack, as :meth:`Constraint.slack`."""
-        x = np.asarray(values, dtype=np.float64)
-        lhs = np.bincount(
-            self.rows, weights=self.data * x[self.cols], minlength=len(self.rhs)
-        ) - self.rhs
-        if self.relation is Relation.LE:
-            return -lhs
-        if self.relation is Relation.GE:
-            return lhs
-        return -np.abs(lhs)
-
 
 def _broadcast(value: Union[float, Sequence[float]], count: int) -> List[float]:
     return np.broadcast_to(np.asarray(value, dtype=np.float64), (count,)).tolist()
 
 
 class LinearProgram:
-    """A named LP: variables with bounds, constraints, and an objective."""
+    """A named LP: variable blocks with bounds, row blocks, and an objective."""
 
     def __init__(self, name: str = "lp"):
         self.name = name
         self.variable_names = Names()
         self.lower_bounds: List[float] = []
         self.upper_bounds: List[Optional[float]] = []
-        #: Expression rows and row blocks, in insertion order.
-        self.constraints: List[Union[Constraint, ConstraintBlock]] = []
-        self.objective: LinExpr = LinExpr()
+        #: Row blocks, in insertion order.
+        self.constraints: List[ConstraintBlock] = []
+        self.objective_cols = np.empty(0, dtype=np.intp)
+        self.objective_coefficients = np.empty(0, dtype=np.float64)
         self.sense: Sense = Sense.MINIMIZE
+        #: Variables :mod:`repro.lp.milp` keeps integral-in-{0,1}; the
+        #: pure LP backend sees only their bounds (the LP relaxation).
         self.binary_indices: List[int] = []
-        self._names: Dict[str, int] = {}
-        self._num_constraints = 0
 
     # -- construction -----------------------------------------------------
-    def add_variable(
-        self,
-        name: str,
-        lb: float = 0.0,
-        ub: Optional[float] = None,
-        binary: bool = False,
-    ) -> Variable:
-        """Add a decision variable and return its handle.
-
-        ``binary=True`` marks the variable integral-in-{0,1}; the pure
-        LP backend treats it as ``0 <= x <= 1`` (the LP relaxation) and
-        :mod:`repro.lp.milp` enforces integrality by branch and bound.
-        """
-        if name in self._names:
-            raise ValueError(f"duplicate variable name {name!r}")
-        index = len(self.variable_names)
-        self.variable_names.append(name)
-        if binary:
-            lb, ub = 0.0, 1.0
-            self.binary_indices.append(index)
-        self.lower_bounds.append(float(lb))
-        self.upper_bounds.append(None if ub is None else float(ub))
-        self._names[name] = index
-        return Variable(self, index, name)
-
     def add_variables(
         self,
         count: int,
@@ -449,16 +228,6 @@ class LinearProgram:
         else:
             self.upper_bounds.extend(_broadcast(ub, count))
         return range(start, start + count)
-
-    def add_constraint(self, constraint: Constraint, name: str = "") -> Constraint:
-        """Register a constraint built via expression relations."""
-        if not isinstance(constraint, Constraint):
-            raise TypeError("add_constraint expects a Constraint (use <=, >= or .equals)")
-        if name:
-            constraint.name = name
-        self.constraints.append(constraint)
-        self._num_constraints += 1
-        return constraint
 
     def add_constraints(
         self,
@@ -491,14 +260,19 @@ class LinearProgram:
         ):
             raise ValueError("constraint block indexes outside its rows or the variables")
         self.constraints.append(block)
-        self._num_constraints += len(block)
         return block
 
-    def set_objective(self, expression: Union[LinExpr, Variable], sense: Sense) -> None:
-        """Set the objective expression and direction."""
-        if isinstance(expression, Variable):
-            expression = expression.as_expr()
-        self.objective = expression
+    def set_objective(self, cols, coefficients, sense: Sense) -> None:
+        """Set the objective ``sum(coefficients[t] * x[cols[t]])`` and
+        its direction."""
+        cols = np.asarray(cols, dtype=np.intp)
+        coefficients = np.asarray(coefficients, dtype=np.float64)
+        if cols.shape != coefficients.shape or cols.ndim != 1:
+            raise ValueError("cols and coefficients must have one length")
+        if len(cols) and not (0 <= cols.min() and cols.max() < self.num_variables):
+            raise ValueError("objective indexes outside the variables")
+        self.objective_cols = cols
+        self.objective_coefficients = coefficients
         self.sense = sense
 
     # -- introspection ----------------------------------------------------
@@ -510,123 +284,75 @@ class LinearProgram:
     @property
     def num_constraints(self) -> int:
         """Number of registered constraint rows."""
-        return self._num_constraints
-
-    def variable_by_name(self, name: str) -> Variable:
-        """Look up a previously added variable."""
-        index = self._names.get(name)
-        if index is None:
-            try:
-                index = self.variable_names.index(name)
-            except ValueError:
-                raise KeyError(name) from None
-        return Variable(self, index, name)
-
-    def is_feasible(self, values: Sequence[float], tol: float = 1e-6) -> bool:
-        """Check a candidate point against bounds and all constraints."""
-        if len(values) != self.num_variables:
-            return False
-        for index, value in enumerate(values):
-            if value < self.lower_bounds[index] - tol:
-                return False
-            upper = self.upper_bounds[index]
-            if upper is not None and value > upper + tol:
-                return False
-        return all(np.all(c.slack(values) >= -tol) for c in self.constraints)
+        return sum(len(block) for block in self.constraints)
 
     def objective_value(self, values: Sequence[float]) -> float:
-        """Objective at a candidate point (in the model's own sense)."""
-        return self.objective.evaluate(values)
+        """Objective at a candidate point (in the model's own sense).
+
+        A left fold over the terms in stated order.  Builtin ``sum`` is
+        compensated from Python 3.12 on and ``np.sum`` is pairwise, so
+        either would make the last bits of a reported optimum depend on
+        the interpreter or the term count.
+        """
+        x = np.asarray(values, dtype=np.float64)
+        total = 0.0
+        for term in (self.objective_coefficients * x[self.objective_cols]).tolist():
+            total += term
+        return total
 
     def compile(self) -> "CompiledLP":
         """Lower the model to sparse matrix form for the solver backend."""
         num_vars = self.num_variables
-        cost = [0.0] * num_vars
         sign = 1.0 if self.sense is Sense.MINIMIZE else -1.0
-        for index, coef in self.objective.coefficients.items():
-            cost[index] = sign * coef
-
-        ub, eq = _Rows(), _Rows()
-        for constraint in self.constraints:
-            side = eq if constraint.relation is Relation.EQ else ub
-            # ``>=`` rows are stored negated: the solver takes ``A_ub x <= b_ub``.
-            negate = constraint.relation is Relation.GE
-            if isinstance(constraint, ConstraintBlock):
-                side.add_block(constraint, negate)
-            else:
-                side.add_expression(constraint, negate)
-
+        cost = np.bincount(
+            self.objective_cols,
+            weights=sign * self.objective_coefficients,
+            minlength=num_vars,
+        )
+        equalities = [b for b in self.constraints if b.relation is Relation.EQ]
+        inequalities = [b for b in self.constraints if b.relation is not Relation.EQ]
+        a_ub, b_ub, ineq_names = _stack(inequalities, num_vars)
+        a_eq, b_eq, eq_names = _stack(equalities, num_vars)
         return CompiledLP(
             cost=cost,
-            a_ub=ub.matrix(num_vars),
-            b_ub=ub.rhs(),
-            a_eq=eq.matrix(num_vars),
-            b_eq=eq.rhs(),
+            a_ub=a_ub,
+            b_ub=b_ub,
+            a_eq=a_eq,
+            b_eq=b_eq,
             bounds=list(zip(self.lower_bounds, self.upper_bounds)),
             maximize=self.sense is Sense.MAXIMIZE,
             variable_names=self.variable_names.copy(),
-            ineq_names=ub.names,
-            eq_names=eq.names,
+            ineq_names=ineq_names,
+            eq_names=eq_names,
             name=self.name,
         )
 
 
-class _Rows:
-    """The rows of one matrix (``A_ub`` or ``A_eq``) while compiling.
+def _stack(blocks: Sequence[ConstraintBlock], num_vars: int):
+    """The rows of one matrix (``A_ub`` or ``A_eq``): *blocks* one under
+    the other, as ``(csr_matrix or None when there are no rows, rhs,
+    names)``."""
+    from scipy.sparse import csr_matrix  # deferred: keep model importable alone
 
-    Expression rows collect in Python lists, blocks as array chunks
-    offset to their first row; COO entry order is immaterial, only row
-    numbers are, so the two kinds concatenate at the end.
-    """
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.names = Names()
-        self._rows: List[int] = []
-        self._cols: List[int] = []
-        self._data: List[float] = []
-        self._rhs: List[float] = []
-        self._chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def add_expression(self, constraint: Constraint, negate: bool) -> None:
-        expr = constraint.expression
-        coefficients = expr.coefficients
-        self._rows.extend([self.count] * len(coefficients))
-        self._cols.extend(coefficients)
-        if negate:
-            self._data.extend([-coef for coef in coefficients.values()])
-            self._rhs.append(expr.constant)
-        else:
-            self._data.extend(coefficients.values())
-            self._rhs.append(-expr.constant)
-        self.names.append(constraint.name)
-        self.count += 1
-
-    def add_block(self, block: ConstraintBlock, negate: bool) -> None:
-        sign = -1.0 if negate else 1.0
-        self._chunks.append((block.rows + self.count, block.cols, sign * block.data))
-        self._rhs.extend((sign * block.rhs).tolist())
-        self.names.add_block(len(block), block.names)
-        self.count += len(block)
-
-    def rhs(self) -> np.ndarray:
-        return np.array(self._rhs, dtype=np.float64)
-
-    def matrix(self, num_vars: int):
-        """``csr_matrix`` of the rows, ``None`` when there are none."""
-        from scipy.sparse import csr_matrix  # deferred: keep model importable alone
-
-        if self.count == 0:
-            return None
-        chunks = self._chunks + [
-            (
-                np.array(self._rows, dtype=np.intp),
-                np.array(self._cols, dtype=np.intp),
-                np.array(self._data, dtype=np.float64),
-            )
-        ]
-        rows, cols, data = (np.concatenate(column) for column in zip(*chunks))
-        return csr_matrix((data, (rows, cols)), shape=(self.count, num_vars))
+    names = Names()
+    rows, cols, data, rhs = [], [], [], []
+    count = 0
+    for block in blocks:
+        # ``>=`` rows are stored negated: the solver takes ``A_ub x <= b_ub``.
+        sign = -1.0 if block.relation is Relation.GE else 1.0
+        rows.append(block.rows + count)
+        cols.append(block.cols)
+        data.append(sign * block.data)
+        rhs.append(sign * block.rhs + 0.0)  # no -0.0
+        names.add_block(len(block), block.names)
+        count += len(block)
+    if count == 0:
+        return None, np.empty(0), names
+    matrix = csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(count, num_vars),
+    )
+    return matrix, np.concatenate(rhs), names
 
 
 @dataclass
@@ -645,7 +371,7 @@ class CompiledLP:
     :meth:`with_bounds`, :meth:`with_cost`.
     """
 
-    cost: Sequence[float]
+    cost: np.ndarray
     a_ub: object
     b_ub: np.ndarray
     a_eq: object

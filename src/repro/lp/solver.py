@@ -17,7 +17,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ..obs import COUNT_BUCKETS, get_registry
-from .model import CompiledLP, LinearProgram, Names, Variable
+from .model import CompiledLP, LinearProgram, Names
 
 
 class SolveStatus(enum.Enum):
@@ -80,10 +80,6 @@ class LPSolution:
         """Whether the solve reached proven optimality."""
         return self.status is SolveStatus.OPTIMAL
 
-    def value(self, variable: Variable) -> float:
-        """Value of *variable* in the solution."""
-        return self.values[variable.index]
-
     def value_by_name(self, name: str) -> float:
         """Value of the variable called *name*."""
         return self.values[self.variable_names.index(name)]
@@ -93,17 +89,15 @@ class LPSolution:
         return dict(zip(self.variable_names, self.values))
 
 
-def solve(
-    program: Union[LinearProgram, CompiledLP], method: str = "highs"
-) -> LPSolution:
+def solve(program: Union[LinearProgram, CompiledLP]) -> LPSolution:
     """Solve *program* and return an :class:`LPSolution`.
 
     *program* is a model, compiled here, or an already compiled one
     (typically a ``with_bounds`` / ``with_cost`` view of a program that
     is solved many times; the columns such a view fixes at zero are
     not handed to the backend and read back as 0).  The objective is
-    evaluated by the program itself: term by term for a
-    :class:`LinearProgram`, ``cost · x`` for a :class:`CompiledLP`.
+    evaluated by the program itself: term by term in stated order for
+    a :class:`LinearProgram`, ``cost · x`` for a :class:`CompiledLP`.
 
     Never raises for infeasible/unbounded models — callers branch on
     ``solution.status``.  Use :func:`solve_or_raise` when the model is
@@ -119,7 +113,7 @@ def solve(
         # enables a few rules per node): they contribute nothing, and
         # the backend's per-column costs are paid for the others only.
         kept = np.flatnonzero(bounds.any(axis=1))
-        cost, bounds = np.asarray(cost)[kept], bounds[kept]
+        cost, bounds = cost[kept], bounds[kept]
         a_ub = None if a_ub is None else a_ub[:, kept]
         a_eq = None if a_eq is None else a_eq[:, kept]
     try:
@@ -130,7 +124,7 @@ def solve(
             A_eq=a_eq,
             b_eq=compiled.b_eq if len(compiled.b_eq) else None,
             bounds=bounds,
-            method=method,
+            method="highs",
         )
     except ValueError as exc:
         elapsed = time.perf_counter() - started
@@ -223,11 +217,9 @@ def _record_solve(
         ).observe(float(nit))
 
 
-def solve_or_raise(
-    program: Union[LinearProgram, CompiledLP], method: str = "highs"
-) -> LPSolution:
+def solve_or_raise(program: Union[LinearProgram, CompiledLP]) -> LPSolution:
     """Solve *program*, raising :class:`SolverError` unless optimal."""
-    solution = solve(program, method=method)
+    solution = solve(program)
     if not solution.optimal:
         raise SolverError(
             f"LP {program.name!r} not solved to optimality: "

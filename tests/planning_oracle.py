@@ -5,12 +5,14 @@ These are the two Python loops that used to live in the product as
 / ``solve_nids_lp``, re-homed verbatim as the tests' oracle (the
 ``tests/scalar_oracle.py`` precedent): one iteration per (module,
 session) with ``acc += ...``, one ``Variable * coef`` per LP term, one
-``solution.value(var)`` per fraction.  They use only the scalar
+``value(solution, var)`` per fraction.  They use only the scalar
 surfaces — ``TrafficFilter.matches_session``, ``ModuleSpec.session_cpu``
 / ``item_key``, ``unit_key_for_session``, ``eligible_nodes`` and the
-expression half of :mod:`repro.lp.model` — so they share no arithmetic
-with the columnar ``build_units`` or the index-block ``build_nids_lp``,
-and ``tests/test_planning_columns.py`` compares the two with ``==``.
+expression programs of ``tests/lp_expressions.py``, which lower
+themselves to a ``CompiledLP`` — so they share no arithmetic and no
+lowering code with the columnar ``build_units`` or the index-block
+``build_nids_lp``, and ``tests/test_planning_columns.py`` compares the
+two with ``==``.
 
 The NIPS half (the second part of this file) is the same move for
 Section 3.2: ``build_nips_lp`` with its ``fixed_e=`` fork,
@@ -33,12 +35,13 @@ from repro.core.units import (
     unit_key_for_session,
 )
 from repro.hashing.keys import Aggregation
-from repro.lp.model import LinearProgram, LinExpr, Sense, Variable, linear_sum
+from repro.lp.model import Sense
 from repro.lp.solver import LPSolution, solve_or_raise
 from repro.nids.modules.base import ModuleSpec
 from repro.topology.graph import Topology
 from repro.topology.routing import PathSet
 from repro.traffic.session import Session
+from tests.lp_expressions import ExpressionProgram, LinExpr, Variable, linear_sum, value
 
 
 @dataclass
@@ -99,7 +102,7 @@ def build_units(
 class BuiltNIDSLP:
     """The expression-built LP plus its variable maps."""
 
-    program: LinearProgram
+    program: ExpressionProgram
     d_vars: Dict[FractionKey, Variable]
     cpu_load_vars: Dict[str, Variable]
     mem_load_vars: Dict[str, Variable]
@@ -110,16 +113,11 @@ def build_nids_lp(
     units: Sequence[CoordinationUnit],
     topology: Topology,
     coverage: float = 1.0,
-    objective: str = "max",
-    cpu_weight: float = 1.0,
-    mem_weight: float = 1.0,
 ) -> BuiltNIDSLP:
     """The Section 2.2 LP, one named variable and one term at a time."""
-    if objective not in ("max", "sum"):
-        raise ValueError(f"unknown objective {objective!r}")
     if coverage < 1.0:
         raise ValueError("coverage must be >= 1")
-    lp = LinearProgram("nids-assignment")
+    lp = ExpressionProgram("nids-assignment")
 
     d_vars: Dict[FractionKey, Variable] = {}
     per_unit_coverage: Dict[Tuple[str, UnitKey], float] = {}
@@ -168,15 +166,10 @@ def build_nids_lp(
         lp.add_constraint(cpu_max >= cpu_j, name=f"cpu-max[{name}]")
         lp.add_constraint(mem_max >= mem_j, name=f"mem-max[{name}]")
 
-    if objective == "max":
-        target = lp.add_variable("MaxLoad")
-        lp.add_constraint(target >= cpu_max, name="obj-cpu")
-        lp.add_constraint(target >= mem_max, name="obj-mem")
-        lp.set_objective(target, Sense.MINIMIZE)
-    else:
-        lp.set_objective(
-            cpu_weight * cpu_max + mem_weight * mem_max, Sense.MINIMIZE
-        )
+    target = lp.add_variable("MaxLoad")
+    lp.add_constraint(target >= cpu_max, name="obj-cpu")
+    lp.add_constraint(target >= mem_max, name="obj-mem")
+    lp.set_objective(target, Sense.MINIMIZE)
 
     return BuiltNIDSLP(
         program=lp,
@@ -191,33 +184,23 @@ def solve_nids_lp(
     units: Sequence[CoordinationUnit],
     topology: Topology,
     coverage: float = 1.0,
-    objective: str = "max",
-    cpu_weight: float = 1.0,
-    mem_weight: float = 1.0,
 ) -> Tuple[NIDSAssignment, LPSolution]:
     """Build and solve with per-variable read-back; also returns the
     raw solution (for dual comparisons)."""
     started = time.perf_counter()
-    built = build_nids_lp(
-        units,
-        topology,
-        coverage,
-        objective=objective,
-        cpu_weight=cpu_weight,
-        mem_weight=mem_weight,
-    )
+    built = build_nids_lp(units, topology, coverage)
     solution = solve_or_raise(built.program)
     elapsed = time.perf_counter() - started
 
     fractions = {
-        key: max(0.0, min(1.0, solution.value(var)))
+        key: max(0.0, min(1.0, value(solution, var)))
         for key, var in built.d_vars.items()
     }
     cpu_load = {
-        name: solution.value(var) for name, var in built.cpu_load_vars.items()
+        name: value(solution, var) for name, var in built.cpu_load_vars.items()
     }
     mem_load = {
-        name: solution.value(var) for name, var in built.mem_load_vars.items()
+        name: value(solution, var) for name, var in built.mem_load_vars.items()
     }
     assignment = NIDSAssignment(
         fractions=fractions,
@@ -235,7 +218,7 @@ def solve_nids_lp(
 class BuiltNIPSLP:
     """Constructed program plus variable maps."""
 
-    program: LinearProgram
+    program: ExpressionProgram
     e_vars: Dict[EKey, Variable]
     d_vars: Dict[DKey, Variable]
 
@@ -253,7 +236,7 @@ def build_nips_lp(
     (rule, node) combinations are omitted entirely, which keeps the
     restricted program small.
     """
-    lp = LinearProgram("nips-deployment")
+    lp = ExpressionProgram("nips-deployment")
     e_vars: Dict[EKey, Variable] = {}
     d_vars: Dict[DKey, Variable] = {}
 
@@ -351,7 +334,7 @@ def solve_with_fixed_rules(
     elapsed = time.perf_counter() - started
     return NIPSSolution(
         e={key: float(value) for key, value in fixed_e.items()},
-        d={key: solution.value(var) for key, var in built.d_vars.items()},
+        d={key: value(solution, var) for key, var in built.d_vars.items()},
         objective=solution.objective,
         solve_seconds=elapsed,
     )
@@ -367,7 +350,7 @@ def solve_best_response(
     (Eq. 11).  Components with non-positive weight are fixed to zero —
     they can only consume capacity.
     """
-    lp = LinearProgram("nips-online")
+    lp = ExpressionProgram("nips-online")
     d_vars: Dict[DKey, Variable] = {}
     mem_terms: Dict[str, List] = {n: [] for n in problem.topology.node_names}
     cpu_terms: Dict[str, List] = {n: [] for n in problem.topology.node_names}
@@ -401,4 +384,4 @@ def solve_best_response(
 
     lp.set_objective(linear_sum(objective_terms), Sense.MAXIMIZE)
     solution = solve_or_raise(lp)
-    return {key: solution.value(var) for key, var in d_vars.items()}
+    return {key: value(solution, var) for key, var in d_vars.items()}

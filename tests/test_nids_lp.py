@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.nids_lp import solve_nids_lp, uniform_assignment
+from repro.core.nids_lp import build_nids_lp, solve_nids_lp, uniform_assignment
 from repro.core.units import CoordinationUnit, build_units
 from repro.nids.modules import STANDARD_MODULES
 from repro.topology import PathSet, internet2
@@ -165,40 +165,22 @@ class TestUniformAssignment:
         )
 
 
-class TestAlternativeObjectives:
-    def test_sum_objective_still_covers(self, setup):
-        topo, units = setup
-        assignment = solve_nids_lp(units, topo, objective="sum")
-        for unit in units:
-            total = sum(
-                assignment.fraction(unit.class_name, unit.key, node)
-                for node in unit.eligible
-            )
-            assert total == pytest.approx(1.0, abs=1e-6)
+class TestOneBalancingFunction:
+    """The paper "adopts min-max for concreteness"; so does the program.
+    The weighted-sum objective no caller selected is gone, not defaulted."""
 
-    def test_sum_never_below_max_on_binding_dim(self, setup):
-        """min-max is optimal for the max metric: the sum objective's
-        max load is at least the min-max optimum."""
+    @pytest.mark.parametrize(
+        "options",
+        [dict(objective="sum"), dict(objective="max"), dict(cpu_weight=2.0), dict(mem_weight=2.0)],
+    )
+    def test_objective_options_are_not_accepted(self, setup, options):
         topo, units = setup
-        minmax = solve_nids_lp(units, topo)
-        weighted = solve_nids_lp(units, topo, objective="sum")
-        weighted_max = max(weighted.max_cpu_load, weighted.max_mem_load)
-        assert weighted_max >= minmax.objective - 1e-9
+        for function in (solve_nids_lp, build_nids_lp):
+            with pytest.raises(TypeError):
+                function(units, topo, **options)
 
-    def test_weights_shift_pressure(self, setup):
-        """Weighting CPU heavily lowers the CPU max relative to a
-        memory-heavy weighting."""
+    def test_the_objective_is_the_single_column_maxload(self, setup):
         topo, units = setup
-        cpu_heavy = solve_nids_lp(
-            units, topo, objective="sum", cpu_weight=100.0, mem_weight=1.0
-        )
-        mem_heavy = solve_nids_lp(
-            units, topo, objective="sum", cpu_weight=1.0, mem_weight=100.0
-        )
-        assert cpu_heavy.max_cpu_load <= mem_heavy.max_cpu_load + 1e-9
-        assert mem_heavy.max_mem_load <= cpu_heavy.max_mem_load + 1e-9
-
-    def test_unknown_objective_rejected(self, setup):
-        topo, units = setup
-        with pytest.raises(ValueError):
-            solve_nids_lp(units, topo, objective="product")
+        program = build_nids_lp(units, topo).program
+        assert [program.variable_names[col] for col in program.objective_cols] == ["MaxLoad"]
+        assert program.objective_coefficients.tolist() == [1.0]

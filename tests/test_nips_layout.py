@@ -53,8 +53,9 @@ from repro.nips.rules import MatchRateMatrix, NIPSRule, unit_rules
 from repro.obs import MetricsRegistry, use_registry
 from repro.topology.datasets import by_label
 from tests import planning_oracle as oracle
+from tests.lp_expressions import value
 from tests.test_nips_milp import small_problem
-from tests.test_planning_columns import _assert_same_matrix
+from tests.test_planning_columns import _assert_same_compile
 
 REL = 1e-9
 
@@ -83,17 +84,6 @@ def _uneven_rules(count):
         )
         for i in range(count)
     ]
-
-
-def _assert_same_compile(ours, theirs):
-    assert list(ours.cost) == list(theirs.cost)
-    assert ours.bounds == theirs.bounds
-    assert ours.maximize == theirs.maximize
-    assert np.array_equal(ours.b_ub, theirs.b_ub)
-    assert len(ours.b_eq) == len(theirs.b_eq) == 0
-    assert list(ours.variable_names) == list(theirs.variable_names)
-    assert list(ours.ineq_names) == list(theirs.ineq_names)
-    _assert_same_matrix(ours.a_ub, theirs.a_ub)
 
 
 # -- the relaxation is the parent's program ------------------------------------
@@ -133,8 +123,8 @@ def test_relaxation_solution_equals_the_oracles():
     solution = solve(reference.program)
     relaxed = solve_relaxation(problem)
     assert relaxed.objective == solution.objective
-    assert relaxed.e == {k: solution.value(v) for k, v in reference.e_vars.items()}
-    assert relaxed.d == {k: solution.value(v) for k, v in reference.d_vars.items()}
+    assert relaxed.e == {k: value(solution, v) for k, v in reference.e_vars.items()}
+    assert relaxed.d == {k: value(solution, v) for k, v in reference.d_vars.items()}
 
 
 def test_a_zero_rate_rule_costs_nothing_and_is_never_sampled():

@@ -22,7 +22,7 @@ from repro.core.nids_lp import build_nids_lp, solve_nids_lp
 from repro.core.provisioning import bottleneck_analysis
 from repro.core.units import CoordinationUnit, build_units
 from repro.hashing.keys import Aggregation
-from repro.lp.model import LinearProgram, LinExpr, Relation, Sense
+from repro.lp.model import LinearProgram, Relation, Sense
 from repro.lp.solver import solve_or_raise
 from repro.nids.modules import STANDARD_MODULES
 from repro.nids.modules.base import CheckLocation, ModuleSpec, Scope, TrafficFilter
@@ -32,6 +32,7 @@ from repro.traffic import GeneratorConfig, SessionBatch, TrafficGenerator
 from repro.traffic.packet import TCP, UDP, FiveTuple
 from repro.traffic.session import Session
 from tests import planning_oracle as oracle
+from tests.lp_expressions import ExpressionProgram
 
 LABELS = ("internet2", "Geant", "AS1239", "pop100")
 
@@ -260,19 +261,7 @@ def _assert_same_matrix(ours, theirs):
     assert np.array_equal(ours.data, theirs.data)
 
 
-def _assert_same_program(built, reference):
-    assert built.program.num_variables == reference.program.num_variables
-    assert built.program.num_constraints == reference.program.num_constraints
-    assert built.coverage == reference.coverage
-    assert built.d == range(len(reference.d_vars))
-    for ours, theirs in (
-        (built.cpu_load_vars, reference.cpu_load_vars),
-        (built.mem_load_vars, reference.mem_load_vars),
-    ):
-        assert {n: (v.index, v.name) for n, v in ours.items()} == {
-            n: (v.index, v.name) for n, v in theirs.items()
-        }
-    ours, theirs = built.program.compile(), reference.program.compile()
+def _assert_same_compile(ours, theirs):
     assert list(ours.cost) == list(theirs.cost)
     assert ours.bounds == theirs.bounds
     assert ours.maximize == theirs.maximize
@@ -283,6 +272,22 @@ def _assert_same_program(built, reference):
     assert list(ours.eq_names) == list(theirs.eq_names)
     _assert_same_matrix(ours.a_ub, theirs.a_ub)
     _assert_same_matrix(ours.a_eq, theirs.a_eq)
+
+
+def _assert_same_program(built, reference):
+    assert built.program.num_variables == reference.program.num_variables
+    assert built.program.num_constraints == reference.program.num_constraints
+    assert built.coverage == reference.coverage
+    assert built.d == range(len(reference.d_vars))
+    for ours, theirs in (
+        (built.cpu_load_cols, reference.cpu_load_vars),
+        (built.mem_load_cols, reference.mem_load_vars),
+    ):
+        assert ours.tolist() == [var.index for var in theirs.values()]
+        assert [built.program.variable_names[col] for col in ours] == [
+            var.name for var in theirs.values()
+        ]
+    _assert_same_compile(built.program.compile(), reference.program.compile())
 
 
 def _heterogeneous(topology):
@@ -297,8 +302,6 @@ LP_CASES = [
     dict(coverage=1.0),
     dict(coverage=2.0),
     dict(coverage=2),
-    dict(coverage=1.0, objective="sum", cpu_weight=0.7, mem_weight=1.9),
-    dict(coverage=2.0, objective="sum"),
 ]
 
 
@@ -309,6 +312,15 @@ class TestNidsLP:
         _assert_same_program(
             build_nids_lp(units, topology, **options),
             oracle.build_nids_lp(units, topology, **options),
+        )
+
+    @pytest.mark.parametrize("coverage", [1.0, 2.0])
+    def test_every_topology_compiles_to_the_oracles_arrays(self, world, coverage):
+        topology, paths, sessions = world
+        units = build_units(module_set(21), sessions, paths)
+        _assert_same_program(
+            build_nids_lp(units, topology, coverage),
+            oracle.build_nids_lp(units, topology, coverage),
         )
 
     def test_heterogeneous_capacities(self, as1239_units):
@@ -387,12 +399,12 @@ class _Counted:
 
 
 def _block_program():
-    """min t  s.t.  x0 + x1 == 1, x1 + x2 == 1 (block), t >= x_i (exprs)."""
+    """min t  s.t.  x0 + x1 == 1, x1 + x2 == 1, t >= x_i."""
     lp = LinearProgram("blocks")
     x_names = _Counted(["x[0]", "x[1]", "x[2]"])
     row_names = _Counted(["pair[0]", "pair[1]"])
     x = lp.add_variables(3, x_names, lb=0.0, ub=[1.0, 0.25, 1.0])
-    t = lp.add_variable("t")
+    (t,) = lp.add_variables(1, ["t"])
     lp.add_constraints(
         Relation.EQ,
         rows=[0, 0, 1, 1],
@@ -401,10 +413,42 @@ def _block_program():
         rhs=[1.0, 1.0],
         names=row_names,
     )
-    for i in x:
-        lp.add_constraint(t >= LinExpr({i: 1.0}), name=f"top[{i}]")
-    lp.set_objective(t, Sense.MINIMIZE)
+    lp.add_constraints(
+        Relation.GE,
+        rows=[0, 1, 2, 0, 1, 2],
+        cols=[t, t, t, *x],
+        data=[1.0, 1.0, 1.0, -1.0, -1.0, -1.0],
+        rhs=[0.0, 0.0, 0.0],
+        names=[f"top[{i}]" for i in x],
+    )
+    lp.set_objective([t], [1.0], Sense.MINIMIZE)
     return lp, x, x_names, row_names
+
+
+def _reference_program():
+    """The same program, one term at a time."""
+    lp = ExpressionProgram("blocks")
+    x = [lp.add_variable(f"x[{i}]", ub=ub) for i, ub in enumerate((1.0, 0.25, 1.0))]
+    t = lp.add_variable("t")
+    lp.add_constraint((x[0] + x[1]).equals(1.0), name="pair[0]")
+    lp.add_constraint((x[1] + x[2]).equals(1.0), name="pair[1]")
+    for i, x_i in enumerate(x):
+        lp.add_constraint(t >= x_i, name=f"top[{i}]")
+    lp.set_objective(t, Sense.MINIMIZE)
+    return lp
+
+
+def _satisfies(compiled, values, tol=1e-6):
+    """Whether *values* meets the compiled bounds and rows."""
+    x = np.asarray(values)
+    lower = np.array([lb for lb, _ub in compiled.bounds])
+    upper = np.array([np.inf if ub is None else ub for _lb, ub in compiled.bounds])
+    return bool(
+        np.all(x >= lower - tol)
+        and np.all(x <= upper + tol)
+        and np.all(compiled.a_ub @ x <= compiled.b_ub + tol)
+        and np.all(np.abs(compiled.a_eq @ x - compiled.b_eq) <= tol)
+    )
 
 
 class TestBlocks:
@@ -413,7 +457,7 @@ class TestBlocks:
         solution = solve_or_raise(lp)
         assert solution.objective == pytest.approx(0.75)
         assert solution.values[x[1]] == pytest.approx(0.25)
-        # Eager names resolve before any block is rendered.
+        # Names given as lists resolve before any block is rendered.
         assert solution.value_by_name("t") == pytest.approx(0.75)
         assert solution.dual_by_name("top[0]") == pytest.approx(
             solution.ineq_duals[0]
@@ -430,44 +474,64 @@ class TestBlocks:
             solution.dual_by_name("nonexistent")
         with pytest.raises(ValueError):
             solution.value_by_name("nonexistent")
+        reference = solve_or_raise(_reference_program())
+        assert solution.values == reference.values
+        assert solution.objective == reference.objective
+        assert (solution.ineq_duals, solution.eq_duals) == (
+            reference.ineq_duals, reference.eq_duals
+        )
 
     def test_is_feasible_honours_block_rows(self):
         lp, _x, _x_names, _row_names = _block_program()
-        assert lp.num_variables == 4
-        assert lp.num_constraints == 5
-        assert lp.is_feasible([0.75, 0.25, 0.75, 0.75])
-        assert not lp.is_feasible([0.75, 0.25, 0.5, 0.75])  # pair[1] broken
-        assert not lp.is_feasible([0.5, 0.5, 0.5, 0.5])  # x[1] above its bound
-        assert not lp.is_feasible([0.75, 0.25, 0.75, 0.5])  # top rows broken
+        reference = _reference_program()
+        assert lp.num_variables == reference.num_variables == 4
+        assert lp.num_constraints == reference.num_constraints == 5
+        compiled = lp.compile()
+        _assert_same_compile(compiled, reference.compile())
+        for point, feasible in (
+            ([0.75, 0.25, 0.75, 0.75], True),
+            ([0.75, 0.25, 0.5, 0.75], False),  # pair[1] broken
+            ([0.5, 0.5, 0.5, 0.5], False),  # x[1] above its bound
+            ([0.75, 0.25, 0.75, 0.5], False),  # top rows broken
+        ):
+            assert reference.is_feasible(point) is feasible
+            assert _satisfies(compiled, point) is feasible
 
     def test_inequality_blocks_flip_like_expressions(self):
-        def program(use_block):
+        def blocks():
             lp = LinearProgram()
+            x, y = lp.add_variables(2, ["x", "y"], ub=10.0)
+            lp.add_constraints(
+                Relation.GE, [0, 1, 1], [x, x, y], [1.0, 1.0, 2.0], [2.0, 7.0], ["lo", "mix"]
+            )
+            lp.add_constraints(Relation.LE, [0], [y], [1.0], [3.0], ["hi"])
+            lp.set_objective([x, y], [1.0, 1.0], Sense.MINIMIZE)
+            return lp
+
+        def expressions():
+            lp = ExpressionProgram()
             x = lp.add_variable("x", ub=10.0)
             y = lp.add_variable("y", ub=10.0)
-            if use_block:
-                lp.add_constraints(
-                    Relation.GE, [0, 1, 1], [x.index, x.index, y.index],
-                    [1.0, 1.0, 2.0], [2.0, 7.0], ["lo", "mix"],
-                )
-                lp.add_constraints(
-                    Relation.LE, [0], [y.index], [1.0], [3.0], ["hi"]
-                )
-            else:
-                lp.add_constraint(x >= 2.0, name="lo")
-                lp.add_constraint(x + 2.0 * y >= 7.0, name="mix")
-                lp.add_constraint(y <= 3.0, name="hi")
+            lp.add_constraint(x >= 2.0, name="lo")
+            lp.add_constraint(x + 2.0 * y >= 7.0, name="mix")
+            lp.add_constraint(y <= 3.0, name="hi")
             lp.set_objective(x + y, Sense.MINIMIZE)
             return lp
 
-        ours, theirs = program(True).compile(), program(False).compile()
-        _assert_same_matrix(ours.a_ub, theirs.a_ub)
-        assert np.array_equal(ours.b_ub, theirs.b_ub)
-        assert list(ours.ineq_names) == list(theirs.ineq_names) == ["lo", "mix", "hi"]
-        assert solve_or_raise(program(True)).objective == pytest.approx(4.5)
-        assert solve_or_raise(program(True)).dual_by_name("mix") == pytest.approx(
-            solve_or_raise(program(False)).dual_by_name("mix")
+        ours, theirs = blocks().compile(), expressions().compile()
+        _assert_same_compile(ours, theirs)
+        assert list(ours.ineq_names) == ["lo", "mix", "hi"]
+        assert solve_or_raise(blocks()).objective == pytest.approx(4.5)
+        assert solve_or_raise(blocks()).dual_by_name("mix") == pytest.approx(
+            solve_or_raise(expressions()).dual_by_name("mix")
         )
+
+    def test_a_zero_right_hand_side_stays_positive_zero(self):
+        # ``>=`` rows are negated for the backend; -1.0 * 0.0 is -0.0,
+        # which ``==`` cannot tell from what the reference lowers to.
+        lp, _x, _x_names, _row_names = _block_program()
+        assert not np.signbit(lp.compile().b_ub).any()
+        assert not np.signbit(_reference_program().compile().b_ub).any()
 
     def test_malformed_blocks_are_rejected(self):
         lp = LinearProgram()
@@ -480,6 +544,10 @@ class TestBlocks:
             lp.add_constraints(Relation.EQ, [0, 2], [0, 1], [1.0, 1.0], [0.0, 0.0], ["r", "s"])
         with pytest.raises(ValueError):
             lp.add_constraints(Relation.EQ, [0, 1], [0, 2], [1.0, 1.0], [0.0, 0.0], ["r", "s"])
+        with pytest.raises(ValueError):
+            lp.set_objective([0, 1], [1.0], Sense.MINIMIZE)
+        with pytest.raises(ValueError):
+            lp.set_objective([0, 2], [1.0, 1.0], Sense.MINIMIZE)
         lp.add_constraints(Relation.EQ, [0], [0], [1.0], [0.0], lambda: ["r", "s"])
         with pytest.raises(ValueError):
             list(lp.compile().eq_names)
