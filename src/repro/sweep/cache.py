@@ -33,8 +33,10 @@ from .spec import SweepCell
 
 #: Bump when the worker/scoring semantics change in a way that makes
 #: previously cached cell results incomparable (e.g. new acceptance
-#: rules, changed consolidated-report fields sourced from the cell).
-CACHE_FORMAT_VERSION = 2
+#: rules, changed consolidated-report fields sourced from the cell, a
+#: different session stream for the same seed).  3: the trace generator
+#: draws from ``numpy.random.Generator`` in blocks.
+CACHE_FORMAT_VERSION = 3
 
 
 def canonical_json(payload: object) -> str:
@@ -63,7 +65,8 @@ class ArtifactCache:
         """The cached result dict for *cell*, or ``None`` on a miss.
 
         A corrupt or mismatched artifact (truncated write from a
-        killed run, or the astronomically unlikely key collision)
+        killed run, another format version's artifact copied under
+        this address, or the astronomically unlikely key collision)
         reads as a miss, never as an error — the cell just re-runs.
         """
         path = self._path(cache_key(cell))
@@ -72,7 +75,10 @@ class ArtifactCache:
                 artifact = json.load(handle)
         except (OSError, ValueError):
             return None
-        if artifact.get("cell") != cell.to_dict():
+        if (
+            artifact.get("format") != CACHE_FORMAT_VERSION
+            or artifact.get("cell") != cell.to_dict()
+        ):
             return None
         return artifact.get("result")
 

@@ -11,13 +11,17 @@ The report is **deterministic by construction** so that the
 sequential and parallel executors produce byte-identical output:
 
 * cells are folded and listed in spec order, never completion order;
-* wall-clock fields (``duration_seconds``) and timing metric families
-  (names ending ``_seconds`` / ``_per_second``) are excluded — they
-  are the only nondeterministic values a run produces;
-* runner-side ``sweep_*`` telemetry is excluded too, since cache
-  hit/miss counts legitimately differ between a cold run and a warm
-  re-run that must still render the same report;
+* wall-clock fields (``duration_seconds``) are excluded, and the
+  metric fold carries only :data:`REPORTED_FAMILIES` — none of them a
+  timing family (names ending ``_seconds`` / ``_per_second``, the only
+  nondeterministic values a run produces) or runner-side ``sweep_*``
+  telemetry (cache hit/miss counts legitimately differ between a cold
+  run and a warm re-run that must still render the same report);
 * the JSON writer sorts keys.
+
+The family list is explicit so that the report's bytes do not follow
+the metric catalogue: a family nobody reads can be retired without
+re-baselining every report.
 """
 
 from __future__ import annotations
@@ -29,16 +33,54 @@ from ..obs import MetricsRegistry
 from .executor import SweepRun
 from .worker import CellResult
 
-#: Metric-family name suffixes excluded from the consolidated report
-#: (wall-clock derived, so nondeterministic across runs/executors).
+#: Metric-family name suffixes of wall-clock derived families, which are
+#: nondeterministic across runs/executors and never reported.
 NONDETERMINISTIC_SUFFIXES: Tuple[str, ...] = ("_seconds", "_per_second")
+
+#: The cell-telemetry families the consolidated report carries: each
+#: has a reader — a sweep verdict, a doc, a test, the CLI or the
+#: benchmark (``docs/sweep.md`` names them).
+REPORTED_FAMILIES: Tuple[str, ...] = (
+    "agent_degraded_epochs_total",
+    "agent_dispatch_sessions_total",
+    "agent_duplicate_suppressions_total",
+    "agent_lease_expirations_total",
+    "agent_resync_requests_total",
+    "agent_stale_term_rejections_total",
+    "bus_bytes_total",
+    "bus_dropped_total",
+    "bus_messages_total",
+    "chaos_injected_total",
+    "chaos_invariant_violations_total",
+    "controller_ha_depositions_total",
+    "controller_ha_elections_total",
+    "controller_ha_handoffs_total",
+    "controller_ha_term",
+    "controller_lease_fences_total",
+    "controller_manifest_rejections_total",
+    "controller_push_retries_total",
+    "controller_repairs_total",
+    "controller_resolves_total",
+    "controller_superseded_acks_total",
+    "epoch_coverage",
+    "heartbeat_failures_total",
+    "lp_iterations",
+    "lp_solves_total",
+    "lp_variables",
+    "manifest_delta_entries",
+    "manifest_deltas_total",
+    "manifest_entries_per_generation",
+    "manifest_generations_total",
+    "repair_orphaned_mass",
+)
 
 #: How many lowest-coverage cells the report highlights.
 WORST_CELLS = 3
 
 
 def _deterministic_metrics(snapshots: List[dict]) -> dict:
-    """Fold cell snapshots (in the given order) and drop timing families."""
+    """Fold cell snapshots (in the given order) and keep the reported
+    families."""
     registry = MetricsRegistry()
     for snapshot in snapshots:
         if snapshot:
@@ -47,8 +89,7 @@ def _deterministic_metrics(snapshots: List[dict]) -> dict:
     metrics = {
         name: family
         for name, family in merged.get("metrics", {}).items()
-        if not name.endswith(NONDETERMINISTIC_SUFFIXES)
-        and not name.startswith("sweep_")
+        if name in REPORTED_FAMILIES
     }
     return {"version": merged.get("version", 1), "metrics": metrics}
 

@@ -1,7 +1,7 @@
 """The session trace, as columns.
 
 :class:`SessionBatch` is the trace type of the whole pipeline: the
-generator appends drawn values to column lists and hands them to
+generator draws whole columns and hands them to
 :meth:`SessionBatch.from_columns`, and the planner (``build_units``),
 the dispatcher and the engine read those arrays — no ``Session`` object
 exists on the generate → plan / emulate path.  A batch is also a

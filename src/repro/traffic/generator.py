@@ -10,24 +10,27 @@ Host identifiers embed the home PoP in the high bits, so any component
 can recover a host's ingress node — this plays the role of the paper's
 "configuration files that map IP prefixes to their ingress locations".
 
-The trace is columnar from the moment it is drawn.  One private draw
-loop (``_draw_batches``) consumes one seeded :class:`random.Random`
-stream and appends the drawn values to per-chunk column lists; each
-chunk becomes a root :class:`~repro.traffic.batch.SessionBatch` through
-``SessionBatch.from_columns``.  :meth:`TrafficGenerator.generate_chunks`
-yields those roots (nothing is cached here: a chunk lives as long as its
-consumer holds it), and :meth:`TrafficGenerator.generate` is the single
-full-size chunk viewed in start-time order.  ``Session`` objects are not
-built on this path; a consumer that indexes or iterates a batch gets
-them lazily from the batch's root (see :mod:`repro.traffic.batch`).
-The per-session, object-building form of the same stream is the tests'
-oracle, ``tests/traffic_oracle.py``.
+The trace is columnar from the moment it is drawn.  One seeded
+:class:`numpy.random.Generator` fills whole columns — template, hosts,
+ports, packets, bytes, maliciousness, start time — for
+:data:`DRAW_BLOCK` generation-order rows at a time (``_draw_block``),
+and ``_draw_batches`` cuts those blocks into chunks, each a root
+:class:`~repro.traffic.batch.SessionBatch` built by
+``SessionBatch.from_columns``.  No session depends on the one before
+it, so nothing is drawn per session or per pair in Python.
+:meth:`TrafficGenerator.generate_chunks` yields those roots (nothing is
+cached here: a chunk lives as long as its consumer holds it), and
+:meth:`TrafficGenerator.generate` is the single full-size chunk viewed
+in start-time order.  ``Session`` objects are not built on this path; a
+consumer that indexes or iterates a batch gets them lazily from the
+batch's root (see :mod:`repro.traffic.batch`).  What the stream depends
+on, and what it must not, is ``docs/determinism.md``; the per-session
+scalar loop that drew the same distribution before is the tests'
+distributional reference, ``tests/traffic_oracle.py``.
 """
 
 from __future__ import annotations
 
-import random
-from bisect import bisect
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -43,6 +46,11 @@ from .session import Session
 #: Bits reserved for the per-site host id within a host identifier.
 HOST_BITS = 20
 _HOST_MASK = (1 << HOST_BITS) - 1
+
+#: Generation-order rows drawn per block.  A constant and not a
+#: parameter: block boundaries are where the stream's column draws
+#: start, so they must not move with a consumer's chunk size.
+DRAW_BLOCK = 65_536
 
 
 def host_id(node_index: int, local_id: int) -> int:
@@ -88,125 +96,137 @@ class TrafficGenerator:
         self.config = config or GeneratorConfig()
         self._node_index = {name: i for i, name in enumerate(topology.node_names)}
 
-    def _draw_batches(
-        self, num_sessions: int, chunk_size: int
-    ) -> Iterator[SessionBatch]:
-        """The one draw loop: *num_sessions* sessions in generation
-        order, as column-born batches of at most *chunk_size* rows.
+    def _draw_blocks(self, num_sessions: int) -> Iterator[tuple]:
+        """The stream: *num_sessions* rows of drawn columns, in blocks of
+        :data:`DRAW_BLOCK` generation-order rows (the last one shorter).
 
-        One :class:`random.Random` seeded once drives the whole stream,
-        and sessions are drawn in the deterministic traffic-matrix pair
-        order — so the emitted rows are a pure function of
-        ``(seed, num_sessions)``, whatever the chunk size.  Per session
-        the calls on the stream are, in order: the template (one
-        ``random()`` bisected into the profile's cumulative weights,
-        :meth:`TrafficProfile.draw_template`'s arithmetic), source and
-        destination host, the destination port of a probe, the source
-        port, the packet count, the packet size, maliciousness and the
-        start time.  Drawn values are appended to per-chunk column
-        lists; nothing per session is constructed.
+        One :class:`numpy.random.Generator` seeded once with
+        ``config.seed`` draws every value, one call per column per
+        block, in this order: the template (``random``, mapped through
+        :meth:`TrafficProfile.template_ids`); the source and the
+        destination local host id (``integers`` below a per-row bound —
+        a probe's source is one of the node's scanners and a half-open
+        session's destination one of its flood victims, any host
+        otherwise); a probe's destination port in ``[1, 1024)``; the
+        source port in ``[1024, 65536)``; the packet count (``min +
+        trunc(exponential(span))`` clipped to ``[min, max]``, exactly 1
+        for probes and half-open sessions); the packet size (``normal``
+        around the template's mean, σ = 0.2 · mean, at least 40 bytes);
+        maliciousness and the start time (``random``).  Yields
+        ``(template_ids, src, dst, sport, dport, pkts, num_bytes,
+        malicious, start_time)``, host ids not yet homed.
         """
         import numpy as np
 
         config = self.config
-        rng = random.Random(config.seed)
-        rand, randrange, gauss = rng.random, rng.randrange, rng.gauss
-        hosts = config.hosts_per_node
-        scanners = config.scanners_per_node
-        flood_targets = config.flood_targets_per_node
-        duration = config.duration_seconds
+        rng = np.random.default_rng(config.seed)
         templates = self.profile.templates
-        cumulative = self.profile.cumulative_weights
-        total = cumulative[-1] + 0.0
-        hi = len(cumulative) - 1
-        # Scans are TCP whatever their template says.
-        proto_of = np.array([TCP if t.probe else t.proto for t in templates], dtype=np.int64)
-        half_open_of = np.array([t.half_open for t in templates], dtype=bool)
+
+        def table(values, dtype):
+            return np.array(list(values), dtype=dtype)
+
+        hosts, victims = config.hosts_per_node, config.flood_targets_per_node
+        probe = table((t.probe for t in templates), bool)
+        src_bound = table(
+            (config.scanners_per_node if t.probe else hosts for t in templates), np.int64
+        )
+        dst_bound = table(
+            (victims if t.half_open and not t.probe else hosts for t in templates), np.int64
+        )
+        server_port = table((t.server_port for t in templates), np.int64)
+        # A probe or a half-open attempt is one packet: its clip is [1, 1].
+        single = [t.probe or t.half_open for t in templates]
+        low = table((1 if one else t.min_packets for one, t in zip(single, templates)), np.int64)
+        high = table((1 if one else t.max_packets for one, t in zip(single, templates)), np.int64)
+        span = table((max(1.0, t.mean_packets - t.min_packets) for t in templates), np.float64)
+        size = table((t.mean_packet_size for t in templates), np.float64)
+        malicious = table((t.malicious_fraction for t in templates), np.float64)
+        for start in range(0, num_sessions, DRAW_BLOCK):
+            rows = min(DRAW_BLOCK, num_sessions - start)
+            tid = self.profile.template_ids(rng.random(rows))
+            src = rng.integers(0, src_bound.take(tid))
+            dst = rng.integers(0, dst_bound.take(tid))
+            dport = np.where(probe.take(tid), rng.integers(1, 1024, rows), server_port.take(tid))
+            sport = rng.integers(1024, 65536, rows)
+            floor = low.take(tid)
+            grown = floor + rng.exponential(span.take(tid)).astype(np.int64)
+            pkts = np.maximum(floor, np.minimum(high.take(tid), grown))
+            mean = size.take(tid)
+            num_bytes = pkts * np.maximum(40, rng.normal(mean, mean * 0.2).astype(np.int64))
+            yield (
+                tid, src, dst, sport, dport, pkts, num_bytes,
+                rng.random(rows) < malicious.take(tid),
+                rng.random(rows) * config.duration_seconds,
+            )
+
+    def _draw_batches(
+        self, num_sessions: int, chunk_size: int
+    ) -> Iterator[SessionBatch]:
+        """*num_sessions* sessions in generation order, as column-born
+        batches of at most *chunk_size* rows.
+
+        Chunks are cut from :meth:`_draw_blocks`'s fixed blocks, so the
+        emitted rows are a pure function of ``(seed, num_sessions)``
+        whatever the chunk size, and the columns alive here are bounded
+        by the chunk and block sizes, not the trace.  Rows follow the
+        traffic matrix's deterministic ``session_counts`` runs in pair
+        order; a row's pair is a ``searchsorted`` of its generation index
+        into the runs' cumulative counts, and pairs that draw no session
+        get no group.
+        """
+        import numpy as np
 
         runs = [
             (pair, count)
             for pair, count in self.matrix.session_counts(num_sessions).items()
             if count
         ]
-        next_id = 0
-        position = 0  # in ``runs``
-        drawn = 0  # of ``runs[position]``'s count
-        while next_id < num_sessions:
-            room = min(chunk_size, num_sessions - next_id)
-            pairs: List[Tuple[str, str]] = []
-            lengths: List[int] = []
-            tids: List[int] = []
-            srcs: List[int] = []
-            dsts: List[int] = []
-            sports: List[int] = []
-            dports: List[int] = []
-            pkts: List[int] = []
-            nbytes: List[int] = []
-            malicious: List[bool] = []
-            starts: List[float] = []
-            while room:
-                pair, count = runs[position]
-                length = min(room, count - drawn)
-                pairs.append(pair)
-                lengths.append(length)
-                room -= length
-                drawn += length
-                if drawn == count:
-                    position, drawn = position + 1, 0
-                src_home = self._node_index[pair[0]] << HOST_BITS
-                dst_home = self._node_index[pair[1]] << HOST_BITS
-                for _ in range(length):
-                    tid = bisect(cumulative, rand() * total, 0, hi)
-                    template = templates[tid]
-                    # Local host ids and the service port; ``host_id``'s
-                    # composition is applied inline below.
-                    if template.probe:
-                        # Scans: a small set of sources probing many
-                        # destinations and ports, so per-source fan-out
-                        # is high.
-                        src = randrange(scanners)
-                        dst = randrange(hosts)
-                        dport = randrange(1, 1024)
-                    elif template.half_open:
-                        # SYN floods concentrate on a handful of victim hosts.
-                        src = randrange(hosts)
-                        dst = randrange(flood_targets)
-                        dport = template.server_port
-                    else:
-                        src = randrange(hosts)
-                        dst = randrange(hosts)
-                        dport = template.server_port
-                    srcs.append(src_home | (src & _HOST_MASK))
-                    dsts.append(dst_home | (dst & _HOST_MASK))
-                    dports.append(dport)
-                    tids.append(tid)
-                    sports.append(randrange(1024, 65536))
-                    packets = template.draw_packet_count(rng)
-                    pkts.append(packets)
-                    size = template.mean_packet_size
-                    nbytes.append(packets * max(40, int(gauss(size, size * 0.2))))
-                    malicious.append(rand() < template.malicious_fraction)
-                    starts.append(rand() * duration)
-            template_ids = np.array(tids, dtype=np.intp)
-            rows = len(tids)
+        pairs = [pair for pair, _ in runs]
+        ends = np.cumsum([count for _, count in runs], dtype=np.int64)
+        index = self._node_index
+        src_home = np.array([index[a] for a, _ in pairs], dtype=np.int64) << HOST_BITS
+        dst_home = np.array([index[b] for _, b in pairs], dtype=np.int64) << HOST_BITS
+        templates = self.profile.templates
+        # Scans are TCP whatever their template says.
+        proto_of = np.array([TCP if t.probe else t.proto for t in templates], dtype=np.int64)
+        half_open_of = np.array([t.half_open for t in templates], dtype=bool)
+
+        blocks = self._draw_blocks(num_sessions)
+        block: tuple = ()
+        offset = 0  # rows of ``block`` already cut
+        for start in range(0, num_sessions, chunk_size):
+            stop = min(start + chunk_size, num_sessions)
+            pieces = []
+            cut = start
+            while cut < stop:
+                if not block or offset == len(block[0]):
+                    block, offset = next(blocks), 0
+                rows = min(stop - cut, len(block[0]) - offset)
+                pieces.append([column[offset : offset + rows] for column in block])
+                offset += rows
+                cut += rows
+            tid, src, dst, sport, dport, pkts, num_bytes, malicious, start_time = (
+                np.concatenate(parts) for parts in zip(*pieces)
+            )
+            run = np.searchsorted(ends, np.arange(start, stop), side="right")
+            first = int(run[0])
             yield SessionBatch.from_columns(
-                src=np.array(srcs, dtype=np.uint64),
-                dst=np.array(dsts, dtype=np.uint64),
-                sport=np.array(sports, dtype=np.int64),
-                dport=np.array(dports, dtype=np.int64),
-                proto=proto_of.take(template_ids),
-                pkts=np.array(pkts, dtype=np.int64),
-                half_open=half_open_of.take(template_ids),
-                session_ids=np.arange(next_id, next_id + rows, dtype=np.int64),
-                group_ids=np.repeat(np.arange(len(pairs), dtype=np.intp), lengths),
-                pairs=pairs,
-                start_time=np.array(starts, dtype=np.float64),
-                num_bytes=np.array(nbytes, dtype=np.int64),
-                malicious=np.array(malicious, dtype=bool),
-                template_ids=template_ids,
+                src=(src_home.take(run) | (src & _HOST_MASK)).astype(np.uint64),
+                dst=(dst_home.take(run) | (dst & _HOST_MASK)).astype(np.uint64),
+                sport=sport,
+                dport=dport,
+                proto=proto_of.take(tid),
+                pkts=pkts,
+                half_open=half_open_of.take(tid),
+                session_ids=np.arange(start, stop, dtype=np.int64),
+                group_ids=run - first,
+                pairs=pairs[first : int(run[-1]) + 1],
+                start_time=start_time,
+                num_bytes=num_bytes,
+                malicious=malicious,
+                template_ids=tid,
                 templates=templates,
             )
-            next_id += rows
 
     def generate(self, num_sessions: int) -> SessionBatch:
         """Generate exactly *num_sessions* sessions, by start time.
@@ -220,7 +240,7 @@ class TrafficGenerator:
         """
         import numpy as np
 
-        batch = next(self._draw_batches(num_sessions, num_sessions), None)
+        batch = next(self._draw_batches(num_sessions, max(num_sessions, 1)), None)
         if batch is None:
             return SessionBatch([])
         return batch.take(np.argsort(batch.start_time, kind="stable"))
@@ -232,11 +252,12 @@ class TrafficGenerator:
 
         Memory-bounded companion to :meth:`generate`: only one chunk's
         columns exist at a time, so multi-million-session runs are
-        bounded by the chunk size, not the trace size.  All chunks are
-        slices of one seeded RNG stream — there is no per-chunk
-        reseeding — so the concatenation of the chunks is the same
-        session sequence for every chunk size, and sorting it by start
-        time reproduces :meth:`generate` verbatim.  (The engine's
+        bounded by the chunk and draw-block sizes, not the trace size.
+        All chunks are cut from one seeded stream drawn in fixed blocks —
+        there is no per-chunk reseeding and no chunk-dependent draw — so
+        the concatenation of the chunks is the same session sequence for
+        every chunk size, and sorting it by start time reproduces
+        :meth:`generate` verbatim.  (The engine's
         accounting is order-independent, so streamed and materialized
         runs report identically.)
         """

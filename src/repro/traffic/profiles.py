@@ -16,8 +16,6 @@ A :class:`TrafficProfile` is a weighted mixture of templates — the
 
 from __future__ import annotations
 
-import random
-from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Dict, List
@@ -46,14 +44,6 @@ class SessionTemplate:
     #: True when the "session" is a one-packet probe to a random host
     #: (scan template) rather than a normal connection.
     probe: bool = False
-
-    def draw_packet_count(self, rng: random.Random) -> int:
-        """Draw a session's packet count (geometric-ish, bounded)."""
-        if self.half_open or self.probe:
-            return 1
-        span = max(1.0, self.mean_packets - self.min_packets)
-        count = self.min_packets + int(rng.expovariate(1.0 / span))
-        return max(self.min_packets, min(self.max_packets, count))
 
 
 #: Template library keyed by protocol name.  Ports follow the modules'
@@ -115,8 +105,7 @@ class TrafficProfile:
             raise ValueError("profile weights must sum to a positive value")
         self.weights = {name: w / total for name, w in self.weights.items()}
         #: The draw table, built once: the mixture's templates in weight
-        #: order and the running sums ``random.choices`` would
-        #: re-accumulate from the weights on every call.
+        #: order and their running weight sums.
         self.templates = tuple(TEMPLATES[name] for name in self.weights)
         self.cumulative_weights = list(accumulate(self.weights.values()))
 
@@ -125,23 +114,20 @@ class TrafficProfile:
         """Names of the templates in this mixture."""
         return list(self.weights)
 
-    def draw_template(self, rng: random.Random) -> SessionTemplate:
-        """Sample a template according to the mixture weights.
+    def template_ids(self, uniforms):
+        """Indices into :attr:`templates` for uniform draws in ``[0, 1)``.
 
-        One ``rng.random()`` per draw and the float arithmetic of
-        ``rng.choices(names, weights=...)`` — scaled by the last running
-        sum, bisected with ``hi = n - 1`` — so the drawn sequence is the
-        one ``choices`` gives at every seed.
+        ``random.choices(names, weights=...)``'s arithmetic on a whole
+        array: each draw is scaled by the last running sum and located
+        among the running sums, clamped to the last template (``bisect``
+        with ``hi = n - 1``), so one uniform names the template
+        ``choices`` would name for it.
         """
+        import numpy as np
+
         cumulative = self.cumulative_weights
-        return self.templates[
-            bisect(
-                cumulative,
-                rng.random() * (cumulative[-1] + 0.0),
-                0,
-                len(cumulative) - 1,
-            )
-        ]
+        ids = np.searchsorted(cumulative, uniforms * (cumulative[-1] + 0.0), side="right")
+        return np.minimum(ids, len(cumulative) - 1)
 
 
 def mixed_profile() -> TrafficProfile:

@@ -312,10 +312,14 @@ class TestSteadyScenario:
         assert records[0].resolved == "bootstrap"
         assert records[0].pushes_full > 0
         later = [r for r in records[1:] if r.push_bytes > 0]
+        assert later
         # Whatever is re-pushed after bootstrap rides deltas and
-        # undercuts full-manifest distribution.
+        # undercuts full-manifest distribution.  A node whose entries a
+        # re-plan mostly moved gets the full manifest instead, because
+        # there its delta would be the larger payload (seed 11's epoch-8
+        # re-plan does that to two of eleven nodes).
         for record in later:
-            assert record.pushes_full == 0
+            assert record.pushes_delta > record.pushes_full
             assert record.push_bytes < record.full_equivalent_bytes
 
     def test_periodic_resolves_happen(self, steady_result):
@@ -422,6 +426,9 @@ class TestEpochScoring:
         back to edge-only after its heartbeat left (so the controller
         cannot have repaired around it yet) leaves its transit ranges
         unanalyzed that epoch, whatever its distrusted manifest says."""
+        config = ScenarioConfig(epochs=5, base_sessions=300, seed=5, lease_ttl=2.5)
+        # The twin: the same run without the injected degradation.
+        healthy = [record.coverage for record in run_scenario(config).records]
         update_degraded = Agent._update_degraded
 
         def degrade_kscy_mid_epoch_3(agent, now):
@@ -430,13 +437,11 @@ class TestEpochScoring:
                 agent.degraded = True
 
         monkeypatch.setattr(Agent, "_update_degraded", degrade_kscy_mid_epoch_3)
-        result = run_scenario(
-            ScenarioConfig(epochs=5, base_sessions=300, seed=5, lease_ttl=2.5)
-        )
+        result = run_scenario(config)
         coverage = [record.coverage for record in result.records]
-        assert coverage[2] == 1.0
-        assert coverage[3] < 0.99
-        assert coverage[4] == 1.0  # lease still valid: back to its manifest
+        assert coverage[2] == healthy[2]
+        assert coverage[3] < 0.99 and coverage[3] < healthy[3]
+        assert coverage[4] == healthy[4]  # lease still valid: back to its manifest
 
 
 class TestOneDriver:

@@ -248,7 +248,7 @@ class TestStabilize:
 @pytest.fixture(scope="module")
 def plane():
     """A pop12 plane four epochs in: every agent serves a coordinated
-    manifest; epochs 2 and 3 re-planned, so §5 windows are open."""
+    manifest, re-planned every epoch."""
     topology = unit_capacity_topology("pop12")
     plane = ControlPlane(
         topology,
@@ -365,14 +365,17 @@ class TestCoverageFloor:
         plane, sessions = plane
         node = _busiest(plane.agents, transit=True)
         agent = plane.agents[node]
-        assert any(a.retiring is not None for a in plane.agents.values())
+        window = {node: (agent.manifest, 99.0)}
+        # The twin: the same window open beside the live manifest.
+        with _Patched(plane.agents, retiring=window):
+            _baseline, kept = _floor(plane, sessions)
         with _Patched(
             plane.agents,
-            retiring={node: (agent.manifest, 99.0)},
+            retiring=window,
             manifest={node: NodeManifest(node=node)},
         ):
             _baseline, uncovered = _floor(plane, sessions)
-        assert uncovered > 0
+        assert kept == 0 < uncovered
 
     def test_units_that_post_date_the_plan(self, plane):
         plane, _sessions = plane

@@ -12,11 +12,14 @@ The load-bearing guarantees:
 """
 
 import json
+import os
+import shutil
 
 import pytest
 
 import repro.sweep.cache as sweep_cache
 from repro.cli import main as repro_main
+from repro.sweep.report import NONDETERMINISTIC_SUFFIXES, REPORTED_FAMILIES
 from repro.obs import MetricsRegistry
 from repro.sweep import (
     ArtifactCache,
@@ -209,6 +212,23 @@ class TestArtifactCache:
         )
         assert cache.get(cell) is None
 
+    def test_format_2_artifact_is_a_miss(self, tmp_path, monkeypatch):
+        """Format 2 cached cells run on the ``random.Random`` session
+        stream; none of them may be served for format 3."""
+        assert sweep_cache.CACHE_FORMAT_VERSION == 3
+        cache = ArtifactCache(str(tmp_path))
+        cell = SweepCell()
+        with monkeypatch.context() as patched:
+            patched.setattr(sweep_cache, "CACHE_FORMAT_VERSION", 2)
+            old_key = cache.put(cell, {"ok": True})
+            assert cache.get(cell) == {"ok": True}
+        assert cache.get(cell) is None
+        # ... also when the old artifact sits at the current address.
+        current = cache._path(cache_key(cell))
+        os.makedirs(os.path.dirname(current), exist_ok=True)
+        shutil.copyfile(cache._path(old_key), current)
+        assert cache.get(cell) is None
+
     def test_partition_splits_by_cache_state(self, tmp_path):
         cache = ArtifactCache(str(tmp_path))
         cached_cell = SweepCell(seed=0)
@@ -341,6 +361,21 @@ class TestReport:
             assert not name.endswith("_seconds")
             assert not name.endswith("_per_second")
             assert not name.startswith("sweep_")
+
+    def test_report_carries_the_listed_families_only(self, sequential_run):
+        """The fold keeps REPORTED_FAMILIES and drops the rest of a
+        cell's registry, whatever the catalogue holds."""
+        for name in REPORTED_FAMILIES:
+            assert not name.endswith(NONDETERMINISTIC_SUFFIXES), name
+            assert not name.startswith("sweep_"), name
+        assert sorted(REPORTED_FAMILIES) == list(REPORTED_FAMILIES)
+        reported = set(consolidate(sequential_run)["metrics"]["metrics"])
+        in_cells = {
+            name for result in sequential_run.results for name in result.metrics["metrics"]
+        }
+        assert reported == in_cells & set(REPORTED_FAMILIES)
+        assert "epochs_total" in in_cells - reported
+        assert "controller_resolves_total" in reported
 
     def test_violations_listed_per_cell(self, tmp_path):
         # geant under controller-outage is a known coverage-floor

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.topology import PathSet, internet2
@@ -35,6 +36,16 @@ def generator():
 @pytest.fixture(scope="module")
 def sessions(generator):
     return generator.generate(2000)
+
+
+@pytest.fixture(scope="module")
+def every_template():
+    """A trace drawing every shipped template in equal shares."""
+    topo = internet2()
+    profile = TrafficProfile("every", {name: 1.0 for name in TEMPLATES})
+    return TrafficGenerator(
+        topo, PathSet(topo), profile=profile, config=GeneratorConfig(seed=1)
+    ).generate(2000)
 
 
 class TestFiveTuple:
@@ -76,21 +87,21 @@ class TestProfiles:
 
     def test_draw_template_respects_support(self):
         profile = web_heavy_profile()
-        rng = random.Random(0)
-        for _ in range(100):
-            assert profile.draw_template(rng).name in profile.weights
+        uniforms = np.append(np.random.default_rng(0).random(100), [0.0, np.nextafter(1.0, 0.0)])
+        for tid in profile.template_ids(uniforms).tolist():
+            assert profile.templates[tid].name in profile.weights
 
-    def test_packet_count_bounds(self):
-        rng = random.Random(1)
-        for template in TEMPLATES.values():
-            for _ in range(50):
-                count = template.draw_packet_count(rng)
-                assert template.min_packets <= count <= template.max_packets or count == 1
+    def test_packet_count_bounds(self, every_template):
+        for session in every_template:
+            template = TEMPLATES[session.app]
+            count = session.num_packets
+            assert template.min_packets <= count <= template.max_packets or count == 1
 
-    def test_half_open_templates_single_packet(self):
-        rng = random.Random(2)
-        assert TEMPLATES["synflood"].draw_packet_count(rng) == 1
-        assert TEMPLATES["scanprobe"].draw_packet_count(rng) == 1
+    def test_half_open_templates_single_packet(self, every_template):
+        counts = {
+            s.num_packets for s in every_template if s.app in ("synflood", "scanprobe")
+        }
+        assert counts == {1}
 
     def test_attack_profile_has_more_malicious_mass(self):
         attack = attack_heavy_profile()

@@ -1,12 +1,13 @@
-"""The column-born trace against the object-building oracle.
+"""The column-born trace: its ``Sequence[Session]`` view, its exact
+columns, and the template rule.
 
-``TrafficGenerator`` appends drawn values to column lists and never
-constructs a ``Session``; ``tests/traffic_oracle.py`` is the parent's
-loop (``rng.choices`` + ``FiveTuple`` + ``Session`` per session, list
-sort).  Both consume the same ``random.Random`` stream, so every
-comparison here is ``==``: columns (dtype included), pair resolution,
-the lazily built ``Session`` objects, chunk boundaries, the stable
-start-time order, and — end to end — the CLI's report bytes.  The
+``TrafficGenerator`` draws whole columns and never constructs a
+``Session``.  Every comparison here is ``==``: a root's columns (dtype
+included) against the list-built form of its own lazily built
+``Session`` objects, chunk boundaries, the stable start-time order, the
+columns the stream does not draw (ids, pairs, home bits) against
+``tests/traffic_oracle.py``, the uniform → template rule against
+``random.choices``, and — end to end — the CLI's report bytes.  The
 structural tests count ``Session.__init__`` calls: zero on the
 generate → plan / emulate path, one per root row when objects are asked
 for, however many views ask.
@@ -35,6 +36,7 @@ from repro.traffic import (
     mixed_profile,
     web_heavy_profile,
 )
+from repro.traffic.generator import HOST_BITS
 from repro.traffic.packet import TCP, UDP
 from repro.traffic.profiles import TEMPLATES, SessionTemplate
 from repro.traffic.session import Session
@@ -104,7 +106,16 @@ def assert_root_equal(batch: SessionBatch, sessions) -> None:
     ]
 
 
+def pair_column(batch: SessionBatch):
+    """Row *i*'s (ingress, egress)."""
+    return [batch.pairs[g] for g in batch.group_ids.tolist()]
+
+
 class TestDifferential:
+    """What the stream does not draw — row count, ids, each row's pair
+    and the hosts' home bits — is the oracle's exactly; what it draws is
+    compared in distribution by ``tests/test_traffic_distribution.py``."""
+
     @pytest.mark.parametrize("label", TOPOLOGIES)
     @pytest.mark.parametrize("profile", PROFILES, ids=lambda p: p.__name__)
     def test_columns_equal_oracle(self, worlds, label, profile):
@@ -115,16 +126,25 @@ class TestDifferential:
                 chunks = list(generator.generate_chunks(n, max(n, 1)))
                 assert len(chunks) == (1 if n else 0)
                 for chunk in chunks:
-                    assert_root_equal(chunk, drawn)
-                assert_columns_equal(
-                    generator.generate(n), traffic_oracle.generate(generator, n)
-                )
+                    assert_root_equal(chunk, list(chunk))
+                    assert chunk.session_ids.tolist() == [s.session_id for s in drawn]
+                    assert pair_column(chunk) == [(s.ingress, s.egress) for s in drawn]
+                    for column in ("src", "dst"):
+                        assert (getattr(chunk, column) >> HOST_BITS).tolist() == [
+                            getattr(s.tuple, column) >> HOST_BITS for s in drawn
+                        ], column
+                    assert_columns_equal(
+                        generator.generate(n), sorted(chunk, key=lambda s: s.start_time)
+                    )
+                if not n:
+                    assert len(generator.generate(n)) == 0
 
     @pytest.mark.parametrize("label", ("internet2", "pop100"))
     def test_concatenated_chunks_equal_for_every_chunk_size(self, worlds, label):
         n = 2_000
         generator = make_generator(worlds, label, attack_heavy_profile, seed=5)
-        drawn = list(traffic_oracle.iter_sessions(generator, n))
+        (whole,) = generator.generate_chunks(n, n)
+        drawn = list(whole)
         for chunk_size in (1, 999, n, n + 1):
             chunks = list(generator.generate_chunks(n, chunk_size))
             assert [len(c) for c in chunks] == [
@@ -141,10 +161,12 @@ class TestDifferential:
         generator = make_generator(worlds, "internet2", seed=3, duration_seconds=0.0)
         got = generator.generate(3_000)
         assert [s.session_id for s in got] == list(range(3_000))
-        assert_columns_equal(got, traffic_oracle.generate(generator, 3_000))
+        (drawn,) = generator.generate_chunks(3_000, 3_000)
+        assert_columns_equal(got, list(drawn))
         # And with a coarse clock: many ties, many distinct values.
         coarse = make_generator(worlds, "Geant", seed=8, duration_seconds=2.5e-322)
-        want = traffic_oracle.generate(coarse, 3_000)
+        (drawn,) = coarse.generate_chunks(3_000, 3_000)
+        want = sorted(drawn, key=lambda s: s.start_time)
         assert 1 < len({s.start_time for s in want}) < 100
         assert_columns_equal(coarse.generate(3_000), want)
 
@@ -178,7 +200,10 @@ class TestDifferential:
         assert {s.tuple.proto for s in drawn if s.probe} == {TCP}
         assert {s.tuple.proto for s in drawn if not s.probe} == {UDP}
         (chunk,) = generator.generate_chunks(400, 400)
-        assert_root_equal(chunk, drawn)
+        sessions = list(chunk)
+        assert {s.tuple.proto for s in sessions if s.probe} == {TCP}
+        assert {s.tuple.proto for s in sessions if not s.probe} == {UDP}
+        assert_root_equal(chunk, sessions)
 
     def test_zero_count_pairs_do_not_number_groups(self, worlds):
         """7 sessions over 110 pairs: most pairs draw nothing, and the
@@ -188,10 +213,15 @@ class TestDifferential:
         assert len(chunk.pairs) == len(set(chunk.pairs)) <= 7
         assert chunk.group_ids.tolist() == sorted(chunk.group_ids.tolist())
         assert set(chunk.group_ids.tolist()) == set(range(len(chunk.pairs)))
-        assert_root_equal(chunk, list(traffic_oracle.iter_sessions(generator, 7)))
+        assert_root_equal(chunk, list(chunk))
+        drawn = traffic_oracle.iter_sessions(generator, 7)
+        assert pair_column(chunk) == [(s.ingress, s.egress) for s in drawn]
 
 
 class TestDrawTemplate:
+    """``TrafficProfile.template_ids`` names, for each uniform, the
+    template ``random.choices`` names for it."""
+
     @pytest.mark.parametrize(
         "profile",
         [
@@ -203,14 +233,19 @@ class TestDrawTemplate:
         ids=lambda p: p.name,
     )
     def test_same_sequence_as_choices(self, profile):
-        for seed in (0, 17):
-            ours, reference = random.Random(seed), random.Random(seed)
-            for _ in range(50_000):
-                assert profile.draw_template(ours) is traffic_oracle.draw_template(
-                    profile, reference
-                )
-            assert ours.getstate() == reference.getstate()
+        class Recording(random.Random):
+            def random(self):
+                value = super().random()
+                self.drawn.append(value)
+                return value
 
+        for seed in (0, 17):
+            reference = Recording(seed)
+            reference.drawn = []
+            want = [traffic_oracle.draw_template(profile, reference) for _ in range(50_000)]
+            ids = profile.template_ids(np.array(reference.drawn))
+            assert ids.dtype == np.intp
+            assert [profile.templates[i] for i in ids.tolist()] == want
 
     def test_clamps_like_choices_when_the_draw_reaches_the_total(self, worlds, monkeypatch):
         """``choices`` bisects with ``hi = n - 1``, so a draw that lands
@@ -224,24 +259,47 @@ class TestDrawTemplate:
         for profile in (mixed_profile(), web_heavy_profile(), attack_heavy_profile()):
             last = profile.templates[-1]
             assert traffic_oracle.draw_template(profile, Top()) is last
-            assert profile.draw_template(Top()) is last
+            assert profile.template_ids(np.array([1.0, 0.0])).tolist() == [
+                len(profile.templates) - 1, 0,
+            ]
 
-        class FirstDrawAtTheTop(random.Random):
-            first = True
+        class FirstDrawAtTheTop:
+            """A ``numpy.random.Generator`` whose first uniform is 1.0."""
 
-            def random(self):
+            def __init__(self, seed):
+                self.inner = real(seed)
+                self.first = True
+
+            def random(self, size):
+                values = self.inner.random(size)
                 if self.first:
                     self.first = False
-                    return 1.0
-                return super().random()
+                    values[0] = 1.0
+                return values
 
-        # Generator and oracle both reach for ``random.Random`` by name.
-        monkeypatch.setattr(random, "Random", FirstDrawAtTheTop)
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", FirstDrawAtTheTop)
         generator = make_generator(worlds, "internet2", seed=40)
-        drawn = list(traffic_oracle.iter_sessions(generator, 50))
-        assert drawn[0].app == generator.profile.templates[-1].name
         (chunk,) = generator.generate_chunks(50, 50)
-        assert_root_equal(chunk, drawn)
+        assert chunk[0].app == generator.profile.templates[-1].name
+        assert_root_equal(chunk, list(chunk))
+
+    def test_a_draw_on_a_running_sum_names_the_next_template(self):
+        """``bisect`` is ``bisect_right``: a scaled draw equal to a
+        running sum belongs to the template after it.  Random draws
+        almost never land there; halves make it exact."""
+        profile = TrafficProfile("halves", {"http": 1.0, "dns": 1.0})
+        assert profile.cumulative_weights == [0.5, 1.0]
+
+        class Half(random.Random):
+            def random(self):
+                return 0.5
+
+        assert traffic_oracle.draw_template(profile, Half()).name == "dns"
+        assert profile.template_ids(np.array([0.5, 0.25, 0.75])).tolist() == [1, 0, 1]
 
 
 @pytest.fixture
@@ -289,10 +347,12 @@ class TestNoObjectsOnTheColumnPath:
         assert pool[:10][3] is pool[3]
 
     def test_detectors_see_the_oracle_sessions(self, worlds):
+        """Detectors over the column-born batch see what they see over a
+        list-born batch of the same ``Session`` objects."""
         generator = make_generator(worlds, "internet2", seed=37)
         topology, paths = worlds["internet2"]
         trace = generator.generate(2_500)
-        listed = traffic_oracle.generate(generator, 2_500)
+        listed = [dataclasses.replace(session) for session in trace]
         deployment = plan_deployment(topology, paths, STANDARD_MODULES, trace)
         detect = EmulationConfig(run_detectors=True)
         for target in (deployment, STANDARD_MODULES):
@@ -307,8 +367,8 @@ class TestNoObjectsOnTheColumnPath:
 class TestSequenceProtocol:
     @pytest.fixture(scope="class")
     def trace(self, worlds):
-        generator = make_generator(worlds, "internet2", seed=21)
-        return generator.generate(60), traffic_oracle.generate(generator, 60)
+        batch = make_generator(worlds, "internet2", seed=21).generate(60)
+        return batch, [dataclasses.replace(session) for session in batch]
 
     def test_index_and_iteration(self, trace):
         batch, listed = trace
@@ -374,12 +434,11 @@ class TestPickle:
         assert clone.root is clone
         assert_columns_equal(clone, list(child))
         assert clone[-1] == child[-1]
-        drawn = list(traffic_oracle.iter_sessions(generator, 5_000))
-        assert_root_equal(clones["root"], drawn)
+        assert_root_equal(clones["root"], list(root))
 
     def test_list_born_batch_still_roundtrips(self, worlds):
         generator = make_generator(worlds, "Geant", seed=2)
-        listed = traffic_oracle.generate(generator, 200)
+        listed = list(generator.generate(200))
         taken = SessionBatch(listed).take(range(5, 200, 3))
         clone = pickle.loads(pickle.dumps(taken))
         assert clone.root is clone

@@ -1,15 +1,19 @@
 """Per-session, object-building reference implementation of the generator.
 
 This is the loop that used to live in the product as
-``TrafficProfile.draw_template`` / ``TrafficGenerator._build_session`` /
-``iter_sessions`` / ``generate``, re-homed verbatim as the tests' oracle
-(the ``tests/scalar_oracle.py`` / ``tests/planning_oracle.py``
-precedent): one ``rng.choices`` over freshly built name and weight lists
-per draw, one ``FiveTuple`` and one frozen ``Session`` per session, a
-list ``sort`` by start time.  It reads only a generator's public inputs
-(``config``, ``matrix``, ``profile.weights``, ``topology``), so it
-shares no table, no bisect and no column with the product's draw loop,
-and ``tests/test_traffic_columns.py`` compares the two with ``==``.
+``TrafficProfile.draw_template`` / ``SessionTemplate.draw_packet_count``
+/ ``TrafficGenerator._build_session`` / ``iter_sessions`` /
+``generate``, re-homed verbatim as the tests' oracle (the
+``tests/scalar_oracle.py`` / ``tests/planning_oracle.py`` precedent):
+one ``random.Random`` stream, one ``rng.choices`` over freshly built
+name and weight lists per draw, one ``FiveTuple`` and one frozen
+``Session`` per session, a list ``sort`` by start time.  It reads only a
+generator's public inputs (``config``, ``matrix``, ``profile.weights``,
+``topology``), so it shares no table, no RNG and no column with the
+product, whose columns are drawn from a ``numpy.random.Generator`` in
+blocks.  The two are therefore equal in *distribution*, not in value:
+``tests/test_traffic_distribution.py`` compares their per-pair counts
+(exactly), template shares, packet / byte moments and flag fractions.
 """
 
 import random
@@ -26,6 +30,15 @@ def draw_template(profile: TrafficProfile, rng: random.Random) -> SessionTemplat
     names = list(profile.weights)
     probabilities = [profile.weights[n] for n in names]
     return TEMPLATES[rng.choices(names, weights=probabilities)[0]]
+
+
+def draw_packet_count(template: SessionTemplate, rng: random.Random) -> int:
+    """Draw a session's packet count (geometric-ish, bounded)."""
+    if template.half_open or template.probe:
+        return 1
+    span = max(1.0, template.mean_packets - template.min_packets)
+    count = template.min_packets + int(rng.expovariate(1.0 / span))
+    return max(template.min_packets, min(template.max_packets, count))
 
 
 def _random_host(generator: TrafficGenerator, node: str, rng: random.Random) -> int:
@@ -66,7 +79,7 @@ def _build_session(
         dport = template.server_port
         proto = template.proto
     sport = rng.randrange(1024, 65536)
-    packets = template.draw_packet_count(rng)
+    packets = draw_packet_count(template, rng)
     nbytes = packets * max(
         40, int(rng.gauss(template.mean_packet_size, template.mean_packet_size * 0.2))
     )
