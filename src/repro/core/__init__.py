@@ -15,7 +15,6 @@ from .dispatch import (
     UnitResolver,
 )
 from .exactsum import ExactSum, exact_total
-from .manifest_index import ManifestIndex, compile_ranges, index_manifests
 from .manifest_table import ManifestTable
 from .manifest import (
     NodeManifest,
@@ -102,10 +101,7 @@ __all__ = [
     "BuiltNIDSLP",
     "BuiltNIPSLP",
     "CoordinatedDispatcher",
-    "ManifestIndex",
     "ManifestTable",
-    "compile_ranges",
-    "index_manifests",
     "CoordinationUnit",
     "DispatchDecision",
     "ExactSum",

@@ -37,7 +37,7 @@ from ..traffic.generator import home_node_index
 from ..traffic.packet import Packet
 from ..traffic.session import Session
 from .manifest import NodeManifest
-from .manifest_index import ManifestIndex
+from .manifest_table import ManifestTable
 from .units import UnitKey, unit_key, unit_key_for_session
 
 #: Raw 5-tuple fields, the per-aggregation hash-cache key.
@@ -127,14 +127,9 @@ class CoordinatedDispatcher:
         self._hash_cache: Dict[Aggregation, Dict[FieldKey, float]] = (
             hash_cache if hash_cache is not None else {}
         )
-        self._manifest_index: Optional[ManifestIndex] = None
-
-    @property
-    def index(self) -> ManifestIndex:
-        """The manifest compiled for searchsorted checks (built lazily)."""
-        if self._manifest_index is None:
-            self._manifest_index = ManifestIndex(self.manifest)
-        return self._manifest_index
+        # The manifest read by unit, for batch dispatch: one ragged probe
+        # of its flat pieces per (trace, module).
+        self._table = ManifestTable.from_manifests({node: manifest})
 
     # -- hashing ------------------------------------------------------------
     def _hash(self, aggregation: Aggregation, src: int, dst: int, sport: int,
@@ -246,32 +241,24 @@ class CoordinatedDispatcher:
             ]
         group_ids = batch.group_ids
         units_by_scope = self._units_by_scope(batch)
-        index = self.index
+        table = self._table
 
         results = []
         for spec in self.modules:
-            # HASH: memoised on the batch's root, so a session is
-            # hashed once per trace however many nodes decide on it.
+            # HASH and GET_CLASS: memoised on the batch's root, so a
+            # session is hashed and filtered once per trace however
+            # many nodes decide on it.
             all_hashes = batch.hash_column(spec.aggregation, self.hash_seed)
-            mask = spec.traffic_filter.matches_sessions_batch(
-                batch.proto, batch.dport
-            )
+            mask = batch.match_mask(spec.traffic_filter)
             matched = np.flatnonzero(mask)
             unit_table = units_by_scope[spec.scope]
             matched_gids = group_ids[matched]
             matched_hashes = all_hashes[matched]
-            flags = np.zeros(len(matched), dtype=bool)
-            if len(matched):
-                # One searchsorted per (unit, batch) instead of one
-                # linear range scan per (unit, session).
-                order = np.argsort(matched_gids, kind="stable")
-                sorted_gids = matched_gids[order]
-                cuts = np.flatnonzero(np.diff(sorted_gids)) + 1
-                for group in np.split(order, cuts):
-                    unit = unit_table[matched_gids[group[0]]]
-                    flags[group] = index.contains_batch(
-                        spec.name, unit, matched_hashes[group]
-                    )
+            # Each pair's unit resolved to its table row group once,
+            # then one probe of every matched session against its
+            # group's pieces.
+            pair_units = table.unit_ids((spec.name, unit) for unit in unit_table)
+            flags = table.contains_batch(pair_units[matched_gids], matched_hashes)
             results.append(
                 (mask, matched, matched_gids, unit_table, matched_hashes, flags)
             )

@@ -69,8 +69,11 @@ class ExactSum:
         """Fold a NumPy float64 array into the exact sum.
 
         Equivalent to ``for v in values: self.add(v)`` but vectorized:
-        mantissas are extracted in bulk and summed per distinct
-        exponent with overflow-safe 27-bit splits.
+        mantissas are extracted in bulk, split into 27-bit halves, and
+        each half is summed per exponent with one ``np.bincount``.  The
+        float64 bins are exact: a half is below ``2**27`` in magnitude
+        and a block has at most ``2**20`` elements, so every partial
+        sum is an integer below ``2**53``.
         """
         import numpy as np
 
@@ -81,12 +84,13 @@ class ExactSum:
             block = values[start : start + _BLOCK]
             mantissa, exponent = np.frexp(block)
             digits = (mantissa * _TWO53).astype(np.int64)
-            shifts = exponent.astype(np.int64) - 53 + _SHIFT
-            for shift in np.unique(shifts):
-                chosen = digits[shifts == shift]
-                high = int((chosen >> 27).sum(dtype=np.int64))
-                low = int((chosen & 0x7FFFFFF).sum(dtype=np.int64))
-                self._num += ((high << 27) + low) << int(shift)
+            lowest = int(exponent.min())
+            bins = exponent - lowest
+            highs = np.bincount(bins, digits >> 27)
+            lows = np.bincount(bins, digits & 0x7FFFFFF)
+            for k in np.flatnonzero((highs != 0) | (lows != 0)).tolist():
+                half = (int(highs[k]) << 27) + int(lows[k])
+                self._num += half << (k + lowest - 53 + _SHIFT)
 
     def merge(self, other: "ExactSum") -> None:
         """Fold another accumulator in — exact, order-independent."""

@@ -269,9 +269,14 @@ class PartialInstanceReport:
         for name, count in other.module_sessions.items():
             self.module_sessions[name] += count
         for name, keys in other.module_item_keys.items():
-            self.module_item_keys[name] = np.union1d(
-                self.module_item_keys[name], keys
+            # Both sides are sorted and distinct: a stable sort of the
+            # two runs merges them, and dropping repeats is the union.
+            merged = np.sort(
+                np.concatenate((self.module_item_keys[name], keys)), kind="stable"
             )
+            first = np.ones(len(merged), dtype=bool)
+            first[1:] = merged[1:] != merged[:-1]
+            self.module_item_keys[name] = merged[first]
         self.alerts.extend(other.alerts)
 
     def finalize(
@@ -425,8 +430,7 @@ class BroInstance:
             resp_masks = [decision.responsible for decision in decisions]
         else:
             match_masks = [
-                spec.traffic_filter.matches_sessions_batch(batch.proto, batch.dport)
-                for spec in self.modules
+                batch.match_mask(spec.traffic_filter) for spec in self.modules
             ]
             sampled_masks = match_masks
             resp_masks = None
@@ -469,14 +473,21 @@ class BroInstance:
         # -- per-session CPU subtotals ------------------------------------
         # The elementwise operation order below is the contract the
         # tests' per-session oracle reproduces: capture, connection
-        # record, hash, checks, then module work in module order.
+        # record, hash, checks, then module work in module order.  A
+        # masked charge is ``np.add(..., where=mask)``: the same one
+        # addition per selected element, without a gather and scatter.
         pkts_f = batch.pkts_f
         subtotal = cost.capture_cost * pkts_f
         conn_charge = cost.base_conn_packet_cost * pkts_f
-        subtotal[full_mask] += conn_charge[full_mask]
+        np.add(subtotal, conn_charge, out=subtotal, where=full_mask)
         if coordinated:
-            subtotal[full_mask] += cost.hash_compute_cost
-        subtotal[light_mask] += cost.light_conn_cost + cost.hash_compute_cost
+            np.add(subtotal, cost.hash_compute_cost, out=subtotal, where=full_mask)
+        np.add(
+            subtotal,
+            cost.light_conn_cost + cost.hash_compute_cost,
+            out=subtotal,
+            where=light_mask,
+        )
 
         # Event-engine checks are charged per connection per configured
         # module; policy-engine checks per event delivered to the policy
@@ -487,27 +498,20 @@ class BroInstance:
             check = np.zeros(n, dtype=np.float64)
             for spec, match, resp in zip(self.modules, match_masks, resp_masks):
                 location = spec.check_location
-                if location is CheckLocation.POLICY_ONLY:
-                    if spec.raw_event_stream:
-                        mask = resp & tracked_mask
-                        check[mask] += cost.policy_check_cost * spec.raw_events_per_conn
-                    else:
-                        mask = resp & tracked_mask & match
-                        events = spec.policy_events_batch(pkts_f, batch.half_open)
-                        charge = cost.policy_check_cost * events
-                        check[mask] += charge[mask]
-                elif location is CheckLocation.EVENT_ONLY:
+                if location is CheckLocation.POLICY_ONLY and spec.raw_event_stream:
+                    mask = resp & tracked_mask
+                    charge = cost.policy_check_cost * spec.raw_events_per_conn
+                elif location is CheckLocation.EVENT_ONLY or (
+                    location is CheckLocation.EVENT_CAPABLE
+                    and self.mode is BroMode.COORD_EVENT
+                ):
                     mask = resp & match
-                    check[mask] += cost.event_check_cost
-                else:  # EVENT_CAPABLE: placement depends on the approach
-                    if self.mode is BroMode.COORD_EVENT:
-                        mask = resp & match
-                        check[mask] += cost.event_check_cost
-                    else:
-                        mask = resp & tracked_mask & match
-                        events = spec.policy_events_batch(pkts_f, batch.half_open)
-                        charge = cost.policy_check_cost * events
-                        check[mask] += charge[mask]
+                    charge = cost.event_check_cost
+                else:  # policy-engine checks per derived protocol event
+                    mask = resp & tracked_mask & match
+                    events = spec.policy_events_batch(pkts_f, batch.half_open)
+                    charge = cost.policy_check_cost * events
+                np.add(check, charge, out=check, where=mask)
             subtotal += check
 
         # -- per-module analysis work -------------------------------------
@@ -516,12 +520,15 @@ class BroInstance:
             if count == 0:
                 continue
             work = spec.session_cpu_batch(pkts_f, batch.half_open)
-            subtotal[sampled] += work[sampled]
+            np.add(subtotal, work, out=subtotal, where=sampled)
             partial.module_cpu[spec.name].add_array(work[sampled])
             partial.module_sessions[spec.name] = count
-            partial.module_item_keys[spec.name] = np.unique(
-                batch.item_keys(spec.aggregation)[sampled]
-            )
+            # Distinct state-table keys: a scatter over the root's
+            # factorisation of the aggregation's keys, already sorted.
+            distinct, ids = batch.item_key_ids(spec.aggregation)
+            held = np.zeros(len(distinct), dtype=bool)
+            held[ids[sampled]] = True
+            partial.module_item_keys[spec.name] = distinct[held]
 
         partial.cpu.add_array(subtotal)
         partial.tracked_connections = tracked_connections

@@ -37,6 +37,11 @@ What is **lazy**, and cached where.
   ``(aggregation, seed)`` on the root and slices it for a view, so a
   session is hashed once per trace and not once per node on its path —
   the vector form of §2.3's "store the hash in the connection record".
+  Under the same rule the root memoises each traffic filter's match
+  mask (:meth:`match_mask`) and each aggregation's item-key
+  factorisation (:meth:`item_key_ids`); those live on the root only —
+  a view gathers its rows at every call and caches nothing — and are
+  never pickled.
 
 Group ids: unit keys depend only on a session's (ingress, egress)
 pair, so sessions are bucketed by pair; dispatch resolves units once
@@ -85,6 +90,7 @@ class SessionBatch(_SequenceABC):
             "_root",
             "_index",
             "_hashes",
+            "_memo",
         )
     )
 
@@ -196,6 +202,7 @@ class SessionBatch(_SequenceABC):
         self._root = root
         self._index = index
         self._hashes: Dict[tuple, "object"] = {}
+        self._memo: Dict[tuple, "object"] = {}
 
     def _init_view(self, parent: "SessionBatch", index) -> None:
         import numpy as np
@@ -264,7 +271,7 @@ class SessionBatch(_SequenceABC):
                 )
                 self.hashes_computed += len(values)
             else:
-                values = self._root.hash_column(aggregation, seed).take(self._index)
+                values = self._gather(self._root.hash_column(aggregation, seed))
             self._hashes[key] = values
         return values
 
@@ -283,6 +290,47 @@ class SessionBatch(_SequenceABC):
         if aggregation is Aggregation.DESTINATION:
             return self.dst.astype(np.int64)
         return self.session_ids
+
+    def _rooted(self, key: tuple, build):
+        """``build(root)``, computed once per root and kept there."""
+        root = self.root
+        value = root._memo.get(key)
+        if value is None:
+            value = root._memo[key] = build(root)
+        return value
+
+    def _gather(self, column):
+        """This batch's rows of a root-length *column*."""
+        return column if self._index is None else column.take(self._index)
+
+    def match_mask(self, traffic_filter):
+        """``traffic_filter.matches_sessions_batch`` over this batch's
+        rows: evaluated once over the root, gathered for a view."""
+        return self._gather(
+            self._rooted(
+                ("match", traffic_filter),
+                lambda root: traffic_filter.matches_sessions_batch(
+                    root.proto, root.dport
+                ),
+            )
+        )
+
+    def item_key_ids(self, aggregation):
+        """``(distinct, ids)``: the root's sorted distinct
+        :meth:`item_keys` at *aggregation*, and per row of this batch the
+        ``uint32`` position of its key there, so ``distinct[ids]`` equals
+        ``item_keys(aggregation)``.  The distinct keys of any subset of
+        rows are ``distinct`` at the ids it holds — already sorted."""
+        import numpy as np
+
+        def factorise(root):
+            distinct, inverse = np.unique(
+                root.item_keys(aggregation), return_inverse=True
+            )
+            return distinct, inverse.astype(np.uint32)
+
+        distinct, ids = self._rooted(("keys", aggregation), factorise)
+        return distinct, self._gather(ids)
 
     # -- the Sequence[Session] view -------------------------------------------
     def _session_objects(self) -> Sequence[Session]:
@@ -349,9 +397,12 @@ class SessionBatch(_SequenceABC):
     # own rows (the root's detail columns gathered at them) and hash
     # slices, not the root it was taken from.  Only a list-born family
     # has no columns to rebuild ``Session`` objects from and ships them.
+    # The root memo is not shipped; the receiver rebuilds it on use.
     def __getstate__(self) -> dict:
         root = self.root
-        state = {name: getattr(self, name) for name in self.__slots__}
+        state = {
+            name: getattr(self, name) for name in self.__slots__ if name != "_memo"
+        }
         state.update(hashes_computed=0, _root=None, _index=None, _objects=None)
         if root.templates is None:
             state["_objects"] = list(self)
@@ -363,5 +414,6 @@ class SessionBatch(_SequenceABC):
         return state
 
     def __setstate__(self, state: dict) -> None:
+        self._memo = {}
         for name, value in state.items():
             setattr(self, name, value)

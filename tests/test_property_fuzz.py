@@ -224,14 +224,14 @@ def test_fuzz_epsilon_boundary_containment(lo, offset, probe):
     import numpy as np
 
     from repro.core.manifest import NodeManifest
-    from repro.core.manifest_index import ManifestIndex
+    from repro.core.manifest_table import ManifestTable
     from repro.hashing.ranges import EPSILON, HashRange
 
     hi = min(1.0, max(lo, 1.0 - offset))
     manifest = NodeManifest(
         node="n", entries={("c", ("u",)): (HashRange(lo, hi),)}
     )
-    index = ManifestIndex(manifest)
+    table = ManifestTable.from_manifests({"n": manifest})
     probes = [
         probe,
         lo,
@@ -243,9 +243,8 @@ def test_fuzz_epsilon_boundary_containment(lo, offset, probe):
         min(1.0, hi + EPSILON / 2),
     ]
     scalar = [manifest.contains("c", ("u",), value) for value in probes]
-    indexed = [index.contains("c", ("u",), value) for value in probes]
-    batched = index.contains_batch("c", ("u",), np.array(probes))
-    assert indexed == scalar
+    ids = table.unit_ids([("c", ("u",))] * len(probes))
+    batched = table.contains_batch(ids, np.array(probes))
     assert list(batched) == scalar
 
 
