@@ -3,10 +3,10 @@
 Two shift-left guards for the deployment pipeline:
 
 * :mod:`repro.analysis.lint` — a small AST rule engine with domain
-  rules (REP001-REP005): float-literal boundary comparisons, unseeded
-  RNG draws, ``repro.api`` facade drift, metric-name drift against
-  ``docs/observability.md``, and mutable default arguments.  Runnable
-  as ``repro analysis lint`` or ``python -m repro.analysis lint``.
+  rules (REP001, REP002, REP004): float-literal boundary comparisons,
+  unseeded RNG draws, and metric-name drift against
+  ``docs/observability.md``.  Runnable as ``repro analysis lint`` or
+  ``python -m repro.analysis lint``.
 * :mod:`repro.analysis.verify` — a static deployment-artifact
   verifier (REP101-REP108) proving, without running any traffic, that
   manifests partition ``[0, 1]`` exactly, mass only lands on

@@ -5,9 +5,9 @@ module parsed (via the shared :mod:`repro.analysis.astcache` store),
 every function/method registered under a canonical qualified name
 (``pkg.mod.func`` / ``pkg.mod.Class.method``), and a conservative edge
 set linking callers to callees.  Nothing is imported or executed — the
-graph is built for the flow rules (REP201–REP206), which need to answer
-"is this call site reachable from ``run_cell_payload``?" without
-running any traffic.
+graph is built for the flow rules (REP201, REP202, REP206), which need
+to answer "is this call site reachable from ``run_cell_payload``?"
+without running any traffic.
 
 Resolution handles the shapes that actually occur in this repo:
 
@@ -42,17 +42,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from .astcache import ASTStore, DEFAULT_STORE
 
 _MAX_RESOLVE_HOPS = 24
-
-_MUTABLE_CONSTRUCTORS = {
-    "list",
-    "dict",
-    "set",
-    "bytearray",
-    "defaultdict",
-    "deque",
-    "OrderedDict",
-    "Counter",
-}
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -115,10 +104,6 @@ class ModuleInfo:
     top_level: Set[str] = field(default_factory=set)
     #: PEP 562 lazy exports: attr -> (target_module, symbol or None)
     lazy_exports: Dict[str, Tuple[str, Optional[str]]] = field(default_factory=dict)
-    #: module-level mutable-container globals: name -> lineno
-    mutable_globals: Dict[str, int] = field(default_factory=dict)
-    #: module-level globals rebound via a ``global`` statement somewhere
-    rebound_globals: Dict[str, int] = field(default_factory=dict)
     #: functions (bare or Class.method key) whose return annotation is set-like
     set_returning: Set[str] = field(default_factory=set)
     #: per class: self attributes assigned/annotated as sets
@@ -140,16 +125,6 @@ def _is_set_annotation(node: Optional[ast.AST]) -> bool:
         return False
     leaf = text.rsplit(".", 1)[-1]
     return leaf in {"set", "Set", "frozenset", "FrozenSet", "AbstractSet", "MutableSet"}
-
-
-def _is_mutable_container_expr(node: ast.AST) -> bool:
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp)):
-        return True
-    if isinstance(node, ast.Call):
-        text = dotted_name(node.func)
-        if text is not None and text.rsplit(".", 1)[-1] in _MUTABLE_CONSTRUCTORS:
-            return True
-    return False
 
 
 def _collect_lazy_exports(module: ModuleInfo, getattr_fn: ast.FunctionDef) -> None:
@@ -298,19 +273,8 @@ def _scan_module(name: str, path: str, tree: ast.Module) -> Tuple[ModuleInfo, Li
                 module.top_level.add(target.id)
                 if isinstance(stmt.value, ast.Constant) and isinstance(stmt.value.value, str):
                     module.string_constants[target.id] = stmt.value.value
-                if _is_mutable_container_expr(stmt.value):
-                    module.mutable_globals[target.id] = stmt.lineno
         elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
             module.top_level.add(stmt.target.id)
-            if stmt.value is not None and _is_mutable_container_expr(stmt.value):
-                module.mutable_globals[stmt.target.id] = stmt.lineno
-
-    # ``global NAME`` anywhere in the module marks NAME as process state
-    # that functions rebind (the ambient-registry pattern).
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Global):
-            for gname in node.names:
-                module.rebound_globals.setdefault(gname, node.lineno)
 
     if getattr_fn is not None:
         _collect_lazy_exports(module, getattr_fn)

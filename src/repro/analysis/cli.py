@@ -3,9 +3,9 @@
 Three subcommands, shared by ``repro analysis ...`` and
 ``python -m repro.analysis ...``:
 
-* ``lint`` — run the REP001-REP005 AST rules over source trees;
-* ``flow`` — run the cross-module determinism / spawn-safety /
-  protocol-conformance flow pass (REP201-REP206) over a package;
+* ``lint`` — run the REP001/REP002/REP004 AST rules over source trees;
+* ``flow`` — run the cross-module determinism / protocol-conformance
+  flow pass (REP201/REP202/REP206) over a package;
 * ``verify`` — statically verify planning artifacts (manifest sets,
   LP assignments) against the deployment invariants (REP101-REP108).
 
@@ -138,8 +138,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
     flow = sub.add_parser(
         "flow",
-        help="run the cross-module determinism & spawn-safety flow pass"
-        " (REP201-REP206)",
+        help="run the cross-module determinism & protocol flow pass"
+        " (REP201/REP202/REP206)",
     )
     flow.add_argument(
         "paths", nargs="*", default=["src"], help="package files or directories"

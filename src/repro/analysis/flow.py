@@ -1,4 +1,4 @@
-"""Cross-module determinism & spawn-safety flow pass (REP201–REP206).
+"""Cross-module determinism & protocol flow pass (REP201, REP202, REP206).
 
 The repo's load-bearing guarantee — consolidated and streamed
 reports bit-identical to the inline oracle — is enforced dynamically by
@@ -6,9 +6,8 @@ equality tests.  Those tests can only catch a nondeterminism source the
 moment it actually bites.  This pass proves the absence of whole defect
 classes *statically*: it builds the package call graph
 (:mod:`repro.analysis.callgraph`), computes which functions are
-reachable from the report-producing, mergeable-report, and spawn-worker
-entrypoints, and flags the patterns that break exactness across process
-boundaries:
+reachable from the report-producing entrypoints, and flags the patterns
+that make a report depend on more than its inputs and seeds:
 
 ======  ==============================================================
 Rule    What it catches
@@ -19,19 +18,13 @@ REP201  wall-clock reads (``time.*``, ``datetime.now``) reachable from
 REP202  nondeterministic iteration feeding reports: bare ``set``
         iteration, unsorted ``os.listdir`` / ``glob`` / ``scandir``,
         ``dict.popitem``
-REP203  plain float accumulation (builtin ``sum``, ``+=`` on floats)
-        in mergeable-report code where ``ExactSum`` is the contract
-REP204  module-level mutable state read or written by spawn-reachable
-        functions (state a forked/spawned worker will not share)
-REP205  ``os.environ`` reads in worker-reachable code outside the
-        config layer
 REP206  control-plane protocol drift: message kinds sent on the
         ``Bus`` vs the declared :data:`repro.control.protocol.PROTOCOL`
         table vs the dispatch sites that handle them
 ======  ==============================================================
 
 Run as ``repro analysis flow src/repro``; same suppression comments
-(``# repnoqa: REP204 -- reason``), renderers, and exit-code contract
+(``# repnoqa: REP202 -- reason``), renderers, and exit-code contract
 (0 clean / 1 findings / 2 usage) as ``repro analysis lint``.  Both
 passes share the :mod:`~repro.analysis.astcache` parse store, so
 running them back to back parses the package once.
@@ -41,7 +34,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from .astcache import ASTStore, DEFAULT_STORE
 from .callgraph import (
@@ -63,14 +56,7 @@ from .lint import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
-FLOW_RULE_IDS: Tuple[str, ...] = (
-    "REP201",
-    "REP202",
-    "REP203",
-    "REP204",
-    "REP205",
-    "REP206",
-)
+FLOW_RULE_IDS: Tuple[str, ...] = ("REP201", "REP202", "REP206")
 
 FLOW_CATALOGUE: Dict[str, str] = {
     "REP201": (
@@ -81,15 +67,6 @@ FLOW_CATALOGUE: Dict[str, str] = {
         "nondeterministic iteration order (set / os.listdir / glob /"
         " dict.popitem) in report-reachable code"
     ),
-    "REP203": (
-        "plain float accumulation (sum / +=) in mergeable-report code"
-        " where ExactSum is the contract"
-    ),
-    "REP204": (
-        "module-level mutable state touched by spawn-worker-reachable"
-        " code (not shared across process boundaries)"
-    ),
-    "REP205": "os.environ read in worker-reachable code outside the config layer",
     "REP206": (
         "control-plane protocol drift between Bus sends, the declared"
         " PROTOCOL table, and dispatch handling"
@@ -113,16 +90,6 @@ class FlowConfig:
         "repro.nids.engine.PartialInstanceReport.merge",
         "repro.nids.engine.PartialInstanceReport.finalize",
     )
-    merge_entrypoints: Tuple[str, ...] = (
-        "repro.nids.engine.PartialInstanceReport.merge",
-        "repro.obs.metrics.MetricsRegistry.merge_from",
-        "repro.sweep.report.consolidate",
-    )
-    spawn_entrypoints: Tuple[str, ...] = (
-        "repro.sweep.worker.run_cell_payload",
-    )
-    #: Modules allowed to read ``os.environ`` (REP205).
-    config_modules: Tuple[str, ...] = ("repro.experiments.config",)
     #: Modules whose wall-clock reads are categorically timing-layer
     #: (REP201) — the metrics primitives themselves.
     timing_allowlist_modules: Tuple[str, ...] = ("repro.obs.metrics",)
@@ -178,62 +145,6 @@ _ORDER_INSENSITIVE = {
 }
 
 _SET_METHODS = {"union", "intersection", "difference", "symmetric_difference"}
-
-_FLOAT_HINTS = (
-    "cpu",
-    "mem",
-    "mass",
-    "coverage",
-    "fraction",
-    "second",
-    "mean",
-    "load",
-    "util",
-    "ratio",
-    "weight",
-    "cost",
-    "_sum",
-)
-
-_MUTATOR_METHODS = {
-    "append",
-    "appendleft",
-    "add",
-    "update",
-    "extend",
-    "insert",
-    "remove",
-    "discard",
-    "clear",
-    "pop",
-    "popleft",
-    "popitem",
-    "setdefault",
-}
-
-
-def _function_locals(info: FunctionInfo) -> Set[str]:
-    """Parameter and locally-bound names (shadow module globals)."""
-    names: Set[str] = set()
-    node = info.node
-    assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    args = node.args
-    for arg in (
-        list(args.posonlyargs)
-        + list(args.args)
-        + list(args.kwonlyargs)
-        + ([args.vararg] if args.vararg else [])
-        + ([args.kwarg] if args.kwarg else [])
-    ):
-        names.add(arg.arg)
-    declared_global: Set[str] = set()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Global):
-            declared_global.update(sub.names)
-        elif isinstance(sub, ast.Name) and isinstance(sub.ctx, (ast.Store, ast.Del)):
-            names.add(sub.id)
-    return names - declared_global
-
 
 def _parents(info: FunctionInfo) -> Dict[ast.AST, ast.AST]:
     parents: Dict[ast.AST, ast.AST] = {}
@@ -490,237 +401,6 @@ def _check_rep202(
 
 
 # --------------------------------------------------------------------------
-# REP203 — plain float accumulation in merge-reachable code
-
-
-def _float_evidence(node: ast.AST) -> Optional[str]:
-    """A short reason when *node* plausibly computes on floats."""
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Constant) and isinstance(sub.value, float):
-            return "float literal"
-        if isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Div):
-            return "division"
-        token: Optional[str] = None
-        if isinstance(sub, ast.Name):
-            token = sub.id
-        elif isinstance(sub, ast.Attribute):
-            token = sub.attr
-        if token:
-            lowered = token.lower()
-            if any(hint in lowered for hint in _FLOAT_HINTS):
-                return f"float-typed name `{token}`"
-        if isinstance(sub, ast.Call):
-            text = dotted_name(sub.func)
-            if text is not None and text.rsplit(".", 1)[-1] == "float":
-                return "float() conversion"
-    return None
-
-
-def _check_rep203(
-    graph: CallGraph,
-    origins: Dict[str, str],
-    config: FlowConfig,
-) -> List[Violation]:
-    findings: List[Violation] = []
-    for qualname, entry in origins.items():
-        info = graph.functions[qualname]
-        for node in ast.walk(info.node):
-            if isinstance(node, ast.Call):
-                if isinstance(node.func, ast.Name) and node.func.id == "sum":
-                    evidence = None
-                    for arg in node.args:
-                        evidence = _float_evidence(arg)
-                        if evidence:
-                            break
-                    if evidence:
-                        findings.append(
-                            Violation(
-                                rule_id="REP203",
-                                path=info.path,
-                                line=node.lineno,
-                                col=node.col_offset,
-                                message=(
-                                    f"builtin `sum` over floats ({evidence}) in"
-                                    f" `{qualname}`, reachable from merge"
-                                    f" entrypoint `{entry}`; mergeable report"
-                                    " values must accumulate via ExactSum"
-                                ),
-                            )
-                        )
-            elif isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add):
-                evidence = _float_evidence(node.value) or _float_evidence(node.target)
-                if evidence:
-                    findings.append(
-                        Violation(
-                            rule_id="REP203",
-                            path=info.path,
-                            line=node.lineno,
-                            col=node.col_offset,
-                            message=(
-                                f"float `+=` accumulation ({evidence}) in"
-                                f" `{qualname}`, reachable from merge"
-                                f" entrypoint `{entry}`; mergeable report"
-                                " values must accumulate via ExactSum"
-                            ),
-                        )
-                    )
-    return findings
-
-
-# --------------------------------------------------------------------------
-# REP204 — spawn-safety: module state touched by worker-reachable code
-
-
-def _mutated_globals(graph: CallGraph, module: ModuleInfo) -> Set[str]:
-    """Names of *module*'s container globals that some function mutates."""
-    mutated: Set[str] = set()
-    candidates = set(module.mutable_globals)
-    if not candidates:
-        return mutated
-    for info in graph.functions.values():
-        if info.module != module.name:
-            # Cross-module mutation: ``alias.NAME.append(...)``.
-            other = graph.modules.get(info.module)
-            if other is None:
-                continue
-            for sub in ast.walk(info.node):
-                if (
-                    isinstance(sub, ast.Call)
-                    and isinstance(sub.func, ast.Attribute)
-                    and sub.func.attr in _MUTATOR_METHODS
-                    and isinstance(sub.func.value, ast.Attribute)
-                    and isinstance(sub.func.value.value, ast.Name)
-                ):
-                    alias = sub.func.value.value.id
-                    if other.aliases.get(alias) == module.name:
-                        if sub.func.value.attr in candidates:
-                            mutated.add(sub.func.value.attr)
-            continue
-        locals_here = _function_locals(info)
-        for sub in ast.walk(info.node):
-            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Attribute):
-                base = sub.func.value
-                if (
-                    isinstance(base, ast.Name)
-                    and sub.func.attr in _MUTATOR_METHODS
-                    and base.id in candidates
-                    and base.id not in locals_here
-                ):
-                    mutated.add(base.id)
-            elif isinstance(sub, (ast.Assign, ast.AugAssign)):
-                targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Subscript)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id in candidates
-                        and target.value.id not in locals_here
-                    ):
-                        mutated.add(target.value.id)
-    return mutated
-
-
-def _check_rep204(
-    graph: CallGraph,
-    origins: Dict[str, str],
-    config: FlowConfig,
-) -> List[Violation]:
-    hazards: Dict[str, Set[str]] = {}  # module -> hazardous global names
-    for module in graph.modules.values():
-        names = set(module.rebound_globals)
-        names |= _mutated_globals(graph, module)
-        if names:
-            hazards[module.name] = names
-
-    findings: List[Violation] = []
-    for qualname, entry in origins.items():
-        info = graph.functions[qualname]
-        module = graph.modules[info.module]
-        own_hazards = hazards.get(module.name, set())
-        locals_here = _function_locals(info)
-        seen: Set[Tuple[str, str]] = set()
-        for sub in ast.walk(info.node):
-            name: Optional[str] = None
-            owner = module.name
-            if isinstance(sub, ast.Name) and sub.id in own_hazards:
-                if sub.id not in locals_here or _declares_global(info, sub.id):
-                    name = sub.id
-            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
-                target_module = module.aliases.get(sub.value.id)
-                if target_module in hazards and sub.attr in hazards[target_module]:
-                    name, owner = sub.attr, target_module
-            if name is None or (owner, name) in seen:
-                continue
-            seen.add((owner, name))
-            findings.append(
-                Violation(
-                    rule_id="REP204",
-                    path=info.path,
-                    line=getattr(sub, "lineno", info.lineno),
-                    col=getattr(sub, "col_offset", 0),
-                    message=(
-                        f"module-level mutable state `{owner}.{name}` touched"
-                        f" by `{qualname}`, reachable from spawn entrypoint"
-                        f" `{entry}`; spawned workers do not share module"
-                        " state — pass it through the payload instead"
-                    ),
-                )
-            )
-    return findings
-
-
-def _declares_global(info: FunctionInfo, name: str) -> bool:
-    for sub in ast.walk(info.node):
-        if isinstance(sub, ast.Global) and name in sub.names:
-            return True
-    return False
-
-
-# --------------------------------------------------------------------------
-# REP205 — environment reads outside the config layer
-
-
-def _check_rep205(
-    graph: CallGraph,
-    origins: Dict[str, str],
-    config: FlowConfig,
-) -> List[Violation]:
-    findings: List[Violation] = []
-    for qualname, entry in origins.items():
-        info = graph.functions[qualname]
-        module = graph.modules[info.module]
-        if module.name in config.config_modules:
-            continue
-        for sub in ast.walk(info.node):
-            hit: Optional[str] = None
-            if isinstance(sub, ast.Call):
-                canonical = _canonical(graph, module, sub.func)
-                if canonical in {"os.getenv", "os.environ.get"}:
-                    hit = canonical
-            elif isinstance(sub, ast.Subscript):
-                canonical = _canonical(graph, module, sub.value)
-                if canonical == "os.environ":
-                    hit = "os.environ[...]"
-            if hit is None:
-                continue
-            findings.append(
-                Violation(
-                    rule_id="REP205",
-                    path=info.path,
-                    line=sub.lineno,
-                    col=sub.col_offset,
-                    message=(
-                        f"`{hit}` read in `{qualname}`, reachable from spawn"
-                        f" entrypoint `{entry}`; worker behaviour must come"
-                        " from the payload or the config layer"
-                        f" ({', '.join(config.config_modules) or 'none'})"
-                    ),
-                )
-            )
-    return findings
-
-
-# --------------------------------------------------------------------------
 # REP206 — control-plane protocol conformance
 
 
@@ -924,7 +604,7 @@ def flow_paths(
     registry: Optional["MetricsRegistry"] = None,
     store: Optional[ASTStore] = None,
 ) -> LintResult:
-    """Run the REP201–REP206 flow rules over the package at *paths*.
+    """Run the REP201, REP202 and REP206 flow rules over the package at *paths*.
 
     Returns the same :class:`~repro.analysis.lint.LintResult` shape as
     ``lint_paths`` (shared renderers, suppressions, and exit-code
@@ -951,15 +631,10 @@ def flow_paths(
     ).inc(len(files))
 
     report_reach = graph.reachable(config.report_entrypoints)
-    merge_reach = graph.reachable(config.merge_entrypoints)
-    spawn_reach = graph.reachable(config.spawn_entrypoints)
 
     checks = (
         ("REP201", lambda: _check_rep201(graph, report_reach, config)),
         ("REP202", lambda: _check_rep202(graph, report_reach, config)),
-        ("REP203", lambda: _check_rep203(graph, merge_reach, config)),
-        ("REP204", lambda: _check_rep204(graph, spawn_reach, config)),
-        ("REP205", lambda: _check_rep205(graph, spawn_reach, config)),
         ("REP206", lambda: _check_rep206(graph, config)),
     )
     violations: List[Violation] = []

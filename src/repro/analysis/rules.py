@@ -1,21 +1,19 @@
-"""The domain lint rules (REP001-REP005).
+"""The domain lint rules (REP001, REP002, REP004).
 
 Each rule encodes an invariant this reproduction has been burned by —
 or would be, the next time someone edits a boundary comparison, an
-experiment seed, the :mod:`repro.api` facade, or a metric family —
-without noticing:
+experiment seed, or a metric family — without noticing:
 
 ========  ==========================================================
 REP001    float-literal equality on fractions/boundaries
 REP002    unseeded ``random`` / ``np.random`` global-state draws
-REP003    ``__all__`` facade drift (unresolvable or unexported names)
 REP004    metric-name drift vs. ``docs/observability.md``
-REP005    mutable default arguments
 ========  ==========================================================
 
 Suppress a deliberate exception with ``# repnoqa: REPnnn`` on the
 line (see :mod:`repro.analysis.lint`); ``docs/static_analysis.md``
-is the full catalogue with rationale and examples.
+is the full catalogue with rationale, examples, and the evidence each
+rule is kept on.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ from __future__ import annotations
 import ast
 import os
 import re
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .lint import FileContext, ProjectContext, Rule, Violation
 
@@ -196,159 +194,6 @@ class UnseededRandomness(Rule):
         return None
 
 
-class FacadeDrift(Rule):
-    """REP003: ``__all__`` facade drift.
-
-    For any module declaring a literal ``__all__`` (the public facade
-    pattern of :mod:`repro.api` and the package ``__init__`` files):
-
-    * every ``__all__`` entry must resolve — to a top-level binding or
-      to a name served by a PEP 562 module ``__getattr__``;
-    * every public top-level definition or intra-package re-export
-      must either appear in ``__all__`` or be renamed with a leading
-      underscore, so new symbols cannot leak half-published.
-    """
-
-    rule_id = "REP003"
-    description = "__all__ facade drift (unresolvable or unexported names)"
-
-    def visit_file(self, ctx: FileContext) -> Iterable[Violation]:
-        exported = self._literal_all(ctx.tree)
-        if exported is None:
-            return
-        all_node, names = exported
-        bound, reexported, lazy = self._bindings(ctx.tree)
-        for name in names:
-            if name not in bound and name not in lazy:
-                yield Violation(
-                    rule_id=self.rule_id,
-                    path=ctx.path,
-                    line=all_node.lineno,
-                    col=all_node.col_offset,
-                    message=(
-                        f"__all__ exports {name!r} but the module never"
-                        " binds it (import, definition, or __getattr__)"
-                    ),
-                )
-        declared = set(names)
-        for name, line, col in reexported:
-            if name.startswith("_") or name in declared:
-                continue
-            yield Violation(
-                rule_id=self.rule_id,
-                path=ctx.path,
-                line=line,
-                col=col,
-                message=(
-                    f"public symbol {name!r} is bound but missing from"
-                    " __all__; export it or prefix it with '_'"
-                ),
-            )
-
-    @staticmethod
-    def _literal_all(
-        tree: ast.Module,
-    ) -> Optional[Tuple[ast.AST, List[str]]]:
-        for node in tree.body:
-            if not isinstance(node, ast.Assign):
-                continue
-            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
-            if "__all__" not in targets:
-                continue
-            if not isinstance(node.value, (ast.List, ast.Tuple)):
-                return None  # computed __all__: out of scope
-            names = []
-            for element in node.value.elts:
-                if not (
-                    isinstance(element, ast.Constant)
-                    and isinstance(element.value, str)
-                ):
-                    return None
-                names.append(element.value)
-            return node, names
-        return None
-
-    @staticmethod
-    def _bindings(
-        tree: ast.Module,
-    ) -> Tuple[Set[str], List[Tuple[str, int, int]], Set[str]]:
-        """(all bound names, export-candidate bindings, lazy names).
-
-        Export candidates are top-level defs/classes and *relative*
-        (intra-package) imports — stdlib/third-party imports are
-        implementation detail, not facade surface.  Lazy names are
-        resolved from a module-level ``__getattr__`` (PEP 562): both
-        identifier string constants in its body (``if name == "api":``)
-        and the string keys of any module-level dict literal the body
-        consults (``_LAZY_EXPORTS[name]``).
-        """
-        bound: Set[str] = set()
-        candidates: List[Tuple[str, int, int]] = []
-        lazy: Set[str] = set()
-        getattr_defs: List[ast.FunctionDef] = []
-        dict_keys: Dict[str, List[str]] = {}
-        # Flatten top-level conditional/try blocks: `if TYPE_CHECKING:`
-        # imports and version-gated bindings are part of the facade.
-        body: List[ast.stmt] = []
-        stack = list(tree.body)
-        while stack:
-            node = stack.pop(0)
-            if isinstance(node, ast.If):
-                stack = list(node.body) + list(node.orelse) + stack
-            elif isinstance(node, ast.Try):
-                stack = (
-                    list(node.body)
-                    + [h for handler in node.handlers for h in handler.body]
-                    + list(node.orelse)
-                    + list(node.finalbody)
-                    + stack
-                )
-            else:
-                body.append(node)
-        for node in body:
-            if isinstance(node, ast.Import):
-                for item in node.names:
-                    bound.add((item.asname or item.name).split(".")[0])
-            elif isinstance(node, ast.ImportFrom):
-                for item in node.names:
-                    name = item.asname or item.name
-                    bound.add(name)
-                    if node.level > 0:
-                        candidates.append((name, node.lineno, node.col_offset))
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                bound.add(node.name)
-                if node.name == "__getattr__":
-                    getattr_defs.append(node)
-                else:
-                    candidates.append((node.name, node.lineno, node.col_offset))
-            elif isinstance(node, ast.Assign):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        bound.add(target.id)
-                        if isinstance(node.value, ast.Dict):
-                            dict_keys[target.id] = [
-                                k.value
-                                for k in node.value.keys
-                                if isinstance(k, ast.Constant)
-                                and isinstance(k.value, str)
-                            ]
-            elif isinstance(node, ast.AnnAssign) and isinstance(
-                node.target, ast.Name
-            ):
-                bound.add(node.target.id)
-        for getattr_def in getattr_defs:
-            for inner in ast.walk(getattr_def):
-                if (
-                    isinstance(inner, ast.Constant)
-                    and isinstance(inner.value, str)
-                    and inner.value.isidentifier()
-                ):
-                    lazy.add(inner.value)
-                elif isinstance(inner, ast.Name) and inner.id in dict_keys:
-                    lazy.update(dict_keys[inner.id])
-        return bound, candidates, lazy
-
-
 class MetricNameDrift(Rule):
     """REP004: metric families vs. the observability catalogue.
 
@@ -470,62 +315,12 @@ class MetricNameDrift(Rule):
         return names
 
 
-class MutableDefaultArgument(Rule):
-    """REP005: mutable default arguments.
-
-    A ``def f(acc=[])`` default is evaluated once and shared across
-    calls — state leaks between invocations (and between tests).  Use
-    ``None`` plus an in-body default.
-    """
-
-    rule_id = "REP005"
-    description = "mutable default argument; use None and fill in the body"
-
-    _MUTABLE_CALLS = frozenset({"list", "dict", "set", "bytearray"})
-
-    def visit_file(self, ctx: FileContext) -> Iterable[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
-            ):
-                continue
-            defaults = list(node.args.defaults) + [
-                d for d in node.args.kw_defaults if d is not None
-            ]
-            for default in defaults:
-                if self._is_mutable(default):
-                    label = getattr(node, "name", "<lambda>")
-                    yield Violation(
-                        rule_id=self.rule_id,
-                        path=ctx.path,
-                        line=default.lineno,
-                        col=default.col_offset,
-                        message=(
-                            f"mutable default argument in {label!r};"
-                            " default to None and construct inside the body"
-                        ),
-                    )
-
-    @classmethod
-    def _is_mutable(cls, node: ast.AST) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                             ast.DictComp, ast.SetComp)):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in cls._MUTABLE_CALLS
-        )
-
-
 def default_rules() -> List[Rule]:
     """Fresh instances of every shipped rule, REP001 first."""
     return [
         FloatLiteralEquality(),
         UnseededRandomness(),
-        FacadeDrift(),
         MetricNameDrift(),
-        MutableDefaultArgument(),
     ]
 
 

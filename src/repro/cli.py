@@ -17,7 +17,7 @@ Gives operators the paper's workflow without writing Python:
   scenario grid across worker processes with a content-addressed
   artifact cache, and consolidate one deterministic report;
 * ``analysis lint`` / ``analysis verify`` — domain static analysis:
-  AST lint rules (REP001-REP005) and offline verification of planning
+  AST lint rules (REP001/REP002/REP004) and offline verification of planning
   artifacts against the deployment invariants (REP101-REP108);
 * ``figures`` — write per-figure CSV artifacts.
 

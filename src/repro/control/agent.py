@@ -457,11 +457,6 @@ class Agent:
         return self.node in key
 
     def _ack(self, version: int, status: str, now: float) -> None:
-        self.registry.counter(
-            "agent_updates_total",
-            "manifest updates acknowledged by outcome",
-            labels=("status",),
-        ).inc(status=status)
         self.bus.send(
             self.node,
             self.leader,

@@ -408,11 +408,6 @@ class Controller:
             "nodes declared failed after missed heartbeats",
             labels=("node",),
         )
-        self._convergence = registry.histogram(
-            "epoch_convergence_seconds",
-            "simulated seconds from first push to last ack per"
-            " reconfiguration epoch",
-        )
         self._elections = failover.counter(
             "controller_ha_elections_total",
             "standby promotions to acting leader",
@@ -421,11 +416,6 @@ class Controller:
         self._depositions = failover.counter(
             "controller_ha_depositions_total",
             "acting leaders stepping down on higher-term evidence",
-            labels=("replica",),
-        )
-        self._handoff_entries = failover.counter(
-            "controller_ha_handoff_entries_total",
-            "epoch-log entries adopted from state-handoff messages",
             labels=("replica",),
         )
         self._handoffs = failover.counter(
@@ -584,10 +574,6 @@ class Controller:
         if state.acked_at is None:
             state.acked_at = now
             self._epoch_lags.append(now - state.first_sent)
-            self.registry.histogram(
-                "push_ack_lag_seconds",
-                "simulated push-to-acknowledgement lag per agent",
-            ).observe(now - state.first_sent)
         self.acked_version[node] = state.version
         self.acked_manifests[node] = state.manifest
         self.needs_full.discard(node)
@@ -679,18 +665,11 @@ class Controller:
 
     def _resolve(self, now: float, reason: str) -> None:
         """Full re-plan: estimate → LP → manifests → stabilize."""
-        with self.registry.timer(
-            "controller_resolve_seconds",
-            "wall-clock seconds per full re-plan (estimate/LP/manifests)",
-        ):
-            self._resolve_inner(now, reason)
         self.registry.counter(
             "controller_resolves_total",
             "full re-plans by trigger",
             labels=("reason",),
         ).inc(reason=reason)
-
-    def _resolve_inner(self, now: float, reason: str) -> None:
         estimated = self._estimated_units()
         self._reference_class_cpu = self._class_cpu(estimated)
         units = self._exclude_failed(estimated)
@@ -947,16 +926,6 @@ class Controller:
             del history[:-PUSH_HISTORY_LIMIT]
         self.outstanding[node] = state
         self._transmit(node, state, now, retry=False)
-        self.registry.counter(
-            "controller_pushes_total",
-            "manifest pushes by wire mode",
-            labels=("mode",),
-        ).inc(mode=mode)
-        self.registry.counter(
-            "controller_push_bytes_total",
-            "manifest bytes pushed by wire mode",
-            labels=("mode",),
-        ).inc(size, mode=mode)
         if mode == "full":
             self.stats.pushes_full += 1
             self._epoch.pushes_full += 1
@@ -1136,7 +1105,6 @@ class Controller:
                 continue
             self.log[entry.version] = entry
             self.stats.handoff_entries += 1
-            self._handoff_entries.inc(replica=self.name)
 
     def _log_epoch(self) -> None:
         """Record the currently adopted configuration in the epoch log."""
@@ -1374,17 +1342,6 @@ class Controller:
         record.fenced_nodes = tuple(sorted(self.fenced))
         record.reconfig_lag = max(self._epoch_lags, default=0.0)
         record.converged = not self.unsynced_live_nodes()
-        self.registry.counter(
-            "epochs_total", "epochs closed by convergence outcome",
-            labels=("converged",),
-        ).inc(converged=str(record.converged).lower())
-        if self._epoch_lags:
-            self._convergence.observe(record.reconfig_lag)
-        if self.version >= 0:
-            self.registry.gauge(
-                "controller_config_version",
-                "currently adopted configuration version",
-            ).set(self.version)
         return record
 
     # -- introspection ----------------------------------------------------

@@ -11,6 +11,7 @@ paper's full volumes.
 
 from __future__ import annotations
 
+import math
 import os
 
 
@@ -21,6 +22,8 @@ def repro_scale() -> float:
         value = float(raw)
     except ValueError as exc:
         raise ValueError(f"REPRO_SCALE must be a float, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"REPRO_SCALE must be finite, got {raw!r}")
     if value <= 0:
         raise ValueError(f"REPRO_SCALE must be positive, got {value}")
     return value

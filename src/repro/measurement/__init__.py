@@ -1,23 +1,13 @@
-"""Measurement substrate: NetFlow-style flow export, SNMP-style link
-loads, and planning-input estimation from both."""
+"""Measurement substrate: NetFlow-style flow export and planning-input
+estimation from it."""
 
 from .estimation import EstimationModel, estimate_units
 from .flows import FlowExporter, FlowRecord, TrafficReport
-from .snmp import (
-    LinkLoadCollector,
-    LinkLoads,
-    estimate_traffic_matrix,
-    matrix_error,
-)
 
 __all__ = [
     "EstimationModel",
     "FlowExporter",
     "FlowRecord",
-    "LinkLoadCollector",
-    "LinkLoads",
     "TrafficReport",
-    "estimate_traffic_matrix",
     "estimate_units",
-    "matrix_error",
 ]

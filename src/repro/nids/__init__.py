@@ -45,7 +45,6 @@ _LAZY_EXPORTS = {
     "TrackingLevel": ("repro.nids.engine", "TrackingLevel"),
     "ClusterReport": ("repro.nids.cluster", "ClusterReport"),
     "emulate_cluster": ("repro.nids.cluster", "emulate_cluster"),
-    "cluster_size_for_target": ("repro.nids.cluster", "cluster_size_for_target"),
 }
 
 
@@ -62,7 +61,6 @@ def __getattr__(name):
 __all__ = [
     "Alert",
     "ClusterReport",
-    "cluster_size_for_target",
     "emulate_cluster",
     "ConnState",
     "ConnectionRecord",

@@ -24,7 +24,7 @@ replication.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 from ..hashing.bobhash import hash_unit
 from ..hashing.keys import Aggregation
@@ -166,27 +166,3 @@ def emulate_cluster(
         frontend_cpu=frontend_cpu,
     )
 
-
-def cluster_size_for_target(
-    location: str,
-    sessions: Sequence[Session],
-    modules: Sequence[ModuleSpec],
-    target_cpu: float,
-    max_workers: int = 64,
-    cost_model: CostModel = DEFAULT_COST_MODEL,
-) -> Optional[int]:
-    """Smallest cluster whose hottest worker stays under *target_cpu*.
-
-    Quantifies the provisioning question the paper's approach sidesteps:
-    how much hardware must be added *at the chokepoint* to match what
-    network-wide coordination achieves with the existing boxes.
-    Returns ``None`` if even *max_workers* cannot meet the target
-    (replication overhead does not shrink with the cluster).
-    """
-    for num_workers in range(1, max_workers + 1):
-        report = emulate_cluster(
-            location, sessions, modules, num_workers, cost_model
-        )
-        if report.max_worker_cpu <= target_cpu:
-            return num_workers
-    return None

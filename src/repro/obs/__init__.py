@@ -65,10 +65,10 @@ _ambient: MetricsRegistry = NULL_REGISTRY
 
 def get_registry() -> MetricsRegistry:
     """The current ambient registry (the null registry by default)."""
-    # repnoqa: REP204 -- per-process ambient default; each spawned
-    # worker installs its own registry (run_scenario(registry=...)),
-    # nothing is shared or merged across the process boundary.
-    return _ambient  # repnoqa: REP204
+    # Per-process ambient default; each spawned worker installs its own
+    # registry (run_scenario(registry=...)), nothing is shared or merged
+    # across the process boundary.
+    return _ambient
 
 
 def set_registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
@@ -77,7 +77,7 @@ def set_registry(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
     ``None`` restores the null registry.
     """
     global _ambient
-    previous = _ambient  # repnoqa: REP204 -- see get_registry
+    previous = _ambient
     _ambient = registry if registry is not None else NULL_REGISTRY
     return previous
 

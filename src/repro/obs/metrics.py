@@ -247,11 +247,10 @@ class Histogram(Metric):
         series = self._get(self._key(labels))
         for index, bucket_count in enumerate(bucket_counts):
             series.bucket_counts[index] += int(bucket_count)
-        # repnoqa: REP203 -- merge_from feeds series in sorted-name
-        # order and sweep-cell snapshots merge in spec order, so this
-        # float addition happens in one fixed order for any worker
-        # count; an ExactSum here would change the snapshot schema.
-        series.sum += float(total)  # repnoqa: REP203
+        # merge_from feeds series in sorted-name order and sweep-cell
+        # snapshots merge in spec order, so this float addition happens
+        # in one fixed order for any worker count.
+        series.sum += float(total)
         series.count += int(count)
 
     def cumulative_buckets(self, **labels: object) -> List[Tuple[float, int]]:

@@ -142,12 +142,9 @@ def _axis_aggregates(results: List[CellResult]) -> dict:
                 "ok": sum(1 for r in group if r.ok),
                 "violations": sum(len(r.violations) for r in group),
                 "coverage_min": min(r.coverage_min for r in group),
-                "coverage_mean": (
-                    # repnoqa: REP203 -- display-only mean, folded over
-                    # cells in spec order (deterministic); the exact
-                    # per-cell values live in the rows themselves.
-                    sum(r.coverage_mean for r in group) / len(group)  # repnoqa: REP203
-                ),
+                # Display-only mean, folded over cells in spec order; the
+                # per-cell values live in the rows themselves.
+                "coverage_mean": sum(r.coverage_mean for r in group) / len(group),
             }
             for value, group in sorted(groups.items())
         }

@@ -9,7 +9,6 @@ from .datasets import (
     random_pop_topology,
     rocketfuel,
 )
-from .generators import leaf_spine, ring, waxman
 from .graph import LinkSpec, NodeSpec, Topology
 from .gravity import (
     PairFractions,
@@ -37,9 +36,6 @@ __all__ = [
     "heaviest_pair",
     "ingress_fractions",
     "internet2",
-    "leaf_spine",
     "random_pop_topology",
-    "ring",
     "rocketfuel",
-    "waxman",
 ]

@@ -1,14 +1,12 @@
 """Traffic-matrix abstraction.
 
 Wraps the ``{(ingress, egress): fraction}`` maps produced by the
-gravity model (or supplied directly) with validation, sampling, and the
-volume bookkeeping the generator and the optimization drivers need.
+gravity model (or supplied directly) with validation and the volume
+bookkeeping the generator and the optimization drivers need.
 """
 
 from __future__ import annotations
 
-import bisect
-import random
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from ..topology.graph import Topology
@@ -33,13 +31,6 @@ class TrafficMatrix:
         self._fractions: Dict[Pair, float] = {
             pair: fraction / total for pair, fraction in fractions.items() if fraction > 0
         }
-        # Cumulative distribution for O(log n) pair sampling.
-        self._pairs: List[Pair] = list(self._fractions)
-        self._cumulative: List[float] = []
-        running = 0.0
-        for pair in self._pairs:
-            running += self._fractions[pair]
-            self._cumulative.append(running)
 
     @classmethod
     def gravity(cls, topology: Topology, include_self_pairs: bool = False) -> "TrafficMatrix":
@@ -60,7 +51,7 @@ class TrafficMatrix:
     @property
     def pairs(self) -> List[Pair]:
         """All ordered pairs with positive fraction."""
-        return list(self._pairs)
+        return list(self._fractions)
 
     def items(self) -> Iterable[Tuple[Pair, float]]:
         """Iterate (pair, fraction) entries."""
@@ -70,12 +61,6 @@ class TrafficMatrix:
         return len(self._fractions)
 
     # -- use ----------------------------------------------------------------
-    def sample_pair(self, rng: random.Random) -> Pair:
-        """Draw an (ingress, egress) pair proportionally to its fraction."""
-        position = bisect.bisect_left(self._cumulative, rng.random() * self._cumulative[-1])
-        position = min(position, len(self._pairs) - 1)
-        return self._pairs[position]
-
     def volumes(self, total: float) -> Dict[Pair, float]:
         """Split *total* volume across pairs by fraction."""
         return {pair: fraction * total for pair, fraction in self._fractions.items()}

@@ -1,11 +1,11 @@
-"""Tests for the determinism & spawn-safety flow pass (REP201-REP206).
+"""Tests for the determinism & protocol flow pass (REP201, REP202, REP206).
 
 Two layers:
 
 * synthetic packages exercising each rule's positive and negative
   space (including suppressions and the timing allowlist);
 * seeded **mutation tests** on a copy of the real ``repro`` tree — the
-  acceptance scenarios: injecting ``time.time()`` into the merge path,
+  acceptance scenarios: stamping wall-clock time onto a merged partial,
   a bare set iteration into report assembly, and an undeclared message
   kind into the controller dispatch must each produce the expected
   finding, proving the shipped-clean state is meaningful.
@@ -51,9 +51,6 @@ def worker_config(**overrides):
     """A FlowConfig anchored on a synthetic ``pkg`` package."""
     base = dict(
         report_entrypoints=("pkg.worker.run_payload",),
-        merge_entrypoints=("pkg.worker.merge_reports",),
-        spawn_entrypoints=("pkg.worker.run_payload",),
-        config_modules=("pkg.settings",),
         timing_allowlist_modules=(),
         protocol_module="pkg.protocol",
         dispatch_sites=("pkg.node.Hub.drain",),
@@ -67,9 +64,6 @@ WORKER_STUB = {
     "pkg/worker.py": """\
         def run_payload(payload):
             return payload
-
-        def merge_reports(reports):
-            return reports
     """,
 }
 
@@ -85,9 +79,6 @@ class TestREP201WallClock:
 
                     def run_payload(payload):
                         return deep.helper(payload)
-
-                    def merge_reports(reports):
-                        return reports
                 """,
                 "pkg/deep.py": """\
                     import time
@@ -114,9 +105,6 @@ class TestREP201WallClock:
 
                     def run_payload(payload):
                         return perf_counter(), datetime.now()
-
-                    def merge_reports(reports):
-                        return reports
                 """,
             },
             worker_config(),
@@ -138,9 +126,6 @@ class TestREP201WallClock:
                             time.perf_counter() - started
                         )
                         return work
-
-                    def merge_reports(reports):
-                        return reports
                 """,
             },
             worker_config(),
@@ -164,9 +149,6 @@ class TestREP201WallClock:
 
                     def record(registry, started):
                         registry.histogram("trace_seconds").observe(started)
-
-                    def merge_reports(reports):
-                        return reports
                 """,
             },
             worker_config(),
@@ -187,9 +169,6 @@ class TestREP202UnorderedIteration:
                         for item in seen:
                             out.append(item)
                         return out
-
-                    def merge_reports(reports):
-                        return reports
                 """,
             },
             worker_config(),
@@ -206,9 +185,6 @@ class TestREP202UnorderedIteration:
                         seen = set(payload)
                         total = sum(x for x in seen)
                         return [item for item in sorted(seen)] + [total, len(seen)]
-
-                    def merge_reports(reports):
-                        return reports
                 """,
             },
             worker_config(),
@@ -230,9 +206,6 @@ class TestREP202UnorderedIteration:
                             rows.append(name)
                         rows.extend(list(glob.glob("*.json")))
                         return rows
-
-                    def merge_reports(reports):
-                        return reports
                 """,
             },
             worker_config(),
@@ -252,9 +225,6 @@ class TestREP202UnorderedIteration:
 
                     def run_payload(payload):
                         return [k for k in keys(payload)]
-
-                    def merge_reports(reports):
-                        return reports
                 """,
             },
             worker_config(),
@@ -270,187 +240,8 @@ class TestREP202UnorderedIteration:
                     def run_payload(payload):
                         return payload
 
-                    def merge_reports(reports):
-                        return reports
-
                     def offline_tool(items):
                         return [x for x in set(items)]
-                """,
-            },
-            worker_config(),
-        )
-        assert result.ok
-
-
-class TestREP203FloatAccumulation:
-    def test_float_sum_in_merge_path_is_flagged(self, tmp_path):
-        result = run_flow(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/worker.py": """\
-                    def run_payload(payload):
-                        return payload
-
-                    def merge_reports(reports):
-                        return sum(r.cpu_load for r in reports)
-                """,
-            },
-            worker_config(),
-        )
-        assert rule_ids(result) == ["REP203"]
-        assert "ExactSum" in result.violations[0].message
-
-    def test_float_augassign_is_flagged(self, tmp_path):
-        result = run_flow(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/worker.py": """\
-                    def run_payload(payload):
-                        return payload
-
-                    def merge_reports(reports):
-                        total = 0.0
-                        for r in reports:
-                            total += r.coverage
-                        return total
-                """,
-            },
-            worker_config(),
-        )
-        assert "REP203" in rule_ids(result)
-
-    def test_integer_counting_passes(self, tmp_path):
-        result = run_flow(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/worker.py": """\
-                    def run_payload(payload):
-                        return payload
-
-                    def merge_reports(reports):
-                        count = 0
-                        for r in reports:
-                            count += 1
-                        return count + sum(1 for r in reports if r.ok)
-                """,
-            },
-            worker_config(),
-        )
-        assert result.ok
-
-
-class TestREP204SpawnSafety:
-    def test_mutated_module_global_in_worker_path_is_flagged(self, tmp_path):
-        result = run_flow(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/worker.py": """\
-                    _CACHE = {}
-
-                    def run_payload(payload):
-                        key = str(payload)
-                        if key not in _CACHE:
-                            _CACHE[key] = payload
-                        return _CACHE[key]
-
-                    def merge_reports(reports):
-                        return reports
-                """,
-            },
-            worker_config(),
-        )
-        assert "REP204" in rule_ids(result)
-        assert "_CACHE" in result.violations[0].message
-
-    def test_rebound_global_is_flagged(self, tmp_path):
-        result = run_flow(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/worker.py": """\
-                    _current = None
-
-                    def install(value):
-                        global _current
-                        _current = value
-
-                    def run_payload(payload):
-                        install(payload)
-                        return _current
-
-                    def merge_reports(reports):
-                        return reports
-                """,
-            },
-            worker_config(),
-        )
-        assert "REP204" in rule_ids(result)
-
-    def test_immutable_constant_table_passes(self, tmp_path):
-        result = run_flow(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/worker.py": """\
-                    PRESETS = {"fast": 1, "slow": 2}
-
-                    def run_payload(payload):
-                        return PRESETS[payload]
-
-                    def merge_reports(reports):
-                        return reports
-                """,
-            },
-            worker_config(),
-        )
-        assert result.ok
-
-
-class TestREP205EnvironReads:
-    def test_environ_read_in_worker_path_is_flagged(self, tmp_path):
-        result = run_flow(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/worker.py": """\
-                    import os
-
-                    def run_payload(payload):
-                        if os.environ.get("PKG_FAST"):
-                            return None
-                        return os.getenv("PKG_MODE"), os.environ["PKG_LEVEL"]
-
-                    def merge_reports(reports):
-                        return reports
-                """,
-            },
-            worker_config(),
-        )
-        assert rule_ids(result) == ["REP205", "REP205", "REP205"]
-
-    def test_config_layer_module_is_allowed(self, tmp_path):
-        result = run_flow(
-            tmp_path,
-            {
-                "pkg/__init__.py": "",
-                "pkg/settings.py": """\
-                    import os
-
-                    def scale():
-                        return float(os.environ.get("PKG_SCALE", "1.0"))
-                """,
-                "pkg/worker.py": """\
-                    from pkg import settings
-
-                    def run_payload(payload):
-                        return settings.scale()
-
-                    def merge_reports(reports):
-                        return reports
                 """,
             },
             worker_config(),
@@ -617,9 +408,6 @@ class TestSuppressionsAndErrors:
                         for item in set(payload):  # repnoqa: REP202 -- test
                             out.append(item)
                         return out
-
-                    def merge_reports(reports):
-                        return reports
                 """,
             },
             worker_config(),
@@ -645,9 +433,6 @@ class TestSharedASTStore:
                 "pkg/worker.py": """\
                     def run_payload(payload):
                         return payload
-
-                    def merge_reports(reports):
-                        return reports
                 """,
             },
         )
@@ -741,23 +526,19 @@ class TestSeededMutations:
     """Injected defects must produce the expected findings."""
 
     def test_wall_clock_in_merge_path_raises_rep201(self, repro_copy):
-        engine = repro_copy / "nids" / "engine.py"
-        anchor = "    def merge(self, other:"
+        # A merged partial that carries the time it was merged is no
+        # longer a function of its inputs (docs/determinism.md clause 1),
+        # yet every field the reports compare is unchanged.
         mutate(
-            engine,
-            anchor,
-            "    def merge(self, other:",
+            repro_copy / "nids" / "engine.py",
+            '''        """Fold *other* into this partial — exact and order-independent."""
+''',
+            '''        """Fold *other* into this partial — exact and order-independent."""
+        import time
+
+        self.merged_at = time.time()
+''',
         )
-        text = engine.read_text()
-        head, _, tail = text.partition(anchor)
-        # Insert a wall-clock read as the merge body's first statement.
-        line_end = tail.index("\n", tail.index(":")) + 1
-        tail = (
-            tail[:line_end]
-            + "        import time\n        _wall = time.time()\n"
-            + tail[line_end:]
-        )
-        engine.write_text(head + anchor + tail)
         result = flow_paths([str(repro_copy)])
         assert any(
             v.rule_id == "REP201" and "merge" in v.message

@@ -4,7 +4,6 @@ import pytest
 
 from repro.nids.cluster import (
     ClusterReport,
-    cluster_size_for_target,
     emulate_cluster,
 )
 from repro.nids.modules import module_set
@@ -88,23 +87,6 @@ class TestClusterEmulation:
         # There is no strict equation over total memory here, but the
         # scan table must fit within one-owner-per-source accounting:
         assert total_mem > 0 and distinct_sources > 0
-
-
-class TestClusterSizing:
-    def test_sizing_monotone(self, world, modules):
-        _, _, sessions = world
-        one = emulate_cluster("NYCM", sessions, modules, num_workers=1)
-        needed = cluster_size_for_target(
-            "NYCM", sessions, modules, target_cpu=one.max_worker_cpu / 2
-        )
-        assert needed is not None and needed >= 2
-
-    def test_unreachable_target(self, world, modules):
-        _, _, sessions = world
-        needed = cluster_size_for_target(
-            "NYCM", sessions, modules, target_cpu=1.0, max_workers=3
-        )
-        assert needed is None
 
 
 class TestAgainstCoordination:

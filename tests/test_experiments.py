@@ -39,6 +39,14 @@ class TestScaling:
         with pytest.raises(ValueError):
             scaled(100)
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_scale_rejected_at_the_read(self, monkeypatch, raw):
+        # nan passes `<= 0` and inf overflows round(); both must fail
+        # where the variable is read, not deep inside scaled().
+        monkeypatch.setenv("REPRO_SCALE", raw)
+        with pytest.raises(ValueError, match="REPRO_SCALE must be finite"):
+            scaled(100)
+
 
 class TestFig6:
     def test_coordination_wins_and_gap_grows(self):

@@ -1,0 +1,80 @@
+"""The surface deleted for having no reader stays deleted.
+
+Modules read only by their own tests, lint and flow rules without a
+historical catch or a seeded mutation that only they detect, and
+metric families nothing reads are gone; these pins keep a later change
+from quietly bringing one back.
+"""
+
+import importlib
+
+import pytest
+
+import repro.nids
+from repro.analysis.cli import main as analysis_main
+from repro.control.scenarios import ScenarioConfig, run_scenario
+from repro.obs import MetricsRegistry
+from repro.traffic import TrafficMatrix
+
+#: Families deleted because no reader outside their declaring module
+#: read them (docs/observability.md names a reader for every survivor).
+DELETED_FAMILIES = (
+    "agent_updates_total",
+    "controller_config_version",
+    "controller_ha_handoff_entries_total",
+    "controller_push_bytes_total",
+    "controller_pushes_total",
+    "controller_resolve_seconds",
+    "epoch_convergence_seconds",
+    "epochs_total",
+    "push_ack_lag_seconds",
+)
+
+
+class TestRemovedSurface:
+    @pytest.mark.parametrize(
+        "module", ["repro.measurement.snmp", "repro.topology.generators"]
+    )
+    def test_deleted_modules_do_not_import(self, module):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+
+    def test_deleted_functions_are_gone(self):
+        with pytest.raises(AttributeError):
+            TrafficMatrix.sample_pair
+        with pytest.raises(AttributeError):
+            repro.nids.cluster_size_for_target
+
+    def test_lint_lists_exactly_the_rules_with_evidence(self, capsys):
+        assert analysis_main(["lint", "--list-rules"]) == 0
+        assert capsys.readouterr().out == (
+            "REP001  float-literal equality; use EPSILON/math.isclose\n"
+            "REP002  unseeded global RNG draw; use Random(seed)/default_rng(seed)\n"
+            "REP004  metric-name drift between code and docs/observability.md\n"
+        )
+
+    def test_flow_lists_exactly_the_rules_with_evidence(self, capsys):
+        assert analysis_main(["flow", "--list-rules"]) == 0
+        assert capsys.readouterr().out == (
+            "REP201  wall-clock read reachable from a report entrypoint outside"
+            " an allowlisted *_seconds/*_per_second timing site\n"
+            "REP202  nondeterministic iteration order (set / os.listdir / glob /"
+            " dict.popitem) in report-reachable code\n"
+            "REP206  control-plane protocol drift between Bus sends, the declared"
+            " PROTOCOL table, and dispatch handling\n"
+        )
+
+    def test_scenario_snapshot_holds_no_deleted_family(self):
+        registry = MetricsRegistry()
+        result = run_scenario(
+            ScenarioConfig(topology="pop12", epochs=4, base_sessions=300),
+            registry=registry,
+        )
+        families = set(registry.snapshot()["metrics"])
+        assert families.isdisjoint(DELETED_FAMILIES)
+        # The run did push, ack and re-plan: the counts the deleted
+        # families duplicated are still the controller's stats.
+        stats = result.controller_stats
+        assert stats.pushes_full + stats.pushes_delta > 0
+        assert stats.push_bytes > 0
+        assert {"controller_resolves_total", "epoch_coverage"} <= families

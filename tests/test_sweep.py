@@ -374,7 +374,7 @@ class TestReport:
             name for result in sequential_run.results for name in result.metrics["metrics"]
         }
         assert reported == in_cells & set(REPORTED_FAMILIES)
-        assert "epochs_total" in in_cells - reported
+        assert "lp_solve_seconds" in in_cells - reported
         assert "controller_resolves_total" in reported
 
     def test_violations_listed_per_cell(self, tmp_path):
