@@ -25,7 +25,6 @@ from .manifest import (
 )
 from .manifest_io import (
     apply_manifest_delta,
-    delta_is_empty,
     dump_assignment,
     dump_manifests,
     load_assignment,
@@ -135,7 +134,6 @@ __all__ = [
     "compile_nips_polytope",
     "conservative_units",
     "decision_value",
-    "delta_is_empty",
     "dump_assignment",
     "dump_manifests",
     "eligible_nodes",

@@ -136,11 +136,6 @@ def manifest_diff(old: NodeManifest, new: NodeManifest) -> dict:
     }
 
 
-def delta_is_empty(delta: Mapping) -> bool:
-    """Whether a delta produced by :func:`manifest_diff` changes nothing."""
-    return not delta.get("changed") and not delta.get("removed")
-
-
 def apply_manifest_delta(base: NodeManifest, delta: Mapping) -> NodeManifest:
     """Apply a :func:`manifest_diff` delta to *base*, returning the result.
 

@@ -215,14 +215,6 @@ class TestManifestDelta:
         # Must survive the JSON wire (floats round-trip exactly).
         assert json.loads(json.dumps(delta)) == delta
 
-    def test_empty_delta_detected(self):
-        from repro.core.manifest_io import delta_is_empty, manifest_diff
-
-        old, _ = self._manifests()
-        delta = manifest_diff(old, old)
-        assert delta_is_empty(delta)
-        assert delta["changed"] == [] and delta["removed"] == []
-
     def test_node_mismatch_rejected(self):
         from repro.core.manifest import NodeManifest
         from repro.core.manifest_io import apply_manifest_delta, manifest_diff
