@@ -48,6 +48,7 @@ from .nids.microbench import format_microbench_table, run_microbenchmark
 from .nids.modules import module_set
 from .nips.adversary import UniformProcess
 from .nips.rules import MatchRateMatrix, unit_rules
+from .obs import MetricsRegistry
 from .topology.datasets import by_label
 from .topology.routing import PathSet
 from .traffic.generator import GeneratorConfig, TrafficGenerator
@@ -227,11 +228,10 @@ def cmd_online(args) -> int:
     return 0
 
 
-def cmd_control_run(args) -> int:
-    """Handle ``control run``: scripted coordination-plane scenario."""
-    from .control import ScenarioConfig, run_scenario, standard_scenario
-
-    common = dict(
+def _control_common(args) -> dict:
+    """The run-config fields both ``control`` subcommands take from
+    their shared flags."""
+    return dict(
         topology=args.topology,
         epochs=args.epochs,
         base_sessions=args.sessions,
@@ -240,11 +240,40 @@ def cmd_control_run(args) -> int:
         latency=args.latency,
         jitter=args.jitter,
         loss_rate=args.loss_rate,
+    )
+
+
+def _control_epilogue(args, registry, violations, heading: str, ok: str) -> int:
+    """Write the ``--metrics-out`` snapshot, print the verdict, and
+    return the exit status both ``control`` subcommands share."""
+    if registry is not None:
+        from .reporting import MetricsSnapshotReport
+
+        fmt = "prom" if args.metrics_out.endswith(".prom") else "json"
+        with open(args.metrics_out, "w") as stream:
+            MetricsSnapshotReport(registry).write(stream, fmt=fmt)
+        print(f"wrote telemetry snapshot ({fmt}) to {args.metrics_out}")
+    if violations:
+        print(heading)
+        for violation in violations:
+            print(f"  - {violation}")
+        return 1
+    print(ok)
+    return 0
+
+
+def cmd_control_run(args) -> int:
+    """Handle ``control run``: scripted coordination-plane scenario."""
+    from .control import ScenarioConfig, run_scenario, standard_scenario
+    from .control.scenarios import SCRIPTED
+
+    common = dict(
+        _control_common(args),
         resolve_every=args.resolve_every,
         heartbeat_timeout=args.heartbeat_timeout,
     )
     if args.no_events:
-        config = ScenarioConfig(**common)
+        config = ScenarioConfig(**{**SCRIPTED, **common})
     else:
         config = standard_scenario(
             shift_epoch=args.shift_epoch,
@@ -253,11 +282,7 @@ def cmd_control_run(args) -> int:
             fail_node=args.fail_node,
             **common,
         )
-    registry = None
-    if args.metrics_out:
-        from .obs import MetricsRegistry
-
-        registry = MetricsRegistry()
+    registry = MetricsRegistry() if args.metrics_out else None
     try:
         result = run_scenario(config, registry=registry)
     except ValueError as error:
@@ -305,26 +330,18 @@ def cmd_control_run(args) -> int:
         with open(args.output, "w", newline="") as stream:
             reporting.control_epochs_csv(result.records, stream)
         print(f"wrote per-epoch records to {args.output}")
-    if registry is not None:
-        from .reporting import MetricsSnapshotReport
-
-        fmt = "prom" if args.metrics_out.endswith(".prom") else "json"
-        with open(args.metrics_out, "w") as stream:
-            MetricsSnapshotReport(registry).write(stream, fmt=fmt)
-        print(f"wrote telemetry snapshot ({fmt}) to {args.metrics_out}")
-    violations = result.check_acceptance()
-    if violations:
-        print("ACCEPTANCE VIOLATIONS:")
-        for violation in violations:
-            print(f"  - {violation}")
-        return 1
-    print("acceptance criteria: all satisfied")
-    return 0
+    return _control_epilogue(
+        args,
+        registry,
+        result.check_acceptance(),
+        "ACCEPTANCE VIOLATIONS:",
+        "acceptance criteria: all satisfied",
+    )
 
 
 def cmd_control_chaos(args) -> int:
     """Handle ``control chaos``: fault injection + invariant monitor."""
-    from .control import ChaosConfig, build_plan, run_chaos
+    from .control import ScenarioConfig, build_plan, run_chaos
     from .topology import by_label
 
     try:
@@ -332,28 +349,17 @@ def cmd_control_chaos(args) -> int:
         plan = build_plan(
             args.plan, args.seed, args.epochs, topology.node_names
         )
-        config = ChaosConfig(
+        config = ScenarioConfig(
             plan=plan,
-            topology=args.topology,
-            epochs=args.epochs,
-            base_sessions=args.sessions,
-            profile=args.profile.replace("-", "_"),
-            seed=args.seed,
-            latency=args.latency,
-            jitter=args.jitter,
-            loss_rate=args.loss_rate,
             lease_ttl=args.lease_ttl,
             reconverge_epochs=args.reconverge_epochs,
             replicas=args.replicas,
+            **_control_common(args),
         )
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    registry = None
-    if args.metrics_out:
-        from .obs import MetricsRegistry
-
-        registry = MetricsRegistry()
+    registry = MetricsRegistry() if args.metrics_out else None
     result = run_chaos(config, registry=registry)
     print(
         f"chaos plan {plan.name!r} on {args.topology}: {config.epochs}"
@@ -407,25 +413,15 @@ def cmd_control_chaos(args) -> int:
         f" elections={summary['elections']},"
         f" depositions={summary['depositions']}"
     )
-    if registry is not None:
-        from .reporting import MetricsSnapshotReport
-
-        fmt = "prom" if args.metrics_out.endswith(".prom") else "json"
-        with open(args.metrics_out, "w") as stream:
-            MetricsSnapshotReport(registry).write(stream, fmt=fmt)
-        print(f"wrote telemetry snapshot ({fmt}) to {args.metrics_out}")
-    violations = result.check_acceptance()
-    if violations:
-        print("INVARIANT VIOLATIONS:")
-        for violation in violations:
-            print(f"  - {violation}")
-        return 1
-    print(
+    return _control_epilogue(
+        args,
+        registry,
+        result.check_acceptance(),
+        "INVARIANT VIOLATIONS:",
         "invariants held: coverage never below the edge-only baseline,"
         " no stale-epoch manifest outlived its lease, reconvergence"
-        " within budget"
+        " within budget",
     )
-    return 0
 
 
 def cmd_figures(args) -> int:
@@ -548,19 +544,37 @@ def build_parser() -> argparse.ArgumentParser:
         "control", help="coordination-plane (controller-agent) runtime"
     )
     control_sub = control.add_subparsers(dest="control_command", required=True)
+
+    def control_common(epochs: int, sessions: int) -> argparse.ArgumentParser:
+        """The flags both control subcommands take, with one
+        subcommand's run-length defaults."""
+        common = argparse.ArgumentParser(add_help=False)
+        common.add_argument("--topology", default="internet2", help="topology label")
+        common.add_argument("--epochs", type=int, default=epochs)
+        common.add_argument(
+            "--sessions", type=int, default=sessions, help="base sessions per epoch"
+        )
+        common.add_argument("--profile", choices=sorted(_PROFILES), default="mixed")
+        common.add_argument(
+            "--seed", type=int, default=7,
+            help="seeds traffic, channel, and fault randomness (and the"
+            " schedule itself for chaos --plan random)",
+        )
+        common.add_argument("--latency", type=float, default=0.05)
+        common.add_argument("--jitter", type=float, default=0.02)
+        common.add_argument("--loss-rate", type=float, default=0.0)
+        common.add_argument(
+            "--metrics-out",
+            help="enable telemetry and write the snapshot here"
+            " (JSON; Prometheus text if the path ends in .prom)",
+        )
+        return common
+
     run = control_sub.add_parser(
-        "run", help="run a scripted scenario through the coordination plane"
+        "run",
+        parents=[control_common(epochs=16, sessions=900)],
+        help="run a scripted scenario through the coordination plane",
     )
-    run.add_argument("--topology", default="internet2", help="topology label")
-    run.add_argument("--epochs", type=int, default=16)
-    run.add_argument(
-        "--sessions", type=int, default=900, help="base sessions per epoch"
-    )
-    run.add_argument("--profile", choices=sorted(_PROFILES), default="mixed")
-    run.add_argument("--seed", type=int, default=7)
-    run.add_argument("--latency", type=float, default=0.05)
-    run.add_argument("--jitter", type=float, default=0.02)
-    run.add_argument("--loss-rate", type=float, default=0.0)
     run.add_argument("--resolve-every", type=int, default=4)
     run.add_argument("--heartbeat-timeout", type=float, default=2.2)
     run.add_argument("--shift-epoch", type=int, default=5)
@@ -573,15 +587,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="steady-state run without scripted shift/failure/recovery",
     )
     run.add_argument("--output", help="write per-epoch records CSV here")
-    run.add_argument(
-        "--metrics-out",
-        help="enable telemetry and write the snapshot here"
-        " (JSON; Prometheus text if the path ends in .prom)",
-    )
     run.set_defaults(func=cmd_control_run)
 
     chaos = control_sub.add_parser(
         "chaos",
+        parents=[control_common(epochs=18, sessions=600)],
         help="inject a seeded fault plan and assert the degradation"
         " invariants per epoch",
     )
@@ -592,20 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
         " agent-restart-stale, lossy-burst, leader-crash-mid-push,"
         " leader-partition) or 'random'",
     )
-    chaos.add_argument("--topology", default="internet2", help="topology label")
-    chaos.add_argument("--epochs", type=int, default=18)
-    chaos.add_argument(
-        "--sessions", type=int, default=600, help="base sessions per epoch"
-    )
-    chaos.add_argument("--profile", choices=sorted(_PROFILES), default="mixed")
-    chaos.add_argument(
-        "--seed", type=int, default=7,
-        help="seeds traffic, channel, and fault randomness (and the"
-        " schedule itself for --plan random)",
-    )
-    chaos.add_argument("--latency", type=float, default=0.05)
-    chaos.add_argument("--jitter", type=float, default=0.02)
-    chaos.add_argument("--loss-rate", type=float, default=0.0)
     chaos.add_argument(
         "--lease-ttl", type=float, default=2.5,
         help="epoch-lease TTL before edge-only fallback (seconds)",
@@ -618,11 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicas", type=int, default=1,
         help="controller replicas (HA standby failover; the"
         " leader-crash-mid-push and leader-partition plans force >= 3)",
-    )
-    chaos.add_argument(
-        "--metrics-out",
-        help="enable telemetry and write the snapshot here"
-        " (JSON; Prometheus text if the path ends in .prom)",
     )
     chaos.set_defaults(func=cmd_control_chaos)
 

@@ -9,21 +9,18 @@ heartbeat-driven failure detection with targeted redistribution,
 controller HA (every :class:`Controller` is one term-fenced controller
 process with deterministic election and split-brain-proof epoch-log
 handoff; :class:`HACluster` is the set of them, a lone controller a
-cluster of one), and one epoch driver (:mod:`repro.control.plane`) scored two ways:
-scripted end-to-end scenarios, and a seeded chaos harness
-(:mod:`repro.control.chaos`) that injects adversarial fault plans and
-asserts the graceful-degradation invariants per epoch.
+cluster of one), and one control run (:mod:`repro.control.plane`: a
+:class:`ScenarioConfig` whose :class:`FaultPlan` says what happens to the
+plane) scored two ways: scripted end-to-end scenarios, and a seeded
+chaos harness (:mod:`repro.control.chaos`) that injects adversarial
+fault plans and asserts the graceful-degradation invariants per epoch.
 """
 
 from .agent import Agent, AgentConfig, AgentStats
 from .bus import Bus, BusConfig, BusStats, Message
 from .chaos import (
-    ChaosBus,
-    ChaosConfig,
     ChaosEpochRecord,
     ChaosResult,
-    FaultEvent,
-    FaultPlan,
     InvariantMonitor,
     InvariantViolation,
     NAMED_PLANS,
@@ -54,12 +51,16 @@ from .failure import (
     RepairResult,
     repair_manifests,
 )
+from .plane import (
+    PROFILES,
+    ChaosBus,
+    FaultEvent,
+    FaultPlan,
+    ScenarioConfig,
+)
 from .scenarios import (
     COVERAGE_FLOOR,
-    PROFILES,
     REDISTRIBUTION_DEADLINE_EPOCHS,
-    ScenarioConfig,
-    ScenarioEvent,
     ScenarioResult,
     run_scenario,
     standard_scenario,
@@ -74,7 +75,6 @@ __all__ = [
     "BusStats",
     "COVERAGE_FLOOR",
     "ChaosBus",
-    "ChaosConfig",
     "ChaosEpochRecord",
     "ChaosResult",
     "Controller",
@@ -100,7 +100,6 @@ __all__ = [
     "REDISTRIBUTION_DEADLINE_EPOCHS",
     "RepairResult",
     "ScenarioConfig",
-    "ScenarioEvent",
     "ScenarioResult",
     "build_plan",
     "coverage_metrics",

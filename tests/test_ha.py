@@ -20,7 +20,6 @@ import pytest
 from repro.control.agent import Agent, AgentConfig
 from repro.control.bus import Bus, BusConfig
 from repro.control.chaos import (
-    ChaosConfig,
     HA_PLAN_REPLICAS,
     InvariantMonitor,
     build_plan,
@@ -28,6 +27,7 @@ from repro.control.chaos import (
 )
 from repro.control.controller import Controller, ControllerConfig, PushState
 from repro.control.epochs import EpochLogEntry
+from repro.control.plane import ScenarioConfig
 from repro.control.ha import HACluster, HAConfig, replica_name
 from repro.control.protocol import (
     KIND_ACK,
@@ -561,7 +561,7 @@ def ha_acceptance():
                 plan_name, seed, 18, by_label("Internet2").node_names
             )
             results[(plan_name, seed)] = run_chaos(
-                ChaosConfig(plan=plan, epochs=18, base_sessions=400, seed=seed)
+                ScenarioConfig(plan=plan, epochs=18, base_sessions=400, seed=seed)
             )
     return results
 
@@ -615,7 +615,7 @@ class TestHAPlanAcceptance:
         plan = build_plan(
             "leader-partition", 3, 18, by_label("Internet2").node_names
         )
-        config = ChaosConfig(plan=plan, epochs=18, base_sessions=400, seed=3)
+        config = ScenarioConfig(plan=plan, epochs=18, base_sessions=400, seed=3)
         try:
             Agent._term_fencing = False
             Controller._ha_fencing = False
@@ -635,7 +635,7 @@ class TestHAMetrics:
             "leader-crash-mid-push", 3, 18, by_label("Internet2").node_names
         )
         result = run_chaos(
-            ChaosConfig(plan=plan, epochs=18, base_sessions=400, seed=3),
+            ScenarioConfig(plan=plan, epochs=18, base_sessions=400, seed=3),
             registry=registry,
         )
         assert result.ok

@@ -10,11 +10,19 @@ import importlib
 
 import pytest
 
+import repro.control
+import repro.control.scenarios
+import repro.core.manifest_io
 import repro.nids
 from repro.analysis.cli import main as analysis_main
-from repro.control.scenarios import ScenarioConfig, run_scenario
+from repro.control.agent import AgentConfig
+from repro.control.bus import Bus
+from repro.control.controller import ControllerConfig, HAConfig
+from repro.control.plane import ControlPlane, unit_capacity_topology
+from repro.control.scenarios import SCRIPTED, ScenarioConfig, run_scenario
 from repro.obs import MetricsRegistry
 from repro.traffic import TrafficMatrix
+from repro.traffic.dynamics import DiurnalBurstModel
 
 #: Families deleted because no reader outside their declaring module
 #: read them (docs/observability.md names a reader for every survivor).
@@ -45,6 +53,37 @@ class TestRemovedSurface:
         with pytest.raises(AttributeError):
             repro.nids.cluster_size_for_target
 
+    def test_one_event_vocabulary_and_no_empty_delta_guard(self):
+        # A scripted fail/recover/shift is a FaultEvent of the run's plan.
+        for module in (repro.control, repro.control.scenarios):
+            assert not hasattr(module, "ScenarioEvent")
+        assert not hasattr(repro.core.manifest_io, "delta_is_empty")
+
+    def test_knobs_with_one_value_in_use_are_gone(self):
+        with pytest.raises(TypeError, match="sampling_rate"):
+            ControlPlane(
+                unit_capacity_topology("pop12"),
+                Bus(),
+                ControllerConfig(),
+                HAConfig(replicas=1),
+                AgentConfig(),
+                DiurnalBurstModel(base_sessions=10),
+                epochs=1,
+                profiles=("mixed",),
+                seed=0,
+                sampling_rate=1.0,
+            )
+        with pytest.raises(TypeError, match="headroom"):
+            ControllerConfig(headroom=1.0)
+        for knob in ("sampling_rate", "headroom", "stabilize_tolerance", "events"):
+            with pytest.raises(TypeError, match=knob):
+                ScenarioConfig(**{knob: None})
+
+    @pytest.mark.parametrize("config", [ScenarioConfig, AgentConfig, ControllerConfig])
+    def test_leases_cannot_be_switched_off(self, config):
+        with pytest.raises(ValueError, match="lease_ttl"):
+            config(lease_ttl=None)
+
     def test_lint_lists_exactly_the_rules_with_evidence(self, capsys):
         assert analysis_main(["lint", "--list-rules"]) == 0
         assert capsys.readouterr().out == (
@@ -67,7 +106,9 @@ class TestRemovedSurface:
     def test_scenario_snapshot_holds_no_deleted_family(self):
         registry = MetricsRegistry()
         result = run_scenario(
-            ScenarioConfig(topology="pop12", epochs=4, base_sessions=300),
+            ScenarioConfig(
+                **{**SCRIPTED, "topology": "pop12", "epochs": 4, "base_sessions": 300}
+            ),
             registry=registry,
         )
         families = set(registry.snapshot()["metrics"])
