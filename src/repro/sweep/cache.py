@@ -35,8 +35,10 @@ from .spec import SweepCell
 #: previously cached cell results incomparable (e.g. new acceptance
 #: rules, changed consolidated-report fields sourced from the cell, a
 #: different session stream for the same seed).  3: the trace generator
-#: draws from ``numpy.random.Generator`` in blocks.
-CACHE_FORMAT_VERSION = 3
+#: draws from ``numpy.random.Generator`` in blocks.  4: scripted cells
+#: run with epoch leases, a version-only re-plan is an empty delta, and
+#: chaos cells draw their volumes from their dynamics preset.
+CACHE_FORMAT_VERSION = 4
 
 
 def canonical_json(payload: object) -> str:

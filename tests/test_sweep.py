@@ -20,6 +20,8 @@ import pytest
 import repro.sweep.cache as sweep_cache
 from repro.cli import main as repro_main
 from repro.sweep.report import NONDETERMINISTIC_SUFFIXES, REPORTED_FAMILIES
+from repro.sweep.spec import DYNAMICS_PRESETS, PLAN_AXIS_VALUES
+from repro.sweep.worker import build_cell_config
 from repro.obs import MetricsRegistry
 from repro.sweep import (
     ArtifactCache,
@@ -214,20 +216,23 @@ class TestArtifactCache:
 
     def test_format_2_artifact_is_a_miss(self, tmp_path, monkeypatch):
         """Format 2 cached cells run on the ``random.Random`` session
-        stream; none of them may be served for format 3."""
-        assert sweep_cache.CACHE_FORMAT_VERSION == 3
-        cache = ArtifactCache(str(tmp_path))
-        cell = SweepCell()
-        with monkeypatch.context() as patched:
-            patched.setattr(sweep_cache, "CACHE_FORMAT_VERSION", 2)
-            old_key = cache.put(cell, {"ok": True})
-            assert cache.get(cell) == {"ok": True}
-        assert cache.get(cell) is None
-        # ... also when the old artifact sits at the current address.
-        current = cache._path(cache_key(cell))
-        os.makedirs(os.path.dirname(current), exist_ok=True)
-        shutil.copyfile(cache._path(old_key), current)
-        assert cache.get(cell) is None
+        stream, format 3 ones without scripted leases and with chaos
+        cells off their dynamics preset; none of them may be served for
+        format 4."""
+        assert sweep_cache.CACHE_FORMAT_VERSION == 4
+        for old_format in (2, 3):
+            cache = ArtifactCache(str(tmp_path / str(old_format)))
+            cell = SweepCell()
+            with monkeypatch.context() as patched:
+                patched.setattr(sweep_cache, "CACHE_FORMAT_VERSION", old_format)
+                old_key = cache.put(cell, {"ok": True})
+                assert cache.get(cell) == {"ok": True}
+            assert cache.get(cell) is None
+            # ... also when the old artifact sits at the current address.
+            current = cache._path(cache_key(cell))
+            os.makedirs(os.path.dirname(current), exist_ok=True)
+            shutil.copyfile(cache._path(old_key), current)
+            assert cache.get(cell) is None
 
     def test_partition_splits_by_cache_state(self, tmp_path):
         cache = ArtifactCache(str(tmp_path))
@@ -339,6 +344,40 @@ class TestExecutor:
         assert "controller_resolves_total" in names
 
 
+class TestCellDynamics:
+    """Every cell, scripted or chaos, draws its volumes from its
+    dynamics preset."""
+
+    def test_every_cell_draws_its_presets_volumes(self):
+        for plan in PLAN_AXIS_VALUES:
+            for dynamics, preset in DYNAMICS_PRESETS.items():
+                config = build_cell_config(
+                    SweepCell(plan=plan, dynamics=dynamics, epochs=18)
+                )
+                assert (
+                    config.profile,
+                    config.diurnal_amplitude,
+                    config.burst_probability,
+                ) == (
+                    preset["profile"],
+                    preset["diurnal_amplitude"],
+                    preset["burst_probability"],
+                ), (plan, dynamics)
+
+    def test_steady_chaos_cell_is_flat(self, sequential_run):
+        steady = [
+            result
+            for result in sequential_run.results
+            if result.cell.dynamics == "steady" and result.cell.plan != "none"
+        ]
+        assert steady
+        for result in steady:
+            cell = result.cell
+            measured = result.metrics["metrics"]["agent_dispatch_sessions_total"]
+            total = sum(series["value"] for series in measured["series"])
+            assert total == cell.epochs * cell.base_sessions, cell.cell_id
+
+
 class TestReport:
     def test_report_shape(self, sequential_run):
         report = consolidate(sequential_run)
@@ -378,19 +417,22 @@ class TestReport:
         assert "controller_resolves_total" in reported
 
     def test_violations_listed_per_cell(self, tmp_path):
-        # geant under controller-outage is a known coverage-floor
-        # stress case — use it to exercise the violation summary.
+        # sweeps/control.json's lossy-burst seed-7 cell is a standing
+        # coverage-floor counterexample (ROADMAP) — use it to exercise
+        # the violation summary.
         spec = SweepSpec(
-            name="stress", topologies=("geant",),
-            plans=("controller-outage",), dynamics=("steady",),
-            seeds=(0,), epochs=16, base_sessions=120,
+            name="stress", topologies=("internet2",),
+            plans=("lossy-burst",), dynamics=("steady",),
+            seeds=(7,), epochs=18, base_sessions=400,
         )
         run = run_sweep(spec, jobs=1, cache_dir=str(tmp_path))
         assert not run.ok
         report = consolidate(run)
         assert report["summary"]["violating_cells"] == 1
         assert report["violations"]
-        assert report["violations"][0]["cell_id"].startswith("geant+")
+        assert report["violations"][0]["cell_id"] == (
+            "internet2+lossy-burst+steady+r1+s7"
+        )
 
 
 class TestSweepCli:
