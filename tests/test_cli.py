@@ -239,6 +239,51 @@ class TestControlRun:
         }
         assert len(nodes) == 11  # every Internet2 agent reported
 
+    #: Both control subcommands' defaults, from before their nine shared
+    #: flags moved into one parent parser.
+    SHARED_CONTROL_DEFAULTS = {
+        "topology": "internet2",
+        "profile": "mixed",
+        "seed": 7,
+        "latency": 0.05,
+        "jitter": 0.02,
+        "loss_rate": 0.0,
+        "metrics_out": None,
+    }
+
+    def test_control_parsers_keep_their_defaults(self):
+        parser = build_parser()
+        run = vars(parser.parse_args(["control", "run"]))
+        chaos = vars(parser.parse_args(["control", "chaos"]))
+        for args in (run, chaos):
+            del args["func"]
+        assert run == {
+            **self.SHARED_CONTROL_DEFAULTS,
+            "command": "control",
+            "control_command": "run",
+            "epochs": 16,
+            "sessions": 900,
+            "resolve_every": 4,
+            "heartbeat_timeout": 2.2,
+            "shift_epoch": 5,
+            "fail_epoch": 8,
+            "recover_epoch": 12,
+            "fail_node": "NYCM",
+            "no_events": False,
+            "output": None,
+        }
+        assert chaos == {
+            **self.SHARED_CONTROL_DEFAULTS,
+            "command": "control",
+            "control_command": "chaos",
+            "epochs": 18,
+            "sessions": 600,
+            "plan": "controller-outage",
+            "lease_ttl": 2.5,
+            "reconverge_epochs": 4,
+            "replicas": 1,
+        }
+
     def test_chaos_parses_with_defaults(self):
         args = build_parser().parse_args(["control", "chaos"])
         assert callable(args.func)
