@@ -360,7 +360,11 @@ def cmd_control_chaos(args) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     registry = MetricsRegistry() if args.metrics_out else None
-    result = run_chaos(config, registry=registry)
+    try:
+        result = run_chaos(config, registry=registry)
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(
         f"chaos plan {plan.name!r} on {args.topology}: {config.epochs}"
         f" epochs, lease TTL {config.lease_ttl:g}s, heal at"

@@ -6,7 +6,8 @@ measurement reports, and liveness signals over the management network.
 configurable one-way latency, jitter, and loss, so the coordination
 plane can be exercised under realistic distribution conditions
 (reordering falls out of jitter: a message sent later can arrive
-earlier).
+earlier).  Each receiver has its own queue, ordered by delivery time
+and then send order, so a delivery reads only the receiver's messages.
 
 The bus is deliberately unreliable-datagram-shaped — no retransmission,
 no ordering guarantee.  Reliability is the controller's job (epoch
@@ -18,9 +19,11 @@ channel.
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..obs import MetricsRegistry, NULL_REGISTRY
 
@@ -52,8 +55,13 @@ class BusConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.latency < 0 or self.jitter < 0:
-            raise ValueError("latency and jitter must be non-negative")
+        for name in ("latency", "jitter"):
+            value = getattr(self, name)
+            # Written so that NaN fails too: ``nan < 0`` is false.
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and non-negative, got {value!r}"
+                )
         if not 0.0 <= self.loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
 
@@ -86,7 +94,8 @@ class Bus:
         self.registry = registry if registry is not None else NULL_REGISTRY
         self.stats = BusStats()
         self._rng = random.Random(self.config.seed)
-        self._in_flight: List[Message] = []
+        #: Per receiver, a heap of ``(deliver_at, seq, message)``.
+        self._queues: Dict[str, List[Tuple[float, int, Message]]] = {}
         self._seq = 0
 
     def send(
@@ -149,8 +158,16 @@ class Bus:
         see :class:`repro.control.chaos.ChaosBus`.  The base channel
         admits everything unchanged.
         """
-        self._in_flight.append(message)
+        self._enqueue(message)
         return message
+
+    def _enqueue(self, message: Message) -> None:
+        """Put *message* on its receiver's queue (``seq`` is unique, so
+        the heap never compares two messages)."""
+        heapq.heappush(
+            self._queues.setdefault(message.dst, []),
+            (message.deliver_at, message.seq, message),
+        )
 
     def _drop_admitted(self, message: Message) -> None:
         """Account an admitted-then-dropped message as channel loss."""
@@ -167,20 +184,15 @@ class Bus:
         Returned in delivery-time order (not send order), removed from
         the channel.
         """
-        due = [
-            m for m in self._in_flight if m.dst == dst and m.deliver_at <= now
-        ]
-        if due:
-            remaining = {id(m) for m in due}
-            self._in_flight = [
-                m for m in self._in_flight if id(m) not in remaining
-            ]
-            due.sort(key=lambda m: (m.deliver_at, m.seq))
-            self.stats.delivered += len(due)
+        queue = self._queues.get(dst)
+        due = []
+        while queue and queue[0][0] <= now:
+            due.append(heapq.heappop(queue)[2])
+        self.stats.delivered += len(due)
         return due
 
     def pending(self, dst: Optional[str] = None) -> int:
         """Number of undelivered messages (optionally for one receiver)."""
         if dst is None:
-            return len(self._in_flight)
-        return sum(1 for m in self._in_flight if m.dst == dst)
+            return sum(len(queue) for queue in self._queues.values())
+        return len(self._queues.get(dst, ()))

@@ -653,14 +653,24 @@ class Controller:
             surviving.append(unit)
         return surviving
 
-    def _resolve(self, now: float, reason: str) -> None:
-        """Full re-plan: estimate → LP → manifests → stabilize."""
+    def _resolve(
+        self,
+        now: float,
+        reason: str,
+        estimated: Optional[List[CoordinationUnit]] = None,
+    ) -> None:
+        """Full re-plan: estimate → LP → manifests → stabilize.
+
+        *estimated* is this beat's estimate when the trigger check
+        already made one from the same reports.
+        """
         self.registry.counter(
             "controller_resolves_total",
             "full re-plans by trigger",
             labels=("reason",),
         ).inc(reason=reason)
-        estimated = self._estimated_units()
+        if estimated is None:
+            estimated = self._estimated_units()
         self._reference_class_cpu = self._class_cpu(estimated)
         units = self._exclude_failed(estimated)
         assignment = self.solve_fn(units, self.topology, self.config.coverage)
@@ -1118,12 +1128,16 @@ class Controller:
         if not self.log:
             return
         versions = sorted(self.log)[-self.ha_config.handoff_window:]
-        payload = {
-            "term": self.term,
-            "leader": self.name,
-            "entries": [self.log[v].to_dict() for v in versions],
-        }
-        size = _json_size(payload)
+        entries = [self.log[v] for v in versions]
+        frame = {"term": self.term, "leader": self.name, "entries": []}
+        # ``_json_size`` of the payload without encoding it again: the
+        # empty frame, each entry's own encoding, and ", " between two.
+        size = (
+            _json_size(frame)
+            + sum(entry.json_size for entry in entries)
+            + 2 * (len(entries) - 1)
+        )
+        payload = dict(frame, entries=[entry.to_dict() for entry in entries])
         for peer in self.peers:
             self.bus.send(
                 self.name, peer, KIND_STATE_HANDOFF, payload, size, now
@@ -1274,6 +1288,7 @@ class Controller:
         self._fence_event = False
 
         reason = ""
+        estimated = None
         if self.deployment is None:
             if self.reports:
                 reason = "bootstrap"
@@ -1282,7 +1297,8 @@ class Controller:
         elif newly_failed or fence_event:
             reason = "failure"
         elif self.reports:
-            drift = self._drift(self._estimated_units())
+            estimated = self._estimated_units()
+            drift = self._drift(estimated)
             if drift > DRIFT_THRESHOLD:
                 reason = "drift"
             elif (
@@ -1295,7 +1311,7 @@ class Controller:
         if reason == "failure":
             self._repair(now)
         elif reason:
-            self._resolve(now, reason)
+            self._resolve(now, reason, estimated)
 
         self._sync_pushes(now)
         self._renew_leases(now)

@@ -25,8 +25,10 @@ epoch loop shares:
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.manifest import NodeManifest
@@ -139,6 +141,12 @@ class EpochLogEntry:
             max_acked=data.get("max_acked", -1),
             manifests=tuple(sorted(data.get("manifests", {}).items())),
         )
+
+    @cached_property
+    def json_size(self) -> int:
+        """Length of the entry's sorted-key JSON encoding, measured once:
+        a logged entry never changes, and it is re-sent every beat."""
+        return len(json.dumps(self.to_dict(), sort_keys=True))
 
     def manifest_objects(self) -> Dict[str, NodeManifest]:
         """Materialize the stored manifests as ``NodeManifest``s."""

@@ -294,7 +294,7 @@ class ChaosBus(Bus):
                         deliver_at=message.deliver_at + max(event.delay, 0.01),
                         seq=self._seq,
                     )
-                    self._in_flight.append(copy)
+                    self._enqueue(copy)
         return super()._admit(message, now)
 
 

@@ -1,9 +1,10 @@
 """Linear/mixed-integer programming substrate.
 
 A small modeling layer (programs stated as index blocks: variable
-ranges, COO row blocks, an objective over columns) compiled to
-``scipy.optimize.linprog`` (HiGHS), plus a branch-and-bound exact
-solver for the small binary MILPs used as baselines in tests.
+ranges, COO row blocks, an objective over columns) solved by HiGHS
+through the bindings SciPy ships (``scipy.optimize.linprog`` where they
+do not import), plus a branch-and-bound exact solver for the small
+binary MILPs used as baselines in tests.
 """
 
 from .milp import MILPSolution, solve_milp

@@ -8,10 +8,10 @@ This module states a program the way those families are laid out,
 compiles it into the sparse matrix form consumed by
 :mod:`repro.lp.solver`.
 
-The paper used CPLEX; we target ``scipy.optimize.linprog`` (HiGHS),
-which solves the identical programs to optimality.  Only construction
-lives here — solving is the backend's job, keeping the model inspectable
-and the backend swappable.
+The paper used CPLEX; we target HiGHS through SciPy's bindings (with
+``scipy.optimize.linprog`` as the fallback), which solves the identical
+programs to optimality.  Only construction lives here — solving is the
+backend's job, keeping the model inspectable and the backend swappable.
 
 A model is stated in three calls:
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .graph import LinkSpec, NodeSpec, Topology
 
@@ -164,6 +164,29 @@ def geant() -> Topology:
     return Topology("geant", nodes, links)
 
 
+def _spanning_tree(
+    num_nodes: int, distance: Callable[[int, int], float]
+) -> List[Tuple[int, int]]:
+    """Prim's minimum spanning tree from node 0, as ``(tree node, new
+    node)`` edges in the order they join.
+
+    Each outside node keeps its nearest ``(distance, tree node)``; the
+    next to join is the smallest ``(distance, tree node, node)``, so
+    distance ties break by node id.  O(n²) distance calls.
+    """
+    nearest = {j: (distance(0, j), 0) for j in range(1, num_nodes)}
+    edges: List[Tuple[int, int]] = []
+    while nearest:
+        (_, i), j = min((best, j) for j, best in nearest.items())
+        del nearest[j]
+        edges.append((i, j))
+        for k, best in nearest.items():
+            offer = (distance(j, k), j)
+            if offer < best:
+                nearest[k] = offer
+    return edges
+
+
 def random_pop_topology(
     num_nodes: int,
     seed: int = 0,
@@ -205,23 +228,9 @@ def random_pop_topology(
         (x1, y1), (x2, y2) = positions[i], positions[j]
         return max(1.0, math.hypot(x1 - x2, y1 - y2))
 
-    # Prim's MST over Euclidean distances guarantees connectivity.
-    in_tree = {0}
-    edges: List[Tuple[int, int]] = []
-    candidates = set(range(1, num_nodes))
-    while candidates:
-        best: Optional[Tuple[float, int, int]] = None
-        # Sorted: distance ties must break by node id, not set order.
-        for i in sorted(in_tree):
-            for j in sorted(candidates):
-                d = euclid(i, j)
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        assert best is not None
-        _, i, j = best
-        edges.append((i, j))
-        in_tree.add(j)
-        candidates.discard(j)
+    # A minimum spanning tree over Euclidean distances guarantees
+    # connectivity.
+    edges = _spanning_tree(num_nodes, euclid)
 
     # Shortcut edges: sample endpoints weighted by population so hubs
     # emerge, reject duplicates, prefer mid-range distances.

@@ -296,6 +296,26 @@ class TestControlRun:
         assert code == 2
         assert "unknown plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--sessions", "0", "base_sessions must be positive"),
+            ("--latency", "-1", "latency must be finite and non-negative"),
+            ("--latency", "nan", "latency must be finite and non-negative"),
+            ("--jitter", "nan", "jitter must be finite and non-negative"),
+            ("--loss-rate", "1.5", "loss_rate must be in [0, 1)"),
+        ],
+    )
+    def test_chaos_bad_flag_is_a_usage_error(self, capsys, flag, value, message):
+        # Exit 2, not the violation status 1, and no traceback.
+        code = main(
+            ["control", "chaos", "--plan", "random", "--seed", "3", flag, value]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+
     def test_chaos_outage_run_holds_invariants(self, tmp_path, capsys):
         metrics = tmp_path / "chaos.json"
         code = main(

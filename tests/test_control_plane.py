@@ -78,6 +78,18 @@ class TestBus:
         with pytest.raises(ValueError):
             BusConfig(loss_rate=1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_latency_must_be_finite(self, value):
+        # A NaN latency makes every deliver_at NaN: nothing would arrive.
+        with pytest.raises(ValueError, match="latency must be finite"):
+            BusConfig(latency=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_jitter_must_be_finite(self, value):
+        # ``nan > 0`` is false, so a NaN jitter would silently be 0.
+        with pytest.raises(ValueError, match="jitter must be finite"):
+            BusConfig(jitter=value)
+
 
 class TestHeartbeatMonitor:
     def test_sweep_marks_silent_nodes(self):
@@ -219,7 +231,7 @@ class TestVersionOnlyReplan:
     the version the lease fence compares against; the node gets that
     version as an empty delta, not as its full manifest."""
 
-    def test_unchanged_entries_ride_an_empty_delta(self):
+    def test_unchanged_entries_ride_an_empty_delta(self, monkeypatch):
         topology = by_label("Internet2")
         bus = Bus(BusConfig(latency=0.0))
         controller = Controller(
@@ -239,9 +251,17 @@ class TestVersionOnlyReplan:
         controller._drain(0.2)
         assert controller.acked_version["NYCM"] == 0
 
+        sent = []
+        send = bus.send
+
+        def recording_send(*args):
+            sent.append(send(*args))
+            return sent[-1]
+
+        monkeypatch.setattr(bus, "send", recording_send)
         controller.version = 1  # same entries, new version
         controller._sync_pushes(1.0)
-        [push] = [m for m in bus._in_flight if m.dst == "NYCM"]
+        [push] = [m for m in sent if m.dst == "NYCM"]
         assert push.payload["mode"] == "delta"
         assert push.payload["data"]["changed"] == []
         assert push.payload["data"]["removed"] == []

@@ -216,12 +216,12 @@ def test_columns_fixed_at_zero_never_reach_the_backend(monkeypatch):
     enabled = polytope.enabler_values(placement) > 0
     widths = []
 
-    def spy(c, **kwargs):
-        widths.append((len(c), kwargs["A_ub"].shape[1], len(kwargs["bounds"])))
-        return real(c, **kwargs)
+    def spy(cost, a_ub, b_ub, a_eq, b_eq, bounds):
+        widths.append((len(cost), a_ub.shape[1], len(bounds)))
+        return real(cost, a_ub, b_ub, a_eq, b_eq, bounds)
 
-    real = solver.linprog
-    monkeypatch.setattr(solver, "linprog", spy)
+    real = solver.backend
+    monkeypatch.setattr(solver, "backend", spy)
     registry = MetricsRegistry()
     with use_registry(registry):
         solution = solve(polytope.compiled.with_bounds(0.0, enabled))
