@@ -97,9 +97,13 @@ def cmd_plan_nids(args) -> int:
             f"planning from NetFlow (1-in-{1 / args.netflow_sampling:.0f}"
             f" sampling): {report.total_flows:,.0f} estimated flows"
         )
-    deployment = plan_deployment(
-        topology, paths, modules, sessions, coverage=args.coverage, units=units
-    )
+    try:
+        deployment = plan_deployment(
+            topology, paths, modules, sessions, coverage=args.coverage, units=units
+        )
+    except ValueError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     assignment = deployment.assignment
     print(
         f"planned {len(modules)}-module deployment on {topology.name}"
@@ -484,7 +488,12 @@ def build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan-nids", help="plan a coordinated NIDS deployment")
     common_world(plan)
     plan.add_argument("--modules", type=int, default=8)
-    plan.add_argument("--coverage", type=float, default=1.0, help="redundancy level r")
+    plan.add_argument(
+        "--coverage",
+        type=float,
+        default=1.0,
+        help="redundancy level r, an integer >= 1 (each hash lands at r distinct nodes)",
+    )
     plan.add_argument(
         "--netflow-sampling",
         type=float,

@@ -60,15 +60,25 @@ def manifest_to_dict(manifest: NodeManifest) -> dict:
 
 
 def manifest_from_dict(data: Mapping) -> NodeManifest:
-    """Decode a manifest dict, validating the schema version."""
+    """Decode a manifest dict, validating the schema version.
+
+    A (class, unit) listed twice is an error, not last-wins: the
+    ranges of the first listing would vanish unchecked.
+    """
     version = data.get("version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported manifest schema version {version!r}")
     manifest = NodeManifest(node=data["node"], full=bool(data.get("full", False)))
     for entry in data.get("entries", []):
-        key = tuple(entry["unit"])
-        ranges = tuple(HashRange(lo, hi) for lo, hi in entry["ranges"])
-        manifest.entries[(entry["class"], key)] = ranges
+        ident = (entry["class"], tuple(entry["unit"]))
+        if ident in manifest.entries:
+            raise ValueError(
+                f"manifest for node {manifest.node!r} lists unit"
+                f" {unit_label(ident)} twice"
+            )
+        manifest.entries[ident] = tuple(
+            HashRange(lo, hi) for lo, hi in entry["ranges"]
+        )
     return manifest
 
 
@@ -216,13 +226,16 @@ def dump_manifests(manifests: Mapping[str, NodeManifest]) -> str:
 
 
 def load_manifests(text: str) -> Dict[str, NodeManifest]:
-    """Parse JSON text produced by :func:`dump_manifests`."""
+    """Parse JSON text produced by :func:`dump_manifests`; a node listed
+    twice is an error."""
     data = json.loads(text)
     if data.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {data.get('version')!r}")
     manifests = {}
     for entry in data["manifests"]:
         manifest = manifest_from_dict(entry)
+        if manifest.node in manifests:
+            raise ValueError(f"manifest set lists node {manifest.node!r} twice")
         manifests[manifest.node] = manifest
     return manifests
 

@@ -13,9 +13,12 @@ what is units × ~1 rows.
 by unit, holders in sorted node order — built in one pass over any
 ``Mapping[str, NodeManifest]`` and the only way ``src/repro`` goes from a
 unit to its holders.  It keeps the manifests' own ``HashRange`` tuples by
-reference: no boundary float is copied or re-derived.  The flat ``lo`` /
-``hi`` columns (:meth:`ManifestTable.contains_batch`) are derived on
-first use, so a reader of rows alone pays nothing for them.
+reference: no boundary float is copied or re-derived.  The pass fills
+three flat lists (unit, node, pieces per entry) and allocates no object
+per entry; the rows grouped by unit and the flat ``lo`` / ``hi``
+columns (:attr:`ManifestTable.columns`, read by
+:meth:`ManifestTable.contains_batch` and the Fig. 2 checks) are each
+derived on first use, so a reader of one pays nothing for the other.
 
 A table is a snapshot.  Several writers assign ``manifest.entries[...]``
 in place after a set is generated (failure repair, the fenced-singleton
@@ -26,7 +29,7 @@ read, and do not keep it on an object whose manifests can still change.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
@@ -42,7 +45,28 @@ EntryKey = Tuple[str, UnitKey]  # (class name, unit key)
 #: own tuple, possibly empty).
 Holder = Tuple[str, Tuple[HashRange, ...]]
 
-_WHOLE: Tuple[HashRange, ...] = (HashRange(0.0, 1.0),)
+#: The whole hash space ``[0, 1)``: what a ``full`` node holds of every
+#: unit, and the entry generation writes for a unit's whole lap.  Both
+#: types are immutable, so every such holder shares this one tuple.
+WHOLE: Tuple[HashRange, ...] = (HashRange(0.0, 1.0),)
+
+
+class Columns(NamedTuple):
+    """Every piece of a table as flat arrays, in row order.
+
+    Unit group *u*'s pieces, over all of its rows, are
+    ``lo/hi[offsets[u]:offsets[u + 1]]``; piece *p* belongs to row
+    ``row[p]``, written for group ``row_unit[r]`` on node
+    ``nodes[row_node[r]]`` (an index into :attr:`ManifestTable.nodes`).
+    A row without pieces has no piece pointing at it.
+    """
+
+    offsets: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    row: np.ndarray
+    row_unit: np.ndarray
+    row_node: np.ndarray
 
 
 class ManifestTable:
@@ -50,38 +74,71 @@ class ManifestTable:
 
     def __init__(
         self,
-        rows: Dict[EntryKey, Tuple[Holder, ...]],
+        nodes: Tuple[str, ...],
         full_nodes: Tuple[str, ...],
+        unit_index: Dict[EntryKey, int],
+        row_unit: List[int],
+        row_node: List[int],
+        row_pieces: List[Tuple[HashRange, ...]],
     ):
-        self._rows = rows
+        #: Every node of the set, sorted (full or not, holding or not).
+        self.nodes = nodes
         #: Nodes whose manifest is ``full=True``, sorted: holders of the
         #: whole hash space of every unit, listed once instead of per
         #: unit.  Entries written on such a manifest are not rows — as
         #: for every ``NodeManifest`` query, ``full`` overrides them.
         self.full_nodes = full_nodes
+        self._unit_index = unit_index
+        # One row per entry, node-major: its unit (an index into
+        # ``_unit_index``'s first-seen order), its node (an index into
+        # ``nodes``) and the manifest's own pieces tuple.
+        self._row_unit = row_unit
+        self._row_node = row_node
+        self._row_pieces = row_pieces
 
     @classmethod
     def from_manifests(
         cls, manifests: Mapping[str, "NodeManifest"]
     ) -> "ManifestTable":
-        """The table of *manifests* as they are now (one pass)."""
-        rows: Dict[EntryKey, List[Holder]] = {}
+        """The table of *manifests* as they are now (one pass).
+
+        The pass appends to three flat lists and allocates no object
+        per entry; the grouped rows and the columns are derived from
+        them on first use.
+        """
+        nodes = tuple(sorted(manifests))
         full: List[str] = []
-        for node in sorted(manifests):
+        unit_index: Dict[EntryKey, int] = {}
+        row_unit: List[int] = []
+        row_node: List[int] = []
+        row_pieces: List[Tuple[HashRange, ...]] = []
+        for k, node in enumerate(nodes):
             manifest = manifests[node]
             if manifest.full:
                 full.append(node)
                 continue
             for ident, pieces in manifest.entries.items():
-                rows.setdefault(ident, []).append((node, pieces))
-        return cls(
-            {ident: tuple(held) for ident, held in rows.items()}, tuple(full)
-        )
+                row_unit.append(unit_index.setdefault(ident, len(unit_index)))
+                row_node.append(k)
+                row_pieces.append(pieces)
+        return cls(nodes, tuple(full), unit_index, row_unit, row_node, row_pieces)
 
     @property
     def units(self) -> Tuple[EntryKey, ...]:
         """Every unit some manifest has an entry for, first-seen order."""
-        return tuple(self._rows)
+        return tuple(self._unit_index)
+
+    @cached_property
+    def _rows(self) -> Dict[EntryKey, Tuple[Holder, ...]]:
+        rows: Dict[EntryKey, Tuple[Holder, ...]] = {}
+        idents, nodes = self.units, self.nodes
+        for u, k, pieces in zip(self._row_unit, self._row_node, self._row_pieces):
+            ident = idents[u]
+            if ident in rows:
+                rows[ident] += ((nodes[k], pieces),)
+            else:
+                rows[ident] = ((nodes[k], pieces),)
+        return rows
 
     def rows(self, ident: EntryKey) -> Tuple[Holder, ...]:
         """The entries written for *ident*, sorted by node.
@@ -98,31 +155,32 @@ class ManifestTable:
         if not self.full_nodes:
             return rows
         return tuple(
-            sorted(rows + tuple((node, _WHOLE) for node in self.full_nodes))
+            sorted(rows + tuple((node, WHOLE) for node in self.full_nodes))
         )
 
     # -- the array view ---------------------------------------------------
     @cached_property
-    def _unit_index(self) -> Dict[EntryKey, int]:
-        return {ident: u for u, ident in enumerate(self._rows)}
-
-    @cached_property
-    def _columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(offsets, lo, hi)``: unit *u*'s pieces, over all of its
-        rows, are ``lo/hi[offsets[u]:offsets[u + 1]]``."""
-        offsets = [0]
-        lo: List[float] = []
-        hi: List[float] = []
-        for held in self._rows.values():
-            for _node, pieces in held:
-                for piece in pieces:
-                    lo.append(piece.lo)
-                    hi.append(piece.hi)
-            offsets.append(len(lo))
-        return (
-            np.array(offsets, dtype=np.intp),
-            np.array(lo, dtype=np.float64),
-            np.array(hi, dtype=np.float64),
+    def columns(self) -> Columns:
+        """The flat piece columns (:class:`Columns`), built once."""
+        # Rows grouped by unit in first-seen order; the sort is stable,
+        # so a unit's rows stay in node order.
+        units = np.array(self._row_unit, dtype=np.intp)
+        order = np.argsort(units, kind="stable")
+        row_unit = units[order]
+        grouped = [self._row_pieces[r] for r in order.tolist()]
+        counts = np.array([len(pieces) for pieces in grouped], dtype=np.intp)
+        pieces = [piece for held in grouped for piece in held]
+        # A unit's first piece is the first piece of its first row.
+        row_start = np.zeros(len(counts) + 1, dtype=np.intp)
+        np.cumsum(counts, out=row_start[1:])
+        first_row = np.searchsorted(row_unit, np.arange(len(self._unit_index) + 1))
+        return Columns(
+            offsets=row_start[first_row],
+            lo=np.array([piece.lo for piece in pieces], dtype=np.float64),
+            hi=np.array([piece.hi for piece in pieces], dtype=np.float64),
+            row=np.repeat(np.arange(len(counts)), counts),
+            row_unit=row_unit,
+            row_node=np.array(self._row_node, dtype=np.intp)[order],
         )
 
     def unit_ids(self, idents: Iterable[EntryKey]) -> np.ndarray:
@@ -145,7 +203,7 @@ class ManifestTable:
         """
         if self.full_nodes:
             return np.ones(len(hash_values), dtype=bool)
-        offsets, lo, hi = self._columns
+        offsets, lo, hi = self.columns[:3]
         start = offsets[unit_ids]
         counts = np.where(unit_ids >= 0, offsets[unit_ids + 1] - start, 0)
         probe = np.repeat(np.arange(len(hash_values)), counts)

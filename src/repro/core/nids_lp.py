@@ -93,6 +93,19 @@ class BuiltNIDSLP:
     coverage: Dict[Tuple[str, UnitKey], float]
 
 
+def check_coverage(coverage: float, name: str = "coverage") -> None:
+    """``ValueError`` unless *coverage* is a redundancy level §2.5 can
+    plan: an integer ``r >= 1``.
+
+    Generation lays ``r`` laps of the hash space end to end; a
+    fractional ``r`` leaves part of a lap short (caught only after the
+    solve, as a REP101 fold), and an infinite one would silently plan
+    ``r = |P_ik|`` for every unit.
+    """
+    if not (float(coverage).is_integer() and coverage >= 1):
+        raise ValueError(f"{name} must be an integer >= 1, got {coverage!r}")
+
+
 def build_nids_lp(
     units: Sequence[CoordinationUnit],
     topology: Topology,
@@ -101,7 +114,8 @@ def build_nids_lp(
     """Construct the Section 2.2 LP for *units* on *topology*.
 
     *coverage* > 1 activates the redundancy extension; each unit's
-    effective coverage is ``min(coverage, |P_ik|)``.
+    effective coverage is ``min(coverage, |P_ik|)``.  A coverage that
+    is not an integer ``>= 1`` is a ``ValueError`` (:func:`check_coverage`).
 
     The paper notes the load should be balanced "for a suitable
     balancing function" and adopts min-max for concreteness; so does
@@ -118,8 +132,7 @@ def build_nids_lp(
     ``d``-sized families are stated through ``unit_of``/``node_of``
     index arrays.
     """
-    if coverage < 1.0:
-        raise ValueError("coverage must be >= 1")
+    check_coverage(coverage)
     lp = LinearProgram("nids-assignment")
     node_names = topology.node_names
     node_index = {name: j for j, name in enumerate(node_names)}

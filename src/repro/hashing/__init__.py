@@ -26,9 +26,7 @@ from .vectorized import (
 from .ranges import (
     EPSILON,
     HashRange,
-    WrappedRange,
     are_disjoint,
-    covers_unit_interval,
     union_length,
 )
 
@@ -37,7 +35,6 @@ __all__ = [
     "EPSILON",
     "HashRange",
     "RECORD_HASH_FIELDS",
-    "WrappedRange",
     "are_disjoint",
     "bob_hash",
     "bob_hash_batch",
@@ -45,7 +42,6 @@ __all__ = [
     "hash_unit_batch",
     "key_hash_unit_batch",
     "pack_key_batch",
-    "covers_unit_interval",
     "destination_key",
     "flow_key",
     "hash_unit",

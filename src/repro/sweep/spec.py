@@ -32,6 +32,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from ..control.chaos import NAMED_PLANS
 from ..control.plane import PROFILES
+from ..core.nids_lp import check_coverage
 
 #: The fault-condition axis: ``none`` runs the scripted
 #: steady → shift → failure → recovery scenario; every other value is
@@ -113,10 +114,7 @@ class SweepCell:
                 f"unknown dynamics preset {self.dynamics!r};"
                 f" choose from {tuple(sorted(DYNAMICS_PRESETS))}"
             )
-        if self.redundancy < 1.0:
-            raise ValueError(
-                f"redundancy must be >= 1, got {self.redundancy}"
-            )
+        check_coverage(self.redundancy, "redundancy")
         if self.epochs < 14 and self.plan != "none":
             raise ValueError(
                 f"plan {self.plan!r} needs >= 14 epochs, got {self.epochs}"

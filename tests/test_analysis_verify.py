@@ -15,6 +15,7 @@ import random
 import pytest
 
 import repro
+import repro.hashing.ranges
 
 from repro.analysis.cli import main as analysis_main
 from repro.analysis.verify import (
@@ -165,6 +166,30 @@ class TestDeploymentChecks:
         bad = make_assignment(unit, {"A": 0.6, "B": 0.3, "Z": 0.1})
         report = verify_deployment([unit], manifests, bad)
         assert "REP104" in report.rule_ids()
+
+    def test_nan_fraction_is_rep101(self):
+        """NaN fails every comparison: it used to skip Eq. 6, the Eq. 1
+        sum and REP107 alike and verify OK."""
+        unit, manifests, assignment = good_world()
+        assignment.fractions[(unit.class_name, unit.key, "B")] = float("nan")
+        report = verify_deployment([unit], manifests, assignment)
+        assert [(f.rule_id, f.subject) for f in report.findings] == [
+            ("REP101", "c/k@B"),
+            ("REP101", "c/k"),
+            ("REP107", "c/k@B"),
+        ]
+        assert "fraction nan outside [0, 1] (Eq. 6)" in report.findings[0].message
+
+    def test_negative_fraction_is_rep101(self):
+        """A negative fraction used to be skipped as massless before the
+        Eq. 6 test could see it."""
+        unit, manifests, assignment = good_world()
+        assignment.fractions[(unit.class_name, unit.key, "C")] = -0.4
+        report = verify_deployment([unit], manifests, assignment)
+        assert [(f.rule_id, f.subject) for f in report.findings] == [
+            ("REP101", "c/k@C")
+        ]
+        assert "fraction -0.4 outside [0, 1] (Eq. 6)" in report.findings[0].message
 
     def test_manifest_vs_dstar_drift_is_rep107(self):
         unit, manifests, _ = good_world(split=0.6)
@@ -476,6 +501,15 @@ def _defined(path):
     }
 
 
+def _product_callers(primitive):
+    """Modules of ``src/repro`` outside ``hashing`` that call *primitive*."""
+    return {
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        if "hashing" not in path.parts and primitive in _calls(path)
+    }
+
+
 class TestOneCheck:
     """Each deployment invariant has one implementation, beside the
     artifact it constrains; everything else is a view of it."""
@@ -484,17 +518,23 @@ class TestOneCheck:
         "primitive, owner",
         [
             ("are_disjoint", "core/manifest.py"),
-            ("covers_unit_interval", "core/manifest.py"),
             ("union_length", "control/epochs.py"),
         ],
     )
     def test_range_primitives_have_one_product_caller(self, primitive, owner):
-        callers = {
-            str(path.relative_to(SRC))
-            for path in SRC.rglob("*.py")
-            if "hashing" not in path.parts and primitive in _calls(path)
-        }
-        assert callers == {owner}
+        assert _product_callers(primitive) == {owner}
+
+    def test_cover_sweep_has_no_product_caller(self):
+        """The Fig. 2 cover sweep and wraparound are stated once, as
+        ``check_partition``'s sorted-endpoint pass and
+        ``generate_manifests``' lap steps over every unit at once; the
+        scalar ``covers_unit_interval`` and ``WrappedRange`` are the
+        oracle's (``tests/manifest_oracle.py``), not the product's."""
+        for name in ("covers_unit_interval", "WrappedRange"):
+            assert _product_callers(name) == set()
+            assert not hasattr(repro.hashing.ranges, name)
+        oracle = pathlib.Path(__file__).parent / "manifest_oracle.py"
+        assert {"covers_unit_interval", "WrappedRange"} <= _calls(oracle)
 
     def test_views_hold_no_range_or_capacity_arithmetic(self):
         for view in (verify_manifests, verify_nips_manifests, check_nips):

@@ -58,6 +58,23 @@ class TestPlanNids:
         assert code == 0
         assert "coverage=2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("coverage", ["0.5", "nan", "2.5", "inf"])
+    def test_coverage_that_is_not_an_integer_r_is_a_usage_error(self, coverage, capsys):
+        """§2.5 plans integer r >= 1: 0.5, nan and 2.5 used to end in a
+        traceback (2.5 only after the solve), inf in a silent r = |P|."""
+        code = main(
+            ["plan-nids", "--sessions", "200", "--coverage", coverage]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: coverage must be an integer >= 1, got {float(coverage)!r}" in err
+
+    def test_sweep_redundancy_gives_the_same_message(self):
+        from repro.sweep.spec import SweepCell
+
+        with pytest.raises(ValueError, match=r"^redundancy must be an integer >= 1, got 2\.5$"):
+            SweepCell(redundancy=2.5)
+
 
 class TestEmulate:
     def test_reports_reduction(self, capsys):

@@ -27,11 +27,12 @@ from repro.core.manifest_table import ManifestTable
 from repro.core.nids_deployment import plan_deployment
 from repro.core.units import unit_key_for_session
 from repro.hashing.keys import Aggregation
-from repro.hashing.ranges import EPSILON, HashRange, WrappedRange
+from repro.hashing.ranges import EPSILON, HashRange
 from repro.nids.emulation import Traffic, run_emulation
 from repro.nids.modules import STANDARD_MODULES
 from repro.topology import PathSet, internet2
 from repro.traffic import GeneratorConfig, SessionBatch, TrafficGenerator
+from tests.manifest_oracle import WrappedRange
 
 #: The largest value hash_unit() can return: (2**32 - 1) / 2**32.
 MAX_HASH_UNIT = 1.0 - 2.0**-32

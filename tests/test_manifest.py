@@ -12,10 +12,10 @@ from repro.core.manifest import (
 )
 from repro.core.nids_lp import solve_nids_lp, uniform_assignment
 from repro.core.units import build_units
-from repro.hashing.ranges import HashRange, covers_unit_interval
 from repro.nids.modules import STANDARD_MODULES
 from repro.topology import PathSet, internet2
 from repro.traffic import GeneratorConfig, TrafficGenerator
+from tests.manifest_oracle import covers_unit_interval
 
 
 @pytest.fixture(scope="module")

@@ -78,6 +78,37 @@ class TestManifestRoundTrip:
             deployment.manifests
         )
 
+    def test_a_unit_listed_twice_is_rejected(self, deployment):
+        """Last-wins would drop the first listing unchecked: here an
+        overlapping whole range in front of the real one."""
+        data = json.loads(dump_manifests(deployment.manifests))
+        block = next(m for m in data["manifests"] if m["entries"])
+        entry = block["entries"][0]
+        block["entries"].insert(0, dict(entry, ranges=[[0.0, 1.0]]))
+        label = f"{entry['class']}/{','.join(entry['unit'])}"
+        with pytest.raises(ValueError, match=f"{block['node']}.*{label} twice"):
+            load_manifests(json.dumps(data))
+        with pytest.raises(ValueError, match="twice"):
+            manifest_from_dict(block)
+
+    def test_a_node_listed_twice_is_rejected(self, deployment):
+        data = json.loads(dump_manifests(deployment.manifests))
+        first = data["manifests"][0]
+        data["manifests"].insert(0, dict(first, entries=[]))
+        with pytest.raises(ValueError, match=f"node {first['node']!r} twice"):
+            load_manifests(json.dumps(data))
+
+    def test_analysis_verify_exits_2_on_a_duplicate(self, deployment, tmp_path, capsys):
+        from repro.analysis.cli import main as analysis_main
+
+        data = json.loads(dump_manifests(deployment.manifests))
+        block = next(m for m in data["manifests"] if m["entries"])
+        block["entries"].append(block["entries"][0])
+        path = tmp_path / "manifests.json"
+        path.write_text(json.dumps(data))
+        assert analysis_main(["verify", "--manifests", str(path)]) == 2
+        assert "error: " in capsys.readouterr().err
+
 
 class TestAssignmentRoundTrip:
     def test_roundtrip(self, deployment):

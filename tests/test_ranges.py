@@ -4,13 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing.ranges import (
-    EPSILON,
-    HashRange,
-    WrappedRange,
-    are_disjoint,
-    covers_unit_interval,
-)
+from repro.hashing.ranges import EPSILON, HashRange, are_disjoint
+from tests.manifest_oracle import WrappedRange, covers_unit_interval
 
 
 class TestHashRange:
