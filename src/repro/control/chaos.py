@@ -39,21 +39,17 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..core.manifest_table import ManifestTable
-from ..core.units import session_unit_keys
 from ..nids.modules import STANDARD_MODULES
-from ..nids.modules.base import ModuleSpec, Scope
+from ..nids.modules.base import ModuleSpec
 from ..obs import MetricsRegistry, NULL_REGISTRY
-from ..traffic.batch import SessionBatch
-from ..traffic.session import Session
 from .agent import Agent
 from .bus import BusStats
 from .controller import ControllerStats, replica_name
-from .epochs import EpochRecord
+from .epochs import EpochRecord, GroundTruth
 from .ha import HACluster
 from .plane import (  # ChaosBus: re-exported for bench/
     ChaosBus,
@@ -361,64 +357,36 @@ class InvariantMonitor:
         self._counter.inc(rule=rule)
 
     # -- per-epoch checks -------------------------------------------------
-    def coverage_floor(
-        self,
-        epoch: int,
-        sessions: Union[Sequence[Session], SessionBatch],
-        agents: Dict[str, Agent],
-        excluded: bool,
-    ) -> Tuple[int, int]:
-        """Count baseline-covered and baseline-covered-but-unanalyzed
-        (module, session) pairs; record a violation when the latter is
-        non-zero outside a transition window."""
-        batch = SessionBatch.of(sessions)
-        # Coordinated service, by unit: the applied manifests of the
-        # agents that serve them.  A degraded agent answers from its
-        # edge stance instead, a dead one not at all.  Built per call —
-        # agents swap and repairs rewrite manifests between epochs.
-        table = ManifestTable.from_manifests(
-            {
-                node: agent.manifest
-                for node, agent in agents.items()
-                if agent.alive and not agent.degraded
-            }
-        )
-        by_scope: Dict[Scope, tuple] = {}
+    def pair_counts(self, truth: GroundTruth) -> Tuple[int, int]:
+        """Baseline-covered and baseline-covered-but-unanalyzed
+        (module, session) pairs of *truth*'s sessions."""
+        sessions = truth.sessions
         baseline = 0
         uncovered = 0
         for spec in self.modules:
-            if spec.scope not in by_scope:
-                keys, unit_of_session = session_unit_keys(batch, spec.scope)
-                # Per unit key, the stances of its live endpoints: the
-                # baseline observes a unit that has one, and one in
-                # edge-only fallback analyzes all of the unit.
-                stances = [
-                    [
-                        agents[n].degraded
-                        for n in key
-                        if n in agents and agents[n].alive
-                    ]
-                    for key in keys
-                ]
-                by_scope[spec.scope] = (
-                    keys,
-                    unit_of_session,
-                    np.array([bool(degraded) for degraded in stances], dtype=bool),
-                    np.array([any(degraded) for degraded in stances], dtype=bool),
-                )
-            keys, unit_of_session, observable, edge = by_scope[spec.scope]
-            matched = np.flatnonzero(
-                spec.traffic_filter.matches_sessions_batch(batch.proto, batch.dport)
-            )
-            unit = unit_of_session[matched]
-            seen = observable[unit]
-            matched, unit = matched[seen], unit[seen]
+            rows = truth.rows(spec)
+            # Per unit key, the stances of its live endpoints: the
+            # baseline observes a unit that has one, and one in
+            # edge-only fallback analyzes all of the unit.
+            ends = rows.eligibility.ends
+            seen = truth.alive[ends].any(axis=1)[rows.unit]
+            matched, unit = rows.matched[seen], rows.unit[seen]
             baseline += len(matched)
-            analyzed = edge[unit] | table.contains_batch(
-                table.unit_ids((spec.name, key) for key in keys)[unit],
-                batch.hash_column(spec.aggregation, 0)[matched],
+            # Coordinated service, by unit: the served table's pieces
+            # (every row counts, on the unit's path or not).
+            edge = truth.edge[ends].any(axis=1)[unit]
+            analyzed = edge | truth.served.contains_batch(
+                rows.group[unit], sessions.hash_column(spec.aggregation, 0)[matched]
             )
             uncovered += len(matched) - int(np.count_nonzero(analyzed))
+        return baseline, uncovered
+
+    def coverage_floor(
+        self, epoch: int, truth: GroundTruth, excluded: bool
+    ) -> Tuple[int, int]:
+        """:meth:`pair_counts`, recording a violation when uncovered
+        pairs exceed the floor's tolerance outside a transition window."""
+        baseline, uncovered = self.pair_counts(truth)
         # Tolerance mirrors the scenario COVERAGE_FLOOR: sessions whose
         # unit keys post-date the last re-plan are uncoverable by any
         # coordinated manifest until the next epoch's plan (planning
@@ -659,9 +627,7 @@ def run_chaos(
         )
         record.in_transition = excluded
 
-        baseline, uncovered = monitor.coverage_floor(
-            epoch, facts.sessions, agents, excluded
-        )
+        baseline, uncovered = monitor.coverage_floor(epoch, facts.truth, excluded)
         monitor.stale_leases(epoch, epoch + 0.5, agents)
         monitor.epoch_regression(epoch, agents)
         monitor.leader_uniqueness(epoch, cluster)

@@ -19,24 +19,57 @@ epoch loop shares:
   the previous epoch's ranges (consistently for *all* nodes of the
   unit, preserving the coverage invariant), so steady-state delta
   pushes stay near-empty;
-* :func:`coverage_metrics` — evaluate what fraction of the measured
-  traffic the currently *applied* manifests actually cover.
+* :class:`GroundTruth` — one epoch's sessions against what the live
+  agents serve: one served :class:`~repro.core.manifest_table.ManifestTable`
+  per epoch, the sessions' units read from the pool root's memo, and
+  :meth:`GroundTruth.coverage` — what fraction of the measured traffic
+  the *applied* manifests actually cover — as a segmented
+  ``union_length`` fold over the table's columns that reproduces the
+  scalar loop's float order (``tests/manifest_oracle.py`` keeps the
+  loop); the chaos monitor's pair probe reads the same table;
+* :func:`coverage_metrics` — the same measure for units and manifests
+  held as objects.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from operator import attrgetter
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
+
+import numpy as np
 
 from ..core.manifest import NodeManifest
 from ..core.manifest_io import manifest_from_dict
 from ..core.manifest_table import ManifestTable
-from ..core.units import CoordinationUnit, UnitKey
+from ..core.units import (
+    CoordinationUnit,
+    KeyEligibility,
+    UnitKey,
+    key_eligibility,
+    session_unit_keys,
+)
 from ..hashing.ranges import EPSILON, HashRange, union_length
 from ..measurement.flows import TrafficReport
+from ..nids.modules.base import ModuleSpec
+from ..topology.routing import PathSet
+from ..traffic.batch import SessionBatch
+
+if TYPE_CHECKING:
+    from .agent import Agent
 
 Ident = Tuple[str, UnitKey]
 
@@ -264,8 +297,105 @@ class CoverageSummary:
     min_unit_coverage: float
     #: Volume fraction of units with no live eligible node at all.
     orphaned_fraction: float
-    #: Units (with volume share) currently not fully covered.
-    uncovered: List[Tuple[Ident, float]] = field(default_factory=list)
+
+
+def _left_sum(values: np.ndarray) -> float:
+    """``((0.0 + v[0]) + v[1]) + ...``: ``np.cumsum`` adds in order, where
+    ``np.sum`` pairs."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def _union_fold(
+    unit: np.ndarray, lo: np.ndarray, hi: np.ndarray, num_units: int
+) -> np.ndarray:
+    """Per unit, :func:`~repro.hashing.ranges.union_length` of its pieces.
+
+    The pieces are non-empty and sorted by ``(unit, lo)``; each unit is
+    folded left to right exactly as the scalar loop does — the cursor is
+    the running max of the clipped tops, the total a left fold — one
+    vector step per piece position, every unit at once.
+    """
+    counts = np.bincount(unit, minlength=num_units)
+    start = np.cumsum(counts) - counts
+    total = np.zeros(num_units)
+    cursor = np.zeros(num_units)
+    for k in range(int(counts.max(initial=0))):
+        units = np.flatnonzero(counts > k)
+        piece = start[units] + k
+        low = np.maximum(lo[piece], cursor[units])
+        high = np.minimum(hi[piece], 1.0)
+        gain = high > low
+        units, low, high = units[gain], low[gain], high[gain]
+        total[units] += high - low
+        cursor[units] = high
+    return total
+
+
+def _held_measure(
+    table: ManifestTable,
+    groups: np.ndarray,
+    position: np.ndarray,
+    whole_unit: np.ndarray,
+    whole_position: np.ndarray,
+) -> np.ndarray:
+    """Per unit *u*, the measure of the union of what its holders serve,
+    clamped to 1 — ``min(1, union_length(held))`` with ``held`` gathered
+    as :func:`coverage_metrics`' loop gathers it.
+
+    * ``groups[u]`` is *u*'s row group in *table* (``-1``: no entry);
+    * ``position[u, k]`` is where ``table.nodes[k]`` stands among *u*'s
+      eligible nodes, ``-1`` for a node whose rows do not count;
+    * ``whole_unit`` / ``whole_position`` add ``[0, 1)`` pieces held
+      outside the table (a degraded endpoint's edge stance).
+
+    A ``full`` node of *table* holds ``[0, 1)`` of every unit it is
+    eligible for.  Ties in ``lo`` keep the gather order — holder
+    position, then the holder's own piece order — as the scalar
+    ``sorted`` does.
+    """
+    num_units = len(groups)
+    offsets, lo, hi, row, _row_unit, row_node = table.columns
+    has = groups >= 0
+    start = np.where(has, offsets[groups], 0)
+    counts = np.where(has, offsets[groups + 1] - start, 0)
+    held = np.repeat(np.arange(num_units), counts)
+    piece = np.arange(len(held)) - np.repeat(np.cumsum(counts) - counts - start, counts)
+    full = [table.nodes.index(node) for node in table.full_nodes]
+    full_unit, full_column = np.nonzero(position[:, full] >= 0)
+    whole_unit = np.concatenate([whole_unit, full_unit])
+    wholes = len(whole_unit)
+    unit = np.concatenate([held, whole_unit])
+    position = np.concatenate(
+        [
+            position[held, row_node[row[piece]]],
+            whole_position,
+            position[:, full][full_unit, full_column],
+        ]
+    )
+    lo = np.concatenate([lo[piece], np.zeros(wholes)])
+    hi = np.concatenate([hi[piece], np.ones(wholes)])
+    keep = (position >= 0) & (hi - lo > EPSILON)
+    unit, position, lo, hi = unit[keep], position[keep], lo[keep], hi[keep]
+    order = np.lexsort((position, lo, unit))
+    total = _union_fold(unit[order], lo[order], hi[order], num_units)
+    return np.minimum(total, 1.0)
+
+
+def _summarize(
+    pkts: np.ndarray, observable: np.ndarray, covered: np.ndarray
+) -> CoverageSummary:
+    """Fold per-unit volumes and covered measures, in unit order, into a
+    :class:`CoverageSummary` (units with no live eligible node are
+    orphaned and leave the coverage denominator)."""
+    total = _left_sum(pkts)
+    observed = _left_sum(pkts[observable])
+    covered_mass = _left_sum(pkts[observable] * covered[observable])
+    orphaned = _left_sum(pkts[~observable])
+    return CoverageSummary(
+        coverage=covered_mass / observed if observed > 0 else 1.0,
+        min_unit_coverage=float(covered[observable].min(initial=1.0)),
+        orphaned_fraction=orphaned / total if total > 0 else 0.0,
+    )
 
 
 def coverage_metrics(
@@ -281,38 +411,139 @@ def coverage_metrics(
     traffic, so it is excluded from the coverage denominator and
     reported separately (the paper's singleton-unit caveat: a Scan
     unit at a dead ingress simply has no substitute observer).
+
+    The units and manifests as objects, read through the fold
+    :class:`GroundTruth` runs on every epoch (:func:`_held_measure`).
     """
-    total = sum(unit.pkts for unit in units)
-    observable = 0.0
-    covered_mass = 0.0
-    orphaned_mass = 0.0
-    min_cov = 1.0
-    uncovered: List[Tuple[Ident, float]] = []
-    for unit in units:
-        live_eligible = [node for node in unit.eligible if node in live]
-        if not live_eligible:
-            orphaned_mass += unit.pkts
-            continue
-        held: List[HashRange] = []
-        for node in live_eligible:
-            manifest = manifests.get(node)
-            if manifest is not None:
-                held.extend(manifest.ranges(unit.class_name, unit.key))
-        covered = min(1.0, union_length(held))
-        observable += unit.pkts
-        covered_mass += unit.pkts * covered
-        if covered < min_cov:
-            min_cov = covered
-        if covered < 1.0 - EPSILON:
-            uncovered.append((unit.ident, unit.pkts / total if total else 0.0))
-    coverage = covered_mass / observable if observable > 0 else 1.0
-    uncovered.sort(key=lambda item: -item[1])
-    return CoverageSummary(
-        coverage=coverage,
-        min_unit_coverage=min_cov,
-        orphaned_fraction=orphaned_mass / total if total > 0 else 0.0,
-        uncovered=uncovered,
+    units = list(units)
+    table = ManifestTable.from_manifests(
+        {node: manifest for node, manifest in manifests.items() if node in live}
     )
+    column = {node: k for k, node in enumerate(table.nodes)}
+    position = np.full((len(units), len(table.nodes)), -1, dtype=np.intp)
+    for u, unit in enumerate(units):
+        for p, node in enumerate(unit.eligible):
+            if node in column:
+                position[u, column[node]] = p
+    none = np.zeros(0, dtype=np.intp)
+    covered = _held_measure(
+        table, table.unit_ids(unit.ident for unit in units), position, none, none
+    )
+    observable = np.array(
+        [any(node in live for node in unit.eligible) for unit in units], dtype=bool
+    )
+    pkts = np.array([unit.pkts for unit in units], dtype=np.float64)
+    return _summarize(pkts, observable, covered)
+
+
+class ModuleRows(NamedTuple):
+    """One module's matched rows of an epoch and their units."""
+
+    eligibility: KeyEligibility
+    #: Matched row positions in the epoch's sessions, and the unit key
+    #: id of each.
+    matched: np.ndarray
+    unit: np.ndarray
+    #: Key ids with at least one matched row, in sorted key order, and
+    #: their packet volumes.
+    present: np.ndarray
+    pkts: np.ndarray
+    #: Per key id, its row group in the served table (``-1``: none).
+    group: np.ndarray
+
+
+class GroundTruth:
+    """One epoch's traffic against what the live agents serve.
+
+    The epoch's sessions are a prefix of a session pool, so everything
+    that depends only on the pool — each session's unit key per scope,
+    each module's filter mask, each key's eligible set and endpoints —
+    is read from the pool root's memo; per epoch this builds one served
+    :class:`ManifestTable` (the alive, non-degraded agents' applied
+    manifests) and, per module on first use, one ``np.bincount`` of the
+    matched rows.  :meth:`coverage` is the epoch record's ground truth;
+    the chaos monitor's (module, session) probe reads the same table and
+    unit ids.
+    """
+
+    def __init__(
+        self,
+        modules: Sequence[ModuleSpec],
+        sessions: SessionBatch,
+        paths: PathSet,
+        agents: Mapping[str, "Agent"],
+    ):
+        self.modules = list(modules)
+        self.sessions = sessions
+        self.paths = paths
+        self.served = ManifestTable.from_manifests(
+            {
+                node: agent.manifest
+                for node, agent in agents.items()
+                if agent.alive and not agent.degraded
+            }
+        )
+        nodes = sorted(paths.topology.node_names)
+        #: Per topology node (sorted), plus one trailing ``False`` so an
+        #: absent endpoint (``-1``) reads as down: alive; alive and in
+        #: edge-only fallback.
+        self.alive = np.array(
+            [node in agents and agents[node].alive for node in nodes] + [False]
+        )
+        self.edge = self.alive & np.array(
+            [node in agents and agents[node].degraded for node in nodes] + [False]
+        )
+        index = {node: n for n, node in enumerate(nodes)}
+        self._table_nodes = np.array(
+            [index[node] for node in self.served.nodes], dtype=np.intp
+        )
+        self._rows: Dict[str, ModuleRows] = {}
+
+    def rows(self, spec: ModuleSpec) -> ModuleRows:
+        """*spec*'s matched rows and units this epoch (built once)."""
+        rows = self._rows.get(spec.name)
+        if rows is None:
+            sessions = self.sessions
+            keys, unit_of_session = session_unit_keys(sessions, spec.scope)
+            eligibility = key_eligibility(sessions, spec.scope, self.paths)
+            matched = np.flatnonzero(sessions.match_mask(spec.traffic_filter))
+            unit = unit_of_session[matched]
+            present = np.flatnonzero(np.bincount(unit, minlength=len(keys)))
+            present = present[np.argsort(eligibility.rank[present])]
+            pkts = np.bincount(
+                unit, weights=sessions.pkts_f[matched], minlength=len(keys)
+            )
+            group = np.full(len(keys), -1, dtype=np.intp)
+            group[present] = self.served.unit_ids(
+                (spec.name, keys[k]) for k in present.tolist()
+            )
+            rows = self._rows[spec.name] = ModuleRows(
+                eligibility, matched, unit, present, pkts[present], group
+            )
+        return rows
+
+    def coverage(self) -> CoverageSummary:
+        """:func:`coverage_metrics` of the epoch's units (those with a
+        matched session, in ``(class, key)`` order) against the served
+        manifests, a live degraded endpoint holding all of its units."""
+        by_class = sorted(self.modules, key=attrgetter("name"))
+        blocks = [self.rows(spec) for spec in by_class]
+        position = np.concatenate(
+            [rows.eligibility.position[rows.present] for rows in blocks]
+        )
+        ends = np.concatenate([rows.eligibility.ends[rows.present] for rows in blocks])
+        groups = np.concatenate([rows.group[rows.present] for rows in blocks])
+        whole_unit, end = np.nonzero(self.edge[ends])
+        covered = _held_measure(
+            self.served,
+            groups,
+            position[:, self._table_nodes],
+            whole_unit,
+            position[whole_unit, ends[whole_unit, end]],
+        )
+        observable = ((position >= 0) & self.alive[:-1]).any(axis=1)
+        pkts = np.concatenate([rows.pkts for rows in blocks])
+        return _summarize(pkts, observable, covered)
 
 
 def ranges_reassigned(

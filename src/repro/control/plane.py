@@ -43,8 +43,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.units import build_units
-from ..hashing.ranges import HashRange
 from ..measurement.flows import FlowExporter
 from ..nids.modules import STANDARD_MODULES
 from ..obs import MetricsRegistry, NULL_REGISTRY, use_registry
@@ -62,7 +60,7 @@ from ..traffic.session import Session
 from .agent import Agent, AgentConfig
 from .bus import Bus, BusConfig, Message
 from .controller import Controller, ControllerConfig, replica_name
-from .epochs import LEASE_TTL, EpochRecord, check_lease_ttl, coverage_metrics
+from .epochs import LEASE_TTL, EpochRecord, GroundTruth, check_lease_ttl
 from .ha import HACluster, HAConfig
 
 PROFILES: Dict[str, Callable] = {
@@ -390,7 +388,9 @@ class EpochFacts:
     #: The acting leader's record, or a placeholder carrying only the
     #: authority's standing view when no controller closed the epoch.
     record: EpochRecord
-    sessions: SessionBatch
+    #: The epoch's sessions against what the live agents serve at its
+    #: end (the served table the scorers share).
+    truth: GroundTruth
     #: The controller whose view of the deployment counted at epoch end.
     authority: Controller
     #: A settled leader took both beats and closed the record.
@@ -450,28 +450,6 @@ class ControlPlane:
             profiles, seed, topology, self.paths, max(self.volumes)
         )
 
-    def _served_manifests(self, units) -> Dict[str, object]:
-        """What each live agent actually serves: its applied manifest,
-        or — degraded — its edge-only stance (every unit it is an
-        endpoint of, in full), not the manifest it distrusts."""
-        served = {}
-        full = (HashRange(0.0, 1.0),)
-        for node, agent in self.agents.items():
-            if not agent.alive:
-                continue
-            if not agent.degraded:
-                served[node] = agent.manifest
-                continue
-            entries = {
-                (unit.class_name, unit.key): full
-                for unit in units
-                if node in unit.key
-            }
-            served[node] = dataclasses.replace(
-                agent.manifest, entries=entries, full=False
-            )
-        return served
-
     def run_epoch(
         self, epoch: int, profile: str, down: DownFn = _all_up
     ) -> EpochFacts:
@@ -513,11 +491,8 @@ class ControlPlane:
 
         # Ground-truth coverage: what the *actually live* agents serve
         # of this epoch's real traffic.
-        truth_units = build_units(self.modules, sessions, self.paths)
-        live = {node for node, agent in agents.items() if agent.alive}
-        summary = coverage_metrics(
-            truth_units, self._served_manifests(truth_units), live
-        )
+        truth = GroundTruth(self.modules, sessions, self.paths, agents)
+        summary = truth.coverage()
         record.coverage = summary.coverage
         record.min_unit_coverage = summary.min_unit_coverage
         record.orphaned_fraction = summary.orphaned_fraction
@@ -528,7 +503,7 @@ class ControlPlane:
 
         return EpochFacts(
             record=record,
-            sessions=sessions,
+            truth=truth,
             authority=authority,
             controller_up=controller_up,
             degraded=tuple(

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -140,18 +140,64 @@ def units_from_volumes(
 def session_unit_keys(
     batch: SessionBatch, scope: Scope
 ) -> Tuple[List[UnitKey], np.ndarray]:
-    """The distinct *scope* unit keys of *batch* and, per session, its
-    index into them.
+    """The distinct *scope* unit keys of *batch*'s root and, per session
+    of *batch*, its index into them.
 
     A session's unit depends only on its routing pair and the scope, so
-    the key is resolved once per distinct pair (first-seen pair order)
-    and spread over the sessions through ``batch.group_ids``.
+    the key is resolved once per distinct pair of the root (first-seen
+    pair order) and spread over its sessions through ``group_ids``; the
+    result is memoised on the root (:meth:`SessionBatch.rooted_rows`),
+    so every prefix of a session pool — the control plane's epochs —
+    reads its unit ids without resolving a key.
     """
-    ids: Dict[UnitKey, int] = {}
-    pair_unit = [
-        ids.setdefault(unit_key(scope, *pair), len(ids)) for pair in batch.pairs
-    ]
-    return list(ids), np.array(pair_unit, dtype=np.intp)[batch.group_ids]
+
+    def resolve(root: SessionBatch) -> Tuple[List[UnitKey], np.ndarray]:
+        ids: Dict[UnitKey, int] = {}
+        pair_unit = [
+            ids.setdefault(unit_key(scope, *pair), len(ids)) for pair in root.pairs
+        ]
+        return list(ids), np.array(pair_unit, dtype=np.intp)[root.group_ids]
+
+    return batch.rooted_rows(("units", scope), resolve)
+
+
+class KeyEligibility(NamedTuple):
+    """The eligible sets of a root's :func:`session_unit_keys`, as arrays
+    over the topology's nodes in sorted order (node *n* below)."""
+
+    #: ``position[k, n]``: where node *n* stands in key *k*'s
+    #: :func:`eligible_nodes` tuple (path order), ``-1`` off it.
+    position: np.ndarray
+    #: ``ends[k]``: the node indices of key *k*'s distinct endpoints, the
+    #: second ``-1`` when there is only one.
+    ends: np.ndarray
+    #: ``rank[k]``: key *k*'s position in sorted key order.
+    rank: np.ndarray
+
+
+def key_eligibility(
+    batch: SessionBatch, scope: Scope, paths: PathSet
+) -> KeyEligibility:
+    """``P_ik`` of every *scope* unit key of *batch*'s root, resolved once
+    per root and routing and memoised there (:meth:`SessionBatch.rooted`)."""
+
+    def resolve(root: SessionBatch) -> KeyEligibility:
+        keys, _ids = session_unit_keys(root, scope)
+        nodes = tuple(sorted(paths.topology.node_names))
+        index = {node: n for n, node in enumerate(nodes)}
+        position = np.full((len(keys), len(nodes)), -1, dtype=np.int16)
+        ends = np.full((len(keys), 2), -1, dtype=np.intp)
+        for k, key in enumerate(keys):
+            for p, node in enumerate(eligible_nodes(key, paths)):
+                position[k, index[node]] = p
+            for e, node in enumerate(dict.fromkeys(key)):
+                ends[k, e] = index[node]
+        rank = np.empty(len(keys), dtype=np.intp)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        rank[order] = np.arange(len(keys))
+        return KeyEligibility(position, ends, rank)
+
+    return batch.rooted(("eligible", (scope, paths)), resolve)
 
 
 def _distinct_per_unit(unit: np.ndarray, items: np.ndarray, num_units: int) -> np.ndarray:

@@ -40,8 +40,6 @@ _LAZY_EXPORTS = {
     "EventType": ("repro.nids.events", "EventType"),
     "ConnectionRecord": ("repro.nids.record", "ConnectionRecord"),
     "ConnState": ("repro.nids.record", "ConnState"),
-    "PacketPipeline": ("repro.nids.pipeline", "PacketPipeline"),
-    "PipelineFindings": ("repro.nids.pipeline", "PipelineFindings"),
     "TrackingLevel": ("repro.nids.engine", "TrackingLevel"),
     "ClusterReport": ("repro.nids.cluster", "ClusterReport"),
     "emulate_cluster": ("repro.nids.cluster", "emulate_cluster"),
@@ -67,8 +65,6 @@ __all__ = [
     "Event",
     "EventEngine",
     "EventType",
-    "PacketPipeline",
-    "PipelineFindings",
     "TrackingLevel",
     "BroInstance",
     "BroMode",

@@ -15,9 +15,10 @@ events the analysis modules subscribe to:
   protocol (HTTP request lines, IRC messages, ...);
 * ``SIGNATURE_MATCH`` — the signature engine matched a payload.
 
-The per-packet pipeline is the fidelity reference: the session-granular
-fast path in :mod:`repro.nids.engine` must agree with it on detection
-output (asserted by the test suite).
+The per-packet pipeline built on this engine is the fidelity reference
+(``tests/pipeline_oracle.py``): the session-granular fast path in
+:mod:`repro.nids.engine` must agree with it on detection output
+(``tests/test_events_pipeline.py``).
 """
 
 from __future__ import annotations

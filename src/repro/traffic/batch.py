@@ -38,10 +38,12 @@ What is **lazy**, and cached where.
   session is hashed once per trace and not once per node on its path —
   the vector form of §2.3's "store the hash in the connection record".
   Under the same rule the root memoises each traffic filter's match
-  mask (:meth:`match_mask`) and each aggregation's item-key
-  factorisation (:meth:`item_key_ids`); those live on the root only —
-  a view gathers its rows at every call and caches nothing — and are
-  never pickled.
+  mask (:meth:`match_mask`), each aggregation's item-key
+  factorisation (:meth:`item_key_ids`) and what other modules ask of
+  it through :meth:`rooted` / :meth:`rooted_rows` (each scope's unit
+  key ids, ``repro.core.units.session_unit_keys``, and their eligible
+  sets); those live on the root only — a view gathers its rows at
+  every call and caches nothing — and are never pickled.
 
 Group ids: unit keys depend only on a session's (ingress, egress)
 pair, so sessions are bucketed by pair; dispatch resolves units once
@@ -291,13 +293,22 @@ class SessionBatch(_SequenceABC):
             return self.dst.astype(np.int64)
         return self.session_ids
 
-    def _rooted(self, key: tuple, build):
-        """``build(root)``, computed once per root and kept there."""
+    def rooted(self, key: tuple, build):
+        """``build(root)``, computed once per root and kept there (never
+        pickled).  *key* is ``(kind, argument)`` and names what *build*
+        computes."""
         root = self.root
         value = root._memo.get(key)
         if value is None:
             value = root._memo[key] = build(root)
         return value
+
+    def rooted_rows(self, key: tuple, build):
+        """``(table, ids)`` where ``build(root)`` returns a table and one
+        id per root row: memoised by :meth:`rooted`, the ids gathered at
+        this batch's rows."""
+        table, ids = self.rooted(key, build)
+        return table, self._gather(ids)
 
     def _gather(self, column):
         """This batch's rows of a root-length *column*."""
@@ -307,7 +318,7 @@ class SessionBatch(_SequenceABC):
         """``traffic_filter.matches_sessions_batch`` over this batch's
         rows: evaluated once over the root, gathered for a view."""
         return self._gather(
-            self._rooted(
+            self.rooted(
                 ("match", traffic_filter),
                 lambda root: traffic_filter.matches_sessions_batch(
                     root.proto, root.dport
@@ -329,8 +340,7 @@ class SessionBatch(_SequenceABC):
             )
             return distinct, inverse.astype(np.uint32)
 
-        distinct, ids = self._rooted(("keys", aggregation), factorise)
-        return distinct, self._gather(ids)
+        return self.rooted_rows(("keys", aggregation), factorise)
 
     # -- the Sequence[Session] view -------------------------------------------
     def _session_objects(self) -> Sequence[Session]:

@@ -3,9 +3,11 @@
 These are the loops that used to live in the product as
 ``TransitionPlan.duplicated_fraction`` / ``orphaned_fraction`` /
 ``handoffs`` (``repro.core.reconfigure``), ``InvariantMonitor.coverage_floor``
-(``repro.control.chaos``) and ``stabilize_manifests`` / ``ranges_reassigned``
-(``repro.control.epochs``), re-homed verbatim as the tests' oracle (the
-``tests/scalar_oracle.py`` / ``tests/planning_oracle.py`` precedent).
+(``repro.control.chaos``), ``stabilize_manifests`` / ``ranges_reassigned`` /
+``coverage_metrics`` (``repro.control.epochs``) and the control plane's
+``_served_manifests`` (``repro.control.plane``), re-homed verbatim as the
+tests' oracle (the ``tests/scalar_oracle.py`` / ``tests/planning_oracle.py``
+precedent).
 Each asks *every* manifest (or every agent) about *every* unit or
 session through the per-node scalar surfaces — ``NodeManifest.ranges``
 / ``entries``, ``Agent.responsible_for_new``,
@@ -21,11 +23,12 @@ were written in, verbatim but for generation's metrics counters;
 ``tests/test_fig2_columns.py`` compares them with ``==``.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.control.agent import Agent
-from repro.control.epochs import Ident, _ranges_close
+from repro.control.epochs import CoverageSummary, Ident, _ranges_close
 from repro.core.manifest import (
     MASS_TOL,
     REP101,
@@ -44,7 +47,9 @@ from repro.core.units import CoordinationUnit, UnitKey, unit_key_for_session
 from repro.hashing.keys import key_hash_unit
 from repro.hashing.ranges import EPSILON, HashRange, union_length
 from repro.nids.modules.base import ModuleSpec
+from repro.topology.routing import PathSet
 from repro.traffic.session import Session
+from tests.planning_oracle import build_units
 
 
 def holders(
@@ -170,6 +175,78 @@ def coverage_floor(
 
 
 # -- repro.control.epochs -------------------------------------------------
+def served_manifests(
+    agents: Dict[str, Agent], units: Sequence[CoordinationUnit]
+) -> Dict[str, NodeManifest]:
+    """What each live agent actually serves: its applied manifest,
+    or — degraded — its edge-only stance (every unit it is an
+    endpoint of, in full), not the manifest it distrusts."""
+    served = {}
+    full = (HashRange(0.0, 1.0),)
+    for node, agent in agents.items():
+        if not agent.alive:
+            continue
+        if not agent.degraded:
+            served[node] = agent.manifest
+            continue
+        entries = {
+            (unit.class_name, unit.key): full
+            for unit in units
+            if node in unit.key
+        }
+        served[node] = dataclasses.replace(
+            agent.manifest, entries=entries, full=False
+        )
+    return served
+
+
+def coverage_metrics(
+    units: Sequence[CoordinationUnit],
+    manifests: Dict[str, NodeManifest],
+    live: Set[str],
+) -> CoverageSummary:
+    total = sum(unit.pkts for unit in units)
+    observable = 0.0
+    covered_mass = 0.0
+    orphaned_mass = 0.0
+    min_cov = 1.0
+    for unit in units:
+        live_eligible = [node for node in unit.eligible if node in live]
+        if not live_eligible:
+            orphaned_mass += unit.pkts
+            continue
+        held: List[HashRange] = []
+        for node in live_eligible:
+            manifest = manifests.get(node)
+            if manifest is not None:
+                held.extend(manifest.ranges(unit.class_name, unit.key))
+        covered = min(1.0, union_length(held))
+        observable += unit.pkts
+        covered_mass += unit.pkts * covered
+        if covered < min_cov:
+            min_cov = covered
+    coverage = covered_mass / observable if observable > 0 else 1.0
+    return CoverageSummary(
+        coverage=coverage,
+        min_unit_coverage=min_cov,
+        orphaned_fraction=orphaned_mass / total if total > 0 else 0.0,
+    )
+
+
+def epoch_coverage(
+    modules: Sequence[ModuleSpec],
+    sessions: Sequence[Session],
+    paths: PathSet,
+    agents: Dict[str, Agent],
+) -> CoverageSummary:
+    """``ControlPlane.run_epoch``'s ground truth as it was: the epoch's
+    units rebuilt (by the per-session loop), scored against the served
+    manifests."""
+    truth_units = build_units(modules, sessions, paths)
+    live = {node for node, agent in agents.items() if agent.alive}
+    return coverage_metrics(truth_units, served_manifests(agents, truth_units), live)
+
+
 def stabilize_manifests(
     previous: Dict[str, NodeManifest],
     proposed: Dict[str, NodeManifest],

@@ -25,7 +25,7 @@ from repro.core.dispatch import CoordinatedDispatcher, UnitResolver
 from repro.core.manifest import NodeManifest, full_manifest
 from repro.core.manifest_table import ManifestTable
 from repro.core.nids_deployment import plan_deployment
-from repro.core.units import unit_key_for_session
+from repro.core.units import session_unit_keys, unit_key_for_session
 from repro.hashing.keys import Aggregation
 from repro.hashing.ranges import EPSILON, HashRange
 from repro.nids.emulation import Traffic, run_emulation
@@ -268,4 +268,8 @@ class TestRootMemo:
             keys = spec.aggregation
             for got, want in zip(clone.item_key_ids(keys), used.item_key_ids(keys)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
+            # Planning memoised each scope's unit ids.
+            got_keys, got_ids = session_unit_keys(clone, spec.scope)
+            want_keys, want_ids = session_unit_keys(used, spec.scope)
+            assert got_keys == want_keys and np.array_equal(got_ids, want_ids)
         assert clone._memo.keys() == used._memo.keys()

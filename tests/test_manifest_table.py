@@ -17,7 +17,7 @@ from repro.control.agent import AgentConfig
 from repro.control.bus import Bus, BusConfig
 from repro.control.chaos import InvariantMonitor
 from repro.control.controller import ControllerConfig
-from repro.control.epochs import ranges_reassigned, stabilize_manifests
+from repro.control.epochs import GroundTruth, ranges_reassigned, stabilize_manifests
 from repro.control.ha import HAConfig
 from repro.control.plane import ControlPlane, profile_pools, unit_capacity_topology
 from repro.core.manifest import NodeManifest, full_manifest
@@ -264,7 +264,7 @@ def plane():
     for epoch in range(4):
         facts = plane.run_epoch(epoch, "mixed")
     assert not facts.degraded and facts.record.converged
-    return plane, facts.sessions
+    return plane, facts.truth.sessions
 
 
 class _Patched:
@@ -288,9 +288,13 @@ class _Patched:
             setattr(self.agents[node], name, value)
 
 
+def _truth(plane, sessions):
+    return GroundTruth(plane.modules, sessions, plane.paths, plane.agents)
+
+
 def _floor(plane, sessions):
     got = InvariantMonitor(plane.modules).coverage_floor(
-        0, sessions, plane.agents, excluded=True
+        0, _truth(plane, sessions), excluded=True
     )
     assert got == oracle.coverage_floor(plane.modules, list(sessions), plane.agents)
     return got
@@ -388,14 +392,14 @@ class TestCoverageFloor:
         them (what a repair does): the second call reads the write."""
         plane, sessions = plane
         monitor = InvariantMonitor(plane.modules)
-        before = monitor.coverage_floor(0, sessions, plane.agents, excluded=True)
+        before = monitor.coverage_floor(0, _truth(plane, sessions), excluded=True)
         node = _busiest(plane.agents, transit=True)
         entries = plane.agents[node].manifest.entries
         saved = dict(entries)
         try:
             for ident in saved:
                 entries[ident] = ()
-            after = monitor.coverage_floor(1, sessions, plane.agents, excluded=True)
+            after = monitor.coverage_floor(1, _truth(plane, sessions), excluded=True)
             assert after == oracle.coverage_floor(
                 plane.modules, list(sessions), plane.agents
             )

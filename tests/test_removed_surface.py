@@ -41,7 +41,8 @@ DELETED_FAMILIES = (
 
 class TestRemovedSurface:
     @pytest.mark.parametrize(
-        "module", ["repro.measurement.snmp", "repro.topology.generators"]
+        "module",
+        ["repro.measurement.snmp", "repro.topology.generators", "repro.nids.pipeline"],
     )
     def test_deleted_modules_do_not_import(self, module):
         with pytest.raises(ImportError):
@@ -52,6 +53,10 @@ class TestRemovedSurface:
             TrafficMatrix.sample_pair
         with pytest.raises(AttributeError):
             repro.nids.cluster_size_for_target
+        # The per-packet pipeline is the tests' oracle now.
+        for name in ("PacketPipeline", "PipelineFindings"):
+            with pytest.raises(AttributeError):
+                getattr(repro.nids, name)
 
     def test_one_event_vocabulary_and_no_empty_delta_guard(self):
         # A scripted fail/recover/shift is a FaultEvent of the run's plan.
