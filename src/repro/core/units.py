@@ -73,7 +73,7 @@ def unit_key(scope: Scope, ingress: str, egress: str) -> UnitKey:
     """``GET_COORD_UNIT``: the unit key of traffic entering at *ingress*
     and leaving at *egress*, for a class of placement *scope*."""
     if scope is Scope.PATH:
-        return tuple(sorted((ingress, egress)))
+        return (ingress, egress) if ingress <= egress else (egress, ingress)
     if scope is Scope.INGRESS:
         return (ingress,)
     return (egress,)
@@ -88,17 +88,13 @@ def eligible_nodes(key: UnitKey, paths: PathSet) -> Tuple[str, ...]:
     """``P_ik``: the nodes able to observe all of the unit's traffic.
 
     The key alone decides: a single location (ingress or egress scope)
-    is its own only observer; a location pair is path-scoped.
+    is its own only observer; a location pair is path-scoped, observed
+    by the nodes on both of its directed routes
+    (:meth:`PathSet.observers`, resolved once per pair).
     """
     if len(key) == 1:
         return key
-    a, b = key
-    forward = paths.path(a, b)
-    backward = set(paths.path(b, a).nodes)
-    observers = tuple(node for node in forward.nodes if node in backward)
-    # Symmetric shortest paths make this the full path; degenerate
-    # asymmetric ties still leave the endpoints, which always qualify.
-    return observers if observers else (a, b)
+    return paths.observers(*key)
 
 
 #: One unit's measured volumes before assembly:
@@ -112,27 +108,22 @@ def units_from_volumes(
     """Assemble measured or estimated volumes into sorted units.
 
     The one place a ``CoordinationUnit`` is put together: ``P_ik`` is
-    resolved once per distinct key (every module of a scope shares its
-    keys), memory is ``items * MemReq_i``, and the result is ordered by
-    ``(class, key)`` — the order the LP lays its variables out in.
+    :func:`eligible_nodes` (memoised on *paths*), memory is
+    ``items * MemReq_i``, and the result is ordered by ``(class, key)``
+    — the order the LP lays its variables out in.
     """
-    eligible: Dict[UnitKey, Tuple[str, ...]] = {}
-    units: List[CoordinationUnit] = []
-    for spec, key, pkts, items, cpu_work in volumes:
-        nodes = eligible.get(key)
-        if nodes is None:
-            nodes = eligible[key] = eligible_nodes(key, paths)
-        units.append(
-            CoordinationUnit(
-                class_name=spec.name,
-                key=key,
-                eligible=nodes,
-                pkts=pkts,
-                items=items,
-                cpu_work=cpu_work,
-                mem_bytes=items * spec.mem_req,
-            )
+    units = [
+        CoordinationUnit(
+            class_name=spec.name,
+            key=key,
+            eligible=eligible_nodes(key, paths),
+            pkts=pkts,
+            items=items,
+            cpu_work=cpu_work,
+            mem_bytes=items * spec.mem_req,
         )
+        for spec, key, pkts, items, cpu_work in volumes
+    ]
     units.sort(key=lambda u: (u.class_name, u.key))
     return units
 

@@ -2,12 +2,11 @@
 estimation from it."""
 
 from .estimation import EstimationModel, estimate_units
-from .flows import FlowExporter, FlowRecord, TrafficReport
+from .flows import FlowExporter, TrafficReport
 
 __all__ = [
     "EstimationModel",
     "FlowExporter",
-    "FlowRecord",
     "TrafficReport",
     "estimate_units",
 ]

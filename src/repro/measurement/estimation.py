@@ -9,29 +9,42 @@ from offline profiles."
 :func:`estimate_units` builds the LP's coordination-unit volumes from a
 :class:`~repro.measurement.flows.TrafficReport` instead of ground-truth
 sessions — the production path, where the operations center only sees
-(possibly sampled) NetFlow.  Quantities a flow report cannot carry
-(distinct-host ratios, the half-open share) come from an
-:class:`EstimationModel` whose defaults reflect the mixed profile; in
-operation they would come from the same offline profiling the paper
-cites for module footprints.
+(possibly sampled) NetFlow.  It runs on every re-plan, so it reads the
+report once into per-pair columns (report order) and estimates each
+module with array passes over them: matched volumes, the per-flow cost
+and one ``np.bincount`` fold per unit volume, in pair order.  A report
+volume that is negative or not finite is refused, naming its pair.
+Quantities a flow report cannot carry (distinct-host ratios, the
+half-open share) come from an :class:`EstimationModel` whose defaults
+reflect the mixed profile; in operation they would come from the same
+offline profiling the paper cites for module footprints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import AbstractSet, Dict, List, Mapping, Sequence, Tuple
 
-from ..core.units import CoordinationUnit, UnitKey, unit_key, units_from_volumes
+import numpy as np
+
+from ..core.units import (
+    CoordinationUnit,
+    UnitKey,
+    UnitVolume,
+    unit_key,
+    units_from_volumes,
+)
 from ..hashing.keys import Aggregation
-from ..nids.modules.base import ModuleSpec
+from ..nids.modules.base import ModuleSpec, Scope
 from ..topology.routing import PathSet
 from ..traffic.packet import TCP
 from .flows import Pair, TrafficReport
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimationModel:
-    """Profile-derived ratios a flow report cannot express."""
+    """Profile-derived ratios a flow report cannot express; each is a
+    share, a finite value in ``[0, 1]``."""
 
     #: Distinct sources per flow observed at an ingress (drives the
     #: per-source memory estimate for scan detection).
@@ -43,40 +56,21 @@ class EstimationModel:
     #: TCP share of total flows (for protocol-wide TCP filters).
     tcp_fraction: float = 0.85
 
-
-def _matched_volumes(
-    spec: ModuleSpec, report: TrafficReport, pair: Pair, model: EstimationModel
-) -> Tuple[float, float]:
-    """Estimated (flows, packets) on *pair* that ``spec`` analyzes.
-
-    Port-filtered modules read the exact per-port flow and packet
-    sums the flow records carry; protocol-wide filters scale the
-    pair totals by the profiled TCP share.
-    """
-    total_flows = report.pair_flows.get(pair, 0.0)
-    total_packets = report.pair_packets.get(pair, 0.0)
-    if total_flows <= 0:
-        return 0.0, 0.0
-    traffic_filter = spec.traffic_filter
-    if traffic_filter.server_ports:
-        flows = sum(
-            report.pair_port_flows.get((pair, port), 0.0)
-            for port in traffic_filter.server_ports
-        )
-        packets = sum(
-            report.pair_port_packets.get((pair, port), 0.0)
-            for port in traffic_filter.server_ports
-        )
-        return flows, packets
-    if traffic_filter.proto == TCP:
-        return total_flows * model.tcp_fraction, total_packets * model.tcp_fraction
-    return total_flows, total_packets
+    def __post_init__(self) -> None:
+        for ratio in fields(self):
+            value = getattr(self, ratio.name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(
+                    f"EstimationModel.{ratio.name} must be a finite value"
+                    f" in [0, 1], got {value!r}"
+                )
 
 
 def _cpu_per_flow(
-    spec: ModuleSpec, avg_packets: float, model: EstimationModel
-) -> float:
-    """Expected analysis cost per matched flow (offline-profile form)."""
+    spec: ModuleSpec, avg_packets: np.ndarray, model: EstimationModel
+) -> np.ndarray:
+    """Expected analysis cost per matched flow (offline-profile form),
+    elementwise over per-pair average packet counts."""
     events = spec.events_per_packet * avg_packets + spec.events_per_session
     if spec.half_open_events_only:
         events = (
@@ -86,12 +80,45 @@ def _cpu_per_flow(
     return spec.event_cpu_per_packet * avg_packets + spec.policy_cpu_per_event * events
 
 
-def _items_for(spec: ModuleSpec, flows: float, model: EstimationModel) -> float:
+def _items_for(
+    spec: ModuleSpec, flows: np.ndarray, model: EstimationModel
+) -> np.ndarray:
     if spec.aggregation is Aggregation.SOURCE:
         return flows * model.distinct_source_ratio
     if spec.aggregation is Aggregation.DESTINATION:
         return flows * model.distinct_dest_ratio
     return flows
+
+
+def _checked(name: str, volumes: Mapping) -> np.ndarray:
+    """*volumes*' values as one column, refusing a negative or non-finite
+    one by its key: ``<= 0`` would drop it silently, or the LP meet it."""
+    column = np.fromiter(volumes.values(), dtype=float, count=len(volumes))
+    bad = ~np.isfinite(column) | (column < 0.0)
+    if bad.any():
+        key = list(volumes)[int(np.argmax(bad))]
+        raise ValueError(
+            f"traffic report {name}[{key!r}] = {volumes[key]!r}:"
+            " a volume must be finite and non-negative"
+        )
+    return column
+
+
+def _port_columns(
+    name: str,
+    rows: Mapping[Tuple[Pair, int], float],
+    index: Mapping[Pair, int],
+    ports: AbstractSet[int],
+) -> Dict[int, np.ndarray]:
+    """Per port in *ports*, the per-port rows of the pairs in *index* as
+    one column (``0.0`` where a pair has no row)."""
+    columns = {port: np.zeros(len(index)) for port in ports}
+    values = _checked(name, rows).tolist()
+    for (pair, port), value in zip(rows, values):
+        column = columns.get(port)
+        if column is not None and pair in index:
+            column[index[pair]] = value
+    return columns
 
 
 def estimate_units(
@@ -106,35 +133,71 @@ def estimate_units(
     derives from ground truth, so the LP, manifest generation, and
     dispatch pipeline are oblivious to whether they were planned from
     measurements or from a trace.
-    """
-    accumulators: Dict[Tuple[str, UnitKey], Dict[str, float]] = {}
-    for spec in modules:
-        for pair, total_flows in report.pair_flows.items():
-            if total_flows <= 0:
-                continue
-            flows, packets = _matched_volumes(spec, report, pair, model)
-            if flows <= 0:
-                continue
-            avg_packets = packets / flows
-            key = unit_key(spec.scope, *pair)
-            acc = accumulators.setdefault(
-                (spec.name, key), {"flows": 0.0, "pkts": 0.0, "cpu": 0.0}
-            )
-            acc["flows"] += flows
-            acc["pkts"] += packets
-            acc["cpu"] += flows * _cpu_per_flow(spec, avg_packets, model)
 
-    by_name = {spec.name: spec for spec in modules}
-    return units_from_volumes(
-        (
-            (
-                by_name[class_name],
-                key,
-                acc["pkts"],
-                _items_for(by_name[class_name], acc["flows"], model),
-                acc["cpu"],
-            )
-            for (class_name, key), acc in accumulators.items()
-        ),
-        paths,
+    Per module, a pair's matched flows and packets are the exact per-port
+    sums the report carries for a port-filtered module, the pair
+    totals scaled by the profiled TCP share for a protocol-wide TCP one,
+    and the totals otherwise; pairs with no matched flow are left out.
+    Each unit's volumes are summed over its pairs in report order.
+    """
+    flows = _checked("pair_flows", report.pair_flows)
+    _checked("pair_packets", report.pair_packets)
+    kept = flows > 0
+    pairs = [pair for pair, keep in zip(report.pair_flows, kept.tolist()) if keep]
+    index = {pair: i for i, pair in enumerate(pairs)}
+    total_flows = flows[kept]
+    total_packets = np.array(
+        [report.pair_packets.get(pair, 0.0) for pair in pairs], dtype=float
     )
+    ports = {port for spec in modules for port in spec.traffic_filter.server_ports}
+    port_flows = _port_columns("pair_port_flows", report.pair_port_flows, index, ports)
+    port_packets = _port_columns(
+        "pair_port_packets", report.pair_port_packets, index, ports
+    )
+
+    scope_keys: Dict[Scope, Tuple[List[UnitKey], np.ndarray]] = {}
+    volumes: List[UnitVolume] = []
+    for spec in modules:
+        traffic_filter = spec.traffic_filter
+        if traffic_filter.server_ports:
+            matched_flows, matched_packets = 0.0, 0.0
+            for port in traffic_filter.server_ports:
+                matched_flows = matched_flows + port_flows[port]
+                matched_packets = matched_packets + port_packets[port]
+        elif traffic_filter.proto == TCP:
+            matched_flows = total_flows * model.tcp_fraction
+            matched_packets = total_packets * model.tcp_fraction
+        else:
+            matched_flows, matched_packets = total_flows, total_packets
+        matched = matched_flows > 0
+        matched_flows = matched_flows[matched]
+        matched_packets = matched_packets[matched]
+
+        if spec.scope not in scope_keys:
+            ids: Dict[UnitKey, int] = {}
+            pair_unit = [
+                ids.setdefault(unit_key(spec.scope, *pair), len(ids)) for pair in pairs
+            ]
+            scope_keys[spec.scope] = (list(ids), np.array(pair_unit, dtype=np.intp))
+        keys, pair_units = scope_keys[spec.scope]
+        unit = pair_units[matched]
+        n = len(keys)
+        cpu = matched_flows * _cpu_per_flow(
+            spec, matched_packets / matched_flows, model
+        )
+        # ``np.bincount`` adds in pair order from 0.0: the same left fold
+        # as summing the pairs one by one.
+        present = np.flatnonzero(np.bincount(unit, minlength=n))
+        unit_flows = np.bincount(unit, weights=matched_flows, minlength=n)
+        unit_packets = np.bincount(unit, weights=matched_packets, minlength=n)
+        unit_cpu = np.bincount(unit, weights=cpu, minlength=n)
+        volumes.extend(
+            zip(
+                [spec] * len(present),
+                [keys[k] for k in present.tolist()],
+                unit_packets[present].tolist(),
+                _items_for(spec, unit_flows[present], model).tolist(),
+                unit_cpu[present].tolist(),
+            )
+        )
+    return units_from_volumes(volumes, paths)

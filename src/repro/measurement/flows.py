@@ -1,4 +1,4 @@
-"""Flow records and exporters (NetFlow-style measurement substrate).
+"""Flow reports and their exporter (NetFlow-style measurement substrate).
 
 The paper's optimization inputs come from operational measurement:
 "ISPs typically collect traffic reports (e.g., NetFlow, SNMP) every few
@@ -6,44 +6,23 @@ minutes, and since NIDS configurations would typically be driven from
 such reports, we envision needing to reconfigure NIDS with roughly the
 same frequency."
 
-This module provides that feed: a :class:`FlowRecord` (the NetFlow v5
-fields the planner needs), a :class:`FlowExporter` that turns observed
-sessions into (optionally *sampled*) flow records — real routers export
-1-in-N sampled NetFlow — and report assembly into the per-pair volume
-summaries the planner consumes.
+This module provides that feed: a :class:`FlowExporter` that turns
+observed sessions into an (optionally *sampled*) per-interval
+:class:`TrafficReport` — real routers export 1-in-N sampled NetFlow —
+holding the per-pair and per-(pair, port) flow and packet sums the
+planner consumes.  Each exported session is folded into the report's
+sums as it passes; no per-flow record is kept.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 from ..traffic.session import Session
 
 Pair = Tuple[str, str]
-
-
-@dataclass(frozen=True)
-class FlowRecord:
-    """One exported flow record (NetFlow-v5-like field subset)."""
-
-    src: int
-    dst: int
-    sport: int
-    dport: int
-    proto: int
-    packets: int
-    octets: int
-    first: float
-    last: float
-    ingress: str
-    egress: str
-
-    @property
-    def pair(self) -> Pair:
-        """The record's (ingress, egress) pair."""
-        return (self.ingress, self.egress)
 
 
 @dataclass
@@ -76,7 +55,7 @@ class TrafficReport:
 
 
 class FlowExporter:
-    """Turn observed sessions into sampled flow records.
+    """Turn observed sessions into sampled NetFlow-style reports.
 
     ``sampling_rate=1/N`` models packet-sampled NetFlow's flow-level
     effect approximately: each flow is exported independently with the
@@ -90,53 +69,27 @@ class FlowExporter:
         self.sampling_rate = sampling_rate
         self._rng = random.Random(seed)
 
-    def export(self, sessions: Iterable[Session]) -> List[FlowRecord]:
-        """Export (possibly sampled) flow records for *sessions*."""
-        records = []
-        for session in sessions:
-            if self.sampling_rate < 1.0 and self._rng.random() >= self.sampling_rate:
-                continue
-            t = session.tuple
-            records.append(
-                FlowRecord(
-                    src=t.src,
-                    dst=t.dst,
-                    sport=t.sport,
-                    dport=t.dport,
-                    proto=t.proto,
-                    packets=session.num_packets,
-                    octets=session.num_bytes,
-                    first=session.start_time,
-                    last=session.start_time + 0.01 * session.num_packets,
-                    ingress=session.ingress,
-                    egress=session.egress,
-                )
-            )
-        return records
-
-    def build_report(
-        self, records: Sequence[FlowRecord], interval_seconds: float = 300.0
-    ) -> TrafficReport:
-        """Assemble a per-pair traffic report, inverting the sampling."""
-        scale = 1.0 / self.sampling_rate
-        report = TrafficReport(
-            interval_seconds=interval_seconds, sampling_rate=self.sampling_rate
-        )
-        for record in records:
-            pair = record.pair
-            report.pair_flows[pair] = report.pair_flows.get(pair, 0.0) + scale
-            report.pair_packets[pair] = (
-                report.pair_packets.get(pair, 0.0) + scale * record.packets
-            )
-            key = (pair, record.dport)
-            report.pair_port_flows[key] = report.pair_port_flows.get(key, 0.0) + scale
-            report.pair_port_packets[key] = (
-                report.pair_port_packets.get(key, 0.0) + scale * record.packets
-            )
-        return report
-
     def measure(
         self, sessions: Iterable[Session], interval_seconds: float = 300.0
     ) -> TrafficReport:
-        """Convenience: export + assemble in one step."""
-        return self.build_report(self.export(sessions), interval_seconds)
+        """The report of *sessions* over one interval: each session is
+        exported with probability ``sampling_rate`` (one draw per
+        session, none when every flow is exported) and counted
+        ``1/sampling_rate`` times."""
+        rate = self.sampling_rate
+        scale = 1.0 / rate
+        report = TrafficReport(interval_seconds=interval_seconds, sampling_rate=rate)
+        flows, packets = report.pair_flows, report.pair_packets
+        port_flows, port_packets = report.pair_port_flows, report.pair_port_packets
+        draw = self._rng.random if rate < 1.0 else None
+        for session in sessions:
+            if draw is not None and draw() >= rate:
+                continue
+            pair = (session.ingress, session.egress)
+            key = (pair, session.tuple.dport)
+            scaled = scale * session.num_packets
+            flows[pair] = flows.get(pair, 0.0) + scale
+            packets[pair] = packets.get(pair, 0.0) + scaled
+            port_flows[key] = port_flows.get(key, 0.0) + scale
+            port_packets[key] = port_packets.get(key, 0.0) + scaled
+        return report

@@ -84,6 +84,9 @@ class PathSet:
     order so repeated runs see identical routing.  Intra-node "paths"
     (ingress == egress) are single-node paths: such traffic is only
     observable at its own PoP, exactly as in the paper's model.
+
+    Routing never changes once built, so :meth:`observers` resolves each
+    location pair once and keeps the answer here (never pickled).
     """
 
     def __init__(self, topology: Topology, include_self_pairs: bool = True):
@@ -98,6 +101,16 @@ class PathSet:
                     continue
                 nodes = tuple(shortest[src][dst]) if src != dst else (src,)
                 self._paths[(src, dst)] = Path(src, dst, nodes)
+        self._observers: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_observers"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._observers = {}
 
     def path(self, ingress: str, egress: str) -> Path:
         """The routing path for an ordered (ingress, egress) pair."""
@@ -108,6 +121,20 @@ class PathSet:
 
     def __iter__(self) -> Iterator[Path]:
         return iter(self._paths.values())
+
+    def observers(self, a: str, b: str) -> Tuple[str, ...]:
+        """The nodes on both directed routes between *a* and *b*, in
+        ``a → b`` path order (memoised per pair).
+
+        Symmetric shortest paths make this the full path; degenerate
+        asymmetric ties still leave the endpoints, which always qualify.
+        """
+        nodes = self._observers.get((a, b))
+        if nodes is None:
+            backward = set(self._paths[(b, a)].nodes)
+            nodes = tuple(n for n in self._paths[(a, b)].nodes if n in backward)
+            nodes = self._observers[(a, b)] = nodes if nodes else (a, b)
+        return nodes
 
     @property
     def pairs(self) -> List[Tuple[str, str]]:

@@ -1,4 +1,8 @@
-"""Tests for the NetFlow-style measurement substrate."""
+"""Tests for the NetFlow-style measurement substrate.
+
+The per-record export the report used to be built from is
+``tests/measurement_oracle.py``; ``tests/test_measurement_columns.py``
+compares the two exactly."""
 
 import pytest
 
@@ -13,6 +17,7 @@ from repro.measurement import (
 from repro.nids.modules import HTTP, STANDARD_MODULES
 from repro.topology import PathSet, internet2
 from repro.traffic import GeneratorConfig, TrafficGenerator
+from tests import measurement_oracle as oracle
 
 
 @pytest.fixture(scope="module")
@@ -27,16 +32,22 @@ def world():
 class TestFlowExporter:
     def test_unsampled_export_complete(self, world):
         _, _, sessions = world
-        records = FlowExporter().export(sessions)
+        records = oracle.export(FlowExporter(), sessions)
         assert len(records) == len(sessions)
         assert sum(r.packets for r in records) == sum(
             s.num_packets for s in sessions
         )
+        report = FlowExporter().measure(sessions)
+        assert report == oracle.build_report(FlowExporter(), records)
+        assert report.total_flows == len(records)
 
     def test_sampled_export_thins(self, world):
         _, _, sessions = world
-        records = FlowExporter(sampling_rate=0.1, seed=1).export(sessions)
+        records = oracle.export(FlowExporter(sampling_rate=0.1, seed=1), sessions)
         assert 0.05 * len(sessions) < len(records) < 0.15 * len(sessions)
+        report = FlowExporter(sampling_rate=0.1, seed=1).measure(sessions)
+        assert report == oracle.build_report(FlowExporter(sampling_rate=0.1), records)
+        assert report.total_flows == 10.0 * len(records)
 
     def test_invalid_sampling_rate(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ import pytest
 import repro.control
 import repro.control.scenarios
 import repro.core.manifest_io
+import repro.measurement
 import repro.nids
 from repro.analysis.cli import main as analysis_main
 from repro.control.agent import AgentConfig
@@ -57,6 +58,14 @@ class TestRemovedSurface:
         for name in ("PacketPipeline", "PipelineFindings"):
             with pytest.raises(AttributeError):
                 getattr(repro.nids, name)
+
+    def test_the_per_record_flow_export_is_gone(self):
+        # Reports are filled straight from the sessions; the record path
+        # is the tests' oracle now.
+        assert not hasattr(repro.measurement, "FlowRecord")
+        assert "FlowRecord" not in repro.measurement.__all__
+        for name in ("export", "build_report"):
+            assert not hasattr(repro.measurement.FlowExporter, name)
 
     def test_one_event_vocabulary_and_no_empty_delta_guard(self):
         # A scripted fail/recover/shift is a FaultEvent of the run's plan.
