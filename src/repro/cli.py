@@ -179,6 +179,10 @@ def cmd_emulate(args) -> int:
 
 def cmd_solve_nips(args) -> int:
     """Handle ``solve-nips``: relaxation bound plus one rounding variant."""
+    if args.iterations < 1:
+        # Refused before the relaxation is solved, not after.
+        print(f"error: iterations must be >= 1, got {args.iterations}", file=sys.stderr)
+        return 2
     topology = by_label(args.topology).set_uniform_capacities(
         cpu=DEFAULT_CPU_CAP_PACKETS,
         mem=DEFAULT_MEM_CAP_FLOWS,
@@ -538,7 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[v.value for v in RoundingVariant],
         default=RoundingVariant.GREEDY_LP.value,
     )
-    nips.add_argument("--iterations", type=int, default=5)
+    nips.add_argument(
+        "--iterations", type=int, default=5, help="roundings to keep the best of, >= 1"
+    )
     nips.add_argument("--seed", type=int, default=1)
     nips.set_defaults(func=cmd_solve_nips)
 

@@ -27,7 +27,7 @@ polytope itself under the bounds ``d <= ê``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -252,12 +252,17 @@ def build_nips_problem(
 
 @dataclass
 class NIPSSolution:
-    """A (possibly fractional) NIPS deployment."""
+    """A (possibly fractional) NIPS deployment.
+
+    A relaxation carries the :class:`NIPSPolytope` it was solved on, so
+    whoever rounds it next reuses that compile (``None`` otherwise).
+    """
 
     e: Dict[EKey, float]
     d: Dict[DKey, float]
     objective: float
     solve_seconds: float
+    polytope: Optional["NIPSPolytope"] = field(default=None, repr=False, compare=False)
 
     def enabled_rules(self, node: str, threshold: float = 0.5) -> List[int]:
         """Rule indices enabled on *node* (binary solutions only)."""
@@ -285,6 +290,11 @@ class NIPSPolytope:
     #: Per ``d`` variable, the position in ``e_keys`` of the ``e_ij``
     #: Eq. 12 links it to (same rule, same node).
     enabler: np.ndarray
+    #: Per ``d`` variable, its Eq. 7 coefficient ``T^items · M_ik ·
+    #: Dist_ikj`` and whether its rule matches the path at all
+    #: (``M_ik > 0``) — greedy's gains and candidates.
+    value: np.ndarray
+    matched: np.ndarray
     compiled: CompiledLP
 
     def enabler_values(self, e: Mapping[EKey, float]) -> np.ndarray:
@@ -299,7 +309,8 @@ class NIPSPolytope:
 
     def d_mapping(self, values: Sequence[float], kept: Sequence[bool]) -> Dict[DKey, float]:
         """The inverse, on the variables *kept* marks."""
-        return {key: value for key, value, keep in zip(self.d_keys, values, kept) if keep}
+        keys = self.d_keys
+        return {keys[t]: values[t] for t in np.flatnonzero(kept).tolist()}
 
 
 def compile_nips_polytope(problem: NIPSProblem) -> NIPSPolytope:
@@ -370,6 +381,8 @@ def compile_nips_polytope(problem: NIPSProblem) -> NIPSPolytope:
         e_keys=[(rule.index, node) for rule in rules for node in node_names],
         d_keys=d_keys,
         enabler=rule_of * len(node_names) + node_of,
+        value=value,
+        matched=rate > 0.0,
         compiled=lp.compile(),
     )
 
@@ -446,6 +459,7 @@ def solve_relaxation(problem: NIPSProblem) -> NIPSSolution:
         d=dict(zip(d_keys, solution.values[len(e_keys) :])),
         objective=solution.objective,
         solve_seconds=elapsed,
+        polytope=built.polytope,
     )
 
 

@@ -319,13 +319,23 @@ class LinearProgram:
             b_ub=b_ub,
             a_eq=a_eq,
             b_eq=b_eq,
-            bounds=list(zip(self.lower_bounds, self.upper_bounds)),
+            bounds=_bounds(self.lower_bounds, self.upper_bounds),
             maximize=self.sense is Sense.MAXIMIZE,
             variable_names=self.variable_names.copy(),
             ineq_names=ineq_names,
             eq_names=eq_names,
             name=self.name,
         )
+
+
+def _bounds(lower: Sequence[float], upper: Sequence[Optional[float]]) -> np.ndarray:
+    """The ``(n, 2)`` bounds array, an absent (``None``) upper bound as
+    ``+inf``; the backend reads a NaN bound as no bound either way."""
+    bounds = np.empty((len(lower), 2))
+    bounds[:, 0] = lower
+    bounds[:, 1] = np.array(upper, dtype=np.float64)  # None -> NaN
+    bounds[np.isnan(bounds[:, 1]), 1] = np.inf
+    return bounds
 
 
 def _stack(blocks: Sequence[ConstraintBlock], num_vars: int):
@@ -360,9 +370,10 @@ class CompiledLP:
     """Sparse matrix form of a :class:`LinearProgram` (solver input).
 
     ``cost`` is the vector the backend *minimizes* (negated for a
-    maximization model); ``bounds`` is whatever ``linprog`` accepts — the
-    ``(lb, ub)`` pairs :meth:`LinearProgram.compile` emits, ``None``
-    for unbounded, or an ``(n, 2)`` array.
+    maximization model); ``bounds`` is whatever ``linprog`` accepts —
+    the ``(n, 2)`` float array :meth:`LinearProgram.compile` emits
+    (``+inf`` for unbounded), or ``(lb, ub)`` pairs with ``None`` for
+    unbounded.
 
     A compiled program is solved as it stands
     (:func:`repro.lp.solver.solve` accepts one) and is never mutated:
@@ -382,6 +393,9 @@ class CompiledLP:
     ineq_names: Names
     eq_names: Names
     name: str = "lp"
+    #: Set by :meth:`with_bounds`: the solver leaves the columns these
+    #: bounds fix at zero out of what it hands the backend.
+    bounds_view: bool = False
 
     @property
     def num_variables(self) -> int:
@@ -399,7 +413,7 @@ class CompiledLP:
         bounds = np.empty((self.num_variables, 2))
         bounds[:, 0] = lower
         bounds[:, 1] = upper
-        return replace(self, bounds=bounds)
+        return replace(self, bounds=bounds, bounds_view=True)
 
     def with_cost(self, cost) -> "CompiledLP":
         """The same rows and bounds under another objective, *cost* one

@@ -8,9 +8,12 @@ preserved.  This module is the only place solver specifics live.
 A solve hands HiGHS exactly what ``scipy.optimize.linprog(method=
 "highs")`` would — the same column-wise matrix, bounds and options —
 and maps the outcome the way ``linprog`` does, without ``linprog``'s
-per-call option checks and per-column result repacking.  The bindings
-are private to SciPy (``scipy.optimize._highspy``); where they do not
-import, ``linprog`` itself is the backend.
+per-call option checks and per-column result repacking.  The program
+crosses into HiGHS as arrays (cost, bounds, row bounds and the CSC
+``start`` / ``index`` / ``value`` through ``passModel``'s array
+overload), with no per-entry conversion.  The bindings are private to
+SciPy (``scipy.optimize._highspy``); where they do not import,
+``linprog`` itself is the backend.
 """
 
 from __future__ import annotations
@@ -120,7 +123,7 @@ def solve(program: Union[LinearProgram, CompiledLP]) -> LPSolution:
     started = time.perf_counter()
     cost, a_ub, a_eq, bounds = compiled.cost, compiled.a_ub, compiled.a_eq, compiled.bounds
     kept = None
-    if isinstance(bounds, np.ndarray):
+    if compiled.bounds_view:
         # A bounds view usually fixes most columns at zero (a rounding
         # enables a few rules per node): they contribute nothing, and
         # the backend's per-column costs are paid for the others only.
@@ -151,7 +154,8 @@ def solve(program: Union[LinearProgram, CompiledLP]) -> LPSolution:
             x = np.zeros(compiled.num_variables)
             x[kept] = result.x
         values = x.tolist()
-        objective = program.objective_value(values)
+        # ``cost · x`` on the array: np.dot would convert the list back.
+        objective = program.objective_value(x if isinstance(program, CompiledLP) else values)
 
     # HiGHS reports marginals for the *internal* (sign-flipped for
     # maximization) problem; flip back so duals follow the model sense.
@@ -237,7 +241,7 @@ def _solve_highs(cost, a_ub, b_ub, a_eq, b_eq, bounds) -> _BackendResult:
     """One solve through SciPy's HiGHS bindings, as ``linprog`` runs it.
 
     The same input checks (a ``ValueError`` for what ``linprog`` would
-    refuse), the same ``HighsLp`` (column-wise ``[A_ub; A_eq]``, rows
+    refuse), the same model (column-wise ``[A_ub; A_eq]``, rows
     ``-inf <= A_ub x <= b_ub`` and ``b_eq <= A_eq x <= b_eq``, a NaN
     bound read as no bound), the same options and the same status
     mapping, including the post-solve feasibility check.
@@ -259,31 +263,37 @@ def _solve_highs(cost, a_ub, b_ub, a_eq, b_eq, bounds) -> _BackendResult:
     )
     if matrix.shape[0] != len(b_ub) + len(b_eq):
         raise ValueError("a right-hand side's length differs from its rows'")
-    bounds = np.array(bounds, dtype=np.float64).reshape(num_cols, 2)
+    bounds = np.asarray(bounds, dtype=np.float64).reshape(num_cols, 2)
     lower = np.where(np.isnan(bounds[:, 0]), -np.inf, bounds[:, 0])
     upper = np.where(np.isnan(bounds[:, 1]), np.inf, bounds[:, 1])
     row_upper = np.concatenate((b_ub, b_eq))
     row_lower = np.concatenate((np.full(len(b_ub), -np.inf), b_eq))
 
-    lp = _highs.HighsLp()
-    lp.num_col_ = num_cols
-    lp.num_row_ = matrix.shape[0]
-    lp.a_matrix_.num_col_ = num_cols
-    lp.a_matrix_.num_row_ = matrix.shape[0]
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.col_cost_ = cost
-    lp.col_lower_ = lower
-    lp.col_upper_ = upper
-    lp.row_lower_ = row_lower
-    lp.row_upper_ = row_upper
-    lp.a_matrix_.start_ = matrix.indptr
-    lp.a_matrix_.index_ = matrix.indices
-    lp.a_matrix_.value_ = matrix.data
     highs = _highs._Highs()
     highs.passOptions(_OPTIONS)
     failed = _highs.HighsStatus.kError
     iterations = 0
-    if highs.passModel(lp) == failed:
+    # The array overload: HiGHS copies the buffers, no per-entry
+    # conversion.  Indices are int32; ``integrality`` must hold one
+    # (continuous) entry per column, an empty one is refused.
+    passed = highs.passModel(
+        num_cols,
+        matrix.shape[0],
+        matrix.nnz,
+        _COLWISE,
+        _MINIMIZE,
+        0.0,
+        cost,
+        lower,
+        upper,
+        row_lower,
+        row_upper,
+        matrix.indptr.astype(np.int32, copy=False),
+        matrix.indices.astype(np.int32, copy=False),
+        matrix.data,
+        np.zeros(num_cols, dtype=np.int32),
+    )
+    if passed == failed:
         model_status = _highs.HighsModelStatus.kModelError
     elif highs.run() == failed:
         model_status = highs.getModelStatus()
@@ -335,6 +345,8 @@ if _highs is not None:
     _OPTIONS.simplex_strategy = (
         _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     )
+    _COLWISE = int(_highs.MatrixFormat.kColwise)
+    _MINIMIZE = int(_highs.ObjSense.kMinimize)
     #: ``linprog``'s mapping of the HiGHS model status (a model HiGHS
     #: refuses to load counts as infeasible); the rest are errors.
     _HIGHS_STATUS = {

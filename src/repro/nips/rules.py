@@ -43,8 +43,11 @@ class MatchRateMatrix:
 
     def __init__(self, rates: Dict[Tuple[int, Pair], float]):
         for key, rate in rates.items():
-            if rate < 0.0 or rate > 1.0:
-                raise ValueError(f"match rate {rate} for {key} outside [0, 1]")
+            # Written so that NaN fails too: it compares False both ways.
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(
+                    f"match rate {rate!r} for (rule, pair) {key} is not in [0, 1]"
+                )
         self._rates = dict(rates)
 
     def rate(self, rule_index: int, pair: Pair) -> float:

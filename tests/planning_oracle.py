@@ -19,15 +19,21 @@ Section 3.2: ``build_nips_lp`` with its ``fixed_e=`` fork,
 ``solve_with_fixed_rules`` on that fork and ``core/online.py``'s private
 ``solve_best_response`` builder, each of which restated Eqs. 9–11 with
 one ``LinExpr`` per term.  ``tests/test_nips_layout.py`` compares the
-product's one index-block layout against them.
+product's one index-block layout against them.  Its last part is
+Section 3.3's rounding as it was before it became vector passes
+(``round_enablement``, ``greedy_fill``, ``d_mapping``), which
+``tests/test_rounding_columns.py`` compares with ``==``.
 """
 
+import random
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.core.nids_lp import FractionKey, NIDSAssignment
-from repro.core.nips_milp import DKey, EKey, NIPSProblem, NIPSSolution, Pair
+from repro.core.nips_milp import DKey, EKey, NIPSPolytope, NIPSProblem, NIPSSolution, Pair
 from repro.core.units import (
     CoordinationUnit,
     UnitKey,
@@ -385,3 +391,136 @@ def solve_best_response(
     lp.set_objective(linear_sum(objective_terms), Sense.MAXIMIZE)
     solution = solve_or_raise(lp)
     return {key: value(solution, var) for key, var in d_vars.items()}
+
+
+# -- NIPS rounding (Section 3.3, Fig. 9) -------------------------------------------
+# ``repro.core.rounding``'s dict loops before the draws, the repair and
+# greedy's gains became passes over the polytope's vectors, verbatim but
+# for ``greedy_gains`` split out of ``greedy_fill`` and ``d_mapping``
+# taking the polytope as an argument.  ``tests/test_rounding_columns.py``
+# compares them with the product.
+
+_TINY = 1e-9
+
+
+def _violation_factor(polytope: NIPSPolytope, d: np.ndarray) -> float:
+    """Largest factor by which Eqs. 9–11 are exceeded at the ``d``-block
+    vector *d* (1.0 = feasible): ``max(A · d / b)`` over the polytope's
+    own rows (a zero-capacity row has no factor)."""
+    compiled = polytope.compiled
+    bounded = compiled.b_ub > 0
+    load = compiled.a_ub @ d
+    return float(np.max(load[bounded] / compiled.b_ub[bounded], initial=1.0))
+
+
+def _repair_cam(
+    problem: NIPSProblem, e_hat: Dict[EKey, int], rng: random.Random
+) -> None:
+    """Zero ``ê`` entries until every node's TCAM constraint holds.
+
+    The paper drops entries "arbitrarily"; we drop uniformly at random
+    among the node's enabled rules, which keeps the repair unbiased.
+    """
+    for node_name in problem.topology.node_names:
+        cap = problem.topology.node(node_name).cam_capacity
+        enabled = [
+            (i, node_name)
+            for (i, n), value in e_hat.items()
+            if n == node_name and value
+        ]
+        used = sum(problem.rules[i].cam_req for i, _ in enabled)
+        while used > cap + _TINY and enabled:
+            victim = enabled.pop(rng.randrange(len(enabled)))
+            e_hat[victim] = 0
+            used -= problem.rules[victim[0]].cam_req
+
+
+def round_enablement(
+    polytope: NIPSPolytope,
+    relaxed: NIPSSolution,
+    rng: random.Random,
+    alpha: float = 2.0,
+    beta: float = 2.0,
+    max_trials: int = 100,
+) -> Tuple[Dict[EKey, int], Dict[DKey, float], int]:
+    """Fig. 9 lines 3–10: rounded ``ê``, induced ``d̂``, trials used.
+
+    The returned ``d̂`` is *unscaled* (pre line 11); callers choose
+    between conservative scaling (:func:`finish_basic`) and the
+    LP-re-solve improvements.
+    """
+    problem = polytope.problem
+    e_star = polytope.enabler_values(relaxed.e)
+    eps = np.divide(
+        polytope.d_vector(relaxed.d), e_star, out=np.zeros(len(e_star)), where=e_star > _TINY
+    )
+
+    threshold = beta * problem.log_n()
+    e_hat: Dict[EKey, int] = {}
+    trials = 0
+    while trials < max_trials:
+        trials += 1
+        e_hat = {
+            key: 1 if rng.random() < min(1.0, value / alpha) else 0
+            for key, value in relaxed.e.items()
+        }
+        if _violation_factor(polytope, eps * polytope.enabler_values(e_hat)) <= threshold:
+            break
+
+    _repair_cam(problem, e_hat, rng)
+    d_hat = eps * polytope.enabler_values(e_hat)
+    return e_hat, dict(zip(polytope.d_keys, d_hat.tolist())), trials
+
+
+def greedy_gains(problem: NIPSProblem) -> Dict[EKey, float]:
+    """The first half of :func:`greedy_fill`: each candidate's gain, keys
+    in first-visit order."""
+    gains: Dict[EKey, float] = {}
+    for pair in problem.pairs:
+        items = problem.items[pair]
+        for node in problem.paths[pair].nodes:
+            dist = problem.dist[pair][node]
+            for rule in problem.rules:
+                rate = problem.match.rate(rule.index, pair)
+                if rate <= 0.0:
+                    continue
+                key = (rule.index, node)
+                gains[key] = gains.get(key, 0.0) + items * rate * dist
+    return gains
+
+
+def greedy_fill(
+    problem: NIPSProblem,
+    e_hat: Dict[EKey, int],
+) -> Dict[EKey, int]:
+    """Greedily enable more rules while TCAM capacity remains.
+
+    Candidates are ordered by their maximum potential footprint
+    reduction at the node (sum over paths through the node of
+    ``T^items * M_ik * Dist_ikj``), so TCAM slots go to the most
+    valuable rules first.
+    """
+    filled = dict(e_hat)
+    cam_used: Dict[str, float] = {}
+    for (i, node), value in filled.items():
+        if value:
+            cam_used[node] = cam_used.get(node, 0.0) + problem.rules[i].cam_req
+
+    gains = greedy_gains(problem)
+    for key in sorted(gains, key=lambda k: -gains[k]):
+        if filled.get(key, 0):
+            continue
+        i, node_name = key
+        cap = problem.topology.node(node_name).cam_capacity
+        need = problem.rules[i].cam_req
+        if cam_used.get(node_name, 0.0) + need <= cap + _TINY:
+            filled[key] = 1
+            cam_used[node_name] = cam_used.get(node_name, 0.0) + need
+    return filled
+
+
+def d_mapping(
+    polytope: NIPSPolytope, values: Sequence[float], kept: Sequence[bool]
+) -> Dict[DKey, float]:
+    """``NIPSPolytope.d_mapping``: the ``d`` variables *kept* marks, by key."""
+    return {key: value for key, value, keep in zip(polytope.d_keys, values, kept) if keep}

@@ -111,6 +111,18 @@ class TestSolveNips:
         assert "OptLP upper bound" in out
         assert "% of OptLP" in out
 
+    @pytest.mark.parametrize("iterations", ["0", "-3"])
+    def test_no_rounding_at_all_is_a_usage_error(self, iterations, capsys, monkeypatch):
+        """It used to solve the relaxation and then end in a traceback."""
+        import repro.cli
+
+        monkeypatch.setattr(repro.cli, "solve_relaxation", pytest.fail)
+        code = main(["solve-nips", "--rules", "4", "--iterations", iterations])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: iterations must be >= 1, got {iterations}\n"
+
 
 class TestMicrobench:
     def test_prints_table(self, capsys):

@@ -11,7 +11,9 @@ check on the cost, passing a NaN lower bound through instead of
 reading it as ``-inf``, or mapping HiGHS's model error to ``ERROR``
 instead of ``INFEASIBLE`` (``test_malformed_inputs_fail_the_same_way``);
 ``presolve`` off, or the primal instead of the dual simplex
-(``test_nids_lp_duals_and_values`` on Internet2); dropping the
+(``test_nids_lp_duals_and_values`` on Internet2, on the iteration
+counts too); an empty ``integrality`` array
+(``test_a_program_without_rows``, every other test too); dropping the
 post-solve feasibility check
 (``test_an_optimum_outside_the_tolerance_is_an_error``).  ``presolve``
 left at HiGHS's ``choose`` is not caught: these programs solve the same
@@ -57,16 +59,25 @@ def _same(left, right):
 
 
 def _both(monkeypatch, program):
-    """*program* solved through each backend, direct first."""
+    """*program* solved through each backend, direct first, each with
+    the iteration counts its backend reported."""
     solutions = []
     for backend in (solver._solve_highs, solver._solve_linprog):
-        monkeypatch.setattr(solver, "backend", backend)
-        solutions.append(solve(program))
+        iterations = []
+
+        def counted(*args, backend=backend, iterations=iterations):
+            result = backend(*args)
+            iterations.append(result.iterations)
+            return result
+
+        monkeypatch.setattr(solver, "backend", counted)
+        solutions.append((solve(program), iterations))
     return solutions
 
 
 def _assert_identical(monkeypatch, program):
-    direct, reference = _both(monkeypatch, program)
+    (direct, direct_iterations), (reference, iterations) = _both(monkeypatch, program)
+    assert direct_iterations == iterations
     assert direct.status is reference.status
     assert _same(direct.values, reference.values)
     assert _same([direct.objective], [reference.objective])
@@ -147,6 +158,34 @@ class TestSameAsLinprog:
         weights = rng.random(compiled.num_variables)
         _assert_identical(monkeypatch, compiled.with_cost(weights))
 
+    def test_a_program_without_inequality_rows(self, monkeypatch):
+        lp = LinearProgram("pinned")
+        x, y = lp.add_variables(2, ["x", "y"], ub=4.0)
+        lp.add_constraints(Relation.EQ, [0, 0], [x, y], [1.0, 2.0], [5.0], ["pin"])
+        lp.set_objective([x, y], [3.0, 2.0], Sense.MAXIMIZE)
+        compiled = lp.compile()
+        assert compiled.a_ub is None
+        solution = _assert_identical(monkeypatch, lp)
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.ineq_duals == [] and len(solution.eq_duals) == 1
+        _assert_identical(monkeypatch, compiled.with_bounds(0.0, [4.0, 0.0]))
+
+    def test_a_program_without_rows(self, monkeypatch):
+        lp = LinearProgram("box")
+        x, y, z = lp.add_variables(3, ["x", "y", "z"], lb=[-1.0, 0.0, 0.0], ub=[4.0, 2.0, 1.0])
+        lp.set_objective([x, y], [3.0, -2.0], Sense.MAXIMIZE)
+        compiled = lp.compile()
+        assert compiled.a_ub is None and compiled.a_eq is None
+        solution = _assert_identical(monkeypatch, lp)
+        assert solution.status is SolveStatus.OPTIMAL
+        assert solution.values == [4.0, 0.0, 0.0] and solution.objective == 12.0
+        assert solution.ineq_duals == [] and solution.eq_duals == []
+        _assert_identical(monkeypatch, compiled.with_bounds(0.0, [1.0, 0.0, 0.0]))
+        open_ended = LinearProgram("ray")
+        (w,) = open_ended.add_variables(1, ["w"])
+        open_ended.set_objective([w], [1.0], Sense.MAXIMIZE)
+        assert _assert_identical(monkeypatch, open_ended).status is SolveStatus.UNBOUNDED
+
     def test_infeasible_and_unbounded(self, monkeypatch):
         solution = _assert_identical(monkeypatch, _toy(rhs=-1.0))
         assert solution.status is SolveStatus.INFEASIBLE
@@ -190,6 +229,29 @@ class TestSameAsLinprog:
         compiled = _toy().compile()
         view = compiled.with_bounds(0.0, 0.0)
         assert _assert_identical(monkeypatch, view).status is SolveStatus.ERROR
+
+
+def test_only_a_bounds_view_leaves_its_zero_columns_out(monkeypatch):
+    # A compiled program's bounds are an array too, but it reaches the
+    # backend whole: only ``with_bounds`` views drop what they fix at 0.
+    lp = LinearProgram("fixed")
+    x, y, z = lp.add_variables(3, ["x", "y", "z"], ub=[4.0, 0.0, 2.0])
+    lp.add_constraints(Relation.LE, [0, 0, 0], [x, y, z], [1.0, 1.0, 1.0], [5.0], ["budget"])
+    lp.set_objective([x, z], [3.0, 2.0], Sense.MAXIMIZE)
+    widths = []
+    real = solver.backend
+
+    def spy(cost, a_ub, b_ub, a_eq, b_eq, bounds):
+        widths.append(len(cost))
+        return real(cost, a_ub, b_ub, a_eq, b_eq, bounds)
+
+    monkeypatch.setattr(solver, "backend", spy)
+    compiled = lp.compile()
+    view = compiled.with_bounds(0.0, [4.0, 0.0, 2.0])
+    programs = (lp, compiled, compiled.with_cost([1.0] * 3), view, view.with_cost([1.0] * 3))
+    for program in programs:
+        assert solve(program).values[1] == 0.0
+    assert widths == [3, 3, 3, 2, 2]
 
 
 @needs_bindings

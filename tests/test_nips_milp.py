@@ -61,6 +61,21 @@ class TestProblemConstruction:
             INTERNET2_BASE_FLOWS * 22 / 11
         )
 
+    @pytest.mark.parametrize(
+        "rate", [float("nan"), float("inf"), float("-inf"), -0.01, 1.01]
+    )
+    def test_a_match_rate_outside_the_unit_interval_names_its_rule_and_pair(self, rate):
+        # NaN used to pass (it compares False both ways); Eq. 7 then
+        # dropped the rule silently and greedy sorted a NaN gain.
+        rates = {(0, ("a", "b")): 0.5, (3, ("b", "a")): rate}
+        with pytest.raises(ValueError, match=r"^match rate .* for \(rule, pair\) "
+                           r"\(3, \('b', 'a'\)\) is not in \[0, 1\]$"):
+            MatchRateMatrix(rates)
+
+    @pytest.mark.parametrize("rate", [0.0, 1.0, -0.0])
+    def test_the_unit_interval_is_closed(self, rate):
+        assert MatchRateMatrix({(0, ("a", "b")): rate}).rate(0, ("a", "b")) == rate
+
     def test_paths_and_dist_consistent(self, i2_problem):
         for pair, path in i2_problem.paths.items():
             dist = i2_problem.dist[pair]

@@ -263,7 +263,12 @@ def _assert_same_matrix(ours, theirs):
 
 def _assert_same_compile(ours, theirs):
     assert list(ours.cost) == list(theirs.cost)
-    assert ours.bounds == theirs.bounds
+    # The oracle keeps ``(lb, ub)`` pairs with ``None`` for no bound;
+    # compile emits them as one ``(n, 2)`` array with ``+inf``.
+    assert ours.bounds.shape == (len(theirs.bounds), 2)
+    assert ours.bounds.tolist() == [
+        [lb, np.inf if ub is None else ub] for lb, ub in theirs.bounds
+    ]
     assert ours.maximize == theirs.maximize
     assert np.array_equal(ours.b_ub, theirs.b_ub)
     assert np.array_equal(ours.b_eq, theirs.b_eq)
