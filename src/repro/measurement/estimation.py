@@ -13,7 +13,9 @@ sessions — the production path, where the operations center only sees
 report once into per-pair columns (report order) and estimates each
 module with array passes over them: matched volumes, the per-flow cost
 and one ``np.bincount`` fold per unit volume, in pair order.  A report
-volume that is negative or not finite is refused, naming its pair.
+volume that is negative or not finite is refused, naming its pair, and
+so is an estimated unit volume that is not finite (a near-zero flow
+count overflows its pair's packets per flow), naming its unit.
 Quantities a flow report cannot carry (distinct-host ratios, the
 half-open share) come from an :class:`EstimationModel` whose defaults
 reflect the mixed profile; in operation they would come from the same
@@ -104,6 +106,21 @@ def _checked(name: str, volumes: Mapping) -> np.ndarray:
     return column
 
 
+def _require_finite(
+    spec: ModuleSpec, name: str, column: np.ndarray, keys: Sequence[UnitKey]
+) -> None:
+    """Refuse a non-finite estimated unit volume by module and unit key:
+    a pair whose packets per flow overflow, or volumes summing past the
+    float range, must not reach the LP as ``inf`` or ``nan``."""
+    bad = ~np.isfinite(column)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"estimated {name} of {spec.name} unit {keys[k]!r} = {float(column[k])!r}:"
+            " a unit volume must be finite"
+        )
+
+
 def _port_columns(
     name: str,
     rows: Mapping[Tuple[Pair, int], float],
@@ -138,7 +155,8 @@ def estimate_units(
     sums the report carries for a port-filtered module, the pair
     totals scaled by the profiled TCP share for a protocol-wide TCP one,
     and the totals otherwise; pairs with no matched flow are left out.
-    Each unit's volumes are summed over its pairs in report order.
+    Each unit's volumes are summed over its pairs in report order; one
+    that is not finite raises a :class:`ValueError` naming the unit.
     """
     flows = _checked("pair_flows", report.pair_flows)
     _checked("pair_packets", report.pair_packets)
@@ -182,15 +200,24 @@ def estimate_units(
         keys, pair_units = scope_keys[spec.scope]
         unit = pair_units[matched]
         n = len(keys)
-        cpu = matched_flows * _cpu_per_flow(
-            spec, matched_packets / matched_flows, model
-        )
+        # A flow count near zero can overflow a pair's packets per flow;
+        # the unit check below refuses what that yields.
+        with np.errstate(over="ignore", invalid="ignore"):
+            cpu = matched_flows * _cpu_per_flow(
+                spec, matched_packets / matched_flows, model
+            )
         # ``np.bincount`` adds in pair order from 0.0: the same left fold
         # as summing the pairs one by one.
         present = np.flatnonzero(np.bincount(unit, minlength=n))
         unit_flows = np.bincount(unit, weights=matched_flows, minlength=n)
         unit_packets = np.bincount(unit, weights=matched_packets, minlength=n)
         unit_cpu = np.bincount(unit, weights=cpu, minlength=n)
+        for name, column in (
+            ("flows", unit_flows),
+            ("packets", unit_packets),
+            ("cpu", unit_cpu),
+        ):
+            _require_finite(spec, name, column, keys)
         volumes.extend(
             zip(
                 [spec] * len(present),

@@ -13,7 +13,9 @@ replaced (``tests/measurement_oracle.py``), compared with ``==``.
 * ``eligible_nodes``, now memoised on the ``PathSet``, against walking
   both directed paths on every call.
 * Malformed measurement fails loudly: a negative or non-finite report
-  volume, and an :class:`EstimationModel` ratio outside ``[0, 1]``.
+  volume, an estimated unit volume that is not finite (where the loop
+  returned ``inf`` or ``nan``), and an :class:`EstimationModel` ratio
+  outside ``[0, 1]``.
 
 Seeded mutations each of which fails a test here: folding each unit's
 pairs in sorted pair order (``test_crafted_reports_estimate_as_the_loop[
@@ -104,9 +106,20 @@ def _assert_same_report(product, expected):
         assert list(getattr(product, name)) == list(getattr(expected, name)), name
 
 
+def _finite(unit):
+    return all(map(math.isfinite, (unit.pkts, unit.items, unit.cpu_work)))
+
+
 def _assert_same_units(report, paths=PATHS, model=EstimationModel()):
+    """The loop's units, or a ``ValueError`` where the loop lets a
+    non-finite volume through (``nan`` would defeat ``==``)."""
+    expected = oracle.estimate_units(STANDARD_MODULES, report, paths, model)
+    if not all(map(_finite, expected)):
+        with pytest.raises(ValueError, match="a unit volume must be finite"):
+            estimate_units(STANDARD_MODULES, report, paths, model)
+        return None
     units = estimate_units(STANDARD_MODULES, report, paths, model)
-    assert units == oracle.estimate_units(STANDARD_MODULES, report, paths, model)
+    assert units == expected
     return units
 
 
@@ -276,6 +289,19 @@ def test_a_malformed_volume_is_refused_by_name(field, value):
     getattr(report, field)[key] = value
     with pytest.raises(ValueError, match=re.escape(f"{field}[{key!r}]")):
         estimate_units(STANDARD_MODULES, report, PATHS)
+
+
+def test_an_overflowing_flow_average_is_refused_by_unit():
+    # One subnormal flow carrying one packet: its packets per flow
+    # overflow, and the loop's cost for a per-session module is ``nan``.
+    report = _report(
+        [(("ATLA", "ATLA"), 2.225073858507203e-309)], [(("ATLA", "ATLA"), 1.0)]
+    )
+    expected = oracle.estimate_units(STANDARD_MODULES, report, PATHS)
+    assert any(math.isnan(unit.cpu_work) for unit in expected)
+    with pytest.raises(ValueError, match=re.escape("of scan unit ('ATLA',) = nan")):
+        estimate_units(STANDARD_MODULES, report, PATHS)
+    _assert_same_units(report)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -0.1, 1.5])
