@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 
 class ASTStore:
@@ -51,13 +51,6 @@ class ASTStore:
         self.parse_count += 1
         self._cache[key] = (fingerprint, source, tree)
         return source, tree
-
-    def invalidate(self, path: Optional[str] = None) -> None:
-        """Drop one cached entry, or everything when *path* is None."""
-        if path is None:
-            self._cache.clear()
-        else:
-            self._cache.pop(os.path.abspath(path), None)
 
     def __len__(self) -> int:
         return len(self._cache)

@@ -109,9 +109,6 @@ class ModuleInfo:
     #: per class: self attributes assigned/annotated as sets
     set_attrs: Dict[str, Set[str]] = field(default_factory=dict)
 
-    def resolve_constant(self, name: str) -> Optional[str]:
-        return self.string_constants.get(name)
-
 
 def _is_set_annotation(node: Optional[ast.AST]) -> bool:
     if node is None:

@@ -333,10 +333,10 @@ def cmd_control_run(args) -> int:
         f" full-equivalent"
     )
     if args.output:
-        from . import reporting
+        from .reporting import ControlEpochsReport
 
         with open(args.output, "w", newline="") as stream:
-            reporting.control_epochs_csv(result.records, stream)
+            ControlEpochsReport(result.records).write(stream)
         print(f"wrote per-epoch records to {args.output}")
     return _control_epilogue(
         args,
@@ -440,38 +440,44 @@ def cmd_figures(args) -> int:
     """Regenerate figure data as CSV artifacts."""
     import os
 
-    from . import reporting
     from .experiments import (
         fig6_module_scaling,
         fig7_volume_scaling,
         fig8_per_node_profile,
         fig11_online_regret,
     )
+    from .reporting import (
+        ComparisonReport,
+        MicrobenchReport,
+        PerNodeReport,
+        RegretReport,
+        Report,
+    )
 
     os.makedirs(args.output_dir, exist_ok=True)
     wanted = set(args.only) if args.only else {"fig5", "fig6", "fig7", "fig8", "fig11"}
 
-    def emit(name: str, writer, *writer_args) -> None:
+    def emit(name: str, report: Report) -> None:
         path = os.path.join(args.output_dir, f"{name}.csv")
         with open(path, "w", newline="") as stream:
-            writer(*writer_args, stream)
+            report.write(stream)
         print(f"wrote {path}")
 
     if "fig5" in wanted:
         rows = run_microbenchmark(num_sessions=args.sessions, runs=args.runs)
-        emit("fig5_overheads", reporting.microbench_csv, rows)
+        emit("fig5_overheads", MicrobenchReport(rows))
     if "fig6" in wanted:
         rows = fig6_module_scaling(sessions_total=args.sessions)
-        emit("fig6_modules", reporting.comparison_csv, rows, "num_modules")
+        emit("fig6_modules", ComparisonReport(rows, "num_modules"))
     if "fig7" in wanted:
         rows = fig7_volume_scaling()
-        emit("fig7_volume", reporting.comparison_csv, rows, "num_sessions")
+        emit("fig7_volume", ComparisonReport(rows, "num_sessions"))
     if "fig8" in wanted:
         profile = fig8_per_node_profile(sessions_total=args.sessions)
-        emit("fig8_per_node", reporting.per_node_csv, profile)
+        emit("fig8_per_node", PerNodeReport(profile))
     if "fig11" in wanted:
         evaluation = fig11_online_regret(num_runs=args.runs, epochs=args.epochs)
-        emit("fig11_regret", reporting.regret_csv, evaluation)
+        emit("fig11_regret", RegretReport(evaluation))
     return 0
 
 

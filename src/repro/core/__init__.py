@@ -14,7 +14,7 @@ from .dispatch import (
     ModuleBatchDecision,
     UnitResolver,
 )
-from .exactsum import ExactSum, exact_total
+from .exactsum import ExactSum
 from .manifest_table import ManifestTable
 from .manifest import (
     NodeManifest,
@@ -104,7 +104,6 @@ __all__ = [
     "CoordinationUnit",
     "DispatchDecision",
     "ExactSum",
-    "exact_total",
     "ModuleBatchDecision",
     "FPLAdapter",
     "FPLConfig",

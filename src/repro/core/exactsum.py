@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, List
+from typing import Iterable
 
 #: Fixed binary scale: ``value == _num * 2**-_SHIFT``.  ``frexp`` maps a
 #: double to ``m * 2**e`` with ``m`` in [0.5, 1); the smallest exponent
@@ -131,11 +131,3 @@ class ExactSum:
         for value in values:
             acc.add(value)
         return acc
-
-
-def exact_total(partials: List[ExactSum]) -> float:
-    """Correctly rounded sum across accumulators (merge + render)."""
-    merged = ExactSum()
-    for partial in partials:
-        merged.merge(partial)
-    return merged.value()

@@ -17,11 +17,11 @@ The discrete ``e`` variables make the problem NP-hard (reduction from
 MAX-CUT in the paper's technical report); this module provides the
 exact formulation, its LP relaxation (``OptLP``, the upper bound used
 throughout the Fig. 10 evaluation), restricted LPs with ``e`` fixed
-(used by the improved rounding variants), and an exact branch-and-bound
-solve for small instances.  Eqs. 7 and 9–11 are stated once, by
-:func:`compile_nips_polytope`: the full program wraps that compiled
-polytope with ``e``, Eq. 8 and Eq. 12, and the restricted LP is the
-polytope itself under the bounds ``d <= ê``.
+(used by the improved rounding variants), and the exact solve for small
+instances (HiGHS's branch-and-bound over the binary ``e``).  Eqs. 7 and
+9–11 are stated once, by :func:`compile_nips_polytope`: the full program
+wraps that compiled polytope with ``e``, Eq. 8 and Eq. 12, and the
+restricted LP is the polytope itself under the bounds ``d <= ê``.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..lp.milp import MILPSolution, solve_milp
 from ..lp.model import CompiledLP, LinearProgram, Relation, Sense
-from ..lp.solver import solve_or_raise
+from ..lp.solver import LPSolution, solve, solve_or_raise
 from ..nips.rules import MatchRateMatrix, NIPSRule
 from ..topology.graph import Topology
 from ..topology.routing import DistanceMetric, Path, PathSet
@@ -492,7 +491,7 @@ def solve_with_fixed_rules(
     )
 
 
-def solve_exact(problem: NIPSProblem, max_nodes: int = 2000) -> MILPSolution:
-    """Exact branch-and-bound solve (small instances / test baselines)."""
-    built = build_nips_lp(problem, integral=True)
-    return solve_milp(built.program, max_nodes=max_nodes)
+def solve_exact(problem: NIPSProblem) -> LPSolution:
+    """The integer optimum ``OptNIPS``, proved by HiGHS's
+    branch-and-bound (small instances / test baselines)."""
+    return solve(build_nips_lp(problem, integral=True).program)

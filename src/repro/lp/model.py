@@ -201,8 +201,8 @@ class LinearProgram:
         self.objective_cols = np.empty(0, dtype=np.intp)
         self.objective_coefficients = np.empty(0, dtype=np.float64)
         self.sense: Sense = Sense.MINIMIZE
-        #: Variables :mod:`repro.lp.milp` keeps integral-in-{0,1}; the
-        #: pure LP backend sees only their bounds (the LP relaxation).
+        #: Variables the solver keeps integral (binary by their ``[0, 1]``
+        #: bounds); a program without any is an LP.
         self.binary_indices: List[int] = []
 
     # -- construction -----------------------------------------------------
@@ -325,6 +325,7 @@ class LinearProgram:
             ineq_names=ineq_names,
             eq_names=eq_names,
             name=self.name,
+            binary_indices=tuple(self.binary_indices),
         )
 
 
@@ -393,6 +394,8 @@ class CompiledLP:
     ineq_names: Names
     eq_names: Names
     name: str = "lp"
+    #: Columns the solver keeps integral; empty for an LP.
+    binary_indices: Tuple[int, ...] = ()
     #: Set by :meth:`with_bounds`: the solver leaves the columns these
     #: bounds fix at zero out of what it hands the backend.
     bounds_view: bool = False

@@ -1,9 +1,12 @@
-"""LP solver backend: HiGHS, through the bindings SciPy ships.
+"""LP and MILP solver backend: HiGHS, through the bindings SciPy ships.
 
-The paper solved its linear programs with CPLEX; HiGHS solves the same
+The paper solved its programs with CPLEX; HiGHS solves the same
 programs to optimality, so every downstream quantity (optimal loads,
-``d*`` fractions, LP upper bounds for the rounding analysis) is
-preserved.  This module is the only place solver specifics live.
+``d*`` fractions, LP upper bounds for the rounding analysis, exact
+integer optima) is preserved.  This module is the only place solver
+specifics live.  A program with binary columns is handed to HiGHS with
+those columns integral, in the same call, and HiGHS's own
+branch-and-bound solves it to a relative gap of zero.
 
 A solve hands HiGHS exactly what ``scipy.optimize.linprog(method=
 "highs")`` would — the same column-wise matrix, bounds and options —
@@ -50,7 +53,7 @@ class SolverError(RuntimeError):
 
 @dataclass
 class LPSolution:
-    """Result of one LP solve.
+    """Result of one LP or MILP solve.
 
     ``objective`` is reported in the model's own sense (a maximization
     model reports the maximum), regardless of the internal sign flip
@@ -60,7 +63,7 @@ class LPSolution:
     values) in the order the model's inequality/equality constraints
     were added — the sensitivity of the objective to relaxing each
     constraint, used by the provisioning analyses.  Signs follow the
-    model's own sense.
+    model's own sense.  A MILP has none: both lists are empty.
     """
 
     status: SolveStatus
@@ -114,6 +117,9 @@ def solve(program: Union[LinearProgram, CompiledLP]) -> LPSolution:
     evaluated by the program itself: term by term in stated order for
     a :class:`LinearProgram`, ``cost · x`` for a :class:`CompiledLP`.
 
+    A program with ``binary_indices`` is a MILP: those columns are
+    integral, and ``OPTIMAL`` means HiGHS proved the integer optimum.
+
     Never raises for infeasible/unbounded models — callers branch on
     ``solution.status``.  Use :func:`solve_or_raise` when the model is
     known-feasible by construction (e.g. the NIDS coverage LP, which
@@ -131,8 +137,14 @@ def solve(program: Union[LinearProgram, CompiledLP]) -> LPSolution:
         cost, bounds = cost[kept], bounds[kept]
         a_ub = None if a_ub is None else a_ub[:, kept]
         a_eq = None if a_eq is None else a_eq[:, kept]
+    args = (cost, a_ub, compiled.b_ub, a_eq, compiled.b_eq, bounds)
+    integral = len(compiled.binary_indices) > 0
+    if integral:  # an LP's call carries no integrality argument
+        integrality = np.zeros(compiled.num_variables, dtype=np.int32)
+        integrality[list(compiled.binary_indices)] = 1
+        args += (integrality if kept is None else integrality[kept],)
     try:
-        result = backend(cost, a_ub, compiled.b_ub, a_eq, compiled.b_eq, bounds)
+        result = backend(*args)
     except ValueError as exc:
         elapsed = time.perf_counter() - started
         _record_solve(program, SolveStatus.ERROR, elapsed, None)
@@ -162,9 +174,9 @@ def solve(program: Union[LinearProgram, CompiledLP]) -> LPSolution:
     sign = -1.0 if compiled.maximize else 1.0
     ineq_duals: List[float] = []
     eq_duals: List[float] = []
-    if result.ineq_duals is not None:
+    if result.ineq_duals is not None and not integral:
         ineq_duals = (sign * result.ineq_duals).tolist()
-    if result.eq_duals is not None:
+    if result.eq_duals is not None and not integral:
         eq_duals = (sign * result.eq_duals).tolist()
 
     _record_solve(program, result.status, elapsed, result.iterations)
@@ -210,9 +222,16 @@ _LINPROG_STATUS = {
 _FEASIBILITY_TOL = np.sqrt(1e-9) * 10
 
 
-def _solve_linprog(cost, a_ub, b_ub, a_eq, b_eq, bounds) -> _BackendResult:
+#: HiGHS stops its branch-and-bound only on a proved optimum.
+_MIP_REL_GAP = 0.0
+
+
+def _solve_linprog(
+    cost, a_ub, b_ub, a_eq, b_eq, bounds, integrality=None
+) -> _BackendResult:
     """One solve through ``scipy.optimize.linprog`` (the fallback, and
-    the reference the direct path is tested against)."""
+    the reference the direct path is tested against).  *integrality*
+    marks integral columns with 1; ``None`` is an LP."""
     result = linprog(
         c=cost,
         A_ub=a_ub,
@@ -221,6 +240,8 @@ def _solve_linprog(cost, a_ub, b_ub, a_eq, b_eq, bounds) -> _BackendResult:
         b_eq=b_eq if len(b_eq) else None,
         bounds=bounds,
         method="highs",
+        integrality=integrality,
+        options=None if integrality is None else {"mip_rel_gap": _MIP_REL_GAP},
     )
     return _BackendResult(
         status=_LINPROG_STATUS.get(result.status, SolveStatus.ERROR),
@@ -237,14 +258,17 @@ def _finite(name: str, values: np.ndarray) -> None:
         raise ValueError(f"{name} must not contain values inf or nan")
 
 
-def _solve_highs(cost, a_ub, b_ub, a_eq, b_eq, bounds) -> _BackendResult:
+def _solve_highs(
+    cost, a_ub, b_ub, a_eq, b_eq, bounds, integrality=None
+) -> _BackendResult:
     """One solve through SciPy's HiGHS bindings, as ``linprog`` runs it.
 
     The same input checks (a ``ValueError`` for what ``linprog`` would
     refuse), the same model (column-wise ``[A_ub; A_eq]``, rows
     ``-inf <= A_ub x <= b_ub`` and ``b_eq <= A_eq x <= b_eq``, a NaN
-    bound read as no bound), the same options and the same status
-    mapping, including the post-solve feasibility check.
+    bound read as no bound, *integrality* 1 on integral columns), the
+    same options and the same status mapping, including the post-solve
+    feasibility check.
     """
     cost = np.asarray(cost, dtype=np.float64)
     num_cols = len(cost)
@@ -275,7 +299,9 @@ def _solve_highs(cost, a_ub, b_ub, a_eq, b_eq, bounds) -> _BackendResult:
     iterations = 0
     # The array overload: HiGHS copies the buffers, no per-entry
     # conversion.  Indices are int32; ``integrality`` must hold one
-    # (continuous) entry per column, an empty one is refused.
+    # entry per column (0 continuous), an empty one is refused.
+    if integrality is None:
+        integrality = np.zeros(num_cols, dtype=np.int32)
     passed = highs.passModel(
         num_cols,
         matrix.shape[0],
@@ -291,7 +317,7 @@ def _solve_highs(cost, a_ub, b_ub, a_eq, b_eq, bounds) -> _BackendResult:
         matrix.indptr.astype(np.int32, copy=False),
         matrix.indices.astype(np.int32, copy=False),
         matrix.data,
-        np.zeros(num_cols, dtype=np.int32),
+        integrality,
     )
     if passed == failed:
         model_status = _highs.HighsModelStatus.kModelError
@@ -336,8 +362,10 @@ def _solve_highs(cost, a_ub, b_ub, a_eq, b_eq, bounds) -> _BackendResult:
 
 
 if _highs is not None:
-    #: The options ``linprog(method="highs")`` sets; the rest default.
+    #: The options ``linprog(method="highs")`` sets, and the MIP gap
+    #: :func:`_solve_linprog` hands it; the rest default.
     _OPTIONS = _highs.HighsOptions()
+    _OPTIONS.mip_rel_gap = _MIP_REL_GAP
     _OPTIONS.presolve = "on"
     _OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
     _OPTIONS.log_to_console = False
@@ -365,10 +393,10 @@ def _record_solve(
 ) -> None:
     """Record one solve into the ambient telemetry registry.
 
-    This backend is the single funnel every LP in the system flows
-    through (NIDS assignment, NIPS relaxation/rounding, MILP node
-    relaxations), so recording here gives the unified snapshot its
-    solver section without threading a registry down the call chain.
+    This backend is the single funnel every program in the system
+    flows through (NIDS assignment, NIPS relaxation/rounding, the exact
+    NIPS MILP), so recording here gives the unified snapshot its solver
+    section without threading a registry down the call chain.
     A no-op under the default null registry.
     """
     registry = get_registry()

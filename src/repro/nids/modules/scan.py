@@ -40,8 +40,3 @@ class ScanDetector(Detector):
                     detail=f"contacted {len(seen)} distinct destinations",
                 )
             )
-
-    @property
-    def tracked_sources(self) -> int:
-        """Number of sources with live state (the memory-model item count)."""
-        return len(self._destinations)

@@ -41,8 +41,3 @@ class SynFloodDetector(Detector):
                     detail=f"{count} half-open connection attempts",
                 )
             )
-
-    @property
-    def tracked_destinations(self) -> int:
-        """Destinations with live state (the memory-model item count)."""
-        return len(self._half_open)

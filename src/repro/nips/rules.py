@@ -58,11 +58,6 @@ class MatchRateMatrix:
         """Iterate ((rule index, pair), rate) entries."""
         return self._rates.items()
 
-    def total_matched_fraction(self, pair: Pair, num_rules: int) -> float:
-        """Total fraction of the pair's traffic matched by any rule
-        (rules are non-redundant by assumption, so fractions add)."""
-        return sum(self.rate(i, pair) for i in range(num_rules))
-
     # -- generators -----------------------------------------------------------
     @classmethod
     def uniform(

@@ -6,10 +6,6 @@ Every figure artifact is a :class:`Report`: a named table with a
 for programmatic consumers).  Telemetry snapshots ride the same
 interface via :class:`MetricsSnapshotReport`, which adds the
 Prometheus text format.
-
-The original ``*_csv`` functions remain as thin wrappers over the
-report classes, so existing callers (and the ``repro figures`` CLI)
-are unaffected.
 """
 
 from __future__ import annotations
@@ -314,41 +310,3 @@ class MetricsSnapshotReport(Report):
             _write_prometheus(self.registry, stream)
         else:
             super().write(stream, fmt=fmt)
-
-
-# -- legacy function interface (thin wrappers) ----------------------------
-def comparison_csv(rows: Sequence[ComparisonRow], x_label: str, stream: TextIO) -> None:
-    """Figs. 6/7 series: x, max loads, and reductions per deployment."""
-    ComparisonReport(rows, x_label).write(stream, fmt="csv")
-
-
-def per_node_csv(profile: PerNodeProfile, stream: TextIO) -> None:
-    """Fig. 8: per-node loads under both deployments."""
-    PerNodeReport(profile).write(stream, fmt="csv")
-
-
-def microbench_csv(rows: Sequence[MicrobenchRow], stream: TextIO) -> None:
-    """Fig. 5: per-module coordination overheads (mean/min/max)."""
-    MicrobenchReport(rows).write(stream, fmt="csv")
-
-
-def rounding_csv(stats: Sequence[RoundingStats], stream: TextIO) -> None:
-    """Fig. 10: fraction-of-OptLP per topology/capacity/variant."""
-    RoundingReport(stats).write(stream, fmt="csv")
-
-
-def regret_csv(evaluation: OnlineEvaluation, stream: TextIO) -> None:
-    """Fig. 11: normalized regret per epoch per run."""
-    RegretReport(evaluation).write(stream, fmt="csv")
-
-
-def control_epochs_csv(records: Sequence[EpochRecord], stream: TextIO) -> None:
-    """Coordination-plane run: one row per epoch (``repro control run``)."""
-    ControlEpochsReport(records).write(stream, fmt="csv")
-
-
-def to_string(writer, *args) -> str:
-    """Render any writer above into a string (convenience for tests)."""
-    stream = io.StringIO()
-    writer(*args, stream)
-    return stream.getvalue()

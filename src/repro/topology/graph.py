@@ -142,11 +142,6 @@ class Topology:
         """City populations keyed by node name (gravity-model input)."""
         return {name: spec.population for name, spec in self._nodes.items()}
 
-    @property
-    def total_population(self) -> float:
-        """Sum of all node populations."""
-        return sum(spec.population for spec in self._nodes.values())
-
     # -- interop ------------------------------------------------------------
     def graph(self) -> nx.Graph:
         """The underlying networkx graph (treat as read-only)."""

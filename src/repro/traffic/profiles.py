@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List
+from typing import Dict
 
 from .packet import TCP, UDP
 
@@ -108,11 +108,6 @@ class TrafficProfile:
         #: order and their running weight sums.
         self.templates = tuple(TEMPLATES[name] for name in self.weights)
         self.cumulative_weights = list(accumulate(self.weights.values()))
-
-    @property
-    def template_names(self) -> List[str]:
-        """Names of the templates in this mixture."""
-        return list(self.weights)
 
     def template_ids(self, uniforms):
         """Indices into :attr:`templates` for uniform draws in ``[0, 1)``.

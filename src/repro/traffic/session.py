@@ -108,11 +108,6 @@ class TraceStats:
         """Distinct source hosts observed."""
         return len(self.sources)
 
-    @property
-    def num_destinations(self) -> int:
-        """Distinct destination hosts observed."""
-        return len(self.destinations)
-
 
 def trace_stats(sessions: List[Session]) -> TraceStats:
     """Compute :class:`TraceStats` over *sessions*."""

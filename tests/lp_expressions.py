@@ -13,10 +13,10 @@ compare the product's block layouts against the result with ``==``.  It
 shares the vocabulary (``Sense``, ``Relation``) and the lowering target
 (``CompiledLP``, ``Names``) with the product, and no lowering code.
 
-An :class:`ExpressionProgram` offers what ``repro.lp.solver.solve`` and
-``repro.lp.milp.solve_milp`` read of a program (``name``, ``sense``,
-``num_variables``, the bound lists, ``binary_indices``, ``compile()``,
-``objective_value()``), so it is solved by handing it to them, and the
+An :class:`ExpressionProgram` offers what ``repro.lp.solver.solve``
+reads of a program (``name``, ``num_variables``, ``compile()`` — which
+carries ``binary_indices``, so a MILP is solved as one —
+``objective_value()``), so it is solved by handing it over, and the
 objective it reports is its own term-by-term evaluation.
 """
 
@@ -229,9 +229,8 @@ class ExpressionProgram:
     ) -> Variable:
         """Add a decision variable and return its handle.
 
-        ``binary=True`` marks the variable integral-in-{0,1}; the pure
-        LP backend treats it as ``0 <= x <= 1`` (the LP relaxation) and
-        :mod:`repro.lp.milp` enforces integrality by branch and bound.
+        ``binary=True`` marks the variable integral-in-{0,1}: the
+        solver keeps it integral, with the bounds ``0 <= x <= 1``.
         """
         if name in self._names:
             raise ValueError(f"duplicate variable name {name!r}")
@@ -320,6 +319,7 @@ class ExpressionProgram:
             ineq_names=ub.names(),
             eq_names=eq.names(),
             name=self.name,
+            binary_indices=tuple(self.binary_indices),
         )
 
 

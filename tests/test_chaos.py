@@ -689,7 +689,7 @@ class TestControllerOutageAcceptance:
 
     def test_epoch_records_account_every_bus_message(self, outage):
         """Chaos epochs carry the same per-epoch bus columns scripted
-        ones do (``reporting.control_epochs_csv`` prints them)."""
+        ones do (``reporting.ControlEpochsReport`` prints them)."""
         result, _registry = outage
         records = [chaos_record.record for chaos_record in result.records]
         assert sum(r.messages_sent for r in records) == result.bus_stats.sent

@@ -1,11 +1,12 @@
-"""Tests for the LP modeling layer, solver backend, and MILP search.
+"""Tests for the LP modeling layer and the solver backend, LPs and MILPs.
 
 The product states programs as index blocks (``repro.lp.model``); the
 operator-overloading spelling is the tests' reference module
 (``tests/lp_expressions.py``).  ``TestLinExpr`` / ``TestLinearProgram``
 cover the reference itself, ``TestSolver`` / ``TestDuals`` solve small
 programs written both ways, ``TestMILP`` and the classes after it drive
-the product's blocks.
+the product's blocks; ``TestMILPOnBothBackends`` solves every MILP here
+through the HiGHS bindings and through the ``linprog`` fallback.
 """
 
 import math
@@ -21,9 +22,9 @@ from repro.lp import (
     SolveStatus,
     SolverError,
     solve,
-    solve_milp,
     solve_or_raise,
 )
+from repro.lp import solver
 from tests.lp_expressions import ExpressionProgram, LinExpr, linear_sum, value
 from tests.test_planning_columns import _Counted
 
@@ -188,28 +189,56 @@ class TestSolver:
         assert solve_or_raise(lp).solve_seconds >= 0.0
 
 
-class TestMILP:
-    def _knapsack(self, values, weights, capacity):
-        lp = LinearProgram("knapsack")
-        variables = lp.add_variables(
-            len(values), [f"b{i}" for i in range(len(values))], lb=0.0, ub=1.0
-        )
-        lp.binary_indices.extend(variables)
-        lp.add_constraints(
-            Relation.LE, [0] * len(values), variables, weights, [capacity], ["capacity"]
-        )
-        lp.set_objective(variables, values, Sense.MAXIMIZE)
-        return lp, variables
+def _knapsack(values, weights, capacity):
+    lp = LinearProgram("knapsack")
+    variables = lp.add_variables(
+        len(values), [f"b{i}" for i in range(len(values))], lb=0.0, ub=1.0
+    )
+    lp.binary_indices.extend(variables)
+    lp.add_constraints(
+        Relation.LE, [0] * len(values), variables, weights, [capacity], ["capacity"]
+    )
+    lp.set_objective(variables, values, Sense.MAXIMIZE)
+    return lp, variables
 
+
+def _infeasible_milp():
+    lp = LinearProgram()
+    (b,) = lp.add_variables(1, ["b"], ub=1.0)
+    lp.binary_indices.append(b)
+    lp.add_constraints(Relation.GE, [0], [b], [1.0], [2.0], ["two"])
+    lp.set_objective([b], [1.0], Sense.MAXIMIZE)
+    return lp
+
+
+def _minimization_milp():
+    lp = LinearProgram()
+    a, b = lp.add_variables(2, ["a", "b"], ub=1.0)
+    lp.binary_indices.extend((a, b))
+    lp.add_constraints(Relation.GE, [0, 0], [a, b], [1.0, 1.0], [1.0], ["one"])
+    lp.set_objective([a, b], [3.0, 2.0], Sense.MINIMIZE)
+    return lp
+
+
+def _mixed_milp():
+    lp = LinearProgram()
+    b, x = lp.add_variables(2, ["b", "x"], ub=[1.0, 10.0])
+    lp.binary_indices.append(b)
+    lp.add_constraints(Relation.LE, [0, 0], [x, b], [1.0, -5.0], [2.5], ["link"])
+    lp.set_objective([x], [1.0], Sense.MAXIMIZE)
+    return lp
+
+
+class TestMILP:
     def test_knapsack_exact(self):
-        lp, _ = self._knapsack([6, 5, 4], [5, 4, 3], 8)
-        result = solve_milp(lp)
+        lp, _ = _knapsack([6, 5, 4], [5, 4, 3], 8)
+        result = solve(lp)
         assert result.objective == pytest.approx(10.0)
-        assert result.proved_optimal
+        assert result.optimal
 
     def test_binary_values_integral(self):
-        lp, variables = self._knapsack([10, 7, 3, 2], [4, 3, 2, 1], 6)
-        result = solve_milp(lp)
+        lp, variables = _knapsack([10, 7, 3, 2], [4, 3, 2, 1], 6)
+        result = solve(lp)
         for var in variables:
             value = result.values[var]
             assert abs(value - round(value)) < 1e-6
@@ -223,42 +252,35 @@ class TestMILP:
             for picks in itertools.product([0, 1], repeat=5)
             if sum(w for w, pick in zip(weights, picks) if pick) <= capacity
         )
-        lp, _ = self._knapsack(values, weights, capacity)
-        assert solve_milp(lp).objective == pytest.approx(best)
+        lp, _ = _knapsack(values, weights, capacity)
+        assert solve(lp).objective == pytest.approx(best)
 
     def test_milp_never_beats_relaxation(self):
-        lp, _ = self._knapsack([6, 5, 4], [5, 4, 3], 8)
+        lp, _ = _knapsack([6, 5, 4], [5, 4, 3], 8)
+        integral = solve(lp)
+        lp.binary_indices.clear()
         relaxed = solve_or_raise(lp)
-        integral = solve_milp(lp)
         assert integral.objective <= relaxed.objective + 1e-6
 
     def test_infeasible_milp(self):
-        lp = LinearProgram()
-        (b,) = lp.add_variables(1, ["b"], ub=1.0)
-        lp.binary_indices.append(b)
-        lp.add_constraints(Relation.GE, [0], [b], [1.0], [2.0], ["two"])
-        lp.set_objective([b], [1.0], Sense.MAXIMIZE)
-        result = solve_milp(lp)
+        result = solve(_infeasible_milp())
         assert result.status is SolveStatus.INFEASIBLE
 
     def test_minimization_milp(self):
-        lp = LinearProgram()
-        a, b = lp.add_variables(2, ["a", "b"], ub=1.0)
-        lp.binary_indices.extend((a, b))
-        lp.add_constraints(Relation.GE, [0, 0], [a, b], [1.0, 1.0], [1.0], ["one"])
-        lp.set_objective([a, b], [3.0, 2.0], Sense.MINIMIZE)
-        result = solve_milp(lp)
+        result = solve(_minimization_milp())
         assert result.objective == pytest.approx(2.0)
         assert round(result.value_by_name("b")) == 1
 
     def test_continuous_variables_stay_fractional(self):
-        lp = LinearProgram()
-        b, x = lp.add_variables(2, ["b", "x"], ub=[1.0, 10.0])
-        lp.binary_indices.append(b)
-        lp.add_constraints(Relation.LE, [0, 0], [x, b], [1.0, -5.0], [2.5], ["link"])
-        lp.set_objective([x], [1.0], Sense.MAXIMIZE)
-        result = solve_milp(lp)
+        result = solve(_mixed_milp())
         assert result.objective == pytest.approx(7.5)
+
+    def test_a_milp_reports_no_duals(self):
+        lp, _ = _knapsack([6, 5, 4], [5, 4, 3], 8)
+        result = solve(lp)
+        assert result.optimal and result.ineq_duals == result.eq_duals == []
+        lp.binary_indices.clear()
+        assert len(solve(lp).ineq_duals) == 1
 
 
 class TestDuals:
@@ -337,21 +359,23 @@ class TestObjectiveFold:
         assert solve_or_raise(lp).objective == total != math.fsum(terms)
 
 
-class TestMILPNames:
-    def _program(self, capacity):
-        names = _Counted([f"b{i}" for i in range(4)])
-        lp = LinearProgram("knapsack")
-        b = lp.add_variables(4, names, ub=1.0)
-        lp.binary_indices.extend(b)
-        lp.add_constraints(Relation.LE, [0] * 4, b, [4.0, 3.0, 2.0, 1.0], [capacity], ["capacity"])
-        lp.add_constraints(Relation.GE, [0] * 4, b, [1.0] * 4, [0.5], ["some"])
-        lp.set_objective(b, [10.0, 7.0, 3.0, 2.0], Sense.MAXIMIZE)
-        return lp, names
+def _counted_knapsack(capacity):
+    """A knapsack whose variable names count how often they render."""
+    names = _Counted([f"b{i}" for i in range(4)])
+    lp = LinearProgram("knapsack")
+    b = lp.add_variables(4, names, ub=1.0)
+    lp.binary_indices.extend(b)
+    lp.add_constraints(Relation.LE, [0] * 4, b, [4.0, 3.0, 2.0, 1.0], [capacity], ["capacity"])
+    lp.add_constraints(Relation.GE, [0] * 4, b, [1.0] * 4, [0.5], ["some"])
+    lp.set_objective(b, [10.0, 7.0, 3.0, 2.0], Sense.MAXIMIZE)
+    return lp, names
 
+
+class TestMILPNames:
     def test_a_solve_renders_no_block(self):
-        lp, names = self._program(6.0)
-        result = solve_milp(lp)
-        assert result.proved_optimal and result.nodes_explored > 1
+        lp, names = _counted_knapsack(6.0)
+        result = solve(lp)
+        assert result.optimal
         assert result.objective == pytest.approx(13.0)
         assert names.calls == 0
         assert round(result.value_by_name("b2")) == 1
@@ -361,12 +385,51 @@ class TestMILPNames:
             result.value_by_name("nonexistent")
 
     def test_neither_does_an_infeasible_one(self):
-        lp, names = self._program(-1.0)
-        assert solve_milp(lp).status is SolveStatus.INFEASIBLE
-        lp, fractional_names = self._program(0.5)  # relaxation feasible, no integral point
-        result = solve_milp(lp)
-        assert result.status is SolveStatus.INFEASIBLE and result.nodes_explored > 1
+        lp, names = _counted_knapsack(-1.0)
+        assert solve(lp).status is SolveStatus.INFEASIBLE
+        lp, fractional_names = _counted_knapsack(0.5)  # relaxation feasible, no integral point
+        result = solve(lp)
+        assert result.status is SolveStatus.INFEASIBLE
         assert (names.calls, fractional_names.calls) == (0, 0)
+
+
+try:
+    from scipy.optimize._highspy import _core  # noqa: F401
+except ImportError:  # pragma: no cover - SciPy without the bindings
+    HAVE_BINDINGS = False
+else:
+    HAVE_BINDINGS = True
+
+#: Every MILP solved in this module, by a name for its test id.
+MILP_CASES = {
+    "knapsack": lambda: _knapsack([6, 5, 4], [5, 4, 3], 8)[0],
+    "knapsack-integral": lambda: _knapsack([10, 7, 3, 2], [4, 3, 2, 1], 6)[0],
+    "knapsack-bruteforce": lambda: _knapsack([7, 9, 4, 6, 3], [3, 5, 2, 4, 1], 9)[0],
+    "infeasible": _infeasible_milp,
+    "minimization": _minimization_milp,
+    "mixed": _mixed_milp,
+    "names": lambda: _counted_knapsack(6.0)[0],
+    "names-infeasible": lambda: _counted_knapsack(-1.0)[0],
+    "names-fractional-infeasible": lambda: _counted_knapsack(0.5)[0],
+}
+
+
+@pytest.mark.skipif(not HAVE_BINDINGS, reason="SciPy ships no HiGHS bindings")
+class TestMILPOnBothBackends:
+    """The bindings and the ``linprog`` fallback hand HiGHS the same
+    MILP, so they report the same status, objective and point."""
+
+    @pytest.mark.parametrize("case", sorted(MILP_CASES))
+    def test_same_outcome(self, monkeypatch, case):
+        outcomes = []
+        for backend in (solver._solve_highs, solver._solve_linprog):
+            monkeypatch.setattr(solver, "backend", backend)
+            result = solve(MILP_CASES[case]())
+            outcomes.append((result.status, result.objective, result.values))
+        (status, objective, values), reference = outcomes
+        assert status is reference[0]
+        assert objective == reference[1] or math.isnan(objective) and math.isnan(reference[1])
+        assert values == reference[2]
 
 
 class TestRemovedSpellings:
@@ -419,12 +482,10 @@ class TestRemovedSpellings:
         assert repro.lp.__all__ == [
             "LPSolution",
             "LinearProgram",
-            "MILPSolution",
             "Relation",
             "Sense",
             "SolveStatus",
             "SolverError",
             "solve",
-            "solve_milp",
             "solve_or_raise",
         ]

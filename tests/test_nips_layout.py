@@ -1,8 +1,9 @@
 """The one NIPS layout against the per-term oracle (``tests/planning_oracle.py``).
 
 ``repro.core.nips_milp.compile_nips_polytope`` states Eqs. 7 and 9–11
-once; the relaxation wraps it, and the fixed-``e`` re-solve, the FPL
-best response and branch-and-bound are bounds/cost views.  The oracle
+once; the relaxation wraps it, the fixed-``e`` re-solve and the FPL
+best response are bounds/cost views of it, and the exact solve hands
+the full program to HiGHS with ``e`` integral.  The oracle
 is the parent's expression-built ``build_nips_lp`` (with its
 ``fixed_e=`` fork) and ``solve_best_response`` builder, verbatim.
 
@@ -45,7 +46,6 @@ from repro.core.rounding import (
     greedy_fill,
     round_enablement,
 )
-from repro.lp.milp import solve_milp
 from repro.lp.model import LinearProgram
 from repro.lp.solver import solve
 from repro.nips.adversary import UniformProcess
@@ -290,29 +290,28 @@ def test_non_positive_weights_are_fixed_at_zero(monkeypatch):
     assert solved[1:] == []  # nothing worth filtering: no solve at all
 
 
-# -- branch-and-bound is a bounds view ------------------------------------------------
+# -- the exact solve is one MILP handed to HiGHS ------------------------------------
 @pytest.mark.parametrize(
-    "kwargs, objective, nodes",
+    "kwargs, objective",
     [
-        (dict(num_rules=3, cam=1.0, num_nodes=4), 3770.823258294558, 9),
-        (dict(num_rules=4, cam=2.0, num_nodes=5), 5817.203685399809, 7),
-        (dict(num_rules=3, cam=1.0, num_nodes=5, seed=9), 3697.303866033596, 9),
+        (dict(num_rules=3, cam=1.0, num_nodes=4), 3770.823258294558),
+        (dict(num_rules=4, cam=2.0, num_nodes=5), 5817.203685399809),
+        (dict(num_rules=3, cam=1.0, num_nodes=5, seed=9), 3697.303866033596),
     ],
 )
-def test_exact_solve_is_the_parents(kwargs, objective, nodes):
-    """Objective and search tree pinned at the parent commit's values,
-    and equal on the oracle-built program."""
+def test_exact_solve_is_the_parents(kwargs, objective):
+    """Objective pinned at the values the parent's search proved, and
+    equal on the oracle-built program."""
     problem = small_problem(**kwargs)
     program = build_nips_lp(problem, integral=True).program
     lower, upper = list(program.lower_bounds), list(program.upper_bounds)
     exact = solve_exact(problem)
-    reference = solve_milp(oracle.build_nips_lp(problem, integral=True).program, max_nodes=2000)
+    reference = solve(oracle.build_nips_lp(problem, integral=True).program)
     for result in (exact, reference):
         assert result.objective == pytest.approx(objective, rel=REL)
-        assert result.proved_optimal
-        assert result.nodes_explored == nodes
+        assert result.optimal
     assert exact.values == reference.values
-    solve_milp(program)
+    solve(program)
     assert (program.lower_bounds, program.upper_bounds) == (lower, upper)
 
 

@@ -1,5 +1,6 @@
 """Tests for the NIPS MILP formulation (Eqs. 7-14)."""
 
+import itertools
 import random
 
 import pytest
@@ -168,7 +169,7 @@ class TestExactVsRelaxation:
         problem = small_problem(num_rules=3, cam=1.0, num_nodes=4)
         relaxed = solve_relaxation(problem)
         exact = solve_exact(problem)
-        assert exact.feasible
+        assert exact.optimal
         assert exact.objective <= relaxed.objective + 1e-6
 
     def test_exact_solution_feasible(self):
@@ -186,6 +187,49 @@ class TestExactVsRelaxation:
                 a, b = pair_str.split("-")
                 d[(int(i), (a, b), node)] = value
         assert problem.check_feasible(e, d) == []
+
+
+def _brute_force_optimum(problem):
+    """``OptNIPS`` by enumeration, independent of any search: every
+    placement ``e`` within each node's TCAM, its best ``d`` solved as a
+    bounds view of the relaxation's polytope, the best of them kept."""
+    polytope = compile_nips_polytope(problem)
+    rules = problem.rules
+    per_node = []
+    for node in problem.topology.node_names:
+        capacity = problem.topology.node(node).cam_capacity
+        per_node.append(
+            [
+                {(rule.index, node) for rule in chosen}
+                for size in range(len(rules) + 1)
+                for chosen in itertools.combinations(rules, size)
+                if sum(rule.cam_req for rule in chosen) <= capacity
+            ]
+        )
+    best = 0.0
+    for placement in itertools.product(*per_node):
+        enabled = set().union(*placement)
+        fixed = {key: int(key in enabled) for key in polytope.e_keys}
+        best = max(best, solve_with_fixed_rules(polytope, fixed).objective)
+    return best
+
+
+class TestExactByEnumeration:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(num_rules=3, cam=1.0, num_nodes=4),
+            dict(num_rules=2, cam=1.0, num_nodes=4, seed=9),
+            dict(num_rules=4, cam=1.0, num_nodes=3, seed=9),
+        ],
+    )
+    def test_exact_is_the_best_placement(self, kwargs):
+        problem = small_problem(**kwargs)
+        exact = solve_exact(problem)
+        assert exact.optimal
+        assert exact.objective == pytest.approx(_brute_force_optimum(problem), rel=1e-9)
+        # Instances whose relaxation is fractional: integrality binds.
+        assert solve_relaxation(problem).objective > exact.objective + 1.0
 
 
 class TestFixedRuleLP:

@@ -270,6 +270,7 @@ def _assert_same_compile(ours, theirs):
         [lb, np.inf if ub is None else ub] for lb, ub in theirs.bounds
     ]
     assert ours.maximize == theirs.maximize
+    assert ours.binary_indices == theirs.binary_indices
     assert np.array_equal(ours.b_ub, theirs.b_ub)
     assert np.array_equal(ours.b_eq, theirs.b_eq)
     assert list(ours.variable_names) == list(theirs.variable_names)

@@ -43,7 +43,12 @@ DELETED_FAMILIES = (
 class TestRemovedSurface:
     @pytest.mark.parametrize(
         "module",
-        ["repro.measurement.snmp", "repro.topology.generators", "repro.nids.pipeline"],
+        [
+            "repro.measurement.snmp",
+            "repro.topology.generators",
+            "repro.nids.pipeline",
+            "repro.lp.milp",
+        ],
     )
     def test_deleted_modules_do_not_import(self, module):
         with pytest.raises(ImportError):
@@ -58,6 +63,17 @@ class TestRemovedSurface:
         for name in ("PacketPipeline", "PipelineFindings"):
             with pytest.raises(AttributeError):
                 getattr(repro.nids, name)
+
+    def test_the_hand_written_branch_and_bound_is_gone(self):
+        # HiGHS solves a program with binary columns in the one solve.
+        import repro.lp
+        from repro.core.nips_milp import solve_exact
+
+        for name in ("solve_milp", "MILPSolution"):
+            assert not hasattr(repro.lp, name)
+            assert name not in repro.lp.__all__
+        with pytest.raises(TypeError, match="max_nodes"):
+            solve_exact(None, max_nodes=2000)
 
     def test_the_per_record_flow_export_is_gone(self):
         # Reports are filled straight from the sessions; the record path

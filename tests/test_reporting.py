@@ -26,7 +26,7 @@ class TestComparisonCSV:
                 x=21, edge_cpu=200.0, coord_cpu=90.0, edge_mem_mb=50.0, coord_mem_mb=40.0
             ),
         ]
-        parsed = _parse(reporting.to_string(reporting.comparison_csv, rows, "modules"))
+        parsed = _parse(reporting.ComparisonReport(rows, "modules").to_string("csv"))
         assert parsed[0][0] == "modules"
         assert len(parsed) == 3
         assert float(parsed[1][1]) == 100.0
@@ -36,7 +36,7 @@ class TestComparisonCSV:
 class TestMicrobenchCSV:
     def test_all_modules_emitted(self):
         rows = run_microbenchmark(num_sessions=1200, runs=1)
-        parsed = _parse(reporting.to_string(reporting.microbench_csv, rows))
+        parsed = _parse(reporting.MicrobenchReport(rows).to_string("csv"))
         modules = {row[0] for row in parsed[1:]}
         assert "baseline" in modules and "signature" in modules
         assert len(parsed) == len(rows) + 1
@@ -45,7 +45,7 @@ class TestMicrobenchCSV:
 class TestPerNodeCSV:
     def test_eleven_nodes(self):
         profile = fig8_per_node_profile(sessions_total=1200, seed=9)
-        parsed = _parse(reporting.to_string(reporting.per_node_csv, profile))
+        parsed = _parse(reporting.PerNodeReport(profile).to_string("csv"))
         assert len(parsed) == 12  # header + 11 nodes
         assert parsed[11][1] == "NYCM"
 
@@ -104,7 +104,7 @@ class TestRoundingCSV:
                 maximum=0.99,
             )
         ]
-        parsed = _parse(reporting.to_string(reporting.rounding_csv, stats))
+        parsed = _parse(reporting.RoundingReport(stats).to_string("csv"))
         assert parsed[0][0] == "topology"
         assert parsed[1][2] == "round+greedy+lp"
         assert float(parsed[1][3]) == pytest.approx(0.97)
@@ -125,14 +125,14 @@ class TestRegretCSV:
                 )
             ]
         )
-        parsed = _parse(reporting.to_string(reporting.regret_csv, evaluation))
+        parsed = _parse(reporting.RegretReport(evaluation).to_string("csv"))
         assert parsed[1] == ["1", "10", "0.09999999999999998"] or float(
             parsed[1][2]
         ) == pytest.approx(0.1)
 
 
 class TestReportProtocol:
-    """The Report.write interface the legacy ``*_csv`` wrappers sit on."""
+    """The Report.write interface every figure artifact is written through."""
 
     def _rows(self):
         return [
@@ -140,13 +140,6 @@ class TestReportProtocol:
                 x=8, edge_cpu=100.0, coord_cpu=60.0, edge_mem_mb=40.0, coord_mem_mb=35.0
             )
         ]
-
-    def test_csv_matches_legacy_wrapper(self):
-        rows = self._rows()
-        report = reporting.ComparisonReport(rows, "modules")
-        assert report.to_string("csv") == reporting.to_string(
-            reporting.comparison_csv, rows, "modules"
-        )
 
     def test_json_envelope(self):
         import json
@@ -183,15 +176,12 @@ class TestReportProtocol:
         }
         assert len(names) == 7
 
-    def test_control_epochs_report_matches_wrapper(self):
+    def test_control_epochs_report_has_a_row_per_epoch(self):
         from repro.control import ScenarioConfig, run_scenario
 
         result = run_scenario(
             ScenarioConfig(epochs=4, base_sessions=200, seed=5)
         )
         report = reporting.ControlEpochsReport(result.records)
-        assert report.to_string("csv") == reporting.to_string(
-            reporting.control_epochs_csv, result.records
-        )
         parsed = _parse(report.to_string("csv"))
         assert len(parsed) == 5  # header + 4 epochs
