@@ -252,9 +252,11 @@ def verify_artifact_files(
         for ident in manifest.entries:
             holders.setdefault(ident, set()).add(node)
     if assignment is not None:
-        for (class_name, key, node), fraction in assignment.fractions.items():
-            if fraction > EPSILON:
-                holders.setdefault((class_name, key), set()).add(node)
+        heavy = assignment.value > EPSILON
+        for u, k in zip(
+            assignment.unit_of[heavy].tolist(), assignment.node_of[heavy].tolist()
+        ):
+            holders.setdefault(assignment.units[u], set()).add(assignment.nodes[k])
     units = _pseudo_units(sorted(holders), holders, topology_label)
     report = verify_deployment(units, manifests, assignment)
     if assignment is None:

@@ -25,9 +25,9 @@ import numpy as np
 
 from ..hashing.ranges import EPSILON, HashRange, are_disjoint
 from ..obs import COUNT_BUCKETS, get_registry
-from .manifest_table import WHOLE, EntryKey, ManifestTable
+from .manifest_table import WHOLE, Columns, EntryKey, ManifestTable
 from .nids_lp import NIDSAssignment
-from .units import CoordinationUnit, UnitKey
+from .units import CoordinationUnit, UnitKey, unit_label
 
 
 @dataclass
@@ -115,16 +115,7 @@ def generate_manifests(
         name: NodeManifest(node=name) for name in node_names
     }
     sizes = np.fromiter((len(unit.eligible) for unit in units), np.intp, count=len(units))
-    get = assignment.fractions.get
-    d_star = np.fromiter(
-        (
-            get((unit.class_name, unit.key, node), 0.0)
-            for unit in units
-            for node in unit.eligible
-        ),
-        np.float64,
-        count=int(sizes.sum()),
-    )
+    d_star = assignment.gather(units)
     grid = np.zeros((len(units), int(sizes.max(initial=0))))
     owner = np.repeat(np.arange(len(units)), sizes)
     grid[owner, np.arange(len(d_star)) - (np.cumsum(sizes) - sizes)[owner]] = d_star
@@ -274,12 +265,6 @@ def raise_first(findings: Sequence[Finding]) -> None:
         raise ValueError(findings[0].render())
 
 
-def unit_label(ident: EntryKey) -> str:
-    """``class/key,key`` — the subject prefix of a unit's findings."""
-    class_name, key = ident
-    return f"{class_name}/{','.join(key)}"
-
-
 def check_disjoint(
     subject: str, pieces: Sequence[HashRange], message: str
 ) -> List[Finding]:
@@ -308,6 +293,14 @@ def _fold(values: np.ndarray, segments: np.ndarray, count: int) -> np.ndarray:
             at = within == k
             total[segments[at]] += values[at]
     return total
+
+
+def _row_mass(columns: Columns) -> np.ndarray:
+    """Each row's mass: its pieces' lengths added in entry order, as
+    :meth:`NodeManifest.assigned_fraction` sums them."""
+    return _fold(
+        np.maximum(columns.hi - columns.lo, 0.0), columns.row, len(columns.row_unit)
+    )
 
 
 def check_partition(
@@ -511,9 +504,7 @@ def _off_path(
     more than ``EPSILON`` of a unit it is not eligible for — or of a
     unit absent from *units* (``planned`` false)."""
     columns = table.columns
-    mass = _fold(
-        np.maximum(columns.hi - columns.lo, 0.0), columns.row, len(columns.row_unit)
-    )
+    mass = _row_mass(columns)
     # Each row group's path; a unit listed twice counts as its last.
     paths: List[Optional[Tuple[str, ...]]] = [None] * (len(columns.offsets) - 1)
     for unit, group in zip(units, table.unit_ids(unit.ident for unit in units).tolist()):
@@ -536,40 +527,70 @@ def check_assignment(
     units: Sequence[CoordinationUnit],
     assignment: NIDSAssignment,
 ) -> List[Finding]:
-    """Eqs. 1 and 6 on the raw ``d*`` profile, plus the path constraint."""
+    """Eqs. 1 and 6 on the raw ``d*`` profile, plus the path constraint.
+
+    One pass over the assignment's columns in ``(class, key, node)``
+    order renders each entry's findings; each unit's mass folds left to
+    right in that order, and a unit of *units* that the assignment
+    lacks sums to 0.0.
+    """
+    order = assignment.sorted_order()
+    unit_of, node_of = assignment.unit_of[order], assignment.node_of[order]
+    value = assignment.value[order]
+    # Eq. 6 first, and written so that NaN fails it: a negative or NaN
+    # fraction carries no mass, so the mass test below would hide it.
+    outside = ~((-EPSILON <= value) & (value <= 1.0 + EPSILON))
+    heavy = value > EPSILON
+    # The path of each planned unit of the assignment; a unit listed
+    # twice in *units* counts as its last.
+    planned = assignment.unit_ids(unit.ident for unit in units)
+    paths: List[Optional[Tuple[str, ...]]] = [None] * len(assignment.units)
+    for unit, u in zip(units, planned.tolist()):
+        if u >= 0:
+            paths[u] = unit.eligible
+    nodes = assignment.nodes
+    off = np.zeros(len(value), dtype=bool)
+    off[heavy] = [
+        path is not None and nodes[k] not in path
+        for path, k in zip(
+            (paths[u] for u in unit_of[heavy].tolist()), node_of[heavy].tolist()
+        )
+    ]
+
     findings: List[Finding] = []
-    eligible: Dict[EntryKey, Tuple[str, ...]] = {
-        unit.ident: unit.eligible for unit in units
-    }
-    sums: Dict[EntryKey, float] = {}
-    for (class_name, key, node), fraction in sorted(assignment.fractions.items()):
-        ident = (class_name, key)
-        label = unit_label(ident)
-        # Eq. 6 first, and written so that NaN fails it: a negative or
-        # NaN fraction carries no mass, so the skip below would hide it.
-        if not -EPSILON <= fraction <= 1.0 + EPSILON:
+    flagged = np.flatnonzero(outside | off)
+    for t, u, k, fraction in zip(
+        flagged.tolist(),
+        unit_of[flagged].tolist(),
+        node_of[flagged].tolist(),
+        value[flagged].tolist(),
+    ):
+        subject = f"{unit_label(assignment.units[u])}@{nodes[k]}"
+        if outside[t]:
             findings.append(
                 Finding(
-                    REP101,
-                    f"{label}@{node}",
-                    f"fraction {fraction!r} outside [0, 1] (Eq. 6)",
+                    REP101, subject, f"fraction {fraction!r} outside [0, 1] (Eq. 6)"
                 )
             )
-        if not fraction > EPSILON:
-            continue
-        if ident in eligible and node not in eligible[ident]:
+        if off[t]:
             findings.append(
                 Finding(
                     REP104,
-                    f"{label}@{node}",
+                    subject,
                     f"d* assigns {fraction:.6f} to a node off the unit's"
                     " forwarding path",
                 )
             )
-        sums[ident] = sums.get(ident, 0.0) + fraction
-    for unit in units:
+
+    # Eq. 1: each unit's heavy entries, folded in node order.
+    held_by, mass = unit_of[heavy], value[heavy]
+    first = np.ones(len(held_by), dtype=bool)
+    first[1:] = held_by[1:] != held_by[:-1]
+    sums = np.zeros(len(assignment.units) + 1)  # the last slot: absent
+    sums[held_by[first]] = _fold(mass, np.cumsum(first) - 1, int(first.sum()))
+    totals = sums[planned].tolist()
+    for unit, total in zip(units, totals):
         expected = assignment.coverage.get(unit.ident, 1.0)
-        total = sums.get(unit.ident, 0.0)
         if not abs(total - expected) <= MASS_TOL:
             findings.append(
                 Finding(
@@ -592,23 +613,47 @@ def check_manifests_match_assignment(
     Only meaningful for *unstabilized* manifests — the controller's
     churn suppression deliberately keeps manifests up to its tolerance
     away from the fresh optimum, so its gate skips this check.
+
+    Both sides come in the units' (unit, eligible node) order: ``d*``
+    through :meth:`NIDSAssignment.gather`, the held mass as each row's
+    pieces folded from the set's table (a ``full`` node holds 1.0, a
+    node without an entry 0.0).  Nodes without a manifest are skipped.
     """
+    solved = assignment.gather(units)
+    table = ManifestTable.from_manifests(manifests)
+    columns = table.columns
+    node_ids = {name: k for k, name in enumerate(table.nodes)}
+    sizes = np.fromiter(
+        (len(unit.eligible) for unit in units), np.intp, count=len(units)
+    )
+    group = np.repeat(table.unit_ids(unit.ident for unit in units), sizes)
+    eligible = [name for unit in units for name in unit.eligible]
+    node = np.fromiter(
+        (node_ids.get(name, -1) for name in eligible), np.intp, count=len(eligible)
+    )
+    # Rows are grouped by unit and sorted by node within a group, so
+    # ``group * |nodes| + node`` is sorted; a pair without a row asks
+    # for -1, the prepended 0.0.
+    stride = len(table.nodes)
+    wanted = np.where((group >= 0) & (node >= 0), group * stride + node, -1)
+    rows = np.concatenate(([-1], columns.row_unit * stride + columns.row_node))
+    mass = np.concatenate(([0.0], _row_mass(columns)))
+    at = np.minimum(np.searchsorted(rows, wanted), len(rows) - 1)
+    held = np.where(rows[at] == wanted, mass[at], 0.0)
+    held[np.isin(node, [node_ids[name] for name in table.full_nodes])] = 1.0
+
+    drift = (node >= 0) & ~(np.abs(held - solved) <= MASS_TOL)
+    owner = np.repeat(np.arange(len(units)), sizes)
     findings: List[Finding] = []
-    for unit in units:
-        for node in unit.eligible:
-            if node not in manifests:
-                continue
-            held = manifests[node].assigned_fraction(unit.class_name, unit.key)
-            solved = assignment.fraction(unit.class_name, unit.key, node)
-            if not abs(held - solved) <= MASS_TOL:
-                findings.append(
-                    Finding(
-                        REP107,
-                        f"{unit_label(unit.ident)}@{node}",
-                        f"manifest holds {held:.8f} of the hash space but"
-                        f" the solution assigned {solved:.8f}",
-                    )
-                )
+    for t in np.flatnonzero(drift).tolist():
+        findings.append(
+            Finding(
+                REP107,
+                f"{unit_label(units[owner[t]].ident)}@{eligible[t]}",
+                f"manifest holds {held[t]:.8f} of the hash space but"
+                f" the solution assigned {solved[t]:.8f}",
+            )
+        )
     return findings
 
 

@@ -241,16 +241,23 @@ def load_manifests(text: str) -> Dict[str, NodeManifest]:
 
 
 def assignment_to_dict(assignment: NIDSAssignment) -> dict:
-    """Encode an LP assignment (the ``d*`` profile) as a dict."""
+    """Encode an LP assignment (the ``d*`` profile) as a dict: its
+    entries above 1e-12, in ``(class, unit, node)`` order."""
+    order = assignment.sorted_order()
+    order = order[assignment.value[order] > 1e-12]
+    units, nodes = assignment.units, assignment.nodes
     fractions = [
         {
-            "class": class_name,
-            "unit": list(key),
-            "node": node,
+            "class": units[u][0],
+            "unit": list(units[u][1]),
+            "node": nodes[k],
             "fraction": value,
         }
-        for (class_name, key, node), value in sorted(assignment.fractions.items())
-        if value > 1e-12
+        for u, k, value in zip(
+            assignment.unit_of[order].tolist(),
+            assignment.node_of[order].tolist(),
+            assignment.value[order].tolist(),
+        )
     ]
     return {
         "version": SCHEMA_VERSION,
@@ -267,23 +274,26 @@ def assignment_to_dict(assignment: NIDSAssignment) -> dict:
 
 
 def assignment_from_dict(data: Mapping) -> NIDSAssignment:
-    """Decode an assignment dict back into :class:`NIDSAssignment`."""
+    """Decode an assignment dict back into :class:`NIDSAssignment`.
+
+    A (class, unit, node) listed twice is an error, not last-wins: the
+    first listing's fraction would vanish unchecked.
+    """
     if data.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {data.get('version')!r}")
-    fractions = {
-        (entry["class"], tuple(entry["unit"]), entry["node"]): entry["fraction"]
-        for entry in data["fractions"]
-    }
     coverage = {
         (entry["class"], tuple(entry["unit"])): entry["coverage"]
         for entry in data["coverage"]
     }
-    return NIDSAssignment(
-        fractions=fractions,
-        cpu_load=dict(data["cpu_load"]),
-        mem_load=dict(data["mem_load"]),
+    return NIDSAssignment.from_triples(
+        (
+            (entry["class"], entry["unit"], entry["node"], entry["fraction"])
+            for entry in data["fractions"]
+        ),
+        coverage,
+        cpu_load=data["cpu_load"],
+        mem_load=data["mem_load"],
         objective=float(data["objective"]),
-        coverage=coverage,
         solve_seconds=float(data.get("solve_seconds", 0.0)),
     )
 

@@ -28,32 +28,90 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..lp.model import LinearProgram, Relation, Sense
 from ..lp.solver import solve_or_raise
 from ..topology.graph import Topology
-from .units import CoordinationUnit, UnitKey
+from .manifest_table import EntryKey
+from .units import CoordinationUnit, UnitKey, unit_label
 
-FractionKey = Tuple[str, UnitKey, str]  # (class, unit key, node)
 
-
-@dataclass
+@dataclass(eq=False)
 class NIDSAssignment:
-    """Optimal ``d*`` fractions plus the per-node load profile."""
+    """Optimal ``d*`` as the solver's columns, plus the per-node load profile.
 
-    fractions: Dict[FractionKey, float]
+    Entry ``t`` says ``d_ikj = value[t]`` for the unit ``units[unit_of[t]]``
+    (a ``(class, key)`` ident) on the node ``nodes[node_of[t]]``.  Entries
+    are grouped by unit in table order and name a (unit, node) pair at
+    most once; a pair without an entry is 0.0.  A solve holds
+    :func:`build_nids_lp`'s ``d`` slice as it is: every eligible pair,
+    zeros included, each unit's nodes in path order.
+
+    The ``(class, key, node)`` triple is this module's alone: built by
+    :meth:`from_triples`, read back in bulk by :meth:`gather` and
+    :meth:`sorted_order`, one unit at a time by :meth:`fraction` and
+    :meth:`responsible_nodes`.
+    """
+
+    units: Tuple[EntryKey, ...]
+    nodes: Tuple[str, ...]
+    unit_of: np.ndarray
+    node_of: np.ndarray
+    value: np.ndarray
     cpu_load: Dict[str, float]
     mem_load: Dict[str, float]
     objective: float
-    coverage: Dict[Tuple[str, UnitKey], float]
+    coverage: Dict[EntryKey, float]
     solve_seconds: float
 
-    def fraction(self, class_name: str, key: UnitKey, node: str) -> float:
-        """``d*`` for (class, unit, node); 0 when absent."""
-        return self.fractions.get((class_name, key, node), 0.0)
+    @classmethod
+    def from_triples(
+        cls,
+        triples: Iterable[Tuple[str, Sequence[str], str, float]],
+        coverage: Mapping[EntryKey, float],
+        cpu_load: Optional[Mapping[str, float]] = None,
+        mem_load: Optional[Mapping[str, float]] = None,
+        objective: float = 0.0,
+        solve_seconds: float = 0.0,
+    ) -> "NIDSAssignment":
+        """The assignment with ``d*[class, key, node] = value`` for each
+        ``(class, key, node, value)`` of *triples*, units and nodes in
+        first-seen order.  A (class, key, node) given twice, or a value
+        that is not a number, is a ``ValueError`` naming the entry."""
+        unit_ids: Dict[EntryKey, int] = {}
+        node_ids: Dict[str, int] = {}
+        entries: Dict[Tuple[int, int], float] = {}
+        for class_name, key, node, value in triples:
+            ident = (class_name, tuple(key))
+            u = unit_ids.setdefault(ident, len(unit_ids))
+            k = node_ids.setdefault(node, len(node_ids))
+            if (u, k) in entries:
+                raise ValueError(
+                    f"assignment lists d* of {unit_label(ident)}@{node} twice"
+                )
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(
+                    f"d* of {unit_label(ident)}@{node} is {value!r}, not a number"
+                )
+            entries[u, k] = value
+        unit_col = np.array([u for u, _ in entries], dtype=np.intp)
+        grouped = np.argsort(unit_col, kind="stable")
+        return cls(
+            units=tuple(unit_ids),
+            nodes=tuple(node_ids),
+            unit_of=unit_col[grouped],
+            node_of=np.array([k for _, k in entries], dtype=np.intp)[grouped],
+            value=np.array(list(entries.values()), dtype=np.float64)[grouped],
+            cpu_load=dict(cpu_load or {}),
+            mem_load=dict(mem_load or {}),
+            objective=objective,
+            coverage=dict(coverage),
+            solve_seconds=solve_seconds,
+        )
 
     @property
     def max_cpu_load(self) -> float:
@@ -65,13 +123,78 @@ class NIDSAssignment:
         """Largest per-node memory load."""
         return max(self.mem_load.values()) if self.mem_load else 0.0
 
-    def responsible_nodes(self, class_name: str, key: UnitKey) -> List[Tuple[str, float]]:
+    # -- the index joins ----------------------------------------------------
+    @cached_property
+    def _unit_ids(self) -> Dict[EntryKey, int]:
+        return {ident: u for u, ident in enumerate(self.units)}
+
+    def unit_ids(self, idents: Iterable[EntryKey]) -> np.ndarray:
+        """Index into :attr:`units` of each of *idents* (``-1``: absent)."""
+        index = self._unit_ids
+        return np.fromiter(
+            (index.get(ident, -1) for ident in idents), dtype=np.intp
+        )
+
+    def gather(self, units: Sequence[CoordinationUnit]) -> np.ndarray:
+        """``d*`` in *units*' (unit, eligible node) order — the order of
+        :func:`build_nids_lp`'s ``d`` for them — joined on the unit and
+        node tables; a unit or node the assignment lacks reads 0.0."""
+        sizes = np.fromiter(
+            (len(u.eligible) for u in units), np.intp, count=len(units)
+        )
+        unit = np.repeat(self.unit_ids(u.ident for u in units), sizes)
+        node_ids = {name: k for k, name in enumerate(self.nodes)}
+        node = np.fromiter(
+            (node_ids.get(name, -1) for u in units for name in u.eligible),
+            np.intp,
+            count=int(sizes.sum()),
+        )
+        # Join on ``unit * |nodes| + node``, which names one pair; an
+        # absent unit or node asks for -1, the appended 0.0.
+        stride = len(self.nodes)
+        wanted = np.where((unit >= 0) & (node >= 0), unit * stride + node, -1)
+        pairs = np.append(self.unit_of * stride + self.node_of, -1)
+        values = np.append(self.value, 0.0)
+        order = np.argsort(pairs)
+        found = np.searchsorted(pairs, wanted, sorter=order)
+        at = order[np.minimum(found, len(pairs) - 1)]
+        return np.where(pairs[at] == wanted, values[at], 0.0)
+
+    def sorted_order(self) -> np.ndarray:
+        """The entries in ``(class, key, node)`` order: the order the
+        sorted triples come in."""
+        return np.lexsort(
+            (_ranks(self.nodes)[self.node_of], _ranks(self.units)[self.unit_of])
+        )
+
+    # -- one unit ---------------------------------------------------------------
+    def _entries(self, class_name: str, key: UnitKey) -> List[Tuple[str, float]]:
+        """The unit's (node, ``d*``) entries, in column order."""
+        u = self._unit_ids.get((class_name, key))
+        if u is None:
+            return []
+        lo, hi = np.searchsorted(self.unit_of, [u, u + 1]).tolist()
+        nodes, values = self.node_of[lo:hi].tolist(), self.value[lo:hi].tolist()
+        return [(self.nodes[k], value) for k, value in zip(nodes, values)]
+
+    def fraction(self, class_name: str, key: UnitKey, node: str) -> float:
+        """``d*`` for (class, unit, node); 0 when absent."""
+        entries = self._entries(class_name, key)
+        return next((value for name, value in entries if name == node), 0.0)
+
+    def responsible_nodes(
+        self, class_name: str, key: UnitKey
+    ) -> List[Tuple[str, float]]:
         """Nodes with positive responsibility for a unit, with fractions."""
-        return [
-            (node, value)
-            for (c, k, node), value in self.fractions.items()
-            if c == class_name and k == key and value > 1e-9
-        ]
+        entries = self._entries(class_name, key)
+        return [(node, value) for node, value in entries if value > 1e-9]
+
+
+def _ranks(items: Sequence) -> np.ndarray:
+    """Each item's position in ``sorted(items)``."""
+    ranks = np.empty(len(items), dtype=np.intp)
+    ranks[sorted(range(len(items)), key=items.__getitem__)] = np.arange(len(items))
+    return ranks
 
 
 @dataclass
@@ -81,16 +204,19 @@ class BuiltNIDSLP:
     Variables ``d`` (a contiguous range) are the ``d_ikj`` in unit
     order, each unit's eligible nodes in ``P_ik`` order — the same
     order ``(unit, node) for unit in units for node in unit.eligible``
-    enumerates.  ``cpu_load_cols[j]`` / ``mem_load_cols[j]`` are the
-    columns of ``CpuLoad[j]`` / ``MemLoad[j]`` for the topology's
-    ``j``-th node.
+    enumerates; ``d[t]`` is unit ``unit_of[t]``'s share on the
+    topology's ``node_of[t]``-th node.  ``cpu_load_cols[j]`` /
+    ``mem_load_cols[j]`` are the columns of ``CpuLoad[j]`` /
+    ``MemLoad[j]`` for the topology's ``j``-th node.
     """
 
     program: LinearProgram
     d: range
+    unit_of: np.ndarray
+    node_of: np.ndarray
     cpu_load_cols: np.ndarray
     mem_load_cols: np.ndarray
-    coverage: Dict[Tuple[str, UnitKey], float]
+    coverage: Dict[EntryKey, float]
 
 
 def check_coverage(coverage: float, name: str = "coverage") -> None:
@@ -223,6 +349,8 @@ def build_nids_lp(
     return BuiltNIDSLP(
         program=lp,
         d=d,
+        unit_of=unit_of,
+        node_of=node_of,
         cpu_load_cols=cpu_load_cols,
         mem_load_cols=mem_load_cols,
         coverage=per_unit_coverage,
@@ -247,18 +375,12 @@ def solve_nids_lp(
     values = np.asarray(solution.values)
     # Clamp solver noise into [0, 1]; "+ 0.0" turns a -0.0 into 0.0.
     d_star = np.clip(values[built.d.start : built.d.stop], 0.0, 1.0) + 0.0
-    fractions = dict(
-        zip(
-            (
-                (unit.class_name, unit.key, node)
-                for unit in units
-                for node in unit.eligible
-            ),
-            d_star.tolist(),
-        )
-    )
     return NIDSAssignment(
-        fractions=fractions,
+        units=tuple(unit.ident for unit in units),
+        nodes=tuple(topology.node_names),
+        unit_of=built.unit_of,
+        node_of=built.node_of,
+        value=d_star,
         cpu_load=dict(zip(topology.node_names, values[built.cpu_load_cols].tolist())),
         mem_load=dict(zip(topology.node_names, values[built.mem_load_cols].tolist())),
         objective=solution.objective,
@@ -282,8 +404,8 @@ def integral_assignment(
     worse than the LP optimum.
     """
     ordered = sorted(units, key=lambda u: -(u.cpu_work + u.mem_bytes))
-    fractions: Dict[FractionKey, float] = {}
-    per_unit_coverage: Dict[Tuple[str, UnitKey], float] = {}
+    triples = []
+    per_unit_coverage: Dict[EntryKey, float] = {}
     cpu_load = {name: 0.0 for name in topology.node_names}
     mem_load = {name: 0.0 for name in topology.node_names}
     for unit in ordered:
@@ -297,19 +419,14 @@ def integral_assignment(
                 + unit.mem_bytes / topology.node(node).mem_capacity,
             ),
         )
-        fractions[(unit.class_name, unit.key, best)] = 1.0
+        triples.append((unit.class_name, unit.key, best, 1.0))
         cpu_load[best] += unit.cpu_work / topology.node(best).cpu_capacity
         mem_load[best] += unit.mem_bytes / topology.node(best).mem_capacity
     objective = max(
         max(cpu_load.values(), default=0.0), max(mem_load.values(), default=0.0)
     )
-    return NIDSAssignment(
-        fractions=fractions,
-        cpu_load=cpu_load,
-        mem_load=mem_load,
-        objective=objective,
-        coverage=per_unit_coverage,
-        solve_seconds=0.0,
+    return NIDSAssignment.from_triples(
+        triples, per_unit_coverage, cpu_load, mem_load, objective
     )
 
 
@@ -323,8 +440,8 @@ def uniform_assignment(
     Ignores load: every eligible node takes an equal share.  Useful for
     quantifying what the LP's load-awareness buys.
     """
-    fractions: Dict[FractionKey, float] = {}
-    per_unit_coverage: Dict[Tuple[str, UnitKey], float] = {}
+    triples = []
+    per_unit_coverage: Dict[EntryKey, float] = {}
     cpu_load = {name: 0.0 for name in topology.node_names}
     mem_load = {name: 0.0 for name in topology.node_names}
     for unit in units:
@@ -332,18 +449,13 @@ def uniform_assignment(
         per_unit_coverage[unit.ident] = unit_coverage
         share = unit_coverage / len(unit.eligible)
         for node in unit.eligible:
-            fractions[(unit.class_name, unit.key, node)] = share
+            triples.append((unit.class_name, unit.key, node, share))
             spec = topology.node(node)
             cpu_load[node] += unit.cpu_work * share / spec.cpu_capacity
             mem_load[node] += unit.mem_bytes * share / spec.mem_capacity
     objective = max(
         max(cpu_load.values(), default=0.0), max(mem_load.values(), default=0.0)
     )
-    return NIDSAssignment(
-        fractions=fractions,
-        cpu_load=cpu_load,
-        mem_load=mem_load,
-        objective=objective,
-        coverage=per_unit_coverage,
-        solve_seconds=0.0,
+    return NIDSAssignment.from_triples(
+        triples, per_unit_coverage, cpu_load, mem_load, objective
     )

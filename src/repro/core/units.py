@@ -69,6 +69,12 @@ class CoordinationUnit:
         return len(self.eligible) == 1
 
 
+def unit_label(ident: Tuple[str, UnitKey]) -> str:
+    """``class/key,key`` — the subject prefix of a unit's findings."""
+    class_name, key = ident
+    return f"{class_name}/{','.join(key)}"
+
+
 def unit_key(scope: Scope, ingress: str, egress: str) -> UnitKey:
     """``GET_COORD_UNIT``: the unit key of traffic entering at *ingress*
     and leaving at *egress*, for a class of placement *scope*."""

@@ -33,7 +33,7 @@ from .profiles import (
     web_heavy_profile,
 )
 from .batch import SessionBatch
-from .session import Session, TraceStats, merge_packet_streams, trace_stats
+from .session import Session, merge_packet_streams
 
 __all__ = [
     "DiurnalBurstModel",
@@ -51,7 +51,6 @@ __all__ = [
     "SessionTemplate",
     "TCP",
     "TEMPLATES",
-    "TraceStats",
     "TrafficGenerator",
     "TrafficMatrix",
     "TrafficProfile",
@@ -63,6 +62,5 @@ __all__ = [
     "host_id",
     "merge_packet_streams",
     "mixed_profile",
-    "trace_stats",
     "web_heavy_profile",
 ]

@@ -12,7 +12,7 @@ tests, the micro-benchmarks' event engine).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Tuple
 
 from .packet import FLAG_ACK, FLAG_FIN, FLAG_SYN, FiveTuple, Packet, TCP, UDP
@@ -79,42 +79,6 @@ class Session:
             if self.tuple.proto == TCP and index == remaining - 1:
                 flags |= FLAG_FIN
             yield Packet(direction, clock, size=size, flags=flags, payload_tag=tag)
-
-
-@dataclass
-class TraceStats:
-    """Aggregate item counts for a collection of sessions.
-
-    These are the ``T^items`` quantities the LP consumes: distinct
-    flows, sessions, sources, and destinations, plus total packets.
-    """
-
-    num_sessions: int = 0
-    num_packets: int = 0
-    num_bytes: int = 0
-    sources: set = field(default_factory=set)
-    destinations: set = field(default_factory=set)
-
-    def add(self, session: Session) -> None:
-        """Fold one session into the aggregate counters."""
-        self.num_sessions += 1
-        self.num_packets += session.num_packets
-        self.num_bytes += session.num_bytes
-        self.sources.add(session.tuple.src)
-        self.destinations.add(session.tuple.dst)
-
-    @property
-    def num_sources(self) -> int:
-        """Distinct source hosts observed."""
-        return len(self.sources)
-
-
-def trace_stats(sessions: List[Session]) -> TraceStats:
-    """Compute :class:`TraceStats` over *sessions*."""
-    stats = TraceStats()
-    for session in sessions:
-        stats.add(session)
-    return stats
 
 
 def merge_packet_streams(sessions: List[Session]) -> List[Packet]:

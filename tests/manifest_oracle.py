@@ -21,6 +21,13 @@ and per (node, entry), with the scalar ``WrappedRange`` arc and
 ``covers_unit_interval`` sweep (once ``repro.hashing.ranges``) they
 were written in, verbatim but for generation's metrics counters;
 ``tests/test_fig2_columns.py`` compares them with ``==``.
+
+So are the two checks that read the solved ``d*``,
+``repro.core.manifest.check_assignment`` and
+``check_manifests_match_assignment``: the loops over the dict the
+assignment carried before it held the solver's columns (which
+``tests.planning_oracle.fractions_of`` rebuilds);
+``tests/test_dstar_columns.py`` compares them finding for finding.
 """
 
 import dataclasses
@@ -34,6 +41,7 @@ from repro.core.manifest import (
     REP101,
     REP103,
     REP104,
+    REP107,
     EntryKey,
     Finding,
     NodeManifest,
@@ -49,7 +57,7 @@ from repro.hashing.ranges import EPSILON, HashRange, union_length
 from repro.nids.modules.base import ModuleSpec
 from repro.topology.routing import PathSet
 from repro.traffic.session import Session
-from tests.planning_oracle import build_units
+from tests.planning_oracle import build_units, fractions_of
 
 
 def holders(
@@ -392,6 +400,7 @@ def generate_manifests(
     manifests: Dict[str, NodeManifest] = {
         name: NodeManifest(node=name) for name in node_names
     }
+    fractions = fractions_of(assignment)
     for unit in units:
         position = 0.0
         # Track the wrapped layout position incrementally instead of
@@ -404,7 +413,7 @@ def generate_manifests(
         cursor = 0.0
         last_entry: Optional[Tuple[str, EntryKey]] = None
         for node in unit.eligible:
-            fraction = assignment.fraction(unit.class_name, unit.key, node)
+            fraction = fractions.get((unit.class_name, unit.key, node), 0.0)
             if fraction <= EPSILON:
                 continue
             arc = WrappedRange(start=cursor, length=min(1.0, fraction))
@@ -563,6 +572,83 @@ def check_on_path(
                         subject,
                         f"node holds {mass:.6f} of the unit's hash space"
                         " but is not on its forwarding path",
+                    )
+                )
+    return findings
+
+
+# -- repro.core.manifest (the d* checks) ------------------------------------
+def check_assignment(
+    units: Sequence[CoordinationUnit],
+    assignment: NIDSAssignment,
+) -> List[Finding]:
+    """Eqs. 1 and 6 on the raw ``d*`` profile, plus the path constraint."""
+    findings: List[Finding] = []
+    eligible: Dict[EntryKey, Tuple[str, ...]] = {
+        unit.ident: unit.eligible for unit in units
+    }
+    sums: Dict[EntryKey, float] = {}
+    for (class_name, key, node), fraction in sorted(fractions_of(assignment).items()):
+        ident = (class_name, key)
+        label = unit_label(ident)
+        # Eq. 6 first, and written so that NaN fails it: a negative or
+        # NaN fraction carries no mass, so the skip below would hide it.
+        if not -EPSILON <= fraction <= 1.0 + EPSILON:
+            findings.append(
+                Finding(
+                    REP101,
+                    f"{label}@{node}",
+                    f"fraction {fraction!r} outside [0, 1] (Eq. 6)",
+                )
+            )
+        if not fraction > EPSILON:
+            continue
+        if ident in eligible and node not in eligible[ident]:
+            findings.append(
+                Finding(
+                    REP104,
+                    f"{label}@{node}",
+                    f"d* assigns {fraction:.6f} to a node off the unit's"
+                    " forwarding path",
+                )
+            )
+        sums[ident] = sums.get(ident, 0.0) + fraction
+    for unit in units:
+        expected = assignment.coverage.get(unit.ident, 1.0)
+        total = sums.get(unit.ident, 0.0)
+        if not abs(total - expected) <= MASS_TOL:
+            findings.append(
+                Finding(
+                    REP101,
+                    unit_label(unit.ident),
+                    f"d* sums to {total!r}, coverage requires {expected!r}"
+                    " (Eq. 1)",
+                )
+            )
+    return findings
+
+
+def check_manifests_match_assignment(
+    units: Sequence[CoordinationUnit],
+    assignment: NIDSAssignment,
+    manifests: Mapping[str, NodeManifest],
+) -> List[Finding]:
+    """Per (unit, node): manifest mass must equal the solved ``d*``."""
+    fractions = fractions_of(assignment)
+    findings: List[Finding] = []
+    for unit in units:
+        for node in unit.eligible:
+            if node not in manifests:
+                continue
+            held = manifests[node].assigned_fraction(unit.class_name, unit.key)
+            solved = fractions.get((unit.class_name, unit.key, node), 0.0)
+            if not abs(held - solved) <= MASS_TOL:
+                findings.append(
+                    Finding(
+                        REP107,
+                        f"{unit_label(unit.ident)}@{node}",
+                        f"manifest holds {held:.8f} of the hash space but"
+                        f" the solution assigned {solved:.8f}",
                     )
                 )
     return findings

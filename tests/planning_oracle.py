@@ -32,7 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.nids_lp import FractionKey, NIDSAssignment
+from repro.core.nids_lp import NIDSAssignment
 from repro.core.nips_milp import DKey, EKey, NIPSPolytope, NIPSProblem, NIPSSolution, Pair
 from repro.core.units import (
     CoordinationUnit,
@@ -43,6 +43,8 @@ from repro.core.units import (
 from repro.hashing.keys import Aggregation
 from repro.lp.model import Sense
 from repro.lp.solver import LPSolution, solve_or_raise
+
+FractionKey = Tuple[str, UnitKey, str]  # (class, unit key, node)
 from repro.nids.modules.base import ModuleSpec
 from repro.topology.graph import Topology
 from repro.topology.routing import PathSet
@@ -186,6 +188,20 @@ def build_nids_lp(
     )
 
 
+def fractions_of(assignment: NIDSAssignment) -> Dict[FractionKey, float]:
+    """The ``d*`` dict an assignment carried before it held columns:
+    ``{(class, unit key, node): value}`` in column order."""
+    units, nodes = assignment.units, assignment.nodes
+    return {
+        (units[u][0], units[u][1], nodes[k]): value
+        for u, k, value in zip(
+            assignment.unit_of.tolist(),
+            assignment.node_of.tolist(),
+            assignment.value.tolist(),
+        )
+    }
+
+
 def solve_nids_lp(
     units: Sequence[CoordinationUnit],
     topology: Topology,
@@ -208,12 +224,12 @@ def solve_nids_lp(
     mem_load = {
         name: value(solution, var) for name, var in built.mem_load_vars.items()
     }
-    assignment = NIDSAssignment(
-        fractions=fractions,
+    assignment = NIDSAssignment.from_triples(
+        ((*key, value) for key, value in fractions.items()),
+        built.coverage,
         cpu_load=cpu_load,
         mem_load=mem_load,
         objective=solution.objective,
-        coverage=built.coverage,
         solve_seconds=elapsed,
     )
     return assignment, solution

@@ -63,15 +63,9 @@ def make_unit(nodes=("A", "B"), class_name="c", key=("k",)):
 
 
 def make_assignment(unit, weights):
-    return NIDSAssignment(
-        fractions={
-            (unit.class_name, unit.key, node): w for node, w in weights.items()
-        },
-        cpu_load={},
-        mem_load={},
-        objective=0.0,
-        coverage={unit.ident: 1.0},
-        solve_seconds=0.0,
+    return NIDSAssignment.from_triples(
+        ((unit.class_name, unit.key, node, w) for node, w in weights.items()),
+        {unit.ident: 1.0},
     )
 
 
@@ -170,8 +164,8 @@ class TestDeploymentChecks:
     def test_nan_fraction_is_rep101(self):
         """NaN fails every comparison: it used to skip Eq. 6, the Eq. 1
         sum and REP107 alike and verify OK."""
-        unit, manifests, assignment = good_world()
-        assignment.fractions[(unit.class_name, unit.key, "B")] = float("nan")
+        unit, manifests, _ = good_world()
+        assignment = make_assignment(unit, {"A": 0.6, "B": float("nan")})
         report = verify_deployment([unit], manifests, assignment)
         assert [(f.rule_id, f.subject) for f in report.findings] == [
             ("REP101", "c/k@B"),
@@ -183,8 +177,8 @@ class TestDeploymentChecks:
     def test_negative_fraction_is_rep101(self):
         """A negative fraction used to be skipped as massless before the
         Eq. 6 test could see it."""
-        unit, manifests, assignment = good_world()
-        assignment.fractions[(unit.class_name, unit.key, "C")] = -0.4
+        unit, manifests, _ = good_world()
+        assignment = make_assignment(unit, {"A": 0.6, "B": 0.4, "C": -0.4})
         report = verify_deployment([unit], manifests, assignment)
         assert [(f.rule_id, f.subject) for f in report.findings] == [
             ("REP101", "c/k@C")
@@ -204,19 +198,14 @@ class TestDeploymentChecks:
         units = [
             make_unit(nodes=tuple(nodes), key=(f"k{i}",)) for i in range(6)
         ]
-        fractions = {}
+        triples = []
         for unit in units:
             weights = [rng.random() for _ in nodes]
             total = sum(weights)
             for node, w in zip(nodes, weights):
-                fractions[(unit.class_name, unit.key, node)] = w / total
-        assignment = NIDSAssignment(
-            fractions=fractions,
-            cpu_load={},
-            mem_load={},
-            objective=0.0,
-            coverage={unit.ident: 1.0 for unit in units},
-            solve_seconds=0.0,
+                triples.append((unit.class_name, unit.key, node, w / total))
+        assignment = NIDSAssignment.from_triples(
+            triples, {unit.ident: 1.0 for unit in units}
         )
         manifests = generate_manifests(units, assignment, nodes)
         report = verify_deployment(units, manifests, assignment)

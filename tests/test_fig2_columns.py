@@ -65,19 +65,15 @@ def unit(class_name, key, eligible):
 def profile(units, fractions, coverage):
     """An assignment of *fractions* (per unit, in eligible order) with
     per-unit *coverage* (``None``: left out, so generation expects 1)."""
-    return NIDSAssignment(
-        fractions={
-            (u.class_name, u.key, node): f
-            for u, row in zip(units, fractions)
-            for node, f in zip(u.eligible, row)
-        },
-        cpu_load={},
-        mem_load={},
-        objective=0.0,
-        coverage={
-            u.ident: c for u, c in zip(units, coverage) if c is not None
-        },
-        solve_seconds=0.0,
+    # A unit listed again overwrites its earlier entries.
+    latest = {
+        (u.class_name, u.key, node): f
+        for u, row in zip(units, fractions)
+        for node, f in zip(u.eligible, row)
+    }
+    return NIDSAssignment.from_triples(
+        ((*key, f) for key, f in latest.items()),
+        {u.ident: c for u, c in zip(units, coverage) if c is not None},
     )
 
 

@@ -1,5 +1,8 @@
 """Tests for sampling-manifest generation (Fig. 2 + redundancy)."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,9 +75,9 @@ class TestGeneration:
         assignment = solve_nids_lp(units, topo)
         # Zero a substantial fraction so the unit's coverage no longer
         # sums to 1; generation must refuse to build such manifests.
-        victim = max(assignment.fractions, key=assignment.fractions.get)
-        assignment.fractions = dict(assignment.fractions)
-        assignment.fractions[victim] = 0.0
+        value = assignment.value.copy()
+        value[np.argmax(value)] = 0.0
+        assignment = dataclasses.replace(assignment, value=value)
         with pytest.raises(ValueError):
             generate_manifests(units, assignment, topo.node_names)
 
@@ -148,13 +151,9 @@ def test_property_any_normalized_split_covers(fractions):
         cpu_work=1.0,
         mem_bytes=1.0,
     )
-    assignment = NIDSAssignment(
-        fractions={("c", ("k",), n): f for n, f in zip(nodes, normalized)},
-        cpu_load={},
-        mem_load={},
-        objective=0.0,
-        coverage={("c", ("k",)): 1.0},
-        solve_seconds=0.0,
+    assignment = NIDSAssignment.from_triples(
+        (("c", ("k",), n, f) for n, f in zip(nodes, normalized)),
+        {("c", ("k",)): 1.0},
     )
     manifests = generate_manifests([unit], assignment, nodes)
     verify_manifests([unit], manifests)

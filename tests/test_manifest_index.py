@@ -43,13 +43,9 @@ def _layout(fractions, fold):
         cpu_work=1.0,
         mem_bytes=1.0,
     )
-    assignment = NIDSAssignment(
-        fractions={("c", ("k",), n): f for n, f in zip(nodes, normalized)},
-        cpu_load={},
-        mem_load={},
-        objective=0.0,
-        coverage={("c", ("k",)): float(fold)},
-        solve_seconds=0.0,
+    assignment = NIDSAssignment.from_triples(
+        (("c", ("k",), n, f) for n, f in zip(nodes, normalized)),
+        {("c", ("k",)): float(fold)},
     )
     manifests = generate_manifests([unit], assignment, nodes)
     verify_manifests([unit], manifests)

@@ -1,6 +1,7 @@
 """Tests for the manifest/assignment JSON wire format."""
 
 import json
+import re
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.core.nids_deployment import plan_deployment
 from repro.nids.modules import STANDARD_MODULES
 from repro.topology import PathSet, internet2
 from repro.traffic import GeneratorConfig, TrafficGenerator
+from tests.planning_oracle import fractions_of
 
 
 @pytest.fixture(scope="module")
@@ -117,9 +119,35 @@ class TestAssignmentRoundTrip:
         assert restored.objective == pytest.approx(assignment.objective)
         assert restored.cpu_load == pytest.approx(assignment.cpu_load)
         assert restored.mem_load == pytest.approx(assignment.mem_load)
-        for key, value in assignment.fractions.items():
+        kept = fractions_of(restored)
+        for key, value in fractions_of(assignment).items():
             if value > 1e-12:
-                assert restored.fractions[key] == pytest.approx(value)
+                assert kept[key] == value
+
+    def test_dump_is_a_fixed_point(self, deployment):
+        """Loading a dumped assignment and dumping it again gives the
+        same text: the wire format does not depend on how d* is held."""
+        text = dump_assignment(deployment.assignment)
+        assert dump_assignment(load_assignment(text)) == text
+
+    def test_entry_listed_twice_is_rejected(self, deployment):
+        """A (class, unit, node) listed twice used to keep its last
+        fraction silently; the loader names it instead."""
+        data = json.loads(dump_assignment(deployment.assignment))
+        first = dict(data["fractions"][0], fraction=0.4)
+        data["fractions"][1:1] = [dict(first, fraction=0.9)]
+        data["fractions"][0] = first
+        label = f"{first['class']}/{','.join(first['unit'])}@{first['node']}"
+        message = re.escape(f"lists d* of {label} twice")
+        with pytest.raises(ValueError, match=message):
+            assignment_from_dict(data)
+
+    @pytest.mark.parametrize("fraction", ["0.5", None, True])
+    def test_a_fraction_that_is_not_a_number_is_rejected(self, deployment, fraction):
+        data = json.loads(dump_assignment(deployment.assignment))
+        data["fractions"][0]["fraction"] = fraction
+        with pytest.raises(ValueError, match=f"is {fraction!r}, not a number"):
+            assignment_from_dict(data)
 
     def test_coverage_preserved(self, deployment):
         restored = load_assignment(dump_assignment(deployment.assignment))
@@ -171,13 +199,9 @@ def test_property_manifest_roundtrip(fractions, node_count):
         cpu_work=1.0,
         mem_bytes=1.0,
     )
-    assignment = NIDSAssignment(
-        fractions={("c", ("k",), n): f for n, f in zip(eligible, normalized)},
-        cpu_load={},
-        mem_load={},
-        objective=0.0,
-        coverage={("c", ("k",)): 1.0},
-        solve_seconds=0.0,
+    assignment = NIDSAssignment.from_triples(
+        (("c", ("k",), n, f) for n, f in zip(eligible, normalized)),
+        {("c", ("k",)): 1.0},
     )
     manifests = generate_manifests([unit], assignment, nodes)
     restored = load_manifests(dump_manifests(manifests))

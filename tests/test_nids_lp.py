@@ -36,7 +36,7 @@ class TestCoverage:
             assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_fractions_within_bounds(self, assignment):
-        for value in assignment.fractions.values():
+        for value in assignment.value.tolist():
             assert -1e-9 <= value <= 1.0 + 1e-9
 
     def test_singleton_units_fully_assigned(self, setup, assignment):
@@ -53,9 +53,13 @@ class TestCoverage:
         eligible = {
             (u.class_name, u.key): set(u.eligible) for u in units
         }
-        for (class_name, key, node), value in assignment.fractions.items():
+        for u, k, value in zip(
+            assignment.unit_of.tolist(),
+            assignment.node_of.tolist(),
+            assignment.value.tolist(),
+        ):
             if value > 1e-9:
-                assert node in eligible[(class_name, key)]
+                assert assignment.nodes[k] in eligible[assignment.units[u]]
 
 
 class TestObjective:
@@ -127,7 +131,7 @@ class TestRedundancy:
     def test_fractions_still_capped_at_one(self, setup):
         topo, units = setup
         assignment = solve_nids_lp(units, topo, coverage=3.0)
-        for value in assignment.fractions.values():
+        for value in assignment.value.tolist():
             assert value <= 1.0 + 1e-9
 
     def test_invalid_coverage(self, setup):

@@ -32,6 +32,7 @@ from repro.traffic import GeneratorConfig, SessionBatch, TrafficGenerator
 from repro.traffic.packet import TCP, UDP, FiveTuple
 from repro.traffic.session import Session
 from tests import planning_oracle as oracle
+from tests.planning_oracle import fractions_of
 from tests.lp_expressions import ExpressionProgram
 
 LABELS = ("internet2", "Geant", "AS1239", "pop100")
@@ -243,7 +244,7 @@ def test_plan_deployment_takes_a_batch(world):
     from_list = plan_deployment(topology, paths, STANDARD_MODULES, sessions)
     from_batch = plan_deployment(topology, paths, STANDARD_MODULES, SessionBatch(sessions))
     assert from_batch.units == from_list.units
-    assert from_batch.assignment.fractions == from_list.assignment.fractions
+    assert fractions_of(from_batch.assignment) == fractions_of(from_list.assignment)
     assert from_batch.manifests == from_list.manifests
 
 
@@ -337,7 +338,7 @@ class TestNidsLP:
         )
         assignment = solve_nids_lp(units, topology, 2.0)
         expected, _solution = oracle.solve_nids_lp(units, topology, 2.0)
-        assert assignment.fractions == expected.fractions
+        assert fractions_of(assignment) == fractions_of(expected)
         assert assignment.objective == expected.objective
 
     def test_singletons_only_and_no_units(self, as1239_units):
@@ -351,7 +352,7 @@ class TestNidsLP:
             )
             assignment = solve_nids_lp(subset, topology, 2.0)
             expected, _solution = oracle.solve_nids_lp(subset, topology, 2.0)
-            assert assignment.fractions == expected.fractions
+            assert fractions_of(assignment) == fractions_of(expected)
             assert assignment.cpu_load == expected.cpu_load
 
     @pytest.mark.parametrize("options", LP_CASES)
@@ -359,17 +360,22 @@ class TestNidsLP:
         topology, units = as1239_units
         assignment = solve_nids_lp(units, topology, **options)
         expected, _solution = oracle.solve_nids_lp(units, topology, **options)
-        assert list(assignment.fractions) == list(expected.fractions)
-        assert assignment.fractions == expected.fractions
+        built = build_nids_lp(units, topology, **options)
+        # The columns are the program's d slice as laid out, no re-keying.
+        assert assignment.units == tuple(unit.ident for unit in units)
+        assert assignment.nodes == tuple(topology.node_names)
+        assert np.array_equal(assignment.unit_of, built.unit_of)
+        assert np.array_equal(assignment.node_of, built.node_of)
+        ours, theirs = fractions_of(assignment), fractions_of(expected)
+        assert list(ours) == list(theirs)
+        assert ours == theirs
         assert assignment.cpu_load == expected.cpu_load
         assert assignment.mem_load == expected.mem_load
         assert assignment.objective == expected.objective
         assert assignment.coverage == expected.coverage
         # ``==`` cannot tell -0.0 from 0.0 or 2 from 2.0; the serialised
         # form (what ``--assignment-output`` writes) can.
-        assert json.dumps(list(assignment.fractions.values())) == json.dumps(
-            list(expected.fractions.values())
-        )
+        assert json.dumps(list(ours.values())) == json.dumps(list(theirs.values()))
         assert json.dumps(list(assignment.coverage.values())) == json.dumps(
             list(expected.coverage.values())
         )

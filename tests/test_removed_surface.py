@@ -6,6 +6,7 @@ metric families nothing reads are gone; these pins keep a later change
 from quietly bringing one back.
 """
 
+import dataclasses
 import importlib
 
 import pytest
@@ -82,6 +83,23 @@ class TestRemovedSurface:
         assert "FlowRecord" not in repro.measurement.__all__
         for name in ("export", "build_report"):
             assert not hasattr(repro.measurement.FlowExporter, name)
+
+    def test_dstar_has_one_representation(self):
+        # An assignment holds the solver's columns; the dict keyed by
+        # (class, unit key, node) and its key type are gone.
+        import repro.core.nids_lp as nids_lp
+
+        assert not hasattr(nids_lp, "FractionKey")
+        fields = {field.name for field in dataclasses.fields(nids_lp.NIDSAssignment)}
+        assert "fractions" not in fields
+        assert not hasattr(nids_lp.NIDSAssignment, "fractions")
+
+    def test_the_unread_trace_stats_are_gone(self):
+        import repro.traffic
+
+        for name in ("TraceStats", "trace_stats"):
+            assert not hasattr(repro.traffic, name)
+            assert name not in repro.traffic.__all__
 
     def test_one_event_vocabulary_and_no_empty_delta_guard(self):
         # A scripted fail/recover/shift is a FaultEvent of the run's plan.

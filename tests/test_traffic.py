@@ -19,7 +19,6 @@ from repro.traffic import (
     host_id,
     merge_packet_streams,
     mixed_profile,
-    trace_stats,
     web_heavy_profile,
 )
 from repro.traffic.profiles import SessionTemplate, TrafficProfile
@@ -234,9 +233,3 @@ class TestGenerator:
         total = sum(len(t) for t in traces.values())
         expected = sum(len(generator.path_of(s)) for s in sessions)
         assert total == expected
-
-    def test_trace_stats(self, sessions):
-        stats = trace_stats(sessions)
-        assert stats.num_sessions == len(sessions)
-        assert stats.num_packets == sum(s.num_packets for s in sessions)
-        assert 0 < stats.num_sources <= 11 * 256
