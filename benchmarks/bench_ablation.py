@@ -281,7 +281,10 @@ def test_ablation_distance_metric(once):
 
     def mean_drop_distance(problem, solution):
         weighted = total = 0.0
-        for (i, pair, node), fraction in solution.d.items():
+        layout = solution.polytope.layout
+        for t, fraction in enumerate(solution.d.tolist()):
+            i, pair = layout.rule_ids[layout.rule_of[t]], layout.pairs[layout.pair_of[t]]
+            node = layout.nodes[layout.node_of[t]]
             mass = hops_problem.items[pair] * hops_problem.match.rate(i, pair) * fraction
             weighted += mass * hops_problem.dist[pair][node]
             total += mass

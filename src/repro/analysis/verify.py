@@ -50,8 +50,7 @@ from ..core.manifest import (
     EntryKey,
     Finding,
     NodeManifest,
-    check_assignment,
-    check_manifests_match_assignment,
+    check_deployment,
     check_on_path,
     check_partition,
 )
@@ -122,19 +121,15 @@ def verify_deployment(
 
     Always checks the partition and path invariants; with *assignment*
     also proves the ``d*`` profile feasible and the manifests faithful
-    to it.  This is the entry point the controller gate and the CLI
-    share.
+    to it, all read through one manifest table.  This is the entry
+    point the controller gate and the CLI share.
     """
-    findings = check_partition(units, manifests)
-    findings.extend(check_on_path(units, manifests))
     checks = ["partition", "on-path"]
     if assignment is not None:
-        findings.extend(check_assignment(units, assignment))
-        findings.extend(
-            check_manifests_match_assignment(units, assignment, manifests)
-        )
         checks.extend(["assignment", "assignment-match"])
-    return VerificationReport(findings=findings, checks=tuple(checks))
+    return VerificationReport(
+        findings=check_deployment(units, manifests, assignment), checks=tuple(checks)
+    )
 
 
 # -- manifest deltas -------------------------------------------------------

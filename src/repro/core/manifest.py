@@ -326,7 +326,15 @@ def check_partition(
     are adjacent pairs after a sort by ``lo``, and the cover is one
     sweep over the sorted endpoints, each segmented by unit.  Findings are rendered for failing units only.
     """
-    table = ManifestTable.from_manifests(manifests)
+    return _check_partition(units, manifests, ManifestTable.from_manifests(manifests))
+
+
+def _check_partition(
+    units: Sequence[CoordinationUnit],
+    manifests: Mapping[str, NodeManifest],
+    table: ManifestTable,
+) -> List[Finding]:
+    """:func:`check_partition` over *table*, the set's table."""
     columns = table.columns
     count = len(units)
     # Each checked unit's pieces: those of every row written for it ...
@@ -466,12 +474,21 @@ def check_on_path(
     they are entries all the same: they are read through a table of
     their own.
     """
+    return _check_on_path(units, manifests, ManifestTable.from_manifests(manifests))
+
+
+def _check_on_path(
+    units: Sequence[CoordinationUnit],
+    manifests: Mapping[str, NodeManifest],
+    table: ManifestTable,
+) -> List[Finding]:
+    """:func:`check_on_path` over *table*, the set's table."""
     written = {
         node: NodeManifest(node=node, entries=manifest.entries)
         for node, manifest in manifests.items()
         if manifest.full and manifest.entries
     }
-    stray = _off_path(ManifestTable.from_manifests(manifests), units)
+    stray = _off_path(table, units)
     if written:
         stray.extend(_off_path(ManifestTable.from_manifests(written), units))
     findings: List[Finding] = []
@@ -619,8 +636,16 @@ def check_manifests_match_assignment(
     pieces folded from the set's table (a ``full`` node holds 1.0, a
     node without an entry 0.0).  Nodes without a manifest are skipped.
     """
+    return _check_match(units, assignment, ManifestTable.from_manifests(manifests))
+
+
+def _check_match(
+    units: Sequence[CoordinationUnit],
+    assignment: NIDSAssignment,
+    table: ManifestTable,
+) -> List[Finding]:
+    """:func:`check_manifests_match_assignment` over *table*, the set's table."""
     solved = assignment.gather(units)
-    table = ManifestTable.from_manifests(manifests)
     columns = table.columns
     node_ids = {name: k for k, name in enumerate(table.nodes)}
     sizes = np.fromiter(
@@ -654,6 +679,24 @@ def check_manifests_match_assignment(
                 f" the solution assigned {solved[t]:.8f}",
             )
         )
+    return findings
+
+
+def check_deployment(
+    units: Sequence[CoordinationUnit],
+    manifests: Mapping[str, NodeManifest],
+    assignment: Optional[NIDSAssignment] = None,
+) -> List[Finding]:
+    """:func:`check_partition` then :func:`check_on_path` and, with
+    *assignment*, :func:`check_assignment` then
+    :func:`check_manifests_match_assignment` — read through one
+    :class:`~repro.core.manifest_table.ManifestTable` of *manifests*."""
+    table = ManifestTable.from_manifests(manifests)
+    findings = _check_partition(units, manifests, table)
+    findings.extend(_check_on_path(units, manifests, table))
+    if assignment is not None:
+        findings.extend(check_assignment(units, assignment))
+        findings.extend(_check_match(units, assignment, table))
     return findings
 
 

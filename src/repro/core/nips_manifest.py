@@ -4,8 +4,8 @@
 on each NIPS node and sampling manifests specifying what fraction of
 the traffic the node should process for each enabled rule."
 
-A solved :class:`~repro.core.nips_milp.NIPSSolution` carries ``e`` and
-``d``; this module lays each path's ``d_ikj`` fractions out as
+A solved :class:`~repro.core.nips_milp.NIPSSolution` carries the ``e``
+and ``d`` vectors; this module lays each path's ``d_ikj`` fractions out as
 non-overlapping hash ranges along the path (the same Fig. 2 procedure
 the NIDS side uses) and packages, per node, the TCAM rule set plus the
 per-(rule, path) ranges — the configuration a NIPS box actually needs.
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
+
+import numpy as np
 
 from ..hashing.bobhash import hash_unit
 from ..hashing.keys import Aggregation, key_for
@@ -69,11 +71,6 @@ def generate_nips_manifests(
     An infeasible ``(e, d)`` is refused (``ValueError``).
     """
     raise_first(problem.check(solution.e, solution.d))
-    per_path: Dict[Tuple[int, Pair], Dict[str, float]] = {}
-    for (i, pair, node), fraction in solution.d.items():
-        if fraction > EPSILON:
-            per_path.setdefault((i, pair), {})[node] = fraction
-
     manifests = {
         node: NIPSNodeManifest(
             node=node, enabled_rules=tuple(solution.enabled_rules(node))
@@ -81,15 +78,17 @@ def generate_nips_manifests(
         for node in problem.topology.node_names
     }
 
-    for (i, pair), fractions in per_path.items():
-        position = 0.0
-        for node in problem.paths[pair].nodes:
-            fraction = fractions.get(node, 0.0)
-            if fraction <= EPSILON:
-                continue
-            piece = HashRange(position, min(1.0, position + fraction))
-            manifests[node].ranges[(i, pair)] = (piece,)
-            position += fraction
+    # ``d`` runs (rule, pair) by (rule, pair), each path's nodes in path order.
+    layout = problem.layout
+    path, position = None, 0.0
+    for t in np.flatnonzero(solution.d > EPSILON).tolist():
+        i, pair = layout.rule_ids[layout.rule_of[t]], layout.pairs[layout.pair_of[t]]
+        if (i, pair) != path:
+            path, position = (i, pair), 0.0
+        fraction = float(solution.d[t])
+        piece = HashRange(position, min(1.0, position + fraction))
+        manifests[layout.nodes[layout.node_of[t]]].ranges[(i, pair)] = (piece,)
+        position += fraction
     return manifests
 
 
@@ -104,6 +103,14 @@ def check_nips_manifests(
     solved ``d_ikj``, and each path's ranges total the path's solved
     mass (REP107).
     """
+    layout = solution.polytope.layout
+    rule_at = {i: r for r, i in enumerate(layout.rule_ids)}
+    hop_at = {
+        (layout.pairs[p], layout.nodes[j]): h
+        for h, (p, j) in enumerate(
+            zip(layout.pair_of[: layout.hops].tolist(), layout.node_of[: layout.hops].tolist())
+        )
+    }
     findings: List[Finding] = []
     per_path: Dict[Tuple[int, Pair], List[HashRange]] = {}
     for node in sorted(manifests):
@@ -122,7 +129,12 @@ def check_nips_manifests(
                 check_disjoint(subject, pieces, "node's own ranges overlap")
             )
             held = sum(p.length for p in pieces)
-            solved = solution.d.get((i, pair, node), 0.0)
+            hop = hop_at.get((pair, node))
+            solved = (
+                0.0
+                if hop is None or i not in rule_at
+                else float(solution.d[rule_at[i] * layout.hops + hop])
+            )
             if abs(held - solved) > MASS_TOL:
                 findings.append(
                     Finding(
@@ -133,10 +145,13 @@ def check_nips_manifests(
                     )
                 )
             per_path.setdefault((i, pair), []).extend(pieces)
-    expected: Dict[Tuple[int, Pair], float] = {}
-    for (i, pair, _node), fraction in solution.d.items():
-        if fraction > EPSILON:
-            expected[(i, pair)] = expected.get((i, pair), 0.0) + fraction
+    heavy = np.flatnonzero(solution.d > EPSILON)
+    path_of, width = layout.rule_pair_of[heavy], len(layout.pairs)
+    mass = np.bincount(path_of, solution.d[heavy], minlength=len(layout.rule_ids) * width)
+    expected = {
+        (layout.rule_ids[c // width], layout.pairs[c % width]): float(mass[c])
+        for c in np.unique(path_of).tolist()
+    }
     for i, pair in sorted(set(per_path) | set(expected)):
         subject = d_subject(i, pair)
         pieces = per_path.get((i, pair), [])

@@ -22,13 +22,21 @@ instances (HiGHS's branch-and-bound over the binary ``e``).  Eqs. 7 and
 9–11 are stated once, by :func:`compile_nips_polytope`: the full program
 wraps that compiled polytope with ``e``, Eq. 8 and Eq. 12, and the
 restricted LP is the polytope itself under the bounds ``d <= ê``.
+
+``e`` and ``d`` have one representation: float64 vectors in the
+problem's :class:`NIPSLayout` (``e`` rule-major over the nodes, ``d``
+rule-major over the (pair, on-path node) hops), which are the
+polytope's columns.  A :class:`NIPSSolution` holds them as the solver
+returned them, and :meth:`NIPSProblem.check` / :meth:`~NIPSProblem.objective`
+are column passes over them.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,12 +45,9 @@ from ..lp.solver import LPSolution, solve, solve_or_raise
 from ..nips.rules import MatchRateMatrix, NIPSRule
 from ..topology.graph import Topology
 from ..topology.routing import DistanceMetric, Path, PathSet
-from ..hashing.ranges import EPSILON
-from .manifest import MASS_TOL, REP101, REP104, REP105, REP108, Finding
+from .manifest import MASS_TOL, REP101, REP105, REP108, Finding
 
 Pair = Tuple[str, str]
-EKey = Tuple[int, str]  # (rule index, node)
-DKey = Tuple[int, Pair, str]  # (rule index, path pair, node)
 
 #: Paper Section 3.4 baseline volumes for Internet2 (per 5-minute
 #: interval), scaled linearly with network size for other topologies.
@@ -88,84 +93,94 @@ class NIPSProblem:
 
         return math.log(max(self.num_nodes, self.num_rules, 2))
 
-    # -- solution evaluation ---------------------------------------------------
-    def objective(self, d: Mapping[DKey, float]) -> float:
-        """Eq. 7 evaluated at a fractional filtering assignment."""
-        total = 0.0
-        for (i, pair, node), fraction in d.items():
-            if fraction <= 0.0:
-                continue
-            total += (
-                self.items[pair]
-                * self.match.rate(i, pair)
-                * self.dist[pair][node]
-                * fraction
-            )
-        return total
+    @cached_property
+    def layout(self) -> "NIPSLayout":
+        """Where each ``e_ij`` and ``d_ikj`` sits in a solution's vectors
+        (computed on first use, once per problem)."""
+        return NIPSLayout.of(self)
 
-    def check(
-        self, e: Mapping[EKey, float], d: Mapping[DKey, float]
-    ) -> List[Finding]:
+    # -- solution evaluation ---------------------------------------------------
+    def objective(self, d: Sequence[float]) -> float:
+        """Eq. 7 evaluated at a fractional filtering assignment: the left
+        fold, in ``d`` order, of ``T^items · M_ik · Dist_ikj · d_ikj``
+        over the entries not ``<= 0``."""
+        layout = self.layout
+        d = layout.column("d", d)
+        kept = ~(d <= 0.0)  # a NaN is kept, as the fold always did
+        terms = layout.value[kept] * d[kept]
+        # ``np.add.accumulate`` adds in order; ``np.sum`` is pairwise.
+        return float(np.add.accumulate(terms)[-1]) if len(terms) else 0.0
+
+    def check(self, e: Sequence[float], d: Sequence[float]) -> List[Finding]:
         """Eqs. 8–13 at ``(e, d)``: one finding per violated constraint.
 
-        The one statement of NIPS feasibility, including what the LP
-        states by construction: filtering mass only on nodes the path
-        traverses.  ``e`` is charged as given, so an LP relaxation's
-        fractional enablement is judged by the relaxed Eq. 8; a
-        deployable placement has binary ``e``.
+        The one statement of NIPS feasibility, over vectors in
+        :attr:`layout` (a vector of another length is a ``ValueError``).
+        ``e`` is charged as given, so an LP relaxation's fractional
+        enablement is judged by the relaxed Eq. 8; a deployable
+        placement has binary ``e``.  Findings come in a fixed order:
+        non-finite ``e`` entries; per ``d`` entry, Eq. 13 (non-finite or
+        negative) then Eq. 12; capacities by node, TCAM / memory / CPU;
+        Eq. 11 by (rule, pair).  Per-node and per-path sums are left
+        folds in ``d`` order.
         """
+        layout = self.layout
+        e, d = layout.column("e", e), layout.column("d", d)
+        rule_ids, pairs, nodes = layout.rule_ids, layout.pairs, layout.nodes
+        width = len(nodes)
         findings: List[Finding] = []
-        cam_used: Dict[str, float] = {}
-        mem_used: Dict[str, float] = {}
-        cpu_used: Dict[str, float] = {}
-        path_sum: Dict[Tuple[int, Pair], float] = {}
-        for (i, node), enabled in e.items():
-            if enabled > MASS_TOL:
-                cam_used[node] = cam_used.get(node, 0.0) + self.rules[i].cam_req * enabled
-        for (i, pair, node), fraction in d.items():
-            if fraction < -MASS_TOL:
+        for k in np.flatnonzero(~np.isfinite(e)).tolist():
+            findings.append(
+                Finding(
+                    REP101,
+                    f"rule{rule_ids[k // width]}@{nodes[k % width]}",
+                    f"enablement {float(e[k])!r} is not a finite number (Eq. 13)",
+                )
+            )
+        finite = np.isfinite(d)
+        negative = d < -MASS_TOL
+        unlinked = d > e[layout.enabler] + MASS_TOL
+        for t in np.flatnonzero(~finite | negative | unlinked).tolist():
+            i, node = rule_ids[layout.rule_of[t]], nodes[layout.node_of[t]]
+            subject = d_subject(i, pairs[layout.pair_of[t]], node)
+            fraction = float(d[t])
+            if not finite[t]:
                 findings.append(
                     Finding(
                         REP101,
-                        d_subject(i, pair, node),
-                        f"sampling fraction {fraction!r} is negative (Eq. 13)",
+                        subject,
+                        f"sampling fraction {fraction!r} is not a finite number (Eq. 13)",
                     )
                 )
-            path = self.paths.get(pair)
-            if path is None or node not in path.nodes:
-                if fraction > EPSILON:
-                    findings.append(
-                        Finding(
-                            REP104,
-                            d_subject(i, pair, node),
-                            "filtering mass on a node the path never traverses",
-                        )
+            elif negative[t]:
+                findings.append(
+                    Finding(
+                        REP101, subject, f"sampling fraction {fraction!r} is negative (Eq. 13)"
                     )
-                continue  # nothing on the path to charge the node with
-            if fraction > e.get((i, node), 0.0) + MASS_TOL:
+                )
+            if unlinked[t]:
                 findings.append(
                     Finding(
                         REP108,
-                        d_subject(i, pair, node),
+                        subject,
                         f"samples {fraction:.6f} of the path, which exceeds"
                         f" e[{i},{node}] (Eq. 12)",
                     )
                 )
-            mem_used[node] = mem_used.get(node, 0.0) + (
-                self.items[pair] * self.rules[i].mem_req * fraction
-            )
-            cpu_used[node] = cpu_used.get(node, 0.0) + (
-                self.pkts[pair] * self.rules[i].cpu_req * fraction
-            )
-            path_sum[(i, pair)] = path_sum.get((i, pair), 0.0) + fraction
-        for node_name in self.topology.node_names:
+        cam_req = np.repeat([rule.cam_req for rule in self.rules], width)
+        cam_used = np.bincount(
+            np.arange(len(e)) % width, np.where(e > MASS_TOL, cam_req * e, 0.0), minlength=width
+        )
+        mem_used = np.bincount(layout.node_of, layout.mem * d, minlength=width)
+        cpu_used = np.bincount(layout.node_of, layout.cpu * d, minlength=width)
+        for j, node_name in enumerate(nodes):
             node = self.topology.node(node_name)
             for resource, equation, used, capacity, relative in (
                 ("TCAM", 8, cam_used, node.cam_capacity, 0.0),
                 ("memory", 9, mem_used, node.mem_capacity, MASS_TOL),
                 ("CPU", 10, cpu_used, node.cpu_capacity, MASS_TOL),
             ):
-                need = used.get(node_name, 0.0)
+                need = float(used[j])
                 if need > capacity * (1 + relative) + MASS_TOL:
                     findings.append(
                         Finding(
@@ -175,20 +190,18 @@ class NIPSProblem:
                             f" capacity is {capacity:g} (Eq. {equation})",
                         )
                     )
-        for (i, pair), total in path_sum.items():
-            if total > 1.0 + MASS_TOL:
-                findings.append(
-                    Finding(
-                        REP101,
-                        d_subject(i, pair),
-                        f"sampling fractions sum to {total!r} > 1 (Eq. 11)",
-                    )
+        totals = np.bincount(layout.rule_pair_of, d, minlength=len(rule_ids) * len(pairs))
+        for c in np.flatnonzero(totals > 1.0 + MASS_TOL).tolist():
+            findings.append(
+                Finding(
+                    REP101,
+                    d_subject(rule_ids[c // len(pairs)], pairs[c % len(pairs)]),
+                    f"sampling fractions sum to {float(totals[c])!r} > 1 (Eq. 11)",
                 )
+            )
         return findings
 
-    def check_feasible(
-        self, e: Mapping[EKey, float], d: Mapping[DKey, float]
-    ) -> List[str]:
+    def check_feasible(self, e: Sequence[float], d: Sequence[float]) -> List[str]:
         """:meth:`check` rendered as text, empty when feasible."""
         return [finding.render() for finding in self.check(e, d)]
 
@@ -249,96 +262,154 @@ def build_nips_problem(
     )
 
 
-@dataclass
-class NIPSSolution:
-    """A (possibly fractional) NIPS deployment.
+@dataclass(eq=False)
+class NIPSLayout:
+    """Where each ``e_ij`` and ``d_ikj`` of one problem sits in its vectors.
 
-    A relaxation carries the :class:`NIPSPolytope` it was solved on, so
-    whoever rounds it next reuses that compile (``None`` otherwise).
+    ``e`` is rule-major over the topology's nodes: entry ``r·N + j`` is
+    rule ``rule_ids[r]`` on ``nodes[j]``.  ``d`` is rule-major over the
+    ``H`` (pair, on-path node) hops, each path's nodes in path order:
+    entry ``r·H + h`` is rule ``rule_ids[r]`` on hop ``h``.  Per ``d``
+    entry, ``rule_of`` / ``pair_of`` / ``node_of`` index ``rule_ids`` /
+    ``pairs`` / ``nodes``, ``rule_pair_of`` indexes its (rule, pair)
+    rule-major (``r·P + p``, Eq. 11's row) and ``enabler`` is the ``e``
+    entry Eq. 12 links it to; ``items`` and ``dist`` are its ``T^items_ik`` and
+    ``Dist_ikj``, ``value`` / ``mem`` / ``cpu`` its Eq. 7 / 9 / 10
+    coefficients (``T^items · M_ik · Dist_ikj``, ``T^items · MemReq_i``,
+    ``T^pkts · CpuReq_i``) and ``matched`` whether ``M_ik > 0``.
     """
 
-    e: Dict[EKey, float]
-    d: Dict[DKey, float]
+    rule_ids: Tuple[int, ...]
+    pairs: Tuple[Pair, ...]
+    nodes: Tuple[str, ...]
+    hops: int
+    rule_of: np.ndarray
+    pair_of: np.ndarray
+    node_of: np.ndarray
+    rule_pair_of: np.ndarray
+    enabler: np.ndarray
+    items: np.ndarray
+    dist: np.ndarray
+    value: np.ndarray
+    mem: np.ndarray
+    cpu: np.ndarray
+    matched: np.ndarray
+
+    @classmethod
+    def of(cls, problem: NIPSProblem) -> "NIPSLayout":
+        """*problem*'s layout: index columns and per-entry coefficients."""
+        nodes = tuple(problem.topology.node_names)
+        node_index = {name: j for j, name in enumerate(nodes)}
+        pairs, rules = tuple(problem.pairs), problem.rules
+        hops = [(p, node) for p, pair in enumerate(pairs) for node in problem.paths[pair].nodes]
+        rule_of = np.repeat(np.arange(len(rules)), len(hops))
+        pair_of = np.tile(np.array([p for p, _ in hops], dtype=np.intp), len(rules))
+        node_of = np.tile(np.array([node_index[n] for _, n in hops], dtype=np.intp), len(rules))
+        items = np.array([problem.items[pair] for pair in pairs])[pair_of]
+        pkts = np.array([problem.pkts[pair] for pair in pairs])[pair_of]
+        rate = np.array(
+            [problem.match.rate(rule.index, pair) for rule in rules for pair in pairs]
+        ).reshape(len(rules), len(pairs))[rule_of, pair_of]
+        dist = np.tile([problem.dist[pairs[p]][node] for p, node in hops], len(rules))
+        return cls(
+            rule_ids=tuple(rule.index for rule in rules),
+            pairs=pairs,
+            nodes=nodes,
+            hops=len(hops),
+            rule_of=rule_of,
+            pair_of=pair_of,
+            node_of=node_of,
+            rule_pair_of=rule_of * len(pairs) + pair_of,
+            enabler=rule_of * len(nodes) + node_of,
+            items=items,
+            dist=dist,
+            value=items * rate * dist,
+            mem=items * np.array([rule.mem_req for rule in rules])[rule_of],
+            cpu=pkts * np.array([rule.cpu_req for rule in rules])[rule_of],
+            matched=rate > 0.0,
+        )
+
+    @property
+    def num_e(self) -> int:
+        """Length of an ``e`` vector."""
+        return len(self.rule_ids) * len(self.nodes)
+
+    @property
+    def num_d(self) -> int:
+        """Length of a ``d`` vector."""
+        return len(self.rule_of)
+
+    @cached_property
+    def pair_major(self) -> np.ndarray:
+        """The ``d`` entries in (pair, rule, path node) order."""
+        return np.lexsort((self.rule_of, self.pair_of))
+
+    def column(self, name: str, values: Sequence[float]) -> np.ndarray:
+        """*values* as the float64 ``e`` or ``d`` vector *name*; a
+        ``ValueError`` naming the expected length when it is not one."""
+        expected = self.num_e if name == "e" else self.num_d
+        column = np.asarray(values, dtype=np.float64)
+        if column.shape != (expected,):
+            raise ValueError(
+                f"{name} has shape {column.shape}; this problem's layout has"
+                f" {expected} {name} entries"
+            )
+        return column
+
+
+@dataclass(eq=False)
+class NIPSSolution:
+    """A (possibly fractional) NIPS deployment: ``e`` and ``d`` as
+    float64 vectors in the layout of the :class:`NIPSPolytope` it was
+    solved on, which it carries so whoever rounds it next reuses that
+    compile."""
+
+    e: np.ndarray
+    d: np.ndarray
     objective: float
     solve_seconds: float
-    polytope: Optional["NIPSPolytope"] = field(default=None, repr=False, compare=False)
+    polytope: "NIPSPolytope" = field(repr=False)
 
     def enabled_rules(self, node: str, threshold: float = 0.5) -> List[int]:
         """Rule indices enabled on *node* (binary solutions only)."""
-        return sorted(
-            i for (i, n), value in self.e.items() if n == node and value >= threshold
-        )
+        layout = self.polytope.layout
+        column = self.e[layout.nodes.index(node) :: len(layout.nodes)]
+        return sorted(layout.rule_ids[r] for r in np.flatnonzero(column >= threshold).tolist())
 
 
-@dataclass
+@dataclass(eq=False)
 class NIPSPolytope:
     """The ``d``-only polytope of one problem — Eqs. 9–11 and 13 with
     Eq. 7 as objective — compiled once.
 
-    ``d`` variables are in (rule, pair, on-path node) order.  What
-    Sections 3.3 and 3.5 re-solve is this program under other bounds
-    (``e`` fixed makes Eq. 12 the bound ``d_ikj <= ê_ij``) or another
-    cost vector (FPL's perturbed weights): ``compiled.with_bounds`` /
-    ``with_cost``, which share its matrices.  Whoever loops holds one
-    for the length of the loop.
+    Its variables are the problem's ``d`` vector (:attr:`layout`).
+    What Sections 3.3 and 3.5 re-solve is this program under other
+    bounds (``e`` fixed makes Eq. 12 the bound ``d_ikj <= ê_ij``) or
+    another cost vector (FPL's perturbed weights):
+    ``compiled.with_bounds`` / ``with_cost``, which share its matrices.
+    Whoever loops holds one for the length of the loop.
     """
 
     problem: NIPSProblem
-    e_keys: List[EKey]  # rule-major over the topology's nodes
-    d_keys: List[DKey]
-    #: Per ``d`` variable, the position in ``e_keys`` of the ``e_ij``
-    #: Eq. 12 links it to (same rule, same node).
-    enabler: np.ndarray
-    #: Per ``d`` variable, its Eq. 7 coefficient ``T^items · M_ik ·
-    #: Dist_ikj`` and whether its rule matches the path at all
-    #: (``M_ik > 0``) — greedy's gains and candidates.
-    value: np.ndarray
-    matched: np.ndarray
     compiled: CompiledLP
 
-    def enabler_values(self, e: Mapping[EKey, float]) -> np.ndarray:
-        """Per ``d`` variable, what *e* gives its Eq. 12 ``e_ij`` (0 when absent)."""
-        return np.array([e.get(key, 0.0) for key in self.e_keys], dtype=np.float64)[
-            self.enabler
-        ]
-
-    def d_vector(self, d: Mapping[DKey, float]) -> np.ndarray:
-        """A ``d``-keyed mapping as a vector in variable order (0 when absent)."""
-        return np.array([d.get(key, 0.0) for key in self.d_keys], dtype=np.float64)
-
-    def d_mapping(self, values: Sequence[float], kept: Sequence[bool]) -> Dict[DKey, float]:
-        """The inverse, on the variables *kept* marks."""
-        keys = self.d_keys
-        return {keys[t]: values[t] for t in np.flatnonzero(kept).tolist()}
+    @property
+    def layout(self) -> NIPSLayout:
+        """The problem's ``e`` / ``d`` layout."""
+        return self.problem.layout
 
 
 def compile_nips_polytope(problem: NIPSProblem) -> NIPSPolytope:
-    """The one statement of Eqs. 7 and 9–11, as index blocks.
+    """The one statement of Eqs. 7 and 9–11, as index blocks over the
+    problem's :class:`NIPSLayout`.
 
-    With ``H`` (pair, on-path node) hops, ``d`` variable ``r·H + h`` is
-    rule ``r`` on hop ``h``.  Rows ``2k`` / ``2k + 1`` are the memory /
-    CPU capacity of the ``k``-th node some path traverses, rows
-    ``2K + r·P + p`` the sampling bound of (rule ``r``, pair ``p``).
-    Each coefficient is the product the per-term model formed
-    (``(T^items · M) · Dist``, ``T^items · MemReq``, ``T^pkts · CpuReq``).
+    Rows ``2k`` / ``2k + 1`` are the memory / CPU capacity of the
+    ``k``-th node some path traverses, rows ``2K + r·P + p`` the
+    sampling bound of (rule ``r``, pair ``p``).
     """
-    node_names = problem.topology.node_names
-    node_index = {name: j for j, name in enumerate(node_names)}
-    pairs, rules = problem.pairs, problem.rules
-    hops = [(p, node) for p, pair in enumerate(pairs) for node in problem.paths[pair].nodes]
-    d_keys = [(rule.index, pairs[p], node) for rule in rules for p, node in hops]
-    rule_of = np.repeat(np.arange(len(rules)), len(hops))
-    pair_of = np.tile(np.array([p for p, _ in hops], dtype=np.intp), len(rules))
-    node_of = np.tile(np.array([node_index[n] for _, n in hops], dtype=np.intp), len(rules))
-
-    items = np.array([problem.items[pair] for pair in pairs])[pair_of]
-    pkts = np.array([problem.pkts[pair] for pair in pairs])[pair_of]
-    rate = np.array(
-        [problem.match.rate(rule.index, pair) for rule in rules for pair in pairs]
-    ).reshape(len(rules), len(pairs))[rule_of, pair_of]
-    dist = np.tile([problem.dist[pairs[p]][node] for p, node in hops], len(rules))
-    mem_req = np.array([rule.mem_req for rule in rules])[rule_of]
-    cpu_req = np.array([rule.cpu_req for rule in rules])[rule_of]
+    layout = problem.layout
+    rule_ids, pairs, node_names = layout.rule_ids, layout.pairs, layout.nodes
+    rule_of, pair_of, node_of = layout.rule_of, layout.pair_of, layout.node_of
 
     # Capacity rows exist only for nodes some path traverses.
     on_path = np.flatnonzero(np.bincount(node_of, minlength=len(node_names)))
@@ -352,8 +423,11 @@ def compile_nips_polytope(problem: NIPSProblem) -> NIPSPolytope:
 
     lp = LinearProgram("nips-polytope")
     d = lp.add_variables(
-        len(d_keys),
-        lambda: [f"d[{i}|{a}-{b}|{node}]" for i, (a, b), node in d_keys],
+        layout.num_d,
+        lambda: [
+            f"d[{rule_ids[r]}|{pairs[p][0]}-{pairs[p][1]}|{node_names[j]}]"
+            for r, p, j in zip(rule_of.tolist(), pair_of.tolist(), node_of.tolist())
+        ],
         lb=0.0,
         ub=1.0,
     )
@@ -363,33 +437,24 @@ def compile_nips_polytope(problem: NIPSProblem) -> NIPSPolytope:
             (
                 2 * rank[node_of],
                 2 * rank[node_of] + 1,
-                2 * len(on_path) + rule_of * len(pairs) + pair_of,
+                2 * len(on_path) + layout.rule_pair_of,
             )
         ),
         cols=np.tile(d, 3),
-        data=np.concatenate((items * mem_req, pkts * cpu_req, np.ones(len(d)))),
-        rhs=np.concatenate((capacities, np.ones(len(rules) * len(pairs)))),
+        data=np.concatenate((layout.mem, layout.cpu, np.ones(len(d)))),
+        rhs=np.concatenate((capacities, np.ones(len(rule_ids) * len(pairs)))),
         names=lambda: [f"{kind}[{node_names[j]}]" for j in on_path for kind in ("mem", "cpu")]
-        + [f"sample[{rule.index}|{a}-{b}]" for rule in rules for a, b in pairs],
+        + [f"sample[{i}|{a}-{b}]" for i in rule_ids for a, b in pairs],
     )
-    value = items * rate * dist
-    worth = np.flatnonzero(value > 0.0)
-    lp.set_objective(worth, value[worth], Sense.MAXIMIZE)
-    return NIPSPolytope(
-        problem=problem,
-        e_keys=[(rule.index, node) for rule in rules for node in node_names],
-        d_keys=d_keys,
-        enabler=rule_of * len(node_names) + node_of,
-        value=value,
-        matched=rate > 0.0,
-        compiled=lp.compile(),
-    )
+    worth = np.flatnonzero(layout.value > 0.0)
+    lp.set_objective(worth, layout.value[worth], Sense.MAXIMIZE)
+    return NIPSPolytope(problem=problem, compiled=lp.compile())
 
 
 @dataclass
 class BuiltNIPSLP:
-    """The full program (Eqs. 7–14): variables are the polytope's
-    ``e_keys`` then its ``d_keys``."""
+    """The full program (Eqs. 7–14): variables are the layout's ``e``
+    vector then its ``d`` vector."""
 
     program: LinearProgram
     polytope: NIPSPolytope
@@ -404,12 +469,12 @@ def build_nips_lp(problem: NIPSProblem, integral: bool = False) -> BuiltNIPSLP:
     polytope's own Eqs. 9–11.
     """
     polytope = compile_nips_polytope(problem)
-    inner = polytope.compiled
-    node_names = problem.topology.node_names
+    inner, layout = polytope.compiled, polytope.layout
+    node_names = layout.nodes
     lp = LinearProgram("nips-deployment")
     e = lp.add_variables(
-        len(polytope.e_keys),
-        lambda: [f"e[{i}|{node}]" for i, node in polytope.e_keys],
+        layout.num_e,
+        lambda: [f"e[{i}|{node}]" for i in layout.rule_ids for node in node_names],
         lb=0.0,
         ub=1.0,
     )
@@ -422,10 +487,15 @@ def build_nips_lp(problem: NIPSProblem, integral: bool = False) -> BuiltNIPSLP:
     lp.add_constraints(
         Relation.LE,
         rows=np.tile(np.arange(len(d)), 2),
-        cols=np.concatenate((d, e.start + polytope.enabler)),
+        cols=np.concatenate((d, e.start + layout.enabler)),
         data=np.repeat([1.0, -1.0], len(d)),
         rhs=np.zeros(len(d)),
-        names=lambda: [f"link[{i}|{pair}|{node}]" for i, pair, node in polytope.d_keys],
+        names=lambda: [
+            f"link[{layout.rule_ids[r]}|{layout.pairs[p]}|{node_names[j]}]"
+            for r, p, j in zip(
+                layout.rule_of.tolist(), layout.pair_of.tolist(), layout.node_of.tolist()
+            )
+        ],
     )
     # Eq. 8: TCAM capacity, e being rule-major over the nodes.
     lp.add_constraints(
@@ -452,42 +522,46 @@ def solve_relaxation(problem: NIPSProblem) -> NIPSSolution:
     built = build_nips_lp(problem, integral=False)
     solution = solve_or_raise(built.program)
     elapsed = time.perf_counter() - started
-    e_keys, d_keys = built.polytope.e_keys, built.polytope.d_keys
+    values = np.array(solution.values)
+    split = built.polytope.layout.num_e
     return NIPSSolution(
-        e=dict(zip(e_keys, solution.values[: len(e_keys)])),
-        d=dict(zip(d_keys, solution.values[len(e_keys) :])),
+        e=values[:split],
+        d=values[split:],
         objective=solution.objective,
         solve_seconds=elapsed,
         polytope=built.polytope,
     )
 
 
-def solve_with_fixed_rules(
-    polytope: NIPSPolytope, fixed_e: Mapping[EKey, int]
-) -> NIPSSolution:
-    """Solve the d-only LP given a binary rule placement (the
-    "solve a second LP" improvement of Section 3.3).
+def solve_with_fixed_rules(polytope: NIPSPolytope, fixed_e: Sequence[float]) -> NIPSSolution:
+    """Solve the d-only LP given a binary rule placement ``ê`` (an ``e``
+    vector; the "solve a second LP" improvement of Section 3.3).
 
     With ``e`` fixed Eq. 12 is the bound ``d_ikj <= ê_ij`` on the
     polytope; Eq. 8 has no ``d`` in it and stays the caller's
-    :meth:`NIPSProblem.check`.  ``d`` is reported on enabled
-    (rule, node) combinations only.  A placement that enables nothing
+    :meth:`NIPSProblem.check`.  ``d`` is 0.0 off the enabled
+    (rule, node) combinations.  A placement that enables nothing
     (possible when the TCAM budget is below one rule slot) filters
     nothing: the zero deployment is returned directly.
     """
     started = time.perf_counter()
-    upper = polytope.enabler_values(fixed_e)
-    e = {key: float(value) for key, value in fixed_e.items()}
+    e = np.array(polytope.layout.column("e", fixed_e))
+    upper = e[polytope.layout.enabler]
     if not upper.any():
         return NIPSSolution(
-            e=e, d={}, objective=0.0, solve_seconds=time.perf_counter() - started
+            e=e,
+            d=np.zeros(len(upper)),
+            objective=0.0,
+            solve_seconds=time.perf_counter() - started,
+            polytope=polytope,
         )
     solution = solve_or_raise(polytope.compiled.with_bounds(0.0, upper))
     return NIPSSolution(
         e=e,
-        d=polytope.d_mapping(solution.values, upper),
+        d=np.array(solution.values),
         objective=solution.objective,
         solve_seconds=time.perf_counter() - started,
+        polytope=polytope,
     )
 
 

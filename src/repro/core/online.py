@@ -10,8 +10,9 @@ solution in hindsight.
 
 The decision space here is the TCAM-free NIPS polytope (Eqs. 9–11 and
 13, no ``e`` variables), exactly as the paper's preliminary evaluation;
-``Λ`` is one LP solve.  State vectors have one component per
-``(i, k, j)``: ``S_ikj = T_ik^items × M_ik × Dist_ikj``.
+``Λ`` is one LP solve.  State vectors, weights and decisions are
+``d`` vectors in the problem's layout: ``S_ikj = T_ik^items × M_ik ×
+Dist_ikj``.
 """
 
 from __future__ import annotations
@@ -21,53 +22,55 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from ..lp.solver import solve_or_raise
-from .nips_milp import DKey, NIPSPolytope, NIPSProblem, compile_nips_polytope
+from .nips_milp import NIPSPolytope, NIPSProblem, compile_nips_polytope
 
 MatchRates = Dict[Tuple[int, Tuple[str, str]], float]
-Decision = Dict[DKey, float]
+#: A deployment's ``d`` vector, in the problem's layout.
+Decision = np.ndarray
 
 
-def state_vector(problem: NIPSProblem, rates: Mapping) -> Dict[DKey, float]:
-    """``S_t``: per-component value of filtering under match rates."""
-    state: Dict[DKey, float] = {}
-    for pair in problem.pairs:
-        items = problem.items[pair]
-        for rule in problem.rules:
-            rate = rates.get((rule.index, pair), 0.0)
-            if rate <= 0.0:
-                continue
-            for node in problem.paths[pair].nodes:
-                state[(rule.index, pair, node)] = (
-                    items * rate * problem.dist[pair][node]
-                )
-    return state
+def _rate_columns(problem: NIPSProblem, rates: Mapping) -> np.ndarray:
+    """*rates* per (rule, pair), rule-major (0 when absent)."""
+    layout = problem.layout
+    return np.array(
+        [rates.get((i, pair), 0.0) for i in layout.rule_ids for pair in layout.pairs],
+        dtype=np.float64,
+    )
 
 
-def decision_value(state: Mapping[DKey, float], decision: Mapping[DKey, float]) -> float:
-    """``O · S``: footprint reduction achieved by *decision* under *state*."""
-    return sum(weight * decision.get(key, 0.0) for key, weight in state.items())
+def state_vector(problem: NIPSProblem, rates: Mapping) -> np.ndarray:
+    """``S_t``: per-``d``-entry value of filtering under match rates
+    (0 where the rule's rate on the path is not positive)."""
+    layout = problem.layout
+    rate = _rate_columns(problem, rates)[layout.rule_pair_of]
+    return np.where(rate <= 0.0, 0.0, layout.items * rate * layout.dist)
 
 
-def solve_best_response(
-    polytope: NIPSPolytope, weights: Mapping[DKey, float]
-) -> Decision:
+def decision_value(problem: NIPSProblem, state: np.ndarray, decision: np.ndarray) -> float:
+    """``O · S``: footprint reduction achieved by *decision* under *state*,
+    summed in (pair, rule, path node) order."""
+    return sum((state * decision)[problem.layout.pair_major].tolist())
+
+
+def solve_best_response(polytope: NIPSPolytope, weights: np.ndarray) -> Decision:
     """``Λ``: the offline optimizer over the TCAM-free polytope.
 
     Maximizes ``sum(weights * d)`` subject to the node memory/CPU
     capacities (Eqs. 9–10) and the per-(rule, path) sampling bound
     (Eq. 11): the compiled polytope with *weights* as its cost.
     Components with non-positive weight are fixed to zero by their
-    upper bound — they can only consume capacity — and left out of the
-    decision.
+    upper bound — they can only consume capacity.
     """
-    weight = polytope.d_vector(weights)
+    weight = polytope.layout.column("d", weights)
     worth = weight > 0.0
     if not worth.any():
         # Nothing is worth filtering (all weights non-positive).
-        return {}
+        return np.zeros(len(weight))
     solution = solve_or_raise(polytope.compiled.with_cost(weight).with_bounds(0.0, worth))
-    return polytope.d_mapping(solution.values, worth)
+    return np.array(solution.values)
 
 
 @dataclass
@@ -120,34 +123,30 @@ class FPLAdapter:
             else theoretical_epsilon(problem, config) * config.perturbation_scale
         )
         self._rng = random.Random(config.seed)
-        self._observed_sum: MatchRates = {}
+        layout = problem.layout
+        self._observed_sum = np.zeros(len(layout.rule_ids) * len(layout.pairs))
         self.t = 0
 
     def decide(self) -> Decision:
-        """Choose this epoch's deployment (Kalai–Vempala step 2)."""
+        """Choose this epoch's deployment (Kalai–Vempala step 2).
+
+        One ``rng.random()`` per ``d`` entry, drawn in (pair, rule,
+        path node) order.
+        """
         self.t += 1
-        weights: Dict[DKey, float] = {}
+        layout = self.problem.layout
         amplitude = 1.0 / self.epsilon
-        for pair in self.problem.pairs:
-            items = self.problem.items[pair]
-            for rule in self.problem.rules:
-                mean_rate = (
-                    self._observed_sum.get((rule.index, pair), 0.0) / (self.t - 1)
-                    if self.t > 1
-                    else 0.0
-                )
-                for node in self.problem.paths[pair].nodes:
-                    perturbation = self._rng.random() * amplitude
-                    rate_estimate = mean_rate + perturbation / (self.t * items)
-                    weights[(rule.index, pair, node)] = (
-                        items * rate_estimate * self.problem.dist[pair][node]
-                    )
-        return solve_best_response(self.polytope, weights)
+        mean_rate = (
+            self._observed_sum / (self.t - 1) if self.t > 1 else np.zeros(len(self._observed_sum))
+        )
+        draws = np.empty(layout.num_d)
+        draws[layout.pair_major] = [self._rng.random() for _ in range(layout.num_d)]
+        rate_estimate = mean_rate[layout.rule_pair_of] + draws * amplitude / (self.t * layout.items)
+        return solve_best_response(self.polytope, layout.items * rate_estimate * layout.dist)
 
     def observe(self, rates: Mapping) -> None:
         """Reveal the epoch's true match rates (end of epoch t)."""
-        for key, rate in rates.items():
-            self._observed_sum[key] = self._observed_sum.get(key, 0.0) + rate
+        self._observed_sum += _rate_columns(self.problem, rates)
 
 
 @dataclass
@@ -190,7 +189,7 @@ def run_online_adaptation(
     """
     adapter = FPLAdapter(problem, config)
     fpl_total = 0.0
-    state_sum: Dict[DKey, float] = {}
+    state_sum = np.zeros(problem.layout.num_d)
     points: List[RegretPoint] = []
     last_decision: Optional[Decision] = None
 
@@ -198,15 +197,14 @@ def run_online_adaptation(
         decision = adapter.decide()
         rates = rate_process(epoch, last_decision)
         state = state_vector(problem, rates)
-        fpl_total += decision_value(state, decision)
-        for key, value in state.items():
-            state_sum[key] = state_sum.get(key, 0.0) + value
+        fpl_total += decision_value(problem, state, decision)
+        state_sum += state
         adapter.observe(rates)
         last_decision = decision
 
         if epoch % report_every == 0 or epoch == config.epochs:
             static = solve_best_response(adapter.polytope, state_sum)
-            static_total = decision_value(state_sum, static)
+            static_total = decision_value(problem, state_sum, static)
             points.append(
                 RegretPoint(
                     epoch=epoch, fpl_total=fpl_total, static_total=static_total

@@ -22,17 +22,17 @@ conservative scaling:
 Both improvements "do not affect feasibility and can only improve the
 value of the objective function".
 
-Every rounding works on the vectors of one compiled
-:class:`~repro.core.nips_milp.NIPSPolytope` — the relaxation's own when
-:func:`best_of_roundings` is handed it.  What does not change between
-roundings (``eps``, the thresholds ``min(1, e*/alpha)``, greedy's
-candidate order) is computed once per loop; a trial is one
-``rng.random()`` per ``relaxed.e`` key compared as a vector, and
-greedy's gains are an ``np.bincount`` over the polytope's ``enabler``
-index.  ``d̂`` becomes a dict only where one is read (the Fig. 9
-scaling and :func:`round_enablement`).  The dict loops this replaced
-are ``tests/planning_oracle.py``'s, which the product equals bit for
-bit, random state included.
+Every rounding reads and writes ``e`` and ``d`` vectors in the
+problem's :class:`~repro.core.nips_milp.NIPSLayout` and re-solves one
+compiled :class:`~repro.core.nips_milp.NIPSPolytope` — the
+relaxation's own when :func:`best_of_roundings` is handed it.  What
+does not change between roundings (``eps``, the thresholds
+``min(1, e*/alpha)``, greedy's candidate order) is computed once per
+loop; a trial is one ``rng.random()`` per ``e`` entry compared as a
+vector, and greedy's gains are an ``np.bincount`` over the layout's
+``enabler`` index.  The dict loops this replaced are
+``tests/planning_oracle.py``'s, which the product equals bit for bit,
+random state included.
 """
 
 from __future__ import annotations
@@ -40,14 +40,13 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .manifest import raise_first
 from .nips_milp import (
-    DKey,
-    EKey,
+    NIPSLayout,
     NIPSPolytope,
     NIPSProblem,
     NIPSSolution,
@@ -96,94 +95,74 @@ class _Rounder:
     """Fig. 9 lines 3–10 on the polytope's vectors, for one relaxation.
 
     What does not change between roundings is gathered once: ``eps =
-    d*/e*`` per ``d`` variable, the Bernoulli chances ``min(1, e*/alpha)``
-    in ``relaxed.e`` order, where each of those keys sits in the
-    polytope's ``e_keys``, and each node's keys for the TCAM repair.
+    d*/e*`` per ``d`` entry and the Bernoulli chances ``min(1, e*/alpha)``
+    per ``e`` entry.
     """
 
     def __init__(
         self, polytope: NIPSPolytope, relaxed: NIPSSolution, alpha: float, beta: float
     ) -> None:
-        problem = polytope.problem
         self.polytope = polytope
         self.relaxed = relaxed
-        self.keys = list(relaxed.e)
-        e_star = polytope.enabler_values(relaxed.e)
-        self.eps = np.divide(
-            polytope.d_vector(relaxed.d), e_star, out=np.zeros(len(e_star)), where=e_star > _TINY
-        )
+        e_star = relaxed.e[polytope.layout.enabler]
+        self.eps = np.divide(relaxed.d, e_star, out=np.zeros(len(e_star)), where=e_star > _TINY)
         # ``fmin``, like ``min(1.0, x)``, keeps 1.0 against a NaN.
-        self.chance = np.fmin(1.0, np.array(list(relaxed.e.values()), dtype=np.float64) / alpha)
-        self.threshold = beta * problem.log_n()
-        position = {key: k for k, key in enumerate(polytope.e_keys)}
-        slot = np.array([position.get(key, -1) for key in self.keys], dtype=np.intp)
-        self.known = np.flatnonzero(slot >= 0)
-        self.slot = slot[self.known]
-        self.members: Dict[str, List[int]] = {name: [] for name in problem.topology.node_names}
-        for k, (_i, node) in enumerate(self.keys):
-            if node in self.members:
-                self.members[node].append(k)
+        self.chance = np.fmin(1.0, relaxed.e / alpha)
+        self.threshold = beta * polytope.problem.log_n()
         self._fill_order: Optional[List[int]] = None
-
-    def _spread(self, flags) -> np.ndarray:
-        """Per ``d`` variable, the flag of its Eq. 12 ``e_ij`` (0 when
-        ``relaxed.e`` has no such key)."""
-        on = np.zeros(len(self.polytope.e_keys))
-        on[self.slot] = np.asarray(flags)[self.known]
-        return on[self.polytope.enabler]
 
     def draw(
         self, rng: random.Random, max_trials: int = 100
-    ) -> Tuple[Dict[EKey, int], np.ndarray, int]:
-        """Rounded ``ê``, the unscaled ``d̂`` as a vector, trials used.
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """Rounded ``ê``, the unscaled ``d̂ = eps · ê``, trials used.
 
-        Each trial draws one ``rng.random()`` per key in ``relaxed.e``
-        order; the TCAM repair then draws its victims.
+        Each trial draws one ``rng.random()`` per ``e`` entry in order;
+        the TCAM repair then draws its victims.
         """
         random_draw = rng.random
-        hits = None
+        enabler = self.polytope.layout.enabler
+        flags = np.zeros(len(self.chance))
         trials = 0
         while trials < max_trials:
             trials += 1
-            hits = np.array([random_draw() for _ in self.keys]) < self.chance
-            if _violation_factor(self.polytope, self.eps * self._spread(hits)) <= self.threshold:
+            draws = np.array([random_draw() for _ in range(len(self.chance))])
+            flags = (draws < self.chance).astype(np.float64)
+            if _violation_factor(self.polytope, self.eps * flags[enabler]) <= self.threshold:
                 break
-        if hits is None:  # no trial at all
-            return {}, self.eps * self._spread(np.zeros(len(self.keys))), trials
-        flags = hits.astype(np.intp).tolist()
         self._repair_cam(flags, rng)
-        return dict(zip(self.keys, flags)), self.eps * self._spread(flags), trials
+        return flags, self.eps * flags[enabler], trials
 
-    def _repair_cam(self, flags: List[int], rng: random.Random) -> None:
+    def _repair_cam(self, flags: np.ndarray, rng: random.Random) -> None:
         """Zero ``ê`` entries until every node's TCAM constraint holds.
 
         The paper drops entries "arbitrarily"; we drop uniformly at random
         among the node's enabled rules, which keeps the repair unbiased.
         """
         problem = self.polytope.problem
-        keys = self.keys
-        for node_name, members in self.members.items():
+        nodes = self.polytope.layout.nodes
+        width = len(nodes)
+        for j, node_name in enumerate(nodes):
             cap = problem.topology.node(node_name).cam_capacity
-            enabled = [k for k in members if flags[k]]
-            used = sum(problem.rules[keys[k][0]].cam_req for k in enabled)
+            enabled = np.flatnonzero(flags[j::width]).tolist()
+            used = sum(problem.rules[r].cam_req for r in enabled)
             while used > cap + _TINY and enabled:
                 victim = enabled.pop(rng.randrange(len(enabled)))
-                flags[victim] = 0
-                used -= problem.rules[keys[victim][0]].cam_req
+                flags[victim * width + j] = 0.0
+                used -= problem.rules[victim].cam_req
 
     def deploy(self, variant: RoundingVariant, rng: random.Random) -> RoundedSolution:
         """One rounding of *variant*, checked against Eqs. 8–13."""
         polytope = self.polytope
         e_hat, d_hat, trials = self.draw(rng)
         if variant is RoundingVariant.BASIC:
-            solution = finish_basic(polytope, dict(zip(polytope.d_keys, d_hat.tolist())), e_hat)
+            solution = finish_basic(polytope, d_hat, e_hat)
         elif variant is RoundingVariant.LP:
             solution = solve_with_fixed_rules(polytope, e_hat)
         else:
             if self._fill_order is None:
-                self._fill_order = _fill_order(polytope)
+                self._fill_order = _fill_order(polytope.layout)
             solution = solve_with_fixed_rules(
-                polytope, _fill(polytope, self._fill_order, e_hat)
+                polytope, _fill(polytope.problem, self._fill_order, e_hat)
             )
         raise_first(polytope.problem.check(solution.e, solution.d))
         return RoundedSolution(
@@ -198,99 +177,89 @@ def round_enablement(
     alpha: float = 2.0,
     beta: float = 2.0,
     max_trials: int = 100,
-) -> Tuple[Dict[EKey, int], Dict[DKey, float], int]:
+) -> Tuple[np.ndarray, np.ndarray, int]:
     """Fig. 9 lines 3–10: rounded ``ê``, induced ``d̂``, trials used.
 
     The returned ``d̂`` is *unscaled* (pre line 11); callers choose
     between conservative scaling (:func:`finish_basic`) and the
     LP-re-solve improvements.
     """
-    e_hat, d_hat, trials = _Rounder(polytope, relaxed, alpha, beta).draw(rng, max_trials)
-    return e_hat, dict(zip(polytope.d_keys, d_hat.tolist())), trials
+    return _Rounder(polytope, relaxed, alpha, beta).draw(rng, max_trials)
 
 
 def finish_basic(
-    polytope: NIPSPolytope,
-    d_hat: Mapping[DKey, float],
-    e_hat: Mapping[EKey, int],
+    polytope: NIPSPolytope, d_hat: np.ndarray, e_hat: np.ndarray
 ) -> NIPSSolution:
     """Fig. 9 lines 11–13: conservative down-scaling."""
     # The paper scales by beta*log N unconditionally; scaling by the
     # *observed* violation factor (capped below by 1) is never less
     # conservative than necessary and keeps the guarantee.
-    scale = _violation_factor(polytope, polytope.d_vector(d_hat))
-    d_scaled = {key: value / scale for key, value in d_hat.items()}
+    d_scaled = d_hat / _violation_factor(polytope, d_hat)
     return NIPSSolution(
-        e={key: float(value) for key, value in e_hat.items()},
+        e=np.array(e_hat, dtype=np.float64),
         d=d_scaled,
         objective=polytope.problem.objective(d_scaled),
         solve_seconds=0.0,
+        polytope=polytope,
     )
 
 
-def greedy_fill(
-    problem: NIPSProblem,
-    e_hat: Dict[EKey, int],
-) -> Dict[EKey, int]:
+def greedy_fill(problem: NIPSProblem, e_hat: np.ndarray) -> np.ndarray:
     """Greedily enable more rules while TCAM capacity remains.
 
     Candidates are ordered by their maximum potential footprint
     reduction at the node (sum over paths through the node of
     ``T^items * M_ik * Dist_ikj``), so TCAM slots go to the most
-    valuable rules first.  The gains are read off the problem's
-    polytope (compiled here; the rounding loop reads its own).
+    valuable rules first.  The gains are read off the problem's layout.
     """
-    polytope = compile_nips_polytope(problem)
-    return _fill(polytope, _fill_order(polytope), e_hat)
+    return _fill(problem, _fill_order(problem.layout), e_hat)
 
 
-def _greedy_gains(polytope: NIPSPolytope) -> Tuple[np.ndarray, np.ndarray]:
-    """Greedy's candidates and every ``e`` key's gain.
+def _greedy_gains(layout: NIPSLayout) -> Tuple[np.ndarray, np.ndarray]:
+    """Greedy's candidates and every ``e`` entry's gain.
 
     A candidate is a rule that matches (``M_ik > 0``) some path through
-    the node, even at zero gain.  Candidates are positions in
-    ``e_keys`` in first-visit order — by (pair, on-path node) hop, then
-    rule — and a gain is the left fold of ``T^items * M_ik * Dist_ikj``
-    over its variables in ``d`` order, i.e. in pair order.
+    the node, even at zero gain.  Candidates are ``e`` positions in
+    first-visit order — by (pair, on-path node) hop, then rule — and a
+    gain is the left fold of ``T^items * M_ik * Dist_ikj`` over its
+    entries in ``d`` order, i.e. in pair order.
     """
-    matched = np.flatnonzero(polytope.matched)
-    keys = polytope.enabler[matched]
-    gains = np.bincount(keys, weights=polytope.value[matched], minlength=len(polytope.e_keys))
-    # ``d`` is rule-major, so a key's first variable is its first hop.
+    matched = np.flatnonzero(layout.matched)
+    keys = layout.enabler[matched]
+    gains = np.bincount(keys, weights=layout.value[matched], minlength=layout.num_e)
+    # ``d`` is rule-major, so an ``e`` entry's first ``d`` entry is its first hop.
     candidates, first = np.unique(keys, return_index=True)
-    rules = len(polytope.problem.rules)
-    hops = len(polytope.d_keys) // max(rules, 1)
     first = matched[first]
-    visit = first % hops * rules + first // hops
+    visit = first % layout.hops * len(layout.rule_ids) + first // layout.hops
     return candidates[np.argsort(visit)], gains
 
 
-def _fill_order(polytope: NIPSPolytope) -> List[int]:
+def _fill_order(layout: NIPSLayout) -> List[int]:
     """Greedy's candidates by descending gain, ties in first-visit order."""
-    candidates, gains = _greedy_gains(polytope)
+    candidates, gains = _greedy_gains(layout)
     return candidates[np.argsort(-gains[candidates], kind="stable")].tolist()
 
 
-def _fill(polytope: NIPSPolytope, order: List[int], e_hat: Dict[EKey, int]) -> Dict[EKey, int]:
-    """:func:`greedy_fill` over the ``e_keys`` positions *order*."""
-    problem = polytope.problem
-    filled = dict(e_hat)
-    cam_used: Dict[str, float] = {}
-    for (i, node), value in filled.items():
+def _fill(problem: NIPSProblem, order: List[int], e_hat: np.ndarray) -> np.ndarray:
+    """:func:`greedy_fill` over the ``e`` positions *order*."""
+    nodes = problem.layout.nodes
+    width = len(nodes)
+    filled = problem.layout.column("e", e_hat).tolist()
+    cam_used = [0.0] * width
+    for k, value in enumerate(filled):
         if value:
-            cam_used[node] = cam_used.get(node, 0.0) + problem.rules[i].cam_req
+            cam_used[k % width] += problem.rules[k // width].cam_req
 
     for k in order:
-        key = polytope.e_keys[k]
-        if filled.get(key, 0):
+        if filled[k]:
             continue
-        i, node_name = key
-        cap = problem.topology.node(node_name).cam_capacity
-        need = problem.rules[i].cam_req
-        if cam_used.get(node_name, 0.0) + need <= cap + _TINY:
-            filled[key] = 1
-            cam_used[node_name] = cam_used.get(node_name, 0.0) + need
-    return filled
+        r, j = divmod(k, width)
+        cap = problem.topology.node(nodes[j]).cam_capacity
+        need = problem.rules[r].cam_req
+        if cam_used[j] + need <= cap + _TINY:
+            filled[k] = 1.0
+            cam_used[j] += need
+    return np.array(filled)
 
 
 def rounded_deployment(
@@ -322,7 +291,7 @@ def best_of_roundings(
     if relaxed is None:
         relaxed = solve_relaxation(problem)
     polytope = relaxed.polytope
-    if polytope is None or polytope.problem is not problem:
+    if polytope.problem is not problem:
         polytope = compile_nips_polytope(problem)
     rounder = _Rounder(polytope, relaxed, alpha=2.0, beta=2.0)
     rng = random.Random(seed)

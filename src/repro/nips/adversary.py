@@ -12,11 +12,14 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from ..core.nips_milp import DKey, NIPSProblem
+import numpy as np
+
+from ..core.nips_milp import NIPSProblem
 
 Pair = Tuple[str, str]
 MatchRates = Dict[Tuple[int, Pair], float]
-Decision = Dict[DKey, float]
+#: A deployment's ``d`` vector, in the problem's layout.
+Decision = np.ndarray
 
 
 class UniformProcess:
@@ -102,11 +105,14 @@ class EvasiveAdversary:
         self.budget_rate = budget_rate
         self._rng = random.Random(seed)
 
-    def _coverage(self, decision: Decision) -> Dict[Tuple[int, Pair], float]:
-        covered: Dict[Tuple[int, Pair], float] = {}
-        for (i, pair, _node), fraction in decision.items():
-            covered[(i, pair)] = covered.get((i, pair), 0.0) + fraction
-        return covered
+    def _coverage(self, decision: Decision) -> np.ndarray:
+        """Per (rule, pair), rule-major: the path mass *decision* samples."""
+        layout = self.problem.layout
+        return np.bincount(
+            layout.rule_pair_of,
+            weights=decision,
+            minlength=len(layout.rule_ids) * len(layout.pairs),
+        )
 
     def __call__(self, epoch: int, last_decision: Optional[Decision]) -> MatchRates:
         combos = [
@@ -120,9 +126,8 @@ class EvasiveAdversary:
                 combo: (self.budget_rate if combo == target else 0.0)
                 for combo in combos
             }
-        covered = self._coverage(last_decision)
         # Attack the least-covered combination, budget concentrated there.
-        target = min(combos, key=lambda combo: covered.get(combo, 0.0))
+        target = combos[int(np.argmin(self._coverage(last_decision)))]
         return {
             combo: (self.budget_rate if combo == target else 0.0)
             for combo in combos

@@ -25,7 +25,9 @@ import random
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
-from ..core.nips_milp import DKey, EKey, NIPSProblem, NIPSSolution
+import numpy as np
+
+from ..core.nips_milp import NIPSProblem, NIPSSolution
 
 Pair = Tuple[str, str]
 
@@ -96,10 +98,11 @@ def enforce(
     modeled_cpu: Dict[str, float] = {}
     modeled_mem: Dict[str, float] = {}
 
+    layout = problem.layout
     per_path: Dict[Tuple[int, Pair], Dict[str, float]] = {}
-    for (i, pair, node), fraction in solution.d.items():
-        if fraction > 0.0:
-            per_path.setdefault((i, pair), {})[node] = fraction
+    for t in np.flatnonzero(solution.d > 0.0).tolist():
+        i, pair = layout.rule_ids[layout.rule_of[t]], layout.pairs[layout.pair_of[t]]
+        per_path.setdefault((i, pair), {})[layout.nodes[layout.node_of[t]]] = float(solution.d[t])
 
     for pair in problem.pairs:
         path = problem.paths[pair]

@@ -19,12 +19,17 @@ Section 3.2: ``build_nips_lp`` with its ``fixed_e=`` fork,
 ``solve_with_fixed_rules`` on that fork and ``core/online.py``'s private
 ``solve_best_response`` builder, each of which restated Eqs. 9–11 with
 one ``LinExpr`` per term.  ``tests/test_nips_layout.py`` compares the
-product's one index-block layout against them.  Its last part is
-Section 3.3's rounding as it was before it became vector passes
-(``round_enablement``, ``greedy_fill``, ``d_mapping``), which
+product's one index-block layout against them.  Beside them are
+``NIPSProblem.check`` and ``objective`` as the dict walks they were
+before they became column passes (``tests/test_nips_columns.py``
+compares the two finding for finding), with the key helpers that read
+a solution's vectors by (rule, node) and (rule, pair, node).  Its last
+part is Section 3.3's rounding as it was before it became vector
+passes (``round_enablement``, ``greedy_fill``), which
 ``tests/test_rounding_columns.py`` compares with ``==``.
 """
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -33,7 +38,15 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.nids_lp import NIDSAssignment
-from repro.core.nips_milp import DKey, EKey, NIPSPolytope, NIPSProblem, NIPSSolution, Pair
+from repro.core.manifest import MASS_TOL, REP101, REP105, REP108, Finding
+from repro.core.nips_milp import (
+    NIPSPolytope,
+    NIPSProblem,
+    NIPSSolution,
+    Pair,
+    compile_nips_polytope,
+    d_subject,
+)
 from repro.core.units import (
     CoordinationUnit,
     UnitKey,
@@ -45,6 +58,8 @@ from repro.lp.model import Sense
 from repro.lp.solver import LPSolution, solve_or_raise
 
 FractionKey = Tuple[str, UnitKey, str]  # (class, unit key, node)
+EKey = Tuple[int, str]  # (rule index, node)
+DKey = Tuple[int, Pair, str]  # (rule index, path pair, node)
 from repro.nids.modules.base import ModuleSpec
 from repro.topology.graph import Topology
 from repro.topology.routing import PathSet
@@ -236,6 +251,158 @@ def solve_nids_lp(
 
 
 # -- NIPS (Section 3.2) --------------------------------------------------------
+# A NIPS solution holds ``e`` and ``d`` as vectors in the problem's
+# layout; the loops below read them keyed by (rule, node) and
+# (rule, pair, node).  The keys are stated here from the problem alone
+# (rule-major, pairs in order, each path's nodes in path order), not
+# read off the product's index columns.
+def e_keys(problem: NIPSProblem) -> List[EKey]:
+    """The ``e`` vector's keys, in order."""
+    return [(rule.index, node) for rule in problem.rules for node in problem.topology.node_names]
+
+
+def d_keys(problem: NIPSProblem) -> List[DKey]:
+    """The ``d`` vector's keys, in order."""
+    return [
+        (rule.index, pair, node)
+        for rule in problem.rules
+        for pair in problem.pairs
+        for node in problem.paths[pair].nodes
+    ]
+
+
+def e_dict(problem: NIPSProblem, e: Sequence[float]) -> Dict[EKey, float]:
+    """An ``e`` vector keyed by (rule, node)."""
+    return dict(zip(e_keys(problem), np.asarray(e, dtype=np.float64).tolist()))
+
+
+def d_dict(problem: NIPSProblem, d: Sequence[float]) -> Dict[DKey, float]:
+    """A ``d`` vector keyed by (rule, pair, node)."""
+    return dict(zip(d_keys(problem), np.asarray(d, dtype=np.float64).tolist()))
+
+
+def e_vector(problem: NIPSProblem, e: Mapping[EKey, float]) -> np.ndarray:
+    """A (rule, node)-keyed mapping as an ``e`` vector (0.0 when absent)."""
+    return np.array([e.get(key, 0.0) for key in e_keys(problem)], dtype=np.float64)
+
+
+def d_vector(problem: NIPSProblem, d: Mapping[DKey, float]) -> np.ndarray:
+    """A (rule, pair, node)-keyed mapping as a ``d`` vector (0.0 when absent)."""
+    return np.array([d.get(key, 0.0) for key in d_keys(problem)], dtype=np.float64)
+
+
+def solution_of(
+    problem: NIPSProblem, e: Mapping[EKey, float], d: Mapping[DKey, float]
+) -> NIPSSolution:
+    """A :class:`NIPSSolution` of the keyed ``e`` and ``d`` (0.0 where a
+    key is absent) on a polytope compiled for *problem*."""
+    return NIPSSolution(
+        e=e_vector(problem, e),
+        d=d_vector(problem, d),
+        objective=objective(problem, d),
+        solve_seconds=0.0,
+        polytope=compile_nips_polytope(problem),
+    )
+
+
+def objective(problem: NIPSProblem, d: Mapping[DKey, float]) -> float:
+    """Eq. 7 evaluated at a fractional filtering assignment."""
+    total = 0.0
+    for (i, pair, node), fraction in d.items():
+        if fraction <= 0.0:
+            continue
+        total += (
+            problem.items[pair]
+            * problem.match.rate(i, pair)
+            * problem.dist[pair][node]
+            * fraction
+        )
+    return total
+
+
+def check(
+    problem: NIPSProblem, e: Mapping[EKey, float], d: Mapping[DKey, float]
+) -> List[Finding]:
+    """Eqs. 8–13 at ``(e, d)``: one finding per violated constraint,
+    one dict walk (``NIPSProblem.check`` before it became column passes)."""
+    findings: List[Finding] = []
+    cam_used: Dict[str, float] = {}
+    mem_used: Dict[str, float] = {}
+    cpu_used: Dict[str, float] = {}
+    path_sum: Dict[Tuple[int, Pair], float] = {}
+    for (i, node), enabled in e.items():
+        if not math.isfinite(enabled):
+            findings.append(
+                Finding(
+                    REP101,
+                    f"rule{i}@{node}",
+                    f"enablement {enabled!r} is not a finite number (Eq. 13)",
+                )
+            )
+        if enabled > MASS_TOL:
+            cam_used[node] = cam_used.get(node, 0.0) + problem.rules[i].cam_req * enabled
+    for (i, pair, node), fraction in d.items():
+        if not math.isfinite(fraction):
+            findings.append(
+                Finding(
+                    REP101,
+                    d_subject(i, pair, node),
+                    f"sampling fraction {fraction!r} is not a finite number (Eq. 13)",
+                )
+            )
+        elif fraction < -MASS_TOL:
+            findings.append(
+                Finding(
+                    REP101,
+                    d_subject(i, pair, node),
+                    f"sampling fraction {fraction!r} is negative (Eq. 13)",
+                )
+            )
+        if fraction > e.get((i, node), 0.0) + MASS_TOL:
+            findings.append(
+                Finding(
+                    REP108,
+                    d_subject(i, pair, node),
+                    f"samples {fraction:.6f} of the path, which exceeds"
+                    f" e[{i},{node}] (Eq. 12)",
+                )
+            )
+        mem_used[node] = mem_used.get(node, 0.0) + (
+            problem.items[pair] * problem.rules[i].mem_req * fraction
+        )
+        cpu_used[node] = cpu_used.get(node, 0.0) + (
+            problem.pkts[pair] * problem.rules[i].cpu_req * fraction
+        )
+        path_sum[(i, pair)] = path_sum.get((i, pair), 0.0) + fraction
+    for node_name in problem.topology.node_names:
+        node = problem.topology.node(node_name)
+        for resource, equation, used, capacity, relative in (
+            ("TCAM", 8, cam_used, node.cam_capacity, 0.0),
+            ("memory", 9, mem_used, node.mem_capacity, MASS_TOL),
+            ("CPU", 10, cpu_used, node.cpu_capacity, MASS_TOL),
+        ):
+            need = used.get(node_name, 0.0)
+            if need > capacity * (1 + relative) + MASS_TOL:
+                findings.append(
+                    Finding(
+                        REP105,
+                        f"{resource.lower()}@{node_name}",
+                        f"{resource} capacity exceeded: needs {need:g},"
+                        f" capacity is {capacity:g} (Eq. {equation})",
+                    )
+                )
+    for (i, pair), total in path_sum.items():
+        if total > 1.0 + MASS_TOL:
+            findings.append(
+                Finding(
+                    REP101,
+                    d_subject(i, pair),
+                    f"sampling fractions sum to {total!r} > 1 (Eq. 11)",
+                )
+            )
+    return findings
+
+
 @dataclass
 class BuiltNIPSLP:
     """Constructed program plus variable maps."""
@@ -339,26 +506,29 @@ def build_nips_lp(
     return BuiltNIPSLP(program=lp, e_vars=e_vars, d_vars=d_vars)
 
 
+@dataclass
+class KeyedSolution:
+    """The restricted LP's solution keyed by (rule, node) and
+    (rule, pair, node); ``d`` only on the columns the program had."""
+
+    e: Dict[EKey, float]
+    d: Dict[DKey, float]
+    objective: float
+
+
 def solve_with_fixed_rules(
     problem: NIPSProblem, fixed_e: Mapping[EKey, int]
-) -> NIPSSolution:
+) -> KeyedSolution:
     """The d-only LP rebuilt for one placement (disabled columns omitted)."""
-    started = time.perf_counter()
     built = build_nips_lp(problem, fixed_e=fixed_e)
+    e = {key: float(value) for key, value in fixed_e.items()}
     if built.program.num_variables == 0:
-        return NIPSSolution(
-            e={key: float(value) for key, value in fixed_e.items()},
-            d={},
-            objective=0.0,
-            solve_seconds=time.perf_counter() - started,
-        )
+        return KeyedSolution(e=e, d={}, objective=0.0)
     solution = solve_or_raise(built.program)
-    elapsed = time.perf_counter() - started
-    return NIPSSolution(
-        e={key: float(value) for key, value in fixed_e.items()},
+    return KeyedSolution(
+        e=e,
         d={key: value(solution, var) for key, var in built.d_vars.items()},
         objective=solution.objective,
-        solve_seconds=elapsed,
     )
 
 
@@ -412,8 +582,8 @@ def solve_best_response(
 # -- NIPS rounding (Section 3.3, Fig. 9) -------------------------------------------
 # ``repro.core.rounding``'s dict loops before the draws, the repair and
 # greedy's gains became passes over the polytope's vectors, verbatim but
-# for ``greedy_gains`` split out of ``greedy_fill`` and ``d_mapping``
-# taking the polytope as an argument.  ``tests/test_rounding_columns.py``
+# for ``greedy_gains`` split out of ``greedy_fill`` and the relaxation
+# read through ``e_dict`` / ``d_dict``.  ``tests/test_rounding_columns.py``
 # compares them with the product.
 
 _TINY = 1e-9
@@ -466,9 +636,18 @@ def round_enablement(
     LP-re-solve improvements.
     """
     problem = polytope.problem
-    e_star = polytope.enabler_values(relaxed.e)
+    keys = d_keys(problem)
+    relaxed_e, relaxed_d = e_dict(problem, relaxed.e), d_dict(problem, relaxed.d)
+
+    def enabler_values(e: Mapping[EKey, float]) -> np.ndarray:
+        return np.array([e.get((i, node), 0.0) for i, _pair, node in keys], dtype=np.float64)
+
+    e_star = enabler_values(relaxed_e)
     eps = np.divide(
-        polytope.d_vector(relaxed.d), e_star, out=np.zeros(len(e_star)), where=e_star > _TINY
+        np.array([relaxed_d.get(key, 0.0) for key in keys], dtype=np.float64),
+        e_star,
+        out=np.zeros(len(e_star)),
+        where=e_star > _TINY,
     )
 
     threshold = beta * problem.log_n()
@@ -478,14 +657,14 @@ def round_enablement(
         trials += 1
         e_hat = {
             key: 1 if rng.random() < min(1.0, value / alpha) else 0
-            for key, value in relaxed.e.items()
+            for key, value in relaxed_e.items()
         }
-        if _violation_factor(polytope, eps * polytope.enabler_values(e_hat)) <= threshold:
+        if _violation_factor(polytope, eps * enabler_values(e_hat)) <= threshold:
             break
 
     _repair_cam(problem, e_hat, rng)
-    d_hat = eps * polytope.enabler_values(e_hat)
-    return e_hat, dict(zip(polytope.d_keys, d_hat.tolist())), trials
+    d_hat = eps * enabler_values(e_hat)
+    return e_hat, dict(zip(keys, d_hat.tolist())), trials
 
 
 def greedy_gains(problem: NIPSProblem) -> Dict[EKey, float]:
@@ -533,10 +712,3 @@ def greedy_fill(
             filled[key] = 1
             cam_used[node_name] = cam_used.get(node_name, 0.0) + need
     return filled
-
-
-def d_mapping(
-    polytope: NIPSPolytope, values: Sequence[float], kept: Sequence[bool]
-) -> Dict[DKey, float]:
-    """``NIPSPolytope.d_mapping``: the ``d`` variables *kept* marks, by key."""
-    return {key: value for key, value, keep in zip(polytope.d_keys, values, kept) if keep}

@@ -29,6 +29,10 @@ from repro.analysis.verify import (
 )
 from repro.core.manifest import (
     NodeManifest,
+    check_assignment,
+    check_manifests_match_assignment,
+    check_on_path,
+    check_partition,
     generate_manifests,
     raise_first,
     verify_manifests,
@@ -43,11 +47,12 @@ from repro.core.nips_manifest import (
     generate_nips_manifests,
     verify_nips_manifests,
 )
-from repro.core.nips_milp import NIPSSolution, build_nips_problem
+from repro.core.nips_milp import build_nips_problem
 from repro.core.units import CoordinationUnit
 from repro.hashing.ranges import HashRange
 from repro.nips.rules import MatchRateMatrix, unit_rules
 from repro.topology import internet2
+from tests import planning_oracle as oracle
 
 
 def make_unit(nodes=("A", "B"), class_name="c", key=("k",)):
@@ -211,6 +216,31 @@ class TestDeploymentChecks:
         report = verify_deployment(units, manifests, assignment)
         assert report.ok, report.render_text()
 
+    def test_one_manifest_table_per_gate(self, monkeypatch):
+        # The four checks read one table; each public check alone builds its own.
+        from repro.core.manifest_table import ManifestTable
+
+        unit, manifests, assignment = good_world()
+        manifests["B"].entries[unit.ident] = (HashRange(0.7, 1.0),)
+        drifted = make_assignment(unit, {"A": 0.5, "B": 0.5})
+        expected = (
+            check_partition([unit], manifests)
+            + check_on_path([unit], manifests)
+            + check_assignment([unit], drifted)
+            + check_manifests_match_assignment([unit], drifted, manifests)
+        )
+        built = []
+        real = ManifestTable.from_manifests
+        monkeypatch.setattr(
+            ManifestTable,
+            "from_manifests",
+            classmethod(lambda cls, manifests: built.append(cls) or real(manifests)),
+        )
+        report = verify_deployment([unit], manifests, drifted)
+        assert built == [ManifestTable]
+        assert report.findings == expected
+        assert {"REP101", "REP107"} <= set(report.rule_ids())
+
     def test_raise_for_findings(self):
         unit, manifests, _ = good_world()
         manifests["B"].entries[unit.ident] = (HashRange(0.7, 1.0),)
@@ -291,16 +321,17 @@ def nips_world():
 
 class TestNIPSChecks:
     @staticmethod
-    def solution_for(problem, pair, rule_index=0):
-        """Enable one rule at the pair's first on-path node, full mass."""
+    def keyed(problem, pair, rule_index=0):
+        """Enable one rule at the pair's first on-path node, full mass:
+        ``(e, d, node)`` keyed by (rule, node) and (rule, pair, node)."""
         node = problem.paths[pair].nodes[0]
-        solution = NIPSSolution(
-            e={(rule_index, node): 1.0},
-            d={(rule_index, pair, node): 1.0},
-            objective=0.0,
-            solve_seconds=0.0,
-        )
-        return solution, node
+        return {(rule_index, node): 1.0}, {(rule_index, pair, node): 1.0}, node
+
+    @classmethod
+    def solution_for(cls, problem, pair, rule_index=0):
+        """:meth:`keyed` as a solution."""
+        e, d, node = cls.keyed(problem, pair, rule_index)
+        return oracle.solution_of(problem, e, d), node
 
     def test_valid_solution_is_clean(self, nips_world):
         problem = nips_world
@@ -311,52 +342,36 @@ class TestNIPSChecks:
     def test_tcam_overflow_is_rep105(self, nips_world):
         problem = nips_world
         pair = next(iter(problem.paths))
-        solution, node = self.solution_for(problem, pair)
+        _e, _d, node = self.keyed(problem, pair)
         # cam capacity is 2.0 slots; enabling all three unit rules
         # (cam_req=1.0 each) overflows it.
-        solution.e = {(i, node): 1.0 for i in range(3)}
-        solution.d = {}
+        solution = oracle.solution_of(problem, {(i, node): 1.0 for i in range(3)}, {})
         report = verify_nips(problem, solution)
         assert report.rule_ids() == ["REP105"]
 
     def test_sampling_without_enablement_is_rep108(self, nips_world):
         problem = nips_world
         pair = next(iter(problem.paths))
-        solution, node = self.solution_for(problem, pair)
-        solution.e = {}
-        report = verify_nips(problem, solution)
+        _e, d, _node = self.keyed(problem, pair)
+        report = verify_nips(problem, oracle.solution_of(problem, {}, d))
         assert report.rule_ids() == ["REP108"]
-
-    def test_off_path_filtering_is_rep104(self, nips_world):
-        problem = nips_world
-        pair = next(iter(problem.paths))
-        solution, _ = self.solution_for(problem, pair)
-        off_path = next(
-            n
-            for n in problem.topology.node_names
-            if n not in problem.paths[pair].nodes
-        )
-        solution.e[(0, off_path)] = 1.0
-        solution.d = {(0, pair, off_path): 1.0}
-        report = verify_nips(problem, solution)
-        assert report.rule_ids() == ["REP104"]
 
     def test_path_mass_above_one_is_rep101(self, nips_world):
         problem = nips_world
         pair = next(iter(problem.paths))
-        solution, node = self.solution_for(problem, pair)
+        e, d, _node = self.keyed(problem, pair)
         second = problem.paths[pair].nodes[-1]
-        solution.e[(0, second)] = 1.0
-        solution.d[(0, pair, second)] = 0.4  # 1.0 + 0.4 > 1
-        report = verify_nips(problem, solution)
+        e[(0, second)] = 1.0
+        d[(0, pair, second)] = 0.4  # 1.0 + 0.4 > 1
+        report = verify_nips(problem, oracle.solution_of(problem, e, d))
         assert report.rule_ids() == ["REP101"]
 
     def test_negative_fraction_is_rep101(self, nips_world):
         problem = nips_world
         pair = next(iter(problem.paths))
-        solution, node = self.solution_for(problem, pair)
-        solution.d[(0, pair, node)] = -0.25
-        assert verify_nips(problem, solution).rule_ids() == ["REP101"]
+        e, d, node = self.keyed(problem, pair)
+        d[(0, pair, node)] = -0.25
+        assert verify_nips(problem, oracle.solution_of(problem, e, d)).rule_ids() == ["REP101"]
 
     @pytest.mark.parametrize("resource", ["cpu", "mem"])
     def test_node_capacity_overload_is_rep105(self, nips_world, resource):
@@ -382,9 +397,11 @@ class TestNIPSChecks:
         problem = nips_world
         pair = next(p for p in problem.paths if len(problem.paths[p].nodes) >= 2)
         first, last = problem.paths[pair].nodes[0], problem.paths[pair].nodes[-1]
-        solution, _ = self.solution_for(problem, pair)
-        solution.e = {(0, first): 1.0, (0, last): 1.0}
-        solution.d = {(0, pair, first): 0.3, (0, pair, last): 0.3}
+        solution = oracle.solution_of(
+            problem,
+            {(0, first): 1.0, (0, last): 1.0},
+            {(0, pair, first): 0.3, (0, pair, last): 0.3},
+        )
         manifests = generate_nips_manifests(problem, solution)
         assert verify_nips(problem, solution, manifests).ok
         manifests[last].ranges[(0, pair)] = (HashRange(0.1, 0.4),)

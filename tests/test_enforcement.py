@@ -43,9 +43,7 @@ class TestDisjointEnforcement:
 
     def test_no_deployment_drops_nothing(self, deployment):
         problem, solution = deployment
-        from repro.core.nips_milp import NIPSSolution
-
-        empty = NIPSSolution(e={}, d={}, objective=0.0, solve_seconds=0.0)
+        empty = solve_with_fixed_rules(solution.polytope, [0.0] * problem.layout.num_e)
         report = enforce(problem, empty)
         assert report.footprint_removed == 0.0
         assert report.flows_dropped == 0.0
@@ -75,11 +73,7 @@ class TestAgainstRelaxation:
 
     def test_full_enablement_maximizes_drops(self):
         problem = small_problem(num_rules=3, cam=3.0, seed=17, num_nodes=5)
-        all_on = {
-            (i, node): 1
-            for i in range(problem.num_rules)
-            for node in problem.topology.node_names
-        }
+        all_on = [1.0] * problem.layout.num_e
         solution = solve_with_fixed_rules(compile_nips_polytope(problem), all_on)
         report = enforce(problem, solution)
         assert report.flows_dropped > 0

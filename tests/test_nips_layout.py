@@ -60,6 +60,19 @@ from tests.test_planning_columns import _assert_same_compile
 REL = 1e-9
 
 
+def _layout_keys(layout):
+    """The layout's ``e`` then ``d`` entries as (rule, node) and
+    (rule, pair, node) keys, read off its index columns."""
+    e = [(i, node) for i in layout.rule_ids for node in layout.nodes]
+    d = [
+        (layout.rule_ids[r], layout.pairs[p], layout.nodes[j])
+        for r, p, j in zip(
+            layout.rule_of.tolist(), layout.pair_of.tolist(), layout.node_of.tolist()
+        )
+    ]
+    return e + d
+
+
 def _problem(label, num_rules, seed, cam_fraction=0.1, rules=None):
     rules = rules or unit_rules(num_rules)
     topology = by_label(label).set_uniform_capacities(
@@ -95,9 +108,10 @@ def test_relaxation_compiles_to_the_oracles_arrays(label, num_rules, seed):
     problem = _problem(label, num_rules, seed)
     built, reference = build_nips_lp(problem), oracle.build_nips_lp(problem)
     assert built.program.num_constraints == reference.program.num_constraints
-    # Variables are e_keys then d_keys, as the oracle numbered them.
-    keys = built.polytope.e_keys + built.polytope.d_keys
+    # Variables are the layout's e then d entries, as the oracle numbered them.
+    keys = _layout_keys(built.polytope.layout)
     assert keys == list(reference.e_vars) + list(reference.d_vars)
+    assert keys == oracle.e_keys(problem) + oracle.d_keys(problem)
     assert list(range(len(keys))) == [
         var.index for var in (*reference.e_vars.values(), *reference.d_vars.values())
     ]
@@ -123,8 +137,12 @@ def test_relaxation_solution_equals_the_oracles():
     solution = solve(reference.program)
     relaxed = solve_relaxation(problem)
     assert relaxed.objective == solution.objective
-    assert relaxed.e == {k: value(solution, v) for k, v in reference.e_vars.items()}
-    assert relaxed.d == {k: value(solution, v) for k, v in reference.d_vars.items()}
+    assert oracle.e_dict(problem, relaxed.e) == {
+        k: value(solution, v) for k, v in reference.e_vars.items()
+    }
+    assert oracle.d_dict(problem, relaxed.d) == {
+        k: value(solution, v) for k, v in reference.d_vars.items()
+    }
 
 
 def test_a_zero_rate_rule_costs_nothing_and_is_never_sampled():
@@ -141,12 +159,9 @@ def test_a_zero_rate_rule_costs_nothing_and_is_never_sampled():
     built, reference = build_nips_lp(problem), oracle.build_nips_lp(problem)
     _assert_same_compile(built.program.compile(), reference.program.compile())
     polytope = built.polytope
-    assert not any(
-        cost for key, cost in zip(polytope.d_keys, polytope.compiled.cost) if key[0] == 2
-    )
-    everything = {key: 1 for key in polytope.e_keys}
-    ours = solve_with_fixed_rules(polytope, everything)
-    theirs = oracle.solve_with_fixed_rules(problem, everything)
+    assert not polytope.compiled.cost[polytope.layout.rule_of == 2].any()
+    ours = solve_with_fixed_rules(polytope, np.ones(polytope.layout.num_e))
+    theirs = oracle.solve_with_fixed_rules(problem, {key: 1 for key in oracle.e_keys(problem)})
     assert ours.objective == pytest.approx(theirs.objective, rel=REL)
     assert problem.check(ours.e, ours.d) == []
 
@@ -163,10 +178,15 @@ def test_fixed_rules_match_the_rebuilt_program(label, num_rules, cam_fraction):
         e_hat, _d_hat, _trials = round_enablement(polytope, relaxed, rng)
         for placement in (e_hat, greedy_fill(problem, e_hat)):
             ours = solve_with_fixed_rules(polytope, placement)
-            theirs = oracle.solve_with_fixed_rules(problem, placement)
+            theirs = oracle.solve_with_fixed_rules(problem, oracle.e_dict(problem, placement))
             assert ours.objective == pytest.approx(theirs.objective, rel=REL)
-            assert ours.e == theirs.e
-            assert list(ours.d) == list(theirs.d)
+            assert oracle.e_dict(problem, ours.e) == theirs.e
+            # The oracle's program has the enabled columns only; ours
+            # writes 0.0 on the others.
+            enabled = placement[polytope.layout.enabler] > 0
+            keys = oracle.d_keys(problem)
+            assert [key for key, on in zip(keys, enabled) if on] == list(theirs.d)
+            assert not ours.d[~enabled].any()
             assert problem.check(ours.e, ours.d) == []
 
 
@@ -176,12 +196,12 @@ def test_a_placement_solves_the_same_before_and_after_another():
     nodes = problem.topology.node_names
     first = {(i, node): int(i < 2) for i in range(8) for node in nodes}
     second = {(i, node): int(i >= 6 and node == nodes[0]) for i in range(8) for node in nodes}
-    before = solve_with_fixed_rules(polytope, first)
-    other = solve_with_fixed_rules(polytope, second)
-    after = solve_with_fixed_rules(polytope, first)
+    before = solve_with_fixed_rules(polytope, oracle.e_vector(problem, first))
+    other = solve_with_fixed_rules(polytope, oracle.e_vector(problem, second))
+    after = solve_with_fixed_rules(polytope, oracle.e_vector(problem, first))
     assert other.objective < before.objective
     assert after.objective == before.objective
-    assert after.d == before.d
+    assert after.d.tolist() == before.d.tolist()
 
 
 def test_views_share_matrices_and_leave_the_source_alone():
@@ -213,7 +233,7 @@ def test_columns_fixed_at_zero_never_reach_the_backend(monkeypatch):
     polytope = compile_nips_polytope(problem)
     nodes = problem.topology.node_names
     placement = {(i, node): int(i == 4) for i in range(6) for node in nodes}
-    enabled = polytope.enabler_values(placement) > 0
+    enabled = oracle.e_vector(problem, placement)[polytope.layout.enabler] > 0
     widths = []
 
     def spy(cost, a_ub, b_ub, a_eq, b_eq, bounds):
@@ -258,20 +278,21 @@ def test_best_response_matches_the_oracles_builder(seed):
         key: weight * (1.0 if rng.random() < 0.7 else -1.0)
         for key, weight in _perturbed_weights(problem, rng).items()
     }
-    for weights in (_perturbed_weights(problem, rng), sparse, signed):
-        ours = solve_best_response(polytope, weights)
+    for weights in (_perturbed_weights(problem, rng), oracle.d_dict(problem, sparse), signed):
+        weight = oracle.d_vector(problem, weights)
+        ours = solve_best_response(polytope, weight)
         theirs = oracle.solve_best_response(problem, weights)
-        assert set(ours) == set(theirs) == {k for k, w in weights.items() if w > 0.0}
-        assert decision_value(weights, ours) == pytest.approx(
-            decision_value(weights, theirs), rel=REL
+        assert set(theirs) == {k for k, w in weights.items() if w > 0.0}
+        assert not ours[weight <= 0.0].any()
+        assert decision_value(problem, weight, ours) == pytest.approx(
+            decision_value(problem, weight, oracle.d_vector(problem, theirs)), rel=REL
         )
 
 
 def test_non_positive_weights_are_fixed_at_zero(monkeypatch):
     problem = _problem("internet2", 3, seed=7)
     polytope = compile_nips_polytope(problem)
-    keys = polytope.d_keys
-    weights = {key: float(index % 3 - 1) for index, key in enumerate(keys)}  # -1, 0, 1
+    weights = np.arange(polytope.layout.num_d) % 3 - 1.0  # -1, 0, 1
     solved = []
 
     def spy(program):
@@ -283,10 +304,11 @@ def test_non_positive_weights_are_fixed_at_zero(monkeypatch):
     decision = solve_best_response(polytope, weights)
 
     (program,) = solved
-    assert program.bounds[:, 0].tolist() == [0.0] * len(keys)
-    assert program.bounds[:, 1].tolist() == [float(weights[key] > 0.0) for key in keys]
-    assert list(decision) == [key for key in keys if weights[key] > 0.0]
-    assert solve_best_response(polytope, {key: min(w, 0.0) for key, w in weights.items()}) == {}
+    assert program.bounds[:, 0].tolist() == [0.0] * len(weights)
+    assert program.bounds[:, 1].tolist() == (weights > 0.0).astype(float).tolist()
+    assert decision[weights <= 0.0].tolist() == [0.0] * int((weights <= 0.0).sum())
+    nothing = solve_best_response(polytope, np.minimum(weights, 0.0))
+    assert nothing.tolist() == [0.0] * len(weights)
     assert solved[1:] == []  # nothing worth filtering: no solve at all
 
 

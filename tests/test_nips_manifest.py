@@ -14,6 +14,7 @@ from repro.core.rounding import RoundingVariant, best_of_roundings
 from repro.topology import random_pop_topology
 from repro.traffic.generator import host_id
 from repro.traffic.packet import FiveTuple, Packet, TCP
+from tests import planning_oracle as oracle
 from tests.test_nips_milp import small_problem
 
 
@@ -45,7 +46,7 @@ class TestGeneration:
 
     def test_sampled_fractions_match_solution(self, solved, manifests):
         problem, solution = solved
-        for (i, pair, node), fraction in solution.d.items():
+        for (i, pair, node), fraction in oracle.d_dict(problem, solution.d).items():
             if fraction > 1e-9:
                 held = manifests[node].sampled_fraction(i, pair)
                 assert held == pytest.approx(fraction, abs=1e-6)
@@ -71,11 +72,14 @@ class TestGeneration:
         nodes = problem.paths[pair].nodes
         broken = dataclasses.replace(
             solution,
-            d={
-                **solution.d,
-                (0, pair, nodes[0]): 0.8,
-                (0, pair, nodes[-1]): 0.8,
-            },
+            d=oracle.d_vector(
+                problem,
+                {
+                    **oracle.d_dict(problem, solution.d),
+                    (0, pair, nodes[0]): 0.8,
+                    (0, pair, nodes[-1]): 0.8,
+                },
+            ),
         )
         with pytest.raises(ValueError):
             generate_nips_manifests(problem, broken)
@@ -131,9 +135,10 @@ class TestDispatcher:
         problem, solution = solved
         names = problem.topology.node_names
         # Find the largest assigned (rule, pair, node).
-        key = max(solution.d, key=solution.d.get)
+        d = oracle.d_dict(problem, solution.d)
+        key = max(d, key=d.get)
         i, pair, node = key
-        fraction = solution.d[key]
+        fraction = d[key]
         if fraction < 0.2:
             pytest.skip("no substantial assignment to test against")
         dispatcher = NIPSDispatcher(manifests[node], names)

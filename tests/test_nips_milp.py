@@ -17,6 +17,7 @@ from repro.core.nips_milp import (
 )
 from repro.nips.rules import MatchRateMatrix, NIPSRule, unit_rules
 from repro.topology import DistanceMetric, PathSet, internet2, random_pop_topology
+from tests import planning_oracle as oracle
 
 
 def small_problem(num_rules=4, cam=2.0, seed=5, num_nodes=5):
@@ -97,6 +98,11 @@ class TestProblemConstruction:
             assert set(dist.values()) == {1.0}
 
 
+def _check_feasible(problem, e, d):
+    """``check_feasible`` at keyed ``e`` and ``d`` (0.0 where absent)."""
+    return problem.check_feasible(oracle.e_vector(problem, e), oracle.d_vector(problem, d))
+
+
 class TestObjectiveAndFeasibility:
     def test_objective_formula(self, i2_problem):
         pair = i2_problem.pairs[0]
@@ -108,25 +114,25 @@ class TestObjectiveAndFeasibility:
             * i2_problem.dist[pair][node]
             * 0.5
         )
-        assert i2_problem.objective(d) == pytest.approx(expected)
+        assert i2_problem.objective(oracle.d_vector(i2_problem, d)) == pytest.approx(expected)
 
     def test_feasibility_checker_accepts_valid(self, i2_problem):
         pair = i2_problem.pairs[0]
         node = i2_problem.paths[pair].nodes[0]
         e = {(0, node): 1}
         d = {(0, pair, node): 0.001}
-        assert i2_problem.check_feasible(e, d) == []
+        assert _check_feasible(i2_problem, e, d) == []
 
     def test_feasibility_checker_catches_unlinked_d(self, i2_problem):
         pair = i2_problem.pairs[0]
         node = i2_problem.paths[pair].nodes[0]
-        violations = i2_problem.check_feasible({}, {(0, pair, node): 0.5})
+        violations = _check_feasible(i2_problem, {}, {(0, pair, node): 0.5})
         assert any("exceeds e" in v for v in violations)
 
     def test_feasibility_checker_catches_cam_overflow(self, i2_problem):
         node = i2_problem.topology.node_names[0]
         e = {(i, node): 1 for i in range(30)}  # cam capacity is 10
-        violations = i2_problem.check_feasible(e, {})
+        violations = _check_feasible(i2_problem, e, {})
         assert any("TCAM" in v for v in violations)
 
     def test_feasibility_checker_catches_path_oversampling(self, i2_problem):
@@ -136,7 +142,7 @@ class TestObjectiveAndFeasibility:
             pytest.skip("need a multi-hop path")
         e = {(0, n): 1 for n in nodes[:2]}
         d = {(0, pair, nodes[0]): 0.7, (0, pair, nodes[1]): 0.7}
-        violations = i2_problem.check_feasible(e, d)
+        violations = _check_feasible(i2_problem, e, d)
         assert any("sum to" in v for v in violations)
 
 
@@ -145,15 +151,16 @@ class TestRelaxation:
         relaxed = solve_relaxation(i2_problem)
         assert relaxed.objective > 0
         # Fractional e is allowed in the relaxation; d <= e must hold.
-        for (i, pair, node), value in relaxed.d.items():
-            assert value <= relaxed.e[(i, node)] + 1e-6
+        e = oracle.e_dict(i2_problem, relaxed.e)
+        for (i, pair, node), value in oracle.d_dict(i2_problem, relaxed.d).items():
+            assert value <= e[(i, node)] + 1e-6
 
     def test_relaxation_respects_cam_fractionally(self, i2_problem):
         relaxed = solve_relaxation(i2_problem)
         for node in i2_problem.topology.node_names:
             used = sum(
                 value
-                for (i, n), value in relaxed.e.items()
+                for (i, n), value in oracle.e_dict(i2_problem, relaxed.e).items()
                 if n == node
             )
             assert used <= i2_problem.topology.node(node).cam_capacity + 1e-6
@@ -186,7 +193,7 @@ class TestExactVsRelaxation:
                 i, pair_str, node = name[2:-1].split("|")
                 a, b = pair_str.split("-")
                 d[(int(i), (a, b), node)] = value
-        assert problem.check_feasible(e, d) == []
+        assert _check_feasible(problem, e, d) == []
 
 
 def _brute_force_optimum(problem):
@@ -209,7 +216,7 @@ def _brute_force_optimum(problem):
     best = 0.0
     for placement in itertools.product(*per_node):
         enabled = set().union(*placement)
-        fixed = {key: int(key in enabled) for key in polytope.e_keys}
+        fixed = [float(key in enabled) for key in oracle.e_keys(problem)]
         best = max(best, solve_with_fixed_rules(polytope, fixed).objective)
     return best
 
@@ -240,8 +247,8 @@ class TestFixedRuleLP:
             for i in range(i2_problem.num_rules)
             for node in i2_problem.topology.node_names
         }
-        solution = solve_with_fixed_rules(i2_polytope, fixed)
-        for (i, pair, node), value in solution.d.items():
+        solution = solve_with_fixed_rules(i2_polytope, oracle.e_vector(i2_problem, fixed))
+        for (i, pair, node), value in oracle.d_dict(i2_problem, solution.d).items():
             if i != 0:
                 assert value == 0.0
         assert i2_problem.check_feasible(solution.e, solution.d) == []
@@ -253,7 +260,7 @@ class TestFixedRuleLP:
             for i in range(i2_problem.num_rules)
             for node in i2_problem.topology.node_names
         }
-        restricted = solve_with_fixed_rules(i2_polytope, fixed)
+        restricted = solve_with_fixed_rules(i2_polytope, oracle.e_vector(i2_problem, fixed))
         assert restricted.objective <= relaxed.objective + 1e-6
 
     def test_enabled_rules_listing(self, i2_problem, i2_polytope):
@@ -262,7 +269,7 @@ class TestFixedRuleLP:
             for i in range(i2_problem.num_rules)
             for node in i2_problem.topology.node_names
         }
-        solution = solve_with_fixed_rules(i2_polytope, fixed)
+        solution = solve_with_fixed_rules(i2_polytope, oracle.e_vector(i2_problem, fixed))
         node = i2_problem.topology.node_names[0]
         assert solution.enabled_rules(node) == [2, 5]
 
@@ -271,9 +278,9 @@ class TestDegenerateCapacity:
     def test_empty_placement_returns_zero_deployment(self, i2_polytope):
         """A TCAM budget below one slot enables nothing; the restricted
         LP degenerates to the zero deployment instead of erroring."""
-        solution = solve_with_fixed_rules(i2_polytope, {})
+        solution = solve_with_fixed_rules(i2_polytope, [0.0] * i2_polytope.layout.num_e)
         assert solution.objective == 0.0
-        assert solution.d == {}
+        assert solution.d.tolist() == [0.0] * i2_polytope.layout.num_d
 
     def test_rounding_survives_sub_slot_budget(self):
         """The full rounding pipeline on a problem whose TCAM cannot

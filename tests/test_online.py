@@ -20,6 +20,12 @@ from repro.nips.adversary import (
     ShiftingHotspotProcess,
     UniformProcess,
 )
+from tests import planning_oracle as oracle
+
+
+def _everything_enabled(problem):
+    """An ``e`` vector enabling every rule on every node (no TCAM online)."""
+    return [1.0] * problem.layout.num_e
 
 
 @pytest.fixture(scope="module")
@@ -35,18 +41,22 @@ def polytope(problem):
 class TestStateVector:
     def test_components_match_formula(self, problem):
         rates = {(0, problem.pairs[0]): 0.01}
-        state = state_vector(problem, rates)
+        state = oracle.d_dict(problem, state_vector(problem, rates))
         pair = problem.pairs[0]
         for node in problem.paths[pair].nodes:
             expected = problem.items[pair] * 0.01 * problem.dist[pair][node]
             assert state[(0, pair, node)] == pytest.approx(expected)
+        assert sum(1 for value in state.values() if value) == len(problem.paths[pair].nodes)
 
     def test_zero_rates_empty_state(self, problem):
-        assert state_vector(problem, {}) == {}
+        assert not state_vector(problem, {}).any()
 
     def test_decision_value_dot_product(self, problem):
-        state = {("k",): 2.0}
-        assert decision_value({"a": 2.0}, {"a": 3.0}) == pytest.approx(6.0)
+        pair = problem.pairs[0]
+        node = problem.paths[pair].nodes[0]
+        state = oracle.d_vector(problem, {(0, pair, node): 2.0})
+        decision = oracle.d_vector(problem, {(0, pair, node): 3.0, (1, pair, node): 5.0})
+        assert decision_value(problem, state, decision) == pytest.approx(6.0)
 
 
 class TestBestResponse:
@@ -60,11 +70,7 @@ class TestBestResponse:
         decision = solve_best_response(polytope, weights)
         # Check Eq. 11 and capacities via the problem's checker with
         # all rules enabled (no TCAM constraint online).
-        e = {
-            (rule.index, node): 1
-            for rule in problem.rules
-            for node in problem.topology.node_names
-        }
+        e = _everything_enabled(problem)
         violations = [
             v for v in problem.check_feasible(e, decision) if "TCAM" not in v
         ]
@@ -74,14 +80,15 @@ class TestBestResponse:
         pair = problem.pairs[0]
         nodes = problem.paths[pair].nodes
         weights = {(0, pair, nodes[0]): 100.0, (0, pair, nodes[-1]): 1.0}
-        decision = solve_best_response(polytope, weights)
-        assert decision.get((0, pair, nodes[0]), 0.0) >= decision.get(
-            (0, pair, nodes[-1]), 0.0
+        decision = oracle.d_dict(
+            problem, solve_best_response(polytope, oracle.d_vector(problem, weights))
         )
+        assert decision[(0, pair, nodes[0])] >= decision[(0, pair, nodes[-1])]
 
     def test_nonpositive_weights_dropped(self, problem, polytope):
         weights = {(0, problem.pairs[0], problem.paths[problem.pairs[0]].nodes[0]): 0.0}
-        assert solve_best_response(polytope, weights) == {}
+        decision = solve_best_response(polytope, oracle.d_vector(problem, weights))
+        assert not decision.any()
 
 
 class TestFPLAdapter:
@@ -103,11 +110,7 @@ class TestFPLAdapter:
     def test_decisions_feasible_every_epoch(self, problem):
         adapter = FPLAdapter(problem, FPLConfig(epochs=5, perturbation_scale=1e6))
         process = UniformProcess(problem, seed=3)
-        e = {
-            (rule.index, node): 1
-            for rule in problem.rules
-            for node in problem.topology.node_names
-        }
+        e = _everything_enabled(problem)
         for epoch in range(1, 4):
             decision = adapter.decide()
             violations = [
@@ -171,7 +174,7 @@ class TestAdversaries:
             for p in problem.pairs
             if p != pair or rule.index != 0
         }
-        rates = adversary(2, covered_decision)
+        rates = adversary(2, oracle.d_vector(problem, covered_decision))
         hot = [k for k, v in rates.items() if v > 0]
         assert hot == [(0, pair)]
 

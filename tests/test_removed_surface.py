@@ -9,6 +9,7 @@ from quietly bringing one back.
 import dataclasses
 import importlib
 
+import numpy as np
 import pytest
 
 import repro.control
@@ -93,6 +94,36 @@ class TestRemovedSurface:
         fields = {field.name for field in dataclasses.fields(nids_lp.NIDSAssignment)}
         assert "fractions" not in fields
         assert not hasattr(nids_lp.NIDSAssignment, "fractions")
+
+    def test_nips_solutions_have_one_representation(self):
+        # A NIPS solution holds its polytope's e and d vectors; the keyed
+        # dicts, their key types and the conversions to and from them
+        # are gone, and with them the tests of those conversions
+        # (test_d_mapping_is_the_oracles, a relaxation keyed otherwise
+        # than its polytope: test_a_relaxation_with_other_keys_draws_as_the_oracle)
+        # and of off-path NIPS mass, which has no slot in the layout
+        # (TestNIPSChecks::test_off_path_filtering_is_rep104).
+        import repro.core.nips_milp as nips_milp
+        from repro.core import rounding
+        from tests.test_nips_milp import small_problem
+
+        for name in ("DKey", "EKey"):
+            assert not hasattr(nips_milp, name)
+        for name in ("enabler_values", "d_vector", "d_mapping", "e_keys", "d_keys"):
+            assert not hasattr(nips_milp.NIPSPolytope, name)
+        relaxed = nips_milp.solve_relaxation(small_problem(num_rules=2, num_nodes=4))
+        assert isinstance(relaxed.e, np.ndarray) and isinstance(relaxed.d, np.ndarray)
+        rounder = rounding._Rounder(relaxed.polytope, relaxed, alpha=2.0, beta=2.0)
+        for name in ("keys", "slot", "known", "members", "_spread"):
+            assert not hasattr(rounder, name)
+        test_names = {name for name in dir(importlib.import_module("tests.test_rounding_columns"))}
+        assert not test_names & {
+            "test_d_mapping_is_the_oracles",
+            "test_a_relaxation_with_other_keys_draws_as_the_oracle",
+        }
+        from tests.test_analysis_verify import TestNIPSChecks
+
+        assert not hasattr(TestNIPSChecks, "test_off_path_filtering_is_rep104")
 
     def test_the_unread_trace_stats_are_gone(self):
         import repro.traffic

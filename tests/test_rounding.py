@@ -13,6 +13,7 @@ from repro.core.rounding import (
     round_enablement,
     rounded_deployment,
 )
+from tests import planning_oracle as oracle
 from tests.test_nips_milp import small_problem
 
 
@@ -34,7 +35,7 @@ def relaxed(problem):
 class TestRoundEnablement:
     def test_binary_output(self, problem, polytope, relaxed):
         e_hat, d_hat, trials = round_enablement(polytope, relaxed, random.Random(0))
-        assert set(e_hat.values()) <= {0, 1}
+        assert set(e_hat.tolist()) <= {0, 1}
         assert trials >= 1
 
     def test_cam_repaired(self, problem, polytope, relaxed):
@@ -43,15 +44,16 @@ class TestRoundEnablement:
             for node in problem.topology.node_names:
                 used = sum(
                     problem.rules[i].cam_req
-                    for (i, n), v in e_hat.items()
+                    for (i, n), v in oracle.e_dict(problem, e_hat).items()
                     if n == node and v
                 )
                 assert used <= problem.topology.node(node).cam_capacity + 1e-9
 
     def test_d_respects_e(self, problem, polytope, relaxed):
         e_hat, d_hat, _ = round_enablement(polytope, relaxed, random.Random(1))
-        for (i, pair, node), value in d_hat.items():
-            if not e_hat.get((i, node), 0):
+        e_hat = oracle.e_dict(problem, e_hat)
+        for (i, pair, node), value in oracle.d_dict(problem, d_hat).items():
+            if not e_hat[(i, node)]:
                 assert value == 0.0
 
 
@@ -112,7 +114,7 @@ class TestVariants:
 
 class TestGreedyFill:
     def test_fills_to_capacity(self, problem):
-        filled = greedy_fill(problem, {})
+        filled = oracle.e_dict(problem, greedy_fill(problem, [0.0] * problem.layout.num_e))
         for node in problem.topology.node_names:
             used = sum(
                 problem.rules[i].cam_req
@@ -127,8 +129,8 @@ class TestGreedyFill:
 
     def test_preserves_existing_enablement(self, problem):
         seeded = {(0, problem.topology.node_names[0]): 1}
-        filled = greedy_fill(problem, seeded)
-        assert filled[(0, problem.topology.node_names[0])] == 1
+        filled = greedy_fill(problem, oracle.e_vector(problem, seeded))
+        assert oracle.e_dict(problem, filled)[(0, problem.topology.node_names[0])] == 1
 
 
 class TestBestOfRoundings:
