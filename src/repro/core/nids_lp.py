@@ -372,7 +372,7 @@ def solve_nids_lp(
     solution = solve_or_raise(built.program)
     elapsed = time.perf_counter() - started
 
-    values = np.asarray(solution.values)
+    values = solution.values
     # Clamp solver noise into [0, 1]; "+ 0.0" turns a -0.0 into 0.0.
     d_star = np.clip(values[built.d.start : built.d.stop], 0.0, 1.0) + 0.0
     return NIDSAssignment(

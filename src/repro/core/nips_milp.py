@@ -522,7 +522,7 @@ def solve_relaxation(problem: NIPSProblem) -> NIPSSolution:
     built = build_nips_lp(problem, integral=False)
     solution = solve_or_raise(built.program)
     elapsed = time.perf_counter() - started
-    values = np.array(solution.values)
+    values = solution.values
     split = built.polytope.layout.num_e
     return NIPSSolution(
         e=values[:split],
@@ -558,7 +558,7 @@ def solve_with_fixed_rules(polytope: NIPSPolytope, fixed_e: Sequence[float]) -> 
     solution = solve_or_raise(polytope.compiled.with_bounds(0.0, upper))
     return NIPSSolution(
         e=e,
-        d=np.array(solution.values),
+        d=solution.values,
         objective=solution.objective,
         solve_seconds=time.perf_counter() - started,
         polytope=polytope,

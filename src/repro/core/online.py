@@ -70,7 +70,7 @@ def solve_best_response(polytope: NIPSPolytope, weights: np.ndarray) -> Decision
         # Nothing is worth filtering (all weights non-positive).
         return np.zeros(len(weight))
     solution = solve_or_raise(polytope.compiled.with_cost(weight).with_bounds(0.0, worth))
-    return np.array(solution.values)
+    return solution.values
 
 
 @dataclass

@@ -198,12 +198,32 @@ def key_eligibility(
 
 
 def _distinct_per_unit(unit: np.ndarray, items: np.ndarray, num_units: int) -> np.ndarray:
-    """Number of distinct *items* values within each unit id."""
-    order = np.lexsort((items, unit))
-    unit, items = unit[order], items[order]
-    first = np.ones(len(unit), dtype=bool)
-    first[1:] = (unit[1:] != unit[:-1]) | (items[1:] != items[:-1])
-    return np.bincount(unit[first], minlength=num_units)
+    """Number of distinct *items* values (int64) within each unit id.
+
+    One sort of the combined key ``unit * span + (item - low)``, ``span``
+    the width of the item range: equal keys are equal (unit, item)
+    pairs, and each run's unit is its key ``// span``.  Host ids are
+    arbitrary 64-bit values, so where ``num_units * span`` would not fit
+    in int64 the items are first re-coded by rank, which shrinks
+    ``span`` to their number of distinct values.
+    """
+    if len(items) == 0:
+        return np.zeros(num_units, dtype=np.intp)
+    low = int(items.min())
+    span = int(items.max()) - low + 1
+    if num_units * span > np.iinfo(np.int64).max:
+        distinct, items = np.unique(items, return_inverse=True)
+        low, span = 0, len(distinct)
+    # int64 arithmetic is modular and the final key fits, so a wrap in
+    # ``unit * span + item`` is undone by ``- low``.
+    key = unit * span
+    key += items
+    key -= low
+    key.sort()
+    first = np.empty(len(key), dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return np.bincount(key[first] // span, minlength=num_units)
 
 
 def build_units(
@@ -221,9 +241,12 @@ def build_units(
     class's aggregation: sessions for flow/session-level analyses,
     distinct hosts for per-source/per-destination analyses.
 
-    Per class this is a group-by over the batch's columns: sessions map
-    to their unit through :func:`session_unit_keys` and ``np.bincount``
-    sums packets, CPU work and session counts per unit.
+    Per class this is a group-by over the batch's columns: the class's
+    rows are its filter's mask (the whole columns for a filter that
+    matches everything), sessions map to their unit through
+    :func:`session_unit_keys`, ``np.bincount`` sums packets, CPU work
+    and session counts per unit, and distinct hosts per unit are one
+    sort of a combined key (:func:`_distinct_per_unit`).
     ``bincount`` adds its weights in session order, so every volume is
     bit-equal to a per-session ``+=`` loop (``tests/planning_oracle.py``).
     """
@@ -234,16 +257,20 @@ def build_units(
         if spec.scope not in by_scope:
             by_scope[spec.scope] = session_unit_keys(batch, spec.scope)
         keys, unit_of_session = by_scope[spec.scope]
-        matched = np.flatnonzero(
-            spec.traffic_filter.matches_sessions_batch(batch.proto, batch.dport)
+        rows = (
+            slice(None)  # whole columns: views, no gather
+            if spec.traffic_filter.matches_all
+            else np.flatnonzero(
+                spec.traffic_filter.matches_sessions_batch(batch.proto, batch.dport)
+            )
         )
-        unit = unit_of_session[matched]
-        pkts_f = batch.pkts_f[matched]
-        cpu = spec.session_cpu_batch(pkts_f, batch.half_open[matched])
+        unit = unit_of_session[rows]
+        pkts_f = batch.pkts_f[rows]
+        cpu = spec.session_cpu_batch(pkts_f, batch.half_open[rows])
         counts = np.bincount(unit, minlength=len(keys))
         if spec.aggregation in (Aggregation.SOURCE, Aggregation.DESTINATION):
             items = _distinct_per_unit(
-                unit, batch.item_keys(spec.aggregation)[matched], len(keys)
+                unit, batch.item_keys(spec.aggregation)[rows], len(keys)
             )
         else:
             items = counts

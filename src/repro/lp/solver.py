@@ -64,11 +64,14 @@ class LPSolution:
     were added — the sensitivity of the objective to relaxing each
     constraint, used by the provisioning analyses.  Signs follow the
     model's own sense.  A MILP has none: both lists are empty.
+
+    ``values`` is the float64 point the backend returned, one entry per
+    variable (empty when the solve found none).
     """
 
     status: SolveStatus
     objective: float
-    values: List[float]
+    values: np.ndarray
     variable_names: Names
     solve_seconds: float
     message: str = ""
@@ -100,11 +103,11 @@ class LPSolution:
 
     def value_by_name(self, name: str) -> float:
         """Value of the variable called *name*."""
-        return self.values[self.variable_names.index(name)]
+        return float(self.values[self.variable_names.index(name)])
 
     def as_dict(self) -> Dict[str, float]:
         """Full assignment as ``{name: value}`` (for logs and tests)."""
-        return dict(zip(self.variable_names, self.values))
+        return dict(zip(self.variable_names, self.values.tolist()))
 
 
 def solve(program: Union[LinearProgram, CompiledLP]) -> LPSolution:
@@ -151,7 +154,7 @@ def solve(program: Union[LinearProgram, CompiledLP]) -> LPSolution:
         return LPSolution(
             status=SolveStatus.ERROR,
             objective=float("nan"),
-            values=[],
+            values=np.empty(0),
             variable_names=compiled.variable_names,
             solve_seconds=elapsed,
             message=str(exc),
@@ -159,15 +162,13 @@ def solve(program: Union[LinearProgram, CompiledLP]) -> LPSolution:
     elapsed = time.perf_counter() - started
 
     objective = float("nan")
-    values: List[float] = []
+    values = np.empty(0)
     if result.x is not None:
-        x = result.x
+        values = result.x
         if kept is not None:
-            x = np.zeros(compiled.num_variables)
-            x[kept] = result.x
-        values = x.tolist()
-        # ``cost · x`` on the array: np.dot would convert the list back.
-        objective = program.objective_value(x if isinstance(program, CompiledLP) else values)
+            values = np.zeros(compiled.num_variables)
+            values[kept] = result.x
+        objective = program.objective_value(values)
 
     # HiGHS reports marginals for the *internal* (sign-flipped for
     # maximization) problem; flip back so duals follow the model sense.

@@ -92,20 +92,31 @@ class TrafficFilter:
         # contributes at least its initial SYN, so it matches.
         return True
 
+    @property
+    def matches_all(self) -> bool:
+        """Whether every session matches (no protocol, no ports)."""
+        return self.proto is None and not self.server_ports
+
     def matches_sessions_batch(self, protos, dports):
         """Vectorized :meth:`matches_session` over field arrays.
 
         *protos* and *dports* are equal-length NumPy arrays of the
         sessions' protocol and destination-port fields; returns a
-        boolean mask matching the scalar predicate element-wise.
+        boolean mask matching the scalar predicate element-wise.  Port
+        membership is a ``|=`` fold of ``dports == port`` over the (one
+        to a few) server ports: exact for any integer, with no table.
         """
         import numpy as np
 
-        mask = np.ones(len(protos), dtype=bool)
-        if self.proto is not None:
-            mask &= protos == self.proto
+        if self.proto is None:
+            mask = np.ones(len(protos), dtype=bool)
+        else:
+            mask = protos == self.proto
         if self.server_ports:
-            mask &= np.isin(dports, np.fromiter(self.server_ports, dtype=np.int64))
+            served = np.zeros(len(dports), dtype=bool)
+            for port in sorted(self.server_ports):
+                served |= dports == port
+            mask &= served
         return mask
 
     def matches_packet(self, packet: Packet) -> bool:

@@ -362,4 +362,4 @@ class _Rows:
 
 def value(solution: LPSolution, variable: Variable) -> float:
     """Value of *variable* in *solution* (was ``LPSolution.value``)."""
-    return solution.values[variable.index]
+    return float(solution.values[variable.index])

@@ -429,7 +429,7 @@ class TestMILPOnBothBackends:
         (status, objective, values), reference = outcomes
         assert status is reference[0]
         assert objective == reference[1] or math.isnan(objective) and math.isnan(reference[1])
-        assert values == reference[2]
+        assert values.tolist() == reference[2].tolist()
 
 
 class TestRemovedSpellings:

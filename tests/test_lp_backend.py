@@ -80,6 +80,11 @@ def _assert_identical(monkeypatch, program):
     assert direct_iterations == iterations
     assert direct.status is reference.status
     assert _same(direct.values, reference.values)
+    # The point is the backend's float64 array, on both paths and on
+    # a failed solve (empty) alike: no list round trip.
+    for solution in (direct, reference):
+        assert isinstance(solution.values, np.ndarray)
+        assert solution.values.dtype == np.float64
     assert _same([direct.objective], [reference.objective])
     assert _same(direct.ineq_duals, reference.ineq_duals)
     assert _same(direct.eq_duals, reference.eq_duals)
@@ -178,7 +183,7 @@ class TestSameAsLinprog:
         assert compiled.a_ub is None and compiled.a_eq is None
         solution = _assert_identical(monkeypatch, lp)
         assert solution.status is SolveStatus.OPTIMAL
-        assert solution.values == [4.0, 0.0, 0.0] and solution.objective == 12.0
+        assert solution.values.tolist() == [4.0, 0.0, 0.0] and solution.objective == 12.0
         assert solution.ineq_duals == [] and solution.eq_duals == []
         _assert_identical(monkeypatch, compiled.with_bounds(0.0, [1.0, 0.0, 0.0]))
         open_ended = LinearProgram("ray")
@@ -263,4 +268,4 @@ def test_an_optimum_outside_the_tolerance_is_an_error(monkeypatch):
     monkeypatch.setattr(solver, "_FEASIBILITY_TOL", -1.0)
     solution = solve(_toy())
     assert solution.status is SolveStatus.ERROR
-    assert solution.values == [4.0, 1.0]
+    assert solution.values.tolist() == [4.0, 1.0]

@@ -332,7 +332,7 @@ def test_exact_solve_is_the_parents(kwargs, objective):
     for result in (exact, reference):
         assert result.objective == pytest.approx(objective, rel=REL)
         assert result.optimal
-    assert exact.values == reference.values
+    assert exact.values.tolist() == reference.values.tolist()
     solve(program)
     assert (program.lower_bounds, program.upper_bounds) == (lower, upper)
 

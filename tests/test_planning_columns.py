@@ -81,6 +81,25 @@ def _session(index, ingress, egress, src, dst, *, proto=TCP, dport=80, pkts=3,
     )
 
 
+#: Host ids at the edges of ``uint64`` and of its int64 reading.
+HOST_EDGES = (0, 1, 2**62, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 2, 2**64 - 1)
+HOSTS = st.integers(min_value=0, max_value=2**64 - 1)
+PROTOS = (TCP, UDP, 1)
+#: A protocol no drawn session carries: its class matches nothing.
+UNSEEN_PROTO = 250
+#: Destination ports in and far outside the 16-bit range.
+PORTS = st.one_of(
+    st.sampled_from((-1, 0, 23, 69, 80, 135, 513, 6667, 8080, 65535, 65536, 2**40)),
+    st.integers(min_value=-(2**63), max_value=2**63 - 1),
+)
+#: Server-port sets, some holding integers no int64 column can equal.
+SERVER_PORTS = st.frozensets(
+    st.one_of(PORTS, st.sampled_from((2**63, 2**64, -(2**63) - 1))),
+    min_size=1,
+    max_size=4,
+)
+
+
 # -- build_units --------------------------------------------------------------
 class TestBuildUnits:
     @pytest.mark.parametrize("count", range(8, 22))
@@ -194,19 +213,30 @@ class TestBuildUnits:
         assert items[("egress-DESTINATION", (a,))] == 2.0  # 72, 73
 
     @given(data=st.data())
-    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_hand_built_traces_every_scope(self, data):
+        """Hosts over the whole ``uint64`` range (so the distinct-item key
+        overflows int64 and items are re-coded), arbitrary ports and
+        every filter shape, against the per-session oracle."""
         topology = by_label("internet2")
         paths = PathSet(topology)
         nodes = topology.node_names[:4]
         node = st.sampled_from(nodes)
-        host = st.integers(min_value=1, max_value=6)
+        # A band of host ids: narrow bands repeat hosts within a unit,
+        # wide ones make ``units * span`` leave int64.
+        low = data.draw(st.one_of(st.sampled_from(HOST_EDGES), HOSTS), label="low")
+        width = data.draw(st.sampled_from((5, 2**32, 2**61, 2**62, 2**63, 2**64)), label="width")
+        high = min(low + width, 2**64 - 1)
+        host = st.one_of(
+            st.integers(low, min(low + 5, high)),
+            st.integers(low, high),
+            st.sampled_from(HOST_EDGES),
+        )
         rows = data.draw(
             st.lists(
                 st.tuples(
                     node, node, host, host,
-                    st.sampled_from((TCP, UDP)),
-                    st.sampled_from((80, 69, 6667)),
+                    st.sampled_from(PROTOS), PORTS,
                     st.integers(min_value=1, max_value=2000),
                     st.booleans(),
                 ),
@@ -219,24 +249,56 @@ class TestBuildUnits:
             for i, (ingress, egress, src, dst, proto, dport, pkts, half_open)
             in enumerate(rows)
         ]
+        filters = {
+            "all": TrafficFilter(),
+            "proto": TrafficFilter(proto=data.draw(st.sampled_from(PROTOS))),
+            "ports": TrafficFilter(server_ports=data.draw(SERVER_PORTS)),
+            "both": TrafficFilter(
+                proto=data.draw(st.sampled_from(PROTOS)),
+                server_ports=data.draw(SERVER_PORTS),
+            ),
+            "none": TrafficFilter(server_ports=frozenset({80}), proto=UNSEEN_PROTO),
+        }
         modules = [
             _spec(
                 scope,
                 aggregation,
-                name=f"{scope.value}-{aggregation.name}",
+                name=f"{scope.value}-{aggregation.name}-{shape}",
                 events_per_packet=0.3,
                 events_per_session=1.7,
                 half_open_events_only=aggregation is Aggregation.DESTINATION,
-                traffic_filter=TrafficFilter(
-                    proto=TCP if scope is Scope.EGRESS else None
-                ),
+                traffic_filter=traffic_filter,
             )
             for scope in Scope
             for aggregation in Aggregation
+            for shape, traffic_filter in filters.items()
         ]
         assert build_units(modules, trace, paths) == oracle.build_units(
             modules, trace, paths
         )
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_batch_filter_is_the_scalar_filter(data):
+    """``matches_sessions_batch`` (and the batch's memoised
+    ``match_mask``) equals ``matches_session`` session by session."""
+    traffic_filter = TrafficFilter(
+        proto=data.draw(st.none() | st.sampled_from(PROTOS)),
+        server_ports=data.draw(st.just(frozenset()) | SERVER_PORTS),
+    )
+    rows = data.draw(st.lists(st.tuples(st.sampled_from(PROTOS), PORTS), max_size=30))
+    trace = [
+        _session(i, "a", "b", src=1, dst=2, proto=proto, dport=dport)
+        for i, (proto, dport) in enumerate(rows)
+    ]
+    expected = [traffic_filter.matches_session(session) for session in trace]
+    batch = SessionBatch(trace)
+    mask = traffic_filter.matches_sessions_batch(batch.proto, batch.dport)
+    assert mask.dtype == bool
+    assert mask.tolist() == expected
+    assert batch.match_mask(traffic_filter).tolist() == expected
+    assert traffic_filter.matches_all == (traffic_filter == TrafficFilter())
 
 
 def test_plan_deployment_takes_a_batch(world):
@@ -487,7 +549,7 @@ class TestBlocks:
         with pytest.raises(ValueError):
             solution.value_by_name("nonexistent")
         reference = solve_or_raise(_reference_program())
-        assert solution.values == reference.values
+        assert solution.values.tolist() == reference.values.tolist()
         assert solution.objective == reference.objective
         assert (solution.ineq_duals, solution.eq_duals) == (
             reference.ineq_duals, reference.eq_duals
