@@ -137,6 +137,11 @@ class EpochRecord:
     fenced_nodes: Tuple[str, ...] = ()
 
 
+def json_size(payload: dict) -> int:
+    """Wire size of a control message: its sorted-key JSON encoding."""
+    return len(json.dumps(payload, sort_keys=True))
+
+
 @dataclass(frozen=True)
 class EpochLogEntry:
     """One adopted configuration in the replicated epoch log.
@@ -179,7 +184,7 @@ class EpochLogEntry:
     def json_size(self) -> int:
         """Length of the entry's sorted-key JSON encoding, measured once:
         a logged entry never changes, and it is re-sent every beat."""
-        return len(json.dumps(self.to_dict(), sort_keys=True))
+        return json_size(self.to_dict())
 
     def manifest_objects(self) -> Dict[str, NodeManifest]:
         """Materialize the stored manifests as ``NodeManifest``s."""

@@ -11,6 +11,11 @@ and refuses to push until caught up; and (4) the chaos monitor's
 failover invariants (leader-uniqueness, epoch-regression) catch any
 implementation that violates the fencing — pinned here by seeded
 mutation tests that disable the fences and assert the monitor trips.
+
+Role, term, election and the epoch log are one state machine,
+``Controller.replication`` (a ``ReplicatedLog``); these tests read it
+there.  ``tests/test_replication.py`` enumerates it alone, without a
+bus.
 """
 
 import pickle
@@ -25,10 +30,11 @@ from repro.control.chaos import (
     build_plan,
     run_chaos,
 )
-from repro.control.controller import Controller, ControllerConfig, PushState
+from repro.control.controller import ControllerConfig, PushState
 from repro.control.epochs import EpochLogEntry
 from repro.control.plane import ScenarioConfig
 from repro.control.ha import HACluster, HAConfig, replica_name
+from repro.control.replication import Beat, ReplicatedLog
 from repro.control.protocol import (
     KIND_ACK,
     KIND_MANIFEST_UPDATE,
@@ -65,6 +71,19 @@ def _full_push(version, manifest, term=None, lease=None):
 
 def _quiet_bus():
     return Bus(BusConfig(latency=0.0, jitter=0.0, loss_rate=0.0, seed=1))
+
+
+def _promote(replica, now):
+    """Make *replica* run for office at *now*, as its beat would once
+    its election came due: mint the term, send the promotes."""
+    replica._apply(
+        Beat(sends=replica.replication._promote(now), elected=True), now
+    )
+
+
+def _never_settle(self, now):
+    """The fencing mutation: a leader ignores higher-term evidence."""
+    return Beat()
 
 
 def _cluster(replicas=3, leader_lease=2.5, rank_stagger=1.0):
@@ -141,17 +160,18 @@ class TestTermArithmetic:
     def test_minted_terms_are_replica_unique(self):
         _bus, cluster = _cluster()
         for replica in cluster.replicas:
+            machine = replica.replication
             for floor in range(12):
-                term = replica._next_term(floor)
+                term = machine._next_term(floor)
                 assert term > floor
-                assert term % 3 == replica.index
+                assert term % 3 == machine.index
                 # Smallest such term: no replica skips a valid slot.
                 assert term - floor <= 3
 
     def test_concurrent_candidates_mint_distinct_terms(self):
         _bus, cluster = _cluster()
         for floor in range(8):
-            minted = {r._next_term(floor) for r in cluster.replicas}
+            minted = {r.replication._next_term(floor) for r in cluster.replicas}
             assert len(minted) == 3
 
 
@@ -167,14 +187,14 @@ class TestElection:
         self._run_leaderless(cluster, 5)
         replica0, replica1, replica2 = cluster.replicas
         assert not replica0.alive
-        assert replica1.role == "leader"
-        assert replica1.term == 1
-        assert replica1.stats.elections == 1
+        assert replica1.replication.role == "leader"
+        assert replica1.replication.term == 1
+        assert replica1.replication.elections == 1
         # Replica 2 heard the new leader before its own (staggered)
         # timeout lapsed, so it never ran for election.
-        assert replica2.role == "standby"
-        assert replica2.term == 1
-        assert replica2.stats.elections == 0
+        assert replica2.replication.role == "standby"
+        assert replica2.replication.term == 1
+        assert replica2.replication.elections == 0
         assert cluster.acting_leader() is replica1
 
     def test_election_is_deterministic(self):
@@ -188,7 +208,12 @@ class TestElection:
                 cluster.finish_epoch(epoch + 0.75, down)
                 history.append(
                     tuple(
-                        (r.name, r.role, r.term, r.rebuilding)
+                        (
+                            r.name,
+                            r.replication.role,
+                            r.replication.term,
+                            r.replication.rebuilding,
+                        )
                         for r in cluster.replicas
                     )
                 )
@@ -198,7 +223,7 @@ class TestElection:
     def test_rebuilding_leader_installs_after_grace_and_settles(self):
         _bus, cluster = _cluster()
         self._run_leaderless(cluster, 6)
-        replica1 = cluster.replicas[1]
+        replica1 = cluster.replicas[1].replication
         assert replica1.role == "leader"
         assert not replica1.rebuilding
         assert replica1.installed_at is not None
@@ -212,16 +237,17 @@ class TestElection:
         cluster.step(7.25, frozenset())
         replica0 = cluster.replicas[0]
         assert replica0.alive
-        assert replica0.role == "standby"
-        assert replica0.term == 1
-        assert replica0.leader_name == "controller-1"
+        assert replica0.replication.role == "standby"
+        assert replica0.replication.term == 1
+        assert replica0.replication.leader_name == "controller-1"
         assert cluster.acting_leader() is cluster.replicas[1]
 
     def test_replayed_promote_is_idempotent(self):
         bus, cluster = _cluster()
         self._run_leaderless(cluster, 5)
         replica1, replica2 = cluster.replicas[1], cluster.replicas[2]
-        before = [(r.role, r.term, r.stats.elections) for r in cluster.replicas]
+        machines = [r.replication for r in cluster.replicas]
+        before = [(m.role, m.term, m.elections) for m in machines]
         # A duplicated / reordered promote re-delivers a known fact.
         payload = {"term": 1, "leader": "controller-1"}
         for target in ("controller-1", "controller-2"):
@@ -230,10 +256,11 @@ class TestElection:
             )
         replica1._drain(5.1)
         replica2._drain(5.1)
-        assert [
-            (r.role, r.term, r.stats.elections) for r in cluster.replicas
-        ] == before
-        leaders = [r for r in cluster.replicas if r.alive and r.role == "leader"]
+        assert [(m.role, m.term, m.elections) for m in machines] == before
+        leaders = [
+            r for r in cluster.replicas
+            if r.alive and r.replication.role == "leader"
+        ]
         assert len(leaders) == 1
 
     def test_stale_promote_replay_is_ignored(self):
@@ -250,14 +277,14 @@ class TestElection:
             5.0,
         )
         replica2._drain(5.1)
-        assert replica2.term == 1
-        assert replica2.leader_name == "controller-1"
+        assert replica2.replication.term == 1
+        assert replica2.replication.leader_name == "controller-1"
 
 
 class TestHandoffMerge:
     def test_merge_is_idempotent_under_duplication(self):
         _bus, cluster = _cluster()
-        replica = cluster.replicas[2]
+        replica = cluster.replicas[2].replication
         entry = EpochLogEntry(
             term=1, version=4, reason="periodic", max_acked=3,
             manifests=(("a", manifest_to_dict(_manifest("a", "k", 0.0, 1.0))),),
@@ -265,11 +292,11 @@ class TestHandoffMerge:
         replica._merge_entries([entry.to_dict()])
         replica._merge_entries([entry.to_dict()])
         assert replica.log[4] == entry
-        assert replica.stats.handoff_entries == 1
+        assert replica.handoff_entries == 1
 
     def test_reordered_stale_entry_cannot_overwrite_newer_term(self):
         _bus, cluster = _cluster()
-        replica = cluster.replicas[2]
+        replica = cluster.replicas[2].replication
         newer = EpochLogEntry(
             term=4, version=4, reason="periodic", max_acked=3,
             manifests=(("a", manifest_to_dict(_manifest("a", "k", 0.0, 0.5))),),
@@ -284,7 +311,7 @@ class TestHandoffMerge:
 
     def test_higher_term_content_wins_per_version(self):
         _bus, cluster = _cluster()
-        replica = cluster.replicas[2]
+        replica = cluster.replicas[2].replication
         old = EpochLogEntry(
             term=1, version=4, reason="periodic", max_acked=3,
             manifests=(("a", manifest_to_dict(_manifest("a", "k", 0.5, 1.0))),),
@@ -296,7 +323,7 @@ class TestHandoffMerge:
         replica._merge_entries([old.to_dict()])
         replica._merge_entries([new.to_dict()])
         assert replica.log[4] == new
-        assert replica.stats.handoff_entries == 2
+        assert replica.handoff_entries == 2
 
 
 class TestAgentTermFencing:
@@ -429,20 +456,20 @@ class TestLeaderUniquenessMutation:
     def test_unfenced_leader_ignores_depose_and_trips_the_monitor(
         self, monkeypatch
     ):
-        monkeypatch.setattr(Controller, "_ha_fencing", False)
+        monkeypatch.setattr(ReplicatedLog, "settle", _never_settle)
         bus, cluster = _cluster()
         monitor = InvariantMonitor(STANDARD_MODULES)
         replica0, replica1 = cluster.replicas[0], cluster.replicas[1]
-        replica1._promote(1.0)
+        _promote(replica1, 1.0)
         bus.send(
             "controller-1", "controller", KIND_TERM_ANNOUNCE,
             {"term": 1, "leader": "controller-1", "version": -1, "lease": False},
             56, 1.0,
         )
         replica0._drain(1.1)
-        replica0._maybe_demote(1.1)
-        assert replica0.role == "leader"  # mutation: refused to step down
-        assert replica0.observed_term > replica0.term
+        replica0._apply(replica0.replication.settle(1.1), 1.1)
+        assert replica0.replication.role == "leader"  # mutation: refused to step down
+        assert replica0.replication.observed_term > replica0.replication.term
         monitor.leader_uniqueness(1, cluster)
         assert any(
             v.rule == "leader-uniqueness" for v in monitor.violations
@@ -452,17 +479,17 @@ class TestLeaderUniquenessMutation:
         bus, cluster = _cluster()
         monitor = InvariantMonitor(STANDARD_MODULES)
         replica0, replica1 = cluster.replicas[0], cluster.replicas[1]
-        replica1._promote(1.0)
+        _promote(replica1, 1.0)
         bus.send(
             "controller-1", "controller", KIND_TERM_ANNOUNCE,
             {"term": 1, "leader": "controller-1", "version": -1, "lease": False},
             56, 1.0,
         )
         replica0._drain(1.1)
-        replica0._maybe_demote(1.1)
-        assert replica0.role == "standby"
-        assert replica0.stats.depositions == 1
-        assert replica0.leader_name == "controller-1"
+        replica0._apply(replica0.replication.settle(1.1), 1.1)
+        assert replica0.replication.role == "standby"
+        assert replica0.replication.depositions == 1
+        assert replica0.replication.leader_name == "controller-1"
         monitor.leader_uniqueness(1, cluster)
         assert monitor.violations == []
 
@@ -486,8 +513,8 @@ class TestHandoffDispatch:
                 KIND_STATE_HANDOFF, payload, 256, send_at,
             )
         replica2._drain(3.0)
-        assert replica2.log == {2: entry}
-        assert replica2.stats.handoff_entries == 1
+        assert replica2.replication.log == {2: entry}
+        assert replica2.replication.handoff_entries == 1
 
 
 class TestOneInbox:
@@ -523,14 +550,14 @@ class TestOneInbox:
 
     def test_same_beat_depose_credits_no_acks(self):
         leader, _manifest_sent = self._leader_awaiting_ack(announce=True)
-        assert leader.role == "standby"
-        assert leader.stats.depositions == 1
+        assert leader.replication.role == "standby"
+        assert leader.replication.depositions == 1
         assert leader.acked_version["NYCM"] == -1
         assert "NYCM" not in leader.acked_manifests
 
     def test_without_the_announce_the_ack_is_credited(self):
         leader, manifest = self._leader_awaiting_ack(announce=False)
-        assert leader.role == "leader"
+        assert leader.replication.role == "leader"
         assert leader.acked_version["NYCM"] == 0
         assert leader.acked_manifests["NYCM"] is manifest
 
@@ -546,8 +573,9 @@ class TestClusterOfOne:
         assert not cluster.settled()
         cluster.finish_epoch(0.75)
         [replica] = cluster.replicas
-        assert replica.alive and replica.role == "leader"
-        assert replica.term == 0 and replica.stats.elections == 0
+        machine = replica.replication
+        assert replica.alive and machine.role == "leader"
+        assert machine.term == 0 and machine.elections == 0
         assert cluster.settled()
 
 
@@ -608,7 +636,7 @@ class TestHAPlanAcceptance:
         assert result.config.replicas == 1  # config said 1...
         assert len(result.ha_summary["replicas"]) == 3  # ...the plan won
 
-    def test_integration_mutation_trips_the_monitor(self):
+    def test_integration_mutation_trips_the_monitor(self, monkeypatch):
         """End-to-end mutation: both fences off, the partitioned
         ex-leader keeps serving and its stale-term deltas land — the
         monitor must convict on both failover invariants."""
@@ -616,13 +644,9 @@ class TestHAPlanAcceptance:
             "leader-partition", 3, 18, by_label("Internet2").node_names
         )
         config = ScenarioConfig(plan=plan, epochs=18, base_sessions=400, seed=3)
-        try:
-            Agent._term_fencing = False
-            Controller._ha_fencing = False
-            result = run_chaos(config)
-        finally:
-            Agent._term_fencing = True
-            Controller._ha_fencing = True
+        monkeypatch.setattr(Agent, "_term_fencing", False)
+        monkeypatch.setattr(ReplicatedLog, "settle", _never_settle)
+        result = run_chaos(config)
         rules = {violation.rule for violation in result.violations}
         assert "leader-uniqueness" in rules
         assert "epoch-regression" in rules
