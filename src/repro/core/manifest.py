@@ -137,13 +137,19 @@ def generate_manifests(
         starts[:, step] = cursor
         position = np.where(on, position + fraction, position)
         moved = cursor + fraction
-        # A lap boundary within EPSILON of the top snaps the piece just
-        # laid to end at exactly 1.0 (closed top), so the next range
-        # must start at the bottom, or it would lay a sliver under the
-        # snapped band and cover it fold+1 times.
+        # A lap boundary within EPSILON of the top, below it or above
+        # it, ends the piece just laid at exactly 1.0 (closed top), so
+        # the next range must start at exactly 0.0: below, it would lay
+        # a sliver under the snapped band and cover it fold+1 times;
+        # above, it would start an ulp up and leave [0, ulp) one short.
+        # A whole lap returns to its start: ``(c + 1) - 1`` can miss
+        # ``c`` by an ulp, opening a sliver at the boundary.
         moved = np.where(
-            moved >= 1.0, moved - 1.0, np.where(moved >= 1.0 - EPSILON, 0.0, moved)
+            moved > 1.0 + EPSILON,
+            moved - 1.0,
+            np.where(moved >= 1.0 - EPSILON, 0.0, moved),
         )
+        moved = np.where(fraction >= 1.0 - EPSILON, cursor, moved)
         cursor = np.where(on, moved, cursor)
 
     expected = [assignment.coverage.get((unit.class_name, unit.key), 1.0) for unit in units]
@@ -312,10 +318,11 @@ def check_partition(
     (1) No node's own ranges for a unit overlap (a node never analyzes
     the same traffic twice).  (2) The union of all nodes' ranges covers
     the unit hash space exactly ``coverage`` times, for a positive
-    integer coverage.  (3) The union reaches 1.0 *exactly*: the sweep
-    tolerates an ``EPSILON`` shortfall at the top, but generation snaps
-    it, so a solver-epsilon gap can never reach dispatch.  (4) Every
-    eligible node has a manifest.
+    integer coverage, and no range starts within ``EPSILON`` above 0.0
+    (the sweep would tolerate the sliver under it).  (3) The union
+    reaches 1.0 *exactly*: the sweep tolerates an ``EPSILON`` shortfall
+    at the top, but generation snaps it, so a solver-epsilon gap can
+    never reach dispatch.  (4) Every eligible node has a manifest.
 
     Ranges are collected from **every** manifest in the set — the
     flat ``lo``/``hi`` columns of its
@@ -400,8 +407,14 @@ def _check_partition(
     uncovered[who[tail]] |= 1.0 - np.maximum(at[tail], 0.0) > EPSILON
     top = np.ones(count)
     top[who[tail]] = at[tail]
+    # (2) A piece starting within EPSILON above 0.0 leaves the sliver
+    # under it held one time short, below the sweep's tolerance: the
+    # bottom-end twin of (3)'s exact top.
+    sliver = (0.0 < lo) & (lo <= EPSILON)
+    seam = np.full(count, np.inf)
+    np.minimum.at(seam, owner[sliver], lo[sliver])
 
-    failing = massless | uncovered | (top != 1.0)  # repnoqa: REP001 -- generation snaps the top exactly
+    failing = massless | uncovered | (seam <= EPSILON) | (top != 1.0)  # repnoqa: REP001 -- generation snaps the top exactly
     failing[list(overlapping)] = True
     absent = set().union(*(unit.eligible for unit in units)).difference(manifests)
     if absent:
@@ -448,6 +461,15 @@ def _check_partition(
                     label,
                     f"ranges do not cover [0,1] exactly {int(fold[u])}-fold"
                     " (gap or uneven depth)",
+                )
+            )
+        if seam[u] <= EPSILON:
+            findings.append(
+                Finding(
+                    REP101,
+                    label,
+                    f"a range starts at {float(seam[u])!r}, not exactly 0.0"
+                    " (ulp sliver under the lap seam)",
                 )
             )
         if top[u] != 1.0:  # repnoqa: REP001 -- generation snaps the top exactly

@@ -422,15 +422,20 @@ def generate_manifests(
                 manifests[node].entries[(unit.class_name, unit.key)] = pieces
                 last_entry = (node, (unit.class_name, unit.key))
             position += fraction
+            if fraction >= 1.0 - EPSILON:
+                # A whole lap returns to its start; ``(c + 1) - 1`` can
+                # miss ``c`` by an ulp and open a sliver.
+                continue
             cursor += fraction
-            if cursor >= 1.0:
+            if cursor > 1.0 + EPSILON:
                 cursor -= 1.0
             elif cursor >= 1.0 - EPSILON:
                 # The lap boundary landed within EPSILON of the top, so
                 # the piece just laid was snapped to end at exactly 1.0
-                # (closed top).  The next range must start at the
-                # bottom, or it would lay a sliver under the snapped
-                # band and cover it fold+1 times.
+                # (closed top).  The next range must start at exactly
+                # 0.0: below the top it would lay a sliver under the
+                # snapped band and cover it fold+1 times, above it an
+                # ulp up and leave [0, ulp) one short.
                 cursor = 0.0
         expected = assignment.coverage.get(unit.ident, 1.0)
         if abs(position - expected) > 1e-6:
@@ -473,10 +478,11 @@ def check_partition(
     (1) No node's own ranges for a unit overlap (a node never analyzes
     the same traffic twice).  (2) The union of all nodes' ranges covers
     the unit hash space exactly ``coverage`` times, for a positive
-    integer coverage.  (3) The union reaches 1.0 *exactly*: the sweep
-    tolerates an ``EPSILON`` shortfall at the top, but generation snaps
-    it, so a solver-epsilon gap can never reach dispatch.  (4) Every
-    eligible node has a manifest.
+    integer coverage, and no range starts within ``EPSILON`` above 0.0
+    (the sweep would tolerate the sliver under it).  (3) The union
+    reaches 1.0 *exactly*: the sweep tolerates an ``EPSILON`` shortfall
+    at the top, but generation snaps it, so a solver-epsilon gap can
+    never reach dispatch.  (4) Every eligible node has a manifest.
 
     Ranges are collected from **every** manifest in the set
     (:class:`~repro.core.manifest_table.ManifestTable`) — a corrupted
@@ -527,6 +533,18 @@ def check_partition(
                     label,
                     f"ranges do not cover [0,1] exactly {fold}-fold"
                     " (gap or uneven depth)",
+                )
+            )
+        seam = min(
+            (p.lo for p in all_pieces if 0.0 < p.lo <= EPSILON), default=None
+        )
+        if seam is not None:
+            findings.append(
+                Finding(
+                    REP101,
+                    label,
+                    f"a range starts at {seam!r}, not exactly 0.0"
+                    " (ulp sliver under the lap seam)",
                 )
             )
         top = max(p.hi for p in all_pieces)
