@@ -176,6 +176,8 @@ class TestREP202UnorderedIteration:
         assert rule_ids(result) == ["REP202"]
 
     def test_sorted_iteration_and_order_insensitive_consumers_pass(self, tmp_path):
+        # A counting sum is order-insensitive; a float fold is not (see
+        # the next test).
         result = run_flow(
             tmp_path,
             {
@@ -183,13 +185,30 @@ class TestREP202UnorderedIteration:
                 "pkg/worker.py": """\
                     def run_payload(payload):
                         seen = set(payload)
-                        total = sum(x for x in seen)
+                        total = sum(1 for x in seen if x)
                         return [item for item in sorted(seen)] + [total, len(seen)]
                 """,
             },
             worker_config(),
         )
         assert result.ok
+
+    def test_sum_of_values_over_a_set_is_flagged(self, tmp_path):
+        # Float addition is not associative: the fold's result follows
+        # the set's (string-hash) order.
+        result = run_flow(
+            tmp_path,
+            {
+                "pkg/__init__.py": "",
+                "pkg/worker.py": """\
+                    def run_payload(payload):
+                        seen = set(payload)
+                        return sum(payload[x] for x in seen)
+                """,
+            },
+            worker_config(),
+        )
+        assert rule_ids(result) == ["REP202"]
 
     def test_os_listdir_and_glob_are_unordered_sources(self, tmp_path):
         result = run_flow(
@@ -575,6 +594,22 @@ class TestSeededMutations:
         result = flow_paths([str(repro_copy)])
         assert any(
             v.rule_id == "REP206" and "'rebalance'" in v.message
+            for v in result.violations
+        ), result.violations
+
+    def test_unsorted_class_fold_in_controller_drift_raises_rep202(
+        self, repro_copy
+    ):
+        # The drift trigger's L1 sum over the classes in set order gave
+        # three different values across PYTHONHASHSEED 0-9.
+        mutate(
+            repro_copy / "control" / "controller.py",
+            "classes = sorted(set(reference) | set(current))",
+            "classes = set(reference) | set(current)",
+        )
+        result = flow_paths([str(repro_copy)])
+        assert any(
+            v.rule_id == "REP202" and "_drift" in v.message
             for v in result.violations
         ), result.violations
 
