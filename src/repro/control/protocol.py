@@ -22,8 +22,10 @@ over with ``promote``, the epoch log replicates via ``state-handoff``,
 and an agent answers any message carrying a stale fencing term with
 ``nack`` (see the failover section of ``docs/fault_model.md``).  They
 share the receiving controller's one inbox with the agent kinds;
-:meth:`Controller._drain` folds them first (replica plane before
-agent plane is a protocol invariant, not a second address).
+:meth:`Controller._drain` hands them to
+:meth:`~repro.control.replication.ReplicatedLog.receive` first (replica
+plane before agent plane is a protocol invariant, not a second
+address).
 """
 
 from __future__ import annotations
