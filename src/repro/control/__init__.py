@@ -34,9 +34,9 @@ from .controller import (
     ControllerStats,
     HAConfig,
     PushState,
-    replica_name,
 )
 from .ha import HACluster
+from .replication import ReplicatedLog, replica_name
 from .protocol import MessageSpec, PROTOCOL, PROTOCOL_KINDS
 from .epochs import (
     CoverageSummary,
@@ -99,6 +99,7 @@ __all__ = [
     "PushState",
     "REDISTRIBUTION_DEADLINE_EPOCHS",
     "RepairResult",
+    "ReplicatedLog",
     "ScenarioConfig",
     "ScenarioResult",
     "build_plan",
