@@ -63,10 +63,11 @@ from ..analysis.verify import (
 )
 from ..core.dispatch import UnitResolver
 from ..core.manifest import generate_manifests, NodeManifest
-from ..core.manifest_io import manifest_diff, manifest_to_dict
+from ..core.manifest_io import ConfigurationWire
+from ..core.manifest_table import ManifestTable
 from ..core.nids_deployment import NIDSDeployment
 from ..core.nids_lp import NIDSAssignment, solve_nids_lp
-from ..core.reconfigure import plan_transition
+from ..core.reconfigure import TransitionColumns, plan_transition
 from ..core.units import CoordinationUnit
 from ..hashing.ranges import HashRange
 from ..measurement.estimation import EstimationModel, estimate_units
@@ -91,7 +92,6 @@ from .epochs import (
     check_lease_ttl,
     EpochRecord,
     Ident,
-    json_size,
     merge_reports,
     stabilize_manifests,
 )
@@ -240,6 +240,7 @@ class Controller:
         self.version = -1
         self.deployment: Optional[NIDSDeployment] = None
         self.manifests: Dict[str, NodeManifest] = {}
+        self._wire = ConfigurationWire(self.manifests)
         self.planned_units: List[CoordinationUnit] = []
         self.last_repair: Optional[RepairResult] = None
         #: Manifest content each agent last acknowledged applying.
@@ -671,45 +672,35 @@ class Controller:
         self.planned_units = list(units)
         self._epoch.resolved = reason
         self._epoch.config_version = self.version
+        columns = None
         if previous is not None and self.deployment is not None:
             plan = plan_transition(previous, self.deployment)
-            total = sum(u.pkts for u in self.deployment.units)
-            if total > 0:
-                duplicated = sum(
-                    u.pkts * plan.duplicated_fraction(u.class_name, u.key)
-                    for u in self.deployment.units
-                )
-                self._epoch.duplicated_fraction = duplicated / total
-        self._epoch.unchanged_entry_fraction = self._unchanged_fraction(
-            old_manifests, manifests
-        )
-
-    @staticmethod
-    def _unchanged_fraction(
-        old: Dict[str, NodeManifest], new: Dict[str, NodeManifest]
-    ) -> float:
-        """Fraction of (node, unit) entries identical across versions."""
-        keys = {
-            (node, ident)
-            for node, manifest in old.items()
-            for ident in manifest.entries
-        } | {
-            (node, ident)
-            for node, manifest in new.items()
-            for ident in manifest.entries
-        }
-        if not keys:
-            return 1.0
-        unchanged = sum(
-            1
-            for node, ident in keys
-            if node in old
-            and node in new
-            and old[node].entries.get(ident) == new[node].entries.get(ident)
-        )
-        return unchanged / len(keys)
+            self._epoch.duplicated_fraction = plan.duplicated_share(
+                self.deployment.units
+            )
+            # The plan's tables are usually these two versions' own; a
+            # configuration installed from the log has no deployment.
+            if (
+                previous.manifests is old_manifests
+                and self.deployment.manifests is manifests
+            ):
+                columns = plan.columns
+        if columns is None:
+            columns = TransitionColumns(
+                ManifestTable.from_manifests(old_manifests),
+                ManifestTable.from_manifests(manifests),
+            )
+        self._epoch.unchanged_entry_fraction = columns.unchanged_fraction
 
     # -- distribution -----------------------------------------------------
+    @property
+    def wire(self) -> ConfigurationWire:
+        """``manifests`` on the wire, what pushes and the epoch log send:
+        a new configuration's encodings start from the last one's."""
+        if self._wire.manifests is not self.manifests:
+            self._wire = ConfigurationWire(self.manifests, self._wire)
+        return self._wire
+
     def _sync_pushes(self, now: float) -> None:
         """(Re)send manifests to every live agent not yet holding the
         current configuration.  Pushes are idempotent and versioned, so
@@ -749,33 +740,25 @@ class Controller:
             self._push(node, target, now)
 
     def _push(self, node: str, target: NodeManifest, now: float) -> None:
-        full_payload_data = manifest_to_dict(target)
-        full_bytes = json_size(full_payload_data)
+        full = self.wire.manifest(node)
         base = self.acked_manifests.get(node)
-        mode = "full"
-        data = full_payload_data
-        size = full_bytes
-        base_version: Optional[int] = None
+        mode, sent, base_version = "full", full, None
         if base is not None and node not in self.needs_full:
-            delta = manifest_diff(base, target)
-            delta_bytes = json_size(delta)
-            if delta_bytes < full_bytes:
-                mode = "delta"
-                data = delta
-                size = delta_bytes
-                base_version = self.acked_version[node]
+            delta = self.wire.delta(base, node)
+            if delta.size < full.size:
+                mode, sent, base_version = "delta", delta, self.acked_version[node]
         payload = {
             "version": self.version,
             "mode": mode,
             "base": base_version,
-            "data": data,
+            "data": sent.data,
         }
         state = PushState(
             version=self.version,
             mode=mode,
             payload=payload,
-            size_bytes=size,
-            full_bytes=full_bytes,
+            size_bytes=sent.size,
+            full_bytes=full.size,
             manifest=target,
             first_sent=now,
             last_sent=now,
@@ -796,10 +779,10 @@ class Controller:
         else:
             self.stats.pushes_delta += 1
             self._epoch.pushes_delta += 1
-        self._epoch.push_bytes += size
-        self._epoch.full_equivalent_bytes += full_bytes
-        self.stats.push_bytes += size
-        self.stats.full_equivalent_bytes += full_bytes
+        self._epoch.push_bytes += sent.size
+        self._epoch.full_equivalent_bytes += full.size
+        self.stats.push_bytes += sent.size
+        self.stats.full_equivalent_bytes += full.size
 
     def _retry_delay(self, attempt: int) -> float:
         """Backoff before retransmission number *attempt* (1-based).
@@ -924,7 +907,7 @@ class Controller:
             self.replication.close(
                 now,
                 self.version,
-                self.manifests if log_epoch else None,
+                self.wire if log_epoch else None,
                 reason=self._epoch.resolved or "",
                 max_acked=max(self.acked_version.values(), default=-1),
             ),

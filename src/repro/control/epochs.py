@@ -33,9 +33,8 @@ epoch loop shares:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 from typing import (
@@ -53,7 +52,7 @@ from typing import (
 import numpy as np
 
 from ..core.manifest import NodeManifest
-from ..core.manifest_io import manifest_from_dict
+from ..core.manifest_io import joined_size, json_size, manifest_from_dict
 from ..core.manifest_table import ManifestTable
 from ..core.units import (
     CoordinationUnit,
@@ -137,11 +136,6 @@ class EpochRecord:
     fenced_nodes: Tuple[str, ...] = ()
 
 
-def json_size(payload: dict) -> int:
-    """Wire size of a control message: its sorted-key JSON encoding."""
-    return len(json.dumps(payload, sort_keys=True))
-
-
 @dataclass(frozen=True)
 class EpochLogEntry:
     """One adopted configuration in the replicated epoch log.
@@ -158,16 +152,24 @@ class EpochLogEntry:
     #: it logged this entry.
     max_acked: int
     manifests: Tuple[Tuple[str, dict], ...]
+    #: Each manifest's :func:`json_size`, in ``manifests`` order, when
+    #: the logging leader had it (empty: measured on first need).
+    manifest_sizes: Tuple[int, ...] = field(default=(), compare=False, repr=False)
 
-    def to_dict(self) -> dict:
-        """JSON-compatible dict (the manifest pairs become a mapping)."""
+    def _header(self) -> dict:
         return {
             "term": self.term,
             "version": self.version,
             "reason": self.reason,
             "max_acked": self.max_acked,
-            "manifests": {node: data for node, data in self.manifests},
         }
+
+    def to_dict(self) -> dict:
+        """JSON-compatible dict (the manifest pairs become a mapping)."""
+        return dict(
+            self._header(),
+            manifests={node: data for node, data in self.manifests},
+        )
 
     @classmethod
     def from_dict(cls, data: dict) -> "EpochLogEntry":
@@ -182,9 +184,18 @@ class EpochLogEntry:
 
     @cached_property
     def json_size(self) -> int:
-        """Length of the entry's sorted-key JSON encoding, measured once:
-        a logged entry never changes, and it is re-sent every beat."""
-        return json_size(self.to_dict())
+        """Length of :meth:`to_dict`'s sorted-key JSON encoding, summed
+        once from the manifests' sizes: the frame, plus each
+        ``"node": manifest`` item joined by ``", "``.  A logged entry
+        never changes, and it is re-sent every beat."""
+        sizes = self.manifest_sizes or tuple(
+            json_size(data) for _node, data in self.manifests
+        )
+        items = (
+            json_size(node) + 2 + size
+            for (node, _data), size in zip(self.manifests, sizes)
+        )
+        return json_size(dict(self._header(), manifests={})) + joined_size(items)
 
     def manifest_objects(self) -> Dict[str, NodeManifest]:
         """Materialize the stored manifests as ``NodeManifest``s."""

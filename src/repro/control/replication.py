@@ -42,11 +42,16 @@ decision — which the owning
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.manifest import NodeManifest
-from ..core.manifest_io import manifest_from_dict, manifest_to_dict
-from .epochs import EpochLogEntry, json_size
+from ..core.manifest_io import (
+    ConfigurationWire,
+    joined_size,
+    json_size,
+    manifest_from_dict,
+)
+from .epochs import EpochLogEntry
 from .protocol import KIND_PROMOTE, KIND_STATE_HANDOFF, KIND_TERM_ANNOUNCE
 
 #: Nominal wire sizes of the fixed-format replica-plane messages.
@@ -94,6 +99,58 @@ class HAConfig:
             raise ValueError("leader_lease must be > 0, rank_stagger >= 0")
         if self.handoff_window < 1:
             raise ValueError("handoff_window must be >= 1")
+
+
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_manifest_map(value: object) -> bool:
+    return isinstance(value, Mapping) and all(
+        isinstance(node, str) and isinstance(data, Mapping)
+        for node, data in value.items()
+    )
+
+
+#: Each header field of a replica-plane frame and of an epoch-log
+#: entry: its test, and what it must be.
+_FRAME = {
+    "term": (lambda term: _is_int(term) and term >= 0, "an int >= 0"),
+    "leader": (lambda leader: isinstance(leader, str), "a str"),
+}
+_HANDOFF = dict(_FRAME, entries=(lambda entries: isinstance(entries, list), "a list"))
+_ENTRY = {
+    "term": (_is_int, "an int"),
+    "version": (_is_int, "an int"),
+    "max_acked": (_is_int, "an int"),
+    "reason": (lambda reason: isinstance(reason, str), "a str"),
+    "manifests": (lambda manifests: isinstance(manifests, Mapping), "a mapping"),
+}
+
+
+def _require(kind: str, data: object, fields: dict, where: str = "") -> None:
+    for name, (valid, what) in fields.items():
+        if not (isinstance(data, Mapping) and name in data and valid(data[name])):
+            raise ValueError(f"malformed {kind}: {where}{name} must be {what}")
+
+
+def check_header(kind: str, payload: Mapping) -> None:
+    """Refuse a malformed replica-plane payload whole: a ``ValueError``
+    naming *kind* and the field.
+
+    The frame needs an int ``term`` >= 0 and a str ``leader``; a
+    ``state-handoff`` also a list of ``entries``, each with int
+    ``term`` / ``version`` / ``max_acked``, a str ``reason`` and a
+    ``manifests`` mapping.  Only these headers are checked, O(entries):
+    an entry's manifests are checked when it is adopted, before any
+    is, and their contents decoded where they are installed.
+    """
+    if kind != KIND_STATE_HANDOFF:
+        _require(kind, payload, _FRAME)
+        return
+    _require(kind, payload, _HANDOFF)
+    for k, entry in enumerate(payload["entries"]):
+        _require(kind, entry, _ENTRY, f"entries[{k}].")
 
 
 class Outbound(NamedTuple):
@@ -195,15 +252,15 @@ class ReplicatedLog:
         Idempotent by construction: a duplicated or reordered message
         re-delivers a (term, leader) fact; adopting it twice is a
         no-op, and a *stale* replay (term below the current one) is
-        ignored outright.
+        ignored outright.  A malformed one is refused whole
+        (:func:`check_header`), before any of it is folded.
         """
         if message.kind in (KIND_TERM_ANNOUNCE, KIND_PROMOTE, KIND_STATE_HANDOFF):
             payload = message.payload
-            self._witness(
-                payload.get("term", 0), payload.get("leader", message.src), now
-            )
+            check_header(message.kind, payload)
             if message.kind == KIND_STATE_HANDOFF:
-                self._merge_entries(payload.get("entries", ()))
+                self._merge_entries(payload["entries"])
+            self._witness(payload["term"], payload["leader"], now)
             return True
         return False
 
@@ -272,14 +329,14 @@ class ReplicatedLog:
         self,
         now: float,
         version: int,
-        adopted: Optional[Dict[str, NodeManifest]] = None,
+        adopted: Optional[ConfigurationWire] = None,
         reason: str = "",
         max_acked: int = -1,
     ) -> Beat:
         """What a leader still serving at the end of a beat owes its
         peers: the term announce and the epoch-log tail, after logging
-        *adopted* — the configuration current at *version*, on a beat
-        that can adopt one."""
+        *adopted* — the configuration current at *version*, in its wire
+        form, on a beat that can adopt one."""
         beat = self.settle(now)
         if adopted is not None and self.role == "leader" and self.peers:
             self._log_epoch(version, adopted, reason, max_acked)
@@ -360,42 +417,54 @@ class ReplicatedLog:
 
     # -- epoch log --------------------------------------------------------
     def _merge_entries(self, entries: Sequence[dict]) -> None:
-        """Adopt epoch-log entries from a handoff, idempotently.
+        """Adopt epoch-log entries from a handoff, idempotently, all or
+        none: every entry to adopt is decoded before the first is.
 
         Per version, the highest-term content wins; re-delivery of an
         already-held entry is a no-op, so duplicated or reordered
-        handoffs cannot perturb the log.
+        handoffs cannot perturb the log.  An entry to adopt must map
+        node names to manifest mappings, or the handoff is refused.
         """
-        for data in entries:
-            entry = EpochLogEntry.from_dict(data)
-            existing = self.log.get(entry.version)
-            if existing is not None and existing.term >= entry.term:
+        held: Dict[int, EpochLogEntry] = {}
+        fresh = []
+        for k, data in enumerate(entries):
+            version = data["version"]
+            existing = held.get(version, self.log.get(version))
+            if existing is not None and existing.term >= data["term"]:
                 continue
+            if not _is_manifest_map(data["manifests"]):
+                raise ValueError(
+                    f"malformed {KIND_STATE_HANDOFF}: entries[{k}].manifests"
+                    " must map str to mappings"
+                )
+            entry = held[version] = EpochLogEntry.from_dict(data)
+            fresh.append(entry)
+        for entry in fresh:
             self.log[entry.version] = entry
             self.handoff_entries += 1
 
     def _log_epoch(
         self,
         version: int,
-        manifests: Dict[str, NodeManifest],
+        adopted: ConfigurationWire,
         reason: str,
         max_acked: int,
     ) -> None:
-        """Record the adopted configuration in the epoch log."""
-        if version < 0 or not manifests:
+        """Record the adopted configuration in the epoch log: each
+        node's manifest dict as the pushes share it, with its size."""
+        if version < 0 or not adopted:
             return
         existing = self.log.get(version)
         if existing is not None and existing.term >= self.term:
             return
+        logged = adopted.log()
         self.log[version] = EpochLogEntry(
             term=self.term,
             version=version,
             reason=reason,
             max_acked=max_acked,
-            manifests=tuple(
-                (node, manifest_to_dict(manifest))
-                for node, manifest in sorted(manifests.items())
-            ),
+            manifests=tuple((node, wire.data) for node, wire in logged),
+            manifest_sizes=tuple(wire.size for _node, wire in logged),
         )
 
     def _send_handoff(self) -> List[Outbound]:
@@ -408,12 +477,8 @@ class ReplicatedLog:
         entries = [self.log[v] for v in versions]
         frame = {"term": self.term, "leader": self.name, "entries": []}
         # ``json_size`` of the payload without encoding it again: the
-        # empty frame, each entry's own encoding, and ", " between two.
-        size = (
-            json_size(frame)
-            + sum(entry.json_size for entry in entries)
-            + 2 * (len(entries) - 1)
-        )
+        # empty frame, then each entry's own encoding joined by ", ".
+        size = json_size(frame) + joined_size(entry.json_size for entry in entries)
         payload = dict(frame, entries=[entry.to_dict() for entry in entries])
         self.handoffs_sent += 1
         return [

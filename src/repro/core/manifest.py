@@ -25,7 +25,13 @@ import numpy as np
 
 from ..hashing.ranges import EPSILON, HashRange, are_disjoint
 from ..obs import COUNT_BUCKETS, get_registry
-from .manifest_table import WHOLE, Columns, EntryKey, ManifestTable
+from .manifest_table import (
+    WHOLE,
+    EntryKey,
+    ManifestTable,
+    fold_segments,
+    row_mass,
+)
 from .nids_lp import NIDSAssignment
 from .units import CoordinationUnit, UnitKey, unit_label
 
@@ -280,35 +286,6 @@ def check_disjoint(
     return [Finding(REP102, subject, message)]
 
 
-def _fold(values: np.ndarray, segments: np.ndarray, count: int) -> np.ndarray:
-    """Per segment, ``0.0 + v0 + v1 + ...`` added left to right.
-
-    The scalar ``sum`` order, so every total is bit-equal to the loop's:
-    one vector step per position within a segment.  *segments* is
-    non-decreasing, in ``[0, count)``; an absent segment totals 0.0.
-    """
-    total = np.zeros(count)
-    if len(values):
-        first = np.ones(len(values), dtype=bool)
-        first[1:] = segments[1:] != segments[:-1]
-        starts = np.flatnonzero(first)
-        within = np.arange(len(values)) - np.repeat(
-            starts, np.diff(np.append(starts, len(values)))
-        )
-        for k in range(int(within.max()) + 1):
-            at = within == k
-            total[segments[at]] += values[at]
-    return total
-
-
-def _row_mass(columns: Columns) -> np.ndarray:
-    """Each row's mass: its pieces' lengths added in entry order, as
-    :meth:`NodeManifest.assigned_fraction` sums them."""
-    return _fold(
-        np.maximum(columns.hi - columns.lo, 0.0), columns.row, len(columns.row_unit)
-    )
-
-
 def check_partition(
     units: Sequence[CoordinationUnit],
     manifests: Mapping[str, NodeManifest],
@@ -381,8 +358,8 @@ def _check_partition(
     row_start = np.ones(len(by_row), dtype=bool)
     row_start[1:] = (row_owner[1:] != row_owner[:-1]) | (row_node[1:] != row_node[:-1])
     row_id = np.cumsum(row_start) - 1
-    row_mass = _fold(length[by_row], row_id, int(row_start.sum()))
-    total = _fold(row_mass, row_owner[row_start], count)
+    masses = fold_segments(length[by_row], row_id, int(row_start.sum()))
+    total = fold_segments(masses, row_owner[row_start], count)
     fold = np.rint(total)
     massless = (np.abs(total - fold) > MASS_TOL) | (fold < 1)
 
@@ -543,7 +520,7 @@ def _off_path(
     more than ``EPSILON`` of a unit it is not eligible for — or of a
     unit absent from *units* (``planned`` false)."""
     columns = table.columns
-    mass = _row_mass(columns)
+    mass = row_mass(columns)
     # Each row group's path; a unit listed twice counts as its last.
     paths: List[Optional[Tuple[str, ...]]] = [None] * (len(columns.offsets) - 1)
     for unit, group in zip(units, table.unit_ids(unit.ident for unit in units).tolist()):
@@ -626,7 +603,7 @@ def check_assignment(
     first = np.ones(len(held_by), dtype=bool)
     first[1:] = held_by[1:] != held_by[:-1]
     sums = np.zeros(len(assignment.units) + 1)  # the last slot: absent
-    sums[held_by[first]] = _fold(mass, np.cumsum(first) - 1, int(first.sum()))
+    sums[held_by[first]] = fold_segments(mass, np.cumsum(first) - 1, int(first.sum()))
     totals = sums[planned].tolist()
     for unit, total in zip(units, totals):
         expected = assignment.coverage.get(unit.ident, 1.0)
@@ -684,7 +661,7 @@ def _check_match(
     stride = len(table.nodes)
     wanted = np.where((group >= 0) & (node >= 0), group * stride + node, -1)
     rows = np.concatenate(([-1], columns.row_unit * stride + columns.row_node))
-    mass = np.concatenate(([0.0], _row_mass(columns)))
+    mass = np.concatenate(([0.0], row_mass(columns)))
     at = np.minimum(np.searchsorted(rows, wanted), len(rows) - 1)
     held = np.where(rows[at] == wanted, mass[at], 0.0)
     held[np.isin(node, [node_ids[name] for name in table.full_nodes])] = 1.0

@@ -23,13 +23,15 @@ Schema (version 1):
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Dict, List, Mapping
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from ..hashing.ranges import HashRange
 from ..obs import COUNT_BUCKETS, get_registry
 from .manifest import (
     REP106,
+    EntryKey,
     Finding,
     NodeManifest,
     check_disjoint,
@@ -39,23 +41,48 @@ from .nids_lp import NIDSAssignment
 
 SCHEMA_VERSION = 1
 
+#: One manifest entry's content: its ident and its ranges.
+Content = Tuple[EntryKey, Tuple[HashRange, ...]]
+
+
+class Wire(NamedTuple):
+    """A JSON-compatible dict and the length of its sorted-key encoding."""
+
+    data: dict
+    size: int
+
+
+def json_size(payload: object) -> int:
+    """Wire size of a control message: its sorted-key JSON encoding."""
+    return len(json.dumps(payload, sort_keys=True))
+
+
+def joined_size(sizes: Iterable[int]) -> int:
+    """Length of encodings joined by ``", "``, as a JSON list or object
+    body holds them: every item plus 2 between two (0 for none)."""
+    sizes = list(sizes)
+    return sum(sizes) + 2 * (len(sizes) - 1) if sizes else 0
+
+
+def _entry_dict(ident: EntryKey, ranges: Tuple[HashRange, ...]) -> dict:
+    class_name, key = ident
+    return {
+        "class": class_name,
+        "unit": list(key),
+        "ranges": [[r.lo, r.hi] for r in ranges],
+    }
+
 
 def manifest_to_dict(manifest: NodeManifest) -> dict:
     """Encode one node's manifest as a JSON-compatible dict."""
-    entries = []
-    for (class_name, key), ranges in sorted(manifest.entries.items()):
-        entries.append(
-            {
-                "class": class_name,
-                "unit": list(key),
-                "ranges": [[r.lo, r.hi] for r in ranges],
-            }
-        )
     return {
         "version": SCHEMA_VERSION,
         "node": manifest.node,
         "full": manifest.full,
-        "entries": entries,
+        "entries": [
+            _entry_dict(ident, ranges)
+            for ident, ranges in sorted(manifest.entries.items())
+        ],
     }
 
 
@@ -106,26 +133,38 @@ def manifest_diff(old: NodeManifest, new: NodeManifest) -> dict:
     agents on epochs where most of the manifest is unchanged, which is
     strictly cheaper on the wire than re-sending the full manifest.
     """
+    changed, removed = _changes(old, new)
+    return {
+        "version": SCHEMA_VERSION,
+        "kind": "delta",
+        "node": new.node,
+        "full": new.full,
+        "changed": [_entry_dict(ident, new.entries[ident]) for ident in changed],
+        "removed": [_removal_dict(ident) for ident in removed],
+    }
+
+
+def _removal_dict(ident: EntryKey) -> dict:
+    class_name, key = ident
+    return {"class": class_name, "unit": list(key)}
+
+
+def _changes(
+    old: NodeManifest, new: NodeManifest
+) -> Tuple[List[EntryKey], List[EntryKey]]:
+    """The entries a delta from *old* to *new* carries, sorted: those
+    new or whose ranges differ, and those *new* no longer holds.
+    Records the delta metrics."""
     if old.node != new.node:
         raise ValueError(
             f"cannot diff manifests of different nodes {old.node!r} vs {new.node!r}"
         )
-    changed = []
-    for (class_name, key), ranges in sorted(new.entries.items()):
-        if old.entries.get((class_name, key)) == ranges:
-            continue
-        changed.append(
-            {
-                "class": class_name,
-                "unit": list(key),
-                "ranges": [[r.lo, r.hi] for r in ranges],
-            }
-        )
-    removed = [
-        {"class": class_name, "unit": list(key)}
-        for (class_name, key) in sorted(old.entries)
-        if (class_name, key) not in new.entries
+    changed = [
+        ident
+        for ident in sorted(new.entries)
+        if old.entries.get(ident) != new.entries[ident]
     ]
+    removed = [ident for ident in sorted(old.entries) if ident not in new.entries]
     registry = get_registry()
     registry.counter(
         "manifest_deltas_total", "manifest deltas computed",
@@ -136,14 +175,106 @@ def manifest_diff(old: NodeManifest, new: NodeManifest) -> dict:
         "changed+removed entries per computed delta",
         buckets=COUNT_BUCKETS,
     ).observe(len(changed) + len(removed))
-    return {
-        "version": SCHEMA_VERSION,
-        "kind": "delta",
-        "node": new.node,
-        "full": new.full,
-        "changed": changed,
-        "removed": removed,
-    }
+    return changed, removed
+
+
+@functools.lru_cache(maxsize=4096)
+def _frame_size(kind: str, node: str, full: bool) -> int:
+    """Size of a manifest (*kind* ``"manifest"``) or delta dict for
+    *node* with its entry lists empty."""
+    frame = {"version": SCHEMA_VERSION, "node": node, "full": full}
+    if kind == "delta":
+        return json_size(dict(frame, kind="delta", changed=[], removed=[]))
+    return json_size(dict(frame, entries=[]))
+
+
+class ConfigurationWire:
+    """One configuration version's manifests on the wire.
+
+    Each entry's wire dict and its sorted-key JSON length are computed
+    once per ``(ident, ranges)`` content: the version reuses what the
+    *previous* one encoded, and drops everything older.  Each node's
+    :func:`manifest_to_dict` dict is assembled once, and the full push
+    and the epoch log share it.  Every size is summed, never encoded:
+    the frame's length, plus the entries' lengths joined by ``", "``
+    (:func:`joined_size`) — equal to :func:`json_size` of the dict.
+    Like a :class:`~repro.core.manifest_table.ManifestTable`, it reads
+    a snapshot: a configuration is not written in place once adopted.
+    """
+
+    def __init__(
+        self,
+        manifests: Mapping[str, NodeManifest],
+        previous: Optional["ConfigurationWire"] = None,
+    ):
+        self.manifests = manifests
+        self._entries: Dict[Content, Wire] = {}
+        # Only the last version's encodings; the one before goes with it.
+        self._carried = previous._entries if previous is not None else {}
+        self._assembled: Dict[str, Wire] = {}
+
+    def __len__(self) -> int:
+        return len(self.manifests)
+
+    def _encode(self, held: Iterable[Content]) -> Tuple[List[dict], int]:
+        """The wire dicts of *held* entries, in order, and their joined
+        size: each looked up by content, encoded only when neither this
+        version nor the last has."""
+        entries, carried = self._entries, self._carried
+        data, sizes = [], []
+        for content in held:
+            wire = entries.get(content)
+            if wire is None:
+                wire = carried.get(content)
+                if wire is None:
+                    encoded = _entry_dict(*content)
+                    wire = Wire(encoded, json_size(encoded))
+                entries[content] = wire
+            data.append(wire.data)
+            sizes.append(wire.size)
+        return data, joined_size(sizes)
+
+    def manifest(self, node: str) -> Wire:
+        """:func:`manifest_to_dict` of *node*'s manifest, with its size."""
+        wire = self._assembled.get(node)
+        if wire is None:
+            manifest = self.manifests[node]
+            entries, size = self._encode(sorted(manifest.entries.items()))
+            data = {
+                "version": SCHEMA_VERSION,
+                "node": manifest.node,
+                "full": manifest.full,
+                "entries": entries,
+            }
+            size += _frame_size("manifest", manifest.node, manifest.full)
+            wire = self._assembled[node] = Wire(data, size)
+        return wire
+
+    def delta(self, base: NodeManifest, node: str) -> Wire:
+        """:func:`manifest_diff` from *base* to *node*'s manifest, with
+        its size."""
+        target = self.manifests[node]
+        changed, removed = _changes(base, target)
+        entries, size = self._encode(
+            (ident, target.entries[ident]) for ident in changed
+        )
+        removals = [_removal_dict(ident) for ident in removed]
+        data = {
+            "version": SCHEMA_VERSION,
+            "kind": "delta",
+            "node": target.node,
+            "full": target.full,
+            "changed": entries,
+            "removed": removals,
+        }
+        size += _frame_size("delta", target.node, target.full)
+        size += joined_size(json_size(removal) for removal in removals)
+        return Wire(data, size)
+
+    def log(self) -> Tuple[Tuple[str, Wire], ...]:
+        """Every node's :meth:`manifest`, in node order: the form an
+        epoch-log entry holds."""
+        return tuple((node, self.manifest(node)) for node in sorted(self.manifests))
 
 
 def apply_manifest_delta(base: NodeManifest, delta: Mapping) -> NodeManifest:

@@ -69,6 +69,36 @@ class Columns(NamedTuple):
     row_node: np.ndarray
 
 
+def fold_segments(values: np.ndarray, segments: np.ndarray, count: int) -> np.ndarray:
+    """Per segment, ``0.0 + v0 + v1 + ...`` added left to right.
+
+    The scalar ``sum`` order, so every total is bit-equal to the loop's:
+    one vector step per position within a segment.  *segments* is
+    non-decreasing, in ``[0, count)``; an absent segment totals 0.0.
+    """
+    total = np.zeros(count)
+    if len(values):
+        first = np.ones(len(values), dtype=bool)
+        first[1:] = segments[1:] != segments[:-1]
+        starts = np.flatnonzero(first)
+        within = np.arange(len(values)) - np.repeat(
+            starts, np.diff(np.append(starts, len(values)))
+        )
+        for k in range(int(within.max()) + 1):
+            at = within == k
+            total[segments[at]] += values[at]
+    return total
+
+
+def row_mass(columns: Columns) -> np.ndarray:
+    """Each row's mass: its pieces' lengths added in entry order, as
+    :meth:`~repro.core.manifest.NodeManifest.assigned_fraction`
+    sums them."""
+    return fold_segments(
+        np.maximum(columns.hi - columns.lo, 0.0), columns.row, len(columns.row_unit)
+    )
+
+
 class ManifestTable:
     """Rows ``(unit, node, pieces)`` of one manifest set, by unit."""
 

@@ -25,10 +25,13 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from ..hashing.ranges import EPSILON
-from .manifest_table import ManifestTable
+from .manifest_table import EntryKey, ManifestTable, fold_segments, row_mass
 from .nids_deployment import NIDSDeployment
 from .units import CoordinationUnit, UnitKey, units_by_ident
 
@@ -67,6 +70,90 @@ def conservative_units(
         )
         for unit in units
     ]
+
+
+def _spans(counts: np.ndarray) -> np.ndarray:
+    """Where each row's pieces start, given how many each row has."""
+    return np.cumsum(counts) - counts
+
+
+class TransitionColumns:
+    """Two versions' manifest tables read row against row, in one pass.
+
+    Each old row — one node's entry for one unit — is matched with the
+    new row of the same unit on the same node, if any.  From the match:
+
+    * :attr:`duplicated`: per old unit, the hash-space mass its old
+      holders keep mid-window that their new entries no longer hold
+      (what :meth:`TransitionPlan.duplicated_fraction` reports);
+    * :attr:`entries` / :attr:`unchanged`: how many ``(node, unit)``
+      entries either version writes, and how many of them are identical
+      in both.
+
+    The masses are folded as the per-unit loop folds them
+    (``tests/manifest_oracle.py``): per row, the old pieces' lengths and
+    the (old piece, new piece) overlaps, old-major, left to right; per
+    unit, the rows' differences in node order.  A ``full`` manifest
+    writes no rows, so neither table may hold one.
+    """
+
+    def __init__(self, old: ManifestTable, new: ManifestTable):
+        if old.full_nodes or new.full_nodes:
+            raise ValueError("a full manifest has no per-unit rows to match")
+        was, now = old.columns, new.columns
+        # The new row of each old row's (unit, node); a sentinel row
+        # with no pieces at index -1 stands for "none".
+        node_at = {node: k for k, node in enumerate(new.nodes)}
+        nodes = np.array([node_at.get(node, -1) for node in old.nodes], dtype=np.intp)
+        unit = new.unit_ids(old.units)[was.row_unit]
+        node = nodes[was.row_node]
+        width = len(new.nodes)
+        keys = now.row_unit * width + now.row_node  # increasing
+        wanted = unit * width + node
+        at = np.searchsorted(keys, wanted)
+        found = (unit >= 0) & (node >= 0) & (np.append(keys, -1)[at] == wanted)
+        match = np.where(found, at, -1)
+        was_count = np.bincount(was.row, minlength=len(was.row_unit))
+        now_count = np.append(np.bincount(now.row, minlength=len(now.row_unit)), 0)
+        now_start = np.append(_spans(now_count[:-1]), 0)
+
+        # Per old piece, its row's counterpart: how many pieces, from where.
+        pairs = now_count[match][was.row]
+        first = now_start[match][was.row]
+        position = np.arange(len(was.row)) - _spans(was_count)[was.row]
+
+        # Every (old piece, new piece) pair of a matched row, old-major.
+        piece = np.repeat(np.arange(len(was.row)), pairs)
+        other = first[piece] + np.arange(len(piece)) - np.repeat(_spans(pairs), pairs)
+        overlap = np.maximum(
+            0.0,
+            np.minimum(was.hi[piece], now.hi[other])
+            - np.maximum(was.lo[piece], now.lo[other]),
+        )
+        kept = row_mass(was) - fold_segments(
+            overlap, was.row[piece], len(was.row_unit)
+        )
+        #: Per unit of the old table (``old.units`` order).
+        self.duplicated = fold_segments(kept, was.row_unit, len(old.units))
+        self.units = old.units
+
+        # A matched row is unchanged when its pieces are, one for one.
+        same = found & (now_count[match] == was_count)
+        sized = same[was.row]
+        twin = first + position
+        differs = sized.copy()
+        differs[sized] = (was.lo[sized] != now.lo[twin[sized]]) | (
+            was.hi[sized] != now.hi[twin[sized]]
+        )
+        same[was.row[differs]] = False
+        self.entries = len(was.row_unit) + len(now.row_unit) - int(found.sum())
+        self.unchanged = int(same.sum())
+
+    @property
+    def unchanged_fraction(self) -> float:
+        """Fraction of ``(node, unit)`` entries identical across the two
+        versions (1.0 when neither writes any)."""
+        return self.unchanged / self.entries if self.entries else 1.0
 
 
 @dataclass
@@ -115,29 +202,38 @@ class TransitionPlan:
             class_name, key, hash_value
         ) or self.new.manifests[node].contains(class_name, key, hash_value)
 
+    @cached_property
+    def columns(self) -> TransitionColumns:
+        """Both deployments' tables matched row against row, once."""
+        return TransitionColumns(self._old_table, self._new_table)
+
+    @cached_property
+    def _duplicated(self) -> Dict[EntryKey, float]:
+        columns = self.columns
+        return dict(zip(columns.units, columns.duplicated.tolist()))
+
     def duplicated_fraction(self, class_name: str, key: UnitKey) -> float:
         """Hash-space mass of the unit analyzed at >1 node mid-window.
 
         A point is duplicated when the old and new manifests place it
         at different nodes; mass where both agree transitions with no
-        duplication.
+        duplication.  Only an old holder has mass to duplicate: what
+        it held, minus what it keeps under both manifests (read from
+        :attr:`columns`).
         """
-        duplicated = 0.0
-        new_held = dict(self._new_table.holders((class_name, key)))
-        # Only an old holder has mass to duplicate; they come in sorted
-        # node order, so the float fold does not depend on set order.
-        for node, old_ranges in self._old_table.holders((class_name, key)):
-            new_ranges = new_held.get(node, ())
-            # Mass held under either manifest, minus the overlap the
-            # node keeps under both (not duplicated anywhere else).
-            old_mass = sum(r.length for r in old_ranges)
-            overlap = sum(
-                old_piece.intersection_length(new_piece)
-                for old_piece in old_ranges
-                for new_piece in new_ranges
-            )
-            duplicated += old_mass - overlap
-        return duplicated
+        return self._duplicated.get((class_name, key), 0.0)
+
+    def duplicated_share(self, units: Sequence[CoordinationUnit]) -> float:
+        """Packet-weighted mean of :meth:`duplicated_fraction` over
+        *units* (0.0 when they carry no packets)."""
+        total = sum(u.pkts for u in units)
+        if total <= 0:
+            return 0.0
+        columns = self.columns
+        held = np.append(columns.duplicated, 0.0)
+        at = self._old_table.unit_ids(u.ident for u in units)
+        pkts = np.array([u.pkts for u in units], dtype=np.float64)
+        return sum((pkts * held[at]).tolist()) / total
 
     def orphaned_fraction(self, class_name: str, key: UnitKey) -> float:
         """Mass whose old holder is off the new routing path entirely.

@@ -16,6 +16,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Tuple
 
 import networkx as nx
+import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .graph import Topology
 
@@ -76,51 +79,107 @@ class Path:
         return (self.ingress, self.egress)
 
 
+def shortest_routes(topology: Topology) -> List[List[Tuple[str, ...]]]:
+    """``routes[i][j]``: the shortest route from node *i* to node *j*
+    (indices into ``topology.node_names``) on link ``distance``, the one
+    networkx's ``all_pairs_dijkstra_path`` returns.
+
+    The distances come from one C shortest-path pass.  A predecessor is
+    *tight* when its distance plus the link's equals the node's.  From a
+    source where every node has one tight predecessor, nearer than the
+    node, that predecessor is the route's; a source with a tie is left
+    to networkx, whose order (settle order, then adjacency order)
+    decides it.
+    """
+    graph = topology.graph()
+    names = topology.node_names
+    index = {name: k for k, name in enumerate(names)}
+    n = len(names)
+    tail, head, weight = [], [], []
+    for name in names:
+        for neighbor, data in graph.adj[name].items():
+            tail.append(index[name])
+            head.append(index[neighbor])
+            weight.append(data["distance"])
+    tails, heads = np.array(tail, dtype=np.intp), np.array(head, dtype=np.intp)
+    weights = np.array(weight, dtype=np.float64)
+    dist = dijkstra(csr_matrix((weights, (tails, heads)), shape=(n, n)), directed=True)
+    sources, edges = np.nonzero(dist[:, tails] + weights == dist[:, heads])
+    tight = np.bincount(sources * n + heads[edges], minlength=n * n).reshape(n, n)
+    pred = np.full((n, n), -1, dtype=np.intp)
+    pred[sources, heads[edges]] = tails[edges]
+    tied = (tight > 1).any(axis=1)
+    # A link too short to change a float distance ties its two ends.
+    level = dist[sources, tails[edges]] == dist[sources, heads[edges]]
+    tied[sources[level]] = True
+    nearest = np.argsort(dist, axis=1, kind="stable")
+    routes = []
+    for source in range(n):
+        if tied[source]:
+            found = nx.single_source_dijkstra_path(
+                graph, names[source], weight="distance"
+            )
+            routes.append([tuple(found[name]) for name in names])
+            continue
+        row = pred[source].tolist()
+        held: List[Tuple[str, ...]] = [()] * n
+        for node in nearest[source].tolist():  # every predecessor comes first
+            step = (names[node],)
+            held[node] = held[row[node]] + step if row[node] >= 0 else step
+        routes.append(held)
+    return routes
+
+
 class PathSet:
     """All ingress–egress routing paths for a topology.
 
-    Paths are computed once with Dijkstra on link ``distance`` and
-    cached; ties are broken deterministically by networkx's traversal
-    order so repeated runs see identical routing.  Intra-node "paths"
-    (ingress == egress) are single-node paths: such traffic is only
-    observable at its own PoP, exactly as in the paper's model.
+    Paths are shortest on link ``distance``, computed once per topology
+    by :func:`shortest_routes` — one C shortest-path pass, networkx's
+    tie order — so repeated runs see identical routing and every route
+    is the one ``nx.all_pairs_dijkstra_path`` gives.
+    Intra-node "paths" (ingress == egress) are single-node paths: such
+    traffic is only observable at its own PoP, exactly as in the paper's
+    model.
 
-    Routing never changes once built, so :meth:`observers` resolves each
-    location pair once and keeps the answer here (never pickled).
+    Each :class:`Path` record is built on first use.  Routing never
+    changes once built, so :meth:`observers` resolves each location pair
+    once and keeps the answer here; neither memo is pickled.
     """
 
     def __init__(self, topology: Topology, include_self_pairs: bool = True):
         self.topology = topology
+        names = topology.node_names
+        self._routes: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        for src, routes in zip(names, shortest_routes(topology)):
+            for dst, nodes in zip(names, routes):
+                if src != dst or include_self_pairs:
+                    self._routes[(src, dst)] = nodes
         self._paths: Dict[Tuple[str, str], Path] = {}
-        shortest = dict(
-            nx.all_pairs_dijkstra_path(topology.graph(), weight="distance")
-        )
-        for src in topology.node_names:
-            for dst in topology.node_names:
-                if src == dst and not include_self_pairs:
-                    continue
-                nodes = tuple(shortest[src][dst]) if src != dst else (src,)
-                self._paths[(src, dst)] = Path(src, dst, nodes)
         self._observers: Dict[Tuple[str, str], Tuple[str, ...]] = {}
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        del state["_observers"]
+        del state["_paths"], state["_observers"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._paths = {}
         self._observers = {}
 
     def path(self, ingress: str, egress: str) -> Path:
         """The routing path for an ordered (ingress, egress) pair."""
-        return self._paths[(ingress, egress)]
+        path = self._paths.get((ingress, egress))
+        if path is None:
+            nodes = self._routes[(ingress, egress)]
+            path = self._paths[(ingress, egress)] = Path(ingress, egress, nodes)
+        return path
 
     def __len__(self) -> int:
-        return len(self._paths)
+        return len(self._routes)
 
     def __iter__(self) -> Iterator[Path]:
-        return iter(self._paths.values())
+        return (self.path(*pair) for pair in self._routes)
 
     def observers(self, a: str, b: str) -> Tuple[str, ...]:
         """The nodes on both directed routes between *a* and *b*, in
@@ -131,19 +190,21 @@ class PathSet:
         """
         nodes = self._observers.get((a, b))
         if nodes is None:
-            backward = set(self._paths[(b, a)].nodes)
-            nodes = tuple(n for n in self._paths[(a, b)].nodes if n in backward)
+            backward = set(self._routes[(b, a)])
+            nodes = tuple(n for n in self._routes[(a, b)] if n in backward)
             nodes = self._observers[(a, b)] = nodes if nodes else (a, b)
         return nodes
 
     @property
     def pairs(self) -> List[Tuple[str, str]]:
         """All ordered pairs with materialized paths."""
-        return list(self._paths)
+        return list(self._routes)
 
     def paths_through(self, node: str) -> List[Path]:
         """All paths on which *node* lies (it can observe that traffic)."""
-        return [p for p in self._paths.values() if node in p]
+        return [
+            self.path(*pair) for pair, nodes in self._routes.items() if node in nodes
+        ]
 
     # -- distances ----------------------------------------------------------
     def downstream_distance(
@@ -169,14 +230,14 @@ class PathSet:
     ) -> Dict[Tuple[str, str], Dict[str, float]]:
         """``{(ingress, egress): {node: Dist}}`` for every path."""
         return {
-            pair: {
+            path.pair: {
                 node: self.downstream_distance(path, node, metric) for node in path.nodes
             }
-            for pair, path in self._paths.items()
+            for path in self
         }
 
     # -- statistics ----------------------------------------------------------
     def mean_path_length(self) -> float:
         """Mean hop count over inter-node paths (sanity metric for tests)."""
-        lengths = [len(p) for p in self._paths.values() if p.ingress != p.egress]
+        lengths = [len(nodes) for (a, b), nodes in self._routes.items() if a != b]
         return sum(lengths) / len(lengths) if lengths else 0.0

@@ -2,7 +2,9 @@
 
 These are the loops that used to live in the product as
 ``TransitionPlan.duplicated_fraction`` / ``orphaned_fraction`` /
-``handoffs`` (``repro.core.reconfigure``), ``InvariantMonitor.coverage_floor``
+``handoffs`` (``repro.core.reconfigure``), the controller's per-unit
+fold of it and its unchanged-entry count (``Controller._adopt`` /
+``_unchanged_fraction``), ``InvariantMonitor.coverage_floor``
 (``repro.control.chaos``), ``stabilize_manifests`` / ``ranges_reassigned`` /
 ``coverage_metrics`` (``repro.control.epochs``) and the control plane's
 ``_served_manifests`` (``repro.control.plane``), re-homed verbatim as the
@@ -77,6 +79,15 @@ def holders(
 
 
 # -- repro.core.reconfigure.TransitionPlan --------------------------------
+def _left_sum(terms: Iterable[float]) -> float:
+    """``((0.0 + t0) + t1) + ...``: builtin ``sum`` is compensated from
+    Python 3.12 on, and the reference must not depend on the interpreter."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
 def duplicated_fraction(
     old: NIDSDeployment, new: NIDSDeployment, class_name: str, key: UnitKey
 ) -> float:
@@ -88,14 +99,53 @@ def duplicated_fraction(
         new_ranges = new.manifests[node].ranges(class_name, key)
         # Mass held under either manifest, minus the overlap the
         # node keeps under both (not duplicated anywhere else).
-        old_mass = sum(r.length for r in old_ranges)
-        overlap = sum(
+        old_mass = _left_sum(r.length for r in old_ranges)
+        overlap = _left_sum(
             old_piece.intersection_length(new_piece)
             for old_piece in old_ranges
             for new_piece in new_ranges
         )
         duplicated += old_mass - overlap
     return duplicated
+
+
+# -- repro.control.controller.Controller._adopt ----------------------------
+def duplicated_share(old: NIDSDeployment, new: NIDSDeployment) -> float:
+    """The epoch's packet-weighted duplicated fraction: one
+    :func:`duplicated_fraction` per unit of the new deployment."""
+    total = sum(u.pkts for u in new.units)
+    if total <= 0:
+        return 0.0
+    duplicated = sum(
+        u.pkts * duplicated_fraction(old, new, u.class_name, u.key)
+        for u in new.units
+    )
+    return duplicated / total
+
+
+def unchanged_fraction(
+    old: Dict[str, NodeManifest], new: Dict[str, NodeManifest]
+) -> float:
+    """Fraction of (node, unit) entries identical across versions."""
+    keys = {
+        (node, ident)
+        for node, manifest in old.items()
+        for ident in manifest.entries
+    } | {
+        (node, ident)
+        for node, manifest in new.items()
+        for ident in manifest.entries
+    }
+    if not keys:
+        return 1.0
+    unchanged = sum(
+        1
+        for node, ident in keys
+        if node in old
+        and node in new
+        and old[node].entries.get(ident) == new[node].entries.get(ident)
+    )
+    return unchanged / len(keys)
 
 
 def orphaned_fraction(

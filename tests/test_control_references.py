@@ -1,0 +1,355 @@
+"""The control run's once-per-content rewrites against what they replaced.
+
+* Wire sizes: every push's ``size_bytes`` and ``full_bytes``, every
+  epoch-log entry's ``json_size`` and every ``state-handoff``'s size is
+  summed from per-entry encodings
+  (``repro.core.manifest_io.ConfigurationWire``); each must equal
+  ``len(json.dumps(payload, sort_keys=True))`` — in the six named chaos
+  plans × seeds 3/7/17, and on Hypothesis manifests (empty, ``full``,
+  removed-only deltas, long-repr floats such as ``0.1 + 0.2``), where
+  the dicts themselves must encode as ``manifest_to_dict`` /
+  ``manifest_diff``'s do.
+* Routing: ``PathSet`` (one C shortest-path pass; a source with a tie
+  is left to networkx) against ``nx.all_pairs_dijkstra_path`` on the
+  nine dataset topologies and on Hypothesis graphs with link lengths
+  1–2, where ties are dense.
+* Transitions: ``TransitionColumns`` (one pass over both versions'
+  ``ManifestTable`` columns) against the per-unit loops in
+  ``tests/manifest_oracle.py`` — ``TransitionPlan.duplicated_fraction``'s,
+  the controller's packet-weighted fold and its unchanged-entry count —
+  compared with ``==`` on Hypothesis manifest pairs, a crafted unit with
+  many holders, and the whole chaos runs above.
+
+Seeded mutations each of which fails a test here: dropping the ``", "``
+term from ``joined_size`` (``test_wire_forms_equal_the_encoders``,
+``test_whole_runs_match_the_references``); keying
+``ConfigurationWire``'s entry cache by ident only
+(``test_wire_forms_equal_the_encoders``,
+``test_entry_cache_tells_ranges_apart``); breaking a routing tie by node
+name — a tied source's networkx search run over the links in name order
+instead of the graph's adjacency order — or by node index, taking a
+tied source's routes from the tight-predecessor table instead of
+networkx, in ``routing.shortest_routes``
+(``test_routes_equal_networkx_on_tied_graphs``,
+``test_a_square_ties_in_adjacency_order``); folding the duplicated
+mass with ``np.add.reduceat`` instead of the left-to-right steps
+(``test_many_holders_fold_left_to_right``,
+``test_columns_equal_the_per_unit_loops``).
+"""
+
+import json
+import pickle
+from types import SimpleNamespace
+
+import networkx as nx
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.control.bus import Bus
+from repro.control.chaos import NAMED_PLANS, build_plan, run_chaos
+from repro.control.controller import Controller
+from repro.control.plane import ScenarioConfig
+from repro.control.protocol import KIND_MANIFEST_UPDATE, KIND_STATE_HANDOFF
+from repro.control.replication import HAConfig, ReplicatedLog
+from repro.core.manifest import NodeManifest
+from repro.core.manifest_io import ConfigurationWire, manifest_diff, manifest_to_dict
+from repro.core.manifest_table import ManifestTable
+from repro.core.reconfigure import TransitionColumns, TransitionPlan
+from repro.hashing.ranges import HashRange
+from repro.topology import PathSet, by_label
+from repro.topology.graph import LinkSpec, NodeSpec, Topology
+from repro.topology.routing import shortest_routes
+from tests import manifest_oracle as oracle
+
+DATASETS = ("internet2", "geant", "AS1221", "AS1239", "AS3257",
+            "pop12", "pop50", "pop100", "pop200")
+NODES = ("d", "a", "c", "b")  # deliberately not sorted
+IDENTS = (("sig", ("a", "b")), ("sig", ("c",)), ("scan", ("a",)),
+          ("http", ("b", "d")), ("dns", ("d", "a")))
+#: Boundaries whose reprs are long or whose sums do not associate.
+_AWKWARD = (0.0, 0.1, 0.2, 0.1 + 0.2, 1 / 3, 2 / 3, 0.7, 0.9, 1.0)
+_cut = st.one_of(st.sampled_from(_AWKWARD), st.floats(0.0, 1.0, allow_nan=False))
+_pieces = st.lists(st.tuples(_cut, _cut), max_size=4).map(
+    lambda cuts: tuple(HashRange(min(c), max(c)) for c in cuts)
+)
+
+
+def _length(payload):
+    return len(json.dumps(payload, sort_keys=True))
+
+
+def _same_json(a, b):
+    return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+@st.composite
+def _manifest_set(draw, allow_full):
+    manifests = {}
+    for node in NODES:
+        if allow_full and draw(st.integers(0, 6)) == 0:
+            manifests[node] = NodeManifest(node, full=True)
+            continue
+        held = draw(st.lists(st.sampled_from(IDENTS), unique=True))
+        manifests[node] = NodeManifest(
+            node, entries={ident: draw(_pieces) for ident in held}
+        )
+    return manifests
+
+
+@st.composite
+def _versions(draw, allow_full=True):
+    """Two consecutive configurations: the new one keeps, drops or
+    re-draws each old entry and may add more (a removed-only delta is
+    a draw that keeps or drops everything)."""
+    old = draw(_manifest_set(allow_full))
+    new = {}
+    for node, manifest in old.items():
+        entries = {}
+        for ident, pieces in manifest.entries.items():
+            fate = draw(st.sampled_from(("keep", "drop", "redraw")))
+            if fate != "drop":
+                entries[ident] = pieces if fate == "keep" else draw(_pieces)
+        for ident in draw(st.lists(st.sampled_from(IDENTS), unique=True, max_size=2)):
+            entries.setdefault(ident, draw(_pieces))
+        full = allow_full and draw(st.integers(0, 6)) == 0
+        new[node] = NodeManifest(node, entries=entries, full=full)
+    return old, new
+
+
+# -- Wire ----------------------------------------------------------------------
+@settings(max_examples=300, deadline=None)
+@given(_versions())
+def test_wire_forms_equal_the_encoders(versions):
+    old, new = versions
+    previous = ConfigurationWire(old)
+    for node in old:
+        previous.manifest(node)
+    wire = ConfigurationWire(new, previous)
+    for node in NODES:
+        full = wire.manifest(node)
+        assert _same_json(full.data, manifest_to_dict(new[node]))
+        assert full.size == _length(full.data)
+        delta = wire.delta(old[node], node)
+        assert _same_json(delta.data, manifest_diff(old[node], new[node]))
+        assert delta.size == _length(delta.data)
+    # The epoch log's entry and the handoff that carries it.
+    machine = ReplicatedLog(0, HAConfig(replicas=2), "controller", NODES)
+    beat = machine.close(0.0, 3, wire, reason="periodic", max_acked=2)
+    entry = machine.log[3]
+    assert entry.json_size == _length(entry.to_dict())
+    [handoff] = [s for s in beat.sends if s.kind == KIND_STATE_HANDOFF]
+    assert handoff.size == _length(handoff.payload)
+
+
+def test_entry_cache_tells_ranges_apart():
+    """One unit split over two nodes, then moved: three contents under
+    one ident, each of which must be sent as itself."""
+    ident = IDENTS[0]
+    old = {
+        "a": NodeManifest("a", entries={ident: (HashRange(0.0, 0.1 + 0.2),)}),
+        "b": NodeManifest("b", entries={ident: (HashRange(0.1 + 0.2, 1.0),)}),
+    }
+    new = {
+        "a": NodeManifest("a", entries={ident: (HashRange(0.0, 1.0),)}),
+        "b": NodeManifest("b", entries={}),
+    }
+    previous = ConfigurationWire(old)
+    for node in old:
+        assert _same_json(previous.manifest(node).data, manifest_to_dict(old[node]))
+    wire = ConfigurationWire(new, previous)
+    for node in new:
+        assert _same_json(wire.manifest(node).data, manifest_to_dict(new[node]))
+        assert _same_json(
+            wire.delta(old[node], node).data, manifest_diff(old[node], new[node])
+        )
+
+
+# -- Routing -------------------------------------------------------------------
+def _networkx_routes(topology):
+    shortest = dict(nx.all_pairs_dijkstra_path(topology.graph(), weight="distance"))
+    return [
+        [tuple(shortest[a][b]) if a != b else (a,) for b in topology.node_names]
+        for a in topology.node_names
+    ]
+
+
+@pytest.mark.parametrize("label", DATASETS)
+def test_routes_equal_networkx_on_the_datasets(label):
+    topology = by_label(label)
+    routes = _networkx_routes(topology)
+    paths = PathSet(topology)
+    names = topology.node_names
+    assert [[paths.path(a, b).nodes for b in names] for a in names] == routes
+
+
+@st.composite
+def _tied_graphs(draw):
+    """Connected graphs whose links are 1 or 2 long: equal-length routes
+    abound.  Names and link order are drawn too — networkx's tie order
+    follows the adjacency, not the names."""
+    n = draw(st.integers(2, 9))
+    names = draw(st.permutations([f"r{k}" for k in range(n)]))
+    links = {}
+    for k in range(1, n):  # a spanning tree keeps it connected
+        links[frozenset((names[k], names[draw(st.integers(0, k - 1))]))] = None
+    extra = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    for a, b in draw(st.lists(extra)):
+        if a != b:
+            links.setdefault(frozenset((a, b)), None)
+    order = draw(st.permutations(sorted(tuple(sorted(pair)) for pair in links)))
+    return Topology(
+        "tied",
+        [NodeSpec(name=name) for name in names],
+        [LinkSpec(a, b, draw(st.integers(1, 2))) for a, b in order],
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tied_graphs())
+def test_routes_equal_networkx_on_tied_graphs(topology):
+    assert shortest_routes(topology) == _networkx_routes(topology)
+
+
+def test_a_square_ties_in_adjacency_order():
+    """``z`` reaches ``b`` through ``y`` or ``x``, both 2 long; networkx
+    relaxes ``z``'s links in the order they were added, so ``y`` wins,
+    although ``x`` sorts first."""
+    topology = Topology(
+        "square",
+        [NodeSpec(name=name) for name in "zyxb"],
+        [LinkSpec("z", "y", 1), LinkSpec("z", "x", 1),
+         LinkSpec("y", "b", 1), LinkSpec("x", "b", 1)],
+    )
+    assert PathSet(topology).path("z", "b").nodes == ("z", "y", "b")
+    assert shortest_routes(topology) == _networkx_routes(topology)
+
+
+def test_path_sets_pickle_without_their_memos():
+    paths = PathSet(by_label("internet2"))
+    first = paths.path("NYCM", "STTL")
+    paths.observers("NYCM", "STTL")
+    clone = pickle.loads(pickle.dumps(paths))
+    assert clone._paths == {} and clone._observers == {}
+    assert clone.path("NYCM", "STTL") == first
+    assert list(clone) == list(paths)
+
+
+# -- Transitions -----------------------------------------------------------------
+def _deployment(manifests, units=()):
+    return SimpleNamespace(manifests=manifests, units=list(units))
+
+
+def _check_columns(old, new):
+    columns = TransitionColumns(
+        ManifestTable.from_manifests(old), ManifestTable.from_manifests(new)
+    )
+    plan = TransitionPlan(_deployment(old), _deployment(new))
+    before, after = _deployment(old), _deployment(new)
+    for ident in IDENTS + (("irc", ("nobody",)),):
+        assert plan.duplicated_fraction(*ident) == oracle.duplicated_fraction(
+            before, after, *ident
+        )
+    assert dict(zip(columns.units, columns.duplicated.tolist())) == {
+        ident: oracle.duplicated_fraction(before, after, *ident)
+        for ident in columns.units
+    }
+    assert columns.unchanged_fraction == oracle.unchanged_fraction(old, new)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_versions(allow_full=False))
+def test_columns_equal_the_per_unit_loops(versions):
+    _check_columns(*versions)
+
+
+def test_many_holders_fold_left_to_right():
+    """Twelve old holders whose kept masses a pairwise sum adds
+    differently from the loop; every one of them moves away."""
+    ident = IDENTS[0]
+    nodes = [f"n{k:02d}" for k in range(13)]
+    masses = np.random.default_rng(1).random(12)
+    old = {node: NodeManifest(node) for node in nodes}
+    for node, mass in zip(nodes, masses.tolist()):
+        old[node].entries[ident] = (HashRange(0.0, mass),)
+    new = {node: NodeManifest(node) for node in nodes}
+    new[nodes[-1]].entries[ident] = (HashRange(0.0, 1.0),)
+    left = 0.0
+    for mass in masses.tolist():
+        left += mass
+    assert np.add.reduceat(masses, [0])[0] != left  # the case is sharp
+    _check_columns(old, new)
+
+
+def test_full_manifests_have_no_rows_to_match():
+    full = {"a": NodeManifest("a", full=True)}
+    with pytest.raises(ValueError, match="full manifest"):
+        TransitionColumns(
+            ManifestTable.from_manifests(full), ManifestTable.from_manifests(full)
+        )
+
+
+# -- Whole runs ------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "plan, seed", [(plan, seed) for plan in sorted(NAMED_PLANS) for seed in (3, 7, 17)]
+)
+def test_whole_runs_match_the_references(monkeypatch, plan, seed):
+    checked = {"push": 0, "handoff": 0, "log": 0, "adopt": 0}
+    send = Bus.send
+
+    def spy_send(self, src, dst, kind, payload, size_bytes, now):
+        if kind == KIND_MANIFEST_UPDATE:
+            assert size_bytes == _length(payload["data"])
+            checked["push"] += 1
+        elif kind == KIND_STATE_HANDOFF:
+            assert size_bytes == _length(payload)
+            checked["handoff"] += 1
+        return send(self, src, dst, kind, payload, size_bytes, now)
+
+    push = Controller._push
+
+    def spy_push(self, node, target, now):
+        push(self, node, target, now)
+        state = self.outstanding[node]
+        assert state.full_bytes == _length(manifest_to_dict(state.manifest))
+
+    log_epoch = ReplicatedLog._log_epoch
+
+    def spy_log(self, version, adopted, reason, max_acked):
+        held = self.log.get(version)
+        log_epoch(self, version, adopted, reason, max_acked)
+        entry = self.log.get(version)
+        if entry is not held:
+            assert entry.json_size == _length(entry.to_dict())
+            checked["log"] += 1
+
+    adopt = Controller._adopt
+
+    def spy_adopt(self, manifests, units, assignment, now, reason):
+        previous, old = self.deployment, self.manifests
+        adopt(self, manifests, units, assignment, now, reason)
+        record = self._epoch
+        assert record.unchanged_entry_fraction == oracle.unchanged_fraction(
+            old, manifests
+        )
+        if previous is not None and self.deployment is not None:
+            assert record.duplicated_fraction == oracle.duplicated_share(
+                previous, self.deployment
+            )
+            checked["adopt"] += 1
+
+    monkeypatch.setattr(Bus, "send", spy_send)
+    monkeypatch.setattr(Controller, "_push", spy_push)
+    monkeypatch.setattr(ReplicatedLog, "_log_epoch", spy_log)
+    monkeypatch.setattr(Controller, "_adopt", spy_adopt)
+    topology = by_label("internet2")
+    config = ScenarioConfig(
+        plan=build_plan(plan, seed, 18, topology.node_names),
+        seed=seed,
+        base_sessions=300,
+        resolve_every=2,
+        replicas=3,
+    )
+    run_chaos(config)
+    assert all(checked.values()), checked

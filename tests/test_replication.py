@@ -11,6 +11,11 @@ replica-plane messages drawn from {announce, promote, handoff} × terms
 * after the beat, no leader holds an observed term above its own;
 * merging the same handoff twice leaves the log identical.
 
+A malformed replica-plane payload — a header field dropped or mistyped
+in the frame or in any epoch-log entry — raises a ``ValueError`` naming
+its kind and field, and leaves term, observed term, log and counters as
+they were.
+
 Each message comes from the replica that could have minted its term
 (``term % 3``); a handoff carries one entry at version ``term % 2``, so
 two terms compete for each version.  The machine is deterministic, so a
@@ -20,7 +25,10 @@ once: every ordering is covered, each distinct one checked.
 
 import copy
 import itertools
+import re
 from typing import NamedTuple
+
+import pytest
 
 from repro.control.epochs import EpochLogEntry
 from repro.control.protocol import (
@@ -179,3 +187,89 @@ def test_enumeration_reaches_every_role_change():
     assert standby.term == 3
     beat = standby.open(10.0, version=0)
     assert beat.elected and standby.term == 4 and standby.term % REPLICAS == INDEX
+
+
+# -- Malformed replica-plane payloads ----------------------------------------
+def _handoff(entries, term=3):
+    return _Message(
+        KIND_STATE_HANDOFF,
+        "controller",
+        {"term": term, "leader": "controller", "entries": entries},
+    )
+
+
+def _entry(term=3, version=5):
+    return EpochLogEntry(
+        term=term, version=version, reason="periodic", max_acked=-1,
+        manifests=(("a", manifest_to_dict(_manifest(term))),),
+    ).to_dict()
+
+
+def _refused(message, field):
+    """*message* raises a ValueError naming its kind and *field*, and
+    leaves the machine as it was."""
+    machine = _standby()
+    machine.receive(_handoff([_entry(term=0, version=1)], term=0), 0.0)
+    before = _state(machine), machine.handoff_entries, dict(machine.log)
+    with pytest.raises(ValueError, match=f"{message.kind}: .*{re.escape(field)}"):
+        machine.receive(message, 1.0)
+    assert (_state(machine), machine.handoff_entries, dict(machine.log)) == before
+
+
+def test_a_headless_entry_refuses_the_whole_handoff():
+    """A valid v5 followed by ``{"term": 3}`` used to merge v5, adopt
+    term 3, then raise ``KeyError('version')``."""
+    _refused(_handoff([_entry(), {"term": 3}]), "entries[1].version")
+
+
+def test_a_string_term_is_refused_before_it_is_witnessed():
+    for kind in (KIND_TERM_ANNOUNCE, KIND_PROMOTE, KIND_STATE_HANDOFF):
+        payload = {"term": "7", "leader": "controller-1", "entries": []}
+        _refused(_Message(kind, "controller-1", payload), "term")
+
+
+FRAME_FIELDS = {
+    "term": (-1, True, 2.0, "3"),
+    "leader": (1, None),
+    "entries": ({}, "x", None),
+}
+ENTRY_FIELDS = {
+    "term": ("3", 3.0, None),
+    "version": ("5", False, None),
+    "max_acked": (-1.0, "-1", None),
+    "reason": (1, None),
+    "manifests": ([], "a", None),
+}
+
+
+@pytest.mark.parametrize("field", sorted(FRAME_FIELDS))
+def test_each_frame_field_dropped_or_mistyped(field):
+    good = _handoff([_entry()]).payload
+    dropped = {name: value for name, value in good.items() if name != field}
+    _refused(_Message(KIND_STATE_HANDOFF, "controller", dropped), field)
+    for wrong in FRAME_FIELDS[field]:
+        wrong_payload = dict(good, **{field: wrong})
+        _refused(_Message(KIND_STATE_HANDOFF, "controller", wrong_payload), field)
+
+
+@pytest.mark.parametrize("field", sorted(ENTRY_FIELDS))
+def test_each_entry_field_dropped_or_mistyped(field):
+    good = _entry()
+    dropped = {name: value for name, value in good.items() if name != field}
+    _refused(_handoff([_entry(version=4), dropped]), f"entries[1].{field}")
+    for wrong in ENTRY_FIELDS[field]:
+        wrong_entry = dict(good, **{field: wrong})
+        _refused(_handoff([_entry(version=4), wrong_entry]), f"entries[1].{field}")
+
+
+def test_an_adopted_entry_must_map_nodes_to_manifests():
+    for manifests in ({"a": [1, 2]}, {3: manifest_to_dict(_manifest(3))}):
+        _refused(_handoff([_entry(version=4), dict(_entry(), manifests=manifests)]),
+                 "entries[1].manifests")
+
+
+def test_a_well_formed_handoff_still_merges():
+    machine = _standby()
+    machine.receive(_handoff([_entry(version=4), _entry()]), 1.0)
+    assert sorted(machine.log) == [4, 5]
+    assert (machine.term, machine.handoff_entries) == (3, 2)
