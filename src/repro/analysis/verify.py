@@ -56,7 +56,7 @@ from ..core.manifest import (
 )
 from ..core.manifest_io import check_delta
 from ..core.nids_lp import NIDSAssignment
-from ..core.units import CoordinationUnit, eligible_nodes
+from ..core.units import Units, UnitTable, eligible_nodes
 
 if TYPE_CHECKING:  # heavy NIPS imports only for type checkers
     from ..core.nips_manifest import NIPSNodeManifest
@@ -113,7 +113,7 @@ class VerificationReport:
 
 # -- NIDS deployments -----------------------------------------------------
 def verify_deployment(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     manifests: Mapping[str, NodeManifest],
     assignment: Optional[NIDSAssignment] = None,
 ) -> VerificationReport:
@@ -180,7 +180,7 @@ def _pseudo_units(
     idents: Sequence[EntryKey],
     holders: Mapping[EntryKey, Set[str]],
     topology_label: Optional[str],
-) -> List[CoordinationUnit]:
+) -> UnitTable:
     """Reconstruct minimal units from artifact contents.
 
     The serialized artifacts carry (class, unit-key) idents but not the
@@ -200,25 +200,13 @@ def _pseudo_units(
         paths = PathSet(topology)
         known = set(topology.node_names)
 
-    units = []
-    for ident in idents:
-        class_name, key = ident
-        if paths is not None and len(key) in (1, 2) and set(key) <= known:
-            eligible = eligible_nodes(key, paths)
-        else:
-            eligible = tuple(sorted(holders.get(ident, set())))
-        units.append(
-            CoordinationUnit(
-                class_name=class_name,
-                key=key,
-                eligible=eligible,
-                pkts=0.0,
-                items=0.0,
-                cpu_work=0.0,
-                mem_bytes=0.0,
-            )
-        )
-    return units
+    eligible = [
+        eligible_nodes(key, paths)
+        if paths is not None and len(key) in (1, 2) and set(key) <= known
+        else tuple(sorted(holders.get((class_name, key), set())))
+        for class_name, key in idents
+    ]
+    return UnitTable.from_sets(idents, eligible)
 
 
 def verify_artifact_files(

@@ -49,7 +49,7 @@ so a partitioned ex-leader can never split-brain the deployment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..core.manifest import NodeManifest
 from ..core.manifest_io import apply_manifest_delta, manifest_from_dict
@@ -78,6 +78,17 @@ NACK_BYTES = 72
 def report_bytes(report) -> int:
     """Approximate NetFlow report size (per-pair and per-port rows)."""
     return 64 + 24 * (len(report.pair_flows) + len(report.pair_port_flows))
+
+
+def _decodes(payload: object) -> bool:
+    """Whether a ``manifest-update`` payload decodes: an int ``version``,
+    a ``mode`` of ``full`` or ``delta`` and a mapping of ``data``."""
+    return (
+        isinstance(payload, dict)
+        and type(payload.get("version")) is int
+        and payload.get("mode") in ("full", "delta")
+        and isinstance(payload.get("data"), Mapping)
+    )
 
 
 @dataclass
@@ -263,6 +274,10 @@ class Agent:
         if not self.alive:
             return
         for message in inbox:
+            if message.kind == KIND_MANIFEST_UPDATE and not _decodes(message.payload):
+                # Refused whole: a push that does not decode commits
+                # neither its term and leader nor its lease and version.
+                continue
             if not self._accept_term(message, now):
                 continue
             if message.src == self.leader:

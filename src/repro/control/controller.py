@@ -51,10 +51,11 @@ adversarially shifting inputs) can be plugged in.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set
+
+import numpy as np
 
 from ..analysis.verify import (
     VerificationReport,
@@ -64,11 +65,11 @@ from ..analysis.verify import (
 from ..core.dispatch import UnitResolver
 from ..core.manifest import generate_manifests, NodeManifest
 from ..core.manifest_io import ConfigurationWire
-from ..core.manifest_table import ManifestTable
+from ..core.manifest_table import ManifestTable, left_sum
 from ..core.nids_deployment import NIDSDeployment
 from ..core.nids_lp import NIDSAssignment, solve_nids_lp
 from ..core.reconfigure import TransitionColumns, plan_transition
-from ..core.units import CoordinationUnit
+from ..core.units import UnitTable
 from ..hashing.ranges import HashRange
 from ..measurement.estimation import EstimationModel, estimate_units
 from ..measurement.flows import TrafficReport
@@ -98,7 +99,7 @@ from .epochs import (
 from .failure import HeartbeatMonitor, RepairResult, repair_manifests
 from .replication import Beat, HAConfig, Install, ReplicatedLog
 
-SolveFn = Callable[[Sequence[CoordinationUnit], Topology, float], NIDSAssignment]
+SolveFn = Callable[[UnitTable, Topology, float], NIDSAssignment]
 
 #: Nominal wire size of a lease renewal.
 LEASE_BYTES = 48
@@ -241,7 +242,7 @@ class Controller:
         self.deployment: Optional[NIDSDeployment] = None
         self.manifests: Dict[str, NodeManifest] = {}
         self._wire = ConfigurationWire(self.manifests)
-        self.planned_units: List[CoordinationUnit] = []
+        self.planned_units = UnitTable.of(())
         self.last_repair: Optional[RepairResult] = None
         #: Manifest content each agent last acknowledged applying.
         self.acked_manifests: Dict[str, NodeManifest] = {}
@@ -435,20 +436,23 @@ class Controller:
         self.needs_full.discard(node)
 
     # -- planning ---------------------------------------------------------
-    def _estimated_units(self) -> List[CoordinationUnit]:
+    def _estimated_units(self) -> UnitTable:
         merged = merge_reports(self.reports.values())
-        return estimate_units(
-            self.modules, merged, self.paths, self.config.estimation
+        return UnitTable.of(
+            estimate_units(self.modules, merged, self.paths, self.config.estimation)
         )
 
     @staticmethod
-    def _class_cpu(units: Sequence[CoordinationUnit]) -> Dict[str, float]:
-        totals: Dict[str, float] = {}
-        for unit in units:
-            totals[unit.class_name] = totals.get(unit.class_name, 0.0) + unit.cpu_work
-        return totals
+    def _class_cpu(units: UnitTable) -> Dict[str, float]:
+        """Per class, its units' CPU work folded left in unit order."""
+        ids: Dict[str, int] = {}
+        class_of = [ids.setdefault(name, len(ids)) for name, _key in units.idents]
+        totals = np.bincount(
+            np.array(class_of, dtype=np.intp), units.cpu_work, len(ids)
+        )
+        return dict(zip(ids, totals.tolist()))
 
-    def _drift(self, units: Sequence[CoordinationUnit]) -> float:
+    def _drift(self, units: UnitTable) -> float:
         """Relative L1 distance of per-class CPU volumes vs. the last
         re-solve's inputs (class-level, so per-unit sampling noise does
         not masquerade as a traffic change)."""
@@ -456,16 +460,14 @@ class Controller:
         if not reference:
             return float("inf")
         current = self._class_cpu(units)
-        baseline = sum(reference.values())
+        baseline = left_sum(np.array(list(reference.values())))
         if baseline <= 0:
             return float("inf")
         # Sorted: a float fold in set (string-hash) order would differ
         # across processes.
         classes = sorted(set(reference) | set(current))
-        l1 = sum(
-            abs(current.get(c, 0.0) - reference.get(c, 0.0)) for c in classes
-        )
-        return l1 / baseline
+        gaps = [abs(current.get(c, 0.0) - reference.get(c, 0.0)) for c in classes]
+        return left_sum(np.array(gaps)) / baseline
 
     def _unavailable(self) -> Set[str]:
         """Nodes that must not hold coordinated responsibility: failed
@@ -490,41 +492,31 @@ class Controller:
     def _live_fenced(self) -> Set[str]:
         return {n for n in self.fenced if self.monitor.alive(n)}
 
-    def _exclude_failed(
-        self, units: Sequence[CoordinationUnit]
-    ) -> List[CoordinationUnit]:
+    def _exclude_failed(self, units: UnitTable) -> UnitTable:
+        """*units* with every unavailable node struck from its eligible
+        set, one mask over the entries; a unit left with none is
+        dropped."""
         unavailable = self._unavailable()
         if not unavailable:
-            return list(units)
-        live_fenced = self._live_fenced()
-        surviving = []
-        for unit in units:
-            eligible = tuple(
-                n for n in unit.eligible if n not in unavailable
-            )
-            if not eligible:
-                # Sole-eligible holders are fenced but alive: keep the
-                # unit planned on them rather than dropping it.  A
-                # sole-eligible node is the unit's endpoint, so its
-                # edge-only fallback already analyzes the traffic while
-                # degraded — and the planned entry means coordinated
-                # service resumes the instant the node exits fallback,
-                # instead of the unit going dark in the handoff epoch.
-                eligible = tuple(
-                    n for n in unit.eligible if n in live_fenced
-                )
-            if not eligible:
-                continue  # unobservable while its only nodes are down
-            if eligible != unit.eligible:
-                unit = dataclasses.replace(unit, eligible=eligible)
-            surviving.append(unit)
-        return surviving
+            return units
+        keep = ~units.entries_in(unavailable)
+        # Sole-eligible holders are fenced but alive: keep the unit
+        # planned on them rather than dropping it.  A sole-eligible
+        # node is the unit's endpoint, so its edge-only fallback
+        # already analyzes the traffic while degraded — and the planned
+        # entry means coordinated service resumes the instant the node
+        # exits fallback, instead of the unit going dark in the handoff
+        # epoch.  A unit with neither is unobservable while its only
+        # nodes are down, and is dropped.
+        bare = np.bincount(units.owner[keep], minlength=len(units)) == 0
+        keep |= bare[units.owner] & units.entries_in(self._live_fenced())
+        return units.where(keep)
 
     def _resolve(
         self,
         now: float,
         reason: str,
-        estimated: Optional[List[CoordinationUnit]] = None,
+        estimated: Optional[UnitTable] = None,
     ) -> None:
         """Full re-plan: estimate → LP → manifests → stabilize.
 
@@ -542,9 +534,9 @@ class Controller:
         units = self._exclude_failed(estimated)
         assignment = self.solve_fn(units, self.topology, self.config.coverage)
         proposed = generate_manifests(units, assignment, self.topology.node_names)
-        allowed: Dict[Ident, Set[str]] = {
-            unit.ident: set(unit.eligible) for unit in units
-        }
+        allowed: Dict[Ident, Set[str]] = dict(
+            zip(units.idents, map(set, units.eligible))
+        )
         if self.manifests:
             stabilized, _changed = stabilize_manifests(
                 self.manifests,
@@ -564,7 +556,7 @@ class Controller:
 
     def _gate(
         self,
-        units: Sequence[CoordinationUnit],
+        units: UnitTable,
         manifests: Dict[str, NodeManifest],
         stage: str,
     ) -> bool:
@@ -610,7 +602,7 @@ class Controller:
             self.registry.gauge(
                 "repair_orphaned_mass",
                 "hash-space mass with no live eligible node after the last repair",
-            ).set(sum(mass for _ident, mass in result.orphaned))
+            ).set(left_sum(np.array([mass for _ident, mass in result.orphaned])))
 
     def _restore_fenced_singletons(self, result: RepairResult) -> None:
         """Re-home repair-orphaned units whose only live eligible node
@@ -629,12 +621,12 @@ class Controller:
         live_fenced = self._live_fenced()
         if not live_fenced or not result.orphaned:
             return
-        units_by_ident = {unit.ident: unit for unit in self.planned_units}
+        planned = self.planned_units
         still_orphaned: List[tuple] = []
         for ident, mass in result.orphaned:
-            unit = units_by_ident.get(ident)
+            u = planned.by_ident.get(ident)
             holders = sorted(
-                n for n in (unit.eligible if unit is not None else ())
+                n for n in (planned.eligible[u] if u is not None else ())
                 if n in live_fenced
             )
             if not holders:
@@ -648,7 +640,7 @@ class Controller:
     def _adopt(
         self,
         manifests: Dict[str, NodeManifest],
-        units: Sequence[CoordinationUnit],
+        units: UnitTable,
         assignment: Optional[NIDSAssignment],
         now: float,
         reason: str,
@@ -662,14 +654,14 @@ class Controller:
                 topology=self.topology,
                 paths=self.paths,
                 modules=self.modules,
-                units=list(units),
+                units=units,
                 assignment=assignment,
                 manifests=manifests,
                 resolver=UnitResolver(self.topology.node_names),
             )
         old_manifests = self.manifests
         self.manifests = manifests
-        self.planned_units = list(units)
+        self.planned_units = units
         self._epoch.resolved = reason
         self._epoch.config_version = self.version
         columns = None

@@ -27,8 +27,8 @@ epoch loop shares:
   ``union_length`` fold over the table's columns that reproduces the
   scalar loop's float order (``tests/manifest_oracle.py`` keeps the
   loop); the chaos monitor's pair probe reads the same table;
-* :func:`coverage_metrics` — the same measure for units and manifests
-  held as objects.
+* :func:`coverage_metrics` — the same measure for a unit table and a
+  manifest set.
 """
 
 from __future__ import annotations
@@ -53,11 +53,12 @@ import numpy as np
 
 from ..core.manifest import NodeManifest
 from ..core.manifest_io import joined_size, json_size, manifest_from_dict
-from ..core.manifest_table import ManifestTable
+from ..core.manifest_table import ManifestTable, left_sum
 from ..core.units import (
-    CoordinationUnit,
     KeyEligibility,
     UnitKey,
+    Units,
+    UnitTable,
     key_eligibility,
     session_unit_keys,
 )
@@ -315,12 +316,6 @@ class CoverageSummary:
     orphaned_fraction: float
 
 
-def _left_sum(values: np.ndarray) -> float:
-    """``((0.0 + v[0]) + v[1]) + ...``: ``np.cumsum`` adds in order, where
-    ``np.sum`` pairs."""
-    return float(np.cumsum(values)[-1]) if len(values) else 0.0
-
-
 def _union_fold(
     unit: np.ndarray, lo: np.ndarray, hi: np.ndarray, num_units: int
 ) -> np.ndarray:
@@ -403,10 +398,10 @@ def _summarize(
     """Fold per-unit volumes and covered measures, in unit order, into a
     :class:`CoverageSummary` (units with no live eligible node are
     orphaned and leave the coverage denominator)."""
-    total = _left_sum(pkts)
-    observed = _left_sum(pkts[observable])
-    covered_mass = _left_sum(pkts[observable] * covered[observable])
-    orphaned = _left_sum(pkts[~observable])
+    total = left_sum(pkts)
+    observed = left_sum(pkts[observable])
+    covered_mass = left_sum(pkts[observable] * covered[observable])
+    orphaned = left_sum(pkts[~observable])
     return CoverageSummary(
         coverage=covered_mass / observed if observed > 0 else 1.0,
         min_unit_coverage=float(covered[observable].min(initial=1.0)),
@@ -415,7 +410,7 @@ def _summarize(
 
 
 def coverage_metrics(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     manifests: Dict[str, NodeManifest],
     live: Set[str],
 ) -> CoverageSummary:
@@ -428,28 +423,26 @@ def coverage_metrics(
     reported separately (the paper's singleton-unit caveat: a Scan
     unit at a dead ingress simply has no substitute observer).
 
-    The units and manifests as objects, read through the fold
+    A unit table and a manifest set, read through the fold
     :class:`GroundTruth` runs on every epoch (:func:`_held_measure`).
     """
-    units = list(units)
+    units = UnitTable.of(units)
     table = ManifestTable.from_manifests(
         {node: manifest for node, manifest in manifests.items() if node in live}
     )
-    column = {node: k for k, node in enumerate(table.nodes)}
+    column = units.codes_in(table.nodes)
+    held = column >= 0
     position = np.full((len(units), len(table.nodes)), -1, dtype=np.intp)
-    for u, unit in enumerate(units):
-        for p, node in enumerate(unit.eligible):
-            if node in column:
-                position[u, column[node]] = p
+    owner = units.owner[held]
+    position[owner, column[held]] = np.flatnonzero(held) - units.offsets[owner]
     none = np.zeros(0, dtype=np.intp)
     covered = _held_measure(
-        table, table.unit_ids(unit.ident for unit in units), position, none, none
+        table, table.unit_ids(units.idents), position, none, none
     )
-    observable = np.array(
-        [any(node in live for node in unit.eligible) for unit in units], dtype=bool
+    observable = (
+        np.bincount(units.owner[units.entries_in(live)], minlength=len(units)) > 0
     )
-    pkts = np.array([unit.pkts for unit in units], dtype=np.float64)
-    return _summarize(pkts, observable, covered)
+    return _summarize(units.pkts, observable, covered)
 
 
 class ModuleRows(NamedTuple):

@@ -17,10 +17,13 @@ The next periodic re-solve then restores global optimality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..core.manifest import NodeManifest
-from ..core.units import CoordinationUnit, UnitKey
+from ..core.manifest_table import left_sum
+from ..core.units import UnitKey, Units, UnitTable
 from ..hashing.ranges import EPSILON, HashRange
 from ..topology.graph import Topology
 
@@ -81,30 +84,35 @@ class RepairResult:
     @property
     def moved_mass(self) -> float:
         """Total hash-space mass reassigned across all units."""
-        return sum(piece.length for *_rest, piece in self.moves)
+        return _mass(piece for *_rest, piece in self.moves)
+
+
+def _mass(pieces: Iterable[HashRange]) -> float:
+    """The pieces' lengths, folded left."""
+    return left_sum(np.array([piece.length for piece in pieces], dtype=np.float64))
 
 
 def _node_loads(
     manifests: Dict[str, NodeManifest],
-    units_by_ident: Dict[Ident, CoordinationUnit],
+    units: UnitTable,
     topology: Topology,
 ) -> Dict[str, float]:
     """Current planned CPU load per node implied by *manifests*."""
+    index, cpu_work = units.by_ident, units.cpu_work.tolist()
     loads = {name: 0.0 for name in topology.node_names}
     for node, manifest in manifests.items():
         capacity = topology.node(node).cpu_capacity
         for ident, ranges in manifest.entries.items():
-            unit = units_by_ident.get(ident)
-            if unit is None:
+            u = index.get(ident)
+            if u is None:
                 continue
-            held = sum(r.length for r in ranges)
-            loads[node] += unit.cpu_work * held / capacity
+            loads[node] += cpu_work[u] * _mass(ranges) / capacity
     return loads
 
 
 def repair_manifests(
     manifests: Dict[str, NodeManifest],
-    units: Sequence[CoordinationUnit],
+    units: Units,
     topology: Topology,
     failed: Set[str],
 ) -> RepairResult:
@@ -118,14 +126,15 @@ def repair_manifests(
     nodes' existing ranges are never touched, so the resulting delta
     pushes are proportional to the failed node's share only.
     """
-    index = {unit.ident: unit for unit in units}
+    units = UnitTable.of(units)
+    index, cpu_work = units.by_ident, units.cpu_work.tolist()
     repaired = {
         node: NodeManifest(
             node=node, entries=dict(manifest.entries), full=manifest.full
         )
         for node, manifest in manifests.items()
     }
-    loads = _node_loads(repaired, index, topology)
+    loads = _node_loads(repaired, units, topology)
     moves: List[Tuple[str, UnitKey, str, str, HashRange]] = []
     orphaned: Dict[Ident, float] = {}
 
@@ -137,17 +146,16 @@ def repair_manifests(
         manifest.entries = {}
         for ident in sorted(entries):
             ranges = entries[ident]
-            unit = index.get(ident)
+            u = index.get(ident)
             survivors = (
-                [n for n in unit.eligible if n not in failed]
-                if unit is not None
+                [n for n in units.eligible[u] if n not in failed]
+                if u is not None
                 else []
             )
             if not survivors:
-                orphaned[ident] = orphaned.get(ident, 0.0) + sum(
-                    r.length for r in ranges
-                )
+                orphaned[ident] = orphaned.get(ident, 0.0) + _mass(ranges)
                 continue
+            work = cpu_work[u]
             class_name, key = ident
             capacity = {n: topology.node(n).cpu_capacity for n in survivors}
             for piece in ranges:
@@ -169,13 +177,12 @@ def repair_manifests(
                     continue
                 receiver = min(
                     candidates,
-                    key=lambda n: loads[n]
-                    + unit.cpu_work * piece.length / capacity[n],
+                    key=lambda n: loads[n] + work * piece.length / capacity[n],
                 )
                 repaired[receiver].entries[ident] = repaired[receiver].entries.get(
                     ident, ()
                 ) + (piece,)
-                loads[receiver] += unit.cpu_work * piece.length / capacity[receiver]
+                loads[receiver] += work * piece.length / capacity[receiver]
                 moves.append((class_name, key, failed_node, receiver, piece))
 
     return RepairResult(

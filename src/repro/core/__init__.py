@@ -89,10 +89,10 @@ from .rounding import (
 )
 from .units import (
     CoordinationUnit,
+    UnitTable,
     build_units,
     eligible_nodes,
     unit_key_for_session,
-    units_by_ident,
 )
 
 __all__ = [
@@ -122,6 +122,7 @@ __all__ = [
     "TCAMSweepPoint",
     "TransitionPlan",
     "UnitResolver",
+    "UnitTable",
     "UpgradeOutcome",
     "apply_manifest_delta",
     "best_of_roundings",
@@ -162,7 +163,6 @@ __all__ = [
     "theoretical_epsilon",
     "uniform_assignment",
     "unit_key_for_session",
-    "units_by_ident",
     "verify_manifests",
     "verify_nips_manifests",
 ]

@@ -33,7 +33,7 @@ from .manifest_table import (
     row_mass,
 )
 from .nids_lp import NIDSAssignment
-from .units import CoordinationUnit, UnitKey, unit_label
+from .units import CoordinationUnit, UnitKey, Units, UnitTable, unit_label
 
 
 @dataclass
@@ -100,7 +100,7 @@ def full_manifest(node: str) -> NodeManifest:
 
 
 def generate_manifests(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     assignment: NIDSAssignment,
     node_names: Iterable[str],
 ) -> Dict[str, NodeManifest]:
@@ -120,11 +120,11 @@ def generate_manifests(
     manifests: Dict[str, NodeManifest] = {
         name: NodeManifest(node=name) for name in node_names
     }
-    sizes = np.fromiter((len(unit.eligible) for unit in units), np.intp, count=len(units))
+    units = UnitTable.of(units)
     d_star = assignment.gather(units)
-    grid = np.zeros((len(units), int(sizes.max(initial=0))))
-    owner = np.repeat(np.arange(len(units)), sizes)
-    grid[owner, np.arange(len(d_star)) - (np.cumsum(sizes) - sizes)[owner]] = d_star
+    grid = np.zeros((len(units), int(units.sizes.max(initial=0))))
+    owner = units.owner
+    grid[owner, np.arange(len(d_star)) - units.offsets[owner]] = d_star
     # A fraction at or under EPSILON lays nothing.  NaN is not under it
     # (as in the scalar skip); it then fails the sum check below.
     laid = ~(grid <= EPSILON)
@@ -158,12 +158,12 @@ def generate_manifests(
         moved = np.where(fraction >= 1.0 - EPSILON, cursor, moved)
         cursor = np.where(on, moved, cursor)
 
-    expected = [assignment.coverage.get((unit.class_name, unit.key), 1.0) for unit in units]
+    expected = [assignment.coverage.get(ident, 1.0) for ident in units.idents]
     off = ~(np.abs(position - np.array(expected, dtype=np.float64)) <= 1e-6)
     if off.any():
         u = int(np.argmax(off))
         raise ValueError(
-            f"unit {units[u].ident} fractions sum to {float(position[u])},"
+            f"unit {units.idents[u]} fractions sum to {float(position[u])},"
             f" expected {expected[u]}"
         )
 
@@ -194,23 +194,23 @@ def generate_manifests(
         last & ~split & (1.0 - 1e-6 < first_hi) & (first_hi < 1.0), 1.0, first_hi
     )
 
-    for u, step, a, b, lap, wraps, c in zip(
+    idents, names = units.idents, units.nodes
+    for u, node, a, b, lap, wraps, c in zip(
         unit_of.tolist(),
-        step_of.tolist(),
+        units.codes[units.offsets[unit_of] + step_of].tolist(),
         first_lo.tolist(),
         first_hi.tolist(),
         whole.tolist(),
         split.tolist(),
         second_hi.tolist(),
     ):
-        unit = units[u]
         if lap:
             pieces = WHOLE
         elif wraps:
             pieces = (HashRange(a, b), HashRange(0.0, c))
         else:
             pieces = (HashRange(a, b),)
-        manifests[unit.eligible[step]].entries[(unit.class_name, unit.key)] = pieces
+        manifests[names[node]].entries[idents[u]] = pieces
     registry = get_registry()
     registry.counter(
         "manifest_generations_total", "Fig. 2 manifest-generation runs"
@@ -287,7 +287,7 @@ def check_disjoint(
 
 
 def check_partition(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     manifests: Mapping[str, NodeManifest],
 ) -> List[Finding]:
     """Fig. 2 partition: disjoint per node, exact r-fold cover, top at 1.0.
@@ -314,15 +314,16 @@ def check_partition(
 
 
 def _check_partition(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     manifests: Mapping[str, NodeManifest],
     table: ManifestTable,
 ) -> List[Finding]:
     """:func:`check_partition` over *table*, the set's table."""
+    units = UnitTable.of(units)
     columns = table.columns
     count = len(units)
     # Each checked unit's pieces: those of every row written for it ...
-    groups = table.unit_ids(unit.ident for unit in units)
+    groups = table.unit_ids(units.idents)
     first = columns.offsets[groups]
     sizes = np.where(groups >= 0, columns.offsets[groups + 1] - first, 0)
     owner = np.repeat(np.arange(count), sizes)
@@ -393,17 +394,13 @@ def _check_partition(
 
     failing = massless | uncovered | (seam <= EPSILON) | (top != 1.0)  # repnoqa: REP001 -- generation snaps the top exactly
     failing[list(overlapping)] = True
-    absent = set().union(*(unit.eligible for unit in units)).difference(manifests)
-    if absent:
-        failing |= np.fromiter(
-            (not absent.isdisjoint(unit.eligible) for unit in units), bool, count=count
-        )
+    absent = ~units.entries_in(manifests.keys())
+    failing[units.owner[absent]] = True
 
     findings: List[Finding] = []
     for u in np.flatnonzero(failing).tolist():
-        unit = units[u]
-        label = unit_label(unit.ident)
-        for name in unit.eligible:
+        label = unit_label(units.idents[u])
+        for name in units.eligible[u]:
             if name not in manifests:
                 findings.append(
                     Finding(
@@ -462,7 +459,7 @@ def _check_partition(
 
 
 def check_on_path(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     manifests: Mapping[str, NodeManifest],
 ) -> List[Finding]:
     """Section 2.3: positive mass only on nodes of the unit's path.
@@ -477,11 +474,12 @@ def check_on_path(
 
 
 def _check_on_path(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     manifests: Mapping[str, NodeManifest],
     table: ManifestTable,
 ) -> List[Finding]:
     """:func:`check_on_path` over *table*, the set's table."""
+    units = UnitTable.of(units)
     written = {
         node: NodeManifest(node=node, entries=manifest.entries)
         for node, manifest in manifests.items()
@@ -513,34 +511,53 @@ def _check_on_path(
     return findings
 
 
+def _planned_paths(
+    units: UnitTable, groups: np.ndarray, count: int, nodes: Sequence[str]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(planned, on_path)`` over *count* row groups of another table.
+
+    ``groups[u]`` is unit *u*'s group (``-1``: none).  ``planned[g]``
+    says whether a unit names group *g*; ``on_path`` holds
+    ``g * len(nodes) + k`` for each ``nodes[k]`` on its path — the path
+    of the last unit naming it, so a unit listed twice counts as its last.
+    """
+    planned = np.zeros(count, dtype=bool)
+    planned[groups[groups >= 0]] = True
+    last = np.zeros(len(units), dtype=bool)
+    last[list(units.by_ident.values())] = True
+    code, group = units.codes_in(nodes), groups[units.owner]
+    entry = last[units.owner] & (code >= 0) & (group >= 0)
+    return planned, group[entry] * len(nodes) + code[entry]
+
+
 def _off_path(
-    table: ManifestTable, units: Sequence[CoordinationUnit]
+    table: ManifestTable, units: UnitTable
 ) -> List[Tuple[str, EntryKey, float, bool]]:
     """``(node, unit, mass, planned)`` of every row of *table* holding
     more than ``EPSILON`` of a unit it is not eligible for — or of a
     unit absent from *units* (``planned`` false)."""
     columns = table.columns
     mass = row_mass(columns)
-    # Each row group's path; a unit listed twice counts as its last.
-    paths: List[Optional[Tuple[str, ...]]] = [None] * (len(columns.offsets) - 1)
-    for unit, group in zip(units, table.unit_ids(unit.ident for unit in units).tolist()):
-        if group >= 0:
-            paths[group] = unit.eligible
+    planned, on_path = _planned_paths(
+        units, table.unit_ids(units.idents), len(table.units), table.nodes
+    )
     heavy = np.flatnonzero(mass > EPSILON)
+    unit, node = columns.row_unit[heavy], columns.row_node[heavy]
+    stray = ~np.isin(unit * len(table.nodes) + node, on_path)
     idents, nodes = table.units, table.nodes
     return [
-        (nodes[k], idents[u], m, paths[u] is not None)
-        for u, k, m in zip(
-            columns.row_unit[heavy].tolist(),
-            columns.row_node[heavy].tolist(),
-            mass[heavy].tolist(),
+        (nodes[k], idents[u], m, p)
+        for u, k, m, p in zip(
+            unit[stray].tolist(),
+            node[stray].tolist(),
+            mass[heavy][stray].tolist(),
+            planned[unit[stray]].tolist(),
         )
-        if nodes[k] not in (paths[u] or ())
     ]
 
 
 def check_assignment(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     assignment: NIDSAssignment,
 ) -> List[Finding]:
     """Eqs. 1 and 6 on the raw ``d*`` profile, plus the path constraint.
@@ -550,6 +567,7 @@ def check_assignment(
     right in that order, and a unit of *units* that the assignment
     lacks sums to 0.0.
     """
+    units = UnitTable.of(units)
     order = assignment.sorted_order()
     unit_of, node_of = assignment.unit_of[order], assignment.node_of[order]
     value = assignment.value[order]
@@ -559,19 +577,13 @@ def check_assignment(
     heavy = value > EPSILON
     # The path of each planned unit of the assignment; a unit listed
     # twice in *units* counts as its last.
-    planned = assignment.unit_ids(unit.ident for unit in units)
-    paths: List[Optional[Tuple[str, ...]]] = [None] * len(assignment.units)
-    for unit, u in zip(units, planned.tolist()):
-        if u >= 0:
-            paths[u] = unit.eligible
+    planned = assignment.unit_ids(units.idents)
     nodes = assignment.nodes
+    has_path, on_path = _planned_paths(units, planned, len(assignment.units), nodes)
     off = np.zeros(len(value), dtype=bool)
-    off[heavy] = [
-        path is not None and nodes[k] not in path
-        for path, k in zip(
-            (paths[u] for u in unit_of[heavy].tolist()), node_of[heavy].tolist()
-        )
-    ]
+    off[heavy] = has_path[unit_of[heavy]] & ~np.isin(
+        unit_of[heavy] * len(nodes) + node_of[heavy], on_path
+    )
 
     findings: List[Finding] = []
     flagged = np.flatnonzero(outside | off)
@@ -605,13 +617,13 @@ def check_assignment(
     sums = np.zeros(len(assignment.units) + 1)  # the last slot: absent
     sums[held_by[first]] = fold_segments(mass, np.cumsum(first) - 1, int(first.sum()))
     totals = sums[planned].tolist()
-    for unit, total in zip(units, totals):
-        expected = assignment.coverage.get(unit.ident, 1.0)
+    for ident, total in zip(units.idents, totals):
+        expected = assignment.coverage.get(ident, 1.0)
         if not abs(total - expected) <= MASS_TOL:
             findings.append(
                 Finding(
                     REP101,
-                    unit_label(unit.ident),
+                    unit_label(ident),
                     f"d* sums to {total!r}, coverage requires {expected!r}"
                     " (Eq. 1)",
                 )
@@ -620,7 +632,7 @@ def check_assignment(
 
 
 def check_manifests_match_assignment(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     assignment: NIDSAssignment,
     manifests: Mapping[str, NodeManifest],
 ) -> List[Finding]:
@@ -639,22 +651,16 @@ def check_manifests_match_assignment(
 
 
 def _check_match(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     assignment: NIDSAssignment,
     table: ManifestTable,
 ) -> List[Finding]:
     """:func:`check_manifests_match_assignment` over *table*, the set's table."""
+    units = UnitTable.of(units)
     solved = assignment.gather(units)
     columns = table.columns
-    node_ids = {name: k for k, name in enumerate(table.nodes)}
-    sizes = np.fromiter(
-        (len(unit.eligible) for unit in units), np.intp, count=len(units)
-    )
-    group = np.repeat(table.unit_ids(unit.ident for unit in units), sizes)
-    eligible = [name for unit in units for name in unit.eligible]
-    node = np.fromiter(
-        (node_ids.get(name, -1) for name in eligible), np.intp, count=len(eligible)
-    )
+    group = np.repeat(table.unit_ids(units.idents), units.sizes)
+    node = units.codes_in(table.nodes)
     # Rows are grouped by unit and sorted by node within a group, so
     # ``group * |nodes| + node`` is sorted; a pair without a row asks
     # for -1, the prepended 0.0.
@@ -664,16 +670,16 @@ def _check_match(
     mass = np.concatenate(([0.0], row_mass(columns)))
     at = np.minimum(np.searchsorted(rows, wanted), len(rows) - 1)
     held = np.where(rows[at] == wanted, mass[at], 0.0)
-    held[np.isin(node, [node_ids[name] for name in table.full_nodes])] = 1.0
+    held[np.isin(node, [table.nodes.index(name) for name in table.full_nodes])] = 1.0
 
     drift = (node >= 0) & ~(np.abs(held - solved) <= MASS_TOL)
-    owner = np.repeat(np.arange(len(units)), sizes)
     findings: List[Finding] = []
     for t in np.flatnonzero(drift).tolist():
         findings.append(
             Finding(
                 REP107,
-                f"{unit_label(units[owner[t]].ident)}@{eligible[t]}",
+                f"{unit_label(units.idents[units.owner[t]])}"
+                f"@{units.nodes[units.codes[t]]}",
                 f"manifest holds {held[t]:.8f} of the hash space but"
                 f" the solution assigned {solved[t]:.8f}",
             )
@@ -682,7 +688,7 @@ def _check_match(
 
 
 def check_deployment(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     manifests: Mapping[str, NodeManifest],
     assignment: Optional[NIDSAssignment] = None,
 ) -> List[Finding]:
@@ -690,6 +696,7 @@ def check_deployment(
     *assignment*, :func:`check_assignment` then
     :func:`check_manifests_match_assignment` — read through one
     :class:`~repro.core.manifest_table.ManifestTable` of *manifests*."""
+    units = UnitTable.of(units)
     table = ManifestTable.from_manifests(manifests)
     findings = _check_partition(units, manifests, table)
     findings.extend(_check_on_path(units, manifests, table))
@@ -700,11 +707,12 @@ def check_deployment(
 
 
 def verify_manifests(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     manifests: Mapping[str, NodeManifest],
 ) -> None:
     """Raising view of :func:`check_partition` and :func:`check_on_path`:
     ``ValueError`` on the first finding."""
+    units = UnitTable.of(units)
     raise_first(
         check_partition(units, manifests) or check_on_path(units, manifests)
     )

@@ -90,6 +90,14 @@ def fold_segments(values: np.ndarray, segments: np.ndarray, count: int) -> np.nd
     return total
 
 
+def left_sum(values: np.ndarray) -> float:
+    """``((v[0] + v[1]) + v[2]) + ...`` (0.0 when empty): ``np.cumsum``
+    adds in order, where ``np.sum`` pairs and, since Python 3.12,
+    builtin ``sum`` compensates.  The one scalar fold of a float total
+    that a report, gauge or trigger reads."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
 def row_mass(columns: Columns) -> np.ndarray:
     """Each row's mass: its pieces' lengths added in entry order, as
     :meth:`~repro.core.manifest.NodeManifest.assigned_fraction`

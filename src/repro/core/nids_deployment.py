@@ -25,7 +25,7 @@ from .manifest import (
     verify_manifests,
 )
 from .nids_lp import NIDSAssignment, solve_nids_lp
-from .units import CoordinationUnit, build_units
+from .units import UnitTable, Units, build_units
 
 
 @dataclass
@@ -35,12 +35,15 @@ class NIDSDeployment:
     topology: Topology
     paths: PathSet
     modules: List[ModuleSpec]
-    units: List[CoordinationUnit]
+    units: UnitTable
     assignment: NIDSAssignment
     manifests: Dict[str, NodeManifest]
     resolver: UnitResolver
     hash_seed: int = 0
     _shared_hash_cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self) -> None:
+        self.units = UnitTable.of(self.units)
 
     def dispatcher(self, node: str) -> CoordinatedDispatcher:
         """The Fig. 3 dispatcher for *node*.
@@ -71,7 +74,7 @@ def plan_deployment(
     sessions: Union[Sequence[Session], SessionBatch],
     coverage: float = 1.0,
     hash_seed: int = 0,
-    units: Optional[Sequence[CoordinationUnit]] = None,
+    units: Optional[Units] = None,
 ) -> NIDSDeployment:
     """Plan a coordinated deployment for *sessions* on *topology*.
 
@@ -87,7 +90,9 @@ def plan_deployment(
     *sessions* directly.
     """
     modules = list(modules)
-    units = list(units) if units is not None else build_units(modules, sessions, paths)
+    if units is None:
+        units = build_units(modules, sessions, paths)
+    units = UnitTable.of(units)
     assignment = solve_nids_lp(units, topology, coverage)
     manifests = generate_manifests(units, assignment, topology.node_names)
     verify_manifests(units, manifests)

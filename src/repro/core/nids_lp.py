@@ -37,7 +37,7 @@ from ..lp.model import LinearProgram, Relation, Sense
 from ..lp.solver import solve_or_raise
 from ..topology.graph import Topology
 from .manifest_table import EntryKey
-from .units import CoordinationUnit, UnitKey, unit_label
+from .units import UnitKey, Units, UnitTable, unit_label
 
 
 @dataclass(eq=False)
@@ -135,20 +135,13 @@ class NIDSAssignment:
             (index.get(ident, -1) for ident in idents), dtype=np.intp
         )
 
-    def gather(self, units: Sequence[CoordinationUnit]) -> np.ndarray:
+    def gather(self, units: Units) -> np.ndarray:
         """``d*`` in *units*' (unit, eligible node) order — the order of
         :func:`build_nids_lp`'s ``d`` for them — joined on the unit and
         node tables; a unit or node the assignment lacks reads 0.0."""
-        sizes = np.fromiter(
-            (len(u.eligible) for u in units), np.intp, count=len(units)
-        )
-        unit = np.repeat(self.unit_ids(u.ident for u in units), sizes)
-        node_ids = {name: k for k, name in enumerate(self.nodes)}
-        node = np.fromiter(
-            (node_ids.get(name, -1) for u in units for name in u.eligible),
-            np.intp,
-            count=int(sizes.sum()),
-        )
+        table = UnitTable.of(units)
+        unit = np.repeat(self.unit_ids(table.idents), table.sizes)
+        node = table.codes_in(self.nodes)
         # Join on ``unit * |nodes| + node``, which names one pair; an
         # absent unit or node asks for -1, the appended 0.0.
         stride = len(self.nodes)
@@ -202,9 +195,8 @@ class BuiltNIDSLP:
     """The constructed LP plus the index layout needed to read it back.
 
     Variables ``d`` (a contiguous range) are the ``d_ikj`` in unit
-    order, each unit's eligible nodes in ``P_ik`` order — the same
-    order ``(unit, node) for unit in units for node in unit.eligible``
-    enumerates; ``d[t]`` is unit ``unit_of[t]``'s share on the
+    order, each unit's eligible nodes in ``P_ik`` order — the order of
+    the unit table's CSR entries; ``d[t]`` is unit ``unit_of[t]``'s share on the
     topology's ``node_of[t]``-th node.  ``cpu_load_cols[j]`` /
     ``mem_load_cols[j]`` are the columns of ``CpuLoad[j]`` /
     ``MemLoad[j]`` for the topology's ``j``-th node.
@@ -217,6 +209,14 @@ class BuiltNIDSLP:
     cpu_load_cols: np.ndarray
     mem_load_cols: np.ndarray
     coverage: Dict[EntryKey, float]
+
+
+def _node_codes(units: UnitTable, names: Sequence[str]) -> np.ndarray:
+    """:meth:`UnitTable.codes_in` *names*, a node not there a ``KeyError``."""
+    codes = units.codes_in(names)
+    if (codes < 0).any():
+        raise KeyError(units.nodes[units.codes[int(np.argmin(codes))]])
+    return codes
 
 
 def check_coverage(coverage: float, name: str = "coverage") -> None:
@@ -233,7 +233,7 @@ def check_coverage(coverage: float, name: str = "coverage") -> None:
 
 
 def build_nids_lp(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     topology: Topology,
     coverage: float = 1.0,
 ) -> BuiltNIDSLP:
@@ -259,30 +259,26 @@ def build_nids_lp(
     index arrays.
     """
     check_coverage(coverage)
+    units = UnitTable.of(units)
     lp = LinearProgram("nids-assignment")
     node_names = topology.node_names
-    node_index = {name: j for j, name in enumerate(node_names)}
 
     # unit_of[t] / node_of[t]: the unit and the node of the t-th d variable.
-    sizes = np.fromiter((len(u.eligible) for u in units), dtype=np.intp, count=len(units))
-    unit_of = np.repeat(np.arange(len(units)), sizes)
-    node_of = np.fromiter(
-        (node_index[node] for unit in units for node in unit.eligible),
-        dtype=np.intp,
-        count=int(sizes.sum()),
-    )
+    unit_of = units.owner
+    node_of = _node_codes(units, node_names)
     d = lp.add_variables(
         len(unit_of),
         lambda: [
-            f"d[{unit.class_name}|{'/'.join(unit.key)}|{node}]"
-            for unit in units
-            for node in unit.eligible
+            f"d[{class_name}|{'/'.join(key)}|{node}]"
+            for (class_name, key), eligible in zip(units.idents, units.eligible)
+            for node in eligible
         ],
         lb=0.0,
         ub=1.0,
     )
     per_unit_coverage = {
-        unit.ident: min(coverage, float(len(unit.eligible))) for unit in units
+        ident: min(coverage, float(size))
+        for ident, size in zip(units.idents, units.sizes.tolist())
     }
     lp.add_constraints(
         Relation.EQ,
@@ -291,7 +287,7 @@ def build_nids_lp(
         data=np.ones(len(unit_of)),
         rhs=np.fromiter(per_unit_coverage.values(), dtype=np.float64, count=len(units)),
         names=lambda: [
-            f"cover[{unit.class_name}|{'/'.join(unit.key)}]" for unit in units
+            f"cover[{class_name}|{'/'.join(key)}]" for class_name, key in units.idents
         ],
     )
 
@@ -326,8 +322,7 @@ def build_nids_lp(
     # expression ``load_j - sum(d * w) / cap`` performs (a zero-work
     # unit gets +0.0, and ``w / cap`` can differ in the last bit), so
     # HiGHS sees the matrix the per-term model produced.
-    cpu_work = np.fromiter((u.cpu_work for u in units), dtype=np.float64, count=len(units))
-    mem_bytes = np.fromiter((u.mem_bytes for u in units), dtype=np.float64, count=len(units))
+    cpu_work, mem_bytes = units.cpu_work, units.mem_bytes
     per_cpu = np.array([1.0 / topology.node(name).cpu_capacity for name in node_names])
     per_mem = np.array([1.0 / topology.node(name).mem_capacity for name in node_names])
     lp.add_constraints(
@@ -358,7 +353,7 @@ def build_nids_lp(
 
 
 def solve_nids_lp(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     topology: Topology,
     coverage: float = 1.0,
 ) -> NIDSAssignment:
@@ -368,6 +363,7 @@ def solve_nids_lp(
     every constraint, so a solver failure indicates a bug and raises.
     """
     started = time.perf_counter()
+    units = UnitTable.of(units)
     built = build_nids_lp(units, topology, coverage)
     solution = solve_or_raise(built.program)
     elapsed = time.perf_counter() - started
@@ -376,7 +372,7 @@ def solve_nids_lp(
     # Clamp solver noise into [0, 1]; "+ 0.0" turns a -0.0 into 0.0.
     d_star = np.clip(values[built.d.start : built.d.stop], 0.0, 1.0) + 0.0
     return NIDSAssignment(
-        units=tuple(unit.ident for unit in units),
+        units=units.idents,
         nodes=tuple(topology.node_names),
         unit_of=built.unit_of,
         node_of=built.node_of,
@@ -390,7 +386,7 @@ def solve_nids_lp(
 
 
 def integral_assignment(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     topology: Topology,
 ) -> NIDSAssignment:
     """Whole-unit assignment (ablation for the fractional split).
@@ -431,31 +427,33 @@ def integral_assignment(
 
 
 def uniform_assignment(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     topology: Topology,
     coverage: float = 1.0,
 ) -> NIDSAssignment:
     """The naive even split ``d_ikj = coverage/|P_ik|`` (ablation baseline).
 
     Ignores load: every eligible node takes an equal share.  Useful for
-    quantifying what the LP's load-awareness buys.
+    quantifying what the LP's load-awareness buys.  Each node's loads
+    are ``np.bincount`` folds over the units' entries in table order.
     """
-    triples = []
-    per_unit_coverage: Dict[EntryKey, float] = {}
-    cpu_load = {name: 0.0 for name in topology.node_names}
-    mem_load = {name: 0.0 for name in topology.node_names}
-    for unit in units:
-        unit_coverage = min(coverage, float(len(unit.eligible)))
-        per_unit_coverage[unit.ident] = unit_coverage
-        share = unit_coverage / len(unit.eligible)
-        for node in unit.eligible:
-            triples.append((unit.class_name, unit.key, node, share))
-            spec = topology.node(node)
-            cpu_load[node] += unit.cpu_work * share / spec.cpu_capacity
-            mem_load[node] += unit.mem_bytes * share / spec.mem_capacity
+    units = UnitTable.of(units)
+    names, owner = topology.node_names, units.owner
+    node = _node_codes(units, names)
+    per_unit = [min(coverage, float(size)) for size in units.sizes.tolist()]
+    share = (np.array(per_unit, dtype=np.float64) / units.sizes)[owner]
+    cpu_cap = np.array([topology.node(n).cpu_capacity for n in names], dtype=float)
+    mem_cap = np.array([topology.node(n).mem_capacity for n in names], dtype=float)
+    cpu = np.bincount(node, units.cpu_work[owner] * share / cpu_cap[node], len(names))
+    mem = np.bincount(node, units.mem_bytes[owner] * share / mem_cap[node], len(names))
+    cpu_load, mem_load = dict(zip(names, cpu.tolist())), dict(zip(names, mem.tolist()))
     objective = max(
         max(cpu_load.values(), default=0.0), max(mem_load.values(), default=0.0)
     )
+    triples = [
+        (*units.idents[u], units.nodes[k], value)
+        for u, k, value in zip(owner.tolist(), units.codes.tolist(), share.tolist())
+    ]
     return NIDSAssignment.from_triples(
-        triples, per_unit_coverage, cpu_load, mem_load, objective
+        triples, dict(zip(units.idents, per_unit)), cpu_load, mem_load, objective
     )

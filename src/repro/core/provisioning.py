@@ -23,7 +23,7 @@ from typing import Dict, List, Sequence
 from ..topology.graph import Topology
 from .nips_milp import NIPSProblem, solve_relaxation
 from .nids_lp import solve_nids_lp
-from .units import CoordinationUnit
+from .units import Units, UnitTable
 
 
 @dataclass
@@ -43,7 +43,7 @@ class UpgradeOutcome:
 
 
 def rank_nids_upgrades(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     topology: Topology,
     cpu_factor: float = 2.0,
     mem_factor: float = 2.0,
@@ -55,6 +55,7 @@ def rank_nids_upgrades(
     node's capacities scaled; the ranking tells the administrator where
     added hardware actually moves the bottleneck.
     """
+    units = UnitTable.of(units)
     baseline = solve_nids_lp(units, topology, coverage).objective
     outcomes: List[UpgradeOutcome] = []
     for name in topology.node_names:
@@ -99,7 +100,7 @@ class BottleneckReport:
 
 
 def bottleneck_analysis(
-    units: Sequence[CoordinationUnit],
+    units: Units,
     topology: Topology,
     coverage: float = 1.0,
 ) -> BottleneckReport:

@@ -26,50 +26,39 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from ..hashing.ranges import EPSILON
-from .manifest_table import EntryKey, ManifestTable, fold_segments, row_mass
+from .manifest_table import EntryKey, ManifestTable, fold_segments, left_sum, row_mass
 from .nids_deployment import NIDSDeployment
-from .units import CoordinationUnit, UnitKey, units_by_ident
-
-
-#: Every measured resource field of a :class:`CoordinationUnit` that a
-#: headroom factor must scale.  Kept in one place so a new resource
-#: dimension cannot be silently missed by :func:`conservative_units`.
-RESOURCE_FIELDS = ("pkts", "items", "cpu_work", "mem_bytes")
+from .units import UnitKey, Units, UnitTable
 
 
 def conservative_units(
-    units: Sequence[CoordinationUnit], headroom: float = 1.3
-) -> List[CoordinationUnit]:
+    units: Units, headroom: float = 1.3
+) -> UnitTable:
     """Inflate unit volumes by *headroom* (e.g. 95th-percentile ≈ 1.3×
     the mean for bursty traffic) before solving the LP.
 
     The resulting assignment is feasible for bursts up to the headroom
-    at the cost of a proportionally higher planned max load.  All
-    resource fields (``pkts``, ``items``, ``cpu_work``, ``mem_bytes``)
-    scale together; identity fields (class, key, eligible set) are
-    preserved.  A headroom within EPSILON of 1.0 is a no-op fast path
-    returning the units unscaled (the controller's default per-epoch
-    path) — callers computing headroom as e.g. ``p95 / mean`` land a
-    solver-epsilon below 1.0 and must not be rejected.
+    at the cost of a proportionally higher planned max load.  Every
+    volume scales in one multiply of the table's ``volumes``; idents and
+    eligible sets are shared.  A headroom within EPSILON of 1.0 is a
+    no-op fast path returning the table unscaled (the controller's
+    default per-epoch path) — callers computing headroom as e.g.
+    ``p95 / mean`` land a solver-epsilon below 1.0 and must not be
+    rejected.
     """
     if not math.isfinite(headroom):
         raise ValueError(f"headroom must be finite, got {headroom!r}")
     if headroom < 1.0 - EPSILON:
         raise ValueError("headroom must be >= 1")
+    table = UnitTable.of(units)
     if abs(headroom - 1.0) <= EPSILON:
-        return list(units)
-    return [
-        dataclasses.replace(
-            unit,
-            **{name: getattr(unit, name) * headroom for name in RESOURCE_FIELDS},
-        )
-        for unit in units
-    ]
+        return table
+    return dataclasses.replace(table, volumes=table.volumes * headroom)
 
 
 def _spans(counts: np.ndarray) -> np.ndarray:
@@ -181,7 +170,6 @@ class TransitionPlan:
         # it is built (a transition is planned between two final sets).
         self._old_table = ManifestTable.from_manifests(self.old.manifests)
         self._new_table = ManifestTable.from_manifests(self.new.manifests)
-        self._new_units = units_by_ident(self.new.units)
 
     def responsible_for_new(
         self, node: str, class_name: str, key: UnitKey, hash_value: float
@@ -223,17 +211,17 @@ class TransitionPlan:
         """
         return self._duplicated.get((class_name, key), 0.0)
 
-    def duplicated_share(self, units: Sequence[CoordinationUnit]) -> float:
+    def duplicated_share(self, units: Units) -> float:
         """Packet-weighted mean of :meth:`duplicated_fraction` over
-        *units* (0.0 when they carry no packets)."""
-        total = sum(u.pkts for u in units)
+        *units* (0.0 when they carry no packets), both totals left folds
+        in unit order."""
+        table = UnitTable.of(units)
+        total = left_sum(table.pkts)
         if total <= 0:
             return 0.0
-        columns = self.columns
-        held = np.append(columns.duplicated, 0.0)
-        at = self._old_table.unit_ids(u.ident for u in units)
-        pkts = np.array([u.pkts for u in units], dtype=np.float64)
-        return sum((pkts * held[at]).tolist()) / total
+        held = np.append(self.columns.duplicated, 0.0)
+        at = self._old_table.unit_ids(table.idents)
+        return left_sum(table.pkts * held[at]) / total
 
     def orphaned_fraction(self, class_name: str, key: UnitKey) -> float:
         """Mass whose old holder is off the new routing path entirely.
@@ -244,12 +232,13 @@ class TransitionPlan:
         state).  The planner surfaces the affected mass so operators
         can budget the transfer.
         """
-        new_unit = self._new_units.get((class_name, key))
-        if new_unit is None:
+        units = self.new.units
+        u = units.by_ident.get((class_name, key))
+        if u is None:
             return 0.0
         orphaned = 0.0
         for node, old_ranges in self._old_table.holders((class_name, key)):
-            if node not in new_unit.eligible:
+            if node not in units.eligible[u]:
                 orphaned += sum(r.length for r in old_ranges)
         return orphaned
 
@@ -258,7 +247,7 @@ class TransitionPlan:
         the transition implies, largest first (equal masses in unit,
         donor, receiver order)."""
         transfers: List[Tuple[str, UnitKey, str, str, float]] = []
-        idents = {u.ident for u in self.old.units} | set(self._new_units)
+        idents = set(self.old.units.idents) | set(self.new.units.idents)
         for ident in sorted(idents):
             receivers = self._new_table.holders(ident)
             for donor, old_ranges in self._old_table.holders(ident):

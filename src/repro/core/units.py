@@ -17,23 +17,35 @@ session-oriented analysis must see both directions at one node.  The
 eligible set is the intersection of the two directed routes (identical
 under symmetric shortest-path routing).
 
-:func:`build_units` derives the units and their measured volumes —
-``T_ik^pkts``, ``T_ik^items``, and the calibrated CPU/memory work the
-LP balances — from a session trace held in columns
-(:class:`~repro.traffic.batch.SessionBatch`): one group-by per class
-over the batch's routing-pair ids, no per-session Python.  A caller
-that also emulates the trace hands the same batch to both, so the
-trace is walked once for planner and emulator.
-:func:`units_from_volumes` is the shared assembly tail — measured
-volumes here, NetFlow estimates in
-:func:`repro.measurement.estimate_units`.
+A set of units is one :class:`UnitTable`: the ``(class, key)`` idents,
+each unit's ``P_ik`` as CSR codes into the topology's node names, and
+the volumes — ``T_ik^pkts``, ``T_ik^items`` and the calibrated CPU and
+memory work the LP balances — as float64 columns, in ``(class, key)``
+order.  :func:`build_units` derives it from a session trace held in
+columns (:class:`~repro.traffic.batch.SessionBatch`): one group-by per
+class over the batch's routing-pair ids, no per-session Python.  A
+caller that also emulates the trace hands the same batch to both, so
+the trace is walked once for planner and emulator.  NetFlow estimates
+(:func:`repro.measurement.estimate_units`) are assembled by the same
+tail, :func:`assemble_units`.  A :class:`CoordinationUnit` is one row
+of a table, what iterating it yields.
 """
 
 from __future__ import annotations
 
-import itertools
+from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple, Union
+from functools import cached_property
+from typing import (
+    AbstractSet,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -44,6 +56,8 @@ from ..traffic.batch import SessionBatch
 from ..traffic.session import Session
 
 UnitKey = Tuple[str, ...]
+#: A unit's identity: (class name, unit key).
+Ident = Tuple[str, UnitKey]
 
 
 @dataclass(frozen=True)
@@ -103,35 +117,221 @@ def eligible_nodes(key: UnitKey, paths: PathSet) -> Tuple[str, ...]:
     return paths.observers(*key)
 
 
-#: One unit's measured volumes before assembly:
-#: ``(spec, key, pkts, items, cpu_work)``.
-UnitVolume = Tuple[ModuleSpec, UnitKey, float, float, float]
+def _offsets(sizes) -> np.ndarray:
+    """CSR offsets of rows holding *sizes* entries each."""
+    offsets = np.zeros(len(sizes) + 1, dtype=np.intp)
+    np.cumsum(sizes, out=offsets[1:])
+    return offsets
 
 
-def units_from_volumes(
-    volumes: Iterable[UnitVolume], paths: PathSet
-) -> List[CoordinationUnit]:
-    """Assemble measured or estimated volumes into sorted units.
+def _volume(row: int, doc: str) -> property:
+    """Row *row* of :attr:`UnitTable.volumes`, read-only."""
+    return property(lambda table: table.volumes[row], doc=doc)
 
-    The one place a ``CoordinationUnit`` is put together: ``P_ik`` is
-    :func:`eligible_nodes` (memoised on *paths*), memory is
-    ``items * MemReq_i``, and the result is ordered by ``(class, key)``
-    — the order the LP lays its variables out in.
+
+@dataclass(eq=False, repr=False)
+class UnitTable(_SequenceABC):
+    """Coordination units as columns.
+
+    Unit *u* is ``idents[u]``; its ``P_ik`` is
+    ``nodes[codes[offsets[u]:offsets[u + 1]]]`` in path order; its
+    ``pkts``, ``items``, ``cpu_work`` and ``mem_bytes`` are the rows of
+    the float64 ``volumes[:, u]``.  The producers' tables are in
+    ``(class, key)`` order over the topology's node names.  A table is
+    also a ``Sequence[CoordinationUnit]``: indexing, iteration and
+    ``==`` read its :attr:`rows`, built once.
     """
-    units = [
-        CoordinationUnit(
-            class_name=spec.name,
-            key=key,
-            eligible=eligible_nodes(key, paths),
-            pkts=pkts,
-            items=items,
-            cpu_work=cpu_work,
-            mem_bytes=items * spec.mem_req,
+
+    idents: Tuple[Ident, ...]
+    nodes: Tuple[str, ...]
+    offsets: np.ndarray
+    codes: np.ndarray
+    volumes: np.ndarray
+
+    pkts = _volume(0, "``T_ik^pkts`` per unit.")
+    items = _volume(1, "``T_ik^items`` per unit.")
+    cpu_work = _volume(2, "Calibrated CPU work per unit (``cpu_ik``).")
+    mem_bytes = _volume(3, "``items * MemReq_i`` per unit (``mem_ik``).")
+
+    @classmethod
+    def from_sets(
+        cls,
+        idents: Sequence[Ident],
+        eligible: Sequence[Sequence[str]],
+        volumes: Optional[np.ndarray] = None,
+    ) -> "UnitTable":
+        """Units *idents* with node names *eligible*, coded in first-seen
+        order, and *volumes* (4 × units; 0.0 when not given)."""
+        index: Dict[str, int] = {}
+        codes = [index.setdefault(n, len(index)) for path in eligible for n in path]
+        return cls(
+            tuple(idents),
+            tuple(index),
+            _offsets(list(map(len, eligible))),
+            np.array(codes, dtype=np.intp),
+            np.zeros((4, len(idents))) if volumes is None else volumes,
         )
-        for spec, key, pkts, items, cpu_work in volumes
-    ]
-    units.sort(key=lambda u: (u.class_name, u.key))
-    return units
+
+    @classmethod
+    def of(cls, units: "Units") -> "UnitTable":
+        """*units* itself if a table, else the table of the rows, which
+        it keeps as its :attr:`rows`."""
+        if isinstance(units, UnitTable):
+            return units
+        rows = list(units)
+        volumes = [(u.pkts, u.items, u.cpu_work, u.mem_bytes) for u in rows]
+        table = cls.from_sets(
+            [u.ident for u in rows],
+            [u.eligible for u in rows],
+            np.array(volumes, dtype=np.float64).reshape(len(rows), 4).T,
+        )
+        table.rows = rows
+        return table
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """``|P_ik|`` per unit."""
+        return np.diff(self.offsets)
+
+    @cached_property
+    def owner(self) -> np.ndarray:
+        """The unit of each entry of :attr:`codes`."""
+        return np.repeat(np.arange(len(self)), self.sizes)
+
+    @cached_property
+    def eligible(self) -> List[Tuple[str, ...]]:
+        """``P_ik`` per unit, as node names."""
+        names = [self.nodes[code] for code in self.codes.tolist()]
+        bounds = self.offsets.tolist()
+        return [tuple(names[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def by_ident(self) -> Dict[Ident, int]:
+        """Each ident's unit (an ident listed twice: its last)."""
+        return {ident: u for u, ident in enumerate(self.idents)}
+
+    def codes_in(self, nodes: Sequence[str]) -> np.ndarray:
+        """:attr:`codes` as indices into *nodes* (``-1``: not there)."""
+        at = {name: k for k, name in enumerate(nodes)}
+        recode = np.array([at.get(name, -1) for name in self.nodes], dtype=np.intp)
+        return recode[self.codes]
+
+    def entries_in(self, names: AbstractSet[str]) -> np.ndarray:
+        """Per entry of :attr:`codes`, whether its node is in *names*."""
+        return np.array([name in names for name in self.nodes], dtype=bool)[self.codes]
+
+    def where(self, keep: np.ndarray) -> "UnitTable":
+        """Only the entries where *keep*; a unit left with none goes."""
+        count = np.bincount(self.owner[keep], minlength=len(self))
+        units = np.flatnonzero(count)
+        idents = tuple(map(self.idents.__getitem__, units.tolist()))
+        offsets = _offsets(count[units])
+        return UnitTable(
+            idents, self.nodes, offsets, self.codes[keep], self.volumes[:, units]
+        )
+
+    @cached_property
+    def rows(self) -> List[CoordinationUnit]:
+        """The units as :class:`CoordinationUnit` rows."""
+        return [
+            CoordinationUnit(name, key, eligible, *volumes)
+            for (name, key), eligible, volumes in zip(
+                self.idents, self.eligible, self.volumes.T.tolist()
+            )
+        ]
+
+    def __len__(self) -> int:
+        return len(self.idents)
+
+    def __getitem__(self, u):
+        return self.rows[u]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (UnitTable, list, tuple)):
+            return self.rows == list(other)
+        return NotImplemented
+
+
+#: What a public entry takes: a table, or rows (:meth:`UnitTable.of`).
+Units = Union[UnitTable, Sequence[CoordinationUnit]]
+
+
+class UnitBlock(NamedTuple):
+    """One class's units before assembly: the distinct keys of its
+    scope, the ids into them of the units with traffic (ascending) and
+    their ``pkts``, ``items`` and ``cpu_work``."""
+
+    spec: ModuleSpec
+    keys: List[UnitKey]
+    present: np.ndarray
+    pkts: np.ndarray
+    items: np.ndarray
+    cpu_work: np.ndarray
+
+
+def assemble_units(blocks: Sequence[UnitBlock], paths: PathSet) -> UnitTable:
+    """Measured or estimated volumes as one table, in ``(class, key)`` order.
+
+    ``P_ik`` is :func:`eligible_nodes`, coded once per distinct key of
+    each scope and gathered per unit; memory is ``items * MemReq_i``;
+    the order is one stable ``np.lexsort`` of class and key ranks, so a
+    unit two classes of one name share keeps the classes' order.
+    """
+    if not blocks:
+        return UnitTable.from_sets((), ())
+    nodes = tuple(paths.topology.node_names)
+    at = {node: j for j, node in enumerate(nodes)}
+    scopes = {block.spec.scope: block.keys for block in blocks}
+    rank = {key: r for r, key in enumerate(sorted(set().union(*scopes.values())))}
+    names = sorted({block.spec.name for block in blocks})
+    pool: List[int] = []
+    per_scope = {}
+    for scope, keys in scopes.items():
+        eligible = [eligible_nodes(key, paths) for key in keys]
+        sizes = np.fromiter(map(len, eligible), np.intp, len(keys))
+        ranks = np.fromiter(map(rank.__getitem__, keys), np.intp, len(keys))
+        per_scope[scope] = (len(pool) + _offsets(sizes)[:-1], sizes, ranks)
+        pool.extend(at[node] for path in eligible for node in path)
+    columns = []
+    for b, block in enumerate(blocks):
+        starts, sizes, ranks = per_scope[block.spec.scope]
+        k = block.present
+        klass = np.full(len(k), names.index(block.spec.name))
+        columns.append(
+            np.stack([np.full(len(k), b), k, starts[k], sizes[k], klass, ranks[k]])
+        )
+    block_of, key_of, start, size, klass, key_rank = np.concatenate(columns, axis=1)
+    order = np.lexsort((key_rank, klass))
+    size = size[order]
+    offsets = _offsets(size)
+    entries = np.arange(offsets[-1]) + np.repeat(start[order] - offsets[:-1], size)
+    volumes = np.concatenate(
+        [
+            np.array([b.pkts, b.items, b.cpu_work, b.items * b.spec.mem_req], float)
+            for b in blocks
+        ],
+        axis=1,
+    )
+    return UnitTable(
+        tuple(
+            (blocks[b].spec.name, blocks[b].keys[k])
+            for b, k in zip(block_of[order].tolist(), key_of[order].tolist())
+        ),
+        nodes,
+        offsets,
+        np.array(pool, dtype=np.intp)[entries],
+        volumes[:, order],
+    )
+
+
+def pair_unit_keys(
+    pairs: Sequence[Tuple[str, str]], scope: Scope
+) -> Tuple[List[UnitKey], np.ndarray]:
+    """The distinct *scope* unit keys of routing *pairs* (first-seen order)
+    and each pair's index into them."""
+    ids: Dict[UnitKey, int] = {}
+    pair_unit = [ids.setdefault(unit_key(scope, *pair), len(ids)) for pair in pairs]
+    return list(ids), np.array(pair_unit, dtype=np.intp)
 
 
 def session_unit_keys(
@@ -149,11 +349,8 @@ def session_unit_keys(
     """
 
     def resolve(root: SessionBatch) -> Tuple[List[UnitKey], np.ndarray]:
-        ids: Dict[UnitKey, int] = {}
-        pair_unit = [
-            ids.setdefault(unit_key(scope, *pair), len(ids)) for pair in root.pairs
-        ]
-        return list(ids), np.array(pair_unit, dtype=np.intp)[root.group_ids]
+        keys, pair_unit = pair_unit_keys(root.pairs, scope)
+        return keys, pair_unit[root.group_ids]
 
     return batch.rooted_rows(("units", scope), resolve)
 
@@ -230,7 +427,7 @@ def build_units(
     modules: Sequence[ModuleSpec],
     sessions: Union[Sequence[Session], SessionBatch],
     paths: PathSet,
-) -> List[CoordinationUnit]:
+) -> UnitTable:
     """Derive coordination units and volumes from a session trace.
 
     *sessions* is a trace as ``Session`` objects or the
@@ -252,7 +449,7 @@ def build_units(
     """
     batch = SessionBatch.of(sessions)
     by_scope: Dict[Scope, Tuple[List[UnitKey], np.ndarray]] = {}
-    volumes: List[UnitVolume] = []
+    blocks: List[UnitBlock] = []
     for spec in modules:
         if spec.scope not in by_scope:
             by_scope[spec.scope] = session_unit_keys(batch, spec.scope)
@@ -275,18 +472,14 @@ def build_units(
         else:
             items = counts
         present = np.flatnonzero(counts)
-        volumes.extend(
-            zip(
-                itertools.repeat(spec),
-                [keys[k] for k in present.tolist()],
-                np.bincount(unit, weights=pkts_f, minlength=len(keys))[present].tolist(),
-                items[present].astype(np.float64).tolist(),
-                np.bincount(unit, weights=cpu, minlength=len(keys))[present].tolist(),
+        blocks.append(
+            UnitBlock(
+                spec,
+                keys,
+                present,
+                np.bincount(unit, weights=pkts_f, minlength=len(keys))[present],
+                items[present].astype(np.float64),
+                np.bincount(unit, weights=cpu, minlength=len(keys))[present],
             )
         )
-    return units_from_volumes(volumes, paths)
-
-
-def units_by_ident(units: Sequence[CoordinationUnit]) -> Dict[Tuple[str, UnitKey], CoordinationUnit]:
-    """Index units by their (class, key) identity."""
-    return {unit.ident: unit for unit in units}
+    return assemble_units(blocks, paths)

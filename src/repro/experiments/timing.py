@@ -69,7 +69,7 @@ def time_nids_lp(
     build_elapsed = time.perf_counter() - started
 
     assignment = solve_nids_lp(units, topology)
-    num_variables = sum(len(unit.eligible) for unit in units)
+    num_variables = len(units.codes)
     return NIDSTimingResult(
         num_nodes=num_nodes,
         num_units=len(units),

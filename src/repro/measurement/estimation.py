@@ -29,13 +29,7 @@ from typing import AbstractSet, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from ..core.units import (
-    CoordinationUnit,
-    UnitKey,
-    UnitVolume,
-    unit_key,
-    units_from_volumes,
-)
+from ..core.units import UnitBlock, UnitKey, UnitTable, assemble_units, pair_unit_keys
 from ..hashing.keys import Aggregation
 from ..nids.modules.base import ModuleSpec, Scope
 from ..topology.routing import PathSet
@@ -143,7 +137,7 @@ def estimate_units(
     report: TrafficReport,
     paths: PathSet,
     model: EstimationModel = EstimationModel(),
-) -> List[CoordinationUnit]:
+) -> UnitTable:
     """Estimate coordination-unit volumes from a flow report.
 
     Returns units in the same form :func:`repro.core.units.build_units`
@@ -174,7 +168,7 @@ def estimate_units(
     )
 
     scope_keys: Dict[Scope, Tuple[List[UnitKey], np.ndarray]] = {}
-    volumes: List[UnitVolume] = []
+    blocks: List[UnitBlock] = []
     for spec in modules:
         traffic_filter = spec.traffic_filter
         if traffic_filter.server_ports:
@@ -192,11 +186,7 @@ def estimate_units(
         matched_packets = matched_packets[matched]
 
         if spec.scope not in scope_keys:
-            ids: Dict[UnitKey, int] = {}
-            pair_unit = [
-                ids.setdefault(unit_key(spec.scope, *pair), len(ids)) for pair in pairs
-            ]
-            scope_keys[spec.scope] = (list(ids), np.array(pair_unit, dtype=np.intp))
+            scope_keys[spec.scope] = pair_unit_keys(pairs, spec.scope)
         keys, pair_units = scope_keys[spec.scope]
         unit = pair_units[matched]
         n = len(keys)
@@ -218,13 +208,14 @@ def estimate_units(
             ("cpu", unit_cpu),
         ):
             _require_finite(spec, name, column, keys)
-        volumes.extend(
-            zip(
-                [spec] * len(present),
-                [keys[k] for k in present.tolist()],
-                unit_packets[present].tolist(),
-                _items_for(spec, unit_flows[present], model).tolist(),
-                unit_cpu[present].tolist(),
+        blocks.append(
+            UnitBlock(
+                spec,
+                keys,
+                present,
+                unit_packets[present],
+                _items_for(spec, unit_flows[present], model),
+                unit_cpu[present],
             )
         )
-    return units_from_volumes(volumes, paths)
+    return assemble_units(blocks, paths)

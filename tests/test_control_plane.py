@@ -226,6 +226,77 @@ class TestAgent:
         assert agent.manifest.entries == {}
 
 
+class TestMalformedPush:
+    """A ``manifest-update`` that does not decode is refused whole: its
+    term, leader, lease expiry and version commit nothing.  Seeded
+    mutation, run on a copy: checking the push after ``_accept_term`` and
+    ``_renew_lease`` instead of before fails
+    ``test_refused_push_leaves_the_agent_unchanged``."""
+
+    @staticmethod
+    def _state(agent):
+        return (
+            agent.current_term,
+            agent.leader,
+            agent.lease_expires_at,
+            agent.known_term,
+            agent.known_version,
+            agent.applied_version,
+            agent.manifest.entries,
+        )
+
+    @staticmethod
+    def _push(**changes):
+        payload = {
+            "version": 3,
+            "term": 4,
+            "lease_expires_at": 9.0,
+            "mode": "full",
+            "base": None,
+            "data": manifest_to_dict(_manifest("n1", 0.0, 1.0)),
+        }
+        payload.update(changes)
+        return {key: value for key, value in payload.items() if value is not ...}
+
+    def _agent(self):
+        bus = Bus(BusConfig(latency=0.0))
+        agent = Agent("n1", bus, config=AgentConfig(transition_window=2.0))
+        first = _full_push(0, _manifest("n1", 0.0, 0.5))
+        bus.send("controller", "n1", "manifest-update", first, 1, 0.0)
+        agent.step(0.1)
+        return agent, bus
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"mode": ...},
+            {"mode": "sideways"},
+            {"version": ...},
+            {"version": "3"},
+            {"version": True},
+            {"data": ...},
+            {"data": [["c", ["k"]]]},
+        ],
+        ids=repr,
+    )
+    def test_refused_push_leaves_the_agent_unchanged(self, changes):
+        agent, bus = self._agent()
+        before = self._state(agent)
+        bus.send("controller-1", "n1", "manifest-update", self._push(**changes), 1, 1.0)
+        agent.step(1.1)
+        assert self._state(agent) == before
+        assert agent.stats.updates_applied == 1
+
+    def test_the_same_push_well_formed_commits(self):
+        agent, bus = self._agent()
+        bus.send("controller-1", "n1", "manifest-update", self._push(), 1, 1.0)
+        agent.step(1.1)
+        assert (agent.current_term, agent.leader) == (4, "controller-1")
+        assert agent.lease_expires_at == 9.0
+        assert (agent.known_term, agent.known_version) == (4, 3)
+        assert agent.applied_version == 3
+
+
 class TestVersionOnlyReplan:
     """A re-plan that leaves a node's entries unchanged still advances
     the version the lease fence compares against; the node gets that

@@ -4,7 +4,9 @@ replaced (``tests/measurement_oracle.py``), compared with ``==``.
 * ``FlowExporter.measure`` against ``export`` + ``build_report``: the
   same four report dicts, in the same key order, and the exporter's RNG
   left in the same state.
-* ``estimate_units`` against the per-pair dict loop: the same units, on
+* ``estimate_units`` against the per-pair dict loop: the same units —
+  and the same :class:`~repro.core.units.UnitTable` columns, bit for
+  bit — on
   crafted reports (a sampling scale that is not an integer, the two-port
   ``login`` and ``http`` filters, a pair with flows but no port rows,
   pairs with zero flows, ingress and egress keys folding many pairs, a
@@ -43,10 +45,12 @@ from repro.control.plane import ScenarioConfig
 from repro.core.units import eligible_nodes
 from repro.measurement import EstimationModel, FlowExporter, TrafficReport, estimate_units
 from repro.nids.modules import STANDARD_MODULES
+from repro.nids.modules.base import Scope
 from repro.topology import PathSet, by_label
 from repro.traffic.packet import TCP, UDP, FiveTuple
 from repro.traffic.session import Session
 from tests import measurement_oracle as oracle
+from tests.planning_oracle import assert_same_units
 
 PATHS = PathSet(by_label("internet2"))
 NODES = sorted(PATHS.topology.node_names)
@@ -120,6 +124,7 @@ def _assert_same_units(report, paths=PATHS, model=EstimationModel()):
         return None
     units = estimate_units(STANDARD_MODULES, report, paths, model)
     assert units == expected
+    assert_same_units(units, expected, paths.topology.node_names)
     return units
 
 
@@ -166,6 +171,29 @@ CRAFTED = {
 def test_crafted_reports_estimate_as_the_loop(case):
     units = _assert_same_units(CRAFTED[case]())
     assert bool(units) == (case != "empty")
+
+
+def test_a_report_with_no_flows_estimates_no_units():
+    report = _report(
+        [(("ATLA", "WASH"), 0.0), (("WASH", "ATLA"), 0.0)],
+        port_flows=[((("ATLA", "WASH"), 80), 0.0)],
+    )
+    assert len(_assert_same_units(report)) == 0
+    assert len(_assert_same_units(TrafficReport(300.0, 1.0))) == 0
+
+
+def test_singleton_units_from_a_report():
+    """Ingress- and egress-scoped classes: each unit one CSR entry, its
+    own location, folded from every pair that enters or leaves there."""
+    edge = [m for m in STANDARD_MODULES if m.scope is not Scope.PATH]
+    report = _folds()
+    units = estimate_units(edge, report, PATHS)
+    expected = oracle.estimate_units(edge, report, PATHS)
+    assert_same_units(units, expected, PATHS.topology.node_names)
+    assert units.sizes.tolist() == [1] * len(units) and len(units) > 0
+    assert [units.nodes[c] for c in units.codes.tolist()] == [
+        key[0] for _name, key in units.idents
+    ]
 
 
 def test_the_folds_depend_on_pair_order():

@@ -6,7 +6,19 @@
 comparison here is ``==`` — dataclass equality on units (floats bit for
 bit), array equality on the compiled matrices, dict equality on the
 solved fractions — because the two sides perform the same floating-point
-operations in the same order and hand HiGHS the same matrices.
+operations in the same order and hand HiGHS the same matrices.  The
+``UnitTable`` the product emits is also read column by column against
+the oracle's rows (``planning_oracle.assert_same_units``: idents in
+order, eligible sets as CSR, volumes bit for bit), and the loops it
+replaced — ``conservative_units``, the controller's ``_exclude_failed``,
+``uniform_assignment`` — are compared with their oracles.
+
+Seeded mutations, each run on a copy and each failing a test here:
+ordering units by key before class
+(``TestBuildUnits::test_every_module_set_on_every_topology``); dropping
+the fenced-singleton fallback from ``_exclude_failed``'s mask
+(``TestUnitTable::test_exclude_failed_keeps_a_fenced_singleton`` and
+``test_exclude_failed_is_the_loop``).
 """
 
 import dataclasses
@@ -17,11 +29,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.control.bus import Bus, BusConfig
+from repro.control.controller import Controller
+from repro.core.manifest import NodeManifest, check_assignment, check_on_path
 from repro.core.nids_deployment import plan_deployment
-from repro.core.nids_lp import build_nids_lp, solve_nids_lp
+from repro.core.nids_lp import (
+    NIDSAssignment,
+    build_nids_lp,
+    solve_nids_lp,
+    uniform_assignment,
+)
 from repro.core.provisioning import bottleneck_analysis
-from repro.core.units import CoordinationUnit, build_units
+from repro.core.reconfigure import conservative_units
+from repro.core.units import CoordinationUnit, UnitTable, build_units
 from repro.hashing.keys import Aggregation
+from repro.hashing.ranges import HashRange
 from repro.lp.model import LinearProgram, Relation, Sense
 from repro.lp.solver import solve_or_raise
 from repro.nids.modules import STANDARD_MODULES
@@ -104,11 +126,12 @@ SERVER_PORTS = st.frozensets(
 class TestBuildUnits:
     @pytest.mark.parametrize("count", range(8, 22))
     def test_every_module_set_on_every_topology(self, world, count):
-        _topology, paths, sessions = world
+        topology, paths, sessions = world
         modules = module_set(count)
-        assert build_units(modules, sessions, paths) == oracle.build_units(
-            modules, sessions, paths
-        )
+        units = build_units(modules, sessions, paths)
+        expected = oracle.build_units(modules, sessions, paths)
+        assert units == expected
+        oracle.assert_same_units(units, expected, topology.node_names)
 
     def test_list_batch_and_taken_child_agree(self, world):
         _topology, paths, sessions = world
@@ -138,9 +161,13 @@ class TestBuildUnits:
         )
 
     def test_empty_trace_and_single_session(self, world):
-        _topology, paths, sessions = world
+        topology, paths, sessions = world
         assert build_units(STANDARD_MODULES, [], paths) == []
         assert build_units(STANDARD_MODULES, SessionBatch([]), paths) == []
+        oracle.assert_same_units(
+            build_units(STANDARD_MODULES, [], paths), [], topology.node_names
+        )
+        assert build_units([], sessions, paths) == []
         assert build_units(STANDARD_MODULES, sessions[:1], paths) == oracle.build_units(
             STANDARD_MODULES, sessions[:1], paths
         )
@@ -158,6 +185,21 @@ class TestBuildUnits:
         assert units == oracle.build_units(modules, sessions, paths)
         assert all(unit.class_name != "silent" for unit in units)
         assert build_units([silent], sessions, paths) == []
+
+    def test_singleton_units_are_their_own_observers(self, world):
+        """Ingress- and egress-scoped classes: one CSR entry per unit,
+        the unit's only location."""
+        topology, paths, sessions = world
+        edge = [m for m in STANDARD_MODULES if m.scope is not Scope.PATH]
+        assert {m.scope for m in edge} == {Scope.INGRESS, Scope.EGRESS}
+        units = build_units(edge, sessions, paths)
+        oracle.assert_same_units(
+            units, oracle.build_units(edge, sessions, paths), topology.node_names
+        )
+        assert units.sizes.tolist() == [1] * len(units)
+        assert [units.nodes[c] for c in units.codes.tolist()] == [
+            key[0] for _name, key in units.idents
+        ]
 
     def test_all_half_open_tcp(self, world):
         """The SYN-flood rule (policy events for half-open connections
@@ -625,3 +667,116 @@ class TestBlocks:
         lp.add_constraints(Relation.EQ, [0], [0], [1.0], [0.0], lambda: ["r", "s"])
         with pytest.raises(ValueError):
             list(lp.compile().eq_names)
+
+
+# -- the unit table ------------------------------------------------------------
+class TestUnitTable:
+    """``UnitTable`` against the unit objects it replaced."""
+
+    def test_rows_table_rows_round_trip(self, world):
+        topology, paths, sessions = world
+        rows = oracle.build_units(module_set(21), sessions, paths)
+        table = UnitTable.of(rows)
+        oracle.assert_same_units(table, rows)
+        assert table.rows is not rows and table.rows == rows
+        assert all(a is b for a, b in zip(table, rows))
+        assert UnitTable.of(table) is table
+        rebuilt = UnitTable(
+            table.idents, table.nodes, table.offsets, table.codes, table.volumes
+        )
+        assert list(rebuilt) == rows and rebuilt.rows is not table.rows
+        assert table[3:11] == rows[3:11] and table[-1] == rows[-1]
+        assert table.index(rows[5]) == 5 and rows[5] in table
+        built = build_units(module_set(21), sessions, paths)
+        assert UnitTable.of(list(built)) == built
+        oracle.assert_same_units(UnitTable.of(list(built)), list(built))
+
+    @pytest.mark.parametrize("headroom", [1.3, 2.0, 1.0 + 1e-3, 7.25])
+    def test_conservative_units_is_the_replace_loop(self, world, headroom):
+        _topology, paths, sessions = world
+        units = build_units(STANDARD_MODULES, sessions, paths)
+        expected = oracle.conservative_units(list(units), headroom)
+        scaled = conservative_units(units, headroom)
+        oracle.assert_same_units(scaled, expected)
+        assert conservative_units(list(units), headroom) == expected
+        assert scaled.codes is units.codes and scaled.idents is units.idents
+
+    @pytest.mark.parametrize("coverage", [1, 2.0, 3])
+    def test_uniform_assignment_is_the_loop(self, world, coverage):
+        topology, paths, sessions = world
+        hetero = topology.copy()
+        for k, name in enumerate(hetero.node_names):
+            cpu, mem = 1 + k % 7 / 7, 3 - k % 11 / 11
+            hetero.scale_capacity(name, cpu_factor=cpu, mem_factor=mem)
+        units = build_units(module_set(21), sessions, paths)
+        got = uniform_assignment(units, hetero, coverage)
+        want = oracle.uniform_assignment(list(units), hetero, coverage)
+        assert fractions_of(got) == fractions_of(want)
+        assert (got.cpu_load, got.mem_load, got.objective) == (
+            want.cpu_load, want.mem_load, want.objective,
+        )
+        assert list(got.cpu_load) == list(want.cpu_load)
+        assert got.coverage == want.coverage
+        assert [type(v) for v in got.coverage.values()] == [
+            type(v) for v in want.coverage.values()
+        ]
+
+    @given(data=st.data())
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_exclude_failed_is_the_loop(self, data):
+        topology, paths, sessions = EXCLUDE_WORLD
+        nodes = topology.node_names
+        controller = Controller(
+            topology, paths, STANDARD_MODULES, Bus(BusConfig(latency=0.0))
+        )
+        failed = data.draw(st.sets(st.sampled_from(nodes)), label="failed")
+        fenced = data.draw(st.sets(st.sampled_from(nodes)), label="fenced")
+        controller.monitor.failed = set(failed)
+        controller.fenced = set(fenced)
+        units = build_units(STANDARD_MODULES, sessions, paths)
+        expected = oracle.exclude_failed(
+            list(units), controller._unavailable(), controller._live_fenced()
+        )
+        oracle.assert_same_units(controller._exclude_failed(units), expected, nodes)
+
+    def test_exclude_failed_keeps_a_fenced_singleton(self):
+        """A unit whose only nodes are fenced but alive stays planned on
+        them; a unit whose only node failed is dropped."""
+        topology, paths, sessions = EXCLUDE_WORLD
+        a, b = topology.node_names[:2]
+        controller = Controller(
+            topology, paths, STANDARD_MODULES, Bus(BusConfig(latency=0.0))
+        )
+        controller.monitor.failed = {b}
+        controller.fenced = {a}
+        units = build_units(STANDARD_MODULES, sessions, paths)
+        kept = controller._exclude_failed(units)
+        assert ("scan", (a,)) in kept.by_ident and ("scan", (b,)) not in kept.by_ident
+        assert kept.eligible[kept.by_ident["scan", (a,)]] == (a,)
+        oracle.assert_same_units(
+            kept, oracle.exclude_failed(list(units), {a, b}, {a})
+        )
+
+    def test_a_unit_listed_twice_counts_as_its_last(self):
+        """``check_assignment`` and the on-path check read a unit's path
+        from the last time *units* lists it."""
+        first = CoordinationUnit("c", ("k",), ("X", "Y"), 1.0, 1.0, 1.0, 1.0)
+        last = CoordinationUnit("c", ("k",), ("Y", "Z"), 1.0, 1.0, 1.0, 1.0)
+        assignment = NIDSAssignment.from_triples(
+            [("c", ("k",), "X", 0.5), ("c", ("k",), "Y", 0.5)], {("c", ("k",)): 1.0}
+        )
+        manifests = {
+            "X": NodeManifest("X", {("c", ("k",)): (HashRange(0.0, 0.5),)}),
+            "Y": NodeManifest("Y", {("c", ("k",)): (HashRange(0.5, 1.0),)}),
+            "Z": NodeManifest("Z"),
+        }
+        for units, stray in (([last, first], []), ([first, last], ["c/k@X"])):
+            assert [f.subject for f in check_assignment(units, assignment)] == stray
+            assert [f.subject for f in check_on_path(units, manifests)] == stray
+
+
+EXCLUDE_WORLD = _world("internet2", 600, seed=5)

@@ -125,6 +125,19 @@ class TestRemovedSurface:
 
         assert not hasattr(TestNIPSChecks, "test_off_path_filtering_is_rep104")
 
+    def test_units_have_one_representation(self):
+        # A set of units is one UnitTable; the object assembly, the
+        # ident index and the field list a headroom scaled are gone.
+        import repro.core
+        import repro.core.reconfigure as reconfigure
+        import repro.core.units as units
+
+        for name in ("units_from_volumes", "UnitVolume", "units_by_ident"):
+            assert not hasattr(units, name)
+        assert not hasattr(repro.core, "units_by_ident")
+        assert "units_by_ident" not in repro.core.__all__
+        assert not hasattr(reconfigure, "RESOURCE_FIELDS")
+
     def test_the_unread_trace_stats_are_gone(self):
         import repro.traffic
 

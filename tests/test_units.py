@@ -6,7 +6,6 @@ from repro.core.units import (
     build_units,
     eligible_nodes,
     unit_key_for_session,
-    units_by_ident,
 )
 from repro.hashing.keys import Aggregation
 from repro.nids.modules import HTTP, SCAN, SIGNATURE, STANDARD_MODULES, SYNFLOOD
@@ -83,7 +82,7 @@ class TestBuildUnits:
 
     def test_source_aggregation_counts_distinct_sources(self, units, setup):
         _, _, _, sessions = setup
-        scan_units = units_by_ident(units)
+        scan_units = {unit.ident: unit for unit in units}
         for node in {s.ingress for s in sessions}:
             unit = scan_units.get(("scan", (node,)))
             assert unit is not None
@@ -119,7 +118,7 @@ class TestBuildUnits:
 
     def test_synflood_items_are_destinations(self, units, setup):
         _, _, _, sessions = setup
-        by_ident = units_by_ident(units)
+        by_ident = {unit.ident: unit for unit in units}
         for node in {s.egress for s in sessions}:
             unit = by_ident.get(("synflood", (node,)))
             if unit is None:
