@@ -58,7 +58,7 @@ from ..measurement.flows import FlowExporter
 from ..obs import MetricsRegistry, NULL_REGISTRY
 from ..traffic.session import Session
 from .bus import Bus, Message
-from .epochs import EPOCH_SECONDS, LEASE_TTL, check_lease_ttl
+from .epochs import EPOCH_SECONDS, LEASE_TTL, check_duration
 from .protocol import (
     KIND_ACK,
     KIND_HEARTBEAT,
@@ -104,7 +104,7 @@ class AgentConfig:
     lease_ttl: float = LEASE_TTL
 
     def __post_init__(self) -> None:
-        check_lease_ttl(self.lease_ttl)
+        check_duration("lease_ttl", self.lease_ttl)
 
 
 @dataclass

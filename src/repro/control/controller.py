@@ -90,7 +90,7 @@ from .bus import Bus
 from .epochs import (
     EPOCH_SECONDS,
     LEASE_TTL,
-    check_lease_ttl,
+    check_duration,
     EpochRecord,
     Ident,
     merge_reports,
@@ -147,7 +147,7 @@ class ControllerConfig:
     estimation: EstimationModel = field(default_factory=EstimationModel)
 
     def __post_init__(self) -> None:
-        check_lease_ttl(self.lease_ttl)
+        check_duration("lease_ttl", self.lease_ttl)
 
 
 @dataclass

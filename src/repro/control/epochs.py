@@ -18,13 +18,13 @@ epoch loop shares:
   re-solve moves a unit's hash ranges by less than a tolerance, keep
   the previous epoch's ranges (consistently for *all* nodes of the
   unit, preserving the coverage invariant), so steady-state delta
-  pushes stay near-empty;
+  pushes stay near-empty (one pass over both versions' table columns);
 * :class:`GroundTruth` — one epoch's sessions against what the live
   agents serve: one served :class:`~repro.core.manifest_table.ManifestTable`
   per epoch, the sessions' units read from the pool root's memo, and
   :meth:`GroundTruth.coverage` — what fraction of the measured traffic
   the *applied* manifests actually cover — as a segmented
-  ``union_length`` fold over the table's columns that reproduces the
+  ``union_length`` fold over the table's pieces that reproduces the
   scalar loop's float order (``tests/manifest_oracle.py`` keeps the
   loop); the chaos monitor's pair probe reads the same table;
 * :func:`coverage_metrics` — the same measure for a unit table and a
@@ -53,7 +53,7 @@ import numpy as np
 
 from ..core.manifest import NodeManifest
 from ..core.manifest_io import joined_size, json_size, manifest_from_dict
-from ..core.manifest_table import ManifestTable, left_sum
+from ..core.manifest_table import ManifestTable, left_sum, run_starts
 from ..core.units import (
     KeyEligibility,
     UnitKey,
@@ -82,11 +82,12 @@ EPOCH_SECONDS = 1.0
 LEASE_TTL = 2.5
 
 
-def check_lease_ttl(lease_ttl: object) -> None:
-    """Reject a lease TTL that is not a finite number > 0 (``nan``
-    slips past a bare ``<= 0`` test and leaves every lease expired)."""
-    if not (isinstance(lease_ttl, (int, float)) and 0 < lease_ttl < math.inf):
-        raise ValueError(f"lease_ttl must be finite and > 0, got {lease_ttl!r}")
+def check_duration(name: str, seconds: object) -> None:
+    """Reject a duration (a lease TTL, a heartbeat timeout) that is not a
+    finite number > 0: ``nan`` slips past a bare ``<= 0`` test and
+    leaves every lease expired or no node ever declared failed."""
+    if not (isinstance(seconds, (int, float)) and 0 < seconds < math.inf):
+        raise ValueError(f"{name} must be finite and > 0, got {seconds!r}")
 
 
 @dataclass
@@ -235,19 +236,6 @@ def merge_reports(reports: Iterable[TrafficReport]) -> TrafficReport:
     return merged
 
 
-def _ranges_close(
-    a: Tuple[HashRange, ...], b: Tuple[HashRange, ...], tolerance: float
-) -> bool:
-    if len(a) != len(b):
-        return False
-    a_sorted = sorted(a, key=lambda r: r.lo)
-    b_sorted = sorted(b, key=lambda r: r.lo)
-    return all(
-        abs(x.lo - y.lo) <= tolerance and abs(x.hi - y.hi) <= tolerance
-        for x, y in zip(a_sorted, b_sorted)
-    )
-
-
 def stabilize_manifests(
     previous: Dict[str, NodeManifest],
     proposed: Dict[str, NodeManifest],
@@ -273,33 +261,58 @@ def stabilize_manifests(
     actually changed.  LP optima move continuously with the measured
     volumes, so without this step *every* entry would differ every
     epoch and delta pushes would degenerate to full pushes.
+
+    A proposed row (``full`` manifests write none) is close to the
+    previous row of its (unit, node) when both hold as many pieces and,
+    each sorted by ``lo``, every endpoint moved at most *tolerance*.
     """
-    old_table = ManifestTable.from_manifests(previous)
-    new_table = ManifestTable.from_manifests(proposed)
+    old = ManifestTable.from_manifests(previous)
+    new = ManifestTable.from_manifests(proposed)
+    was, now = old.columns, new.columns
+    groups = old.unit_ids(new.units)
+    # Each proposed row's previous twin (same unit, same node; -1: none).
+    twin = old.find_rows(groups[now.row_unit], old.node_ids(new.nodes)[now.row_node])
+    was_count = np.bincount(was.row, minlength=len(was.row_unit))
+    now_count = np.bincount(now.row, minlength=len(now.row_unit))
+    close = (twin >= 0) & (np.append(was_count, -1)[twin] == now_count)
+    # A row's pieces are adjacent, so after a stable sort by (row, lo)
+    # its k-th piece in lo order sits k after the row's first piece.
+    mine, theirs = np.lexsort((now.lo, now.row)), np.lexsort((was.lo, was.row))
+    at = np.flatnonzero(close[now.row])
+    row, a = now.row[at], mine[at]
+    b = theirs[at - run_starts(now_count)[row] + run_starts(was_count)[twin[row]]]
+    moved = np.maximum(np.abs(was.lo[b] - now.lo[a]), np.abs(was.hi[b] - now.hi[a]))
+    close[row[~(moved <= tolerance)]] = False
+    # A unit is kept when each of its rows is close to its twin and the
+    # previous set writes it on no other node.
+    rows = np.bincount(now.row_unit, minlength=len(new.units))
+    was_rows = np.append(np.bincount(was.row_unit, minlength=len(old.units)), 0)
+    kept = (np.bincount(now.row_unit, weights=close, minlength=len(rows)) == rows) & (
+        was_rows[groups] == rows
+    )
+
     result = {
         node: NodeManifest(node=node, full=manifest.full)
         for node, manifest in proposed.items()
     }
     changed: Set[Ident] = set()
+    idents, first = new.units, np.append(0, np.cumsum(rows)).tolist()
+    names = [new.nodes[k] for k in now.row_node.tolist()]
+    twins, kept_units = twin.tolist(), kept.tolist()
     # Sorted so per-node entry dicts build in one canonical order for
     # every input ordering (REP202: sets iterate in hash order).
-    for ident in sorted(new_table.units):
-        old_holders = dict(old_table.rows(ident))
-        new_holders = dict(new_table.rows(ident))
-        reusable = (
-            bool(old_holders)
-            and set(old_holders) == set(new_holders)
-            and (allowed is None or set(old_holders) <= allowed.get(ident, set()))
-            and all(
-                _ranges_close(old_holders[node], new_holders[node], tolerance)
-                for node in old_holders
-            )
+    for u in sorted(range(len(idents)), key=idents.__getitem__):
+        ident = idents[u]
+        span = range(first[u], first[u + 1])
+        reusable = kept_units[u] and (
+            allowed is None or all(names[r] in allowed.get(ident, ()) for r in span)
         )
-        source = old_holders if reusable else new_holders
         if not reusable:
             changed.add(ident)
-        for node, ranges in source.items():
-            result[node].entries[ident] = ranges
+        for r in span:
+            result[names[r]].entries[ident] = (
+                was.entries[twins[r]] if reusable else now.entries[r]
+            )
     return result, changed
 
 
@@ -327,7 +340,7 @@ def _union_fold(
     vector step per piece position, every unit at once.
     """
     counts = np.bincount(unit, minlength=num_units)
-    start = np.cumsum(counts) - counts
+    start = run_starts(counts)
     total = np.zeros(num_units)
     cursor = np.zeros(num_units)
     for k in range(int(counts.max(initial=0))):
@@ -355,36 +368,20 @@ def _held_measure(
 
     * ``groups[u]`` is *u*'s row group in *table* (``-1``: no entry);
     * ``position[u, k]`` is where ``table.nodes[k]`` stands among *u*'s
-      eligible nodes, ``-1`` for a node whose rows do not count;
+      eligible nodes, ``-1`` for a node whose pieces do not count;
     * ``whole_unit`` / ``whole_position`` add ``[0, 1)`` pieces held
       outside the table (a degraded endpoint's edge stance).
 
-    A ``full`` node of *table* holds ``[0, 1)`` of every unit it is
-    eligible for.  Ties in ``lo`` keep the gather order — holder
-    position, then the holder's own piece order — as the scalar
-    ``sorted`` does.
+    Ties in ``lo`` keep the gather order — holder position, then the
+    holder's own piece order — as the scalar ``sorted`` does.
     """
     num_units = len(groups)
-    offsets, lo, hi, row, _row_unit, row_node = table.columns
-    has = groups >= 0
-    start = np.where(has, offsets[groups], 0)
-    counts = np.where(has, offsets[groups + 1] - start, 0)
-    held = np.repeat(np.arange(num_units), counts)
-    piece = np.arange(len(held)) - np.repeat(np.cumsum(counts) - counts - start, counts)
-    full = [table.nodes.index(node) for node in table.full_nodes]
-    full_unit, full_column = np.nonzero(position[:, full] >= 0)
-    whole_unit = np.concatenate([whole_unit, full_unit])
+    held = table.pieces(groups)
     wholes = len(whole_unit)
-    unit = np.concatenate([held, whole_unit])
-    position = np.concatenate(
-        [
-            position[held, row_node[row[piece]]],
-            whole_position,
-            position[:, full][full_unit, full_column],
-        ]
-    )
-    lo = np.concatenate([lo[piece], np.zeros(wholes)])
-    hi = np.concatenate([hi[piece], np.ones(wholes)])
+    unit = np.concatenate([held.owner, whole_unit])
+    position = np.concatenate([position[held.owner, held.node], whole_position])
+    lo = np.concatenate([held.lo, np.zeros(wholes)])
+    hi = np.concatenate([held.hi, np.ones(wholes)])
     keep = (position >= 0) & (hi - lo > EPSILON)
     unit, position, lo, hi = unit[keep], position[keep], lo[keep], hi[keep]
     order = np.lexsort((position, lo, unit))
@@ -564,16 +561,17 @@ def ranges_reassigned(
     survivor's applied manifest (the acceptance check's ground truth:
     what the live agents actually run, not what the controller
     intends)."""
+    idents = [ident for ident in snapshot if ident not in skip]
     table = ManifestTable.from_manifests(survivors)
-    for ident, ranges in snapshot.items():
-        if ident in skip:
-            continue
-        held = [
-            piece for _node, pieces in table.holders(ident) for piece in pieces
-        ]
-        for piece in ranges:
+    held = table.pieces(table.unit_ids(idents))
+    ends = np.searchsorted(held.owner, np.arange(len(idents) + 1)).tolist()
+    lo, hi = held.lo.tolist(), held.hi.tolist()
+    for u, ident in enumerate(idents):
+        span = slice(ends[u], ends[u + 1])
+        pieces = [HashRange(a, b) for a, b in zip(lo[span], hi[span])]
+        for piece in snapshot[ident]:
             if piece.empty:
                 continue
-            if union_length(held, clip=piece) < piece.length - 1e-9:
+            if union_length(pieces, clip=piece) < piece.length - 1e-9:
                 return False
     return True

@@ -26,6 +26,7 @@ from ..core.manifest_table import left_sum
 from ..core.units import UnitKey, Units, UnitTable
 from ..hashing.ranges import EPSILON, HashRange
 from ..topology.graph import Topology
+from .epochs import check_duration
 
 Ident = Tuple[str, UnitKey]
 
@@ -39,8 +40,7 @@ class HeartbeatMonitor:
     """
 
     def __init__(self, nodes: Sequence[str], timeout: float, now: float = 0.0):
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
+        check_duration("heartbeat_timeout", timeout)
         self.timeout = timeout
         self.last_seen: Dict[str, float] = {node: now for node in nodes}
         self.failed: Set[str] = set()

@@ -60,7 +60,7 @@ from ..traffic.session import Session
 from .agent import Agent, AgentConfig
 from .bus import Bus, BusConfig, Message
 from .controller import Controller, ControllerConfig
-from .epochs import LEASE_TTL, EpochRecord, GroundTruth, check_lease_ttl
+from .epochs import LEASE_TTL, EpochRecord, GroundTruth, check_duration
 from .ha import HACluster, HAConfig
 from .replication import replica_name
 
@@ -342,7 +342,7 @@ class ScenarioConfig:
     replicas: int = 1
 
     def __post_init__(self) -> None:
-        check_lease_ttl(self.lease_ttl)
+        check_duration("lease_ttl", self.lease_ttl)
         if self.replicas < 1:
             raise ValueError("a run needs at least one controller replica")
 

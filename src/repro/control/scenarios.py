@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from ..core.manifest_table import left_sum
 from ..hashing.ranges import HashRange
 from ..obs import MetricsRegistry
 from ..traffic.batch import SessionBatch
@@ -203,8 +204,8 @@ def run_scenario(
             skip: Set[Ident] = set()
             if repair is not None:
                 skip = {ident for ident, _mass in repair.orphaned}
-                result.orphaned_mass[node] = sum(
-                    mass for _ident, mass in repair.orphaned
+                result.orphaned_mass[node] = left_sum(
+                    [mass for _ident, mass in repair.orphaned]
                 )
             survivors = {
                 name: agent.manifest

@@ -301,14 +301,15 @@ def check_partition(
     at the top, but generation snaps it, so a solver-epsilon gap can
     never reach dispatch.  (4) Every eligible node has a manifest.
 
-    Ranges are collected from **every** manifest in the set — the
-    flat ``lo``/``hi`` columns of its
-    :class:`~repro.core.manifest_table.ManifestTable`, plus one whole
-    range per ``full`` node and unit — so a corrupted entry on a
+    Ranges are collected from **every** manifest in the set — each
+    unit's holders' pieces as its
+    :class:`~repro.core.manifest_table.ManifestTable` gathers them, a
+    ``full`` node's ``[0, 1)`` included — so a corrupted entry on a
     non-eligible node must not escape the count.  Every unit is checked
     at once: the holders' masses fold in sorted node order, overlaps
     are adjacent pairs after a sort by ``lo``, and the cover is one
-    sweep over the sorted endpoints, each segmented by unit.  Findings are rendered for failing units only.
+    sweep over the sorted endpoints, each segmented by unit.  Findings
+    are rendered for failing units only.
     """
     return _check_partition(units, manifests, ManifestTable.from_manifests(manifests))
 
@@ -320,28 +321,12 @@ def _check_partition(
 ) -> List[Finding]:
     """:func:`check_partition` over *table*, the set's table."""
     units = UnitTable.of(units)
-    columns = table.columns
     count = len(units)
-    # Each checked unit's pieces: those of every row written for it ...
-    groups = table.unit_ids(units.idents)
-    first = columns.offsets[groups]
-    sizes = np.where(groups >= 0, columns.offsets[groups + 1] - first, 0)
-    owner = np.repeat(np.arange(count), sizes)
-    piece = np.arange(len(owner)) + np.repeat(first - (np.cumsum(sizes) - sizes), sizes)
-    lo, hi = columns.lo[piece], columns.hi[piece]
-    node = columns.row_node[columns.row[piece]]
-    # ... plus [0, 1) from each full node, once per unit.
-    if table.full_nodes:
-        full = np.array([table.nodes.index(name) for name in table.full_nodes])
-        owner = np.concatenate((owner, np.repeat(np.arange(count), len(full))))
-        lo = np.concatenate((lo, np.zeros(count * len(full))))
-        hi = np.concatenate((hi, np.ones(count * len(full))))
-        node = np.concatenate((node, np.tile(full, count)))
-    length = np.maximum(hi - lo, 0.0)
-    solid = length > EPSILON  # not HashRange.empty
-    owner, node, lo, hi, length = (
-        column[solid] for column in (owner, node, lo, hi, length)
-    )
+    # Each checked unit's pieces, from every holder (the rows written
+    # for it and the full nodes).
+    held = table.pieces(table.unit_ids(units.idents))
+    held = held.take(held.hi - held.lo > EPSILON)  # not HashRange.empty
+    owner, node, lo, hi = held
 
     # (1) Per (unit, node) row, adjacent pieces in lo order overlap.
     by_lo = np.lexsort((lo, node, owner))
@@ -354,13 +339,7 @@ def _check_partition(
         overlapping.setdefault(u, []).append(k)
 
     # (2) The mass: each row's pieces in entry order, rows in node order.
-    by_row = np.lexsort((node, owner))
-    row_owner, row_node = owner[by_row], node[by_row]
-    row_start = np.ones(len(by_row), dtype=bool)
-    row_start[1:] = (row_owner[1:] != row_owner[:-1]) | (row_node[1:] != row_node[:-1])
-    row_id = np.cumsum(row_start) - 1
-    masses = fold_segments(length[by_row], row_id, int(row_start.sum()))
-    total = fold_segments(masses, row_owner[row_start], count)
+    total = held.mass(count)
     fold = np.rint(total)
     massless = (np.abs(total - fold) > MASS_TOL) | (fold < 1)
 
@@ -643,9 +622,10 @@ def check_manifests_match_assignment(
     away from the fresh optimum, so its gate skips this check.
 
     Both sides come in the units' (unit, eligible node) order: ``d*``
-    through :meth:`NIDSAssignment.gather`, the held mass as each row's
-    pieces folded from the set's table (a ``full`` node holds 1.0, a
-    node without an entry 0.0).  Nodes without a manifest are skipped.
+    through :meth:`NIDSAssignment.gather`, the held mass as the node's
+    own pieces of the unit folded from the set's table (a ``full`` node
+    holds 1.0, a node without an entry 0.0).  Nodes without a manifest
+    are skipped.
     """
     return _check_match(units, assignment, ManifestTable.from_manifests(manifests))
 
@@ -658,19 +638,10 @@ def _check_match(
     """:func:`check_manifests_match_assignment` over *table*, the set's table."""
     units = UnitTable.of(units)
     solved = assignment.gather(units)
-    columns = table.columns
-    group = np.repeat(table.unit_ids(units.idents), units.sizes)
+    # Per (unit, eligible node), the pieces that node holds of the unit.
     node = units.codes_in(table.nodes)
-    # Rows are grouped by unit and sorted by node within a group, so
-    # ``group * |nodes| + node`` is sorted; a pair without a row asks
-    # for -1, the prepended 0.0.
-    stride = len(table.nodes)
-    wanted = np.where((group >= 0) & (node >= 0), group * stride + node, -1)
-    rows = np.concatenate(([-1], columns.row_unit * stride + columns.row_node))
-    mass = np.concatenate(([0.0], row_mass(columns)))
-    at = np.minimum(np.searchsorted(rows, wanted), len(rows) - 1)
-    held = np.where(rows[at] == wanted, mass[at], 0.0)
-    held[np.isin(node, [table.nodes.index(name) for name in table.full_nodes])] = 1.0
+    pieces = table.pieces(table.unit_ids(units.idents)[units.owner])
+    held = pieces.take(pieces.node == node[pieces.owner]).mass(len(node))
 
     drift = (node >= 0) & ~(np.abs(held - solved) <= MASS_TOL)
     findings: List[Finding] = []

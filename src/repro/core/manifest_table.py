@@ -9,16 +9,17 @@ on-path nodes and the LP usually gives its whole hash space to one of
 them, so answering by probing every node's dict costs units × nodes for
 what is units × ~1 rows.
 
-:class:`ManifestTable` is that row set — ``(unit, node, pieces)`` grouped
-by unit, holders in sorted node order — built in one pass over any
-``Mapping[str, NodeManifest]`` and the only way ``src/repro`` goes from a
-unit to its holders.  It keeps the manifests' own ``HashRange`` tuples by
-reference: no boundary float is copied or re-derived.  The pass fills
-three flat lists (unit, node, pieces per entry) and allocates no object
-per entry; the rows grouped by unit and the flat ``lo`` / ``hi``
-columns (:attr:`ManifestTable.columns`, read by
-:meth:`ManifestTable.contains_batch` and the Fig. 2 checks) are each
-derived on first use, so a reader of one pays nothing for the other.
+:class:`ManifestTable` is that row set — one row per ``(unit, node)``
+entry, grouped by unit, a unit's rows in sorted node order — built in
+one pass over any ``Mapping[str, NodeManifest]`` into flat
+:class:`Columns` that keep the manifests' own ``HashRange`` tuples by
+reference.  It is the only way ``src/repro`` goes from a unit to its
+holders, and it is read two ways: :meth:`~ManifestTable.pieces` gathers
+every holder's pieces of some units (the Fig. 2 checks, coverage, the §5
+orphaned mass and handoffs, the repair check; ``contains_batch`` probes
+the same gather), and :meth:`~ManifestTable.find_rows` matches a (unit,
+node) to its row (two versions row against row: the §5 transition
+metrics, churn suppression).
 
 A table is a snapshot.  Several writers assign ``manifest.entries[...]``
 in place after a set is generated (failure repair, the fenced-singleton
@@ -28,8 +29,7 @@ read, and do not keep it on an object whose manifests can still change.
 
 from __future__ import annotations
 
-from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -41,24 +41,22 @@ if TYPE_CHECKING:
 
 EntryKey = Tuple[str, UnitKey]  # (class name, unit key)
 
-#: One row of a unit: the holding node and its pieces (the manifest's
-#: own tuple, possibly empty).
-Holder = Tuple[str, Tuple[HashRange, ...]]
-
-#: The whole hash space ``[0, 1)``: what a ``full`` node holds of every
-#: unit, and the entry generation writes for a unit's whole lap.  Both
-#: types are immutable, so every such holder shares this one tuple.
+#: The whole hash space ``[0, 1)``: the entry generation writes for a
+#: unit's whole lap.  Both types are immutable, so every such entry
+#: shares this one tuple.
 WHOLE: Tuple[HashRange, ...] = (HashRange(0.0, 1.0),)
 
 
 class Columns(NamedTuple):
-    """Every piece of a table as flat arrays, in row order.
+    """A table's rows and every piece of them as flat arrays.
 
-    Unit group *u*'s pieces, over all of its rows, are
+    Rows are grouped by unit (first-seen order), a unit's rows in node
+    order.  Unit group *u*'s pieces, over all of its rows, are
     ``lo/hi[offsets[u]:offsets[u + 1]]``; piece *p* belongs to row
     ``row[p]``, written for group ``row_unit[r]`` on node
-    ``nodes[row_node[r]]`` (an index into :attr:`ManifestTable.nodes`).
-    A row without pieces has no piece pointing at it.
+    ``nodes[row_node[r]]`` (an index into :attr:`ManifestTable.nodes`),
+    and ``entries[r]`` is that row's tuple in its manifest (possibly
+    empty: a row without pieces has no piece pointing at it).
     """
 
     offsets: np.ndarray
@@ -67,6 +65,36 @@ class Columns(NamedTuple):
     row: np.ndarray
     row_unit: np.ndarray
     row_node: np.ndarray
+    entries: List[Tuple[HashRange, ...]]
+
+
+class Pieces(NamedTuple):
+    """What the holders of a list of units hold (:meth:`ManifestTable.pieces`).
+
+    Piece *i* is ``[lo[i], hi[i])``, held of requested unit ``owner[i]``
+    by node ``node[i]`` (an index into :attr:`ManifestTable.nodes`).
+    Pieces come in holder order: by owner, then node, then the entry's
+    own order.
+    """
+
+    owner: np.ndarray
+    node: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+    def take(self, index: np.ndarray) -> "Pieces":
+        """The pieces at *index* (a mask or positions)."""
+        return Pieces._make(column[index] for column in self)
+
+    def mass(self, count: int) -> np.ndarray:
+        """Per owner (``count`` of them), what its holders hold: each
+        holder's lengths added in entry order (as :func:`row_mass`),
+        then the holders in node order."""
+        first = np.ones(len(self.owner), dtype=bool)
+        first[1:] = (self.owner[1:] != self.owner[:-1]) | (self.node[1:] != self.node[:-1])
+        length = np.maximum(self.hi - self.lo, 0.0)
+        held = fold_segments(length, np.cumsum(first) - 1, int(first.sum()))
+        return fold_segments(held, self.owner[first], count)
 
 
 def fold_segments(values: np.ndarray, segments: np.ndarray, count: int) -> np.ndarray:
@@ -90,7 +118,19 @@ def fold_segments(values: np.ndarray, segments: np.ndarray, count: int) -> np.nd
     return total
 
 
-def left_sum(values: np.ndarray) -> float:
+def run_starts(counts: np.ndarray) -> np.ndarray:
+    """Where each run starts in a flat array, given how long each is."""
+    return np.cumsum(counts) - counts
+
+
+def expand(sizes: np.ndarray, starts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(item, at)`` of a ragged gather: item *i* repeated ``sizes[i]``
+    times, beside ``starts[i]``, ``starts[i] + 1``, ..."""
+    item = np.repeat(np.arange(len(sizes)), sizes)
+    return item, np.arange(len(item)) + (starts - run_starts(sizes))[item]
+
+
+def left_sum(values: np.ndarray | Sequence[float]) -> float:
     """``((v[0] + v[1]) + v[2]) + ...`` (0.0 when empty): ``np.cumsum``
     adds in order, where ``np.sum`` pairs and, since Python 3.12,
     builtin ``sum`` compensates.  The one scalar fold of a float total
@@ -115,9 +155,7 @@ class ManifestTable:
         nodes: Tuple[str, ...],
         full_nodes: Tuple[str, ...],
         unit_index: Dict[EntryKey, int],
-        row_unit: List[int],
-        row_node: List[int],
-        row_pieces: List[Tuple[HashRange, ...]],
+        columns: Columns,
     ):
         #: Every node of the set, sorted (full or not, holding or not).
         self.nodes = nodes
@@ -127,29 +165,21 @@ class ManifestTable:
         #: for every ``NodeManifest`` query, ``full`` overrides them.
         self.full_nodes = full_nodes
         self._unit_index = unit_index
-        # One row per entry, node-major: its unit (an index into
-        # ``_unit_index``'s first-seen order), its node (an index into
-        # ``nodes``) and the manifest's own pieces tuple.
-        self._row_unit = row_unit
-        self._row_node = row_node
-        self._row_pieces = row_pieces
+        #: The rows and their pieces (:class:`Columns`).
+        self.columns = columns
 
     @classmethod
     def from_manifests(
         cls, manifests: Mapping[str, "NodeManifest"]
     ) -> "ManifestTable":
-        """The table of *manifests* as they are now (one pass).
-
-        The pass appends to three flat lists and allocates no object
-        per entry; the grouped rows and the columns are derived from
-        them on first use.
-        """
+        """The table of *manifests* as they are now: one pass into three
+        flat lists (unit, node, tuple per entry), no object per entry."""
         nodes = tuple(sorted(manifests))
         full: List[str] = []
         unit_index: Dict[EntryKey, int] = {}
         row_unit: List[int] = []
         row_node: List[int] = []
-        row_pieces: List[Tuple[HashRange, ...]] = []
+        row_entries: List[Tuple[HashRange, ...]] = []
         for k, node in enumerate(nodes):
             manifest = manifests[node]
             if manifest.full:
@@ -158,68 +188,32 @@ class ManifestTable:
             for ident, pieces in manifest.entries.items():
                 row_unit.append(unit_index.setdefault(ident, len(unit_index)))
                 row_node.append(k)
-                row_pieces.append(pieces)
-        return cls(nodes, tuple(full), unit_index, row_unit, row_node, row_pieces)
+                row_entries.append(pieces)
+        # Rows grouped by unit in first-seen order; the sort is stable,
+        # so a unit's rows stay in node order.
+        units = np.array(row_unit, dtype=np.intp)
+        order = np.argsort(units, kind="stable")
+        grouped = [row_entries[r] for r in order.tolist()]
+        counts = np.array([len(pieces) for pieces in grouped], dtype=np.intp)
+        flat = [piece for held in grouped for piece in held]
+        # A unit's first piece is the first piece of its first row.
+        row_start = np.append(run_starts(counts), len(flat))
+        units = units[order]
+        columns = Columns(
+            offsets=row_start[np.searchsorted(units, np.arange(len(unit_index) + 1))],
+            lo=np.array([piece.lo for piece in flat], dtype=np.float64),
+            hi=np.array([piece.hi for piece in flat], dtype=np.float64),
+            row=np.repeat(np.arange(len(counts)), counts),
+            row_unit=units,
+            row_node=np.array(row_node, dtype=np.intp)[order],
+            entries=grouped,
+        )
+        return cls(nodes, tuple(full), unit_index, columns)
 
     @property
     def units(self) -> Tuple[EntryKey, ...]:
         """Every unit some manifest has an entry for, first-seen order."""
         return tuple(self._unit_index)
-
-    @cached_property
-    def _rows(self) -> Dict[EntryKey, Tuple[Holder, ...]]:
-        rows: Dict[EntryKey, Tuple[Holder, ...]] = {}
-        idents, nodes = self.units, self.nodes
-        for u, k, pieces in zip(self._row_unit, self._row_node, self._row_pieces):
-            ident = idents[u]
-            if ident in rows:
-                rows[ident] += ((nodes[k], pieces),)
-            else:
-                rows[ident] = ((nodes[k], pieces),)
-        return rows
-
-    def rows(self, ident: EntryKey) -> Tuple[Holder, ...]:
-        """The entries written for *ident*, sorted by node.
-
-        Every entry counts, including an empty tuple and one on a node
-        off the unit's path; ``full`` manifests write none.
-        """
-        return self._rows.get(ident, ())
-
-    def holders(self, ident: EntryKey) -> Tuple[Holder, ...]:
-        """Who answers for *ident*, sorted by node: its :meth:`rows`
-        plus every ``full`` node holding ``[0, 1)``."""
-        rows = self._rows.get(ident, ())
-        if not self.full_nodes:
-            return rows
-        return tuple(
-            sorted(rows + tuple((node, WHOLE) for node in self.full_nodes))
-        )
-
-    # -- the array view ---------------------------------------------------
-    @cached_property
-    def columns(self) -> Columns:
-        """The flat piece columns (:class:`Columns`), built once."""
-        # Rows grouped by unit in first-seen order; the sort is stable,
-        # so a unit's rows stay in node order.
-        units = np.array(self._row_unit, dtype=np.intp)
-        order = np.argsort(units, kind="stable")
-        row_unit = units[order]
-        grouped = [self._row_pieces[r] for r in order.tolist()]
-        counts = np.array([len(pieces) for pieces in grouped], dtype=np.intp)
-        pieces = [piece for held in grouped for piece in held]
-        # A unit's first piece is the first piece of its first row.
-        row_start = np.zeros(len(counts) + 1, dtype=np.intp)
-        np.cumsum(counts, out=row_start[1:])
-        first_row = np.searchsorted(row_unit, np.arange(len(self._unit_index) + 1))
-        return Columns(
-            offsets=row_start[first_row],
-            lo=np.array([piece.lo for piece in pieces], dtype=np.float64),
-            hi=np.array([piece.hi for piece in pieces], dtype=np.float64),
-            row=np.repeat(np.arange(len(counts)), counts),
-            row_unit=row_unit,
-            row_node=np.array(self._row_node, dtype=np.intp)[order],
-        )
 
     def unit_ids(self, idents: Iterable[EntryKey]) -> np.ndarray:
         """Row-group index of each of *idents* (``-1``: no entry)."""
@@ -227,6 +221,58 @@ class ManifestTable:
         return np.fromiter(
             (index.get(ident, -1) for ident in idents), dtype=np.intp
         )
+
+    def node_ids(self, names: Iterable[str]) -> np.ndarray:
+        """Index of each of *names* in :attr:`nodes` (``-1``: not in the set)."""
+        index = {node: k for k, node in enumerate(self.nodes)}
+        return np.fromiter(
+            (index.get(name, -1) for name in names), dtype=np.intp
+        )
+
+    def _gather(self, groups: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(owner, piece)``: every piece the rows of each of *groups*
+        hold (``-1``: none), as an index into the columns, in row order."""
+        offsets = self.columns.offsets
+        start = offsets[groups]
+        return expand(np.where(groups >= 0, offsets[groups + 1] - start, 0), start)
+
+    def pieces(self, groups: np.ndarray) -> Pieces:
+        """What the holders of each of *groups* (row groups, ``-1``: a
+        unit without an entry) hold, in holder order.
+
+        A unit's holders are its rows — every entry written for it,
+        including an empty tuple and one on a node off its path — and
+        every ``full`` node, which holds ``[0, 1)`` of every unit.
+        """
+        owner, piece = self._gather(groups)
+        columns = self.columns
+        held = Pieces(
+            owner, columns.row_node[columns.row[piece]], columns.lo[piece], columns.hi[piece]
+        )
+        if not self.full_nodes:
+            return held
+        full = self.node_ids(self.full_nodes)
+        wholes = Pieces(
+            np.repeat(np.arange(len(groups)), len(full)),
+            np.tile(full, len(groups)),
+            np.zeros(len(groups) * len(full)),
+            np.ones(len(groups) * len(full)),
+        )
+        both = Pieces._make(map(np.concatenate, zip(held, wholes)))
+        # Stable: a row's pieces keep their entry order.
+        return both.take(np.lexsort((both.node, both.owner)))
+
+    def find_rows(self, groups: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """The row written for each ``(groups[i], nodes[i])`` — a row
+        group and an index into :attr:`nodes` — or ``-1`` if none is
+        (either index may be ``-1``)."""
+        columns = self.columns
+        width = len(self.nodes)
+        keys = columns.row_unit * width + columns.row_node  # increasing
+        wanted = groups * width + nodes
+        at = np.searchsorted(keys, wanted)
+        found = (groups >= 0) & (nodes >= 0) & (np.append(keys, -1)[at] == wanted)
+        return np.where(found, at, -1)
 
     def contains_batch(
         self, unit_ids: np.ndarray, hash_values: np.ndarray
@@ -236,20 +282,15 @@ class ManifestTable:
 
         Element-wise ``any(piece.contains(h))`` over the unit's holders
         (:meth:`repro.hashing.ranges.HashRange.contains`, closed top
-        included): each probe is compared against its unit's slice of
-        the flat columns, no per-unit Python.
+        included): each probe is compared against its unit's gathered
+        pieces, no per-unit Python.  A ``full`` node contains everything.
         """
         if self.full_nodes:
             return np.ones(len(hash_values), dtype=bool)
-        offsets, lo, hi = self.columns[:3]
-        start = offsets[unit_ids]
-        counts = np.where(unit_ids >= 0, offsets[unit_ids + 1] - start, 0)
-        probe = np.repeat(np.arange(len(hash_values)), counts)
-        within = np.arange(len(probe)) - (np.cumsum(counts) - counts)[probe]
-        piece = start[probe] + within
+        probe, piece = self._gather(unit_ids)
         value = hash_values[probe]
-        top = hi[piece]
-        inside = (lo[piece] <= value) & (
+        top = self.columns.hi[piece]
+        inside = (self.columns.lo[piece] <= value) & (
             (value < top) | ((top >= 1.0 - EPSILON) & (value <= 1.0))
         )
         return np.bincount(probe[inside], minlength=len(hash_values)) > 0

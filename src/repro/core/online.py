@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..lp.solver import solve_or_raise
+from .manifest_table import left_sum
 from .nips_milp import NIPSPolytope, NIPSProblem, compile_nips_polytope
 
 MatchRates = Dict[Tuple[int, Tuple[str, str]], float]
@@ -52,7 +53,7 @@ def state_vector(problem: NIPSProblem, rates: Mapping) -> np.ndarray:
 def decision_value(problem: NIPSProblem, state: np.ndarray, decision: np.ndarray) -> float:
     """``O · S``: footprint reduction achieved by *decision* under *state*,
     summed in (pair, rule, path node) order."""
-    return sum((state * decision)[problem.layout.pair_major].tolist())
+    return left_sum((state * decision)[problem.layout.pair_major])
 
 
 def solve_best_response(polytope: NIPSPolytope, weights: np.ndarray) -> Decision:

@@ -31,7 +31,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..hashing.ranges import EPSILON
-from .manifest_table import EntryKey, ManifestTable, fold_segments, left_sum, row_mass
+from .manifest_table import (
+    EntryKey, ManifestTable, expand, fold_segments, left_sum, row_mass, run_starts
+)
 from .nids_deployment import NIDSDeployment
 from .units import UnitKey, Units, UnitTable
 
@@ -61,11 +63,6 @@ def conservative_units(
     return dataclasses.replace(table, volumes=table.volumes * headroom)
 
 
-def _spans(counts: np.ndarray) -> np.ndarray:
-    """Where each row's pieces start, given how many each row has."""
-    return np.cumsum(counts) - counts
-
-
 class TransitionColumns:
     """Two versions' manifest tables read row against row, in one pass.
 
@@ -92,28 +89,22 @@ class TransitionColumns:
         was, now = old.columns, new.columns
         # The new row of each old row's (unit, node); a sentinel row
         # with no pieces at index -1 stands for "none".
-        node_at = {node: k for k, node in enumerate(new.nodes)}
-        nodes = np.array([node_at.get(node, -1) for node in old.nodes], dtype=np.intp)
-        unit = new.unit_ids(old.units)[was.row_unit]
-        node = nodes[was.row_node]
-        width = len(new.nodes)
-        keys = now.row_unit * width + now.row_node  # increasing
-        wanted = unit * width + node
-        at = np.searchsorted(keys, wanted)
-        found = (unit >= 0) & (node >= 0) & (np.append(keys, -1)[at] == wanted)
-        match = np.where(found, at, -1)
+        match = new.find_rows(
+            new.unit_ids(old.units)[was.row_unit],
+            new.node_ids(old.nodes)[was.row_node],
+        )
+        found = match >= 0
         was_count = np.bincount(was.row, minlength=len(was.row_unit))
         now_count = np.append(np.bincount(now.row, minlength=len(now.row_unit)), 0)
-        now_start = np.append(_spans(now_count[:-1]), 0)
+        now_start = np.append(run_starts(now_count[:-1]), 0)
 
         # Per old piece, its row's counterpart: how many pieces, from where.
         pairs = now_count[match][was.row]
         first = now_start[match][was.row]
-        position = np.arange(len(was.row)) - _spans(was_count)[was.row]
+        position = np.arange(len(was.row)) - run_starts(was_count)[was.row]
 
         # Every (old piece, new piece) pair of a matched row, old-major.
-        piece = np.repeat(np.arange(len(was.row)), pairs)
-        other = first[piece] + np.arange(len(piece)) - np.repeat(_spans(pairs), pairs)
+        piece, other = expand(pairs, first)
         overlap = np.maximum(
             0.0,
             np.minimum(was.hi[piece], now.hi[other])
@@ -236,31 +227,49 @@ class TransitionPlan:
         u = units.by_ident.get((class_name, key))
         if u is None:
             return 0.0
-        orphaned = 0.0
-        for node, old_ranges in self._old_table.holders((class_name, key)):
-            if node not in units.eligible[u]:
-                orphaned += sum(r.length for r in old_ranges)
-        return orphaned
+        table = self._old_table
+        held = table.pieces(table.unit_ids([(class_name, key)]))
+        off = ~np.isin(held.node, table.node_ids(units.eligible[u]))
+        return float(held.take(off).mass(1)[0])
 
     def handoffs(self) -> List[Tuple[str, UnitKey, str, str, float]]:
         """All (class, unit, from-node, to-node, mass) state transfers
         the transition implies, largest first (equal masses in unit,
-        donor, receiver order)."""
-        transfers: List[Tuple[str, UnitKey, str, str, float]] = []
-        idents = set(self.old.units.idents) | set(self.new.units.idents)
-        for ident in sorted(idents):
-            receivers = self._new_table.holders(ident)
-            for donor, old_ranges in self._old_table.holders(ident):
-                for receiver, new_ranges in receivers:
-                    if receiver == donor:
-                        continue
-                    mass = sum(
-                        o.intersection_length(n)
-                        for o in old_ranges
-                        for n in new_ranges
-                    )
-                    if mass > 1e-9:
-                        transfers.append((*ident, donor, receiver, mass))
+        donor, receiver order).
+
+        A transfer's mass is the left fold of its (old piece, new piece)
+        overlaps, old-major; donors and receivers are every holder,
+        ``full`` nodes included.
+        """
+        old, new = self._old_table, self._new_table
+        idents = sorted(set(self.old.units.idents) | set(self.new.units.idents))
+        given = old.pieces(old.unit_ids(idents))
+        taken = new.pieces(new.unit_ids(idents))
+        # Every (old piece, new piece) pair of a unit, old-major, but a
+        # node's pair with itself ...
+        counts = np.bincount(taken.owner, minlength=len(idents))
+        a, b = expand(counts[given.owner], run_starts(counts)[given.owner])
+        moved = old.node_ids(new.nodes)[taken.node[b]] != given.node[a]
+        a, b = a[moved], b[moved]
+        overlap = np.maximum(
+            0.0,
+            np.minimum(given.hi[a], taken.hi[b]) - np.maximum(given.lo[a], taken.lo[b]),
+        )
+        # ... folded per (unit, donor, receiver), in that order.
+        width = len(new.nodes)
+        key = (given.owner[a] * len(old.nodes) + given.node[a]) * width + taken.node[b]
+        order = np.argsort(key, kind="stable")
+        keys, segment = np.unique(key[order], return_inverse=True)
+        mass = fold_segments(overlap[order], segment, len(keys))
+        unit, held = np.divmod(keys, len(old.nodes) * width)
+        donor, receiver = np.divmod(held, width)
+        transfers = [
+            (*idents[u], old.nodes[d], new.nodes[r], m)
+            for u, d, r, m in zip(
+                unit.tolist(), donor.tolist(), receiver.tolist(), mass.tolist()
+            )
+            if m > 1e-9
+        ]
         transfers.sort(key=lambda t: -t[4])
         return transfers
 

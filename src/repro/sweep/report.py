@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Optional, Tuple
 
+from ..core.manifest_table import left_sum
 from ..obs import MetricsRegistry
 from .executor import SweepRun
 from .worker import CellResult
@@ -144,7 +145,7 @@ def _axis_aggregates(results: List[CellResult]) -> dict:
                 "coverage_min": min(r.coverage_min for r in group),
                 # Display-only mean, folded over cells in spec order; the
                 # per-cell values live in the rows themselves.
-                "coverage_mean": sum(r.coverage_mean for r in group) / len(group),
+                "coverage_mean": left_sum([r.coverage_mean for r in group]) / len(group),
             }
             for value, group in sorted(groups.items())
         }

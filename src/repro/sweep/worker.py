@@ -37,6 +37,7 @@ from typing import Dict, Optional, Tuple
 from ..control.chaos import build_plan, run_chaos
 from ..control.plane import ScenarioConfig
 from ..control.scenarios import SCRIPTED, run_scenario, standard_scenario
+from ..core.manifest_table import left_sum
 from ..obs import MetricsRegistry
 from ..topology import by_label
 from .spec import DYNAMICS_PRESETS, SweepCell
@@ -222,7 +223,7 @@ def run_cell(cell: SweepCell) -> CellResult:
         ok=not violations,
         violations=violations,
         epochs_run=len(records),
-        coverage_mean=sum(coverages) / len(coverages) if coverages else 1.0,
+        coverage_mean=left_sum(coverages) / len(coverages) if coverages else 1.0,
         coverage_min=min(coverages, default=1.0),
         push_bytes=result.controller_stats.push_bytes,
         full_equivalent_bytes=result.controller_stats.full_equivalent_bytes,

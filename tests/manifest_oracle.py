@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.control.agent import Agent
-from repro.control.epochs import CoverageSummary, Ident, _ranges_close
+from repro.control.epochs import CoverageSummary, Ident
 from repro.core.manifest import (
     MASS_TOL,
     REP101,
@@ -50,7 +50,6 @@ from repro.core.manifest import (
     check_disjoint,
     unit_label,
 )
-from repro.core.manifest_table import ManifestTable
 from repro.core.nids_deployment import NIDSDeployment
 from repro.core.nids_lp import NIDSAssignment
 from repro.core.units import CoordinationUnit, UnitKey, unit_key_for_session
@@ -305,6 +304,19 @@ def epoch_coverage(
     return coverage_metrics(truth_units, served_manifests(agents, truth_units), live)
 
 
+def _ranges_close(
+    a: Tuple[HashRange, ...], b: Tuple[HashRange, ...], tolerance: float
+) -> bool:
+    if len(a) != len(b):
+        return False
+    a_sorted = sorted(a, key=lambda r: r.lo)
+    b_sorted = sorted(b, key=lambda r: r.lo)
+    return all(
+        abs(x.lo - y.lo) <= tolerance and abs(x.hi - y.hi) <= tolerance
+        for x, y in zip(a_sorted, b_sorted)
+    )
+
+
 def stabilize_manifests(
     previous: Dict[str, NodeManifest],
     proposed: Dict[str, NodeManifest],
@@ -535,10 +547,9 @@ def check_partition(
     never reach dispatch.  (4) Every eligible node has a manifest.
 
     Ranges are collected from **every** manifest in the set
-    (:class:`~repro.core.manifest_table.ManifestTable`) — a corrupted
-    entry on a non-eligible node must not escape the count.
+    (:func:`holders`) — a corrupted entry on a non-eligible node must
+    not escape the count.
     """
-    table = ManifestTable.from_manifests(manifests)
     findings: List[Finding] = []
     for unit in units:
         label = unit_label(unit.ident)
@@ -553,7 +564,7 @@ def check_partition(
                 )
         all_pieces: List[HashRange] = []
         total = 0.0
-        for node, entry in table.holders(unit.ident):
+        for node, entry in holders(manifests, unit.ident):
             pieces = [p for p in entry if not p.empty]
             findings.extend(
                 check_disjoint(

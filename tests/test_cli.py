@@ -320,6 +320,16 @@ class TestControlRun:
         assert args.epochs == 18
         assert args.lease_ttl == 2.5
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_run_bad_heartbeat_timeout_is_a_usage_error(self, capsys, value):
+        # Exit 2 before any epoch runs: a NaN or infinite timeout used to
+        # run all 16 epochs and exit 1, no failure ever detected.
+        code = main(["control", "run", "--heartbeat-timeout", value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: heartbeat_timeout must be finite and > 0" in captured.err
+        assert captured.out == ""
+
     def test_chaos_unknown_plan_exits_2(self, capsys):
         code = main(["control", "chaos", "--plan", "no-such-plan"])
         assert code == 2

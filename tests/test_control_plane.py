@@ -111,6 +111,11 @@ class TestHeartbeatMonitor:
         with pytest.raises(ValueError):
             HeartbeatMonitor(["a"], timeout=0.0)
 
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), None])
+    def test_rejects_a_timeout_that_is_not_finite(self, timeout):
+        with pytest.raises(ValueError):
+            HeartbeatMonitor(["a"], timeout=timeout)
+
 
 def _manifest(node, lo, hi):
     return NodeManifest(

@@ -1,11 +1,21 @@
-"""``ManifestTable`` and its five readers against the all-nodes oracle.
+"""``ManifestTable`` and its readers against the all-nodes oracle.
 
 The table (``repro.core.manifest_table``) is the one way the product
-goes from a unit to who holds it; ``tests/manifest_oracle.py`` keeps the
-loops that asked every node about every unit.  Everything here is ``==``
-— holders, float folds, entry insertion order, pair counts.
+goes from a unit to who holds it — its piece gather and its row lookup;
+``tests/manifest_oracle.py`` keeps the loops that asked every node about
+every unit.  Everything here is ``==`` — holders, float folds, entry
+insertion order, pair counts.
+
+Seeded mutations, each run on a copy of ``src/repro``:
+
+* the gather dropping the ``full`` nodes' pieces fails
+  ``test_holders_equal_the_scan_over_every_manifest``;
+* ``find_rows`` ignoring the node fails ``test_find_rows_is_the_entry_lookup``;
+* ``stabilize_manifests`` comparing pieces in entry order instead of
+  ``lo`` order fails ``test_tolerance_compares_pieces_in_lo_order``.
 """
 
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,6 +34,7 @@ from repro.core.manifest import NodeManifest, full_manifest
 from repro.core.manifest_table import ManifestTable
 from repro.core.nids_deployment import plan_deployment
 from repro.core.reconfigure import TransitionPlan, plan_transition
+from repro.core.units import CoordinationUnit, UnitTable
 from repro.hashing.ranges import EPSILON, HashRange
 from repro.nids.modules import STANDARD_MODULES
 from repro.topology import PathSet
@@ -38,9 +49,13 @@ _cut = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 _pieces = st.one_of(
     st.just(()),  # written, but empty
     st.tuples(_cut, _cut).map(lambda c: (HashRange(min(c), max(c)),)),
-    # A wrapped arc: a piece closed at the top plus one from the bottom.
+    # A wrapped arc: a piece closed at the top plus one from the bottom,
+    # in either order.
     st.tuples(_cut, _cut).map(
         lambda c: (HashRange(max(c), 1.0), HashRange(0.0, min(c)))
+    ),
+    st.tuples(_cut, _cut).map(
+        lambda c: (HashRange(0.0, min(c)), HashRange(max(c), 1.0))
     ),
     # Topping out within EPSILON of 1.0: closed at the top all the same.
     _cut.map(lambda lo: (HashRange(lo * (1.0 - EPSILON / 2), 1.0 - EPSILON / 2),)),
@@ -70,19 +85,27 @@ PROBES = np.array(
 
 class TestTable:
     @settings(max_examples=200, deadline=None)
-    @given(manifest_sets())
-    def test_holders_equal_the_scan_over_every_manifest(self, manifests):
+    @given(manifest_sets(), st.lists(st.sampled_from(IDENTS + [NOBODY]), max_size=6))
+    def test_holders_equal_the_scan_over_every_manifest(self, manifests, asked):
+        """Every piece of every holder — a ``full`` node's ``[0, 1)`` at
+        its place in node order, also for a unit nobody wrote — per
+        requested unit, repeats included."""
         table = ManifestTable.from_manifests(manifests)
-        for ident in IDENTS + [NOBODY]:
-            assert table.holders(ident) == oracle.holders(manifests, ident)
-            assert table.rows(ident) == tuple(
-                (node, manifests[node].entries[ident])
-                for node in sorted(manifests)
-                if not manifests[node].full and ident in manifests[node].entries
+        held = table.pieces(table.unit_ids(asked))
+        got = list(
+            zip(
+                held.owner.tolist(),
+                [table.nodes[k] for k in held.node.tolist()],
+                held.lo.tolist(),
+                held.hi.tolist(),
             )
-        assert table.holders(NOBODY) == tuple(
-            (node, (HashRange(0.0, 1.0),)) for node in table.full_nodes
         )
+        assert got == [
+            (i, node, piece.lo, piece.hi)
+            for i, ident in enumerate(asked)
+            for node, pieces in oracle.holders(manifests, ident)
+            for piece in pieces
+        ]
         assert set(table.units) == {
             ident
             for manifest in manifests.values()
@@ -90,10 +113,35 @@ class TestTable:
             for ident in manifest.entries
         }
 
+    @settings(max_examples=200, deadline=None)
+    @given(manifest_sets())
+    def test_find_rows_is_the_entry_lookup(self, manifests):
+        """A (unit, node) has a row exactly when that node's manifest,
+        not ``full``, writes an entry for the unit — an empty one too —
+        and the row carries the manifest's own tuple."""
+        table = ManifestTable.from_manifests(manifests)
+        idents = IDENTS + [NOBODY]
+        names = sorted(manifests) + ["elsewhere"]
+        rows = table.find_rows(
+            np.repeat(table.unit_ids(idents), len(names)),
+            np.tile(table.node_ids(names), len(idents)),
+        )
+        columns = table.columns
+        for (ident, name), row in zip(itertools.product(idents, names), rows.tolist()):
+            manifest = manifests.get(name)
+            written = manifest is not None and not manifest.full and ident in manifest.entries
+            assert (row >= 0) == written
+            if written:
+                assert columns.entries[row] is manifest.entries[ident]
+                assert table.units[columns.row_unit[row]] == ident
+                assert table.nodes[columns.row_node[row]] == name
+
     def test_pieces_are_the_manifests_own_tuples(self):
         pieces = (HashRange(0.25, 0.5),)
         manifests = {"a": NodeManifest("a", entries={IDENTS[0]: pieces})}
-        assert ManifestTable.from_manifests(manifests).holders(IDENTS[0])[0][1] is pieces
+        table = ManifestTable.from_manifests(manifests)
+        (row,) = table.find_rows(table.unit_ids([IDENTS[0]]), table.node_ids(["a"]))
+        assert table.columns.entries[row] is pieces
 
     @settings(max_examples=200, deadline=None)
     @given(manifest_sets(), st.lists(_cut, max_size=6))
@@ -130,10 +178,15 @@ class TestTable:
         manifests = {"a": NodeManifest("a"), "b": NodeManifest("b")}
         table = ManifestTable.from_manifests(manifests)
         manifests["b"].entries[IDENTS[0]] = (HashRange(0.0, 1.0),)
-        assert table.holders(IDENTS[0]) == ()
-        assert ManifestTable.from_manifests(manifests).holders(IDENTS[0]) == (
-            ("b", (HashRange(0.0, 1.0),)),
-        )
+
+        def read(table):
+            groups = table.unit_ids([IDENTS[0]])
+            held = table.pieces(groups)
+            row = table.find_rows(groups, table.node_ids(["b"]))
+            return held.lo.tolist(), held.hi.tolist(), row.tolist()
+
+        assert read(table) == ([], [], [-1])
+        assert read(ManifestTable.from_manifests(manifests)) == ([0.0], [1.0], [0])
 
 
 # -- consecutive re-plans ----------------------------------------------------
@@ -204,6 +257,63 @@ class TestTransitionPlan:
         assert transfers == canonical(oracle.handoffs(old, new))
 
 
+def _deployment(manifests, paths):
+    """A deployment stand-in: *manifests* in sorted node order (the
+    oracle folds in dict order) and one unit per ident of IDENTS +
+    NOBODY, eligible on *paths*[ident]."""
+    rows = [
+        CoordinationUnit(*ident, eligible=paths[ident], pkts=1.0, items=1.0, cpu_work=1.0, mem_bytes=1.0)
+        for ident in IDENTS + [NOBODY]
+    ]
+    return SimpleNamespace(
+        manifests={node: manifests[node] for node in sorted(manifests)},
+        units=UnitTable.of(rows),
+    )
+
+
+_paths = st.fixed_dictionaries(
+    {
+        ident: st.lists(st.sampled_from(NODES), min_size=1, unique=True).map(tuple)
+        for ident in IDENTS + [NOBODY]
+    }
+)
+
+
+class TestTransitionPlanOnGeneratedSets:
+    """``full`` donors and receivers, empty entries, units nobody wrote."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(manifest_sets(), manifest_sets(), _paths)
+    def test_handoffs_and_orphaned_mass(self, old, new, paths):
+        old, new = _deployment(old, paths), _deployment(new, paths)
+        plan = TransitionPlan(old, new)
+        canonical = lambda ts: sorted(ts, key=lambda t: (-t[4],) + t[:4])
+        assert plan.handoffs() == canonical(oracle.handoffs(old, new))
+        for ident in IDENTS + [NOBODY]:
+            assert plan.orphaned_fraction(*ident) == oracle.orphaned_fraction(old, new, *ident)
+
+    @settings(max_examples=100, deadline=None)
+    @given(manifest_sets(), manifest_sets(allow_full=False))
+    def test_ranges_reassigned(self, survivors, failed):
+        snapshot = {
+            ident: pieces
+            for manifest in failed.values()
+            for ident, pieces in manifest.entries.items()
+        }
+        for skip in (set(), set(IDENTS[:2])):
+            assert ranges_reassigned(snapshot, survivors, skip) == oracle.ranges_reassigned(
+                snapshot, survivors, skip
+            )
+
+    def test_a_full_survivor_holds_every_range(self):
+        snapshot = {IDENTS[0]: (HashRange(0.2, 0.7),), NOBODY: (HashRange(0.0, 1.0),)}
+        survivors = {"a": NodeManifest("a"), "b": full_manifest("b")}
+        assert ranges_reassigned(snapshot, survivors, set())
+        survivors["b"] = NodeManifest("b", entries={IDENTS[0]: (HashRange(0.2, 0.7),)})
+        assert not ranges_reassigned(snapshot, survivors, set())
+        assert ranges_reassigned(snapshot, survivors, {NOBODY})
+
+
 class TestStabilize:
     @staticmethod
     def _same(got, want):
@@ -242,6 +352,18 @@ class TestStabilize:
             stabilize_manifests(previous, proposed, tolerance),
             oracle.stabilize_manifests(previous, proposed, tolerance),
         )
+
+
+    def test_tolerance_compares_pieces_in_lo_order(self):
+        """A wrapped arc written bottom piece first is the same arc:
+        each row's pieces are matched in ``lo`` order, not entry order."""
+        ident = IDENTS[0]
+        previous = {"a": NodeManifest("a", entries={ident: (HashRange(0.7, 1.0), HashRange(0.0, 0.3))})}
+        proposed = {"a": NodeManifest("a", entries={ident: (HashRange(0.0, 0.31), HashRange(0.71, 1.0))})}
+        got = stabilize_manifests(previous, proposed, 0.02)
+        self._same(got, oracle.stabilize_manifests(previous, proposed, 0.02))
+        assert got[0]["a"].entries[ident] is previous["a"].entries[ident]
+        assert got[1] == set()
 
 
 # -- the coverage monitor ----------------------------------------------------

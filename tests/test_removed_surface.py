@@ -138,6 +138,19 @@ class TestRemovedSurface:
         assert "units_by_ident" not in repro.core.__all__
         assert not hasattr(reconfigure, "RESOURCE_FIELDS")
 
+    def test_a_manifest_table_is_read_one_way(self):
+        # A table is its columns, read by unit through its piece gather
+        # and its row lookup; the grouped holder view and churn
+        # suppression's per-holder comparison are gone.
+        import repro.control.epochs as epochs
+        import repro.core.manifest_table as manifest_table
+        from repro.core.manifest_table import ManifestTable
+
+        for name in ("rows", "holders", "_rows"):
+            assert not hasattr(ManifestTable, name)
+        assert not hasattr(manifest_table, "Holder")
+        assert not hasattr(epochs, "_ranges_close")
+
     def test_the_unread_trace_stats_are_gone(self):
         import repro.traffic
 
