@@ -55,6 +55,7 @@ from ..core.manifest import (
     check_partition,
 )
 from ..core.manifest_io import check_delta
+from ..core.manifest_table import Manifests
 from ..core.nids_lp import NIDSAssignment
 from ..core.units import Units, UnitTable, eligible_nodes
 
@@ -114,7 +115,7 @@ class VerificationReport:
 # -- NIDS deployments -----------------------------------------------------
 def verify_deployment(
     units: Units,
-    manifests: Mapping[str, NodeManifest],
+    manifests: Manifests,
     assignment: Optional[NIDSAssignment] = None,
 ) -> VerificationReport:
     """Full static verification of a NIDS deployment artifact set.

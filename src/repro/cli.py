@@ -280,18 +280,18 @@ def cmd_control_run(args) -> int:
         resolve_every=args.resolve_every,
         heartbeat_timeout=args.heartbeat_timeout,
     )
-    if args.no_events:
-        config = ScenarioConfig(**{**SCRIPTED, **common})
-    else:
-        config = standard_scenario(
-            shift_epoch=args.shift_epoch,
-            fail_epoch=args.fail_epoch,
-            recover_epoch=args.recover_epoch,
-            fail_node=args.fail_node,
-            **common,
-        )
     registry = MetricsRegistry() if args.metrics_out else None
     try:
+        if args.no_events:
+            config = ScenarioConfig(**{**SCRIPTED, **common})
+        else:
+            config = standard_scenario(
+                shift_epoch=args.shift_epoch,
+                fail_epoch=args.fail_epoch,
+                recover_epoch=args.recover_epoch,
+                fail_node=args.fail_node,
+                **common,
+            )
         result = run_scenario(config, registry=registry)
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)

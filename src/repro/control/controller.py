@@ -62,13 +62,11 @@ from ..analysis.verify import (
     check_on_path,
     verify_deployment,
 )
-from ..core.dispatch import UnitResolver
 from ..core.manifest import generate_manifests, NodeManifest
 from ..core.manifest_io import ConfigurationWire
 from ..core.manifest_table import ManifestTable, left_sum
-from ..core.nids_deployment import NIDSDeployment
 from ..core.nids_lp import NIDSAssignment, solve_nids_lp
-from ..core.reconfigure import TransitionColumns, plan_transition
+from ..core.reconfigure import TransitionColumns
 from ..core.units import UnitTable
 from ..hashing.ranges import HashRange
 from ..measurement.estimation import EstimationModel, estimate_units
@@ -148,6 +146,10 @@ class ControllerConfig:
 
     def __post_init__(self) -> None:
         check_duration("lease_ttl", self.lease_ttl)
+        if self.resolve_every < 0:
+            raise ValueError(
+                f"resolve_every must be >= 0, got {self.resolve_every!r}"
+            )
 
 
 @dataclass
@@ -239,8 +241,10 @@ class Controller:
         #: deliberately kept: a dead NIDS does not stop the traffic).
         self.reports: Dict[str, TrafficReport] = {}
         self.version = -1
-        self.deployment: Optional[NIDSDeployment] = None
+        #: The last solved ``d*`` (``None``: this process never planned).
+        self.assignment: Optional[NIDSAssignment] = None
         self.manifests: Dict[str, NodeManifest] = {}
+        self._table: Optional[ManifestTable] = None
         self._wire = ConfigurationWire(self.manifests)
         self.planned_units = UnitTable.of(())
         self.last_repair: Optional[RepairResult] = None
@@ -539,27 +543,23 @@ class Controller:
         )
         if self.manifests:
             stabilized, _changed = stabilize_manifests(
-                self.manifests,
+                self.table,
                 proposed,
                 self.config.stabilize_tolerance,
                 allowed=allowed,
             )
         else:
             stabilized = proposed
-        if not self._gate(units, stabilized, stage="resolve"):
+        table = ManifestTable.of(stabilized)
+        if not self._gate(units, table, stage="resolve"):
             # Fail closed: the previous configuration stays active and
             # the next epoch's trigger logic will attempt a fresh plan.
             return
-        self._adopt(stabilized, units, assignment, now, reason)
+        self._adopt(table, units, assignment, now, reason)
         self.stats.resolves += 1
         self._last_resolve_epoch = self._epoch.epoch
 
-    def _gate(
-        self,
-        units: UnitTable,
-        manifests: Dict[str, NodeManifest],
-        stage: str,
-    ) -> bool:
+    def _gate(self, units: UnitTable, table: ManifestTable, stage: str) -> bool:
         """Fail-closed pre-distribution gate (static verification).
 
         Full re-plans must satisfy the partition *and* on-path
@@ -572,10 +572,10 @@ class Controller:
         """
         if stage == "repair":
             report = VerificationReport(
-                findings=check_on_path(units, manifests), checks=("on-path",)
+                findings=check_on_path(units, table), checks=("on-path",)
             )
         else:
-            report = verify_deployment(units, manifests)
+            report = verify_deployment(units, table)
         if report.ok:
             return True
         self.stats.rejections += 1
@@ -590,12 +590,11 @@ class Controller:
         )
         self._restore_fenced_singletons(result)
         self.last_repair = result
-        assignment = (
-            self.deployment.assignment if self.deployment is not None else None
-        )
-        if not self._gate(self.planned_units, result.manifests, stage="repair"):
+        # The restore above is the last in-place writer: the set is final.
+        table = ManifestTable.from_manifests(result.manifests)
+        if not self._gate(self.planned_units, table, stage="repair"):
             return
-        self._adopt(result.manifests, self.planned_units, assignment, now, "failure")
+        self._adopt(table, self.planned_units, self.assignment, now, "failure")
         self.stats.repairs += 1
         self._repairs.inc()
         if result.orphaned:
@@ -639,50 +638,32 @@ class Controller:
 
     def _adopt(
         self,
-        manifests: Dict[str, NodeManifest],
+        table: ManifestTable,
         units: UnitTable,
         assignment: Optional[NIDSAssignment],
         now: float,
         reason: str,
     ) -> None:
-        """Install a new configuration version and compute transition
-        metrics against the outgoing one."""
+        """Install a new configuration version and score the transition
+        from the configuration held (adopted or installed) to it."""
+        columns = TransitionColumns(self.table, table)
         self.version += 1
-        previous = self.deployment
-        if assignment is not None:
-            self.deployment = NIDSDeployment(
-                topology=self.topology,
-                paths=self.paths,
-                modules=self.modules,
-                units=units,
-                assignment=assignment,
-                manifests=manifests,
-                resolver=UnitResolver(self.topology.node_names),
-            )
-        old_manifests = self.manifests
-        self.manifests = manifests
+        self.assignment = assignment
+        self.manifests, self._table = table.manifests, table
         self.planned_units = units
         self._epoch.resolved = reason
         self._epoch.config_version = self.version
-        columns = None
-        if previous is not None and self.deployment is not None:
-            plan = plan_transition(previous, self.deployment)
-            self._epoch.duplicated_fraction = plan.duplicated_share(
-                self.deployment.units
-            )
-            # The plan's tables are usually these two versions' own; a
-            # configuration installed from the log has no deployment.
-            if (
-                previous.manifests is old_manifests
-                and self.deployment.manifests is manifests
-            ):
-                columns = plan.columns
-        if columns is None:
-            columns = TransitionColumns(
-                ManifestTable.from_manifests(old_manifests),
-                ManifestTable.from_manifests(manifests),
-            )
         self._epoch.unchanged_entry_fraction = columns.unchanged_fraction
+        self._epoch.duplicated_fraction = columns.duplicated_share(units)
+
+    @property
+    def table(self) -> ManifestTable:
+        """``manifests`` read by unit: the adopted set's own table, built
+        here only for a set no adopt brought (the empty start, a
+        handoff's install)."""
+        if self._table is None or self._table.manifests is not self.manifests:
+            self._table = ManifestTable.from_manifests(self.manifests)
+        return self._table
 
     # -- distribution -----------------------------------------------------
     @property
@@ -934,7 +915,7 @@ class Controller:
 
         reason = ""
         estimated = None
-        if self.deployment is None:
+        if self.assignment is None:
             if self.reports:
                 reason = "bootstrap"
         elif self._recovered:

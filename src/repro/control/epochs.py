@@ -53,7 +53,7 @@ import numpy as np
 
 from ..core.manifest import NodeManifest
 from ..core.manifest_io import joined_size, json_size, manifest_from_dict
-from ..core.manifest_table import ManifestTable, left_sum, run_starts
+from ..core.manifest_table import Manifests, ManifestTable, left_sum, run_starts
 from ..core.units import (
     KeyEligibility,
     UnitKey,
@@ -237,8 +237,8 @@ def merge_reports(reports: Iterable[TrafficReport]) -> TrafficReport:
 
 
 def stabilize_manifests(
-    previous: Dict[str, NodeManifest],
-    proposed: Dict[str, NodeManifest],
+    previous: Manifests,
+    proposed: Manifests,
     tolerance: float,
     allowed: Optional[Dict[Ident, Set[str]]] = None,
 ) -> Tuple[Dict[str, NodeManifest], Set[Ident]]:
@@ -265,9 +265,10 @@ def stabilize_manifests(
     A proposed row (``full`` manifests write none) is close to the
     previous row of its (unit, node) when both hold as many pieces and,
     each sorted by ``lo``, every endpoint moved at most *tolerance*.
+    Either set may come as its table.
     """
-    old = ManifestTable.from_manifests(previous)
-    new = ManifestTable.from_manifests(proposed)
+    old = ManifestTable.of(previous)
+    new = ManifestTable.of(proposed)
     was, now = old.columns, new.columns
     groups = old.unit_ids(new.units)
     # Each proposed row's previous twin (same unit, same node; -1: none).
@@ -293,7 +294,7 @@ def stabilize_manifests(
 
     result = {
         node: NodeManifest(node=node, full=manifest.full)
-        for node, manifest in proposed.items()
+        for node, manifest in new.manifests.items()
     }
     changed: Set[Ident] = set()
     idents, first = new.units, np.append(0, np.cumsum(rows)).tolist()

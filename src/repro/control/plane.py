@@ -345,6 +345,12 @@ class ScenarioConfig:
         check_duration("lease_ttl", self.lease_ttl)
         if self.replicas < 1:
             raise ValueError("a run needs at least one controller replica")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs!r}")
+        if self.reconverge_epochs < 0:
+            raise ValueError(
+                f"reconverge_epochs must be >= 0, got {self.reconverge_epochs!r}"
+            )
 
     @property
     def profiles(self) -> Set[str]:

@@ -28,6 +28,7 @@ from ..obs import COUNT_BUCKETS, get_registry
 from .manifest_table import (
     WHOLE,
     EntryKey,
+    Manifests,
     ManifestTable,
     fold_segments,
     row_mass,
@@ -286,10 +287,7 @@ def check_disjoint(
     return [Finding(REP102, subject, message)]
 
 
-def check_partition(
-    units: Units,
-    manifests: Mapping[str, NodeManifest],
-) -> List[Finding]:
+def check_partition(units: Units, manifests: Manifests) -> List[Finding]:
     """Fig. 2 partition: disjoint per node, exact r-fold cover, top at 1.0.
 
     (1) No node's own ranges for a unit overlap (a node never analyzes
@@ -311,15 +309,7 @@ def check_partition(
     sweep over the sorted endpoints, each segmented by unit.  Findings
     are rendered for failing units only.
     """
-    return _check_partition(units, manifests, ManifestTable.from_manifests(manifests))
-
-
-def _check_partition(
-    units: Units,
-    manifests: Mapping[str, NodeManifest],
-    table: ManifestTable,
-) -> List[Finding]:
-    """:func:`check_partition` over *table*, the set's table."""
+    table = ManifestTable.of(manifests)
     units = UnitTable.of(units)
     count = len(units)
     # Each checked unit's pieces, from every holder (the rows written
@@ -373,14 +363,15 @@ def _check_partition(
 
     failing = massless | uncovered | (seam <= EPSILON) | (top != 1.0)  # repnoqa: REP001 -- generation snaps the top exactly
     failing[list(overlapping)] = True
-    absent = ~units.entries_in(manifests.keys())
+    present = set(table.nodes)
+    absent = ~units.entries_in(present)
     failing[units.owner[absent]] = True
 
     findings: List[Finding] = []
     for u in np.flatnonzero(failing).tolist():
         label = unit_label(units.idents[u])
         for name in units.eligible[u]:
-            if name not in manifests:
+            if name not in present:
                 findings.append(
                     Finding(
                         REP101,
@@ -437,10 +428,7 @@ def _check_partition(
     return findings
 
 
-def check_on_path(
-    units: Units,
-    manifests: Mapping[str, NodeManifest],
-) -> List[Finding]:
+def check_on_path(units: Units, manifests: Manifests) -> List[Finding]:
     """Section 2.3: positive mass only on nodes of the unit's path.
 
     Every entry's mass folds from its table's flat columns at once;
@@ -449,20 +437,12 @@ def check_on_path(
     they are entries all the same: they are read through a table of
     their own.
     """
-    return _check_on_path(units, manifests, ManifestTable.from_manifests(manifests))
-
-
-def _check_on_path(
-    units: Units,
-    manifests: Mapping[str, NodeManifest],
-    table: ManifestTable,
-) -> List[Finding]:
-    """:func:`check_on_path` over *table*, the set's table."""
+    table = ManifestTable.of(manifests)
     units = UnitTable.of(units)
     written = {
-        node: NodeManifest(node=node, entries=manifest.entries)
-        for node, manifest in manifests.items()
-        if manifest.full and manifest.entries
+        node: NodeManifest(node=node, entries=table.manifests[node].entries)
+        for node in table.full_nodes
+        if table.manifests[node].entries
     }
     stray = _off_path(table, units)
     if written:
@@ -611,9 +591,7 @@ def check_assignment(
 
 
 def check_manifests_match_assignment(
-    units: Units,
-    assignment: NIDSAssignment,
-    manifests: Mapping[str, NodeManifest],
+    units: Units, assignment: NIDSAssignment, manifests: Manifests
 ) -> List[Finding]:
     """Per (unit, node): manifest mass must equal the solved ``d*``.
 
@@ -627,15 +605,7 @@ def check_manifests_match_assignment(
     holds 1.0, a node without an entry 0.0).  Nodes without a manifest
     are skipped.
     """
-    return _check_match(units, assignment, ManifestTable.from_manifests(manifests))
-
-
-def _check_match(
-    units: Units,
-    assignment: NIDSAssignment,
-    table: ManifestTable,
-) -> List[Finding]:
-    """:func:`check_manifests_match_assignment` over *table*, the set's table."""
+    table = ManifestTable.of(manifests)
     units = UnitTable.of(units)
     solved = assignment.gather(units)
     # Per (unit, eligible node), the pieces that node holds of the unit.
@@ -660,7 +630,7 @@ def _check_match(
 
 def check_deployment(
     units: Units,
-    manifests: Mapping[str, NodeManifest],
+    manifests: Manifests,
     assignment: Optional[NIDSAssignment] = None,
 ) -> List[Finding]:
     """:func:`check_partition` then :func:`check_on_path` and, with
@@ -668,25 +638,21 @@ def check_deployment(
     :func:`check_manifests_match_assignment` — read through one
     :class:`~repro.core.manifest_table.ManifestTable` of *manifests*."""
     units = UnitTable.of(units)
-    table = ManifestTable.from_manifests(manifests)
-    findings = _check_partition(units, manifests, table)
-    findings.extend(_check_on_path(units, manifests, table))
+    table = ManifestTable.of(manifests)
+    findings = check_partition(units, table)
+    findings.extend(check_on_path(units, table))
     if assignment is not None:
         findings.extend(check_assignment(units, assignment))
-        findings.extend(_check_match(units, assignment, table))
+        findings.extend(check_manifests_match_assignment(units, assignment, table))
     return findings
 
 
-def verify_manifests(
-    units: Units,
-    manifests: Mapping[str, NodeManifest],
-) -> None:
-    """Raising view of :func:`check_partition` and :func:`check_on_path`:
-    ``ValueError`` on the first finding."""
+def verify_manifests(units: Units, manifests: Manifests) -> None:
+    """Raising view of :func:`check_partition` and :func:`check_on_path`
+    over one table: ``ValueError`` on the first finding."""
     units = UnitTable.of(units)
-    raise_first(
-        check_partition(units, manifests) or check_on_path(units, manifests)
-    )
+    table = ManifestTable.of(manifests)
+    raise_first(check_partition(units, table) or check_on_path(units, table))
 
 
 def sampled_node(

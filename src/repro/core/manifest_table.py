@@ -21,15 +21,22 @@ the same gather), and :meth:`~ManifestTable.find_rows` matches a (unit,
 node) to its row (two versions row against row: the §5 transition
 metrics, churn suppression).
 
-A table is a snapshot.  Several writers assign ``manifest.entries[...]``
-in place after a set is generated (failure repair, the fenced-singleton
-restore), so build the table from the set that is final, where it is
-read, and do not keep it on an object whose manifests can still change.
+A table is a snapshot of the mapping it keeps as :attr:`~ManifestTable.manifests`,
+so build it once the set is final and carry it with the set: every reader
+takes either (:meth:`ManifestTable.of` returns a table unchanged and
+builds one for a mapping).  Carrying it is safe because an adopted set is
+never written in place: failure repair copies the manifests before it
+writes, a handoff's install decodes a fresh dict, and the controller
+replaces its ``manifests`` whole on every adopt.  The in-place writers
+(the repair's own loop, the fenced-singleton restore) run before the set
+is final, so the controller builds the table after the last of them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Mapping, NamedTuple, Sequence, Tuple, Union
+)
 
 import numpy as np
 
@@ -152,11 +159,14 @@ class ManifestTable:
 
     def __init__(
         self,
+        manifests: Mapping[str, "NodeManifest"],
         nodes: Tuple[str, ...],
         full_nodes: Tuple[str, ...],
         unit_index: Dict[EntryKey, int],
         columns: Columns,
     ):
+        #: The set the table was built from (by reference).
+        self.manifests = manifests
         #: Every node of the set, sorted (full or not, holding or not).
         self.nodes = nodes
         #: Nodes whose manifest is ``full=True``, sorted: holders of the
@@ -208,7 +218,14 @@ class ManifestTable:
             row_node=np.array(row_node, dtype=np.intp)[order],
             entries=grouped,
         )
-        return cls(nodes, tuple(full), unit_index, columns)
+        return cls(manifests, nodes, tuple(full), unit_index, columns)
+
+    @classmethod
+    def of(cls, manifests: "Manifests") -> "ManifestTable":
+        """*manifests* itself if a table, else the table of the set."""
+        if isinstance(manifests, ManifestTable):
+            return manifests
+        return cls.from_manifests(manifests)
 
     @property
     def units(self) -> Tuple[EntryKey, ...]:
@@ -294,3 +311,7 @@ class ManifestTable:
             (value < top) | ((top >= 1.0 - EPSILON) & (value <= 1.0))
         )
         return np.bincount(probe[inside], minlength=len(hash_values)) > 0
+
+
+#: What a manifest-set reader takes: the set, or its table.
+Manifests = Union[Mapping[str, "NodeManifest"], ManifestTable]

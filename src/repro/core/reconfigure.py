@@ -71,7 +71,8 @@ class TransitionColumns:
 
     * :attr:`duplicated`: per old unit, the hash-space mass its old
       holders keep mid-window that their new entries no longer hold
-      (what :meth:`TransitionPlan.duplicated_fraction` reports);
+      (what :meth:`TransitionPlan.duplicated_fraction` reports, and
+      :meth:`duplicated_share` weighs by packets);
     * :attr:`entries` / :attr:`unchanged`: how many ``(node, unit)``
       entries either version writes, and how many of them are identical
       in both.
@@ -116,6 +117,7 @@ class TransitionColumns:
         #: Per unit of the old table (``old.units`` order).
         self.duplicated = fold_segments(kept, was.row_unit, len(old.units))
         self.units = old.units
+        self._old = old
 
         # A matched row is unchanged when its pieces are, one for one.
         same = found & (now_count[match] == was_count)
@@ -134,6 +136,17 @@ class TransitionColumns:
         """Fraction of ``(node, unit)`` entries identical across the two
         versions (1.0 when neither writes any)."""
         return self.unchanged / self.entries if self.entries else 1.0
+
+    def duplicated_share(self, units: Units) -> float:
+        """Packet-weighted mean of :attr:`duplicated` over *units* (0.0
+        when they carry no packets; a unit the old version does not
+        write duplicates nothing), both totals left folds in unit order."""
+        table = UnitTable.of(units)
+        total = left_sum(table.pkts)
+        if total <= 0:
+            return 0.0
+        held = np.append(self.duplicated, 0.0)
+        return left_sum(table.pkts * held[self._old.unit_ids(table.idents)]) / total
 
 
 @dataclass
@@ -201,18 +214,6 @@ class TransitionPlan:
         :attr:`columns`).
         """
         return self._duplicated.get((class_name, key), 0.0)
-
-    def duplicated_share(self, units: Units) -> float:
-        """Packet-weighted mean of :meth:`duplicated_fraction` over
-        *units* (0.0 when they carry no packets), both totals left folds
-        in unit order."""
-        table = UnitTable.of(units)
-        total = left_sum(table.pkts)
-        if total <= 0:
-            return 0.0
-        held = np.append(self.columns.duplicated, 0.0)
-        at = self._old_table.unit_ids(table.idents)
-        return left_sum(table.pkts * held[at]) / total
 
     def orphaned_fraction(self, class_name: str, key: UnitKey) -> float:
         """Mass whose old holder is off the new routing path entirely.

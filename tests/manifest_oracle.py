@@ -90,12 +90,22 @@ def _left_sum(terms: Iterable[float]) -> float:
 def duplicated_fraction(
     old: NIDSDeployment, new: NIDSDeployment, class_name: str, key: UnitKey
 ) -> float:
+    return _duplicated(old.manifests, new.manifests, class_name, key)
+
+
+def _duplicated(
+    old: Mapping[str, NodeManifest],
+    new: Mapping[str, NodeManifest],
+    class_name: str,
+    key: UnitKey,
+) -> float:
     duplicated = 0.0
-    nodes = set(old.manifests) | set(new.manifests)
-    # Sorted: the float fold below must not depend on set order.
+    nodes = set(old) | set(new)
+    # Sorted: the float fold below must not depend on set order.  A node
+    # missing from one set (the empty set before a bootstrap) holds nothing.
     for node in sorted(nodes):
-        old_ranges = old.manifests[node].ranges(class_name, key)
-        new_ranges = new.manifests[node].ranges(class_name, key)
+        old_ranges = old[node].ranges(class_name, key) if node in old else ()
+        new_ranges = new[node].ranges(class_name, key) if node in new else ()
         # Mass held under either manifest, minus the overlap the
         # node keeps under both (not duplicated anywhere else).
         old_mass = _left_sum(r.length for r in old_ranges)
@@ -109,15 +119,20 @@ def duplicated_fraction(
 
 
 # -- repro.control.controller.Controller._adopt ----------------------------
-def duplicated_share(old: NIDSDeployment, new: NIDSDeployment) -> float:
-    """The epoch's packet-weighted duplicated fraction: one
-    :func:`duplicated_fraction` per unit of the new deployment."""
-    total = sum(u.pkts for u in new.units)
+def duplicated_share(
+    old: Mapping[str, NodeManifest],
+    new: Mapping[str, NodeManifest],
+    units: Iterable[CoordinationUnit],
+) -> float:
+    """The epoch's packet-weighted duplicated fraction from the set the
+    controller held to the one it adopted: one :func:`duplicated_fraction`
+    per adopted unit."""
+    units = list(units)
+    total = sum(u.pkts for u in units)
     if total <= 0:
         return 0.0
     duplicated = sum(
-        u.pkts * duplicated_fraction(old, new, u.class_name, u.key)
-        for u in new.units
+        u.pkts * _duplicated(old, new, u.class_name, u.key) for u in units
     )
     return duplicated / total
 

@@ -85,7 +85,7 @@ class TestGateRejects:
         )
         controller.step(0.25)
         assert controller.version == -1  # nothing adopted
-        assert controller.deployment is None
+        assert controller.assignment is None
         assert controller.manifests == {}
         assert controller.stats.rejections == 1
         assert controller.stats.resolves == 0
@@ -119,7 +119,7 @@ class TestGateRejects:
         controller.step(2.25)
         assert controller.version == 0  # healthy plan adopted
         assert controller.stats.resolves == 1
-        assert controller.deployment is not None
+        assert controller.assignment is not None
         assert controller.bus.stats.sent > 0  # pushes flow again
         assert controller.stats.rejections == 2  # no new rejections
 

@@ -330,6 +330,28 @@ class TestControlRun:
         assert "error: heartbeat_timeout must be finite and > 0" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--epochs", "0"], "epochs must be >= 1, got 0"),
+            (["run", "--resolve-every", "-2"], "resolve_every must be >= 0, got -2"),
+            (
+                ["chaos", "--reconverge-epochs", "-1"],
+                "reconverge_epochs must be >= 0, got -1",
+            ),
+        ],
+    )
+    def test_bad_run_length_is_a_usage_error(self, capsys, argv, message):
+        # Exit 2 before any epoch runs: zero epochs used to fail inside
+        # the run with "max() arg is an empty sequence", a negative
+        # re-plan period silently disabled periodic re-plans, and a
+        # negative budget ran every epoch to report a "budget -1" violation.
+        code = main(["control", *argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}" in captured.err
+        assert captured.out == ""
+
     def test_chaos_unknown_plan_exits_2(self, capsys):
         code = main(["control", "chaos", "--plan", "no-such-plan"])
         assert code == 2

@@ -18,7 +18,12 @@
   ``tests/manifest_oracle.py`` — ``TransitionPlan.duplicated_fraction``'s,
   the controller's packet-weighted fold and its unchanged-entry count —
   compared with ``==`` on Hypothesis manifest pairs, a crafted unit with
-  many holders, and the whole chaos runs above.
+  many holders, and the whole chaos runs above, where every adopt is
+  scored from the set the controller held (adopted or installed) to the
+  one it adopts.
+* Table builds: a set is tabled once, when final, and carried — at most
+  two builds per full re-plan and one per repair in an HA chaos run, no
+  mapping tabled twice, no adopted set written after its adoption.
 
 Seeded mutations each of which fails a test here: dropping the ``", "``
 term from ``joined_size`` (``test_wire_forms_equal_the_encoders``,
@@ -34,9 +39,13 @@ networkx, in ``routing.shortest_routes``
 ``test_a_square_ties_in_adjacency_order``); folding the duplicated
 mass with ``np.add.reduceat`` instead of the left-to-right steps
 (``test_many_holders_fold_left_to_right``,
-``test_columns_equal_the_per_unit_loops``).
+``test_columns_equal_the_per_unit_loops``); ``Controller._adopt``
+tabling the held set again (``test_each_set_is_tabled_once_and_carried``);
+``Controller.table`` keeping its first table after ``manifests`` is
+replaced (``test_the_held_table_follows_every_assignment_to_manifests``).
 """
 
+import copy
 import json
 import pickle
 from types import SimpleNamespace
@@ -326,18 +335,19 @@ def test_whole_runs_match_the_references(monkeypatch, plan, seed):
 
     adopt = Controller._adopt
 
-    def spy_adopt(self, manifests, units, assignment, now, reason):
-        previous, old = self.deployment, self.manifests
-        adopt(self, manifests, units, assignment, now, reason)
+    def spy_adopt(self, table, units, assignment, now, reason):
+        # Scored against the set this process held, adopted or installed
+        # from a handoff (a promoted leader's first re-plan included).
+        old = self.manifests
+        adopt(self, table, units, assignment, now, reason)
         record = self._epoch
         assert record.unchanged_entry_fraction == oracle.unchanged_fraction(
-            old, manifests
+            old, table.manifests
         )
-        if previous is not None and self.deployment is not None:
-            assert record.duplicated_fraction == oracle.duplicated_share(
-                previous, self.deployment
-            )
-            checked["adopt"] += 1
+        assert record.duplicated_fraction == oracle.duplicated_share(
+            old, table.manifests, units
+        )
+        checked["adopt"] += 1
 
     monkeypatch.setattr(Bus, "send", spy_send)
     monkeypatch.setattr(Controller, "_push", spy_push)
@@ -353,3 +363,91 @@ def test_whole_runs_match_the_references(monkeypatch, plan, seed):
     )
     run_chaos(config)
     assert all(checked.values()), checked
+
+
+@pytest.mark.parametrize(
+    "plan, replans",
+    [("leader-crash-mid-push", {"resolve"}), ("leader-partition", {"resolve", "repair"})],
+)
+def test_each_set_is_tabled_once_and_carried(monkeypatch, plan, replans):
+    # A re-plan tables the proposed and the final set (a repair only its
+    # final set) and carries the final set's table to the next re-plan;
+    # the set a process held is tabled there only after an install.
+    built = []  # every mapping tabled, kept alive so identities stay unique
+    from_manifests = ManifestTable.from_manifests.__func__
+
+    def spy_build(cls, manifests):
+        built.append(manifests)
+        return from_manifests(cls, manifests)
+
+    counts = []
+
+    def spy(method, kind):
+        call = getattr(Controller, method)
+
+        def wrapper(self, *args):
+            held, start = self.manifests, len(built)
+            call(self, *args)
+            fresh = not any(m is held for m in built[:start])
+            counts.append((kind, len(built) - start - fresh))
+
+        monkeypatch.setattr(Controller, method, wrapper)
+
+    adopted = []
+    adopt = Controller._adopt
+
+    def spy_adopt(self, table, *args):
+        adopt(self, table, *args)
+        adopted.append((table.manifests, copy.deepcopy(dict(table.manifests))))
+
+    monkeypatch.setattr(ManifestTable, "from_manifests", classmethod(spy_build))
+    spy("_resolve", "resolve")
+    spy("_repair", "repair")
+    monkeypatch.setattr(Controller, "_adopt", spy_adopt)
+    topology = by_label("internet2")
+    run_chaos(
+        ScenarioConfig(
+            plan=build_plan(plan, 7, 18, topology.node_names), seed=7, replicas=3
+        )
+    )
+    assert {kind for kind, _ in counts} == replans
+    assert all(n <= 2 for kind, n in counts if kind == "resolve"), counts
+    assert all(n == 1 for kind, n in counts if kind == "repair"), counts
+    assert len({id(m) for m in built}) == len(built)  # none tabled twice
+    assert adopted
+    for manifests, held in adopted:
+        assert manifests == held  # never written after its adoption
+
+
+def test_a_promoted_leader_scores_against_the_installed_configuration():
+    # The standby promoted after the crash never planned, so its first
+    # re-plan is a bootstrap; its transition still starts from the
+    # configuration it installed from the handoff, not from nothing.
+    topology = by_label("internet2")
+    result = run_chaos(
+        ScenarioConfig(
+            plan=build_plan("leader-crash-mid-push", 7, 18, topology.node_names),
+            seed=7,
+        )
+    )
+    (first,) = [
+        r.record
+        for r in result.records
+        if r.record is not None
+        and r.record.resolved == "bootstrap"
+        and r.leader != "controller"
+    ]
+    assert first.epoch == 6
+    assert first.duplicated_fraction == pytest.approx(0.185678, abs=1e-6)
+
+
+def test_the_held_table_follows_every_assignment_to_manifests():
+    # An install replaces ``manifests`` without an adopt: the next read
+    # tables the new set, once.
+    topology = by_label("internet2")
+    controller = Controller(topology, PathSet(topology), (), Bus())
+    for manifests in ({}, {"CHIN": NodeManifest("CHIN")}, {}):
+        controller.manifests = manifests
+        table = controller.table
+        assert table.manifests is manifests
+        assert controller.table is table

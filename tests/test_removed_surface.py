@@ -151,6 +151,24 @@ class TestRemovedSurface:
         assert not hasattr(manifest_table, "Holder")
         assert not hasattr(epochs, "_ranges_close")
 
+    def test_a_manifest_set_is_tabled_once(self):
+        # Every check reads the one table its public entry takes; the
+        # controller holds its set's table and scores each transition
+        # from two tables, without a deployment or a TransitionPlan.
+        import repro.control.controller as controller
+        import repro.core.manifest as manifest
+        from repro.core.reconfigure import TransitionPlan
+        from repro.topology import PathSet, by_label
+
+        for name in ("_check_partition", "_check_on_path", "_check_match"):
+            assert not hasattr(manifest, name)
+        assert not hasattr(TransitionPlan, "duplicated_share")
+        for name in ("NIDSDeployment", "UnitResolver", "plan_transition"):
+            assert not hasattr(controller, name)
+        topology = by_label("internet2")
+        process = controller.Controller(topology, PathSet(topology), (), Bus())
+        assert not hasattr(process, "deployment")
+
     def test_the_unread_trace_stats_are_gone(self):
         import repro.traffic
 
