@@ -9,7 +9,8 @@ closes that loop at runtime:
    the (lossy) management bus; the latest report per ingress is cached
    so a silent node's traffic is still planned from its last word.
 2. **Decide** — each epoch the controller re-plans when (a) it has
-   never planned ("bootstrap"), (b) a failed node recovered
+   never planned ("bootstrap", or "takeover" when it holds a
+   configuration installed from a handoff), (b) a failed node recovered
    ("recovery": full LP re-solve reintegrating it), (c) heartbeats
    timed out ("failure": *targeted* redistribution of just the dead
    node's hash ranges — see :mod:`repro.control.failure`), (d) the
@@ -916,8 +917,8 @@ class Controller:
         reason = ""
         estimated = None
         if self.assignment is None:
-            if self.reports:
-                reason = "bootstrap"
+            if self.reports:  # a handoff install holds a version
+                reason = "bootstrap" if self.version < 0 else "takeover"
         elif self._recovered:
             reason = "recovery"
         elif newly_failed or fence_event:

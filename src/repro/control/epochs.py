@@ -98,9 +98,9 @@ class EpochRecord:
     time: float
     sessions: int = 0
     failed_nodes: Tuple[str, ...] = ()
-    #: Why the controller produced new manifests this epoch
-    #: ("bootstrap", "drift", "periodic", "failure", "recovery"), or ""
-    #: if the configuration was left untouched.
+    #: Why the controller produced new manifests this epoch ("bootstrap",
+    #: "takeover", "drift", "periodic", "failure", "recovery"), or "" if
+    #: the configuration was left untouched.
     resolved: str = ""
     config_version: int = -1
     pushes_full: int = 0

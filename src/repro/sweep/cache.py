@@ -37,8 +37,9 @@ from .spec import SweepCell
 #: different session stream for the same seed).  3: the trace generator
 #: draws from ``numpy.random.Generator`` in blocks.  4: scripted cells
 #: run with epoch leases, a version-only re-plan is an empty delta, and
-#: chaos cells draw their volumes from their dynamics preset.
-CACHE_FORMAT_VERSION = 4
+#: chaos cells draw their volumes from their dynamics preset.  5: a
+#: promoted standby's first re-plan is a "takeover", not a "bootstrap".
+CACHE_FORMAT_VERSION = 5
 
 
 def canonical_json(payload: object) -> str:

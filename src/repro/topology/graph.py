@@ -2,9 +2,9 @@
 
 A :class:`Topology` is an undirected graph of NIDS/NIPS-capable nodes
 (PoPs or routers) with per-node resource capacities and per-link
-distances.  It is a thin, typed wrapper over :mod:`networkx` so routing
-can reuse the library's shortest-path machinery while the rest of the
-code sees a stable domain vocabulary.
+distances.  It holds its own adjacency — for each node, neighbour →
+distance in the order the links were first added — which routing reads
+directly (:func:`repro.topology.routing.shortest_routes`).
 
 Capacities follow the paper's general heterogeneous model: each node
 ``R_j`` carries ``CpuCap_j`` (packets or CPU-seconds per interval),
@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-
-import networkx as nx
 
 
 @dataclass
@@ -42,30 +40,42 @@ class LinkSpec:
     b: str
     distance: float = 1.0
 
-    def endpoints(self) -> Tuple[str, str]:
-        """The link's two node names."""
-        return (self.a, self.b)
-
 
 class Topology:
-    """Undirected capacitated network of candidate NIDS/NIPS locations."""
+    """Undirected capacitated network of candidate NIDS/NIPS locations.
+
+    ``adjacency[a][b]`` is the (a, b) link's distance (read-only), each
+    node's neighbours in first-added order: a link given again, either
+    way round, keeps its place and takes the last distance.
+    """
 
     def __init__(self, name: str, nodes: Iterable[NodeSpec], links: Iterable[LinkSpec]):
         self.name = name
         self._nodes: Dict[str, NodeSpec] = {}
-        self._graph = nx.Graph()
+        self.adjacency: Dict[str, Dict[str, float]] = {}
+        self._links: List[Tuple[str, str]] = []  # first-added orientation
         for node in nodes:
             if node.name in self._nodes:
                 raise ValueError(f"duplicate node {node.name!r}")
             self._nodes[node.name] = node
-            self._graph.add_node(node.name)
+            self.adjacency[node.name] = {}
         for link in links:
             if link.a not in self._nodes or link.b not in self._nodes:
                 raise ValueError(f"link {link} references unknown node")
             if link.distance <= 0:
                 raise ValueError(f"link {link} has non-positive distance")
-            self._graph.add_edge(link.a, link.b, distance=float(link.distance))
-        if len(self._nodes) and not nx.is_connected(self._graph):
+            if link.b not in self.adjacency[link.a]:
+                self._links.append((link.a, link.b))
+            distance = float(link.distance)
+            self.adjacency[link.a][link.b] = self.adjacency[link.b][link.a] = distance
+        reached = set(self.node_names[:1])
+        stack = list(reached)
+        while stack:  # a walk over the links from the first node
+            for b in self.adjacency[stack.pop()]:
+                if b not in reached:
+                    reached.add(b)
+                    stack.append(b)
+        if len(reached) < len(self._nodes):
             raise ValueError(f"topology {name!r} is not connected")
 
     # -- node access ------------------------------------------------------
@@ -91,22 +101,20 @@ class Topology:
     # -- link access ------------------------------------------------------
     @property
     def links(self) -> List[LinkSpec]:
-        """All links as :class:`LinkSpec` values."""
-        return [
-            LinkSpec(a, b, data["distance"]) for a, b, data in self._graph.edges(data=True)
-        ]
+        """All links as :class:`LinkSpec` values, in first-added order."""
+        return [LinkSpec(a, b, self.adjacency[a][b]) for a, b in self._links]
 
     def degree(self, name: str) -> int:
-        """Number of links incident to *name*."""
-        return int(self._graph.degree[name])
+        """Number of link ends at *name* (a self-loop counts twice)."""
+        return len(self.adjacency[name]) + (name in self.adjacency[name])
 
     def neighbors(self, name: str) -> List[str]:
         """Sorted adjacent node names."""
-        return sorted(self._graph.neighbors(name))
+        return sorted(self.adjacency[name])
 
     def link_distance(self, a: str, b: str) -> float:
         """Routing distance of the (a, b) link."""
-        return float(self._graph.edges[a, b]["distance"])
+        return self.adjacency[a][b]
 
     # -- capacity mutation --------------------------------------------------
     def set_uniform_capacities(
@@ -142,13 +150,9 @@ class Topology:
         """City populations keyed by node name (gravity-model input)."""
         return {name: spec.population for name, spec in self._nodes.items()}
 
-    # -- interop ------------------------------------------------------------
-    def graph(self) -> nx.Graph:
-        """The underlying networkx graph (treat as read-only)."""
-        return self._graph
-
     def copy(self) -> "Topology":
-        """Deep copy (capacity edits on the copy leave the original alone)."""
+        """Deep copy (capacity edits on the copy leave the original alone);
+        replaying :attr:`links` rebuilds the same adjacency."""
         nodes = [
             NodeSpec(
                 name=n.name,

@@ -12,10 +12,11 @@ NIPS objective (Eq. 7).
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from itertools import count
+from typing import Dict, Iterator, List, Mapping, Tuple
 
-import networkx as nx
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
@@ -65,42 +66,54 @@ class Path:
         """0-based index of *node* on the path."""
         return self.nodes.index(node)
 
-    def downstream_nodes(self, node: str) -> Tuple[str, ...]:
-        """Nodes strictly after *node* on the path."""
-        return self.nodes[self.position(node) + 1 :]
 
-    def upstream_nodes(self, node: str) -> Tuple[str, ...]:
-        """Nodes strictly before *node* on the path."""
-        return self.nodes[: self.position(node)]
-
-    @property
-    def pair(self) -> Tuple[str, str]:
-        """The (ingress, egress) tuple."""
-        return (self.ingress, self.egress)
+def _settle(
+    adjacency: Mapping[str, Mapping[str, float]], source: str
+) -> Dict[str, Tuple[str, ...]]:
+    """Every node's route from *source*, ties broken as
+    :func:`shortest_routes` states."""
+    routes = {source: (source,)}
+    best = {source: 0.0}
+    settled = set()
+    pushes = count()
+    heap = [(0.0, next(pushes), source)]
+    while heap:
+        reach, _, node = heapq.heappop(heap)
+        if node in settled:
+            continue  # an entry superseded by a shorter push
+        settled.add(node)
+        for neighbor, length in adjacency[node].items():
+            further = reach + length
+            if further < best.get(neighbor, np.inf):
+                best[neighbor] = further
+                heapq.heappush(heap, (further, next(pushes), neighbor))
+                routes[neighbor] = routes[node] + (neighbor,)
+    return routes
 
 
 def shortest_routes(topology: Topology) -> List[List[Tuple[str, ...]]]:
     """``routes[i][j]``: the shortest route from node *i* to node *j*
-    (indices into ``topology.node_names``) on link ``distance``, the one
-    networkx's ``all_pairs_dijkstra_path`` returns.
+    (indices into ``topology.node_names``) on link ``distance``.
 
-    The distances come from one C shortest-path pass.  A predecessor is
-    *tight* when its distance plus the link's equals the node's.  From a
-    source where every node has one tight predecessor, nearer than the
-    node, that predecessor is the route's; a source with a tie is left
-    to networkx, whose order (settle order, then adjacency order)
-    decides it.
+    The tie rule (networkx's): equal distances settle in the order they
+    were first reached, and a node's route extends the neighbour's that
+    first strictly improved its distance, links relaxed in
+    ``topology.adjacency`` order.  The distances come from one C
+    shortest-path pass.  A predecessor is *tight* when its distance plus
+    the link's equals the node's.  From a source where every node has
+    one tight predecessor, nearer than the node, that predecessor is the
+    route's; a source with a tie is settled by :func:`_settle`.
     """
-    graph = topology.graph()
+    adjacency = topology.adjacency
     names = topology.node_names
     index = {name: k for k, name in enumerate(names)}
     n = len(names)
     tail, head, weight = [], [], []
     for name in names:
-        for neighbor, data in graph.adj[name].items():
+        for neighbor, distance in adjacency[name].items():
             tail.append(index[name])
             head.append(index[neighbor])
-            weight.append(data["distance"])
+            weight.append(distance)
     tails, heads = np.array(tail, dtype=np.intp), np.array(head, dtype=np.intp)
     weights = np.array(weight, dtype=np.float64)
     dist = dijkstra(csr_matrix((weights, (tails, heads)), shape=(n, n)), directed=True)
@@ -116,10 +129,8 @@ def shortest_routes(topology: Topology) -> List[List[Tuple[str, ...]]]:
     routes = []
     for source in range(n):
         if tied[source]:
-            found = nx.single_source_dijkstra_path(
-                graph, names[source], weight="distance"
-            )
-            routes.append([tuple(found[name]) for name in names])
+            settled = _settle(adjacency, names[source])
+            routes.append([settled[name] for name in names])
             continue
         row = pred[source].tolist()
         held: List[Tuple[str, ...]] = [()] * n
@@ -134,9 +145,10 @@ class PathSet:
     """All ingress–egress routing paths for a topology.
 
     Paths are shortest on link ``distance``, computed once per topology
-    by :func:`shortest_routes` — one C shortest-path pass, networkx's
-    tie order — so repeated runs see identical routing and every route
-    is the one ``nx.all_pairs_dijkstra_path`` gives.
+    by :func:`shortest_routes` — one C shortest-path pass, ties settled
+    in first-reached order with links relaxed in adjacency order — so
+    repeated runs see identical routing, and a copy of the topology
+    routes as the original does.
     Intra-node "paths" (ingress == egress) are single-node paths: such
     traffic is only observable at its own PoP, exactly as in the paper's
     model.
@@ -200,12 +212,6 @@ class PathSet:
         """All ordered pairs with materialized paths."""
         return list(self._routes)
 
-    def paths_through(self, node: str) -> List[Path]:
-        """All paths on which *node* lies (it can observe that traffic)."""
-        return [
-            self.path(*pair) for pair, nodes in self._routes.items() if node in nodes
-        ]
-
     # -- distances ----------------------------------------------------------
     def downstream_distance(
         self, path: Path, node: str, metric: DistanceMetric = DistanceMetric.HOPS
@@ -224,20 +230,3 @@ class PathSet:
         for a, b in zip(path.nodes[position:], path.nodes[position + 1 :]):
             remaining += self.topology.link_distance(a, b)
         return remaining + 1.0  # the local hop itself
-
-    def distance_table(
-        self, metric: DistanceMetric = DistanceMetric.HOPS
-    ) -> Dict[Tuple[str, str], Dict[str, float]]:
-        """``{(ingress, egress): {node: Dist}}`` for every path."""
-        return {
-            path.pair: {
-                node: self.downstream_distance(path, node, metric) for node in path.nodes
-            }
-            for path in self
-        }
-
-    # -- statistics ----------------------------------------------------------
-    def mean_path_length(self) -> float:
-        """Mean hop count over inter-node paths (sanity metric for tests)."""
-        lengths = [len(nodes) for (a, b), nodes in self._routes.items() if a != b]
-        return sum(lengths) / len(lengths) if lengths else 0.0

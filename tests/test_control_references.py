@@ -10,9 +10,11 @@
   the dicts themselves must encode as ``manifest_to_dict`` /
   ``manifest_diff``'s do.
 * Routing: ``PathSet`` (one C shortest-path pass; a source with a tie
-  is left to networkx) against ``nx.all_pairs_dijkstra_path`` on the
-  nine dataset topologies and on Hypothesis graphs with link lengths
-  1–2, where ties are dense.
+  is settled by ``routing._settle``) against
+  ``nx.all_pairs_dijkstra_path`` over the topology's links on the nine
+  dataset topologies and on Hypothesis graphs with link lengths 1–2,
+  where ties are dense, and a link of 1e-17, too short to change a
+  float distance; a ``Topology.copy()`` routes as its original.
 * Transitions: ``TransitionColumns`` (one pass over both versions'
   ``ManifestTable`` columns) against the per-unit loops in
   ``tests/manifest_oracle.py`` — ``TransitionPlan.duplicated_fraction``'s,
@@ -31,18 +33,23 @@ term from ``joined_size`` (``test_wire_forms_equal_the_encoders``,
 ``ConfigurationWire``'s entry cache by ident only
 (``test_wire_forms_equal_the_encoders``,
 ``test_entry_cache_tells_ranges_apart``); breaking a routing tie by node
-name — a tied source's networkx search run over the links in name order
-instead of the graph's adjacency order — or by node index, taking a
-tied source's routes from the tight-predecessor table instead of
-networkx, in ``routing.shortest_routes``
-(``test_routes_equal_networkx_on_tied_graphs``,
-``test_a_square_ties_in_adjacency_order``); folding the duplicated
-mass with ``np.add.reduceat`` instead of the left-to-right steps
-(``test_many_holders_fold_left_to_right``,
+name — ``_settle``'s heap ordering equal distances by name instead of
+first push — or by node index, taking a tied source's routes from the
+tight-predecessor table instead of ``_settle``, in
+``routing.shortest_routes`` (``test_routes_equal_networkx_on_tied_graphs``,
+``test_a_square_ties_in_adjacency_order``); ``_settle`` relaxing with
+``<=`` (``test_routes_equal_networkx_on_tied_graphs``);
+``Topology.links`` listing links in adjacency-walk order instead of
+first-added order (``test_a_copy_routes_as_its_original``); folding
+the duplicated mass with ``np.add.reduceat`` instead of the
+left-to-right steps (``test_many_holders_fold_left_to_right``,
 ``test_columns_equal_the_per_unit_loops``); ``Controller._adopt``
 tabling the held set again (``test_each_set_is_tabled_once_and_carried``);
 ``Controller.table`` keeping its first table after ``manifests`` is
-replaced (``test_the_held_table_follows_every_assignment_to_manifests``).
+replaced (``test_the_held_table_follows_every_assignment_to_manifests``);
+``Controller.step`` labelling every re-plan without an assignment
+"bootstrap"
+(``test_a_promoted_leader_scores_against_the_installed_configuration``).
 """
 
 import copy
@@ -177,7 +184,11 @@ def test_entry_cache_tells_ranges_apart():
 
 # -- Routing -------------------------------------------------------------------
 def _networkx_routes(topology):
-    shortest = dict(nx.all_pairs_dijkstra_path(topology.graph(), weight="distance"))
+    graph = nx.Graph()
+    graph.add_nodes_from(topology.node_names)
+    for link in topology.links:
+        graph.add_edge(link.a, link.b, distance=link.distance)
+    shortest = dict(nx.all_pairs_dijkstra_path(graph, weight="distance"))
     return [
         [tuple(shortest[a][b]) if a != b else (a,) for b in topology.node_names]
         for a in topology.node_names
@@ -197,7 +208,8 @@ def test_routes_equal_networkx_on_the_datasets(label):
 def _tied_graphs(draw):
     """Connected graphs whose links are 1 or 2 long: equal-length routes
     abound.  Names and link order are drawn too — networkx's tie order
-    follows the adjacency, not the names."""
+    follows the adjacency, not the names — and one link may be level,
+    1e-17 long, so that its two ends sit at the same float distance."""
     n = draw(st.integers(2, 9))
     names = draw(st.permutations([f"r{k}" for k in range(n)]))
     links = {}
@@ -208,10 +220,14 @@ def _tied_graphs(draw):
         if a != b:
             links.setdefault(frozenset((a, b)), None)
     order = draw(st.permutations(sorted(tuple(sorted(pair)) for pair in links)))
+    level = draw(st.integers(-1, len(order) - 1))  # -1: no level link
     return Topology(
         "tied",
         [NodeSpec(name=name) for name in names],
-        [LinkSpec(a, b, draw(st.integers(1, 2))) for a, b in order],
+        [
+            LinkSpec(a, b, 1e-17 if k == level else draw(st.integers(1, 2)))
+            for k, (a, b) in enumerate(order)
+        ],
     )
 
 
@@ -219,6 +235,27 @@ def _tied_graphs(draw):
 @given(_tied_graphs())
 def test_routes_equal_networkx_on_tied_graphs(topology):
     assert shortest_routes(topology) == _networkx_routes(topology)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tied_graphs())
+def test_a_copy_routes_as_its_original(topology):
+    assert shortest_routes(topology.copy()) == shortest_routes(topology)
+
+
+def test_a_copy_keeps_each_nodes_link_order():
+    """``B`` first meets ``S``, then ``X``, then ``A``; ``S`` reaches ``T``
+    through ``X`` or ``A``, both 3 long, and ``X`` is reached first.  A
+    copy that replayed the links in an adjacency walk's order would put
+    ``A`` before ``X`` at ``B``."""
+    topology = Topology(
+        "copy",
+        [NodeSpec(name=name) for name in "SABXT"],
+        [LinkSpec("S", "B"), LinkSpec("B", "X"), LinkSpec("A", "B"),
+         LinkSpec("X", "T"), LinkSpec("A", "T")],
+    )
+    for routed in (topology, topology.copy()):
+        assert PathSet(routed).path("S", "T").nodes == ("S", "B", "X", "T")
 
 
 def test_a_square_ties_in_adjacency_order():
@@ -421,8 +458,9 @@ def test_each_set_is_tabled_once_and_carried(monkeypatch, plan, replans):
 
 def test_a_promoted_leader_scores_against_the_installed_configuration():
     # The standby promoted after the crash never planned, so its first
-    # re-plan is a bootstrap; its transition still starts from the
-    # configuration it installed from the handoff, not from nothing.
+    # re-plan is a takeover (not a bootstrap: it holds a version); its
+    # transition starts from the configuration it installed from the
+    # handoff, not from nothing.
     topology = by_label("internet2")
     result = run_chaos(
         ScenarioConfig(
@@ -434,7 +472,7 @@ def test_a_promoted_leader_scores_against_the_installed_configuration():
         r.record
         for r in result.records
         if r.record is not None
-        and r.record.resolved == "bootstrap"
+        and r.record.resolved == "takeover"
         and r.leader != "controller"
     ]
     assert first.epoch == 6

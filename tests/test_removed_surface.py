@@ -169,6 +169,27 @@ class TestRemovedSurface:
         process = controller.Controller(topology, PathSet(topology), (), Bus())
         assert not hasattr(process, "deployment")
 
+    def test_topology_routes_without_networkx(self):
+        # The topology owns its adjacency and routing its tie rule; the
+        # graph accessor and the path helpers nothing read are gone, and
+        # with them their tests (test_paths_through,
+        # test_mean_path_length_reasonable, test_distance_table_shape).
+        from repro.topology import LinkSpec, Path, PathSet, Topology
+
+        assert not hasattr(Topology, "graph")
+        assert not hasattr(LinkSpec, "endpoints")
+        for name in ("downstream_nodes", "upstream_nodes", "pair"):
+            assert not hasattr(Path, name)
+        for name in ("paths_through", "distance_table", "mean_path_length"):
+            assert not hasattr(PathSet, name)
+        tests = importlib.import_module("tests.test_routing")
+        test_names = set(dir(tests.TestPathSet)) | set(dir(tests.TestDownstreamDistance))
+        assert not test_names & {
+            "test_paths_through",
+            "test_mean_path_length_reasonable",
+            "test_distance_table_shape",
+        }
+
     def test_the_unread_trace_stats_are_gone(self):
         import repro.traffic
 

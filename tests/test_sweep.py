@@ -217,10 +217,11 @@ class TestArtifactCache:
     def test_format_2_artifact_is_a_miss(self, tmp_path, monkeypatch):
         """Format 2 cached cells run on the ``random.Random`` session
         stream, format 3 ones without scripted leases and with chaos
-        cells off their dynamics preset; none of them may be served for
-        format 4."""
-        assert sweep_cache.CACHE_FORMAT_VERSION == 4
-        for old_format in (2, 3):
+        cells off their dynamics preset, format 4 ones label a promoted
+        standby's first re-plan "bootstrap"; none of them may be served
+        for format 5."""
+        assert sweep_cache.CACHE_FORMAT_VERSION == 5
+        for old_format in (2, 3, 4):
             cache = ArtifactCache(str(tmp_path / str(old_format)))
             cell = SweepCell()
             with monkeypatch.context() as patched:

@@ -2,7 +2,10 @@
 
 import math
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.topology import (
     LinkSpec,
@@ -73,6 +76,41 @@ class TestTopologyModel:
         clone.scale_capacity("a", cpu_factor=10.0)
         assert topo.node("a").cpu_capacity == 1.0
         assert clone.node("a").cpu_capacity == 10.0
+
+
+@st.composite
+def _link_lists(draw):
+    """Nodes in a drawn order and links among them: repeats in either
+    orientation, self-loops, and often a node left unlinked."""
+    n = draw(st.integers(1, 6))
+    names = draw(st.permutations([f"r{k}" for k in range(n)]))
+    end = st.sampled_from(names)
+    links = draw(st.lists(st.builds(LinkSpec, end, end, st.integers(1, 3)), max_size=12))
+    return names, links
+
+
+@settings(max_examples=300, deadline=None)
+@given(_link_lists())
+def test_topology_agrees_with_networkx(drawn):
+    """Adjacency (order and distances), connectivity and degree equal an
+    ``nx.Graph`` fed the same links; a copy rebuilds the same adjacency."""
+    names, links = drawn
+    graph = nx.Graph()
+    graph.add_nodes_from(names)
+    for link in links:
+        graph.add_edge(link.a, link.b, distance=float(link.distance))
+    nodes = [NodeSpec(name) for name in names]
+    if not nx.is_connected(graph):
+        with pytest.raises(ValueError, match="not connected"):
+            Topology("drawn", nodes, links)
+        return
+    topology = Topology("drawn", nodes, links)
+    expected = [
+        (a, [(b, data["distance"]) for b, data in graph.adj[a].items()]) for a in names
+    ]
+    for built in (topology, topology.copy()):
+        assert [(a, list(adj.items())) for a, adj in built.adjacency.items()] == expected
+    assert [topology.degree(a) for a in names] == [graph.degree[a] for a in names]
 
 
 class TestInternet2:
