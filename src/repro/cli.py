@@ -27,6 +27,7 @@ Run ``python -m repro.cli <command> --help`` for per-command options.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import random
 import sys
@@ -177,12 +178,23 @@ def cmd_emulate(args) -> int:
     return 0
 
 
+def _usage_error(message: str) -> int:
+    """Print *message* as an ``error:`` line; the usage-error exit status."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_solve_nips(args) -> int:
     """Handle ``solve-nips``: relaxation bound plus one rounding variant."""
+    # Refused before the relaxation is solved, not after.
+    if args.rules < 1:
+        return _usage_error(f"rules must be >= 1, got {args.rules}")
+    if not (math.isfinite(args.cam_fraction) and args.cam_fraction >= 0.0):
+        return _usage_error(
+            f"cam_fraction must be finite and >= 0, got {args.cam_fraction}"
+        )
     if args.iterations < 1:
-        # Refused before the relaxation is solved, not after.
-        print(f"error: iterations must be >= 1, got {args.iterations}", file=sys.stderr)
-        return 2
+        return _usage_error(f"iterations must be >= 1, got {args.iterations}")
     topology = by_label(args.topology).set_uniform_capacities(
         cpu=DEFAULT_CPU_CAP_PACKETS,
         mem=DEFAULT_MEM_CAP_FLOWS,
@@ -222,6 +234,8 @@ def cmd_online(args) -> int:
     """Handle ``online``: print the FPL regret trajectory."""
     from .experiments.online_adaptation import build_online_problem
 
+    if args.rules < 1:
+        return _usage_error(f"rules must be >= 1, got {args.rules}")
     problem = build_online_problem(num_rules=args.rules)
     process = UniformProcess(problem, seed=args.seed)
     config = FPLConfig(

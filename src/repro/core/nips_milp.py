@@ -226,9 +226,13 @@ def build_nips_problem(
 
     Volumes default to the Internet2 baseline (8M flows / 40M packets
     per 5-minute interval) scaled linearly with network size, split
-    across ordered node pairs by the gravity model.
+    across ordered node pairs by the gravity model.  A problem has at
+    least one rule (else a ``ValueError``).
     """
     from ..topology.gravity import gravity_fractions
+
+    if not rules:
+        raise ValueError("a NIPS problem needs at least one rule")
 
     size_factor = len(topology) / INTERNET2_SIZE
     if total_flows is None:
@@ -448,6 +452,9 @@ def compile_nips_polytope(problem: NIPSProblem) -> NIPSPolytope:
     )
     worth = np.flatnonzero(layout.value > 0.0)
     lp.set_objective(worth, layout.value[worth], Sense.MAXIMIZE)
+    # Presolve removes no column of these rows and, with its postsolve and
+    # re-solve, costs HiGHS more time than it saves (EXPERIMENTS.md §3.4).
+    lp.presolve = False
     return NIPSPolytope(problem=problem, compiled=lp.compile())
 
 
@@ -464,9 +471,10 @@ def build_nips_lp(problem: NIPSProblem, integral: bool = False) -> BuiltNIPSLP:
     """Construct Eqs. 7–14: the ``e`` block, Eq. 12 and Eq. 8 wrapped
     around the compiled ``d``-only polytope.
 
-    ``integral=False`` builds the LP relaxation (``0 <= e <= 1``).
-    Rows are Eq. 12 (one per ``d``), Eq. 8 (one per node), then the
-    polytope's own Eqs. 9–11.
+    ``integral=False`` builds the LP relaxation (``0 <= e <= 1``),
+    solved without presolve like the polytope's views; the integral
+    program keeps it for branch-and-bound.  Rows are Eq. 12 (one per
+    ``d``), Eq. 8 (one per node), then the polytope's own Eqs. 9–11.
     """
     polytope = compile_nips_polytope(problem)
     inner, layout = polytope.compiled, polytope.layout
@@ -480,6 +488,8 @@ def build_nips_lp(problem: NIPSProblem, integral: bool = False) -> BuiltNIPSLP:
     )
     if integral:
         lp.binary_indices.extend(e)
+    else:
+        lp.presolve = False
     d = lp.add_variables(
         inner.num_variables, lambda: list(inner.variable_names), lb=0.0, ub=1.0
     )

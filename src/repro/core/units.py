@@ -328,10 +328,38 @@ def pair_unit_keys(
     pairs: Sequence[Tuple[str, str]], scope: Scope
 ) -> Tuple[List[UnitKey], np.ndarray]:
     """The distinct *scope* unit keys of routing *pairs* (first-seen order)
-    and each pair's index into them."""
-    ids: Dict[UnitKey, int] = {}
-    pair_unit = [ids.setdefault(unit_key(scope, *pair), len(ids)) for pair in pairs]
-    return list(ids), np.array(pair_unit, dtype=np.intp)
+    and each pair's index into them: :func:`unit_key` of every pair.
+
+    Each end is coded once, by its rank among the nodes named, so a path
+    key's order (``ingress <= egress``) compares codes; each distinct
+    key is a code, and its tuple is built once.
+    """
+    if not pairs:
+        return [], np.empty(0, dtype=np.intp)
+    ingress, egress = zip(*pairs)
+    if scope is Scope.PATH:
+        ends = (ingress, egress)
+    else:
+        ends = (ingress,) if scope is Scope.INGRESS else (egress,)
+    nodes = sorted(set().union(*ends))
+    rank = {node: n for n, node in enumerate(nodes)}
+    coded = [
+        np.fromiter(map(rank.__getitem__, end), np.intp, len(pairs)) for end in ends
+    ]
+    if scope is Scope.PATH:
+        code = np.minimum(*coded) * len(nodes) + np.maximum(*coded)
+    else:
+        (code,) = coded
+    distinct, first, pair_code = np.unique(code, return_index=True, return_inverse=True)
+    seen = np.argsort(first)  # distinct codes in first-seen order
+    pair_unit = np.empty(len(seen), dtype=np.intp)
+    pair_unit[seen] = np.arange(len(seen))
+    width = len(nodes) if scope is Scope.PATH else None
+    keys = [
+        (nodes[c],) if width is None else (nodes[c // width], nodes[c % width])
+        for c in distinct[seen].tolist()
+    ]
+    return keys, pair_unit[pair_code]
 
 
 def session_unit_keys(

@@ -204,6 +204,9 @@ class LinearProgram:
         #: Variables the solver keeps integral (binary by their ``[0, 1]``
         #: bounds); a program without any is an LP.
         self.binary_indices: List[int] = []
+        #: Whether HiGHS presolves the program before solving it; the
+        #: builder of a program that presolve does not shrink turns it off.
+        self.presolve = True
 
     # -- construction -----------------------------------------------------
     def add_variables(
@@ -326,6 +329,7 @@ class LinearProgram:
             eq_names=eq_names,
             name=self.name,
             binary_indices=tuple(self.binary_indices),
+            presolve=self.presolve,
         )
 
 
@@ -380,7 +384,8 @@ class CompiledLP:
     (:func:`repro.lp.solver.solve` accepts one) and is never mutated:
     "the same rows under other bounds" or "under another objective" is
     a derived object that shares the matrices and names —
-    :meth:`with_bounds`, :meth:`with_cost`.
+    :meth:`with_bounds`, :meth:`with_cost`, which keep the program's
+    ``presolve`` choice.
     """
 
     cost: np.ndarray
@@ -396,6 +401,8 @@ class CompiledLP:
     name: str = "lp"
     #: Columns the solver keeps integral; empty for an LP.
     binary_indices: Tuple[int, ...] = ()
+    #: Whether HiGHS presolves the program (:attr:`LinearProgram.presolve`).
+    presolve: bool = True
     #: Set by :meth:`with_bounds`: the solver leaves the columns these
     #: bounds fix at zero out of what it hands the backend.
     bounds_view: bool = False

@@ -9,8 +9,9 @@ those columns integral, in the same call, and HiGHS's own
 branch-and-bound solves it to a relative gap of zero.
 
 A solve hands HiGHS exactly what ``scipy.optimize.linprog(method=
-"highs")`` would — the same column-wise matrix, bounds and options —
-and maps the outcome the way ``linprog`` does, without ``linprog``'s
+"highs")`` would, with presolve as the program states — the same
+column-wise matrix, bounds and options — and maps the outcome the way
+``linprog`` does, without ``linprog``'s
 per-call option checks and per-column result repacking.  The program
 crosses into HiGHS as arrays (cost, bounds, row bounds and the CSC
 ``start`` / ``index`` / ``value`` through ``passModel``'s array
@@ -122,6 +123,7 @@ def solve(program: Union[LinearProgram, CompiledLP]) -> LPSolution:
 
     A program with ``binary_indices`` is a MILP: those columns are
     integral, and ``OPTIMAL`` means HiGHS proved the integer optimum.
+    HiGHS presolves the program unless its ``presolve`` is off.
 
     Never raises for infeasible/unbounded models — callers branch on
     ``solution.status``.  Use :func:`solve_or_raise` when the model is
@@ -147,7 +149,7 @@ def solve(program: Union[LinearProgram, CompiledLP]) -> LPSolution:
         integrality[list(compiled.binary_indices)] = 1
         args += (integrality if kept is None else integrality[kept],)
     try:
-        result = backend(*args)
+        result = backend(*args, presolve=compiled.presolve)
     except ValueError as exc:
         elapsed = time.perf_counter() - started
         _record_solve(program, SolveStatus.ERROR, elapsed, None)
@@ -228,11 +230,14 @@ _MIP_REL_GAP = 0.0
 
 
 def _solve_linprog(
-    cost, a_ub, b_ub, a_eq, b_eq, bounds, integrality=None
+    cost, a_ub, b_ub, a_eq, b_eq, bounds, integrality=None, presolve=True
 ) -> _BackendResult:
     """One solve through ``scipy.optimize.linprog`` (the fallback, and
     the reference the direct path is tested against).  *integrality*
     marks integral columns with 1; ``None`` is an LP."""
+    options = {} if integrality is None else {"mip_rel_gap": _MIP_REL_GAP}
+    if not presolve:
+        options["presolve"] = False
     result = linprog(
         c=cost,
         A_ub=a_ub,
@@ -242,7 +247,7 @@ def _solve_linprog(
         bounds=bounds,
         method="highs",
         integrality=integrality,
-        options=None if integrality is None else {"mip_rel_gap": _MIP_REL_GAP},
+        options=options or None,
     )
     return _BackendResult(
         status=_LINPROG_STATUS.get(result.status, SolveStatus.ERROR),
@@ -260,7 +265,7 @@ def _finite(name: str, values: np.ndarray) -> None:
 
 
 def _solve_highs(
-    cost, a_ub, b_ub, a_eq, b_eq, bounds, integrality=None
+    cost, a_ub, b_ub, a_eq, b_eq, bounds, integrality=None, presolve=True
 ) -> _BackendResult:
     """One solve through SciPy's HiGHS bindings, as ``linprog`` runs it.
 
@@ -268,8 +273,8 @@ def _solve_highs(
     refuse), the same model (column-wise ``[A_ub; A_eq]``, rows
     ``-inf <= A_ub x <= b_ub`` and ``b_eq <= A_eq x <= b_eq``, a NaN
     bound read as no bound, *integrality* 1 on integral columns), the
-    same options and the same status mapping, including the post-solve
-    feasibility check.
+    same options (``presolve`` off when *presolve* is false) and the
+    same status mapping, including the post-solve feasibility check.
     """
     cost = np.asarray(cost, dtype=np.float64)
     num_cols = len(cost)
@@ -295,7 +300,7 @@ def _solve_highs(
     row_lower = np.concatenate((np.full(len(b_ub), -np.inf), b_eq))
 
     highs = _highs._Highs()
-    highs.passOptions(_OPTIONS)
+    highs.passOptions(_OPTIONS[presolve])
     failed = _highs.HighsStatus.kError
     iterations = 0
     # The array overload: HiGHS copies the buffers, no per-entry
@@ -362,18 +367,24 @@ def _solve_highs(
     )
 
 
-if _highs is not None:
-    #: The options ``linprog(method="highs")`` sets, and the MIP gap
-    #: :func:`_solve_linprog` hands it; the rest default.
-    _OPTIONS = _highs.HighsOptions()
-    _OPTIONS.mip_rel_gap = _MIP_REL_GAP
-    _OPTIONS.presolve = "on"
-    _OPTIONS.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
-    _OPTIONS.log_to_console = False
-    _OPTIONS.output_flag = False
-    _OPTIONS.simplex_strategy = (
+def _highs_options(presolve: str):
+    """The options ``linprog(method="highs")`` sets, and the MIP gap
+    :func:`_solve_linprog` hands it; the rest default."""
+    options = _highs.HighsOptions()
+    options.mip_rel_gap = _MIP_REL_GAP
+    options.presolve = presolve
+    options.highs_debug_level = _highs.HighsDebugLevel.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = (
         _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     )
+    return options
+
+
+if _highs is not None:
+    #: By whether the program is presolved.
+    _OPTIONS = {True: _highs_options("on"), False: _highs_options("off")}
     _COLWISE = int(_highs.MatrixFormat.kColwise)
     _MINIMIZE = int(_highs.ObjSense.kMinimize)
     #: ``linprog``'s mapping of the HiGHS model status (a model HiGHS

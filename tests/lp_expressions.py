@@ -15,9 +15,10 @@ shares the vocabulary (``Sense``, ``Relation``) and the lowering target
 
 An :class:`ExpressionProgram` offers what ``repro.lp.solver.solve``
 reads of a program (``name``, ``num_variables``, ``compile()`` — which
-carries ``binary_indices``, so a MILP is solved as one —
-``objective_value()``), so it is solved by handing it over, and the
-objective it reports is its own term-by-term evaluation.
+carries ``binary_indices`` and ``presolve``, so a MILP is solved as one
+and a program states its presolve choice — ``objective_value()``), so
+it is solved by handing it over, and the objective it reports is its
+own term-by-term evaluation.
 """
 
 from dataclasses import dataclass, field
@@ -217,6 +218,8 @@ class ExpressionProgram:
         self.objective: LinExpr = LinExpr()
         self.sense: Sense = Sense.MINIMIZE
         self.binary_indices: List[int] = []
+        #: Whether HiGHS presolves the program (``LinearProgram.presolve``).
+        self.presolve = True
         self._names: Dict[str, int] = {}
 
     # -- construction -----------------------------------------------------
@@ -320,6 +323,7 @@ class ExpressionProgram:
             eq_names=eq.names(),
             name=self.name,
             binary_indices=tuple(self.binary_indices),
+            presolve=self.presolve,
         )
 
 

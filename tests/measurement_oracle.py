@@ -11,6 +11,8 @@ as the tests' oracle (the ``tests/planning_oracle.py`` precedent):
 * ``estimate_units`` with ``_matched_volumes``, ``_cpu_per_flow`` and
   ``_items_for`` (``repro.measurement.estimation``) — per module, per
   report pair, a dict accumulator per unit.
+* ``pair_unit_keys`` (``repro.core.units``) — one ``unit_key`` call
+  per pair, a dict giving each new key the next index.
 * ``eligible_nodes`` (``repro.core.units``) as it was before routing
   memoised the observers of a location pair: both directed paths walked
   on every call.
@@ -24,11 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.units import CoordinationUnit, UnitKey, unit_key
 from repro.hashing.keys import Aggregation
 from repro.measurement.estimation import EstimationModel
 from repro.measurement.flows import FlowExporter, Pair, TrafficReport
-from repro.nids.modules.base import ModuleSpec
+from repro.nids.modules.base import ModuleSpec, Scope
 from repro.topology.routing import PathSet
 from repro.traffic.packet import TCP
 from repro.traffic.session import Session
@@ -205,6 +209,16 @@ def estimate_units(
         ),
         paths,
     )
+
+
+def pair_unit_keys(
+    pairs: Sequence[Pair], scope: Scope
+) -> Tuple[List[UnitKey], np.ndarray]:
+    """The distinct *scope* unit keys of routing *pairs* (first-seen order)
+    and each pair's index into them."""
+    ids: Dict[UnitKey, int] = {}
+    pair_unit = [ids.setdefault(unit_key(scope, *pair), len(ids)) for pair in pairs]
+    return list(ids), np.array(pair_unit, dtype=np.intp)
 
 
 def eligible_nodes(key: UnitKey, paths: PathSet) -> Tuple[str, ...]:

@@ -557,6 +557,7 @@ def build_nips_lp(
     restricted program small.
     """
     lp = ExpressionProgram("nips-deployment")
+    lp.presolve = integral  # as the product's builders state it
     e_vars: Dict[EKey, Variable] = {}
     d_vars: Dict[DKey, Variable] = {}
 
@@ -674,6 +675,7 @@ def solve_best_response(
     they can only consume capacity.
     """
     lp = ExpressionProgram("nips-online")
+    lp.presolve = False
     d_vars: Dict[DKey, Variable] = {}
     mem_terms: Dict[str, List] = {n: [] for n in problem.topology.node_names}
     cpu_terms: Dict[str, List] = {n: [] for n in problem.topology.node_names}

@@ -123,6 +123,31 @@ class TestSolveNips:
         assert captured.out == ""
         assert captured.err == f"error: iterations must be >= 1, got {iterations}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--rules", "0"], "rules must be >= 1, got 0"),
+            (["--rules", "-2"], "rules must be >= 1, got -2"),
+            (["--cam-fraction", "nan"], "cam_fraction must be finite and >= 0, got nan"),
+            (["--cam-fraction", "inf"], "cam_fraction must be finite and >= 0, got inf"),
+            (["--cam-fraction", "-0.5"], "cam_fraction must be finite and >= 0, got -0.5"),
+        ],
+    )
+    def test_a_bad_ruleset_or_tcam_budget_is_a_usage_error(
+        self, argv, message, capsys, monkeypatch
+    ):
+        """Zero rules used to end in an AttributeError inside
+        build_nips_lp, a NaN, infinite or negative TCAM budget in a
+        SolverError."""
+        import repro.cli
+
+        monkeypatch.setattr(repro.cli, "build_nips_problem", pytest.fail)
+        code = main(["solve-nips", "--rules", "4", *argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
 
 class TestMicrobench:
     def test_prints_table(self, capsys):
@@ -140,6 +165,20 @@ class TestOnline:
         out = capsys.readouterr().out
         assert "normalized regret" in out
         assert "20" in out
+
+    @pytest.mark.parametrize("rules", ["0", "-1"])
+    def test_no_rules_is_a_usage_error(self, rules, capsys, monkeypatch):
+        """Zero rules used to end in a ZeroDivisionError."""
+        import repro.experiments.online_adaptation
+
+        monkeypatch.setattr(
+            repro.experiments.online_adaptation, "build_online_problem", pytest.fail
+        )
+        code = main(["online", "--epochs", "5", "--rules", rules])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: rules must be >= 1, got {rules}\n"
 
 
 class TestPlanFromNetflow:

@@ -10,14 +10,18 @@ Seeded mutations each of which fails a test here: dropping the NaN
 check on the cost, passing a NaN lower bound through instead of
 reading it as ``-inf``, or mapping HiGHS's model error to ``ERROR``
 instead of ``INFEASIBLE`` (``test_malformed_inputs_fail_the_same_way``);
-``presolve`` off, or the primal instead of the dual simplex
-(``test_nids_lp_duals_and_values`` on Internet2, on the iteration
+``presolve`` off for a program that keeps it, or the primal instead of
+the dual simplex (``test_nids_lp_duals_and_values`` on Internet2, on the
+iteration counts too); either backend ignoring a program's
+``presolve=False`` — the ``linprog`` fallback dropping
+``options["presolve"]`` or the direct path passing the presolving
+options (``test_nips_relaxation_and_fixed_rule_views``, on the iteration
 counts too); an empty ``integrality`` array
 (``test_a_program_without_rows``, every other test too); dropping the
 post-solve feasibility check
 (``test_an_optimum_outside_the_tolerance_is_an_error``).  ``presolve``
 left at HiGHS's ``choose`` is not caught: these programs solve the same
-under it.
+under it.  Which programs presolve is ``tests/test_nips_presolve.py``'s.
 """
 
 import dataclasses
@@ -28,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.core.nids_lp import build_nids_lp
-from repro.core.nips_milp import build_nips_problem, compile_nips_polytope
+from repro.core.nips_milp import build_nips_lp, build_nips_problem, compile_nips_polytope
 from repro.core.provisioning import bottleneck_analysis
 from repro.core.units import build_units
 from repro.lp import solver
@@ -65,8 +69,8 @@ def _both(monkeypatch, program):
     for backend in (solver._solve_highs, solver._solve_linprog):
         iterations = []
 
-        def counted(*args, backend=backend, iterations=iterations):
-            result = backend(*args)
+        def counted(*args, backend=backend, iterations=iterations, **options):
+            result = backend(*args, **options)
             iterations.append(result.iterations)
             return result
 
@@ -152,6 +156,7 @@ class TestSameAsLinprog:
 
     def test_nips_relaxation_and_fixed_rule_views(self, monkeypatch):
         polytope = _nips_polytope("internet2", 6, seed=9)
+        _assert_identical(monkeypatch, build_nips_lp(polytope.problem).program)
         compiled = polytope.compiled
         _assert_identical(monkeypatch, compiled)
         rng = np.random.default_rng(4)
@@ -246,9 +251,9 @@ def test_only_a_bounds_view_leaves_its_zero_columns_out(monkeypatch):
     widths = []
     real = solver.backend
 
-    def spy(cost, a_ub, b_ub, a_eq, b_eq, bounds):
+    def spy(cost, a_ub, b_ub, a_eq, b_eq, bounds, **options):
         widths.append(len(cost))
-        return real(cost, a_ub, b_ub, a_eq, b_eq, bounds)
+        return real(cost, a_ub, b_ub, a_eq, b_eq, bounds, **options)
 
     monkeypatch.setattr(solver, "backend", spy)
     compiled = lp.compile()

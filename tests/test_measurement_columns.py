@@ -12,6 +12,9 @@ replaced (``tests/measurement_oracle.py``), compared with ``==``.
   pairs with zero flows, ingress and egress keys folding many pairs, a
   multi-agent merge with a duplicated pair, an empty report), on random
   reports drawn by Hypothesis, and through whole chaos runs.
+* ``pair_unit_keys``, now a pass over coded pair ends, against one
+  ``unit_key`` call per pair (Hypothesis pairs: repeats, both
+  orientations, one node at both ends).
 * ``eligible_nodes``, now memoised on the ``PathSet``, against walking
   both directed paths on every call.
 * Malformed measurement fails loudly: a negative or non-finite report
@@ -42,7 +45,7 @@ from repro.control import controller as controller_module
 from repro.control.chaos import NAMED_PLANS, build_plan, run_chaos
 from repro.control.epochs import merge_reports
 from repro.control.plane import ScenarioConfig
-from repro.core.units import eligible_nodes
+from repro.core.units import eligible_nodes, pair_unit_keys
 from repro.measurement import EstimationModel, FlowExporter, TrafficReport, estimate_units
 from repro.nids.modules import STANDARD_MODULES
 from repro.nids.modules.base import Scope
@@ -272,6 +275,24 @@ def test_random_reports_estimate_as_the_loop(
     report = _report(flows, packets, port_flows, port_packets)
     model = EstimationModel(tcp_fraction=tcp_fraction, half_open_fraction=half_open)
     _assert_same_units(report, model=model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pairs=st.lists(
+        st.tuples(*[st.sampled_from(["A", "B", "a", "b", "AB", "Ab", ""])] * 2),
+        max_size=40,
+    ),
+    scope=st.sampled_from(list(Scope)),
+)
+def test_pair_unit_keys_are_the_per_pair_loop(pairs, scope):
+    # Repeated pairs, both orientations, a pair with one node at both
+    # ends, and names whose order is not their length's.
+    keys, pair_unit = pair_unit_keys(pairs, scope)
+    expected_keys, expected_pair_unit = oracle.pair_unit_keys(pairs, scope)
+    assert keys == expected_keys
+    assert pair_unit.dtype == expected_pair_unit.dtype
+    assert pair_unit.tolist() == expected_pair_unit.tolist()
 
 
 # -- routing memo ------------------------------------------------------------

@@ -236,9 +236,9 @@ def test_columns_fixed_at_zero_never_reach_the_backend(monkeypatch):
     enabled = oracle.e_vector(problem, placement)[polytope.layout.enabler] > 0
     widths = []
 
-    def spy(cost, a_ub, b_ub, a_eq, b_eq, bounds):
+    def spy(cost, a_ub, b_ub, a_eq, b_eq, bounds, **options):
         widths.append((len(cost), a_ub.shape[1], len(bounds)))
-        return real(cost, a_ub, b_ub, a_eq, b_eq, bounds)
+        return real(cost, a_ub, b_ub, a_eq, b_eq, bounds, **options)
 
     real = solver.backend
     monkeypatch.setattr(solver, "backend", spy)

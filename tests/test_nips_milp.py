@@ -74,6 +74,13 @@ class TestProblemConstruction:
                            r"\(3, \('b', 'a'\)\) is not in \[0, 1\]$"):
             MatchRateMatrix(rates)
 
+    def test_a_problem_without_rules_is_refused(self):
+        # It used to build, then fail inside build_nips_lp on an empty
+        # polytope (``'NoneType' object has no attribute 'tocoo'``).
+        topo = internet2().set_uniform_capacities(cam=1.0)
+        with pytest.raises(ValueError, match="at least one rule"):
+            build_nips_problem(topo, [], MatchRateMatrix({}))
+
     @pytest.mark.parametrize("rate", [0.0, 1.0, -0.0])
     def test_the_unit_interval_is_closed(self, rate):
         assert MatchRateMatrix({(0, ("a", "b")): rate}).rate(0, ("a", "b")) == rate

@@ -376,6 +376,7 @@ def _assert_same_compile(ours, theirs):
     ]
     assert ours.maximize == theirs.maximize
     assert ours.binary_indices == theirs.binary_indices
+    assert ours.presolve == theirs.presolve
     assert np.array_equal(ours.b_ub, theirs.b_ub)
     assert np.array_equal(ours.b_eq, theirs.b_eq)
     assert list(ours.variable_names) == list(theirs.variable_names)
