@@ -47,7 +47,13 @@ closes that loop at runtime:
 
 Re-solving uses the same LP as offline planning; a custom ``solve_fn``
 (e.g. an FPL-style adapter from :mod:`repro.core.online` for
-adversarially shifting inputs) can be plugged in.
+adversarially shifting inputs) can be plugged in.  Each process holds
+the final simplex basis of its own last re-plan
+(:class:`~repro.core.nids_lp.WarmStart`, scoped around ``solve_fn`` by
+:func:`~repro.core.nids_lp.hold_start`), and its next re-plan starts
+from it when the programs overlap enough
+(:data:`WARM_START_OVERLAP`).  Its first plan, and its first as a
+promoted leader, solve cold.
 """
 
 from __future__ import annotations
@@ -66,7 +72,7 @@ from ..analysis.verify import (
 from ..core.manifest import generate_manifests, NodeManifest
 from ..core.manifest_io import ConfigurationWire
 from ..core.manifest_table import ManifestTable, left_sum
-from ..core.nids_lp import NIDSAssignment, solve_nids_lp
+from ..core.nids_lp import NIDSAssignment, WarmStart, hold_start, solve_nids_lp
 from ..core.reconfigure import TransitionColumns
 from ..core.units import UnitTable
 from ..hashing.ranges import HashRange
@@ -114,6 +120,12 @@ RETRY_BACKOFF_CAP = 3.6
 RETRY_JITTER = 0.25
 #: Relative L1 drift of per-class volumes that triggers a re-solve.
 DRIFT_THRESHOLD = 0.2
+#: Least share of a re-plan's ``d`` columns that the last solve's basis
+#: must label for the re-plan to start from it.  Below it the start is
+#: more repair than basis: a 766-column re-plan's basis under a
+#: 1,749-column one took 742 simplex iterations where a cold solve's
+#: presolve left none.
+WARM_START_OVERLAP = 0.5
 
 
 @dataclass
@@ -267,6 +279,8 @@ class Controller:
         self._retry_rng = random.Random(self.config.retry_seed)
         self._reference_class_cpu: Dict[str, float] = {}
         self._last_resolve_epoch: Optional[int] = None
+        #: This process's own last re-plan basis (see the module doc).
+        self._warm = WarmStart(WARM_START_OVERLAP)
         # Per-epoch scratch, reset by step().
         self._epoch = EpochRecord(epoch=-1, time=0.0)
         self._epoch_lags: List[float] = []
@@ -300,6 +314,11 @@ class Controller:
             "configurations refused by the pre-distribution static"
             " verifier, by violated invariant",
             labels=("rule",),
+        )
+        self._cold_solves = registry.counter(
+            "controller_cold_solves_total",
+            "re-plans solved without a start basis, by reason",
+            labels=("reason",),
         )
         self._heartbeat_failures = registry.counter(
             "heartbeat_failures_total",
@@ -537,7 +556,11 @@ class Controller:
             estimated = self._estimated_units()
         self._reference_class_cpu = self._class_cpu(estimated)
         units = self._exclude_failed(estimated)
-        assignment = self.solve_fn(units, self.topology, self.config.coverage)
+        self._warm.outcome = None
+        with hold_start(self._warm):
+            assignment = self.solve_fn(units, self.topology, self.config.coverage)
+        if self._warm.outcome not in (None, "warm"):
+            self._cold_solves.inc(reason=self._warm.outcome)
         proposed = generate_manifests(units, assignment, self.topology.node_names)
         allowed: Dict[Ident, Set[str]] = dict(
             zip(units.idents, map(set, units.eligible))
@@ -841,6 +864,8 @@ class Controller:
             # leader before the first sweep can declare it failed.
             for node in self.monitor.last_seen:
                 self.monitor.last_seen[node] = now
+            # A basis from an earlier reign is not this term's plan.
+            self._warm.last = None
             self._elections.inc(replica=self.name)
         if beat.install is not None:
             self._install(beat.install)

@@ -22,19 +22,26 @@ feasibility (a singleton unit simply cannot be replicated).
 The per-unit coefficients ``cpu_ik`` / ``mem_ik`` are the measured
 ``CpuReq_i * T_ik^pkts`` and ``MemReq_i * T_ik^items`` products,
 precomputed by :mod:`repro.core.units` from the trace.
+
+A re-plan solves a program much like the last one.  Inside
+:func:`hold_start`, :func:`solve_nids_lp` starts from the held
+:class:`WarmStart`'s last final basis, mapped onto the new program by
+label (:meth:`NIDSBasis.mapped`), and leaves its own final basis there;
+outside one it solves cold and reads no basis back.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..lp.model import LinearProgram, Relation, Sense
-from ..lp.solver import solve_or_raise
+from ..lp.solver import BASIS_BASIC, BASIS_LOWER, Basis, solve_or_raise
 from ..topology.graph import Topology
 from .manifest_table import EntryKey
 from .units import UnitKey, Units, UnitTable, unit_label
@@ -142,16 +149,10 @@ class NIDSAssignment:
         table = UnitTable.of(units)
         unit = np.repeat(self.unit_ids(table.idents), table.sizes)
         node = table.codes_in(self.nodes)
-        # Join on ``unit * |nodes| + node``, which names one pair; an
-        # absent unit or node asks for -1, the appended 0.0.
-        stride = len(self.nodes)
-        wanted = np.where((unit >= 0) & (node >= 0), unit * stride + node, -1)
-        pairs = np.append(self.unit_of * stride + self.node_of, -1)
-        values = np.append(self.value, 0.0)
-        order = np.argsort(pairs)
-        found = np.searchsorted(pairs, wanted, sorter=order)
-        at = order[np.minimum(found, len(pairs) - 1)]
-        return np.where(pairs[at] == wanted, values[at], 0.0)
+        at, found = _find_pairs(
+            self.unit_of, self.node_of, unit, node, len(self.nodes)
+        )
+        return np.where(found, np.append(self.value, 0.0)[at], 0.0)
 
     def sorted_order(self) -> np.ndarray:
         """The entries in ``(class, key, node)`` order: the order the
@@ -181,6 +182,26 @@ class NIDSAssignment:
         """Nodes with positive responsibility for a unit, with fractions."""
         entries = self._entries(class_name, key)
         return [(node, value) for node, value in entries if value > 1e-9]
+
+
+def _find_pairs(
+    unit_of: np.ndarray,
+    node_of: np.ndarray,
+    unit: np.ndarray,
+    node: np.ndarray,
+    num_nodes: int,
+):
+    """Where each wanted (*unit*, *node*) sits among the entries
+    (*unit_of*, *node_of*), and whether it is there at all (a ``-1``
+    unit or node never is): one join on ``unit * num_nodes + node``,
+    which names one pair.  A position indexes the entries with one
+    slot appended; it means something only where found."""
+    wanted = np.where((unit >= 0) & (node >= 0), unit * num_nodes + node, -1)
+    pairs = np.append(unit_of * num_nodes + node_of, -1)
+    order = np.argsort(pairs)
+    at = order[np.minimum(np.searchsorted(pairs, wanted, sorter=order), len(pairs) - 1)]
+    found = (pairs[at] == wanted) & (wanted >= 0)
+    return at, found
 
 
 def _ranks(items: Sequence) -> np.ndarray:
@@ -352,6 +373,112 @@ def build_nids_lp(
     )
 
 
+@dataclass(frozen=True)
+class NIDSBasis:
+    """A solved assignment LP's final basis, with the labels that map it
+    onto another program: the unit idents and node names, and
+    :class:`BuiltNIDSLP`'s ``unit_of`` / ``node_of`` of its ``d``."""
+
+    idents: Tuple[EntryKey, ...]
+    nodes: Tuple[str, ...]
+    unit_of: np.ndarray
+    node_of: np.ndarray
+    basis: Basis
+
+    def mapped(
+        self, units: UnitTable, nodes: Tuple[str, ...], built: BuiltNIDSLP
+    ) -> Tuple[Optional[Basis], float]:
+        """This basis as a start for *built* (the program of *units* on
+        *nodes*), and the share of *built*'s ``d`` columns it has a
+        status for.
+
+        ``d`` columns are matched by (unit ident, node) and cover rows
+        by ident; the load columns and the load and max rows, which
+        depend only on the nodes, by position.  An unmatched column
+        starts nonbasic at its lower bound (0), an unmatched cover row
+        basic; the solver repairs the basic count.  Another node table
+        matches nothing (``None``).
+        """
+        if nodes != self.nodes:
+            return None, 0.0
+        num_d, num_nodes = len(built.d), len(nodes)
+        col_status = np.full(built.program.num_variables, BASIS_LOWER, dtype=np.int8)
+        index = {ident: u for u, ident in enumerate(self.idents)}
+        old_unit = np.fromiter(
+            (index.get(ident, -1) for ident in units.idents),
+            dtype=np.intp,
+            count=len(units),
+        )
+        at, found = _find_pairs(
+            self.unit_of, self.node_of, old_unit[built.unit_of], built.node_of,
+            num_nodes,
+        )
+        old_cols, old_rows = self.basis.col_status, self.basis.row_status
+        old_d = len(self.unit_of)
+        col_status[:num_d][found] = old_cols[at[found]]
+        col_status[num_d:] = old_cols[old_d:]
+        # Backend rows: the 2N + 2 inequalities, then Eq. 1's cover rows
+        # (one per unit), then the 2N load definitions.
+        ineq = 2 * num_nodes + 2
+        cover = np.full(len(units), BASIS_BASIC, dtype=np.int8)
+        known = old_unit >= 0
+        cover[known] = old_rows[ineq + old_unit[known]]
+        row_status = np.concatenate(
+            (old_rows[:ineq], cover, old_rows[len(old_rows) - 2 * num_nodes :])
+        )
+        overlap = float(np.count_nonzero(found)) / num_d if num_d else 0.0
+        return Basis(col_status, row_status), overlap
+
+
+class WarmStart:
+    """One planner's simplex start: the final basis of its last solve
+    inside :func:`hold_start`, and whether the next one may start from it.
+
+    A solve starts from :attr:`last` mapped onto its program when the
+    mapped ``d`` columns make up at least *min_overlap* of it; otherwise
+    it solves cold, and :attr:`outcome` names why: ``"no-basis"`` (none
+    held) or ``"low-overlap"``.  A warm solve's outcome is ``"warm"``.
+    """
+
+    def __init__(self, min_overlap: float):
+        self.min_overlap = min_overlap
+        self.last: Optional[NIDSBasis] = None
+        #: How the last solve started (``None``: no solve yet).
+        self.outcome: Optional[str] = None
+
+    def start_for(
+        self, units: UnitTable, nodes: Tuple[str, ...], built: BuiltNIDSLP
+    ) -> Optional[Basis]:
+        """The start for *built* (see :meth:`NIDSBasis.mapped`), or
+        ``None`` to solve cold; sets :attr:`outcome`."""
+        if self.last is None:
+            self.outcome = "no-basis"
+            return None
+        start, overlap = self.last.mapped(units, nodes, built)
+        if start is None or overlap < self.min_overlap:
+            self.outcome = "low-overlap"
+            return None
+        self.outcome = "warm"
+        return start
+
+
+#: The start :func:`solve_nids_lp` reads (set by :func:`hold_start`).
+_held: Optional[WarmStart] = None
+
+
+@contextmanager
+def hold_start(start: WarmStart) -> Iterator[WarmStart]:
+    """Scope *start* around the solves of a block: every
+    :func:`solve_nids_lp` in it starts from *start* and leaves its final
+    basis there, whoever calls it."""
+    global _held
+    previous, _held = _held, start
+    try:
+        yield start
+    finally:
+        _held = previous
+
+
 def solve_nids_lp(
     units: Units,
     topology: Topology,
@@ -361,11 +488,24 @@ def solve_nids_lp(
 
     The LP is always feasible: ``d_ikj = coverage / |P_ik|`` satisfies
     every constraint, so a solver failure indicates a bug and raises.
+    Inside :func:`hold_start` the solve starts from the held basis (see
+    :class:`WarmStart`) and leaves its own there.
     """
     started = time.perf_counter()
     units = UnitTable.of(units)
     built = build_nids_lp(units, topology, coverage)
-    solution = solve_or_raise(built.program)
+    held = _held
+    if held is None:
+        solution = solve_or_raise(built.program)
+    else:
+        nodes = tuple(topology.node_names)
+        start = held.start_for(units, nodes, built)
+        solution = solve_or_raise(built.program, start=start, read_basis=True)
+        held.last = None
+        if solution.basis is not None:
+            held.last = NIDSBasis(
+                units.idents, nodes, built.unit_of, built.node_of, solution.basis
+            )
     elapsed = time.perf_counter() - started
 
     values = solution.values

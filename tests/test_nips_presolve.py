@@ -71,9 +71,9 @@ def presolved(monkeypatch):
     calls = []
     real = solver.backend
 
-    def spy(*args, presolve):
+    def spy(*args, presolve, **options):
         calls.append(presolve)
-        return real(*args, presolve=presolve)
+        return real(*args, presolve=presolve, **options)
 
     monkeypatch.setattr(solver, "backend", spy)
     return calls
