@@ -60,7 +60,6 @@ from ..core.nids_lp import NIDSAssignment
 from ..core.units import Units, UnitTable, eligible_nodes
 
 if TYPE_CHECKING:  # heavy NIPS imports only for type checkers
-    from ..core.nips_manifest import NIPSNodeManifest
     from ..core.nips_milp import NIPSProblem, NIPSSolution
 from ..hashing.ranges import EPSILON
 
@@ -145,7 +144,7 @@ def verify_delta(base: NodeManifest, delta: Mapping) -> VerificationReport:
 def check_nips(
     problem: "NIPSProblem",
     solution: "NIPSSolution",
-    manifests: Optional[Mapping[str, "NIPSNodeManifest"]] = None,
+    manifests: Optional[Manifests] = None,
 ) -> List[Finding]:
     """Section 3.2 invariants on a (rounded) NIPS solution.
 
@@ -164,7 +163,7 @@ def check_nips(
 def verify_nips(
     problem: "NIPSProblem",
     solution: "NIPSSolution",
-    manifests: Optional[Mapping[str, "NIPSNodeManifest"]] = None,
+    manifests: Optional[Manifests] = None,
 ) -> VerificationReport:
     """Static verification of a NIPS rounding artifact."""
     checks = ["tcam", "capacity", "enablement", "path-mass", "on-path"]

@@ -884,8 +884,9 @@ class Controller:
         """Reseed push state from a completed handoff: every delta base
         is forgotten except those the machine proved each agent holds."""
         self.version = install.version
-        if install.manifests is not None:
-            self.manifests = install.manifests
+        if install.configuration is not None:
+            self._wire = install.configuration
+            self.manifests = install.configuration.manifests
         self.outstanding.clear()
         self._pushed_history.clear()
         self.acked_manifests.clear()

@@ -41,6 +41,7 @@ decision — which the owning
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -171,8 +172,9 @@ class Install:
     outcome: str
     #: The configuration version the new leader continues from.
     version: int
-    #: The installed epoch's manifests; ``None`` on a log gap.
-    manifests: Optional[Dict[str, NodeManifest]]
+    #: The installed epoch's manifests in their wire form (its log
+    #: entry was sized from it); ``None`` on a log gap.
+    configuration: Optional[ConfigurationWire]
     #: Per claiming node, in name order: the ``(version, manifest)``
     #: it provably holds — a trusted delta base — or ``None``: it
     #: needs a full push.
@@ -531,6 +533,14 @@ class ReplicatedLog:
                 bases.append((node, (claimed_version, manifest_from_dict(held))))
             else:
                 bases.append((node, None))
+        configuration = None
+        if entry is not None:
+            # A handed-off entry has no manifest sizes: take them from the
+            # install's encodings (the owner's next version reuses them).
+            configuration = ConfigurationWire(entry.manifest_objects())
+            self.log[highest] = dataclasses.replace(
+                entry, manifest_sizes=tuple(wire.size for _node, wire in configuration.log())
+            )
         self.rebuilding = False
         # The installed configuration is by construction *stale* (it
         # predates the takeover), and the first re-plan after it may
@@ -540,6 +550,6 @@ class ReplicatedLog:
         return Install(
             outcome="caught-up" if highest < 0 or entry is not None else "log-gap",
             version=max(version, highest) if highest >= 0 else version,
-            manifests=entry.manifest_objects() if entry is not None else None,
+            configuration=configuration,
             bases=tuple(bases),
         )

@@ -33,9 +33,8 @@ from .manifest_io import (
 )
 from .nids_deployment import NIDSDeployment, plan_deployment
 from .nips_manifest import (
-    NIPSDispatcher,
-    NIPSNodeManifest,
     generate_nips_manifests,
+    rule_unit,
     verify_nips_manifests,
 )
 from .reconfigure import TransitionPlan, conservative_units, plan_transition
@@ -109,8 +108,6 @@ __all__ = [
     "FPLConfig",
     "NIDSAssignment",
     "NIDSDeployment",
-    "NIPSDispatcher",
-    "NIPSNodeManifest",
     "NIPSPolytope",
     "NIPSProblem",
     "NIPSSolution",
@@ -152,6 +149,7 @@ __all__ = [
     "rank_nids_upgrades",
     "round_enablement",
     "rounded_deployment",
+    "rule_unit",
     "run_online_adaptation",
     "sampled_node",
     "solve_best_response",

@@ -30,6 +30,7 @@ from .manifest_table import (
     EntryKey,
     Manifests,
     ManifestTable,
+    Pieces,
     fold_segments,
     row_mass,
 )
@@ -287,6 +288,20 @@ def check_disjoint(
     return [Finding(REP102, subject, message)]
 
 
+def overlaps(held: Pieces) -> np.ndarray:
+    """Where a piece of *held* overlaps the next one of its ``(owner,
+    node)`` row in ``lo`` order by more than ``EPSILON``: the first
+    piece of each such pair.  Adjacent pairs suffice, as in
+    :func:`~repro.hashing.ranges.are_disjoint`; empty pieces are the
+    caller's to drop."""
+    owner, node, lo, hi = held
+    by_lo = np.lexsort((lo, node, owner))
+    same_row = (owner[by_lo][1:] == owner[by_lo][:-1]) & (
+        node[by_lo][1:] == node[by_lo][:-1]
+    )
+    return by_lo[:-1][same_row & (hi[by_lo][:-1] - lo[by_lo][1:] > EPSILON)]
+
+
 def check_partition(units: Units, manifests: Manifests) -> List[Finding]:
     """Fig. 2 partition: disjoint per node, exact r-fold cover, top at 1.0.
 
@@ -319,11 +334,7 @@ def check_partition(units: Units, manifests: Manifests) -> List[Finding]:
     owner, node, lo, hi = held
 
     # (1) Per (unit, node) row, adjacent pieces in lo order overlap.
-    by_lo = np.lexsort((lo, node, owner))
-    same_row = (owner[by_lo][1:] == owner[by_lo][:-1]) & (
-        node[by_lo][1:] == node[by_lo][:-1]
-    )
-    clash = by_lo[:-1][same_row & (hi[by_lo][:-1] - lo[by_lo][1:] > EPSILON)]
+    clash = overlaps(held)
     overlapping: Dict[int, List[int]] = {}
     for u, k in sorted(set(zip(owner[clash].tolist(), node[clash].tolist()))):
         overlapping.setdefault(u, []).append(k)

@@ -1,10 +1,11 @@
 """Path-level NIPS enforcement simulation.
 
-Validates a deployment ``(e, d)`` operationally: lays the per-path
-sampling fractions out as hash ranges along each path (exactly like the
-NIDS manifests of Fig. 2), simulates the flows traversing the network,
-and measures the footprint actually removed and the load each node
-actually bears.
+Validates a deployment ``(e, d)`` operationally: takes each node's
+share of each path from the hash ranges its sampling manifest installs
+(:func:`repro.core.nips_manifest.lay_paths`, the layout
+``generate_nips_manifests`` writes), simulates the flows traversing the
+network, and measures the footprint actually removed and the load each
+node actually bears.
 
 Two sampling layouts are supported:
 
@@ -21,12 +22,12 @@ In both cases realized node loads never exceed the conservative model
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
+from ..core.nips_manifest import lay_paths
 from ..core.nips_milp import NIPSProblem, NIPSSolution
 
 Pair = Tuple[str, str]
@@ -63,33 +64,16 @@ class EnforcementReport:
         return True
 
 
-def _disjoint_ranges(
-    path_nodes: Tuple[str, ...], fractions: Mapping[str, float]
-) -> Dict[str, Tuple[float, float]]:
-    """Lay per-node fractions as consecutive ranges over [0, 1]."""
-    ranges = {}
-    position = 0.0
-    for node in path_nodes:
-        fraction = fractions.get(node, 0.0)
-        if fraction > 0.0:
-            ranges[node] = (position, min(1.0, position + fraction))
-            position += fraction
-    return ranges
-
-
 def enforce(
     problem: NIPSProblem,
     solution: NIPSSolution,
     disjoint: bool = True,
-    seed: int = 0,
 ) -> EnforcementReport:
     """Simulate *solution* over the problem's traffic.
 
     Flow populations are treated fluidly (fractions of ``T^items``),
-    which is exact for the hash-uniformity assumption the paper makes;
-    *seed* only matters for the independent-sampling strawman.
+    which is exact for the hash-uniformity assumption the paper makes.
     """
-    rng = random.Random(seed)
     footprint = 0.0
     dropped = 0.0
     total_unwanted = 0.0
@@ -98,11 +82,23 @@ def enforce(
     modeled_cpu: Dict[str, float] = {}
     modeled_mem: Dict[str, float] = {}
 
-    layout = problem.layout
-    per_path: Dict[Tuple[int, Pair], Dict[str, float]] = {}
-    for t in np.flatnonzero(solution.d > 0.0).tolist():
-        i, pair = layout.rule_ids[layout.rule_of[t]], layout.pairs[layout.pair_of[t]]
-        per_path.setdefault((i, pair), {})[layout.nodes[layout.node_of[t]]] = float(solution.d[t])
+    layout, d = problem.layout, solution.d
+
+    def by_path(
+        entries: np.ndarray, values: np.ndarray
+    ) -> Dict[Tuple[int, Pair], Dict[str, float]]:
+        """Each (rule, path)'s ``{node: value}``, in ``d`` order."""
+        grouped: Dict[Tuple[int, Pair], Dict[str, float]] = {}
+        for t, value in zip(entries.tolist(), values.tolist()):
+            i, pair = layout.rule_ids[layout.rule_of[t]], layout.pairs[layout.pair_of[t]]
+            grouped.setdefault((i, pair), {})[layout.nodes[layout.node_of[t]]] = value
+        return grouped
+
+    held = np.flatnonzero(d > 0.0)
+    per_path = by_path(held, d[held])
+    # Each node's share is the length of the range its manifest installs.
+    laid, lo, hi = lay_paths(layout, d)
+    shares = by_path(laid, hi - lo)
 
     for pair in problem.pairs:
         path = problem.paths[pair]
@@ -126,9 +122,7 @@ def enforce(
                 )
 
             if disjoint:
-                ranges = _disjoint_ranges(path.nodes, fractions)
-                for node, (lo, hi) in ranges.items():
-                    share = hi - lo
+                for node, share in shares.get((rule.index, pair), {}).items():
                     # Disjoint ranges: flows in this node's range were
                     # never dropped upstream, so realized load = model.
                     cpu_load[node] = cpu_load.get(node, 0.0) + pkts * rule.cpu_req * share

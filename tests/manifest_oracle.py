@@ -30,11 +30,23 @@ So are the two checks that read the solved ``d*``,
 assignment carried before it held the solver's columns (which
 ``tests.planning_oracle.fractions_of`` rebuilds);
 ``tests/test_dstar_columns.py`` compares them finding for finding.
+
+The NIPS manifests of Section 3.2 before they became plain
+``NodeManifest`` rows: ``NIPSNodeManifest`` (a TCAM rule set plus range
+dicts keyed ``(rule index, pair)``), the per-entry layout loop of
+``repro.core.nips_manifest.generate_nips_manifests``, the per-node and
+per-path ``check_nips_manifests`` walk, the per-packet
+``NIPSDispatcher`` and ``repro.nips.enforcement``'s own
+``_disjoint_ranges`` layout with the ``enforce`` that read it, verbatim
+(``enforce`` without its unused random generator);
+``tests/test_nips_manifest.py`` compares them with the product.
 """
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.control.agent import Agent
 from repro.control.epochs import CoverageSummary, Ident
@@ -44,19 +56,26 @@ from repro.core.manifest import (
     REP103,
     REP104,
     REP107,
+    REP108,
     EntryKey,
     Finding,
     NodeManifest,
     check_disjoint,
+    raise_first,
     unit_label,
 )
 from repro.core.nids_deployment import NIDSDeployment
+from repro.core.nips_milp import NIPSProblem, NIPSSolution, d_subject
 from repro.core.nids_lp import NIDSAssignment
 from repro.core.units import CoordinationUnit, UnitKey, unit_key_for_session
-from repro.hashing.keys import key_hash_unit
+from repro.hashing.bobhash import hash_unit
+from repro.hashing.keys import Aggregation, key_for, key_hash_unit
 from repro.hashing.ranges import EPSILON, HashRange, union_length
 from repro.nids.modules.base import ModuleSpec
 from repro.topology.routing import PathSet
+from repro.nips.enforcement import EnforcementReport
+from repro.traffic.generator import home_node_index
+from repro.traffic.packet import Packet
 from repro.traffic.session import Session
 from tests.planning_oracle import build_units, fractions_of
 
@@ -746,3 +765,263 @@ def check_manifests_match_assignment(
                     )
                 )
     return findings
+
+
+# -- NIPS manifests (Section 3.2) -------------------------------------------
+Pair = Tuple[str, str]
+
+
+@dataclass
+class NIPSNodeManifest:
+    """One NIPS node's configuration: TCAM rules + sampling ranges."""
+
+    node: str
+    enabled_rules: Tuple[int, ...]
+    #: Hash ranges per (rule index, path pair).
+    ranges: Dict[Tuple[int, Pair], Tuple[HashRange, ...]] = field(default_factory=dict)
+
+    def sampled_fraction(self, rule_index: int, pair: Pair) -> float:
+        """Hash-space share held for (rule, path)."""
+        return sum(r.length for r in self.ranges.get((rule_index, pair), ()))
+
+    def contains(self, rule_index: int, pair: Pair, hash_value: float) -> bool:
+        """Whether *hash_value* falls in this node's range."""
+        return any(
+            r.contains(hash_value) for r in self.ranges.get((rule_index, pair), ())
+        )
+
+
+def generate_nips_manifests(
+    problem: NIPSProblem, solution: NIPSSolution
+) -> Dict[str, NIPSNodeManifest]:
+    """Translate ``(e, d)`` into per-node NIPS manifests."""
+    raise_first(problem.check(solution.e, solution.d))
+    manifests = {
+        node: NIPSNodeManifest(
+            node=node, enabled_rules=tuple(solution.enabled_rules(node))
+        )
+        for node in problem.topology.node_names
+    }
+
+    # ``d`` runs (rule, pair) by (rule, pair), each path's nodes in path order.
+    layout = problem.layout
+    path, position = None, 0.0
+    for t in np.flatnonzero(solution.d > EPSILON).tolist():
+        i, pair = layout.rule_ids[layout.rule_of[t]], layout.pairs[layout.pair_of[t]]
+        if (i, pair) != path:
+            path, position = (i, pair), 0.0
+        fraction = float(solution.d[t])
+        piece = HashRange(position, min(1.0, position + fraction))
+        manifests[layout.nodes[layout.node_of[t]]].ranges[(i, pair)] = (piece,)
+        position += fraction
+    return manifests
+
+
+def check_nips_manifests(
+    solution: NIPSSolution, manifests: Mapping[str, NIPSNodeManifest]
+) -> List[Finding]:
+    """The NIPS-manifest invariants, one finding per violation."""
+    layout = solution.polytope.layout
+    rule_at = {i: r for r, i in enumerate(layout.rule_ids)}
+    hop_at = {
+        (layout.pairs[p], layout.nodes[j]): h
+        for h, (p, j) in enumerate(
+            zip(layout.pair_of[: layout.hops].tolist(), layout.node_of[: layout.hops].tolist())
+        )
+    }
+    findings: List[Finding] = []
+    per_path: Dict[Tuple[int, Pair], List[HashRange]] = {}
+    for node in sorted(manifests):
+        manifest = manifests[node]
+        for (i, pair), pieces in sorted(manifest.ranges.items()):
+            subject = d_subject(i, pair, node)
+            if i not in manifest.enabled_rules:
+                findings.append(
+                    Finding(
+                        REP108,
+                        subject,
+                        "manifest samples a rule outside the node's TCAM set",
+                    )
+                )
+            findings.extend(
+                check_disjoint(subject, pieces, "node's own ranges overlap")
+            )
+            held = sum(p.length for p in pieces)
+            hop = hop_at.get((pair, node))
+            solved = (
+                0.0
+                if hop is None or i not in rule_at
+                else float(solution.d[rule_at[i] * layout.hops + hop])
+            )
+            if abs(held - solved) > MASS_TOL:
+                findings.append(
+                    Finding(
+                        REP107,
+                        subject,
+                        f"manifest holds {held:.8f}, solution assigned"
+                        f" {solved:.8f}",
+                    )
+                )
+            per_path.setdefault((i, pair), []).extend(pieces)
+    heavy = np.flatnonzero(solution.d > EPSILON)
+    path_of, width = layout.rule_pair_of[heavy], len(layout.pairs)
+    mass = np.bincount(path_of, solution.d[heavy], minlength=len(layout.rule_ids) * width)
+    expected = {
+        (layout.rule_ids[c // width], layout.pairs[c % width]): float(mass[c])
+        for c in np.unique(path_of).tolist()
+    }
+    for i, pair in sorted(set(per_path) | set(expected)):
+        subject = d_subject(i, pair)
+        pieces = per_path.get((i, pair), [])
+        findings.extend(
+            check_disjoint(
+                subject, pieces, "nodes hold overlapping ranges on one path"
+            )
+        )
+        total = sum(p.length for p in pieces)
+        solved = expected.get((i, pair), 0.0)
+        if abs(total - solved) > MASS_TOL:
+            findings.append(
+                Finding(
+                    REP107,
+                    subject,
+                    f"ranges cover {total:.8f} of the path, solution"
+                    f" assigned {solved:.8f}",
+                )
+            )
+    return findings
+
+
+class NIPSDispatcher:
+    """Per-packet filtering decision at one NIPS node."""
+
+    def __init__(
+        self,
+        manifest: NIPSNodeManifest,
+        node_names: Sequence[str],
+        hash_seed: int = 0,
+    ):
+        self.manifest = manifest
+        self.node_names = list(node_names)
+        self.hash_seed = hash_seed
+
+    def _pair_of(self, packet: Packet) -> Pair:
+        src_home = self.node_names[home_node_index(packet.tuple.src)]
+        dst_home = self.node_names[home_node_index(packet.tuple.dst)]
+        return (src_home, dst_home)
+
+    def rules_to_apply(self, packet: Packet) -> List[int]:
+        """Rule indices this node applies to *packet*."""
+        pair = self._pair_of(packet)
+        t = packet.tuple
+        hash_value = hash_unit(
+            key_for(Aggregation.FLOW, t.src, t.dst, t.sport, t.dport, t.proto),
+            self.hash_seed,
+        )
+        return [
+            i
+            for i in self.manifest.enabled_rules
+            if self.manifest.contains(i, pair, hash_value)
+        ]
+
+
+def _disjoint_ranges(
+    path_nodes: Tuple[str, ...], fractions: Mapping[str, float]
+) -> Dict[str, Tuple[float, float]]:
+    """Lay per-node fractions as consecutive ranges over [0, 1]."""
+    ranges = {}
+    position = 0.0
+    for node in path_nodes:
+        fraction = fractions.get(node, 0.0)
+        if fraction > 0.0:
+            ranges[node] = (position, min(1.0, position + fraction))
+            position += fraction
+    return ranges
+
+
+def enforce(
+    problem: NIPSProblem,
+    solution: NIPSSolution,
+    disjoint: bool = True,
+) -> EnforcementReport:
+    """Simulate *solution* over the problem's traffic."""
+    footprint = 0.0
+    dropped = 0.0
+    total_unwanted = 0.0
+    cpu_load: Dict[str, float] = {}
+    mem_load: Dict[str, float] = {}
+    modeled_cpu: Dict[str, float] = {}
+    modeled_mem: Dict[str, float] = {}
+
+    layout = problem.layout
+    per_path: Dict[Tuple[int, Pair], Dict[str, float]] = {}
+    for t in np.flatnonzero(solution.d > 0.0).tolist():
+        i, pair = layout.rule_ids[layout.rule_of[t]], layout.pairs[layout.pair_of[t]]
+        per_path.setdefault((i, pair), {})[layout.nodes[layout.node_of[t]]] = float(solution.d[t])
+
+    for pair in problem.pairs:
+        path = problem.paths[pair]
+        items = problem.items[pair]
+        pkts = problem.pkts[pair]
+        for rule in problem.rules:
+            rate = problem.match.rate(rule.index, pair)
+            unwanted = items * rate
+            total_unwanted += unwanted
+            fractions = per_path.get((rule.index, pair), {})
+            if not fractions:
+                continue
+
+            # Modeled (conservative) load: full T * d at every node.
+            for node, fraction in fractions.items():
+                modeled_mem[node] = modeled_mem.get(node, 0.0) + (
+                    items * rule.mem_req * fraction
+                )
+                modeled_cpu[node] = modeled_cpu.get(node, 0.0) + (
+                    pkts * rule.cpu_req * fraction
+                )
+
+            if disjoint:
+                ranges = _disjoint_ranges(path.nodes, fractions)
+                for node, (lo, hi) in ranges.items():
+                    share = hi - lo
+                    # Disjoint ranges: flows in this node's range were
+                    # never dropped upstream, so realized load = model.
+                    cpu_load[node] = cpu_load.get(node, 0.0) + pkts * rule.cpu_req * share
+                    mem_load[node] = mem_load.get(node, 0.0) + items * rule.mem_req * share
+                    removed = unwanted * share
+                    dropped += removed
+                    footprint += removed * problem.dist[pair][node]
+            else:
+                # Independent sampling: each node samples its fraction
+                # of whatever unwanted traffic survives upstream.
+                surviving = 1.0
+                for node in path.nodes:
+                    fraction = fractions.get(node, 0.0)
+                    if fraction <= 0.0:
+                        continue
+                    # Unmatched traffic always arrives; matched only if
+                    # it survived upstream drops.
+                    arriving_matched = surviving
+                    cpu_load[node] = cpu_load.get(node, 0.0) + (
+                        pkts * rule.cpu_req * fraction
+                        * (1.0 - rate + rate * arriving_matched)
+                    )
+                    mem_load[node] = mem_load.get(node, 0.0) + (
+                        items * rule.mem_req * fraction
+                        * (1.0 - rate + rate * arriving_matched)
+                    )
+                    removed = unwanted * arriving_matched * fraction
+                    dropped += removed
+                    footprint += removed * problem.dist[pair][node]
+                    surviving *= 1.0 - fraction
+
+    return EnforcementReport(
+        footprint_removed=footprint,
+        modeled_objective=problem.objective(solution.d),
+        flows_dropped=dropped,
+        total_unwanted_flows=total_unwanted,
+        node_cpu_load=cpu_load,
+        node_mem_load=mem_load,
+        modeled_cpu_load=modeled_cpu,
+        modeled_mem_load=modeled_mem,
+    )

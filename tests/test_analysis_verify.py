@@ -45,6 +45,7 @@ from repro.core.manifest_io import (
 from repro.core.nids_lp import NIDSAssignment
 from repro.core.nips_manifest import (
     generate_nips_manifests,
+    rule_unit,
     verify_nips_manifests,
 )
 from repro.core.nips_milp import build_nips_problem
@@ -404,7 +405,7 @@ class TestNIPSChecks:
         )
         manifests = generate_nips_manifests(problem, solution)
         assert verify_nips(problem, solution, manifests).ok
-        manifests[last].ranges[(0, pair)] = (HashRange(0.1, 0.4),)
+        manifests[last].entries[rule_unit(0, pair)] = (HashRange(0.1, 0.4),)
         report = verify_nips(problem, solution, manifests)
         assert report.rule_ids() == ["REP102"]
         with pytest.raises(ValueError, match="REP102"):
@@ -422,7 +423,7 @@ class TestNIPSChecks:
         pair = next(iter(problem.paths))
         solution, node = self.solution_for(problem, pair)
         manifests = generate_nips_manifests(problem, solution)
-        manifests[node].ranges[(1, pair)] = (HashRange(0.0, 0.0),)
+        manifests[node].entries[rule_unit(1, pair)] = (HashRange(0.0, 0.0),)
         report = verify_nips(problem, solution, manifests)
         assert "REP108" in report.rule_ids()
 
@@ -431,7 +432,7 @@ class TestNIPSChecks:
         pair = next(iter(problem.paths))
         solution, node = self.solution_for(problem, pair)
         manifests = generate_nips_manifests(problem, solution)
-        manifests[node].ranges[(0, pair)] = (HashRange(0.0, 0.5),)
+        manifests[node].entries[rule_unit(0, pair)] = (HashRange(0.0, 0.5),)
         report = verify_nips(problem, solution, manifests)
         assert report.rule_ids() == ["REP107"]
 

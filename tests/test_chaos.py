@@ -724,3 +724,33 @@ class TestPerBeatProcessFaults:
         assert result.records[4].leader is None
         assert not result.records[4].ha_settled
         assert result.ha_summary["elections"] == 0
+
+
+#: The chaos runs known to violate an invariant, and the one violation
+#: each reports (ROADMAP items 3, 9 and 10).  A fix, or a different way
+#: of failing, changes this table.
+KNOWN_RED = [
+    (
+        "agent-restart-stale",
+        3,
+        "epoch 6 [coverage-floor]: 72/4078 baseline-covered (module, session)"
+        " pairs unanalyzed outside a transition window",
+    ),
+    ("random", 18, "epoch 17 [reconvergence]: never settled after heal epoch 10 (deadline 14)"),
+    (
+        "random",
+        47,
+        "epoch 6 [coverage-floor]: 76/4276 baseline-covered (module, session)"
+        " pairs unanalyzed outside a transition window",
+    ),
+]
+
+
+@pytest.mark.parametrize("plan, seed, violation", KNOWN_RED)
+def test_known_red_chaos_runs_fail_as_recorded(plan, seed, violation, capsys):
+    from repro.cli import main
+
+    assert main(["control", "chaos", "--plan", plan, "--seed", str(seed)]) == 1
+    out = capsys.readouterr().out
+    reported = out[out.index("INVARIANT VIOLATIONS:"):].splitlines()[1:]
+    assert reported == [f"  - {violation}"]

@@ -27,7 +27,10 @@
   two builds per full re-plan and one per repair in an HA chaos run, no
   mapping tabled twice, no adopted set written after its adoption.
 
-Seeded mutations each of which fails a test here: dropping the ``", "``
+Seeded mutations each of which fails a test here: keeping a promoted
+leader's installed log entry unsized, so its first re-send encodes each
+manifest whole (``test_an_installed_entry_is_sized_from_its_install``);
+dropping the ``", "``
 term from ``joined_size`` (``test_wire_forms_equal_the_encoders``,
 ``test_whole_runs_match_the_references``); keying
 ``ConfigurationWire``'s entry cache by ident only
@@ -477,6 +480,52 @@ def test_a_promoted_leader_scores_against_the_installed_configuration():
     ]
     assert first.epoch == 6
     assert first.duplicated_fraction == pytest.approx(0.185678, abs=1e-6)
+
+
+def test_an_installed_entry_is_sized_from_its_install(monkeypatch):
+    # A promoted leader re-sends the log entry it installed from a
+    # handoff.  The entry arrived without its manifests' sizes; they
+    # come from the install's own encodings (which the leader's next
+    # configuration carries), not from encoding each manifest whole.
+    import repro.control.epochs as epochs
+
+    encoded = []
+    json_size = epochs.json_size
+    monkeypatch.setattr(
+        epochs, "json_size", lambda payload: encoded.append(payload) or json_size(payload)
+    )
+    installed = []
+    install = ReplicatedLog._install
+
+    def spy_install(self, now, version):
+        made = install(self, now, version)
+        installed.append((self, made))
+        return made
+
+    monkeypatch.setattr(ReplicatedLog, "_install", spy_install)
+    adopt = Controller._adopt
+    carried = []
+
+    def spy_adopt(self, table, units, assignment, now, reason):
+        held = self.wire
+        adopt(self, table, units, assignment, now, reason)
+        carried.append(self.wire._carried is held._entries)
+
+    monkeypatch.setattr(Controller, "_adopt", spy_adopt)
+    topology = by_label("internet2")
+    run_chaos(
+        ScenarioConfig(
+            plan=build_plan("leader-crash-mid-push", 7, 18, topology.node_names),
+            seed=7,
+            replicas=3,
+        )
+    )
+    assert installed
+    for machine, made in installed:
+        assert made.configuration is not None
+        assert machine.log[made.version].manifest_sizes
+    assert all(carried)
+    assert not [p for p in encoded if isinstance(p, dict) and "entries" in p]
 
 
 def test_the_held_table_follows_every_assignment_to_manifests():

@@ -125,6 +125,20 @@ class TestRemovedSurface:
 
         assert not hasattr(TestNIPSChecks, "test_off_path_filtering_is_rep104")
 
+    def test_nips_manifests_are_node_manifests(self):
+        # A NIPS manifest is a plain NodeManifest read through a
+        # ManifestTable; its own type, its per-packet dispatcher and
+        # enforcement's own layout are the tests' oracle now.
+        import repro.core
+        import repro.core.nips_manifest as nips_manifest
+        import repro.nips.enforcement as enforcement
+
+        for name in ("NIPSNodeManifest", "NIPSDispatcher"):
+            assert not hasattr(repro.core, name)
+            assert name not in repro.core.__all__
+            assert not hasattr(nips_manifest, name)
+        assert not hasattr(enforcement, "_disjoint_ranges")
+
     def test_units_have_one_representation(self):
         # A set of units is one UnitTable; the object assembly, the
         # ident index and the field list a headroom scaled are gone.
